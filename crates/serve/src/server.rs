@@ -9,7 +9,7 @@
 //!   stream back over the socket. Validation failures never consume a
 //!   queue slot.
 //! * **One executor thread** owns the checkpoint [`Journal`] and the
-//!   shared T2/F6 design matrix cache, and runs jobs strictly one at a
+//!   shared design matrix of F1/F2/T2/F6, and runs jobs strictly one at a
 //!   time (each job shards *internally* over the configured worker
 //!   threads — the same `--jobs` sharding the one-shot binaries use, so
 //!   results are byte-identical to theirs).
@@ -34,7 +34,7 @@ use moca_core::L2Design;
 use moca_sim::checkpoint::{
     experiment_key, point_key_with_source, try_sweep_checkpointed, write_checkpoint_csv, Journal,
 };
-use moca_sim::experiments::{self, matrix};
+use moca_sim::experiments::{self, Runner, MATRIX_IDS};
 use moca_sim::parallel::{catch_panic, Jobs};
 use moca_sim::telemetry::{Event, JsonlRecorder, Recorder};
 use moca_sim::workloads::Scale;
@@ -435,13 +435,15 @@ fn validate_exp(req: proto::ExpRequest) -> Result<Work, String> {
 /// returns `None` (drain mode + empty), running each job to completion
 /// and journaling results before replying.
 fn executor_loop(inner: &Inner, mut journal: Journal) -> ExecutorSummary {
-    let mut matrix_cache: Option<matrix::DesignMatrix> = None;
+    // One matrix over every matrix experiment's designs, so whichever
+    // of them is requested first computes it for all.
+    let mut runner = Runner::new(inner.scale, inner.jobs, MATRIX_IDS);
     let mut summary = ExecutorSummary::default();
     while let Some(dispatched) = inner.queue.next() {
         let client = dispatched.client;
         let job = dispatched.job;
         let reply = job.reply.clone();
-        let responses = execute(inner, &mut journal, &mut matrix_cache, job);
+        let responses = execute(inner, &mut journal, &mut runner, job);
         for response in responses {
             // A disconnected handler dropped the receiver; the results
             // are already journaled, so losing the reply loses nothing.
@@ -463,7 +465,7 @@ fn executor_loop(inner: &Inner, mut journal: Journal) -> ExecutorSummary {
 fn execute(
     inner: &Inner,
     journal: &mut Journal,
-    matrix_cache: &mut Option<matrix::DesignMatrix>,
+    runner: &mut Runner,
     job: Job,
 ) -> Vec<Response> {
     match job.work {
@@ -474,7 +476,7 @@ fn execute(
             refs,
         } => execute_sweep(inner, journal, job.id, &app, &designs, seed, refs, &job.cancel),
         Work::Exp { id, mrc } => {
-            execute_exp(inner, journal, matrix_cache, job.id, &id, mrc, &job.cancel)
+            execute_exp(inner, journal, runner, job.id, &id, mrc, &job.cancel)
         }
         Work::Search { cfg } => execute_search(inner, journal, job.id, &cfg, &job.cancel),
     }
@@ -559,7 +561,7 @@ fn execute_sweep(
 fn execute_exp(
     inner: &Inner,
     journal: &mut Journal,
-    matrix_cache: &mut Option<matrix::DesignMatrix>,
+    runner: &mut Runner,
     job_id: u64,
     id: &str,
     mrc: bool,
@@ -598,23 +600,15 @@ fn execute_exp(
     let scale = inner.scale;
     let jobs = inner.jobs;
     let result = catch_panic(|| match id {
-        // T2 and F6 both consume the design matrix; compute it once per
-        // server lifetime (same sharing as the one-shot suite).
-        "T2" | "F6" => {
-            let m = matrix_cache.get_or_insert_with(|| matrix::run_matrix(scale, jobs));
-            if id == "T2" {
-                experiments::energy_table::from_matrix(m)
-            } else {
-                experiments::performance::from_matrix(m)
-            }
-        }
         "M1" => experiments::mrc_sweep::run_with(scale, jobs, mrc),
         // The S1 experiment lives in moca-search, not moca-sim. The exp
         // path runs it without per-generation journaling (the rendered
         // block is still cached above); the `search` request type is
         // the checkpointing surface.
         "S1" => moca_search::experiment::run(scale, jobs),
-        _ => experiments::by_id(id, scale, jobs).expect("id validated at admission"),
+        // The matrix experiments share one design matrix per server
+        // lifetime, computed over all of their designs on first use.
+        _ => runner.run(id).expect("id validated at admission"),
     });
     match result {
         Ok(result) => {

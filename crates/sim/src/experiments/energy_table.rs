@@ -6,12 +6,25 @@
 //! authors' CACTI/NVSim testbed; the reproduction targets the *shape*:
 //! large savings, dynamic > static, leakage the dominant component saved.
 
-use crate::experiments::matrix::DesignMatrix;
+use moca_core::L2Design;
+
+use crate::experiments::matrix::{headline_designs, DesignMatrix};
 use crate::experiments::{ClaimCheck, ExperimentResult};
 use crate::table::{pct, Table};
 
-/// Builds the result from an already-run design matrix.
+/// The designs this experiment reads from the shared design matrix.
+pub fn designs() -> Vec<L2Design> {
+    headline_designs()
+}
+
+/// Builds the result from the headline-design columns of a design
+/// matrix, in [`headline_designs`] order.
+///
+/// # Panics
+///
+/// Panics if the matrix lacks a headline design.
 pub fn from_matrix(m: &DesignMatrix) -> ExperimentResult {
+    let m = &m.select(&designs());
     let labels: Vec<String> = m.designs.iter().map(|d| d.label()).collect();
     let mut headers = vec!["app".to_string()];
     headers.extend(labels.iter().cloned());
@@ -105,7 +118,6 @@ pub fn from_matrix(m: &DesignMatrix) -> ExperimentResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::matrix::headline_designs;
     use crate::metrics::SimReport;
     use crate::workloads::run_app;
     use moca_trace::AppProfile;

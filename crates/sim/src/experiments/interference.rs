@@ -12,16 +12,24 @@
 //!   an idealized bound, not a proposal).
 
 use moca_core::L2Design;
-use moca_trace::AppProfile;
 
+use crate::experiments::matrix::{interference_free, DesignMatrix};
 use crate::experiments::{ClaimCheck, ExperimentResult};
-use crate::parallel::{parallel_map, Jobs};
 use crate::table::{f3, pct, Table};
-use crate::workloads::{run_app, Scale, EXPERIMENT_SEED};
 
-/// Runs the experiment, sharding the shared/isolated run pairs over
-/// `jobs` threads.
-pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
+/// The designs F2 reads from the shared design matrix: the shared
+/// baseline and the interference-free bound.
+pub fn designs() -> Vec<L2Design> {
+    vec![L2Design::baseline(), interference_free()]
+}
+
+/// Builds the result from the baseline and interference-free columns
+/// of a design matrix.
+///
+/// # Panics
+///
+/// Panics if the matrix lacks either column.
+pub fn from_matrix(m: &DesignMatrix) -> ExperimentResult {
     let mut table = Table::new(vec![
         "app",
         "shared miss",
@@ -31,22 +39,14 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
     ]);
     let mut cross_shares = Vec::new();
     let mut deltas = Vec::new();
-    let isolated = L2Design::StaticSram {
-        user_ways: 16,
-        kernel_ways: 16,
-    };
-    let pairs = parallel_map(jobs, AppProfile::suite(), |app| {
-        let shared = run_app(&app, L2Design::baseline(), scale.refs(), EXPERIMENT_SEED);
-        let iso = run_app(&app, isolated, scale.refs(), EXPERIMENT_SEED);
-        (app, shared, iso)
-    });
-    for (app, shared, iso) in pairs {
+    let pairs = m.reports(L2Design::baseline()).zip(m.reports(interference_free()));
+    for (shared, iso) in pairs {
         let delta = shared.l2_miss_rate() - iso.l2_miss_rate();
         let cross = shared.l2_stats.cross_eviction_share();
         cross_shares.push(cross);
         deltas.push(delta);
         table.row(vec![
-            app.name.to_string(),
+            shared.app.clone(),
             f3(shared.l2_miss_rate()),
             f3(iso.l2_miss_rate()),
             format!("{delta:+.3}"),
@@ -96,10 +96,13 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::matrix::run_matrix;
+    use crate::parallel::Jobs;
+    use crate::workloads::Scale;
 
     #[test]
     fn interference_is_visible() {
-        let r = run(Scale::Quick, Jobs::available());
+        let r = from_matrix(&run_matrix(&designs(), Scale::Quick, Jobs::available()));
         assert!(r.passed(), "claims failed:\n{}", r.render());
     }
 }

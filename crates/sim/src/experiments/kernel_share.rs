@@ -7,26 +7,32 @@
 //! weight because user code caches better in the L1s.
 
 use moca_core::L2Design;
-use moca_trace::{AppProfile, Mode};
+use moca_trace::Mode;
 
+use crate::experiments::matrix::DesignMatrix;
 use crate::experiments::{ClaimCheck, ExperimentResult};
-use crate::parallel::Jobs;
 use crate::table::{pct, Table};
-use crate::workloads::{run_suite_parallel, Scale, EXPERIMENT_SEED};
 
-/// Runs the experiment, sharding the per-app simulations over `jobs`
-/// threads.
-pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
+/// The designs F1 reads from the shared design matrix.
+pub fn designs() -> Vec<L2Design> {
+    vec![L2Design::baseline()]
+}
+
+/// Builds the result from the baseline column of a design matrix.
+///
+/// # Panics
+///
+/// Panics if the matrix holds no baseline column.
+pub fn from_matrix(m: &DesignMatrix) -> ExperimentResult {
     let mut table = Table::new(vec!["app", "raw kernel share", "L2 kernel share", "L2 accesses/1k refs"]);
     let mut l2_shares = Vec::new();
-    let reports = run_suite_parallel(L2Design::baseline(), scale.refs(), EXPERIMENT_SEED, jobs);
-    for (app, r) in AppProfile::suite().iter().zip(&reports) {
+    for r in m.reports(L2Design::baseline()) {
         let raw = r.l1_stats.mode(Mode::Kernel).accesses() as f64 / r.l1_stats.accesses() as f64;
         let l2 = r.l2_kernel_share();
         let rate = r.l2_stats.accesses() as f64 * 1000.0 / r.refs as f64;
         l2_shares.push(l2);
         table.row(vec![
-            app.name.to_string(),
+            r.app.clone(),
             pct(raw),
             pct(l2),
             format!("{rate:.0}"),
@@ -59,10 +65,13 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::matrix::run_matrix;
+    use crate::parallel::Jobs;
+    use crate::workloads::Scale;
 
     #[test]
     fn kernel_share_exceeds_forty_percent() {
-        let r = run(Scale::Quick, Jobs::available());
+        let r = from_matrix(&run_matrix(&designs(), Scale::Quick, Jobs::available()));
         assert!(r.passed(), "claims failed:\n{}", r.render());
         assert!(r.table.contains("browser"));
         assert!(r.table.contains("MEAN"));

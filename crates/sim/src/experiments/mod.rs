@@ -26,6 +26,9 @@ pub mod sensitivity;
 pub mod static_sweep;
 pub mod temperature;
 
+use moca_core::L2Design;
+
+use crate::experiments::matrix::DesignMatrix;
 use crate::parallel::Jobs;
 use crate::workloads::Scale;
 
@@ -90,59 +93,123 @@ impl ExperimentResult {
     }
 }
 
-/// Runs the complete experiment suite.
+/// Ids of the experiments [`all`] runs, in suite order.
+pub const SUITE_IDS: [&str; 17] = [
+    "F1", "F2", "F3", "F4", "F5", "T2", "F6", "F7", "F8", "A1", "A2", "A3", "A4", "A5", "A6",
+    "A7", "M1",
+];
+
+/// Ids of the experiments that read the shared design matrix.
+pub const MATRIX_IDS: [&str; 4] = ["F1", "F2", "T2", "F6"];
+
+/// The designs a matrix experiment reads, and how it renders them.
+type MatrixExperiment = (fn() -> Vec<L2Design>, fn(&DesignMatrix) -> ExperimentResult);
+
+/// The matrix experiment with (upper-case) id `id`, or `None` when `id`
+/// runs its own simulations or is unknown.
+fn matrix_experiment(id: &str) -> Option<MatrixExperiment> {
+    match id {
+        "F1" => Some((kernel_share::designs, kernel_share::from_matrix)),
+        "F2" => Some((interference::designs, interference::from_matrix)),
+        "T2" => Some((energy_table::designs, energy_table::from_matrix)),
+        "F6" => Some((performance::designs, performance::from_matrix)),
+        _ => None,
+    }
+}
+
+/// Runs experiments by id, computing the shared design matrix at most
+/// once for all of them.
 ///
-/// The design-matrix runs (T2/F6 share them) are executed once and
-/// reused. Each experiment shards its independent simulations over
-/// `jobs` threads; output is bit-identical for every job count. This is
-/// the entry point of the `repro` binary.
+/// The matrix covers the union of the designs read by the matrix
+/// experiments the runner was built for, so every one of them reads the
+/// same simulations and a design several of them read (the baseline) is
+/// simulated once. Asking for a matrix experiment outside that set
+/// still works: the matrix is recomputed over the widened union.
+#[derive(Debug)]
+pub struct Runner {
+    scale: Scale,
+    jobs: Jobs,
+    /// The designs the matrix is computed over on first use.
+    designs: Vec<L2Design>,
+    matrix: Option<DesignMatrix>,
+}
+
+impl Runner {
+    /// A runner whose matrix covers the designs of the matrix
+    /// experiments among `ids` (ids of other experiments add nothing).
+    pub fn new<'a>(scale: Scale, jobs: Jobs, ids: impl IntoIterator<Item = &'a str>) -> Self {
+        let designs = matrix::union(
+            ids.into_iter()
+                .filter_map(|id| matrix_experiment(&id.to_ascii_uppercase()))
+                .flat_map(|(designs, _)| designs()),
+        );
+        Runner {
+            scale,
+            jobs,
+            designs,
+            matrix: None,
+        }
+    }
+
+    /// Runs experiment `id` (`"F1"`, `"T2"`, ...); `None` for an unknown
+    /// id. Matrix experiments read the shared matrix, which the first of
+    /// them computes.
+    pub fn run(&mut self, id: &str) -> Option<ExperimentResult> {
+        let (scale, jobs) = (self.scale, self.jobs);
+        let id = id.to_ascii_uppercase();
+        if let Some((designs, from_matrix)) = matrix_experiment(&id) {
+            return Some(from_matrix(self.matrix(&designs())));
+        }
+        match id.as_str() {
+            "F3" => Some(static_sweep::run(scale, jobs)),
+            "F4" => Some(behavior::run(scale, jobs)),
+            "F5" => Some(retention_sweep::run(scale, jobs)),
+            "F7" => Some(adaptation::run(scale, jobs)),
+            "F8" => Some(sensitivity::run(scale, jobs)),
+            "A1" => Some(area::run(scale, jobs)),
+            "A2" => Some(partition_style::run(scale, jobs)),
+            "A3" => Some(hybrid_study::run(scale, jobs)),
+            "A4" => Some(duty_cycle::run(scale, jobs)),
+            "A5" => Some(prefetch_study::run_experiment(scale, jobs)),
+            "A6" => Some(temperature::run(scale, jobs)),
+            "A7" => Some(multitask::run(scale, jobs)),
+            "M1" => Some(mrc_sweep::run(scale, jobs)),
+            _ => None,
+        }
+    }
+
+    /// The shared matrix, computed on first use and recomputed only if
+    /// it lacks one of `designs`.
+    fn matrix(&mut self, designs: &[L2Design]) -> &DesignMatrix {
+        if self.matrix.as_ref().is_some_and(|m| m.covers(designs)) {
+            return self.matrix.as_ref().expect("checked above");
+        }
+        self.designs = matrix::union(self.designs.iter().chain(designs).copied());
+        self.matrix
+            .insert(matrix::run_matrix(&self.designs, self.scale, self.jobs))
+    }
+}
+
+/// Runs the complete experiment suite ([`SUITE_IDS`], in order).
+///
+/// The matrix experiments share one design matrix. Each experiment
+/// shards its independent simulations over `jobs` threads; output is
+/// bit-identical for every job count. This is the entry point of the
+/// `repro` binary.
 pub fn all(scale: Scale, jobs: Jobs) -> Vec<ExperimentResult> {
-    let m = matrix::run_matrix(scale, jobs);
-    vec![
-        kernel_share::run(scale, jobs),
-        interference::run(scale, jobs),
-        static_sweep::run(scale, jobs),
-        behavior::run(scale, jobs),
-        retention_sweep::run(scale, jobs),
-        energy_table::from_matrix(&m),
-        performance::from_matrix(&m),
-        adaptation::run(scale, jobs),
-        sensitivity::run(scale, jobs),
-        area::run(scale, jobs),
-        partition_style::run(scale, jobs),
-        hybrid_study::run(scale, jobs),
-        duty_cycle::run(scale, jobs),
-        prefetch_study::run_experiment(scale, jobs),
-        temperature::run(scale, jobs),
-        multitask::run(scale, jobs),
-        mrc_sweep::run(scale, jobs),
-    ]
+    let mut runner = Runner::new(scale, jobs, SUITE_IDS);
+    SUITE_IDS
+        .iter()
+        .map(|id| runner.run(id).expect("suite ids are known"))
+        .collect()
 }
 
 /// Looks up and runs a single experiment by id (`"F1"`, `"T2"`, ...).
 ///
+/// A matrix experiment computes a matrix over its own designs only.
 /// Returns `None` for an unknown id.
 pub fn by_id(id: &str, scale: Scale, jobs: Jobs) -> Option<ExperimentResult> {
-    match id.to_ascii_uppercase().as_str() {
-        "F1" => Some(kernel_share::run(scale, jobs)),
-        "F2" => Some(interference::run(scale, jobs)),
-        "F3" => Some(static_sweep::run(scale, jobs)),
-        "F4" => Some(behavior::run(scale, jobs)),
-        "F5" => Some(retention_sweep::run(scale, jobs)),
-        "T2" => Some(energy_table::from_matrix(&matrix::run_matrix(scale, jobs))),
-        "F6" => Some(performance::from_matrix(&matrix::run_matrix(scale, jobs))),
-        "F7" => Some(adaptation::run(scale, jobs)),
-        "F8" => Some(sensitivity::run(scale, jobs)),
-        "A1" => Some(area::run(scale, jobs)),
-        "A2" => Some(partition_style::run(scale, jobs)),
-        "A3" => Some(hybrid_study::run(scale, jobs)),
-        "A4" => Some(duty_cycle::run(scale, jobs)),
-        "A5" => Some(prefetch_study::run_experiment(scale, jobs)),
-        "A6" => Some(temperature::run(scale, jobs)),
-        "A7" => Some(multitask::run(scale, jobs)),
-        "M1" => Some(mrc_sweep::run(scale, jobs)),
-        _ => None,
-    }
+    Runner::new(scale, jobs, [id]).run(id)
 }
 
 #[cfg(test)]

@@ -127,13 +127,24 @@ impl<'a> FrontEnd<'a> {
         seed: u64,
         cfg: &SystemConfig,
     ) -> Result<Self, BuildSystemError> {
+        Self::over(TraceStream::new(app, seed), cfg)
+    }
+
+    /// A front end filtering an explicit stream (for example an
+    /// [`unmemoized`](TraceStream::unmemoized) one) with `cfg`'s L1
+    /// pair.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildSystemError`] if an L1 geometry is inconsistent.
+    pub fn over(stream: TraceStream<'a>, cfg: &SystemConfig) -> Result<Self, BuildSystemError> {
         let l1 = L1Pair::new(
             cfg.l1i_geometry()?,
             cfg.l1d_geometry()?,
             ReplacementPolicy::Lru,
         );
         Ok(FrontEnd {
-            stream: TraceStream::new(app, seed),
+            stream,
             l1,
             filtered: 0,
         })
@@ -152,7 +163,7 @@ impl<'a> FrontEnd<'a> {
     /// allocation). The cut at `limit` is what keeps the front end's L1
     /// statistics exact for runs that end mid-chunk.
     pub fn fill_next(&mut self, limit: usize, out: &mut FilteredChunk) -> usize {
-        let chunk = self.stream.next_chunk();
+        let chunk = self.stream.next_slice();
         let n = chunk.len().min(limit);
         out.events.clear();
         let mut gap = 0u32;
@@ -229,6 +240,9 @@ pub struct LockStep<'a> {
     seed: u64,
     cfg: SystemConfig,
     lane_group: usize,
+    /// Whether front ends read through the global
+    /// [`ChunkArena`](crate::fanout::ChunkArena).
+    memoize: bool,
     /// Absolute sweep indices forced to panic at the start of their
     /// replay (fault-injection hook for the isolation suites).
     injected_faults: Vec<usize>,
@@ -243,6 +257,7 @@ impl<'a> LockStep<'a> {
             seed,
             cfg: SystemConfig::default(),
             lane_group: LANE_GROUP,
+            memoize: true,
             injected_faults: Vec::new(),
         }
     }
@@ -261,6 +276,27 @@ impl<'a> LockStep<'a> {
     pub fn with_lane_group(mut self, width: usize) -> Self {
         self.lane_group = width.max(1);
         self
+    }
+
+    /// Reads the stream without the global chunk arena: every lane
+    /// group's front end decodes or generates its own chunks (see
+    /// [`TraceStream::unmemoized`]) and the arena is left untouched.
+    ///
+    /// For runs whose stream no later consumer will read again, where
+    /// memoizing would only fill the arena. Reports are unchanged.
+    pub fn unmemoized(mut self) -> Self {
+        self.memoize = false;
+        self
+    }
+
+    /// The front end of one lane group.
+    fn front_end(&self) -> Result<FrontEnd<'a>, BuildSystemError> {
+        let stream = if self.memoize {
+            TraceStream::new(self.app, self.seed)
+        } else {
+            TraceStream::unmemoized(self.app, self.seed)
+        };
+        FrontEnd::over(stream, &self.cfg)
     }
 
     /// Injects deterministic mid-run faults: each listed absolute sweep
@@ -364,8 +400,7 @@ impl<'a> LockStep<'a> {
         // lane of the group — it is wait time each of them experienced.
         let mut gen_ns = 0u64;
         // The lane builds above validated the L1 geometries already.
-        let mut front =
-            FrontEnd::new(self.app, self.seed, &self.cfg).expect("lane builds validated the config");
+        let mut front = self.front_end().expect("lane builds validated the config");
         let mut chunk = FilteredChunk::default();
         let mut left = refs;
         while left > 0 {
@@ -461,10 +496,7 @@ impl<'a> LockStep<'a> {
         let mut front = None;
         if slots.iter().any(|s| matches!(s, LaneSlot::Live(..))) {
             // At least one lane built, so the L1 geometries are valid.
-            front = Some(
-                FrontEnd::new(self.app, self.seed, &self.cfg)
-                    .expect("a lane build validated the config"),
-            );
+            front = Some(self.front_end().expect("a lane build validated the config"));
             let front = front.as_mut().expect("just installed");
             let mut chunk = FilteredChunk::default();
             let mut first = true;

@@ -7,7 +7,6 @@ use moca_trace::{AppProfile, TraceGenerator};
 
 use crate::config::SystemConfig;
 use crate::metrics::SimReport;
-use crate::parallel::{parallel_map, Jobs};
 use crate::system::System;
 use crate::telemetry::{self, Event};
 
@@ -50,12 +49,15 @@ pub const EXPERIMENT_SEED: u64 = 0x5EED_2015;
 
 /// Runs one app on one design.
 ///
-/// This is the *sequential reference path*: it owns a private
-/// [`TraceGenerator`] and never touches the shared chunk arena, which is
-/// what makes it the oracle the fan-out equivalence tests compare
-/// against. Multi-design studies should prefer [`crate::fanout::FanOut`]
-/// (or [`crate::sweep::sweep`]), which produce byte-identical reports
-/// while paying trace generation once per `(app, seed)`.
+/// This is the scalar *reference path*: one [`System`] stepping every
+/// reference of a private [`TraceGenerator`], off the shared chunk
+/// arena and off the lock-step kernel. That independence is what makes
+/// it the oracle the differential suites compare every multi-design
+/// engine against. Experiments run their designs through those engines
+/// ([`crate::lockstep::LockStep`], [`crate::sweep::sweep`], the shared
+/// [`crate::experiments::matrix::run_matrix`]), which pay trace
+/// generation and L1 filtering once per lane group instead of once per
+/// design.
 ///
 /// # Panics
 ///
@@ -125,25 +127,6 @@ fn finish_run(mut sys: System, app: &AppProfile, refs: usize, seed: u64) -> SimR
     report
 }
 
-/// Runs the whole ten-app suite on one design, serially.
-///
-/// Equivalent to [`run_suite_parallel`] with [`Jobs::SERIAL`].
-pub fn run_suite(design: L2Design, refs: usize, seed: u64) -> Vec<SimReport> {
-    run_suite_parallel(design, refs, seed, Jobs::SERIAL)
-}
-
-/// Runs the whole ten-app suite on one design, sharding the per-app
-/// simulations over `jobs` threads.
-///
-/// Reports come back in suite order and are bit-identical to
-/// [`run_suite`] for every job count (each app's simulation owns its
-/// seeded trace generator; see [`crate::parallel`]).
-pub fn run_suite_parallel(design: L2Design, refs: usize, seed: u64, jobs: Jobs) -> Vec<SimReport> {
-    parallel_map(jobs, AppProfile::suite(), |app| {
-        run_app(&app, design, refs, seed)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,29 +144,5 @@ mod tests {
         let b = run_app(&app, L2Design::baseline(), 50_000, 1);
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.l2_stats, b.l2_stats);
-    }
-
-    #[test]
-    fn run_suite_covers_all_apps() {
-        let reports = run_suite(L2Design::baseline(), 20_000, 2);
-        assert_eq!(reports.len(), 10);
-        let mut names: Vec<&str> = reports.iter().map(|r| r.app.as_str()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), 10);
-    }
-
-    #[test]
-    fn parallel_suite_matches_serial_suite() {
-        let serial = run_suite(L2Design::baseline(), 20_000, 2);
-        for jobs in [1, 2, 8] {
-            let parallel = run_suite_parallel(L2Design::baseline(), 20_000, 2, Jobs::new(jobs));
-            assert_eq!(serial.len(), parallel.len());
-            for (s, p) in serial.iter().zip(&parallel) {
-                assert_eq!(s.app, p.app, "jobs = {jobs}");
-                assert_eq!(s.cycles, p.cycles, "jobs = {jobs}");
-                assert_eq!(s.l2_stats, p.l2_stats, "jobs = {jobs}");
-            }
-        }
     }
 }

@@ -202,6 +202,22 @@ diff -u "$SMOKE_DIR/s1_j1.txt" "$SMOKE_DIR/s1_resumed.txt" \
   || { echo "search kill/resume diverged from the uninterrupted run"; exit 1; }
 echo "search smoke passed"
 
+echo "== design-matrix smoke (F1 F2 T2 F6 share one matrix: --jobs determinism) =="
+# The four matrix experiments read one lock-step design matrix, sharded
+# per app over the workers; the rendered blocks must not depend on how.
+# Trimmed and masked like the search smoke above.
+"$REPRO" --quick --jobs 1 F1 F2 T2 F6 > "$SMOKE_DIR/matrix_j1_full.txt"
+trim_search_run "$SMOKE_DIR/matrix_j1_full.txt" > "$SMOKE_DIR/matrix_j1.txt"
+for id in F1 F2 T2 F6; do
+  grep -q "^## $id " "$SMOKE_DIR/matrix_j1.txt" \
+    || { echo "matrix run rendered no $id block"; exit 1; }
+done
+"$REPRO" --quick --jobs 2 F1 F2 T2 F6 > "$SMOKE_DIR/matrix_j2_full.txt"
+trim_search_run "$SMOKE_DIR/matrix_j2_full.txt" > "$SMOKE_DIR/matrix_j2.txt"
+diff -u "$SMOKE_DIR/matrix_j1.txt" "$SMOKE_DIR/matrix_j2.txt" \
+  || { echo "design-matrix output varies with --jobs"; exit 1; }
+echo "design-matrix smoke passed"
+
 echo "== trace corruption exit-code smoke (one distinct code per class) =="
 # trace_corpus validate maps each corruption class to its own exit code
 # (CorruptionClass::exit_code): 3 magic, 4 version, 5 payload checksum,

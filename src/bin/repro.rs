@@ -87,7 +87,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use moca_sim::checkpoint::{experiment_key, Journal};
-use moca_sim::experiments::{self, matrix, ExperimentResult};
+use moca_sim::experiments::{self, ExperimentResult, Runner};
 use moca_sim::parallel::{catch_panic, Jobs};
 use moca_sim::telemetry::{self, Event};
 use moca_sim::workloads::Scale;
@@ -244,36 +244,38 @@ enum Block {
     Aborted { id: String, message: String },
 }
 
-/// Runs (or replays) one experiment, sharing the T2/F6 design matrix.
+/// Runs one experiment; the matrix experiments (F1, F2, T2, F6) share
+/// the runner's design matrix.
 ///
 /// S1 receives the run journal so the search can checkpoint each
 /// finished generation (and replay them on `--resume`); journal I/O
 /// errors inside the search surface as an aborted block.
 fn run_experiment(
     id: &str,
-    scale: Scale,
-    jobs: Jobs,
-    mrc: bool,
-    matrix_cache: &mut Option<matrix::DesignMatrix>,
+    opts: &Options,
+    runner: &mut Runner,
     journal: Option<&mut Journal>,
 ) -> Result<ExperimentResult, String> {
     catch_panic(|| match id {
-        // T2 and F6 both consume the design matrix; compute it once.
-        "T2" | "F6" => {
-            let m = matrix_cache.get_or_insert_with(|| matrix::run_matrix(scale, jobs));
-            if id == "T2" {
-                experiments::energy_table::from_matrix(m)
-            } else {
-                experiments::performance::from_matrix(m)
-            }
-        }
         // M1 is the only experiment `--mrc` changes: with it, dominated
         // grid points are pruned instead of simulated.
-        "M1" => experiments::mrc_sweep::run_with(scale, jobs, mrc),
+        "M1" => experiments::mrc_sweep::run_with(opts.scale, opts.jobs, opts.mrc),
         // S1 checkpoints per generation through the run journal.
-        "S1" => moca_search::experiment::run_with(scale, jobs, journal),
-        _ => experiments::by_id(id, scale, jobs).expect("id validated at parse time"),
+        "S1" => moca_search::experiment::run_with(opts.scale, opts.jobs, journal),
+        _ => runner.run(id).expect("id validated at parse time"),
     })
+}
+
+/// The journal key of experiment `id` in this run.
+fn journal_key(id: &str, opts: &Options) -> String {
+    // Pruned and unpruned M1 render different simulated-point sets;
+    // distinct keys keep a --resume from replaying the wrong mode.
+    let journal_id = if id == "M1" && opts.mrc { "M1:mrc" } else { id };
+    experiment_key(
+        journal_id,
+        &format!("{:?}", opts.scale),
+        moca_sim::EXPERIMENT_SEED,
+    )
 }
 
 /// Registers a compiled trace corpus (one `.mtrc` file or a directory of
@@ -348,8 +350,15 @@ fn run(opts: &Options) -> io::Result<ExitCode> {
     };
 
     let start = Instant::now();
-    let scale_tag = format!("{:?}", opts.scale);
-    let mut matrix_cache: Option<matrix::DesignMatrix> = None;
+    // The shared matrix covers only the experiments that will run:
+    // blocks replayed from the journal need no simulations.
+    let mut runner = Runner::new(
+        opts.scale,
+        opts.jobs,
+        ids.iter()
+            .copied()
+            .filter(|id| journal.as_ref().and_then(|j| j.get(&journal_key(id, opts))).is_none()),
+    );
     let mut blocks_failed = 0usize;
     let mut aborted = 0usize;
     let mut replayed = 0usize;
@@ -374,10 +383,7 @@ fn run(opts: &Options) -> io::Result<ExitCode> {
             );
         }
         telemetry::set_scope(id);
-        // Pruned and unpruned M1 render different simulated-point sets;
-        // distinct keys keep a --resume from replaying the wrong mode.
-        let journal_id = if *id == "M1" && opts.mrc { "M1:mrc" } else { id };
-        let key = experiment_key(journal_id, &scale_tag, moca_sim::EXPERIMENT_SEED);
+        let key = journal_key(id, opts);
         let block = match journal.as_ref().and_then(|j| j.get(&key)) {
             Some(rendered) => {
                 replayed += 1;
@@ -390,14 +396,7 @@ fn run(opts: &Options) -> io::Result<ExitCode> {
                 }
             }
             None => {
-                match run_experiment(
-                    id,
-                    opts.scale,
-                    opts.jobs,
-                    opts.mrc,
-                    &mut matrix_cache,
-                    journal.as_mut(),
-                ) {
+                match run_experiment(id, opts, &mut runner, journal.as_mut()) {
                     Ok(result) => {
                         let rendered = result.render();
                         if let Some(j) = journal.as_mut() {

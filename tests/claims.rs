@@ -10,23 +10,20 @@
 //! (the full-scale numbers live in `EXPERIMENTS.md`).
 
 use moca::core::{find_min_partition, recommend_retention, L2Design};
+use moca::sim::experiments::matrix::run_matrix;
 use moca::sim::parallel::{parallel_map, Jobs};
-use moca::sim::workloads::{
-    run_app, run_app_with_behavior, run_suite_parallel, Scale, EXPERIMENT_SEED,
-};
+use moca::sim::workloads::{run_app, run_app_with_behavior, Scale, EXPERIMENT_SEED};
 use moca::trace::{AppProfile, Mode};
 
 /// C1 — in interactive mobile apps, the OS kernel contributes more than
 /// 40 % of all L2 cache accesses (suite mean, shared baseline).
 #[test]
 fn c1_kernel_share_of_l2_accesses_exceeds_40_percent() {
-    let reports = run_suite_parallel(
-        L2Design::baseline(),
-        Scale::Quick.refs(),
-        EXPERIMENT_SEED,
-        Jobs::available(),
-    );
-    let shares: Vec<f64> = reports.iter().map(|r| r.l2_kernel_share()).collect();
+    let m = run_matrix(&[L2Design::baseline()], Scale::Quick, Jobs::available());
+    let shares: Vec<f64> = m
+        .reports(L2Design::baseline())
+        .map(|r| r.l2_kernel_share())
+        .collect();
     let mean = shares.iter().sum::<f64>() / shares.len() as f64;
     assert!(
         mean > 0.40,
