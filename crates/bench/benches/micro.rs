@@ -1,18 +1,19 @@
 //! Microbenchmarks of the substrates: trace generation throughput, the
 //! cache access path, L1 filtering, the utility monitor, the shared-trace
 //! sweep engines (chunk broadcast and the lock-step kernel), and the
-//! chunk arena.
+//! filtered-run memo.
 
 use moca_bench::{bench_app, Runner, BENCH_SEED};
 use moca_cache::{CacheGeometry, L1Pair, ReplacementPolicy, SetAssocCache, UtilityMonitor, WayMask};
 use moca_core::{L2Design, RefreshPolicy};
 use moca_energy::RetentionClass;
 use moca_search::{run_search, SearchConfig};
-use moca_sim::fanout::{fan_out, ChunkArena, FanOut, TraceStream};
+use moca_sim::fanout::{fan_out, FanOut, TraceStream};
 use moca_sim::lockstep::LockStep;
+use moca_sim::memo::{RunMemo, MEMO_CAP_BYTES};
 use moca_sim::parallel::Jobs;
 use moca_sim::sweep::{sweep, sweep_pruned};
-use moca_sim::{profile_lru_grid, run_app, FileTraceSource};
+use moca_sim::{profile_lru_grid, run_app, FileTraceSource, SystemConfig};
 use moca_trace::binfmt::{self, TraceReader, CHUNK_REFS};
 use moca_trace::{AppProfile, MemoryAccess, Mode, TraceGenerator};
 use std::hint::black_box;
@@ -140,26 +141,27 @@ fn sweep_fanout(r: &mut Runner) {
         black_box(cycles)
     });
     // Shared-trace chunk broadcast: one stream stepped per-reference
-    // through all eight systems (the PR 3 reference engine, retained as
-    // `run_broadcast` for the differential harness; the warmup iteration
-    // leaves the global arena warm, as any sweep after the first one in
-    // a process would find it).
+    // through all eight systems (the reference engine retained as
+    // `run_broadcast` for the differential harness; it generates its
+    // stream on every call).
     r.throughput_elems((designs.len() * REFS) as u64);
     r.bench("sweep-fanout/8-designs-100k", || {
         let reports = FanOut::new(&app, BENCH_SEED).run_broadcast(&designs, REFS);
         black_box(reports.iter().map(|rep| rep.cycles).sum::<u64>())
     });
-    // The lock-step kernel behind the production entry points: a shared
-    // L1 front end filters each chunk once and the eight design lanes
-    // replay only L2-visible events, skipping pure-hit runs in O(1).
+    // The lock-step kernel behind the production entry points: the eight
+    // design lanes replay only the L2-visible events of the stream's
+    // filtered run, skipping pure-hit runs in O(1). The warmup iteration
+    // leaves the run in the global memo, as any sweep after the first
+    // one over a stream in a process would find it.
     r.throughput_elems((designs.len() * REFS) as u64);
     r.bench("sweep-lockstep/8-designs-100k", || {
         let reports = fan_out(&app, &designs, REFS, BENCH_SEED);
         black_box(reports.iter().map(|rep| rep.cycles).sum::<u64>())
     });
-    // Lane grouping ablation: width 1 rebuilds (and re-pays) the shared
-    // front end for every design, isolating what the design-major lane
-    // layout itself buys.
+    // Lane grouping ablation: width 1 replays the memoized run once per
+    // design instead of once per group of eight, isolating what the
+    // design-major lane layout itself buys.
     r.throughput_elems((designs.len() * REFS) as u64);
     r.bench("lockstep/lane-group-width", || {
         let reports = LockStep::new(&app, BENCH_SEED)
@@ -269,16 +271,14 @@ fn trace_replay(r: &mut Runner) {
         black_box(sum)
     });
 
-    // The full file-backed sweep path: TraceStream over a registered
-    // source, zero-capacity arena so every chunk really hits the disk
-    // (buffered) decode path.
+    // The full file-backed stream path: TraceStream over a registered
+    // source, every chunk through the (buffered) disk decode path.
     let path = std::env::temp_dir().join(format!("moca-bench-replay-{}.mtrc", std::process::id()));
     std::fs::write(&path, &bytes).expect("write bench trace");
     let source = Arc::new(FileTraceSource::open(&path).expect("open bench trace"));
     r.throughput_elems(refs);
     r.bench("trace-file/replay-100k", || {
-        let cold = ChunkArena::with_capacity(0);
-        let mut stream = TraceStream::with_source(&app, SEED, &cold, Arc::clone(&source));
+        let mut stream = TraceStream::with_source(&app, SEED, Arc::clone(&source));
         let mut sum = 0u64;
         for _ in 0..CHUNKS {
             sum += stream.next_chunk().iter().map(|a| a.addr).sum::<u64>();
@@ -288,26 +288,26 @@ fn trace_replay(r: &mut Runner) {
     std::fs::remove_file(&path).ok();
 }
 
-fn chunk_arena(r: &mut Runner) {
+/// Replaying a memoized filtered run: the path every lane group, MRC
+/// profile and custom runner of a stream takes once one consumer has
+/// built the run.
+fn filtered_run(r: &mut Runner) {
     let app = AppProfile::browser();
-    let arena = ChunkArena::with_capacity(32);
+    let memo = RunMemo::with_capacity(MEMO_CAP_BYTES);
+    let cfg = SystemConfig::default();
     const REFS: usize = 100_000;
-    let replay = |arena: &ChunkArena| {
-        let mut stream = TraceStream::with_arena(&app, 1, arena);
-        let mut sum = 0u64;
-        let mut left = REFS;
-        while left > 0 {
-            let chunk = stream.next_chunk();
-            let n = chunk.len().min(left);
-            sum += chunk[..n].iter().map(|a| a.addr).sum::<u64>();
-            left -= n;
-        }
-        sum
+    let replay = || {
+        let mut lines = 0u64;
+        memo.replay(&app, 1, &cfg, REFS, None, |chunk| {
+            lines += chunk.events().iter().map(|e| e.demand.line).sum::<u64>();
+        })
+        .expect("not cancelled");
+        lines
     };
-    replay(&arena); // populate: every later pass is pure hits
-    assert!(arena.stats().hit_rate() < 1.0);
+    replay(); // build: every later pass is a hit
+    assert_eq!(memo.stats().runs, 1);
     r.throughput_elems(REFS as u64);
-    r.bench("chunk-arena/hit-rate", || black_box(replay(&arena)));
+    r.bench("filtered-run/warm-replay", || black_box(replay()));
 }
 
 fn main() {
@@ -320,6 +320,6 @@ fn main() {
     mrc_pruning(&mut r);
     search_generation(&mut r);
     trace_replay(&mut r);
-    chunk_arena(&mut r);
+    filtered_run(&mut r);
     r.finish();
 }

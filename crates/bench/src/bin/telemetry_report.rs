@@ -17,7 +17,7 @@
 //!   accounting, plus each scope's share of the total measured time;
 //! * a worker-pool table (workers observed, items processed, busy time)
 //!   when the run was parallel;
-//! * checkpoint journal activity and the end-of-run trace-arena
+//! * checkpoint journal activity and the end-of-run filtered-run memo
 //!   snapshot, when present;
 //! * the counter totals.
 //!
@@ -94,8 +94,9 @@ struct Report {
     counters: BTreeMap<String, u64>,
     appends: u64,
     replays: u64,
-    /// Last `arena` snapshot seen: (cached, capacity, hits, misses, rejected).
-    arena: Option<(u64, u64, u64, u64, u64)>,
+    /// Last `memo` snapshot seen:
+    /// (runs, used_bytes, cap_bytes, hits, misses, rejected, front_end_refs).
+    memo: Option<(u64, u64, u64, u64, u64, u64, u64)>,
     /// Last `trace_io` snapshot seen:
     /// (files, chunks_decoded, bytes_read, decode_ns, checksum_verifies, decode_errors).
     trace_io: Option<(u64, u64, u64, u64, u64, u64)>,
@@ -135,13 +136,15 @@ impl Report {
                 "replay" => self.replays += 1,
                 other => return Err(format!("unknown checkpoint event {other:?}")),
             },
-            "arena" => {
-                self.arena = Some((
-                    num_field(&fields, "cached_chunks")?,
-                    num_field(&fields, "capacity_chunks")?,
+            "memo" => {
+                self.memo = Some((
+                    num_field(&fields, "runs")?,
+                    num_field(&fields, "used_bytes")?,
+                    num_field(&fields, "cap_bytes")?,
                     num_field(&fields, "hits")?,
                     num_field(&fields, "misses")?,
                     num_field(&fields, "rejected")?,
+                    num_field(&fields, "front_end_refs")?,
                 ));
             }
             "trace_io" => {
@@ -223,9 +226,11 @@ impl Report {
                 self.appends, self.replays
             ));
         }
-        if let Some((cached, cap, hits, misses, rejected)) = self.arena {
+        if let Some((runs, used, cap, hits, misses, rejected, filtered)) = self.memo {
             out.push_str(&format!(
-                "trace arena: {cached}/{cap} chunk(s) cached, {hits} hit(s) / {misses} miss(es), {rejected} rejected\n"
+                "filtered-run memo: {runs} run(s) cached, {used}/{cap} byte(s), \
+                 {hits} hit(s) / {misses} miss(es), {rejected} rejected, \
+                 {filtered} front-end ref(s)\n"
             ));
         }
         if let Some((files, chunks, bytes, ns, verifies, errors)) = self.trace_io {
@@ -291,7 +296,7 @@ mod tests {
             r#"{"v":1,"kind":"worker_stop","scope":"F3","pool":"parallel_map","worker":0,"jobs":2,"items":2,"busy_ns":30}"#,
             r#"{"v":1,"kind":"checkpoint","scope":"F3","event":"append","key":"k"}"#,
             r#"{"v":1,"kind":"checkpoint","scope":"F3","event":"replay","key":"k"}"#,
-            r#"{"v":1,"kind":"arena","cached_chunks":3,"capacity_chunks":512,"hits":9,"misses":3,"rejected":0}"#,
+            r#"{"v":1,"kind":"memo","runs":3,"used_bytes":4096,"cap_bytes":100663296,"hits":9,"misses":3,"rejected":0,"front_end_refs":24000}"#,
             r#"{"v":1,"kind":"trace_io","files":4,"chunks_decoded":148,"bytes_read":900000,"decode_ns":123456,"checksum_verifies":148,"decode_errors":0}"#,
             r#"{"v":1,"kind":"counter","name":"sim_batches","value":4}"#,
         ];
@@ -304,7 +309,7 @@ mod tests {
         let pool = &r.pools[&("F3".to_string(), "parallel_map".to_string())];
         assert_eq!((pool.workers, pool.items, pool.busy_ns), (1, 2, 30));
         assert_eq!((r.appends, r.replays), (1, 1));
-        assert_eq!(r.arena, Some((3, 512, 9, 3, 0)));
+        assert_eq!(r.memo, Some((3, 4096, 100663296, 9, 3, 0, 24000)));
         assert_eq!(r.trace_io, Some((4, 148, 900000, 123456, 148, 0)));
         assert_eq!(r.counters["sim_batches"], 4);
         let rendered = r.render();
@@ -312,6 +317,7 @@ mod tests {
         assert!(rendered.contains("worker pools"));
         assert!(rendered.contains("sim_batches"));
         assert!(rendered.contains("trace replay: 4 file(s), 148 chunk(s) decoded"));
+        assert!(rendered.contains("filtered-run memo: 3 run(s) cached"));
     }
 
     #[test]

@@ -233,7 +233,7 @@ mod tests {
             "trace-gen/100k-refs",
             "trace-decode/100k-refs",
             "trace-file/replay-100k",
-            "chunk-arena/hit-rate",
+            "filtered-run/warm-replay",
         ] {
             assert!(
                 records.iter().any(|r| r.bench == required),

@@ -277,6 +277,16 @@ impl SetAssocCache {
         self.stats = CacheStats::new();
     }
 
+    /// Bytes of heap memory the cache's arrays hold (tags, signatures,
+    /// flags, cold metadata and replacement state) — what a clone costs.
+    pub fn heap_bytes(&self) -> usize {
+        self.tags.capacity() * std::mem::size_of::<u64>()
+            + self.sigs.capacity()
+            + self.flags.capacity() * std::mem::size_of::<u64>()
+            + self.meta.capacity() * std::mem::size_of::<ColdMeta>()
+            + self.repl.heap_bytes()
+    }
+
     #[inline]
     fn idx(&self, set: u64, way: u32) -> usize {
         set as usize * self.ways as usize + way as usize

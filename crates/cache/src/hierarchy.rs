@@ -105,6 +105,12 @@ impl L1Pair {
         self.dcache.reset_stats();
     }
 
+    /// Bytes of heap memory both caches hold (see
+    /// [`SetAssocCache::heap_bytes`]).
+    pub fn heap_bytes(&self) -> usize {
+        self.icache.heap_bytes() + self.dcache.heap_bytes()
+    }
+
     /// Filters one access; returns the L2 traffic it generates.
     pub fn filter(&mut self, access: &MemoryAccess, now: u64) -> L1Outcome {
         let line = access.line(self.line_bytes());

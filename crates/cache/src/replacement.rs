@@ -102,6 +102,21 @@ impl ReplacementState {
         }
     }
 
+    /// Heap bytes held by the per-block (or per-set) state.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        match self {
+            ReplacementState::Lru { stamps, .. } | ReplacementState::Fifo { stamps, .. } => {
+                stamps.capacity() * std::mem::size_of::<u64>()
+            }
+            ReplacementState::Random { .. } => 0,
+            ReplacementState::Nru { referenced } => referenced.capacity(),
+            ReplacementState::TreePlru { words, .. } => {
+                words.capacity() * std::mem::size_of::<u64>()
+            }
+            ReplacementState::Srrip { rrpv } => rrpv.capacity(),
+        }
+    }
+
     #[inline]
     fn idx(set: u64, ways: u32, way: u32) -> usize {
         set as usize * ways as usize + way as usize

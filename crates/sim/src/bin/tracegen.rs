@@ -5,7 +5,7 @@
 //! [`moca_trace::io`], so traces can be archived, diffed, or fed to other
 //! tools — or, with `--emit`, compiles it into the chunked, checksummed
 //! replay container of [`moca_trace::binfmt`] that `repro --trace` and
-//! the sweep engine replay at near-arena speed.
+//! the sweep engine replay at decode speed.
 //!
 //! ```text
 //! tracegen <app|mixed> <refs> <out-file> [--text | --emit] [--seed N]

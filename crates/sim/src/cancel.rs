@@ -8,11 +8,13 @@
 //! [`Cancelled`] instead of a report vector, and a run that completes
 //! is byte-identical whether or not a token was attached.
 //!
-//! The polling points are the `fill_next` loops of the lock-step
-//! kernel (one check per front-end chunk, i.e. every
-//! [`ARENA_CHUNK`](crate::fanout::ARENA_CHUNK) references per lane
+//! The polling points are the chunk loops of
+//! [`RunMemo::replay`](crate::memo::RunMemo::replay) (one check per
+//! filtered chunk, built or replayed, i.e. every
+//! [`STREAM_CHUNK`](crate::fanout::STREAM_CHUNK) references per lane
 //! group), so abort latency is bounded by one chunk of simulation per
-//! worker, not by the full sweep.
+//! worker, not by the full sweep. A worker waiting for another worker's
+//! build of the same run notices the trip once that build finishes.
 //!
 //! # Examples
 //!

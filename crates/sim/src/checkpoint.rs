@@ -74,7 +74,7 @@ pub fn point_key(app: &AppProfile, design: &L2Design, seed: u64, refs: usize) ->
 /// fingerprint, so the key is unchanged; a sweep replaying a registered
 /// compiled trace keys by the file's
 /// [`source fingerprint`](moca_trace::binfmt::TraceHeader::source_fingerprint)
-/// instead — the same namespacing the chunk arena applies — so
+/// instead — the same namespacing the filtered-run memo applies — so
 /// file-backed points memoize and resume in their own identity space.
 pub fn point_key_with_source(
     source_fingerprint: u64,

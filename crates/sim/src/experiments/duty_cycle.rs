@@ -8,11 +8,11 @@
 //! designs' advantage — the usage regime the paper targets.
 
 use moca_core::L2Design;
-use moca_trace::{AppProfile, MemoryAccess};
+use moca_trace::AppProfile;
 
 use crate::config::SystemConfig;
 use crate::experiments::{ClaimCheck, ExperimentResult};
-use crate::fanout::TraceStream;
+use crate::memo::RunMemo;
 use crate::parallel::{parallel_map, Jobs};
 use crate::system::System;
 use crate::table::{pct, Table};
@@ -24,42 +24,82 @@ pub const APP: &str = "social";
 /// Active references per burst before each idle gap.
 const BURST_REFS: usize = 100_000;
 
+/// The burst schedule of one run: bursts of [`BURST_REFS`] references
+/// (the last one shorter), each padded with idle time so that
+/// active/total = duty.
+struct Bursts {
+    refs: usize,
+    duty: f64,
+    /// References in finished bursts.
+    done: usize,
+    /// References the current burst still has to retire.
+    left: usize,
+    /// Cycle count when the current burst started.
+    start: u64,
+}
+
+impl Bursts {
+    fn new(refs: usize, duty: f64) -> Self {
+        Bursts {
+            refs,
+            duty,
+            done: 0,
+            left: BURST_REFS.min(refs),
+            start: 0,
+        }
+    }
+
+    /// Retires `n` pure L1 hits, splitting them at every burst boundary
+    /// they cross.
+    fn retire_hits(&mut self, sys: &mut System, mut n: u64) {
+        while n > 0 {
+            let take = n.min(self.left as u64);
+            sys.retire_hits(take);
+            n -= take;
+            self.advance(sys, take as usize);
+        }
+    }
+
+    /// Counts `n` retired references; once the burst is complete, pads
+    /// its active time with idle and starts the next one.
+    fn advance(&mut self, sys: &mut System, n: usize) {
+        self.left -= n;
+        if self.left > 0 {
+            return;
+        }
+        self.done += BURST_REFS.min(self.refs - self.done);
+        let active = sys.cycles() - self.start;
+        if self.duty < 1.0 {
+            let idle = (active as f64 * (1.0 - self.duty) / self.duty) as u64;
+            sys.idle(idle);
+        }
+        self.start = sys.cycles();
+        self.left = BURST_REFS.min(self.refs - self.done);
+    }
+}
+
 /// Runs `refs` references at the given duty cycle (fraction of wall time
 /// spent active).
 fn run_at_duty(design: L2Design, refs: usize, duty: f64) -> crate::metrics::SimReport {
     let app = AppProfile::by_name(APP).expect("known app");
-    let mut sys =
-        System::new(app.name, design, SystemConfig::default()).expect("valid design");
-    // All twelve (duty, design) cells consume the same stream, so after
-    // the first cell every chunk is an arena hit. Arena chunks are
-    // smaller than a burst; the leftover of a chunk carries into the
-    // next burst so the reference sequence is unchanged.
-    let mut stream = TraceStream::new(&app, EXPERIMENT_SEED);
-    let mut chunk: std::sync::Arc<[MemoryAccess]> = Vec::new().into();
-    let mut off = 0usize;
-    let mut done = 0usize;
-    while done < refs {
-        let burst = BURST_REFS.min(refs - done);
-        let start = sys.cycles();
-        let mut run = 0usize;
-        while run < burst {
-            if off == chunk.len() {
-                chunk = stream.next_chunk();
-                off = 0;
+    let cfg = SystemConfig::default();
+    let mut sys = System::new(app.name, design, cfg).expect("valid design");
+    // All twelve (duty, design) cells replay the same memoized filtered
+    // run. Idle periods fall between the same two references as in a
+    // per-reference run: a hit gap that spans a burst boundary is split
+    // there, and the L1 decisions do not depend on time.
+    let mut bursts = Bursts::new(refs, duty);
+    let replayed = RunMemo::global()
+        .replay(&app, EXPERIMENT_SEED, &cfg, refs, None, |chunk| {
+            for ev in chunk.events() {
+                bursts.retire_hits(&mut sys, u64::from(ev.gap));
+                sys.step_filtered(Some(&ev.demand), ev.writeback.as_ref());
+                bursts.advance(&mut sys, 1);
             }
-            let n = (chunk.len() - off).min(burst - run);
-            sys.run_batch(&chunk[off..off + n]);
-            off += n;
-            run += n;
-        }
-        done += burst;
-        // Pad the burst's active time with idle so active/total = duty.
-        let active = sys.cycles() - start;
-        if duty < 1.0 {
-            let idle = (active as f64 * (1.0 - duty) / duty) as u64;
-            sys.idle(idle);
-        }
-    }
+            bursts.retire_hits(&mut sys, chunk.tail_gap() as u64);
+        })
+        .expect("uncancellable run cannot be cancelled");
+    sys.adopt_l1(&replayed.l1);
     sys.finish()
 }
 

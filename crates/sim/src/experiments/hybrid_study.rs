@@ -8,7 +8,6 @@
 //! why the paper's retention-relaxation approach (cheap STT writes
 //! everywhere) wins overall (compare with T2).
 
-use moca_cache::L1Pair;
 use moca_core::{HybridL2, L2BaseParams, L2Design, RefreshPolicy};
 use moca_energy::RetentionClass;
 use moca_trace::AppProfile;
@@ -16,7 +15,8 @@ use moca_trace::AppProfile;
 use crate::config::SystemConfig;
 use crate::cpu::InOrderCore;
 use crate::experiments::{ClaimCheck, ExperimentResult};
-use crate::fanout::{fan_out, TraceStream};
+use crate::fanout::fan_out;
+use crate::memo::RunMemo;
 use crate::parallel::{parallel_map, Jobs};
 use crate::table::{f3, pct, Table};
 use crate::workloads::{Scale, EXPERIMENT_SEED};
@@ -29,34 +29,30 @@ pub const APPS: [&str; 3] = ["camera", "video", "browser"];
 fn run_hybrid(app: &AppProfile, refs: usize) -> (f64, f64, f64, u64) {
     let cfg = SystemConfig::default();
     let mut core = InOrderCore::new(cfg.base_cycles_per_ref);
-    let mut l1 = L1Pair::mobile_default();
     let mut l2 = HybridL2::new(2, 14, RetentionClass::TenYears, &L2BaseParams::default())
         .expect("static config is valid");
-    let mut stream = TraceStream::new(app, EXPERIMENT_SEED);
-    let mut left = refs;
-    while left > 0 {
-        let chunk = stream.next_chunk();
-        let n = chunk.len().min(left);
-        for a in &chunk[..n] {
-            let now = core.cycle();
-            let out = l1.filter(a, now);
-            let mut stall = 0;
-            if let Some(d) = out.demand {
-                let resp = l2.request(&d, now);
-                stall = resp.latency_cycles
-                    + if resp.dram_read {
-                        cfg.dram_latency_cycles
-                    } else {
-                        0
-                    };
+    // The L1 outcome of every reference comes from the shared filtered
+    // run; the hit gaps retire in O(1), and each miss reaches the L2 at
+    // this runner's own clock.
+    RunMemo::global()
+        .replay(app, EXPERIMENT_SEED, &cfg, refs, None, |chunk| {
+            for ev in chunk.events() {
+                core.retire_many(u64::from(ev.gap));
+                let now = core.cycle();
+                let resp = l2.request(&ev.demand, now);
+                let dram = if resp.dram_read {
+                    cfg.dram_latency_cycles
+                } else {
+                    0
+                };
+                if let Some(wb) = &ev.writeback {
+                    l2.request(wb, now);
+                }
+                core.retire(resp.latency_cycles + dram);
             }
-            if let Some(wb) = out.writeback {
-                l2.request(&wb, now);
-            }
-            core.retire(stall);
-        }
-        left -= n;
-    }
+            core.retire_many(chunk.tail_gap() as u64);
+        })
+        .expect("uncancellable run cannot be cancelled");
     l2.finalize(core.cycle());
     (
         l2.energy().total().joules(),
@@ -88,8 +84,8 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
     let mut shares = Vec::new();
     let runs = parallel_map(jobs, APPS.to_vec(), |name| {
         let app = AppProfile::by_name(name).expect("known app");
-        // Baseline and all-STT share one trace pass; the hybrid's own
-        // runner replays the same chunks from the arena.
+        // Baseline, all-STT and the hybrid's own runner all replay one
+        // memoized filtered run of the stream.
         let mut pair = fan_out(&app, &[L2Design::baseline(), all_stt], refs, EXPERIMENT_SEED);
         let stt = pair.pop().expect("two designs");
         let base = pair.pop().expect("two designs");

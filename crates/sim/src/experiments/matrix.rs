@@ -162,9 +162,10 @@ impl DesignMatrix {
 /// [`run_app`](crate::workloads::run_app) of its (app, design), for
 /// every job count.
 ///
-/// The streams bypass the chunk arena: each lane group reads its stream
-/// once, so memoizing it would buy nothing and would fill the arena
-/// that later sweeps of the same process rely on.
+/// The streams bypass the filtered-run memo: each lane group filters
+/// its stream live, once. Caching a run per app would buy nothing here
+/// and would hold several MB per app, raising the peak memory of a
+/// matrix-only run well past its current footprint.
 pub fn run_matrix(designs: &[L2Design], scale: Scale, jobs: Jobs) -> DesignMatrix {
     let rows = parallel_map(jobs, AppProfile::suite(), |app| {
         LockStep::new(&app, EXPERIMENT_SEED)

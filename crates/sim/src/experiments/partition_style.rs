@@ -7,14 +7,14 @@
 //! way-based choice is the right substrate for the dynamic technique —
 //! it performs comparably while being resizable at way granularity.
 
-use moca_cache::L1Pair;
 use moca_core::{L2BaseParams, L2Design, SetPartitionedL2};
 use moca_trace::AppProfile;
 
 use crate::config::SystemConfig;
 use crate::cpu::InOrderCore;
 use crate::experiments::{ClaimCheck, ExperimentResult};
-use crate::fanout::{fan_out, TraceStream};
+use crate::fanout::fan_out;
+use crate::memo::RunMemo;
 use crate::parallel::{parallel_map, Jobs};
 use crate::table::{f3, Table};
 use crate::workloads::{Scale, EXPERIMENT_SEED};
@@ -28,34 +28,30 @@ pub const APPS: [&str; 4] = ["browser", "video", "music", "office"];
 fn run_set_partitioned(app: &AppProfile, refs: usize) -> (f64, f64, u64) {
     let cfg = SystemConfig::default();
     let mut core = InOrderCore::new(cfg.base_cycles_per_ref);
-    let mut l1 = L1Pair::mobile_default();
     let mut l2 = SetPartitionedL2::new(1024, 512, 16, &L2BaseParams::default())
         .expect("static geometry is valid");
-    let mut stream = TraceStream::new(app, EXPERIMENT_SEED);
-    let mut left = refs;
-    while left > 0 {
-        let chunk = stream.next_chunk();
-        let n = chunk.len().min(left);
-        for a in &chunk[..n] {
-            let now = core.cycle();
-            let out = l1.filter(a, now);
-            let mut stall = 0;
-            if let Some(d) = out.demand {
-                let resp = l2.request(&d, now);
-                stall = resp.latency_cycles
-                    + if resp.dram_read {
-                        cfg.dram_latency_cycles
-                    } else {
-                        0
-                    };
+    // The L1 outcome of every reference comes from the shared filtered
+    // run; the hit gaps retire in O(1), and each miss reaches the L2 at
+    // this runner's own clock.
+    RunMemo::global()
+        .replay(app, EXPERIMENT_SEED, &cfg, refs, None, |chunk| {
+            for ev in chunk.events() {
+                core.retire_many(u64::from(ev.gap));
+                let now = core.cycle();
+                let resp = l2.request(&ev.demand, now);
+                let dram = if resp.dram_read {
+                    cfg.dram_latency_cycles
+                } else {
+                    0
+                };
+                if let Some(wb) = &ev.writeback {
+                    l2.request(wb, now);
+                }
+                core.retire(resp.latency_cycles + dram);
             }
-            if let Some(wb) = out.writeback {
-                l2.request(&wb, now);
-            }
-            core.retire(stall);
-        }
-        left -= n;
-    }
+            core.retire_many(chunk.tail_gap() as u64);
+        })
+        .expect("uncancellable run cannot be cancelled");
     l2.finalize(core.cycle());
     let miss = l2.stats().miss_rate();
     let cpr = core.cycle() as f64 / core.refs() as f64;
@@ -81,8 +77,8 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
     let mut set_miss_sum = 0.0;
     let runs = parallel_map(jobs, APPS.to_vec(), |name| {
         let app = AppProfile::by_name(name).expect("known app");
-        // Baseline and way-partitioned share one trace pass; the
-        // set-partitioned runner replays the same chunks from the arena.
+        // Baseline, way-partitioned and the set-partitioned runner all
+        // replay one memoized filtered run of the stream.
         let mut pair = fan_out(&app, &[L2Design::baseline(), way_design], refs, EXPERIMENT_SEED);
         let way = pair.pop().expect("two designs");
         let base = pair.pop().expect("two designs");

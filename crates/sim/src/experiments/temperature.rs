@@ -10,10 +10,9 @@ use moca_core::{L2BaseParams, L2Design, MobileL2};
 use moca_energy::Temperature;
 use moca_trace::AppProfile;
 
-use moca_cache::L1Pair;
-
+use crate::config::SystemConfig;
 use crate::experiments::{ClaimCheck, ExperimentResult};
-use crate::fanout::TraceStream;
+use crate::memo::RunMemo;
 use crate::parallel::{parallel_map, Jobs};
 use crate::table::{pct, Table};
 use crate::workloads::{Scale, EXPERIMENT_SEED};
@@ -32,28 +31,32 @@ fn run_at(design: L2Design, temp_c: f64, refs: usize) -> (f64, f64) {
         ..L2BaseParams::default()
     };
     let app = AppProfile::by_name(APP).expect("known app");
-    let mut l1 = L1Pair::mobile_default();
     let mut l2 = MobileL2::new(design, params).expect("valid design");
     let mut now = 0u64;
-    // Every (temperature, design) cell replays the same (app, seed)
-    // stream, so after the first cell the chunks come from the arena.
-    let mut stream = TraceStream::new(&app, EXPERIMENT_SEED);
-    let mut left = refs;
-    while left > 0 {
-        let chunk = stream.next_chunk();
-        let n = chunk.len().min(left);
-        for a in &chunk[..n] {
-            now += 2;
-            let out = l1.filter(a, now);
-            for req in [out.demand, out.writeback].into_iter().flatten() {
-                let resp = l2.request(&req, now);
-                if resp.dram_read {
-                    now += 120;
+    // Every (temperature, design) cell replays the same memoized
+    // filtered run; each reference advances time by 2 cycles, so a hit
+    // gap of `g` references advances it by `2 * g`.
+    RunMemo::global()
+        .replay(
+            &app,
+            EXPERIMENT_SEED,
+            &SystemConfig::default(),
+            refs,
+            None,
+            |chunk| {
+                for ev in chunk.events() {
+                    now += 2 * u64::from(ev.gap) + 2;
+                    for req in std::iter::once(&ev.demand).chain(&ev.writeback) {
+                        let resp = l2.request(req, now);
+                        if resp.dram_read {
+                            now += 120;
+                        }
+                    }
                 }
-            }
-        }
-        left -= n;
-    }
+                now += 2 * chunk.tail_gap() as u64;
+            },
+        )
+        .expect("uncancellable run cannot be cancelled");
     l2.finalize(now);
     let e = l2.energy();
     (e.total().joules(), e.leakage_fraction())

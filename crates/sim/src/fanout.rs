@@ -6,41 +6,36 @@
 //! sweep as N independent [`run_app`](crate::workloads::run_app) calls
 //! pays the trace-generation cost N times — and after the SoA cache
 //! engine, generation is the dominant cost of a sweep point. This module
-//! removes the multiplier twice over:
+//! removes that multiplier:
 //!
-//! * **Fan-out** ([`FanOut`]): one [`TraceGenerator`]-backed stream per
-//!   `(app, seed)` fills each chunk once and hands it to N design lanes
-//!   before pulling the next chunk. Since the lock-step kernel landed,
-//!   every entry point routes through [`crate::lockstep::LockStep`]
-//!   (shared L1 front end per lane group, O(1) hit-gap retires); the
-//!   original chunk-broadcast engine is retained as
-//!   [`FanOut::run_broadcast`], the middle reference of the cross-engine
-//!   differential harness.
-//! * **Chunk arena** ([`ChunkArena`]): generated chunks are memoized in
-//!   a bounded, process-wide arena keyed by
-//!   `(profile fingerprint, seed, chunk index)` (fixed-seed
-//!   [`moca_trace::fxhash`] keys, [`AppProfile::fingerprint`] identity),
-//!   so experiments that reuse the same `(app, seed)` later in the
-//!   process skip regeneration entirely and share one immutable copy of
-//!   each chunk across threads.
+//! * **Fan-out** ([`FanOut`]): one `(app, seed)` stream feeds N design
+//!   lanes. Every entry point routes through
+//!   [`crate::lockstep::LockStep`] (shared L1 front end per lane group,
+//!   O(1) hit-gap retires), whose filtered runs come from the
+//!   process-wide [`RunMemo`](crate::memo::RunMemo); the original
+//!   chunk-broadcast engine is retained as [`FanOut::run_broadcast`],
+//!   the middle reference of the cross-engine differential harness, and
+//!   reads a plain [`TraceStream`].
+//! * **Trace stream** ([`TraceStream`]): one forward cursor over the
+//!   `(app, seed)` stream that decodes chunks from a registered compiled
+//!   trace or generates them, into one reused buffer.
 //!
 //! # Determinism
 //!
 //! The trace stream an individual [`System`] observes is *exactly* the
 //! stream `TraceGenerator::new(app, seed)` produces: chunks are cut at
-//! fixed [`ARENA_CHUNK`] boundaries, arena hits return bytes previously
-//! produced by such a generator, and misses are filled by a local
-//! generator owned by the calling worker — so RNG draw order per design
-//! is unchanged and every [`SimReport`] is **byte-identical** to a
-//! sequential `run_app` for any job count and any arena state. The
-//! fan-out equivalence suite in `crates/sim/tests/determinism.rs`
-//! asserts this, and the sweep-shaped experiments double as oracles.
+//! fixed [`STREAM_CHUNK`] boundaries, decoded chunks are the bytes such a
+//! generator produced, and generation happens in a local generator owned
+//! by the calling worker — so RNG draw order per design is unchanged and
+//! every [`SimReport`] is **byte-identical** to a sequential `run_app`
+//! for any job count and any memo state. The fan-out equivalence suite
+//! in `crates/sim/tests/determinism.rs` asserts this, and the
+//! sweep-shaped experiments double as oracles.
 
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::Arc;
 use std::time::Instant;
 
 use moca_core::L2Design;
-use moca_trace::fxhash::FxHashMap;
 use moca_trace::{AppProfile, MemoryAccess, TraceGenerator};
 
 use crate::cancel::{CancelToken, Cancelled};
@@ -48,7 +43,7 @@ use crate::config::SystemConfig;
 use crate::error::SweepPointError;
 use crate::lockstep::LockStep;
 use crate::metrics::SimReport;
-use crate::parallel::{catch_panic, parallel_map, Jobs};
+use crate::parallel::{parallel_map, Jobs};
 use crate::replay::{FileTraceSource, TraceRegistry};
 use crate::system::System;
 use crate::telemetry::{self, Event};
@@ -57,226 +52,44 @@ use moca_trace::binfmt::TraceReader;
 use std::fs::File;
 use std::io::BufReader;
 
-/// Length of every arena chunk in accesses.
+/// Length of every stream chunk in accesses.
 ///
 /// Fixed (rather than caller-chosen) so chunk boundaries are identical
-/// for every consumer of a stream — the memoization key includes the
-/// chunk *index*, which is only meaningful at one chunk size.
-pub const ARENA_CHUNK: usize = TraceGenerator::DEFAULT_CHUNK;
-
-/// Default bound of the global arena, in cached chunks.
-///
-/// `512 × 8192` accesses ≈ 100 MB: enough to hold every stream the
-/// quick-scale experiment suite touches, small enough to stay polite on
-/// a CI container. Streams longer than the bound keep their cached
-/// prefix; the tail is regenerated per consumer (see
-/// [`TraceStream::next_chunk`]).
-pub const ARENA_CAP_CHUNKS: usize = 512;
-
-/// `(profile fingerprint, seed, chunk index)` — the identity of one
-/// generated chunk.
-type ChunkKey = (u64, u64, u32);
-
-#[derive(Debug, Default)]
-struct ArenaInner {
-    chunks: FxHashMap<ChunkKey, Arc<[MemoryAccess]>>,
-    hits: u64,
-    misses: u64,
-    rejected: u64,
-}
-
-/// Counters describing an arena's effectiveness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ArenaStats {
-    /// Chunks currently cached.
-    pub cached_chunks: usize,
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that required local generation.
-    pub misses: u64,
-    /// Generated chunks not cached because the arena was full.
-    pub rejected: u64,
-}
-
-impl ArenaStats {
-    /// Fraction of lookups served from the cache (0 when none happened).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// `true` when the arena holds `cap_chunks` chunks — every further
-    /// insert is rejected and its chunk regenerated by later consumers.
-    pub fn saturated(&self, cap_chunks: usize) -> bool {
-        self.cached_chunks >= cap_chunks
-    }
-
-    /// A warning line for a saturated arena, `None` while the arena
-    /// still has room.
-    ///
-    /// A saturated arena is easy to misread as healthy: the hit *rate*
-    /// of the cached prefix stays high while every stream past the cap
-    /// silently regenerates its tail. Surfacing the rejected count (and
-    /// the cap) makes the regeneration cost visible.
-    pub fn saturation_warning(&self, cap_chunks: usize) -> Option<String> {
-        if !self.saturated(cap_chunks) {
-            return None;
-        }
-        Some(format!(
-            "warning: trace arena saturated ({} of {} chunk cap, {} insert(s) rejected) — \
-             chunks past the cap are regenerated per consumer",
-            self.cached_chunks, cap_chunks, self.rejected
-        ))
-    }
-}
-
-/// A bounded, thread-safe memo of generated trace chunks.
-///
-/// Most callers never touch an arena directly: [`TraceStream::new`] uses
-/// the process-wide [`ChunkArena::global`]. Private arenas (mainly for
-/// tests and benchmarks) come from [`ChunkArena::with_capacity`].
-///
-/// The bound is enforced as *insert-until-full*: once `cap_chunks`
-/// chunks are cached nothing is evicted and further inserts are
-/// rejected (counted in [`ArenaStats::rejected`]). Memoized content
-/// never influences simulation output — a hit returns exactly the bytes
-/// a miss would have generated — so the cache policy is purely a
-/// space/time knob.
-#[derive(Debug)]
-pub struct ChunkArena {
-    inner: Mutex<ArenaInner>,
-    cap_chunks: usize,
-}
-
-impl ChunkArena {
-    /// Creates a private arena bounded at `cap_chunks` cached chunks.
-    pub fn with_capacity(cap_chunks: usize) -> Self {
-        ChunkArena {
-            inner: Mutex::new(ArenaInner::default()),
-            cap_chunks,
-        }
-    }
-
-    /// The process-wide arena every [`TraceStream`] shares by default.
-    pub fn global() -> &'static ChunkArena {
-        static GLOBAL: OnceLock<ChunkArena> = OnceLock::new();
-        GLOBAL.get_or_init(|| ChunkArena::with_capacity(ARENA_CAP_CHUNKS))
-    }
-
-    /// The arena bound in chunks.
-    pub fn capacity_chunks(&self) -> usize {
-        self.cap_chunks
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, ArenaInner> {
-        // A poisoned lock means a panicking thread held it mid-update;
-        // every critical section below leaves the map consistent, so
-        // continuing is safe (mirrors `parallel::parallel_map`).
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn get(&self, key: ChunkKey) -> Option<Arc<[MemoryAccess]>> {
-        let mut inner = self.lock();
-        match inner.chunks.get(&key) {
-            Some(chunk) => {
-                let chunk = Arc::clone(chunk);
-                inner.hits += 1;
-                Some(chunk)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
-        }
-    }
-
-    fn insert(&self, key: ChunkKey, chunk: &Arc<[MemoryAccess]>) {
-        let mut inner = self.lock();
-        if inner.chunks.len() >= self.cap_chunks {
-            inner.rejected += 1;
-            return;
-        }
-        // A racing worker may have generated the same chunk; both copies
-        // are byte-identical, so keeping the first is arbitrary but
-        // consistent.
-        inner.chunks.entry(key).or_insert_with(|| Arc::clone(chunk));
-    }
-
-    /// Deliberately poisons the arena's internal lock (fault injection).
-    ///
-    /// Spawns a short-lived thread that panics while holding the lock,
-    /// leaving the `Mutex` poisoned — exactly the state a crashed worker
-    /// leaves behind. Every accessor recovers via
-    /// [`PoisonError::into_inner`] (the critical sections keep the map
-    /// consistent), so streams, inserts, and [`ChunkArena::stats`] keep
-    /// working afterwards; the fault-tolerance suite pins that recovery.
-    pub fn poison(&self) {
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                // catch_panic keeps the injected panic from reaching the
-                // process hook; the guard still drops during unwinding,
-                // which is what marks the mutex poisoned.
-                let _ = catch_panic(|| {
-                    let _guard = self.inner.lock();
-                    panic!("injected arena poison");
-                });
-            });
-        });
-    }
-
-    /// Current cache counters.
-    pub fn stats(&self) -> ArenaStats {
-        let inner = self.lock();
-        ArenaStats {
-            cached_chunks: inner.chunks.len(),
-            hits: inner.hits,
-            misses: inner.misses,
-            rejected: inner.rejected,
-        }
-    }
-}
+/// for every consumer of a stream: compiled trace files are cut at the
+/// same size, and a filtered run's chunks cover the same references
+/// for every consumer.
+pub const STREAM_CHUNK: usize = TraceGenerator::DEFAULT_CHUNK;
 
 /// A [`FileTraceSource`] a stream replays from, with its lazily opened
 /// per-stream reader.
 #[derive(Debug)]
 struct FileBackend {
     source: Arc<FileTraceSource>,
-    /// Opened on the first arena miss the file can serve — hot streams
-    /// riding a warm arena never touch the filesystem.
+    /// Opened on the first chunk the stream reads.
     reader: Option<TraceReader<BufReader<File>>>,
-    /// Chunks the file can serve at arena granularity.
+    /// Chunks the file can serve at [`STREAM_CHUNK`] granularity.
     full_chunks: u32,
 }
 
-/// A cursor over the `(app, seed)` trace stream, staged in
-/// [`ARENA_CHUNK`]-sized immutable chunks backed by a [`ChunkArena`].
+/// A forward cursor over the `(app, seed)` trace stream, in
+/// [`STREAM_CHUNK`]-long chunks.
 ///
 /// The stream is identical to `TraceGenerator::new(app, seed)`; the
-/// difference is purely operational: chunks already memoized by any
-/// earlier consumer in the process are returned without generation, a
-/// compiled trace file registered in the [`TraceRegistry`] serves
-/// chunks by decode instead of generation, and a local generator
-/// (created lazily, only on the first miss neither can serve) fills
-/// the rest. Consumption is strictly forward from chunk 0 — exactly
-/// the access pattern of a simulation run.
+/// difference is purely operational: a compiled trace file registered in
+/// the [`TraceRegistry`] serves chunks by decode instead of generation,
+/// and a local generator (created lazily, only on the first chunk the
+/// file cannot serve) fills the rest. Every chunk lands in one buffer
+/// reused for the whole stream. Consumption is strictly forward from
+/// chunk 0 — exactly the access pattern of a simulation run.
 ///
-/// File-backed streams key the arena by the file's
+/// File-backed streams report the file's
 /// [`source fingerprint`](FileTraceSource::source_fingerprint) rather
-/// than the plain profile fingerprint, so decoded chunks memoize (and
-/// checkpoint) in their own namespace; a chunk that fails to decode
-/// drops the stream back to generation for the remainder — the decoded
-/// prefix and generated tail are the same bytes by construction, and
-/// the error is counted in the registry's
+/// than the plain profile fingerprint, so filtered runs (and checkpoint
+/// keys) of decoded streams live in their own namespace; a chunk that
+/// fails to decode drops the stream back to generation for the
+/// remainder — the decoded prefix and generated tail are the same bytes
+/// by construction, and the error is counted in the registry's
 /// [`stats`](TraceRegistry::stats).
-///
-/// An [`unmemoized`](TraceStream::unmemoized) stream skips the arena
-/// altogether — no lookups, no inserts — and decodes or generates every
-/// chunk into one reused buffer. It is for consumers that read their
-/// stream exactly once, where memoizing would only fill the arena.
 ///
 /// # Examples
 ///
@@ -288,52 +101,32 @@ struct FileBackend {
 /// let mut stream = TraceStream::new(&app, 7);
 /// let chunk = stream.next_chunk();
 /// let direct: Vec<_> = TraceGenerator::new(&app, 7).take(chunk.len()).collect();
-/// assert_eq!(&chunk[..], &direct[..]);
+/// assert_eq!(chunk, &direct[..]);
 /// ```
 #[derive(Debug)]
 pub struct TraceStream<'a> {
     profile: &'a AppProfile,
     seed: u64,
     fingerprint: u64,
-    /// The memo chunks are looked up in and offered to; `None` for an
-    /// unmemoized stream.
-    arena: Option<&'a ChunkArena>,
     /// Registered compiled-trace backend, if one covers this stream.
     file: Option<FileBackend>,
-    /// Local generator; only built when a chunk misses the arena.
+    /// Local generator; only built when the file cannot serve a chunk.
     gen: Option<TraceGenerator>,
     /// Chunks the local generator has produced (its stream position).
     generated: u32,
     /// Index of the next chunk to hand out.
     next: u32,
-    /// The chunk [`TraceStream::next_slice`] last returned: the arena's
-    /// shared copy for a memoized stream, ...
-    held: Option<Arc<[MemoryAccess]>>,
-    /// ... or the reused fill buffer of an unmemoized one.
+    /// The chunk [`TraceStream::next_chunk`] last returned.
     buf: Vec<MemoryAccess>,
 }
 
 impl<'a> TraceStream<'a> {
-    /// A stream over `(profile, seed)` backed by the global arena (and
-    /// the global [`TraceRegistry`]'s source for this identity, when
-    /// one is registered).
+    /// A stream over `(profile, seed)`, backed by the global
+    /// [`TraceRegistry`]'s source for this identity when one is
+    /// registered.
     pub fn new(profile: &'a AppProfile, seed: u64) -> Self {
-        Self::with_arena(profile, seed, ChunkArena::global())
-    }
-
-    /// A stream backed by an explicit arena (tests, benchmarks).
-    pub fn with_arena(profile: &'a AppProfile, seed: u64, arena: &'a ChunkArena) -> Self {
         let source = TraceRegistry::global().lookup(profile.fingerprint(), seed);
-        Self::build(profile, seed, Some(arena), source)
-    }
-
-    /// A stream that never touches an arena: every chunk is decoded
-    /// from the registered trace file (when the global
-    /// [`TraceRegistry`] holds one for this identity) or generated, into
-    /// one buffer reused for the whole stream.
-    pub fn unmemoized(profile: &'a AppProfile, seed: u64) -> Self {
-        let source = TraceRegistry::global().lookup(profile.fingerprint(), seed);
-        Self::build(profile, seed, None, source)
+        Self::build(profile, seed, source)
     }
 
     /// A stream replaying an explicit [`FileTraceSource`] (tests,
@@ -342,23 +135,13 @@ impl<'a> TraceStream<'a> {
     /// The source must record the same `(fingerprint, seed)` identity
     /// as the stream; a mismatched source is ignored, because serving
     /// another stream's chunks would break the byte-identity contract.
-    pub fn with_source(
-        profile: &'a AppProfile,
-        seed: u64,
-        arena: &'a ChunkArena,
-        source: Arc<FileTraceSource>,
-    ) -> Self {
+    pub fn with_source(profile: &'a AppProfile, seed: u64, source: Arc<FileTraceSource>) -> Self {
         debug_assert_eq!(source.fingerprint(), profile.fingerprint());
         debug_assert_eq!(source.seed(), seed);
-        Self::build(profile, seed, Some(arena), Some(source))
+        Self::build(profile, seed, Some(source))
     }
 
-    fn build(
-        profile: &'a AppProfile,
-        seed: u64,
-        arena: Option<&'a ChunkArena>,
-        source: Option<Arc<FileTraceSource>>,
-    ) -> Self {
+    fn build(profile: &'a AppProfile, seed: u64, source: Option<Arc<FileTraceSource>>) -> Self {
         let file = source
             .filter(|s| s.fingerprint() == profile.fingerprint() && s.seed() == seed)
             .map(|source| FileBackend {
@@ -369,17 +152,15 @@ impl<'a> TraceStream<'a> {
         TraceStream {
             profile,
             seed,
-            // File-backed chunks live in their own arena namespace.
+            // File-backed streams get their own namespace.
             fingerprint: match &file {
                 Some(f) => f.source.source_fingerprint(),
                 None => profile.fingerprint(),
             },
-            arena,
             file,
             gen: None,
             generated: 0,
             next: 0,
-            held: None,
             buf: Vec::new(),
         }
     }
@@ -389,9 +170,9 @@ impl<'a> TraceStream<'a> {
         self.next
     }
 
-    /// The fingerprint half of this stream's arena key: the profile
-    /// fingerprint, or the file's source fingerprint when replaying a
-    /// registered compiled trace.
+    /// The identity of this stream's source: the profile fingerprint,
+    /// or the file's source fingerprint when replaying a registered
+    /// compiled trace.
     pub fn source_fingerprint(&self) -> u64 {
         self.fingerprint
     }
@@ -435,15 +216,14 @@ impl<'a> TraceStream<'a> {
     }
 
     /// Generates chunk `self.next` into `out`. The local generator
-    /// catches up to the cursor first: chunks served from the arena or
-    /// the file before it existed are regenerated and discarded to
-    /// advance the RNG (they count only generation time, never change
-    /// content).
+    /// catches up to the cursor first: chunks the file served before it
+    /// existed are regenerated and discarded to advance the RNG (they
+    /// count only generation time, never change content).
     fn generate_next(&mut self, out: &mut Vec<MemoryAccess>) {
         // `fill` cuts chunks at the buffer's capacity, so a buffer grown
         // by anything else would shift every later chunk boundary.
-        if out.capacity() != ARENA_CHUNK {
-            *out = Vec::with_capacity(ARENA_CHUNK);
+        if out.capacity() != STREAM_CHUNK {
+            *out = Vec::with_capacity(STREAM_CHUNK);
         }
         let gen = self
             .gen
@@ -456,50 +236,10 @@ impl<'a> TraceStream<'a> {
         self.generated += 1;
     }
 
-    /// Returns the next [`ARENA_CHUNK`]-long chunk of the stream.
-    ///
-    /// Arena hit: an `Arc` clone of the memoized chunk, no generation.
-    ///
-    /// Miss with a file backend covering the cursor: one buffered read
-    /// plus one decode pass, offered to the arena like a generated
-    /// chunk.
-    ///
-    /// Otherwise the local generator fills the chunk, which is offered
-    /// to the arena for future consumers.
-    ///
-    /// An unmemoized stream skips the arena and copies its fill buffer
-    /// into the returned `Arc`; [`TraceStream::next_slice`] avoids that
-    /// copy.
-    pub fn next_chunk(&mut self) -> Arc<[MemoryAccess]> {
-        let Some(arena) = self.arena else {
-            return self.next_slice().into();
-        };
-        let key = (self.fingerprint, self.seed, self.next);
-        if let Some(chunk) = arena.get(key) {
-            self.next += 1;
-            return chunk;
-        }
-        let mut chunk: Vec<MemoryAccess> = Vec::with_capacity(ARENA_CHUNK);
-        if !self.decode_next(&mut chunk) {
-            self.generate_next(&mut chunk);
-        }
-        let chunk: Arc<[MemoryAccess]> = chunk.into();
-        arena.insert(key, &chunk);
-        self.next += 1;
-        chunk
-    }
-
-    /// Advances the stream by one chunk and borrows it — the same bytes
-    /// [`TraceStream::next_chunk`] would return, without an `Arc` per
-    /// chunk when the stream is unmemoized.
-    pub fn next_slice(&mut self) -> &[MemoryAccess] {
-        if self.arena.is_some() {
-            // Release the previous chunk first, so a chunk the arena did
-            // not keep is freed before its successor is allocated.
-            self.held = None;
-            let chunk = self.next_chunk();
-            return self.held.insert(chunk);
-        }
+    /// Advances the stream by one [`STREAM_CHUNK`]-long chunk and
+    /// borrows it: decoded from the file backend when it covers the
+    /// cursor, generated otherwise.
+    pub fn next_chunk(&mut self) -> &[MemoryAccess] {
         let mut buf = std::mem::take(&mut self.buf);
         if !self.decode_next(&mut buf) {
             self.generate_next(&mut buf);
@@ -636,9 +376,9 @@ impl<'a> FanOut<'a> {
             })
             .collect();
         let mut walls = vec![0u64; systems.len()];
-        // Shared stream time for this call: generation on misses, arena
-        // lookups on hits. Attributed to every point of the group — it
-        // is wait time each of them experienced.
+        // Shared stream time for this call (decode or generation).
+        // Attributed to every point of the group — it is wait time each
+        // of them experienced.
         let mut gen_ns = 0u64;
         if !systems.is_empty() {
             let mut stream = TraceStream::new(self.app, self.seed);
@@ -683,9 +423,9 @@ impl<'a> FanOut<'a> {
     /// [`FanOut::run`] with the designs partitioned over `jobs` worker
     /// threads.
     ///
-    /// Each worker owns its slice of the designs *and its own stream*
-    /// (a fresh generator clone on arena misses), so RNG draw order per
-    /// design is unchanged and the reports are byte-identical to
+    /// Each worker owns its slice of the designs and reads the shared
+    /// filtered run of the stream, so RNG draw order per design is
+    /// unchanged and the reports are byte-identical to
     /// [`FanOut::run`] — and to per-design `run_app` — for every job
     /// count.
     pub fn run_parallel(&self, designs: &[L2Design], refs: usize, jobs: Jobs) -> Vec<SimReport> {
@@ -882,69 +622,30 @@ mod tests {
     }
 
     #[test]
-    fn stream_matches_generator_across_arena_states() {
+    fn stream_matches_generator_chunk_for_chunk() {
         let app = AppProfile::browser();
-        let arena = ChunkArena::with_capacity(64);
-        let expected = reference_stream(&app, 5, 3 * ARENA_CHUNK);
-
-        // Cold pass: all misses.
-        let mut cold = TraceStream::with_arena(&app, 5, &arena);
+        let expected = reference_stream(&app, 5, 3 * STREAM_CHUNK);
+        let mut stream = TraceStream::new(&app, 5);
         let mut got = Vec::new();
-        for _ in 0..3 {
-            got.extend_from_slice(&cold.next_chunk());
+        for i in 0..3 {
+            assert_eq!(stream.position(), i);
+            got.extend_from_slice(stream.next_chunk());
         }
         assert_eq!(got, expected);
-        assert_eq!(arena.stats().misses, 3);
-
-        // Warm pass: all hits, identical bytes.
-        let mut warm = TraceStream::with_arena(&app, 5, &arena);
-        let mut got = Vec::new();
-        for _ in 0..3 {
-            got.extend_from_slice(&warm.next_chunk());
-        }
-        assert_eq!(got, expected);
-        assert_eq!(arena.stats().hits, 3);
+        assert!(!stream.is_file_backed());
+        assert_eq!(stream.source_fingerprint(), app.fingerprint());
     }
 
     #[test]
-    fn stream_catches_up_after_partial_hits() {
-        // Arena bounded at 1 chunk: the second pass hits chunk 0 then
-        // must regenerate (catch up) for chunks 1 and 2.
-        let app = AppProfile::email();
-        let arena = ChunkArena::with_capacity(1);
-        let expected = reference_stream(&app, 9, 3 * ARENA_CHUNK);
-
-        let mut first = TraceStream::with_arena(&app, 9, &arena);
-        for _ in 0..3 {
-            first.next_chunk();
-        }
-        assert_eq!(arena.stats().cached_chunks, 1);
-        assert_eq!(arena.stats().rejected, 2);
-
-        let mut second = TraceStream::with_arena(&app, 9, &arena);
-        let mut got = Vec::new();
-        for _ in 0..3 {
-            got.extend_from_slice(&second.next_chunk());
-        }
-        assert_eq!(got, expected, "catch-up after a partial hit must not skew the stream");
-        assert_eq!(arena.stats().hits, 1);
-    }
-
-    #[test]
-    fn arena_keys_separate_apps_and_seeds() {
-        let arena = ChunkArena::with_capacity(16);
+    fn streams_separate_apps_and_seeds() {
         let browser = AppProfile::browser();
         let email = AppProfile::email();
-        let a = TraceStream::with_arena(&browser, 1, &arena).next_chunk();
-        let b = TraceStream::with_arena(&email, 1, &arena).next_chunk();
-        let c = TraceStream::with_arena(&browser, 2, &arena).next_chunk();
-        assert_ne!(&a[..], &b[..]);
-        assert_ne!(&a[..], &c[..]);
-        assert_eq!(arena.stats().cached_chunks, 3);
-        // Same stream again: a pure hit.
-        let a2 = TraceStream::with_arena(&browser, 1, &arena).next_chunk();
-        assert_eq!(&a[..], &a2[..]);
-        assert!(arena.stats().hit_rate() > 0.0);
+        let a = TraceStream::new(&browser, 1).next_chunk().to_vec();
+        let b = TraceStream::new(&email, 1).next_chunk().to_vec();
+        let c = TraceStream::new(&browser, 2).next_chunk().to_vec();
+        assert_ne!(a, b);
+        assert_ne!(a, c);
+        assert_eq!(a, TraceStream::new(&browser, 1).next_chunk());
     }
 
     #[test]
@@ -955,11 +656,15 @@ mod tests {
             L2Design::static_default(),
             L2Design::dynamic_default(),
         ];
-        let refs = 2 * ARENA_CHUNK + 123; // deliberately not chunk-aligned
+        let refs = 2 * STREAM_CHUNK + 123; // deliberately not chunk-aligned
         let fanned = fan_out(&app, &designs, refs, 3);
         for (design, fanned) in designs.iter().zip(&fanned) {
             let solo = crate::workloads::run_app(&app, *design, refs, 3);
             assert_eq!(format!("{fanned:?}"), format!("{solo:?}"));
+        }
+        let broadcast = FanOut::new(&app, 3).run_broadcast(&designs, refs);
+        for (b, f) in broadcast.iter().zip(&fanned) {
+            assert_eq!(format!("{b:?}"), format!("{f:?}"));
         }
     }
 
@@ -996,41 +701,5 @@ mod tests {
             assert_eq!(report.refs, 20_000);
             assert!(*wall_ns > 0, "simulation time must be accounted");
         }
-    }
-
-    #[test]
-    fn saturated_arena_warns_and_counts_rejections() {
-        let app = AppProfile::browser();
-        let arena = ChunkArena::with_capacity(2);
-        let mut stream = TraceStream::with_arena(&app, 21, &arena);
-        for _ in 0..3 {
-            stream.next_chunk();
-        }
-        let stats = arena.stats();
-        assert!(stats.saturated(arena.capacity_chunks()));
-        assert_eq!(stats.rejected, 1);
-        let warn = stats
-            .saturation_warning(arena.capacity_chunks())
-            .expect("an arena at cap must warn");
-        assert!(
-            warn.contains("saturated") && warn.contains("1 insert(s) rejected"),
-            "{warn}"
-        );
-
-        // Below the cap: healthy, no warning.
-        let roomy = ChunkArena::with_capacity(8);
-        TraceStream::with_arena(&app, 21, &roomy).next_chunk();
-        assert!(!roomy.stats().saturated(roomy.capacity_chunks()));
-        assert!(roomy
-            .stats()
-            .saturation_warning(roomy.capacity_chunks())
-            .is_none());
-    }
-
-    #[test]
-    fn global_arena_is_shared_and_bounded() {
-        let arena = ChunkArena::global();
-        assert_eq!(arena.capacity_chunks(), ARENA_CAP_CHUNKS);
-        assert!(std::ptr::eq(arena, ChunkArena::global()));
     }
 }

@@ -6,12 +6,12 @@
 //! table of the reproduced evaluation (see `DESIGN.md` for the experiment
 //! index and `EXPERIMENTS.md` for results), plus sweep/CSV utilities, a
 //! deterministic multi-threaded sweep engine ([`parallel`]), a
-//! shared-trace fan-out runner with a memoized chunk arena ([`fanout`])
-//! whose entry points execute on the lock-step multi-design kernel
-//! ([`lockstep`]), a file-backed trace replay layer over compiled
-//! corpora ([`replay`]), a zero-dependency observability layer
-//! ([`telemetry`]), and the `repro` / `tracegen` / `trace_corpus`
-//! binaries.
+//! shared-trace fan-out runner ([`fanout`]) whose entry points execute
+//! on the lock-step multi-design kernel ([`lockstep`]), a process-wide
+//! memo of L1-filtered runs ([`memo`]), a file-backed trace replay
+//! layer over compiled corpora ([`replay`]), a zero-dependency
+//! observability layer ([`telemetry`]), and the `repro` / `tracegen` /
+//! `trace_corpus` binaries.
 //!
 //! ```
 //! use moca_core::L2Design;
@@ -37,6 +37,7 @@ pub mod error;
 pub mod experiments;
 pub mod fanout;
 pub mod lockstep;
+pub mod memo;
 pub mod metrics;
 pub mod parallel;
 pub mod replay;
@@ -53,8 +54,9 @@ pub use config::SystemConfig;
 pub use cpu::InOrderCore;
 pub use dram::{DramModel, RowBufferDram, RowBufferParams};
 pub use error::{PointCause, SweepPointError};
-pub use fanout::{fan_out, fan_out_parallel, ArenaStats, ChunkArena, FanOut, TraceStream};
-pub use lockstep::{FilteredChunk, FrontEnd, LaneEvent, LockStep, LANE_GROUP};
+pub use fanout::{fan_out, fan_out_parallel, FanOut, TraceStream};
+pub use lockstep::{front_end_refs, FilteredChunk, FrontEnd, LaneEvent, LockStep, LANE_GROUP};
+pub use memo::{MemoStats, RunMemo, MEMO_CAP_BYTES};
 pub use metrics::{geometric_mean, mean, SimReport};
 pub use parallel::{catch_panic, parallel_map, parallel_map_isolated, parallel_map_ref, Jobs};
 pub use replay::{FileTraceSource, TraceIoStats, TraceRegistry};

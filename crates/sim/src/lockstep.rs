@@ -13,8 +13,10 @@
 //!   reads the access timestamp, so hit/miss, victim choice, and the
 //!   demand/writeback requests produced for a reference are a pure
 //!   function of the access sequence, not of any design's clock. One
-//!   front end therefore filters each chunk once per lane group and
-//!   every design lane replays the same [`FilteredChunk`].
+//!   front end therefore filters each chunk once and every design lane
+//!   replays the same [`FilteredChunk`]. The filtered run itself comes
+//!   from the process-wide [`RunMemo`], so every lane group (and every
+//!   other consumer) of one stream shares a single front-end pass.
 //! * **Event replay** ([`LockStep`]): a lane only touches its L2 at the
 //!   L2-visible events of the chunk. The (dominant) runs of pure L1
 //!   hits between events are retired in O(1) by the closed-form
@@ -40,6 +42,7 @@
 //! `lockstep_props.rs`) pin this against both the scalar oracle and the
 //! retained broadcast engine ([`crate::fanout::FanOut::run_broadcast`]).
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use moca_cache::{L1Pair, L2Request, ReplacementPolicy};
@@ -50,6 +53,7 @@ use crate::cancel::{CancelToken, Cancelled};
 use crate::config::SystemConfig;
 use crate::error::{PointCause, SweepPointError};
 use crate::fanout::TraceStream;
+use crate::memo::{replay_unmemoized, Replayed, RunMemo};
 use crate::metrics::SimReport;
 use crate::parallel::catch_panic;
 use crate::system::{BuildSystemError, System};
@@ -58,8 +62,9 @@ use crate::telemetry::{self, Event};
 /// Default number of design lanes sharing one front-end filter pass.
 ///
 /// Eight matches the widest sweeps in the experiment suite; pools larger
-/// than the width run as consecutive lane groups, each with its own
-/// front end over the (arena-memoized) stream.
+/// than the width run as consecutive lane groups. Memoized groups all
+/// replay the one cached filtered run of the stream; an
+/// [`unmemoized`](LockStep::unmemoized) group filters the stream itself.
 pub const LANE_GROUP: usize = 8;
 
 /// One L2-visible event of a filtered chunk: the demand miss (and the
@@ -99,11 +104,37 @@ impl FilteredChunk {
     pub fn tail_gap(&self) -> usize {
         self.tail as usize
     }
+
+    /// A copy whose event buffer holds exactly its events, for storing.
+    pub(crate) fn to_owned_exact(&self) -> Self {
+        FilteredChunk {
+            refs: self.refs,
+            tail: self.tail,
+            events: self.events.to_vec(),
+        }
+    }
+
+    /// Heap bytes held by the event buffer.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.events.capacity() * std::mem::size_of::<LaneEvent>()
+    }
 }
 
-/// The shared front end of one lane group: the `(app, seed)` trace
-/// stream plus one live L1 pair, filtering each chunk once for all
-/// lanes.
+/// References generated or decoded and then L1-filtered by any
+/// [`FrontEnd`] of this process.
+static FRONT_END_REFS: AtomicU64 = AtomicU64::new(0);
+
+/// Total references every front end of this process has generated (or
+/// decoded) and L1-filtered — memo builds and unmemoized passes alike.
+/// Scheduling-dependent under `--jobs`: it counts work done, and which
+/// runs the memo rejects depends on the order workers fill it.
+pub fn front_end_refs() -> u64 {
+    FRONT_END_REFS.load(Ordering::Relaxed)
+}
+
+/// The shared L1 front end: the `(app, seed)` trace stream plus one
+/// live L1 pair, filtering each chunk once for every lane that replays
+/// it (the builder of a memoized run, or one unmemoized lane group).
 #[derive(Debug)]
 pub struct FrontEnd<'a> {
     stream: TraceStream<'a>,
@@ -116,27 +147,12 @@ pub struct FrontEnd<'a> {
 }
 
 impl<'a> FrontEnd<'a> {
-    /// A front end over the `(app, seed)` stream with `cfg`'s L1 pair.
+    /// A front end filtering `stream` with `cfg`'s L1 pair.
     ///
     /// # Errors
     ///
     /// Returns [`BuildSystemError`] if an L1 geometry is inconsistent
     /// (the same validation [`System::new`] applies).
-    pub fn new(
-        app: &'a AppProfile,
-        seed: u64,
-        cfg: &SystemConfig,
-    ) -> Result<Self, BuildSystemError> {
-        Self::over(TraceStream::new(app, seed), cfg)
-    }
-
-    /// A front end filtering an explicit stream (for example an
-    /// [`unmemoized`](TraceStream::unmemoized) one) with `cfg`'s L1
-    /// pair.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildSystemError`] if an L1 geometry is inconsistent.
     pub fn over(stream: TraceStream<'a>, cfg: &SystemConfig) -> Result<Self, BuildSystemError> {
         let l1 = L1Pair::new(
             cfg.l1i_geometry()?,
@@ -155,6 +171,11 @@ impl<'a> FrontEnd<'a> {
         &self.l1
     }
 
+    /// The L1 pair, consuming the front end.
+    pub(crate) fn into_l1(self) -> L1Pair {
+        self.l1
+    }
+
     /// Pulls the next chunk of the stream, filters at most `limit` of
     /// its references through the shared L1 into `out`, and returns the
     /// number of references filtered.
@@ -163,7 +184,7 @@ impl<'a> FrontEnd<'a> {
     /// allocation). The cut at `limit` is what keeps the front end's L1
     /// statistics exact for runs that end mid-chunk.
     pub fn fill_next(&mut self, limit: usize, out: &mut FilteredChunk) -> usize {
-        let chunk = self.stream.next_slice();
+        let chunk = self.stream.next_chunk();
         let n = chunk.len().min(limit);
         out.events.clear();
         let mut gap = 0u32;
@@ -184,6 +205,7 @@ impl<'a> FrontEnd<'a> {
         }
         out.refs = n as u32;
         out.tail = gap;
+        FRONT_END_REFS.fetch_add(n as u64, Ordering::Relaxed);
         n
     }
 }
@@ -240,9 +262,9 @@ pub struct LockStep<'a> {
     seed: u64,
     cfg: SystemConfig,
     lane_group: usize,
-    /// Whether front ends read through the global
-    /// [`ChunkArena`](crate::fanout::ChunkArena).
-    memoize: bool,
+    /// The memo lane groups replay filtered runs from; `None` filters
+    /// the stream once per lane group.
+    memo: Option<&'a RunMemo>,
     /// Absolute sweep indices forced to panic at the start of their
     /// replay (fault-injection hook for the isolation suites).
     injected_faults: Vec<usize>,
@@ -257,7 +279,7 @@ impl<'a> LockStep<'a> {
             seed,
             cfg: SystemConfig::default(),
             lane_group: LANE_GROUP,
-            memoize: true,
+            memo: Some(RunMemo::global()),
             injected_faults: Vec::new(),
         }
     }
@@ -278,25 +300,36 @@ impl<'a> LockStep<'a> {
         self
     }
 
-    /// Reads the stream without the global chunk arena: every lane
-    /// group's front end decodes or generates its own chunks (see
-    /// [`TraceStream::unmemoized`]) and the arena is left untouched.
+    /// Filters the stream once per lane group instead of replaying the
+    /// memoized run: every group decodes or generates and filters its
+    /// own chunks, and no memo is read or filled.
     ///
-    /// For runs whose stream no later consumer will read again, where
-    /// memoizing would only fill the arena. Reports are unchanged.
+    /// For runs whose stream no later consumer reads again, where
+    /// caching the run would only hold memory. Reports are unchanged.
     pub fn unmemoized(mut self) -> Self {
-        self.memoize = false;
+        self.memo = None;
         self
     }
 
-    /// The front end of one lane group.
-    fn front_end(&self) -> Result<FrontEnd<'a>, BuildSystemError> {
-        let stream = if self.memoize {
-            TraceStream::new(self.app, self.seed)
-        } else {
-            TraceStream::unmemoized(self.app, self.seed)
-        };
-        FrontEnd::over(stream, &self.cfg)
+    /// Replays filtered runs from `memo` instead of the global one
+    /// (tests, benchmarks).
+    pub fn with_memo(mut self, memo: &'a RunMemo) -> Self {
+        self.memo = Some(memo);
+        self
+    }
+
+    /// The filtered run of `refs` references, from the memo or filtered
+    /// live, fed chunk by chunk to `visit`.
+    fn replay_run(
+        &self,
+        refs: usize,
+        cancel: Option<&CancelToken>,
+        visit: impl FnMut(&FilteredChunk),
+    ) -> Result<Replayed, Cancelled> {
+        match self.memo {
+            Some(memo) => memo.replay(self.app, self.seed, &self.cfg, refs, cancel, visit),
+            None => replay_unmemoized(self.app, self.seed, &self.cfg, refs, cancel, visit),
+        }
     }
 
     /// Injects deterministic mid-run faults: each listed absolute sweep
@@ -378,7 +411,7 @@ impl<'a> LockStep<'a> {
         Ok(out)
     }
 
-    /// One lane group: build the lanes, stream-filter-replay, finish.
+    /// One lane group: build the lanes, replay the filtered run, finish.
     /// `cancel` (when given) is polled at every chunk boundary.
     fn run_group(
         &self,
@@ -395,34 +428,23 @@ impl<'a> LockStep<'a> {
             })
             .collect();
         let mut walls = vec![0u64; systems.len()];
-        // Shared front-end time for this group: generation (or arena
-        // lookup) plus the single L1 filter pass. Attributed to every
-        // lane of the group — it is wait time each of them experienced.
-        let mut gen_ns = 0u64;
         // The lane builds above validated the L1 geometries already.
-        let mut front = self.front_end().expect("lane builds validated the config");
-        let mut chunk = FilteredChunk::default();
-        let mut left = refs;
-        while left > 0 {
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                return Err(Cancelled);
-            }
-            let start = Instant::now();
-            let n = front.fill_next(left, &mut chunk);
-            gen_ns += start.elapsed().as_nanos() as u64;
+        // Shared front-end time for this group (memo lookup, or the
+        // single filter pass) is attributed to every lane of the group —
+        // it is wait time each of them experienced.
+        let Replayed { l1, front_ns } = self.replay_run(refs, cancel, |chunk| {
             for (sys, wall) in systems.iter_mut().zip(&mut walls) {
                 let start = Instant::now();
-                replay(sys, &chunk);
+                replay(sys, chunk);
                 *wall += start.elapsed().as_nanos() as u64;
             }
-            left -= n;
-        }
+        })?;
         Ok(systems
             .into_iter()
             .zip(walls)
             .enumerate()
             .map(|(i, (mut sys, wall))| {
-                sys.adopt_l1(front.l1());
+                sys.adopt_l1(&l1);
                 let start = Instant::now();
                 let report = sys.finish();
                 let energy_ns = start.elapsed().as_nanos() as u64;
@@ -432,7 +454,7 @@ impl<'a> LockStep<'a> {
                         &report.design,
                         offset + i,
                         total,
-                        gen_ns,
+                        front_ns,
                         wall,
                         energy_ns,
                     ));
@@ -493,16 +515,11 @@ impl<'a> LockStep<'a> {
             })
             .collect();
 
-        let mut front = None;
+        let mut l1 = None;
         if slots.iter().any(|s| matches!(s, LaneSlot::Live(..))) {
             // At least one lane built, so the L1 geometries are valid.
-            front = Some(self.front_end().expect("a lane build validated the config"));
-            let front = front.as_mut().expect("just installed");
-            let mut chunk = FilteredChunk::default();
             let mut first = true;
-            let mut left = refs;
-            while left > 0 {
-                let n = front.fill_next(left, &mut chunk);
+            let replayed = self.replay_run(refs, None, |chunk| {
                 for (lane, slot) in slots.iter_mut().enumerate() {
                     let failure = match slot {
                         LaneSlot::Live(sys, wall) => {
@@ -513,7 +530,7 @@ impl<'a> LockStep<'a> {
                                 if trip {
                                     panic!("injected fault at index {index}");
                                 }
-                                replay(sys, &chunk);
+                                replay(sys, chunk);
                             });
                             *wall += start.elapsed().as_nanos() as u64;
                             outcome.err()
@@ -531,8 +548,8 @@ impl<'a> LockStep<'a> {
                     }
                 }
                 first = false;
-                left -= n;
-            }
+            });
+            l1 = Some(replayed.expect("uncancellable run cannot be cancelled").l1);
         }
 
         slots
@@ -540,8 +557,8 @@ impl<'a> LockStep<'a> {
             .enumerate()
             .map(|(lane, slot)| match slot {
                 LaneSlot::Live(mut sys, wall) => {
-                    if let Some(front) = &front {
-                        sys.adopt_l1(front.l1());
+                    if let Some(l1) = &l1 {
+                        sys.adopt_l1(l1);
                     }
                     let start = Instant::now();
                     match catch_panic(move || sys.finish()) {
@@ -606,7 +623,7 @@ mod tests {
     fn filtered_chunk_accounts_every_reference() {
         let app = AppProfile::music();
         let cfg = SystemConfig::default();
-        let mut front = FrontEnd::new(&app, 1, &cfg).expect("valid");
+        let mut front = FrontEnd::over(TraceStream::new(&app, 1), &cfg).expect("valid");
         let mut chunk = FilteredChunk::default();
         let n = front.fill_next(5_000, &mut chunk);
         assert_eq!(n, 5_000);

@@ -2,7 +2,7 @@
 //! source registry, and decode accounting.
 //!
 //! The chunked container in [`moca_trace::binfmt`] stores a workload's
-//! reference stream pre-encoded at the arena's chunk granularity. This
+//! reference stream pre-encoded at the stream's chunk granularity. This
 //! module is the bridge into the sweep kernel: a [`FileTraceSource`]
 //! wraps one validated file, and the [`TraceRegistry`] maps
 //! `(profile fingerprint, seed)` identities to registered sources so
@@ -15,9 +15,9 @@
 //!
 //! A registered source only ever serves the stream its header claims:
 //! lookups key on the `(fingerprint, seed)` recorded at compile time,
-//! and file-backed streams re-key the chunk arena (and checkpoint
+//! and file-backed streams re-key the filtered-run memo (and checkpoint
 //! journals) by [`TraceHeader::source_fingerprint`] so file-decoded
-//! chunks can never alias generated ones. If a chunk fails to decode
+//! runs can never alias generated ones. If a chunk fails to decode
 //! mid-replay (truncation, bit rot), the stream silently falls back to
 //! in-process generation — the output contract is owed to the caller —
 //! and the failure is surfaced in [`TraceIoStats::decode_errors`].
@@ -85,13 +85,13 @@ impl FileTraceSource {
         self.header.seed
     }
 
-    /// The arena/checkpoint keying fingerprint for streams replaying
+    /// The memo/checkpoint keying fingerprint for streams replaying
     /// this file (see [`TraceHeader::source_fingerprint`]).
     pub fn source_fingerprint(&self) -> u64 {
         self.source_fingerprint
     }
 
-    /// Chunks servable at arena granularity (a partial tail chunk is
+    /// Chunks servable at stream-chunk granularity (a partial tail chunk is
     /// never served — generation covers anything past it).
     pub fn full_chunks(&self) -> u32 {
         self.header.full_chunks()
@@ -169,7 +169,7 @@ impl TraceRegistry {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, FxHashMap<(u64, u64), Arc<FileTraceSource>>> {
-        // Mirrors the chunk arena: critical sections leave the map
+        // Mirrors the filtered-run memo: critical sections leave the map
         // consistent, so a poisoned lock is safe to re-enter.
         self.sources.lock().unwrap_or_else(PoisonError::into_inner)
     }

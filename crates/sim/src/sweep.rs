@@ -38,7 +38,7 @@ use moca_trace::AppProfile;
 use crate::config::SystemConfig;
 use crate::error::SweepPointError;
 use crate::fanout::FanOut;
-use crate::lockstep::{FilteredChunk, FrontEnd};
+use crate::memo::RunMemo;
 use crate::metrics::SimReport;
 use crate::parallel::Jobs;
 use crate::table::Table;
@@ -368,8 +368,8 @@ impl MrcScore {
 /// `(app, seed)` for `refs` references, scoring way counts
 /// `1..=max_ways` of the default 2048-set shared L2 in one pass.
 ///
-/// The profiler consumes the *same* front-end-filtered sequence every
-/// lock-step lane replays — the demand request first, then the
+/// The profiler consumes the *same* filtered run every lock-step lane
+/// replays (one [`RunMemo`] entry) — the demand request first, then the
 /// dirty-victim writeback it may carry, per L1 miss — so the returned
 /// curve's counts at `w` ways exactly equal the `l2_stats` of a
 /// simulated [`L2Design::SharedSram`]` { ways: w }` run under the
@@ -385,22 +385,16 @@ pub fn profile_lru_grid(app: &AppProfile, refs: usize, seed: u64, max_ways: u32)
     let cfg = SystemConfig::default();
     let sets = u32::try_from(L2BaseParams::default().sets).expect("default set count fits u32");
     let mut prof = MrcProfiler::new(&[sets], max_ways).expect("default L2 geometry is valid");
-    let mut fe = FrontEnd::new(app, seed, &cfg).expect("default config builds a front end");
-    let mut chunk = FilteredChunk::default();
-    let mut remaining = refs;
-    while remaining > 0 {
-        let n = fe.fill_next(remaining, &mut chunk);
-        if n == 0 {
-            break;
-        }
-        remaining -= n;
-        for ev in chunk.events() {
-            prof.observe(&ev.demand);
-            if let Some(wb) = &ev.writeback {
-                prof.observe(wb);
+    RunMemo::global()
+        .replay(app, seed, &cfg, refs, None, |chunk| {
+            for ev in chunk.events() {
+                prof.observe(&ev.demand);
+                if let Some(wb) = &ev.writeback {
+                    prof.observe(wb);
+                }
             }
-        }
-    }
+        })
+        .expect("uncancellable run cannot be cancelled");
     prof.curve(sets).expect("profiled lane exists")
 }
 

@@ -2,10 +2,10 @@
 //!
 //! The engine runs for seconds (`repro --quick`) to minutes (a full
 //! claims run) and, without this module, is a black box: the only
-//! introspection is the one-line arena footer. Telemetry makes the hot
+//! introspection is the one-line memo footer. Telemetry makes the hot
 //! pipeline attributable — per sweep point, where did the time go
 //! (trace generation vs cache simulation vs energy accounting)? how
-//! busy were the workers? did the chunk arena help? — the same
+//! busy were the workers? did the filtered-run memo help? — the same
 //! per-phase profiling DVFS/reconfiguration studies rely on before
 //! optimizing anything.
 //!
@@ -40,7 +40,7 @@
 //! | `counter`      | `name value` (totals, emitted at drain time)                 | yes            |
 //! | `worker_start` | `scope pool worker jobs`                                     | scheduling     |
 //! | `worker_stop`  | `scope pool worker jobs items busy_ns`                       | scheduling     |
-//! | `arena`        | `cached_chunks capacity_chunks hits misses rejected`         | scheduling     |
+//! | `memo`         | `runs used_bytes cap_bytes hits misses rejected front_end_refs` | scheduling  |
 //! | `trace_io`     | `files chunks_decoded bytes_read decode_ns checksum_verifies decode_errors` | scheduling |
 //!
 //! # Determinism contract
@@ -59,7 +59,7 @@
 //!   output.
 //!
 //! Scheduling-dependent kinds are emitted for humans and profilers,
-//! not for diffing: the number of workers, the arena hit pattern, and
+//! not for diffing: the number of workers, the memo hit pattern, and
 //! the grouping of designs over threads legitimately change with
 //! `--jobs`.
 
@@ -119,23 +119,29 @@ pub enum Event {
         /// `busy_ns` / pool wall time).
         busy_ns: u64,
     },
-    /// A snapshot of [`crate::ChunkArena`] counters.
-    Arena {
-        /// Chunks currently cached.
-        cached_chunks: u64,
-        /// Arena bound in chunks.
-        capacity_chunks: u64,
-        /// Lookups served from the cache.
+    /// A snapshot of [`crate::RunMemo`] counters plus the process's
+    /// [`front_end_refs`](crate::front_end_refs).
+    Memo {
+        /// Runs currently cached.
+        runs: u64,
+        /// Bytes charged to the cached runs.
+        used_bytes: u64,
+        /// Memo bound in bytes.
+        cap_bytes: u64,
+        /// Replays served from a cached run.
         hits: u64,
-        /// Lookups that required local generation.
+        /// Replays that filtered the stream themselves.
         misses: u64,
-        /// Generated chunks not cached because the arena was full.
+        /// Built runs not cached because the memo was full.
         rejected: u64,
+        /// References generated or decoded and L1-filtered by any front
+        /// end of the process.
+        front_end_refs: u64,
     },
     /// A snapshot of [`crate::TraceRegistry`] file-replay counters.
     ///
-    /// Scheduling-dependent like `arena`: how many chunks are decoded
-    /// from file (vs served from the warm arena) depends on which
+    /// Scheduling-dependent like `memo`: how many chunks are decoded
+    /// from file (vs served from a cached run) depends on which
     /// stream reaches each chunk first across worker threads.
     TraceIo {
         /// Compiled trace files registered.
@@ -242,7 +248,7 @@ impl Event {
             Event::Point { .. } => "point",
             Event::WorkerStart { .. } => "worker_start",
             Event::WorkerStop { .. } => "worker_stop",
-            Event::Arena { .. } => "arena",
+            Event::Memo { .. } => "memo",
             Event::TraceIo { .. } => "trace_io",
             Event::Checkpoint { .. } => "checkpoint",
             Event::Counter { .. } => "counter",
@@ -257,7 +263,7 @@ impl Event {
         match self {
             Event::Point { .. } => 0,
             Event::Checkpoint { .. } => 1,
-            Event::Arena { .. } => 2,
+            Event::Memo { .. } => 2,
             Event::TraceIo { .. } => 3,
             Event::WorkerStart { .. } => 4,
             Event::WorkerStop { .. } => 5,
@@ -318,18 +324,22 @@ impl Event {
                 push_num_field(&mut s, "items", *items);
                 push_num_field(&mut s, "busy_ns", ns(*busy_ns));
             }
-            Event::Arena {
-                cached_chunks,
-                capacity_chunks,
+            Event::Memo {
+                runs,
+                used_bytes,
+                cap_bytes,
                 hits,
                 misses,
                 rejected,
+                front_end_refs,
             } => {
-                push_num_field(&mut s, "cached_chunks", *cached_chunks);
-                push_num_field(&mut s, "capacity_chunks", *capacity_chunks);
+                push_num_field(&mut s, "runs", *runs);
+                push_num_field(&mut s, "used_bytes", *used_bytes);
+                push_num_field(&mut s, "cap_bytes", *cap_bytes);
                 push_num_field(&mut s, "hits", *hits);
                 push_num_field(&mut s, "misses", *misses);
                 push_num_field(&mut s, "rejected", *rejected);
+                push_num_field(&mut s, "front_end_refs", *front_end_refs);
             }
             Event::TraceIo {
                 files,
@@ -428,10 +438,10 @@ fn json_escape_into(s: &mut String, value: &str) {
 
 /// `true` for event kinds whose presence or payload legitimately
 /// depends on thread scheduling (`worker_start`, `worker_stop`,
-/// `arena`, `trace_io`) — the determinism suite filters these before
+/// `memo`, `trace_io`) — the determinism suite filters these before
 /// comparing streams across job counts.
 pub fn is_scheduling_kind(kind: &str) -> bool {
-    matches!(kind, "worker_start" | "worker_stop" | "arena" | "trace_io")
+    matches!(kind, "worker_start" | "worker_stop" | "memo" | "trace_io")
 }
 
 /// A telemetry sink.
@@ -911,12 +921,14 @@ mod tests {
             items: 5,
             busy_ns: 1234,
         });
-        rec.record(Event::Arena {
-            cached_chunks: 3,
-            capacity_chunks: 512,
+        rec.record(Event::Memo {
+            runs: 3,
+            used_bytes: 4 << 20,
+            cap_bytes: 96 << 20,
             hits: 10,
             misses: 4,
             rejected: 0,
+            front_end_refs: 300_000,
         });
         rec.record(Event::Checkpoint {
             event: "append",
@@ -1028,7 +1040,7 @@ mod tests {
 
     #[test]
     fn scheduling_kind_classification_matches_schema() {
-        for kind in ["worker_start", "worker_stop", "arena", "trace_io"] {
+        for kind in ["worker_start", "worker_stop", "memo", "trace_io"] {
             assert!(is_scheduling_kind(kind));
         }
         for kind in ["point", "checkpoint", "counter", "mrc", "search"] {

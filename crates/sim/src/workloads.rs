@@ -50,8 +50,8 @@ pub const EXPERIMENT_SEED: u64 = 0x5EED_2015;
 /// Runs one app on one design.
 ///
 /// This is the scalar *reference path*: one [`System`] stepping every
-/// reference of a private [`TraceGenerator`], off the shared chunk
-/// arena and off the lock-step kernel. That independence is what makes
+/// reference of a private [`TraceGenerator`], off the filtered-run
+/// memo and off the lock-step kernel. That independence is what makes
 /// it the oracle the differential suites compare every multi-design
 /// engine against. Experiments run their designs through those engines
 /// ([`crate::lockstep::LockStep`], [`crate::sweep::sweep`], the shared

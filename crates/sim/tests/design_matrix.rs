@@ -1,8 +1,8 @@
 //! The shared design matrix: every cell equals the scalar oracle, and
-//! its unmemoized lock-step streams leave the global chunk arena alone.
+//! its unmemoized lock-step streams build no filtered run.
 //!
-//! No test in this binary reads through the global arena, so its
-//! counters only move if the matrix path touches it.
+//! No test in this binary replays through the global filtered-run memo,
+//! so its counters only move if the matrix path touches it.
 
 use std::fs::File;
 use std::io::BufWriter;
@@ -11,7 +11,9 @@ use std::path::PathBuf;
 use moca_sim::experiments::matrix::{column_order, run_matrix};
 use moca_sim::lockstep::LockStep;
 use moca_sim::EXPERIMENT_SEED;
-use moca_sim::{run_app, ChunkArena, FileTraceSource, Jobs, Scale, TraceRegistry, TraceStream};
+use moca_sim::{
+    front_end_refs, run_app, FileTraceSource, Jobs, RunMemo, Scale, TraceRegistry, TraceStream,
+};
 use moca_trace::binfmt::{self, TraceReader, CHUNK_REFS};
 use moca_trace::{AppProfile, TraceGenerator};
 
@@ -60,29 +62,34 @@ fn every_matrix_cell_equals_scalar_run_app_at_every_job_count() {
 }
 
 #[test]
-fn running_the_matrix_leaves_the_global_arena_untouched() {
-    let before = ChunkArena::global().stats();
+fn running_the_matrix_builds_no_run() {
+    let before = RunMemo::global().stats();
+    let filtered = front_end_refs();
     let m = run_matrix(&column_order(), Scale::Smoke, Jobs::new(2));
     assert_eq!(m.rows.len(), AppProfile::suite().len());
-    assert_eq!(ChunkArena::global().stats(), before);
+    assert_eq!(RunMemo::global().stats(), before);
+    // The matrix still filtered its streams, live, once per lane group.
+    assert!(
+        front_end_refs() >= filtered + (AppProfile::suite().len() * Scale::Smoke.refs()) as u64
+    );
 }
 
 #[test]
-fn unmemoized_stream_decodes_a_registered_file_then_generates() {
+fn stream_decodes_a_registered_file_then_generates() {
     let app = AppProfile::maps();
     let seed = 0x3A7_0001u64;
     let path = compile_to_temp(&app, seed, 2 * CHUNK_REFS, "decode");
     TraceRegistry::global().register(FileTraceSource::open(&path).expect("open"));
     let decoded = TraceRegistry::global().stats().chunks_decoded;
 
-    let mut stream = TraceStream::unmemoized(&app, seed);
+    let mut stream = TraceStream::new(&app, seed);
     assert!(stream.is_file_backed());
     let mut gen = TraceGenerator::new(&app, seed);
     let mut want = Vec::with_capacity(CHUNK_REFS);
     // Chunks 0 and 1 come from the file, chunk 2 is past its end.
     for chunk in 0..3 {
         gen.fill(&mut want);
-        assert_eq!(stream.next_slice(), &want[..], "chunk {chunk} diverged");
+        assert_eq!(stream.next_chunk(), &want[..], "chunk {chunk} diverged");
     }
     assert!(TraceRegistry::global().stats().chunks_decoded >= decoded + 2);
     std::fs::remove_file(&path).ok();

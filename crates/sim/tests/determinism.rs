@@ -72,10 +72,10 @@ determinism_tests! {
 /// Fan-out-vs-sequential equivalence.
 ///
 /// The shared-trace fan-out engine (`moca_sim::fanout`) promises that
-/// broadcasting one trace stream to N designs — through any arena state
+/// broadcasting one trace stream to N designs — through any memo state
 /// and any job count — produces reports **byte-identical** to running
 /// each design alone through `run_app`, which owns a private generator
-/// and never touches the arena. These tests pin that promise for the
+/// and never touches the memo. These tests pin that promise for the
 /// design families the sweep-shaped experiments use, and for randomized
 /// (designs, refs, seed) triples.
 mod fanout_equivalence {

@@ -15,12 +15,13 @@ use std::io;
 
 use moca_core::L2Design;
 use moca_sim::checkpoint::{sweep_checkpointed, write_checkpoint_csv, CheckpointedPoint, Journal};
-use moca_sim::fanout::{ChunkArena, TraceStream};
+use moca_sim::lockstep::LockStep;
+use moca_sim::memo::{RunMemo, MEMO_CAP_BYTES};
 use moca_sim::parallel::{parallel_map_isolated, Jobs};
 use moca_sim::sweep::{sweep_parallel, sweep_parallel_isolated};
 use moca_sim::PointCause;
 use moca_testkit::{check, Config, FaultPlan, ShortWriter, TestRng};
-use moca_trace::{AppProfile, TraceGenerator};
+use moca_trace::AppProfile;
 
 /// Maps a swept way count to a design; `ways == 0` is an *invalid*
 /// design (rejected by validation), the injected fault of this suite.
@@ -177,24 +178,27 @@ fn randomized_fault_injection_is_deterministic_across_jobs() {
 }
 
 #[test]
-fn poisoned_arena_recovers_and_streams_correctly() {
+fn poisoned_memo_recovers_and_replays_correctly() {
     let app = AppProfile::browser();
-    let arena = ChunkArena::with_capacity(8);
+    let memo = RunMemo::with_capacity(MEMO_CAP_BYTES);
+    let designs = [L2Design::baseline(), L2Design::static_default()];
+    let refs = 20_000;
 
-    // Prime, then poison the arena's lock the way a crashed worker would.
-    let mut warm = TraceStream::with_arena(&app, 5, &arena);
-    let first = warm.next_chunk().to_vec();
-    arena.poison();
+    // Prime, then poison the memo's lock the way a crashed worker would.
+    let warm = LockStep::new(&app, 5).with_memo(&memo).run(&designs, refs);
+    memo.poison();
 
-    // Every accessor recovers: stats are readable and a fresh stream
-    // still produces the reference trace (serving chunk 0 from cache).
-    let stats = arena.stats();
-    assert!(stats.cached_chunks > 0);
-    let mut stream = TraceStream::with_arena(&app, 5, &arena);
-    let replay = stream.next_chunk().to_vec();
-    assert_eq!(first, replay);
-    let direct: Vec<_> = TraceGenerator::new(&app, 5).take(replay.len()).collect();
-    assert_eq!(replay, direct);
+    // Every accessor recovers: stats are readable and a fresh replay
+    // still produces the reference reports (served from the cached run).
+    let stats = memo.stats();
+    assert_eq!(stats.runs, 1);
+    let replay = LockStep::new(&app, 5).with_memo(&memo).run(&designs, refs);
+    assert_eq!(memo.stats().hits, stats.hits + 1);
+    for ((warm, replay), design) in warm.iter().zip(&replay).zip(&designs) {
+        assert_eq!(format!("{warm:?}"), format!("{replay:?}"));
+        let direct = moca_sim::run_app(&app, *design, refs, 5);
+        assert_eq!(format!("{replay:?}"), format!("{direct:?}"));
+    }
 }
 
 #[test]

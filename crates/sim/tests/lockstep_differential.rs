@@ -9,14 +9,20 @@
 //! oracle **field by field** — the oracle owns a private generator and
 //! its own per-design L1, sharing no code with the front end under test.
 //!
+//! Where a lane group's filtered run comes from — built into the memo,
+//! replayed from it, rejected by a full memo, or filtered unmemoized —
+//! is one more input of the grid.
+//!
 //! The randomized scalar ≡ broadcast ≡ lock-step properties (and the
 //! fault-isolation cases) live in `lockstep_props.rs`; byte-identity of
 //! rendered experiment output stays in `determinism.rs`.
 
+use moca_cache::L1Pair;
 use moca_cache::ReplacementPolicy;
 use moca_core::{L2Design, RefreshPolicy};
 use moca_energy::RetentionClass;
 use moca_sim::lockstep::LockStep;
+use moca_sim::memo::{RunMemo, MEMO_CAP_BYTES};
 use moca_sim::{SimReport, System, SystemConfig};
 use moca_trace::{AppProfile, TraceGenerator};
 
@@ -31,7 +37,7 @@ const POLICIES: [(&str, ReplacementPolicy); 6] = [
 ];
 
 /// The scalar oracle: a private [`TraceGenerator`], a per-design L1,
-/// the plain [`System::step`] loop — no arena, no front end, no replay.
+/// the plain [`System::step`] loop — no memo, no front end, no replay.
 fn scalar_oracle(
     app: &AppProfile,
     design: L2Design,
@@ -226,6 +232,70 @@ fn row_buffer_dram_and_prefetch_configs_match_scalar_oracle() {
             let want = scalar_oracle(&app, *design, cfg, refs, seed);
             let ctx = format!("cfg={cfg:?} lane={lane}");
             assert_reports_match_fieldwise(&want, got, &ctx);
+        }
+    }
+}
+
+/// Memo hit, memo miss, rejected run and unmemoized filtering all feed
+/// the lanes the same chunks: every report matches the scalar oracle at
+/// lane widths 1, 2 and 8, over a run that ends mid-chunk.
+#[test]
+fn memo_hit_miss_rejected_and_unmemoized_runs_match_scalar_oracle() {
+    let app = AppProfile::email();
+    let refs = 2 * 8192 + 777; // off chunk alignment
+    let seed = 0x3E30_2015;
+    let pool = [
+        L2Design::baseline(),
+        L2Design::static_default(),
+        L2Design::dynamic_default(),
+        L2Design::SharedSram { ways: 4 },
+        L2Design::SharedStt {
+            ways: 16,
+            retention: RetentionClass::TenYears,
+            refresh: RefreshPolicy::InvalidateOnExpiry,
+        },
+    ];
+    let cfg = SystemConfig::default();
+    let oracle: Vec<SimReport> = pool
+        .iter()
+        .map(|&design| scalar_oracle(&app, design, cfg, refs, seed))
+        .collect();
+    // Room for the L1 pair and a sliver of events: the build is
+    // rejected mid-run and its consumers replay the recorded prefix
+    // before filtering the rest live.
+    let l1_bytes = L1Pair::mobile_default().heap_bytes();
+    for width in [1usize, 2, 8] {
+        let groups = pool.len().div_ceil(width) as u64;
+        let memo = RunMemo::with_capacity(MEMO_CAP_BYTES);
+        let partial = RunMemo::with_capacity(l1_bytes + 1024);
+        let empty = RunMemo::with_capacity(0);
+        let lockstep = LockStep::new(&app, seed).with_lane_group(width);
+        let runs = [
+            ("miss", lockstep.clone().with_memo(&memo).run(&pool, refs)),
+            ("hit", lockstep.clone().with_memo(&memo).run(&pool, refs)),
+            (
+                "partial",
+                lockstep.clone().with_memo(&partial).run(&pool, refs),
+            ),
+            ("empty", lockstep.clone().with_memo(&empty).run(&pool, refs)),
+            ("unmemoized", lockstep.clone().unmemoized().run(&pool, refs)),
+        ];
+        let stats = memo.stats();
+        assert_eq!(
+            (stats.runs, stats.misses, stats.hits),
+            (1, 1, 2 * groups - 1)
+        );
+        for rejecting in [&partial, &empty] {
+            let stats = rejecting.stats();
+            assert_eq!((stats.runs, stats.used_bytes, stats.rejected), (0, 0, 1));
+            assert_eq!((stats.misses, stats.hits), (groups, 0));
+        }
+        for (source, reports) in &runs {
+            assert_eq!(reports.len(), pool.len());
+            for (lane, (want, got)) in oracle.iter().zip(reports).enumerate() {
+                let ctx = format!("{source} run width={width} lane={lane}");
+                assert_reports_match_fieldwise(want, got, &ctx);
+            }
         }
     }
 }

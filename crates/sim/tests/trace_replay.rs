@@ -2,8 +2,8 @@
 //! integration.
 //!
 //! Each test uses a unique `(app, seed)` identity: the registry and
-//! arena are process-global, and unique seeds keep concurrently running
-//! tests from serving each other's chunks.
+//! filtered-run memo are process-global, and unique seeds keep
+//! concurrently running tests from serving each other's runs.
 
 use std::fs::File;
 use std::io::BufWriter;
@@ -13,8 +13,8 @@ use std::sync::Arc;
 use moca_core::L2Design;
 use moca_sim::checkpoint::{point_key, point_key_with_source, Journal};
 use moca_sim::{
-    csv_row, run_app, sweep_checkpointed, sweep_parallel, write_csv, ChunkArena, FanOut,
-    FileTraceSource, Jobs, TraceRegistry, TraceStream,
+    csv_row, run_app, sweep_checkpointed, sweep_parallel, write_csv, FanOut, FileTraceSource, Jobs,
+    LockStep, RunMemo, TraceRegistry, TraceStream, MEMO_CAP_BYTES,
 };
 use moca_trace::binfmt::{self, TraceReader, CHUNK_REFS};
 use moca_trace::AppProfile;
@@ -41,25 +41,19 @@ fn file_stream_serves_generator_identical_chunks_from_disk() {
     assert_ne!(
         source.source_fingerprint(),
         app.fingerprint(),
-        "file-backed streams must live in their own arena namespace"
+        "file-backed streams must live in their own namespace"
     );
 
-    // Zero-capacity arenas: every chunk is decoded (left) or generated
-    // (right), nothing is served from cache.
-    let cold_a = ChunkArena::with_capacity(0);
-    let cold_b = ChunkArena::with_capacity(0);
-    let mut from_file = TraceStream::with_source(&app, seed, &cold_a, source);
-    let mut from_gen = TraceStream::with_arena(&app, seed, &cold_b);
+    // Every chunk is decoded (left) or generated (right).
+    let mut from_file = TraceStream::with_source(&app, seed, source);
+    let mut from_gen = TraceStream::new(&app, seed);
     assert!(from_file.is_file_backed());
     assert!(!from_gen.is_file_backed());
     for chunk in 0..4 {
         // Chunk 3 is past the file; the stream must fall through to
         // generation seamlessly.
-        assert_eq!(
-            from_file.next_chunk(),
-            from_gen.next_chunk(),
-            "chunk {chunk} diverged"
-        );
+        let decoded = from_file.next_chunk().to_vec();
+        assert_eq!(decoded, from_gen.next_chunk(), "chunk {chunk} diverged");
     }
     std::fs::remove_file(&path).ok();
 }
@@ -182,5 +176,44 @@ fn checkpoint_keys_follow_the_trace_source() {
     assert_eq!(first[0].row(), second[0].row());
 
     std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn file_backed_and_generated_streams_are_memoized_apart() {
+    let app = AppProfile::camera();
+    let seed = 0xF11E_0005u64;
+    let refs = 2 * CHUNK_REFS + 321;
+    let designs = [L2Design::baseline(), L2Design::static_default()];
+    let memo = RunMemo::with_capacity(MEMO_CAP_BYTES);
+    let generated = LockStep::new(&app, seed)
+        .with_memo(&memo)
+        .run(&designs, refs);
+    assert_eq!((memo.stats().runs, memo.stats().misses), (1, 1));
+
+    // Registering a corpus for the identity moves the stream into the
+    // file's namespace: the next replay misses and decodes instead of
+    // reusing the generated run, with identical reports.
+    let path = compile_to_temp(&app, seed, refs, "memo-key");
+    TraceRegistry::global().register(FileTraceSource::open(&path).expect("open"));
+    let decoded_before = TraceRegistry::global().stats().chunks_decoded;
+    let decoded = LockStep::new(&app, seed)
+        .with_memo(&memo)
+        .run(&designs, refs);
+    let stats = memo.stats();
+    assert_eq!((stats.runs, stats.hits, stats.misses), (2, 0, 2));
+    assert!(TraceRegistry::global().stats().chunks_decoded >= decoded_before + 2);
+    for ((g, d), design) in generated.iter().zip(&decoded).zip(&designs) {
+        assert_eq!(format!("{g:?}"), format!("{d:?}"));
+        assert_eq!(
+            format!("{d:?}"),
+            format!("{:?}", run_app(&app, *design, refs, seed))
+        );
+    }
+    // The decoded run is cached under the file's key from now on.
+    LockStep::new(&app, seed)
+        .with_memo(&memo)
+        .run(&designs, refs);
+    assert_eq!(memo.stats().hits, 1);
     std::fs::remove_file(&path).ok();
 }

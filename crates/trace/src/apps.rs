@@ -132,8 +132,7 @@ impl AppProfile {
     /// a profile tweaked for a what-if study gets a different fingerprint
     /// than the suite profile it started from. Together with a trace
     /// seed, the fingerprint identifies a generated reference stream;
-    /// `moca-sim`'s shared-trace chunk arena uses it as a memoization
-    /// key. Hashing is the fixed-seed [`crate::fxhash::FxHasher`], so the
+    /// `moca-sim`'s filtered-run memo uses it as a memoization key. Hashing is the fixed-seed [`crate::fxhash::FxHasher`], so the
     /// value is identical across runs and processes.
     ///
     /// # Examples

@@ -1,5 +1,5 @@
 //! Chunked binary trace container: compile a workload once, replay it
-//! into every subsequent sweep at near-arena speed.
+//! into every subsequent sweep at decode speed.
 //!
 //! The legacy stream format in [`crate::io`] is a flat record stream:
 //! fine for archiving, useless for random access, and unprotected
@@ -19,11 +19,11 @@
 //! └────────────────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! * **Chunked at the arena granularity.** Payload is cut at
+//! * **Chunked at the stream granularity.** Payload is cut at
 //!   [`CHUNK_REFS`] = 8192 references — the same boundary as
-//!   `moca_sim`'s chunk arena — so one decoded chunk drops straight
-//!   into an arena slot: one buffered read + one decode pass per chunk,
-//!   no per-reference allocation.
+//!   `moca_sim`'s trace stream — so one decoded chunk drops straight
+//!   into the stream's chunk buffer: one buffered read + one decode
+//!   pass per chunk, no per-reference allocation.
 //! * **Per-chunk delta coding.** Each chunk restarts its address/PC
 //!   predictors at zero, so chunks decode independently (random access
 //!   through the directory). A record is two LEB128 varints: the
@@ -80,9 +80,9 @@ pub const MAGIC: [u8; 8] = *b"MOCATRC0";
 /// Version of the chunked container format.
 pub const VERSION: u16 = 1;
 
-/// References per chunk — fixed to the simulator arena's granularity
-/// so decoded chunks are drop-in arena slots (the memoization key
-/// includes the chunk *index*, which is only meaningful at one size).
+/// References per chunk — fixed to the simulator's stream granularity
+/// so a decoded chunk is exactly the chunk a generator would have
+/// produced at the same stream position.
 pub const CHUNK_REFS: usize = TraceGenerator::DEFAULT_CHUNK;
 
 /// Byte length of the fixed header.
@@ -406,7 +406,7 @@ impl TraceHeader {
     }
 
     /// Chunks holding exactly [`CHUNK_REFS`] references — the prefix a
-    /// replay stream may serve at arena granularity.
+    /// replay stream may serve at stream-chunk granularity.
     pub fn full_chunks(&self) -> u32 {
         self.chunks
             .iter()
@@ -418,7 +418,7 @@ impl TraceHeader {
     ///
     /// Distinct from the plain profile fingerprint: it folds in the
     /// container identity (magic, version, chunk granularity, length)
-    /// so arena keys and checkpoint-journal keys for file-backed
+    /// so memo keys and checkpoint-journal keys for file-backed
     /// streams can never collide with in-process generated ones, and a
     /// re-recorded file of different length re-keys cleanly.
     pub fn source_fingerprint(&self) -> u64 {

@@ -43,7 +43,7 @@ SMOKE_DIR=$(mktemp -d)
 CLEANUP_PIDS=""
 trap 'for p in $CLEANUP_PIDS; do kill -9 "$p" 2>/dev/null || true; done; rm -rf "$SMOKE_DIR"' EXIT
 # Reference: an uninterrupted run. The footer after the --- separator
-# (wall time, arena stats) is run-local by design, so the comparison
+# (wall time, memo stats) is run-local by design, so the comparison
 # stops there. Capture fully before trimming: repro treats a closed
 # pipe as a real I/O error (by design), so sed must not cut it short.
 "$REPRO" --quick "${SMOKE_IDS[@]}" > "$SMOKE_DIR/uninterrupted_full.txt"
@@ -218,6 +218,25 @@ diff -u "$SMOKE_DIR/matrix_j1.txt" "$SMOKE_DIR/matrix_j2.txt" \
   || { echo "design-matrix output varies with --jobs"; exit 1; }
 echo "design-matrix smoke passed"
 
+echo "== filtered-run memo smoke (F5 F8 A2 A3 M1 replay memoized runs: --jobs determinism) =="
+# Lock-step lane groups, the M1 profile and the A2/A3 custom runners all
+# replay memoized filtered runs; under --jobs 2 concurrent consumers of
+# one run wait for a single build. The rendered blocks must not depend
+# on that. Trimmed and masked like the search smoke above.
+"$REPRO" --quick --jobs 1 F5 F8 A2 A3 M1 > "$SMOKE_DIR/memo_j1_full.txt"
+trim_search_run "$SMOKE_DIR/memo_j1_full.txt" > "$SMOKE_DIR/memo_j1.txt"
+for id in F5 F8 A2 A3 M1; do
+  grep -q "^## $id " "$SMOKE_DIR/memo_j1.txt" \
+    || { echo "memo run rendered no $id block"; exit 1; }
+done
+grep -q '^filtered-run memo: [1-9][0-9]* run(s) cached' "$SMOKE_DIR/memo_j1_full.txt" \
+  || { echo "memoized experiments cached no filtered run"; exit 1; }
+"$REPRO" --quick --jobs 2 F5 F8 A2 A3 M1 > "$SMOKE_DIR/memo_j2_full.txt"
+trim_search_run "$SMOKE_DIR/memo_j2_full.txt" > "$SMOKE_DIR/memo_j2.txt"
+diff -u "$SMOKE_DIR/memo_j1.txt" "$SMOKE_DIR/memo_j2.txt" \
+  || { echo "memoized experiment output varies with --jobs"; exit 1; }
+echo "filtered-run memo smoke passed"
+
 echo "== trace corruption exit-code smoke (one distinct code per class) =="
 # trace_corpus validate maps each corruption class to its own exit code
 # (CorruptionClass::exit_code): 3 magic, 4 version, 5 payload checksum,
@@ -390,11 +409,11 @@ echo "== bench regression guard (micro vs BENCH_micro.json) =="
 # is not.
 mkdir -p target
 cargo bench -p moca-bench --offline --bench micro | tee target/bench_micro_current.txt
-# The sweep-engine and arena benches must be present in the run (bench_guard
+# The sweep-engine and memo benches must be present in the run (bench_guard
 # fails on baseline benches missing from the current run, but only if
 # they are in the baseline — keep this check in sync with BENCH_micro.json).
 for bench in "sweep-fanout/8-designs-100k" "sweep-lockstep/8-designs-100k" \
-             "lockstep/lane-group-width" "chunk-arena/hit-rate" \
+             "lockstep/lane-group-width" "filtered-run/warm-replay" \
              "trace-gen/100k-refs" "trace-decode/100k-refs" \
              "trace-file/replay-100k" "mrc/profile-100k" \
              "sweep-lockstep/24-designs-100k" "sweep-pruned/24-designs-100k" \

@@ -88,10 +88,11 @@ use std::time::Instant;
 
 use moca_sim::checkpoint::{experiment_key, Journal};
 use moca_sim::experiments::{self, ExperimentResult, Runner};
+use moca_sim::memo::mib;
 use moca_sim::parallel::{catch_panic, Jobs};
 use moca_sim::telemetry::{self, Event};
 use moca_sim::workloads::Scale;
-use moca_sim::{ChunkArena, FileTraceSource, SystemConfig, TraceRegistry};
+use moca_sim::{front_end_refs, FileTraceSource, RunMemo, SystemConfig, TraceRegistry};
 
 /// Suite order of the experiment ids (`experiments::all` plus S1).
 const SUITE_IDS: [&str; 18] = [
@@ -434,8 +435,8 @@ fn run(opts: &Options) -> io::Result<ExitCode> {
     }
 
     writeln!(out, "---")?;
-    let arena = ChunkArena::global();
-    let stats = arena.stats();
+    let memo = RunMemo::global().stats();
+    let filtered_refs = front_end_refs();
     writeln!(
         out,
         "{} experiments, {} failed claim set(s), {} aborted, wall time {:.1}s",
@@ -455,14 +456,17 @@ fn run(opts: &Options) -> io::Result<ExitCode> {
     }
     writeln!(
         out,
-        "trace arena: {} chunk(s) cached, {} hit(s) / {} miss(es) ({:.0}% hit rate), {} rejected",
-        stats.cached_chunks,
-        stats.hits,
-        stats.misses,
-        stats.hit_rate() * 100.0,
-        stats.rejected
+        "filtered-run memo: {} run(s) cached, {:.1} of {:.1} MiB, {} hit(s) / {} miss(es), \
+         {} rejected, {} front-end ref(s)",
+        memo.runs,
+        mib(memo.used_bytes),
+        mib(memo.cap_bytes),
+        memo.hits,
+        memo.misses,
+        memo.rejected,
+        filtered_refs
     )?;
-    if let Some(warning) = stats.saturation_warning(arena.capacity_chunks()) {
+    if let Some(warning) = memo.rejection_warning() {
         writeln!(out, "{warning}")?;
     }
     if let Some((grid, pruned, simulated)) = experiments::mrc_sweep::last_prune_counts() {
@@ -495,14 +499,16 @@ fn run(opts: &Options) -> io::Result<ExitCode> {
     out.flush()?;
 
     if let Some(path) = &opts.telemetry {
-        // End-of-run arena snapshot, then drain the buffered stream.
+        // End-of-run memo snapshot, then drain the buffered stream.
         telemetry::set_scope("suite");
-        telemetry::record(Event::Arena {
-            cached_chunks: stats.cached_chunks as u64,
-            capacity_chunks: arena.capacity_chunks() as u64,
-            hits: stats.hits,
-            misses: stats.misses,
-            rejected: stats.rejected,
+        telemetry::record(Event::Memo {
+            runs: memo.runs as u64,
+            used_bytes: memo.used_bytes as u64,
+            cap_bytes: memo.cap_bytes as u64,
+            hits: memo.hits,
+            misses: memo.misses,
+            rejected: memo.rejected,
+            front_end_refs: filtered_refs,
         });
         if corpus_files.is_some() {
             telemetry::record(TraceRegistry::global().stats().to_event());

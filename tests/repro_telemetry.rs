@@ -2,7 +2,7 @@
 //!
 //! The determinism promise under test (see `DESIGN.md` § Telemetry &
 //! profiling): with timing fields (`*_ns`) masked and the
-//! scheduling-dependent kinds (`worker_start`, `worker_stop`, `arena`)
+//! scheduling-dependent kinds (`worker_start`, `worker_stop`, `memo`)
 //! filtered out, the stream is **byte-identical for every `--jobs`
 //! value**, and every sweep point appears exactly once.
 //!
