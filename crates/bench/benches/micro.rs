@@ -1,6 +1,6 @@
 //! Microbenchmarks of the substrates: trace generation throughput, the
-//! cache access path, L1 filtering, the utility monitor, the shared-trace
-//! sweep engines (chunk broadcast and the lock-step kernel), and the
+//! cache access path, L1 filtering, the utility monitor, the sweep
+//! executor against the chunk-broadcast reference engine, and the
 //! filtered-run memo.
 
 use moca_bench::{bench_app, Runner, BENCH_SEED};
@@ -8,12 +8,14 @@ use moca_cache::{CacheGeometry, L1Pair, ReplacementPolicy, SetAssocCache, Utilit
 use moca_core::{L2Design, RefreshPolicy};
 use moca_energy::RetentionClass;
 use moca_search::{run_search, SearchConfig};
-use moca_sim::fanout::{fan_out, FanOut, TraceStream};
-use moca_sim::lockstep::LockStep;
+use moca_sim::lockstep::{execute, run_broadcast, Plan};
 use moca_sim::memo::{RunMemo, MEMO_CAP_BYTES};
 use moca_sim::parallel::Jobs;
+use moca_sim::stream::TraceStream;
 use moca_sim::sweep::{sweep, sweep_pruned};
-use moca_sim::{profile_lru_grid, run_app, FileTraceSource, SystemConfig};
+use moca_sim::{
+    profile_lru_grid, run_app, FileTraceSource, SweepPoint, SweepPointError, SystemConfig,
+};
 use moca_trace::binfmt::{self, TraceReader, CHUNK_REFS};
 use moca_trace::{AppProfile, MemoryAccess, Mode, TraceGenerator};
 use std::hint::black_box;
@@ -146,28 +148,33 @@ fn sweep_fanout(r: &mut Runner) {
     // stream on every call).
     r.throughput_elems((designs.len() * REFS) as u64);
     r.bench("sweep-fanout/8-designs-100k", || {
-        let reports = FanOut::new(&app, BENCH_SEED).run_broadcast(&designs, REFS);
+        let reports = run_broadcast(&app, BENCH_SEED, &designs, REFS);
         black_box(reports.iter().map(|rep| rep.cycles).sum::<u64>())
     });
-    // The lock-step kernel behind the production entry points: the eight
-    // design lanes replay only the L2-visible events of the stream's
-    // filtered run, skipping pure-hit runs in O(1). The warmup iteration
-    // leaves the run in the global memo, as any sweep after the first
-    // one over a stream in a process would find it.
+    // The executor behind every production sweep: the eight design lanes
+    // replay only the L2-visible events of the stream's filtered run,
+    // skipping pure-hit runs in O(1), each lane isolated against panics.
+    // The warmup iteration leaves the run in the global memo, as any
+    // sweep after the first one over a stream in a process would find it.
+    let cycles = |plan: &Plan<'_>| {
+        execute(plan, Jobs::SERIAL, None)
+            .expect("no cancel token")
+            .iter()
+            .map(|p| p.as_ref().expect("valid design").report.cycles)
+            .sum::<u64>()
+    };
     r.throughput_elems((designs.len() * REFS) as u64);
     r.bench("sweep-lockstep/8-designs-100k", || {
-        let reports = fan_out(&app, &designs, REFS, BENCH_SEED);
-        black_box(reports.iter().map(|rep| rep.cycles).sum::<u64>())
+        black_box(cycles(&Plan::new(&app, BENCH_SEED, REFS, &designs)))
     });
     // Lane grouping ablation: width 1 replays the memoized run once per
     // design instead of once per group of eight, isolating what the
     // design-major lane layout itself buys.
     r.throughput_elems((designs.len() * REFS) as u64);
     r.bench("lockstep/lane-group-width", || {
-        let reports = LockStep::new(&app, BENCH_SEED)
-            .with_lane_group(1)
-            .run(&designs, REFS);
-        black_box(reports.iter().map(|rep| rep.cycles).sum::<u64>())
+        black_box(cycles(
+            &Plan::new(&app, BENCH_SEED, REFS, &designs).with_lane_group(1),
+        ))
     });
 }
 
@@ -182,6 +189,12 @@ fn mrc_pruning(r: &mut Runner) {
     const GRID: u32 = 24;
     let params: Vec<u32> = (1..=GRID).collect();
     let to_design = |&w: &u32| L2Design::SharedSram { ways: w };
+    let cycles = |points: &[Result<SweepPoint<u32>, SweepPointError>]| {
+        points
+            .iter()
+            .map(|p| p.as_ref().expect("valid design").report.cycles)
+            .sum::<u64>()
+    };
     // The profiling pass alone: every way count of the grid scored in
     // one front-end-filtered trace traversal.
     r.throughput_elems(REFS as u64);
@@ -192,18 +205,15 @@ fn mrc_pruning(r: &mut Runner) {
     // Simulating all 24 points (the pre-MRC sweep shape)...
     r.throughput_elems((GRID as usize * REFS) as u64);
     r.bench("sweep-lockstep/24-designs-100k", || {
-        let points = sweep(&params, to_design, &app, REFS, BENCH_SEED);
-        black_box(points.iter().map(|p| p.report.cycles).sum::<u64>())
+        let points = sweep(&params, to_design, &app, REFS, BENCH_SEED, Jobs::SERIAL);
+        black_box(cycles(&points))
     });
     // ...vs profiling the grid and simulating only the survivors. Same
     // nominal throughput denominator, so the JSON ratio is the speedup.
     r.throughput_elems((GRID as usize * REFS) as u64);
     r.bench("sweep-pruned/24-designs-100k", || {
-        let pruned = sweep_pruned(&params, to_design, &app, REFS, BENCH_SEED);
-        black_box(
-            pruned.points.iter().map(|p| p.report.cycles).sum::<u64>()
-                + pruned.pruned_points as u64,
-        )
+        let pruned = sweep_pruned(&params, to_design, &app, REFS, BENCH_SEED, Jobs::SERIAL);
+        black_box(cycles(&pruned.points) + pruned.pruned_points as u64)
     });
 }
 

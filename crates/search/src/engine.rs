@@ -10,7 +10,7 @@
 //!   re-seeded from `(fingerprint, generation)`; there is no RNG state
 //!   to checkpoint or to desynchronize.
 //! * Candidate evaluation fans into
-//!   [`moca_sim::sweep::sweep_pruned_parallel`], whose outputs are
+//!   [`moca_sim::sweep::sweep_pruned`], whose outputs are
 //!   byte-identical for every worker count.
 //! * Every ordered collection is a `Vec`; hash maps are index-only
 //!   lookaside (label → archive slot) and are never iterated.
@@ -38,7 +38,7 @@ use moca_energy::{bank_area_mm2, try_capacity_bytes, ArithmeticOverflow, Technol
 use moca_sim::cancel::CancelToken;
 use moca_sim::checkpoint::Journal;
 use moca_sim::parallel::Jobs;
-use moca_sim::sweep::sweep_pruned_parallel;
+use moca_sim::sweep::sweep_pruned;
 use moca_sim::telemetry::{self, Event};
 use moca_sim::workloads::Scale;
 use moca_trace::fxhash::{FxHashMap, FxHasher};
@@ -357,7 +357,7 @@ struct EvalCounts {
 }
 
 /// Evaluates `candidates`, filling fresh designs through one
-/// [`sweep_pruned_parallel`] batch, and returns each candidate's
+/// [`sweep_pruned`] batch, and returns each candidate's
 /// archive slot (in candidate order).
 fn evaluate(
     state: &mut State,
@@ -381,9 +381,16 @@ fn evaluate(
     }
     if !fresh.is_empty() {
         let designs: Vec<moca_core::L2Design> = fresh.iter().map(|g| g.decode()).collect();
-        let result = sweep_pruned_parallel(&designs, |d| *d, app, cfg.refs, cfg.seed, jobs);
+        let result = sweep_pruned(&designs, |d| *d, app, cfg.refs, cfg.seed, jobs);
+        // Genomes decode through the validating constructors, so a
+        // failed point is an engine fault, not a bad candidate.
+        let points = result
+            .points
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(io::Error::other)?;
         let mut simulated: FxHashMap<String, usize> = FxHashMap::default();
-        for (k, point) in result.points.iter().enumerate() {
+        for (k, point) in points.iter().enumerate() {
             simulated.insert(point.param.label(), k);
         }
         for (g, label) in fresh.iter().zip(&fresh_labels) {
@@ -391,7 +398,7 @@ fn evaluate(
             let fitness = match simulated.get(label) {
                 Some(&k) => {
                     counts.simulated += 1;
-                    let r = &result.points[k].report;
+                    let r = &points[k].report;
                     Fitness {
                         energy_nj: r.l2_energy.total().nj() + r.dram_energy.nj(),
                         cycles: r.cycles,

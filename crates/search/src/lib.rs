@@ -13,7 +13,7 @@
 //!   `PartitionSpec::split`), so invalid genomes are repaired, never
 //!   panic.
 //! * **Evaluation** — each generation fans into
-//!   [`moca_sim::sweep::sweep_pruned_parallel`]: MRC-scorable
+//!   [`moca_sim::sweep::sweep_pruned`]: MRC-scorable
 //!   candidates ride the analytic fast path, everything else runs full
 //!   lock-step simulation, and repeat proposals hit a cross-generation
 //!   archive.

@@ -32,13 +32,13 @@ use std::time::Duration;
 
 use moca_core::L2Design;
 use moca_sim::checkpoint::{
-    experiment_key, point_key_with_source, try_sweep_checkpointed, write_checkpoint_csv, Journal,
+    experiment_key, point_key_with_source, sweep_checkpointed, write_checkpoint_csv, Journal,
 };
 use moca_sim::experiments::{self, Runner, MATRIX_IDS};
 use moca_sim::parallel::{catch_panic, Jobs};
 use moca_sim::telemetry::{Event, JsonlRecorder, Recorder};
 use moca_sim::workloads::Scale;
-use moca_sim::{CancelToken, TraceRegistry};
+use moca_sim::{CancelToken, Cancelled, TraceRegistry};
 use moca_trace::AppProfile;
 
 use crate::admission::AdmissionQueue;
@@ -493,7 +493,7 @@ fn execute_sweep(
     refs: usize,
     cancel: &CancelToken,
 ) -> Vec<Response> {
-    let points = match try_sweep_checkpointed(
+    let points = match sweep_checkpointed(
         journal,
         designs,
         |d| *d,
@@ -501,30 +501,29 @@ fn execute_sweep(
         refs,
         seed,
         inner.jobs,
-        cancel,
+        Some(cancel),
     ) {
-        Ok(Some(points)) => points,
-        Ok(None) => {
+        Ok(Ok(points)) => points,
+        Ok(Err(Cancelled)) => {
             return vec![Response::Error {
                 class: "deadline".to_string(),
                 message: "deadline expired before the sweep completed".to_string(),
             }];
         }
         Err(e) => {
+            // A journal write failed, or a validated design point failed
+            // to build or panicked (the error wraps its SweepPointError).
             return vec![Response::Error {
                 class: "internal".to_string(),
-                message: format!("journal i/o error: {e}"),
+                message: format!("sweep failed: {e}"),
             }];
         }
     };
 
     // Per-request telemetry: journal appends/replays in canonical drain
-    // order, streamed ahead of the result. Keys mirror what
-    // `try_sweep_checkpointed` journaled under.
-    let source_fp = TraceRegistry::global()
-        .lookup(app.fingerprint(), seed)
-        .map(|s| s.source_fingerprint())
-        .unwrap_or_else(|| app.fingerprint());
+    // order, streamed ahead of the result, under the keys
+    // `sweep_checkpointed` journaled.
+    let source_fp = TraceRegistry::global().fingerprint_for(app, seed);
     let recorder = JsonlRecorder::new();
     recorder.set_scope(&format!("req-{job_id}"));
     let (mut appends, mut replays) = (0u64, 0u64);

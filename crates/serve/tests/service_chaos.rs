@@ -125,8 +125,10 @@ fn served_sweep_is_byte_identical_to_direct_engine_output() {
         SWEEP_REFS,
         SWEEP_SEED,
         Jobs::SERIAL,
+        None,
     )
-    .expect("direct sweep");
+    .expect("direct sweep")
+    .expect("no cancel token");
     let mut expected = Vec::new();
     write_checkpoint_csv(&mut expected, &points).expect("csv");
     let expected = String::from_utf8(expected).expect("utf8");
@@ -356,9 +358,11 @@ fn queued_to_quota_disconnect_neither_leaks_nor_bypasses_quota() {
         Response::Queued { .. }
     ));
 
-    // "chaos" queues to its quota of one, then vanishes.
+    // "chaos" queues to its quota of one, then vanishes. Its handler
+    // stays blocked on the job's terminal reply until the orphan has
+    // run, so it is joined only after the quota checks below.
     let orphan = req("chaos", &["baseline"], SWEEP_REFS);
-    {
+    let orphan_handler = {
         let (mut conn, served) = UnixStream::pair().expect("socketpair");
         let handler = {
             let server = Arc::clone(&server);
@@ -371,8 +375,8 @@ fn queued_to_quota_disconnect_neither_leaks_nor_bypasses_quota() {
             Response::Queued { .. }
         ));
         drop(conn); // disconnect with the job still queued
-        handler.join().expect("handler").expect("handler closes cleanly");
-    }
+        handler
+    };
 
     // The orphaned job still charges the quota: an immediate resubmit
     // sheds instead of letting the reconnecting client double-book.
@@ -391,6 +395,10 @@ fn queued_to_quota_disconnect_neither_leaks_nor_bypasses_quota() {
     assert!(matches!(terminal(&replies), Response::SweepResult { .. }));
     drop(blocker_conn);
     blocker_handler.join().expect("handler").expect("connection ok");
+    orphan_handler
+        .join()
+        .expect("handler")
+        .expect("handler closes cleanly");
 
     // ...and a second client replaying the orphan's identity queues
     // strictly behind it, so this terminal proves the orphan ran to

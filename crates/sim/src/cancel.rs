@@ -11,7 +11,7 @@
 //! The polling points are the chunk loops of
 //! [`RunMemo::replay`](crate::memo::RunMemo::replay) (one check per
 //! filtered chunk, built or replayed, i.e. every
-//! [`STREAM_CHUNK`](crate::fanout::STREAM_CHUNK) references per lane
+//! [`STREAM_CHUNK`](crate::stream::STREAM_CHUNK) references per lane
 //! group), so abort latency is bounded by one chunk of simulation per
 //! worker, not by the full sweep. A worker waiting for another worker's
 //! build of the same run notices the trip once that build finishes.

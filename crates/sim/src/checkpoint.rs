@@ -42,9 +42,9 @@ use moca_trace::fxhash::{FxHashMap, FxHasher};
 use moca_trace::AppProfile;
 
 use crate::cancel::{CancelToken, Cancelled};
-use crate::fanout::FanOut;
 use crate::parallel::Jobs;
-use crate::sweep::{csv_row, SweepPoint, CSV_HEADER};
+use crate::replay::TraceRegistry;
+use crate::sweep::{csv_row, execute_subset, SweepPoint, CSV_HEADER};
 use crate::telemetry::{self, Event};
 
 /// Fixed-seed fingerprint of a byte string (journal checksums and
@@ -350,23 +350,30 @@ impl<P> CheckpointedPoint<P> {
     }
 }
 
-/// [`crate::sweep::sweep_parallel`] with journal-backed checkpointing:
-/// points already recorded under this `(app, design, seed, refs)`
-/// identity are skipped and replayed verbatim; the rest are simulated
-/// (sharded over `jobs` on the shared-trace fan-out engine) and
-/// recorded as they complete.
+/// [`crate::sweep::sweep`] with journal-backed checkpointing: points
+/// already recorded under this `(app, design, seed, refs)` identity are
+/// skipped and replayed verbatim; the rest are simulated as one smaller
+/// plan (sharded over `jobs`) and recorded.
 ///
 /// The concatenation of [`CheckpointedPoint::row`]s is **byte-identical
 /// between an uninterrupted run and any kill/resume sequence** — rows
 /// are deterministic once `wall_ns` is blanked, and the journal stores
 /// exactly that rendering. See [`write_checkpoint_csv`].
 ///
+/// Journaled points are always served (a cache hit never simulates, so
+/// a call whose results are all cached succeeds even with a tripped
+/// token). If any point is missing and `cancel` trips before — or at a
+/// chunk boundary during — the simulation of the missing set, the call
+/// returns `Ok(Err(Cancelled))` and journals nothing: cancellation is
+/// all-or-nothing at the granularity of one call, so a later retry
+/// resumes from exactly the pre-call journal state.
+///
 /// # Errors
 ///
-/// Returns any journal I/O error. Simulation itself uses the plain
-/// (fail-fast) path: a panicking design point aborts with the panic
-/// after completed points were already journaled, so a rerun resumes
-/// past them.
+/// Returns any journal I/O error. A design point that fails to build or
+/// panics fails the call with an [`io::Error`] wrapping its
+/// [`SweepPointError`](crate::error::SweepPointError), after the points
+/// before it were journaled, so a rerun resumes past them.
 ///
 /// # Examples
 ///
@@ -382,17 +389,20 @@ impl<P> CheckpointedPoint<P> {
 /// let to_design = |&ways: &u32| L2Design::SharedSram { ways };
 ///
 /// let mut journal = Journal::open(&dir)?;
-/// let first = sweep_checkpointed(&mut journal, &[4u32, 8], to_design, &app, 10_000, 1, Jobs::SERIAL)?;
+/// let first = sweep_checkpointed(&mut journal, &[4u32, 8], to_design, &app, 10_000, 1, Jobs::SERIAL, None)?
+///     .expect("no cancel token");
 /// assert!(first.iter().all(|p| !p.is_replayed()));
 ///
 /// // A second run (fresh process in real life) replays both points.
 /// let mut journal = Journal::open(&dir)?;
-/// let second = sweep_checkpointed(&mut journal, &[4u32, 8], to_design, &app, 10_000, 1, Jobs::SERIAL)?;
+/// let second = sweep_checkpointed(&mut journal, &[4u32, 8], to_design, &app, 10_000, 1, Jobs::SERIAL, None)?
+///     .expect("no cancel token");
 /// assert!(second.iter().all(|p| p.is_replayed()));
 /// assert_eq!(first[0].row(), second[0].row());
 /// # std::fs::remove_dir_all(&dir)?;
 /// # Ok::<(), std::io::Error>(())
 /// ```
+#[allow(clippy::too_many_arguments)]
 pub fn sweep_checkpointed<P, F>(
     journal: &mut Journal,
     params: &[P],
@@ -401,72 +411,14 @@ pub fn sweep_checkpointed<P, F>(
     refs: usize,
     seed: u64,
     jobs: Jobs,
-) -> io::Result<Vec<CheckpointedPoint<P>>>
-where
-    P: Clone + Send + Sync,
-    F: Fn(&P) -> L2Design + Sync,
-{
-    sweep_checkpointed_impl(journal, params, to_design, app, refs, seed, jobs, None)
-        .map(|points| points.expect("uncancellable sweep cannot be cancelled"))
-}
-
-/// [`sweep_checkpointed`] with cooperative cancellation.
-///
-/// Journaled points are always served (a cache hit never simulates, so
-/// a request whose results are all cached succeeds even with a tripped
-/// token). If any point is missing and the token trips before — or at a
-/// chunk boundary during — the simulation of the missing set, the call
-/// returns `Ok(None)` and journals nothing: cancellation is all-or-
-/// nothing at the granularity of one `sweep_checkpointed` call, so a
-/// later retry resumes from exactly the pre-call journal state.
-///
-/// # Errors
-///
-/// Returns any journal I/O error (cancellation is *not* an error —
-/// it is the `Ok(None)` case).
-#[allow(clippy::too_many_arguments)]
-pub fn try_sweep_checkpointed<P, F>(
-    journal: &mut Journal,
-    params: &[P],
-    to_design: F,
-    app: &AppProfile,
-    refs: usize,
-    seed: u64,
-    jobs: Jobs,
-    cancel: &CancelToken,
-) -> io::Result<Option<Vec<CheckpointedPoint<P>>>>
-where
-    P: Clone + Send + Sync,
-    F: Fn(&P) -> L2Design + Sync,
-{
-    sweep_checkpointed_impl(journal, params, to_design, app, refs, seed, jobs, Some(cancel))
-}
-
-/// Shared body of the checkpointed sweep entry points; `Ok(None)` means
-/// the cancel token tripped before the missing points were simulated.
-#[allow(clippy::too_many_arguments)]
-fn sweep_checkpointed_impl<P, F>(
-    journal: &mut Journal,
-    params: &[P],
-    to_design: F,
-    app: &AppProfile,
-    refs: usize,
-    seed: u64,
-    jobs: Jobs,
     cancel: Option<&CancelToken>,
-) -> io::Result<Option<Vec<CheckpointedPoint<P>>>>
+) -> io::Result<Result<Vec<CheckpointedPoint<P>>, Cancelled>>
 where
-    P: Clone + Send + Sync,
-    F: Fn(&P) -> L2Design + Sync,
+    P: Clone,
+    F: FnMut(&P) -> L2Design,
 {
     let designs: Vec<L2Design> = params.iter().map(to_design).collect();
-    // Key by the trace source actually backing the streams: the app
-    // fingerprint for generation, the file's source fingerprint when a
-    // compiled trace is registered for this (app, seed).
-    let source_fp = crate::replay::TraceRegistry::global()
-        .lookup(app.fingerprint(), seed)
-        .map(|s| s.source_fingerprint())
-        .unwrap_or_else(|| app.fingerprint());
+    let source_fp = TraceRegistry::global().fingerprint_for(app, seed);
     let keys: Vec<String> = designs
         .iter()
         .map(|d| point_key_with_source(source_fp, d, seed, refs))
@@ -474,48 +426,31 @@ where
     let missing: Vec<usize> = (0..designs.len())
         .filter(|&i| !journal.contains(&keys[i]))
         .collect();
-    let missing_designs: Vec<L2Design> = missing.iter().map(|&i| designs[i]).collect();
-
-    let timed = match cancel {
-        Some(token) if !missing_designs.is_empty() => {
-            match FanOut::new(app, seed).try_run_timed_parallel(&missing_designs, refs, jobs, token)
-            {
-                Ok(timed) => timed,
-                Err(Cancelled) => return Ok(None),
-            }
-        }
-        _ => FanOut::new(app, seed).run_timed_parallel(&missing_designs, refs, jobs),
+    let mut outcomes = match execute_subset(app, seed, refs, &designs, &missing, jobs, cancel) {
+        Ok(outcomes) => outcomes.into_iter(),
+        Err(Cancelled) => return Ok(Err(Cancelled)),
     };
-    let mut fresh: FxHashMap<usize, SweepPoint<P>> = FxHashMap::default();
-    for (&i, (report, wall_ns)) in missing.iter().zip(timed) {
-        journal.record(&keys[i], &csv_row(&report, 0))?;
-        fresh.insert(
-            i,
-            SweepPoint {
-                param: params[i].clone(),
-                report,
-                wall_ns,
-            },
-        );
-    }
 
-    Ok(Some(
-        (0..designs.len())
-            .map(|i| match fresh.remove(&i) {
-                Some(point) => CheckpointedPoint::Fresh(Box::new(point)),
-                None => {
-                    journal.note_replay(&keys[i]);
-                    CheckpointedPoint::Replayed {
-                        param: params[i].clone(),
-                        row: journal
-                            .get(&keys[i])
-                            .expect("non-missing point has a journal entry")
-                            .to_string(),
-                    }
-                }
-            })
-            .collect(),
-    ))
+    let mut points = Vec::with_capacity(designs.len());
+    for (i, key) in keys.iter().enumerate() {
+        let param = params[i].clone();
+        if missing.binary_search(&i).is_ok() {
+            let point = outcomes
+                .next()
+                .expect("one outcome per missing point")
+                .map_err(io::Error::other)?;
+            journal.record(key, &csv_row(&point.report, 0))?;
+            points.push(CheckpointedPoint::Fresh(Box::new(SweepPoint::new(param, point))));
+        } else {
+            journal.note_replay(key);
+            let row = journal.get(key).expect("non-missing point has a journal entry");
+            points.push(CheckpointedPoint::Replayed {
+                param,
+                row: row.to_string(),
+            });
+        }
+    }
+    Ok(Ok(points))
 }
 
 /// Writes checkpointed sweep points as CSV (header + one
@@ -656,8 +591,9 @@ mod tests {
         let dir_a = temp_dir("sweep-a");
         let mut ja = Journal::open(&dir_a).expect("open");
         let full =
-            sweep_checkpointed(&mut ja, &params, to_design, &app, refs, 3, Jobs::SERIAL)
-                .expect("run");
+            sweep_checkpointed(&mut ja, &params, to_design, &app, refs, 3, Jobs::SERIAL, None)
+                .expect("run")
+                .expect("no cancel token");
         let mut csv_full = Vec::new();
         write_checkpoint_csv(&mut csv_full, &full).expect("csv");
 
@@ -672,16 +608,19 @@ mod tests {
             refs,
             3,
             Jobs::SERIAL,
+            None,
         )
-        .expect("partial");
+        .expect("partial")
+        .expect("no cancel token");
         assert_eq!(partial.len(), 1);
         drop(jb);
 
         // Resume with the full parameter list: point 0 replays, 1..2 run.
         let mut jb = Journal::resume(&dir_b).expect("resume");
         let resumed =
-            sweep_checkpointed(&mut jb, &params, to_design, &app, refs, 3, Jobs::new(2))
-                .expect("resumed");
+            sweep_checkpointed(&mut jb, &params, to_design, &app, refs, 3, Jobs::new(2), None)
+                .expect("resumed")
+                .expect("no cancel token");
         assert!(resumed[0].is_replayed());
         assert!(!resumed[1].is_replayed() && !resumed[2].is_replayed());
         let mut csv_resumed = Vec::new();
@@ -695,8 +634,9 @@ mod tests {
         // A third run replays everything without simulating.
         let mut jb = Journal::resume(&dir_b).expect("resume");
         let replayed =
-            sweep_checkpointed(&mut jb, &params, to_design, &app, refs, 3, Jobs::SERIAL)
-                .expect("replay");
+            sweep_checkpointed(&mut jb, &params, to_design, &app, refs, 3, Jobs::SERIAL, None)
+                .expect("replay")
+                .expect("no cancel token");
         assert!(replayed.iter().all(CheckpointedPoint::is_replayed));
 
         std::fs::remove_dir_all(&dir_a).expect("cleanup");

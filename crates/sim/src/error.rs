@@ -1,12 +1,13 @@
 //! Structured errors for fault-tolerant sweep execution.
 //!
-//! The isolated sweep runners ([`crate::fanout::FanOut::run_isolated`],
-//! [`crate::sweep::sweep_isolated`], and friends) never abort a whole
-//! sweep because one design point is bad: each point's failure is
-//! captured as a [`SweepPointError`] carrying the point's position in
-//! the sweep, its design label, and a structured [`PointCause`]. The
-//! cause is either a build-time rejection (the design or geometry failed
-//! validation) or a caught panic from inside the simulation.
+//! The sweep executor ([`crate::lockstep::execute`]) and every sweep
+//! layered on it ([`crate::sweep::sweep`],
+//! [`crate::sweep::sweep_pruned`]) never abort a whole sweep because one
+//! design point is bad: each point's failure is captured as a
+//! [`SweepPointError`] carrying the point's position in the sweep, its
+//! design label, and a structured [`PointCause`]. The cause is either a
+//! build-time rejection (the design or geometry failed validation) or a
+//! caught panic from inside the simulation.
 //!
 //! Failure values are **deterministic**: a given bad design point
 //! produces the same `SweepPointError` — byte-identical `Display`
@@ -45,16 +46,18 @@ impl fmt::Display for PointCause {
 ///
 /// ```
 /// use moca_core::L2Design;
-/// use moca_sim::sweep::sweep_isolated;
+/// use moca_sim::parallel::Jobs;
+/// use moca_sim::sweep::sweep;
 /// use moca_trace::AppProfile;
 ///
 /// // ways = 0 is invalid; the other point still completes.
-/// let points = sweep_isolated(
+/// let points = sweep(
 ///     &[0u32, 4],
 ///     |&ways| L2Design::SharedSram { ways },
 ///     &AppProfile::music(),
 ///     10_000,
 ///     1,
+///     Jobs::SERIAL,
 /// );
 /// let err = points[0].as_ref().unwrap_err();
 /// assert_eq!(err.index, 0);

@@ -15,9 +15,9 @@ use moca_trace::AppProfile;
 use crate::config::SystemConfig;
 use crate::cpu::InOrderCore;
 use crate::experiments::{ClaimCheck, ExperimentResult};
-use crate::fanout::fan_out;
 use crate::memo::RunMemo;
 use crate::parallel::{parallel_map, Jobs};
+use crate::sweep::sweep;
 use crate::table::{f3, pct, Table};
 use crate::workloads::{Scale, EXPERIMENT_SEED};
 
@@ -86,9 +86,11 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
         let app = AppProfile::by_name(name).expect("known app");
         // Baseline, all-STT and the hybrid's own runner all replay one
         // memoized filtered run of the stream.
-        let mut pair = fan_out(&app, &[L2Design::baseline(), all_stt], refs, EXPERIMENT_SEED);
-        let stt = pair.pop().expect("two designs");
-        let base = pair.pop().expect("two designs");
+        let designs = [L2Design::baseline(), all_stt];
+        let mut pair = sweep(&designs, |d| *d, &app, refs, EXPERIMENT_SEED, Jobs::SERIAL);
+        // Invariant: both designs are valid constants.
+        let stt = pair.pop().expect("two designs").expect("valid design").report;
+        let base = pair.pop().expect("two designs").expect("valid design").report;
         let hybrid = run_hybrid(&app, refs);
         (base, stt, hybrid)
     });

@@ -9,7 +9,7 @@
 use moca_core::L2Design;
 use moca_trace::AppProfile;
 
-use crate::lockstep::LockStep;
+use crate::lockstep::{execute, Plan};
 use crate::metrics::SimReport;
 use crate::parallel::{parallel_map, Jobs};
 use crate::workloads::{Scale, EXPERIMENT_SEED};
@@ -156,7 +156,7 @@ impl DesignMatrix {
 /// Runs every suite app on every design at the given scale.
 ///
 /// Each app is one lock-step run: one stream and one L1 filter pass per
-/// lane group of [`MATRIX_LANE_GROUP`] designs, with the designs as
+/// lane group of `MATRIX_LANE_GROUP` (two) designs, with the designs as
 /// lanes. Apps are sharded over `jobs` threads and merged back in suite
 /// order. Every cell is byte-identical to a scalar
 /// [`run_app`](crate::workloads::run_app) of its (app, design), for
@@ -166,12 +166,22 @@ impl DesignMatrix {
 /// its stream live, once. Caching a run per app would buy nothing here
 /// and would hold several MB per app, raising the peak memory of a
 /// matrix-only run well past its current footprint.
+///
+/// # Panics
+///
+/// Panics if a design is invalid.
 pub fn run_matrix(designs: &[L2Design], scale: Scale, jobs: Jobs) -> DesignMatrix {
     let rows = parallel_map(jobs, AppProfile::suite(), |app| {
-        LockStep::new(&app, EXPERIMENT_SEED)
+        let plan = Plan::new(&app, EXPERIMENT_SEED, scale.refs(), designs)
             .with_lane_group(MATRIX_LANE_GROUP)
-            .unmemoized()
-            .run(designs, scale.refs())
+            .unmemoized();
+        execute(&plan, Jobs::SERIAL, None)
+            .expect("uncancellable run cannot be cancelled")
+            .into_iter()
+            // Invariant: every caller passes the experiments' constant,
+            // valid designs (see `# Panics`).
+            .map(|p| p.expect("matrix designs are valid").report)
+            .collect()
     });
     DesignMatrix {
         designs: designs.to_vec(),

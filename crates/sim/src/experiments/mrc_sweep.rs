@@ -4,7 +4,7 @@
 //! Mattson pass ([`profile_lru_grid`]) scores a 24-point shared-SRAM
 //! LRU grid analytically, the (projected energy, projected cycles)
 //! Pareto frontier selects the survivors, and only those run full
-//! lock-step simulation ([`sweep_pruned_parallel`]). The experiment
+//! lock-step simulation ([`sweep_pruned`]). The experiment
 //! checks the engine's two contracts:
 //!
 //! * **Exactness** — the profiler's per-way-count hit/miss counts equal
@@ -25,9 +25,7 @@ use moca_trace::AppProfile;
 
 use crate::experiments::{ClaimCheck, ExperimentResult};
 use crate::parallel::Jobs;
-use crate::sweep::{
-    profile_lru_grid, score_lru_grid, sweep_parallel, sweep_pruned_parallel, MrcScore, SweepPoint,
-};
+use crate::sweep::{profile_lru_grid, score_lru_grid, sweep, sweep_pruned, SweepPoint};
 use crate::table::{f3, Table};
 use crate::workloads::{Scale, EXPERIMENT_SEED};
 
@@ -66,17 +64,22 @@ pub fn run_with(scale: Scale, jobs: Jobs, pruned: bool) -> ExperimentResult {
     let params: Vec<u32> = (1..=GRID_WAYS).collect();
     let to_design = |&w: &u32| L2Design::SharedSram { ways: w };
 
-    let (scores, points): (Vec<MrcScore>, Vec<SweepPoint<u32>>) = if pruned {
-        let p = sweep_pruned_parallel(&params, to_design, &app, refs, EXPERIMENT_SEED, jobs);
+    let (scores, outcomes) = if pruned {
+        let p = sweep_pruned(&params, to_design, &app, refs, EXPERIMENT_SEED, jobs);
         *LAST_PRUNE.lock().expect("prune-count lock") =
             Some((p.grid_points, p.pruned_points, p.points.len()));
         (p.scores, p.points)
     } else {
         let curve = profile_lru_grid(&app, refs, EXPERIMENT_SEED, GRID_WAYS);
         let scores = score_lru_grid(&curve, refs);
-        let points = sweep_parallel(&params, to_design, &app, refs, EXPERIMENT_SEED, jobs);
+        let points = sweep(&params, to_design, &app, refs, EXPERIMENT_SEED, jobs);
         (scores, points)
     };
+    let points: Vec<SweepPoint<u32>> = outcomes
+        .into_iter()
+        // Invariant: every grid point has 1..=GRID_WAYS ways, a valid design.
+        .map(|p| p.expect("grid designs are valid"))
+        .collect();
 
     let mut score_table = Table::new(vec![
         "ways",

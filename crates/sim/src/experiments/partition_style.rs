@@ -13,9 +13,9 @@ use moca_trace::AppProfile;
 use crate::config::SystemConfig;
 use crate::cpu::InOrderCore;
 use crate::experiments::{ClaimCheck, ExperimentResult};
-use crate::fanout::fan_out;
 use crate::memo::RunMemo;
 use crate::parallel::{parallel_map, Jobs};
+use crate::sweep::sweep;
 use crate::table::{f3, Table};
 use crate::workloads::{Scale, EXPERIMENT_SEED};
 
@@ -79,9 +79,11 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
         let app = AppProfile::by_name(name).expect("known app");
         // Baseline, way-partitioned and the set-partitioned runner all
         // replay one memoized filtered run of the stream.
-        let mut pair = fan_out(&app, &[L2Design::baseline(), way_design], refs, EXPERIMENT_SEED);
-        let way = pair.pop().expect("two designs");
-        let base = pair.pop().expect("two designs");
+        let designs = [L2Design::baseline(), way_design];
+        let mut pair = sweep(&designs, |d| *d, &app, refs, EXPERIMENT_SEED, Jobs::SERIAL);
+        // Invariant: both designs are valid constants.
+        let way = pair.pop().expect("two designs").expect("valid design").report;
+        let base = pair.pop().expect("two designs").expect("valid design").report;
         let set = run_set_partitioned(&app, refs);
         (base, way, set)
     });

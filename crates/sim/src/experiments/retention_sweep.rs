@@ -13,8 +13,8 @@ use moca_energy::RetentionClass;
 use moca_trace::AppProfile;
 
 use crate::experiments::{ClaimCheck, ExperimentResult};
-use crate::fanout::FanOut;
 use crate::parallel::{parallel_map, Jobs};
+use crate::sweep::sweep;
 use crate::table::{f3, Table};
 use crate::workloads::{Scale, EXPERIMENT_SEED};
 
@@ -40,9 +40,9 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
         "refresh/1k L2 acc",
     ]);
 
-    // Enumerate the sweep grid first (table order below), then fan the
+    // Enumerate the sweep grid first (table order below), then run the
     // whole design family — the SRAM baseline plus every (retention,
-    // policy) point — out over ONE shared trace stream per app. The
+    // policy) point — over ONE shared trace stream per app. The
     // parallel axis is the app; each worker pays trace generation once
     // for its app instead of once per grid cell.
     let mut configs: Vec<(RetentionClass, RefreshPolicy)> = Vec::new();
@@ -64,7 +64,11 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
     }));
     // per_app[i][0] is app i's baseline; [1..] follow `configs` order.
     let per_app: Vec<Vec<_>> = parallel_map(jobs, apps.clone(), |a| {
-        FanOut::new(&a, EXPERIMENT_SEED).run(&designs, refs)
+        sweep(&designs, |d| *d, &a, refs, EXPERIMENT_SEED, Jobs::SERIAL)
+            .into_iter()
+            // Invariant: the baseline and every grid point are valid.
+            .map(|p| p.expect("retention grid designs are valid").report)
+            .collect()
     });
     let baseline_energy: Vec<f64> = per_app
         .iter()

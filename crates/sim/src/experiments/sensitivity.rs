@@ -15,8 +15,8 @@ use moca_energy::RetentionClass;
 use moca_trace::AppProfile;
 
 use crate::experiments::{ClaimCheck, ExperimentResult};
-use crate::fanout::FanOut;
 use crate::parallel::Jobs;
+use crate::sweep::sweep;
 use crate::table::{f3, Table};
 use crate::workloads::{Scale, EXPERIMENT_SEED};
 
@@ -92,9 +92,13 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
 
     let mut work: Vec<L2Design> = vec![L2Design::baseline()];
     work.extend(variants.iter().map(|(_, d)| *d));
-    // One shared trace stream fans out to the baseline plus all 13
-    // variants; reports stay byte-identical to per-design `run_app`.
-    let mut reports = FanOut::new(&app, EXPERIMENT_SEED).run_parallel(&work, refs, jobs);
+    // One shared trace stream feeds the baseline plus all 13 variants;
+    // reports stay byte-identical to per-design `run_app`.
+    let mut reports: Vec<_> = sweep(&work, |d| *d, &app, refs, EXPERIMENT_SEED, jobs)
+        .into_iter()
+        // Invariant: the baseline and every variant are valid constants.
+        .map(|p| p.expect("sensitivity variants are valid").report)
+        .collect();
     let baseline = reports.remove(0);
 
     let mut table = Table::new(vec![

@@ -11,8 +11,8 @@ use moca_core::{find_min_partition, L2Design};
 use moca_trace::AppProfile;
 
 use crate::experiments::{ClaimCheck, ExperimentResult};
-use crate::fanout::FanOut;
 use crate::parallel::{parallel_map, Jobs};
+use crate::sweep::sweep;
 use crate::table::{f3, Table};
 use crate::workloads::{Scale, EXPERIMENT_SEED};
 
@@ -42,13 +42,14 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
     let choices = parallel_map(jobs, SEARCH_APPS.to_vec(), |name| {
         let app = AppProfile::by_name(name).expect("known app");
         // The search early-exits, so candidates cannot be batched up
-        // front; running each through the fan-out engine still amortizes
-        // the front end, because every evaluation of the same (app,
-        // seed) after the first replays the memoized filtered run.
-        let fan = FanOut::new(&app, EXPERIMENT_SEED);
+        // front; running each through the executor still amortizes the
+        // front end, because every evaluation of the same (app, seed)
+        // after the first replays the memoized filtered run.
         let eval = |design: L2Design| {
-            let mut reports = fan.run(&[design], refs);
-            reports.pop().expect("one design in, one report out")
+            let mut points = sweep(&[design], |d| *d, &app, refs, EXPERIMENT_SEED, Jobs::SERIAL);
+            // Invariant: the baseline and every searched partition are valid.
+            let point = points.pop().expect("one design in, one point out");
+            point.expect("searched designs are valid").report
         };
         let baseline = eval(L2Design::baseline());
         find_min_partition(12, 8, baseline.l2_miss_rate(), MISS_BUDGET, |u, k| {

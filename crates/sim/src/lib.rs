@@ -5,13 +5,13 @@
 //! DRAM) and hosts the experiment suite that regenerates every figure and
 //! table of the reproduced evaluation (see `DESIGN.md` for the experiment
 //! index and `EXPERIMENTS.md` for results), plus sweep/CSV utilities, a
-//! deterministic multi-threaded sweep engine ([`parallel`]), a
-//! shared-trace fan-out runner ([`fanout`]) whose entry points execute
-//! on the lock-step multi-design kernel ([`lockstep`]), a process-wide
-//! memo of L1-filtered runs ([`memo`]), a file-backed trace replay
-//! layer over compiled corpora ([`replay`]), a zero-dependency
-//! observability layer ([`telemetry`]), and the `repro` / `tracegen` /
-//! `trace_corpus` binaries.
+//! deterministic thread pool ([`parallel`]), one sweep executor
+//! ([`lockstep::execute`]) that runs every set of designs on the
+//! lock-step multi-design kernel over one trace stream ([`stream`]), a
+//! process-wide memo of L1-filtered runs ([`memo`]), a file-backed
+//! trace replay layer over compiled corpora ([`replay`]), a
+//! zero-dependency observability layer ([`telemetry`]), and the
+//! `repro` / `tracegen` / `trace_corpus` binaries.
 //!
 //! ```
 //! use moca_core::L2Design;
@@ -35,13 +35,13 @@ pub mod cpu;
 pub mod dram;
 pub mod error;
 pub mod experiments;
-pub mod fanout;
 pub mod lockstep;
 pub mod memo;
 pub mod metrics;
 pub mod parallel;
 pub mod replay;
 pub mod signals;
+pub mod stream;
 pub mod sweep;
 pub mod system;
 pub mod table;
@@ -49,20 +49,22 @@ pub mod telemetry;
 pub mod workloads;
 
 pub use cancel::{CancelToken, Cancelled};
-pub use checkpoint::{sweep_checkpointed, try_sweep_checkpointed, CheckpointedPoint, Journal};
+pub use checkpoint::{sweep_checkpointed, CheckpointedPoint, Journal};
 pub use config::SystemConfig;
 pub use cpu::InOrderCore;
 pub use dram::{DramModel, RowBufferDram, RowBufferParams};
 pub use error::{PointCause, SweepPointError};
-pub use fanout::{fan_out, fan_out_parallel, FanOut, TraceStream};
-pub use lockstep::{front_end_refs, FilteredChunk, FrontEnd, LaneEvent, LockStep, LANE_GROUP};
+pub use lockstep::{
+    execute, front_end_refs, run_broadcast, FilteredChunk, FrontEnd, LaneEvent, Plan, Point,
+    LANE_GROUP,
+};
 pub use memo::{MemoStats, RunMemo, MEMO_CAP_BYTES};
 pub use metrics::{geometric_mean, mean, SimReport};
-pub use parallel::{catch_panic, parallel_map, parallel_map_isolated, parallel_map_ref, Jobs};
+pub use parallel::{catch_panic, parallel_map, parallel_map_isolated, Jobs};
 pub use replay::{FileTraceSource, TraceIoStats, TraceRegistry};
+pub use stream::TraceStream;
 pub use sweep::{
-    comparison_table, csv_row, profile_lru_grid, score_lru_grid, sweep, sweep_isolated,
-    sweep_parallel, sweep_parallel_isolated, sweep_pruned, sweep_pruned_parallel, write_csv,
+    comparison_table, csv_row, profile_lru_grid, score_lru_grid, sweep, sweep_pruned, write_csv,
     MrcScore, PrunedSweep, SweepPoint,
 };
 pub use system::{BuildSystemError, System};

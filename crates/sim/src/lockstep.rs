@@ -1,12 +1,17 @@
-//! Lock-step multi-design kernel: K designs advance through the same
-//! trace reference together, sharing one L1 front end per lane group.
+//! The sweep executor: every set of L2 designs run over one
+//! `(app, seed)` stream goes through [`execute`], on a lock-step
+//! multi-design kernel where K designs advance through the same trace
+//! reference together, sharing one L1 front end per lane group.
 //!
-//! The fan-out engine (see [`crate::fanout`]) already generates the
-//! trace once per sweep, but it still *simulates* scalar: every design
-//! re-filters every reference through its own L1 pair and retires it
-//! through its own core loop, even though the L1 configuration is
-//! identical across the sweep. This module flips the loop order and
-//! removes that multiplier:
+//! A [`Plan`] names the stream, the reference count, the designs and
+//! the system configuration; [`execute`] splits the designs into one
+//! contiguous span per worker and runs each span as consecutive lane
+//! groups. Every lane group does the same three things: it emits a
+//! telemetry `point` event per completed lane, polls the cancel token
+//! once per filtered chunk, and puts each lane's build error or panic
+//! in that lane's own slot while the other lanes keep replaying.
+//!
+//! The kernel removes the per-design front-end multiplier:
 //!
 //! * **Shared front end** ([`FrontEnd`]): the L1 filter decision is
 //!   *time-independent* — replacement state ([`moca_cache`] LRU) never
@@ -17,9 +22,9 @@
 //!   replays the same [`FilteredChunk`]. The filtered run itself comes
 //!   from the process-wide [`RunMemo`], so every lane group (and every
 //!   other consumer) of one stream shares a single front-end pass.
-//! * **Event replay** ([`LockStep`]): a lane only touches its L2 at the
-//!   L2-visible events of the chunk. The (dominant) runs of pure L1
-//!   hits between events are retired in O(1) by the closed-form
+//! * **Event replay**: a lane only touches its L2 at the L2-visible
+//!   events of the chunk. The (dominant) runs of pure L1 hits between
+//!   events are retired in O(1) by the closed-form
 //!   [`crate::cpu::InOrderCore::retire_many`], at each lane's *own*
 //!   local time — so per-design timestamps, stalls, leakage windows and
 //!   expiry decisions are bit-identical to a scalar run.
@@ -37,10 +42,14 @@
 //! [`run_app`](crate::workloads::run_app) of the same design: the L1
 //! counts are the front end's (identical by construction, adopted into
 //! each lane before [`System::finish`]); the L2/DRAM interactions happen
-//! at the same per-lane cycles with the same requests. The cross-engine
-//! differential suites (`crates/sim/tests/lockstep_differential.rs`,
-//! `lockstep_props.rs`) pin this against both the scalar oracle and the
-//! retained broadcast engine ([`crate::fanout::FanOut::run_broadcast`]).
+//! at the same per-lane cycles with the same requests. Failures are
+//! deterministic too (build errors are pure functions of the design;
+//! panics in a deterministic replay carry a deterministic payload), so
+//! the failed-point set is identical for any split of the designs over
+//! workers or lane groups. The cross-engine differential suites
+//! (`crates/sim/tests/lockstep_differential.rs`, `lockstep_props.rs`)
+//! pin this against both the scalar oracle and the broadcast reference
+//! engine ([`run_broadcast`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -52,10 +61,10 @@ use moca_trace::AppProfile;
 use crate::cancel::{CancelToken, Cancelled};
 use crate::config::SystemConfig;
 use crate::error::{PointCause, SweepPointError};
-use crate::fanout::TraceStream;
 use crate::memo::{replay_unmemoized, Replayed, RunMemo};
 use crate::metrics::SimReport;
-use crate::parallel::catch_panic;
+use crate::parallel::{catch_panic, parallel_map, Jobs};
+use crate::stream::TraceStream;
 use crate::system::{BuildSystemError, System};
 use crate::telemetry::{self, Event};
 
@@ -64,7 +73,7 @@ use crate::telemetry::{self, Event};
 /// Eight matches the widest sweeps in the experiment suite; pools larger
 /// than the width run as consecutive lane groups. Memoized groups all
 /// replay the one cached filtered run of the stream; an
-/// [`unmemoized`](LockStep::unmemoized) group filters the stream itself.
+/// [`unmemoized`](Plan::unmemoized) group filters the stream itself.
 pub const LANE_GROUP: usize = 8;
 
 /// One L2-visible event of a filtered chunk: the demand miss (and the
@@ -226,57 +235,62 @@ fn replay(sys: &mut System, chunk: &FilteredChunk) {
     }
 }
 
-/// Per-lane execution state inside [`LockStep::run_timed_isolated_span`].
-enum LaneSlot {
-    /// Still simulating: the system plus its accumulated wall time.
-    Live(Box<System>, u64),
-    /// Failed at build time or mid-replay; the system was dropped.
-    Failed(SweepPointError),
+/// One design lane of an [`execute`]d plan that ran to completion.
+#[derive(Debug, Clone)]
+pub struct Point {
+    /// The lane's report, byte-identical to a scalar run of its design.
+    pub report: SimReport,
+    /// Wall-clock nanoseconds spent replaying and finishing this lane
+    /// (the shared front end is excluded — no single lane owns it).
+    pub wall_ns: u64,
 }
 
-/// The lock-step runner: one `(app, seed)` stream, K design lanes per
-/// front end.
-///
-/// Most callers reach this engine through the [`crate::fanout::FanOut`]
-/// entry points (every sweep, sweep-shaped experiment, and `repro` run
-/// routes here); the type is public for the differential suites and the
-/// lane-group-width benchmarks.
+/// A set of L2 designs to run over one `(app, seed)` stream for `refs`
+/// references: the input of [`execute`].
 ///
 /// # Examples
 ///
 /// ```
 /// use moca_core::L2Design;
-/// use moca_sim::lockstep::LockStep;
+/// use moca_sim::lockstep::{execute, Plan};
+/// use moca_sim::parallel::Jobs;
 /// use moca_trace::AppProfile;
 ///
 /// let app = AppProfile::music();
 /// let designs = [L2Design::baseline(), L2Design::static_default()];
-/// let reports = LockStep::new(&app, 1).run(&designs, 30_000);
+/// let points = execute(&Plan::new(&app, 1, 30_000, &designs), Jobs::SERIAL, None)
+///     .expect("no cancel token");
 /// // Byte-identical to the scalar oracle:
 /// let solo = moca_sim::run_app(&app, designs[1], 30_000, 1);
-/// assert_eq!(format!("{:?}", reports[1]), format!("{solo:?}"));
+/// let report = &points[1].as_ref().expect("valid design").report;
+/// assert_eq!(format!("{report:?}"), format!("{solo:?}"));
 /// ```
 #[derive(Debug, Clone)]
-pub struct LockStep<'a> {
+pub struct Plan<'a> {
     app: &'a AppProfile,
     seed: u64,
+    refs: usize,
+    designs: &'a [L2Design],
     cfg: SystemConfig,
     lane_group: usize,
     /// The memo lane groups replay filtered runs from; `None` filters
     /// the stream once per lane group.
     memo: Option<&'a RunMemo>,
-    /// Absolute sweep indices forced to panic at the start of their
+    /// Absolute plan indices forced to panic at the start of their
     /// replay (fault-injection hook for the isolation suites).
     injected_faults: Vec<usize>,
 }
 
-impl<'a> LockStep<'a> {
-    /// A lock-step runner over the `(app, seed)` stream with the default
-    /// [`SystemConfig`] and [`LANE_GROUP`] lanes per front end.
-    pub fn new(app: &'a AppProfile, seed: u64) -> Self {
-        LockStep {
+impl<'a> Plan<'a> {
+    /// A plan running every design over `refs` references of the
+    /// `(app, seed)` stream, with the default [`SystemConfig`],
+    /// [`LANE_GROUP`] lanes per front end and the global [`RunMemo`].
+    pub fn new(app: &'a AppProfile, seed: u64, refs: usize, designs: &'a [L2Design]) -> Self {
+        Plan {
             app,
             seed,
+            refs,
+            designs,
             cfg: SystemConfig::default(),
             lane_group: LANE_GROUP,
             memo: Some(RunMemo::global()),
@@ -293,7 +307,7 @@ impl<'a> LockStep<'a> {
     /// Sets the number of lanes sharing one front end (minimum 1).
     ///
     /// Width 1 disables front-end sharing entirely — each design pays
-    /// its own filter pass — which is the contrast the
+    /// its own replay of the stream — which is the contrast the
     /// `lockstep/lane-group-width` benchmark measures.
     pub fn with_lane_group(mut self, width: usize) -> Self {
         self.lane_group = width.max(1);
@@ -318,262 +332,207 @@ impl<'a> LockStep<'a> {
         self
     }
 
-    /// The filtered run of `refs` references, from the memo or filtered
-    /// live, fed chunk by chunk to `visit`.
-    fn replay_run(
-        &self,
-        refs: usize,
-        cancel: Option<&CancelToken>,
-        visit: impl FnMut(&FilteredChunk),
-    ) -> Result<Replayed, Cancelled> {
-        match self.memo {
-            Some(memo) => memo.replay(self.app, self.seed, &self.cfg, refs, cancel, visit),
-            None => replay_unmemoized(self.app, self.seed, &self.cfg, refs, cancel, visit),
-        }
-    }
-
-    /// Injects deterministic mid-run faults: each listed absolute sweep
-    /// index panics (`"injected fault at index {i}"`) at the start of its
-    /// lane's replay. Only [`LockStep::run_timed_isolated_span`] survives
-    /// an injected fault; the non-isolated paths propagate the panic.
+    /// Injects deterministic mid-run faults: each listed plan index
+    /// panics (`"injected fault at index {i}"`) at the start of its
+    /// lane's replay, and fails in its own slot. Used by the
+    /// fault-isolation suites; production callers never set this.
     pub fn with_injected_faults(mut self, faults: &[usize]) -> Self {
         self.injected_faults = faults.to_vec();
         self
     }
 
-    /// Runs `refs` references through one lane per design and returns
-    /// the reports in design order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any design is invalid (callers construct designs from
-    /// validated enums, matching [`crate::workloads::run_app`]).
-    pub fn run(&self, designs: &[L2Design], refs: usize) -> Vec<SimReport> {
-        self.run_timed_span(designs, refs, 0, designs.len())
-            .into_iter()
-            .map(|(report, _)| report)
-            .collect()
-    }
-
-    /// [`LockStep::run`] returning `(report, wall_ns)` pairs over one
-    /// contiguous slice of a larger sweep: `offset` is the slice's
-    /// position in sweep order and `total` the full sweep size, so
-    /// telemetry `point` events carry stable indices for any
-    /// partitioning of the designs over workers or lane groups.
-    pub fn run_timed_span(
+    /// The lanes `start..end` of the plan, one lane group after another.
+    fn run_span(
         &self,
-        designs: &[L2Design],
-        refs: usize,
-        offset: usize,
-        total: usize,
-    ) -> Vec<(SimReport, u64)> {
-        let mut out = Vec::with_capacity(designs.len());
-        for (g, lanes) in designs.chunks(self.lane_group).enumerate() {
-            out.extend(
-                self.run_group(lanes, refs, offset + g * self.lane_group, total, None)
-                    .expect("uncancellable run cannot be cancelled"),
-            );
-        }
-        out
-    }
-
-    /// [`LockStep::run_timed_span`] with cooperative cancellation: the
-    /// token is polled once per front-end chunk of every lane group, so
-    /// abort latency is bounded by one chunk of replay per group.
-    ///
-    /// Determinism is untouched — a run that completes returns exactly
-    /// the bytes the uncancellable path would have returned, and a
-    /// cancelled run returns [`Cancelled`] with nothing partial
-    /// observable.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Cancelled`] if `cancel` tripped before the last lane
-    /// group finished.
-    pub fn try_run_timed_span(
-        &self,
-        designs: &[L2Design],
-        refs: usize,
-        offset: usize,
-        total: usize,
-        cancel: &CancelToken,
-    ) -> Result<Vec<(SimReport, u64)>, Cancelled> {
-        let mut out = Vec::with_capacity(designs.len());
-        for (g, lanes) in designs.chunks(self.lane_group).enumerate() {
-            out.extend(self.run_group(
-                lanes,
-                refs,
-                offset + g * self.lane_group,
-                total,
-                Some(cancel),
-            )?);
+        start: usize,
+        end: usize,
+        cancel: Option<&CancelToken>,
+    ) -> Result<Vec<Result<Point, SweepPointError>>, Cancelled> {
+        let mut out = Vec::with_capacity(end - start);
+        for offset in (start..end).step_by(self.lane_group) {
+            out.extend(self.run_group(offset, (offset + self.lane_group).min(end), cancel)?);
         }
         Ok(out)
     }
 
-    /// One lane group: build the lanes, replay the filtered run, finish.
-    /// `cancel` (when given) is polled at every chunk boundary.
+    /// One lane group over plan indices `start..end`: build the lanes,
+    /// replay the filtered run (polling `cancel` once per chunk), finish.
+    /// A lane that fails to build, or panics while replaying or
+    /// finishing, fails in its own slot; every other lane keeps going.
     fn run_group(
         &self,
-        lanes: &[L2Design],
-        refs: usize,
-        offset: usize,
-        total: usize,
+        start: usize,
+        end: usize,
         cancel: Option<&CancelToken>,
-    ) -> Result<Vec<(SimReport, u64)>, Cancelled> {
-        let mut systems: Vec<System> = lanes
-            .iter()
-            .map(|design| {
-                System::new(self.app.name, *design, self.cfg).expect("fan-out design must be valid")
+    ) -> Result<Vec<Result<Point, SweepPointError>>, Cancelled> {
+        let failed = |index: usize, cause: PointCause| SweepPointError {
+            index,
+            label: self.designs[index].label(),
+            cause,
+        };
+        // Each lane is its system, or the error it failed with (the
+        // system is then dropped). Systems stay unboxed: boxing them
+        // raised the matrix run's peak RSS by ~0.3 MiB.
+        let mut lanes: Vec<Result<System, SweepPointError>> = (start..end)
+            .map(|index| {
+                match catch_panic(|| System::new(self.app.name, self.designs[index], self.cfg)) {
+                    Ok(built) => built.map_err(|e| failed(index, PointCause::Build(e))),
+                    Err(msg) => Err(failed(index, PointCause::Panic(msg))),
+                }
             })
             .collect();
-        let mut walls = vec![0u64; systems.len()];
-        // The lane builds above validated the L1 geometries already.
-        // Shared front-end time for this group (memo lookup, or the
-        // single filter pass) is attributed to every lane of the group —
-        // it is wait time each of them experienced.
-        let Replayed { l1, front_ns } = self.replay_run(refs, cancel, |chunk| {
-            for (sys, wall) in systems.iter_mut().zip(&mut walls) {
-                let start = Instant::now();
-                replay(sys, chunk);
-                *wall += start.elapsed().as_nanos() as u64;
-            }
-        })?;
-        Ok(systems
-            .into_iter()
+        let mut walls = vec![0u64; lanes.len()];
+
+        let mut replayed = None;
+        if lanes.iter().any(Result::is_ok) {
+            // At least one lane built, so the L1 geometries are valid.
+            // Shared front-end time (memo lookup, or the filter pass) is
+            // attributed to every lane of the group — it is wait time
+            // each of them experienced.
+            let mut first = true;
+            replayed = Some(self.replay_run(cancel, |chunk| {
+                for ((index, lane), wall) in (start..).zip(&mut lanes).zip(&mut walls) {
+                    let Ok(sys) = lane else {
+                        continue;
+                    };
+                    let trip = first && self.injected_faults.contains(&index);
+                    let began = Instant::now();
+                    let outcome = catch_panic(|| {
+                        if trip {
+                            panic!("injected fault at index {index}");
+                        }
+                        replay(sys, chunk);
+                    });
+                    *wall += began.elapsed().as_nanos() as u64;
+                    if let Err(msg) = outcome {
+                        // The panicked lane's state is unspecified;
+                        // replacing it drops the system for good.
+                        *lane = Err(failed(index, PointCause::Panic(msg)));
+                    }
+                }
+                first = false;
+            })?);
+        }
+
+        let total = self.designs.len();
+        Ok((start..)
+            .zip(lanes)
             .zip(walls)
-            .enumerate()
-            .map(|(i, (mut sys, wall))| {
-                sys.adopt_l1(&l1);
-                let start = Instant::now();
-                let report = sys.finish();
-                let energy_ns = start.elapsed().as_nanos() as u64;
+            .map(|((index, lane), wall)| {
+                let mut sys = lane?;
+                let Replayed { l1, front_ns } = replayed.as_ref().expect("live lanes replayed");
+                sys.adopt_l1(l1);
+                let began = Instant::now();
+                let report = catch_panic(move || sys.finish())
+                    .map_err(|msg| failed(index, PointCause::Panic(msg)))?;
+                let energy_ns = began.elapsed().as_nanos() as u64;
                 if telemetry::enabled() {
                     telemetry::record(Event::point(
                         &report.app,
                         &report.design,
-                        offset + i,
+                        index,
                         total,
-                        front_ns,
+                        *front_ns,
                         wall,
                         energy_ns,
                     ));
                 }
-                (report, wall + energy_ns)
+                Ok(Point {
+                    report,
+                    wall_ns: wall + energy_ns,
+                })
             })
             .collect())
     }
 
-    /// [`LockStep::run_timed_span`] with per-lane failure isolation: a
-    /// design that fails to build, or panics at any point of its replay,
-    /// yields `Err(SweepPointError)` in its slot — carrying its
-    /// **absolute** sweep index `offset + lane` — while every other lane
-    /// of the group keeps replaying the shared front end's chunks.
-    ///
-    /// Failure values are deterministic (build errors are pure functions
-    /// of the design; panics in a deterministic replay carry a
-    /// deterministic payload), so the failed-point set is identical for
-    /// any grouping of the designs over workers or lane groups.
-    pub fn run_timed_isolated_span(
+    /// The filtered run of the plan's stream, from the memo or filtered
+    /// live, fed chunk by chunk to `visit`.
+    fn replay_run(
         &self,
-        designs: &[L2Design],
-        refs: usize,
-        offset: usize,
-    ) -> Vec<Result<(SimReport, u64), SweepPointError>> {
-        let mut out = Vec::with_capacity(designs.len());
-        for (g, lanes) in designs.chunks(self.lane_group).enumerate() {
-            out.extend(self.run_group_isolated(lanes, refs, offset + g * self.lane_group));
+        cancel: Option<&CancelToken>,
+        visit: impl FnMut(&FilteredChunk),
+    ) -> Result<Replayed, Cancelled> {
+        match self.memo {
+            Some(memo) => memo.replay(self.app, self.seed, &self.cfg, self.refs, cancel, visit),
+            None => replay_unmemoized(self.app, self.seed, &self.cfg, self.refs, cancel, visit),
         }
-        out
     }
+}
 
-    /// One isolated lane group; `offset` is the absolute sweep index of
-    /// the group's first lane.
-    fn run_group_isolated(
-        &self,
-        lanes: &[L2Design],
-        refs: usize,
-        offset: usize,
-    ) -> Vec<Result<(SimReport, u64), SweepPointError>> {
-        let mut slots: Vec<LaneSlot> = lanes
-            .iter()
-            .enumerate()
-            .map(|(lane, design)| {
-                match catch_panic(|| System::new(self.app.name, *design, self.cfg)) {
-                    Ok(Ok(sys)) => LaneSlot::Live(Box::new(sys), 0),
-                    Ok(Err(e)) => LaneSlot::Failed(SweepPointError {
-                        index: offset + lane,
-                        label: design.label(),
-                        cause: PointCause::Build(e),
-                    }),
-                    Err(msg) => LaneSlot::Failed(SweepPointError {
-                        index: offset + lane,
-                        label: design.label(),
-                        cause: PointCause::Panic(msg),
-                    }),
-                }
-            })
-            .collect();
+/// Runs every design of `plan` and returns one outcome per design, in
+/// plan order: the lane's [`Point`], or the [`SweepPointError`] of a
+/// lane that failed to build or panicked.
+///
+/// The designs are split into contiguous spans, one per worker of
+/// `jobs`, each span running as consecutive lane groups that share one
+/// front end. Every outcome is independent of that split: reports are
+/// byte-identical to a scalar [`run_app`](crate::workloads::run_app)
+/// of each design, failures carry their absolute plan index, and the
+/// telemetry `point` event of each completed lane carries the same
+/// index for every job count.
+///
+/// # Errors
+///
+/// Returns [`Cancelled`] if `cancel` tripped before the last lane group
+/// finished; `cancel` is polled once per filtered chunk of every lane
+/// group, and nothing partial is observable.
+pub fn execute(
+    plan: &Plan<'_>,
+    jobs: Jobs,
+    cancel: Option<&CancelToken>,
+) -> Result<Vec<Result<Point, SweepPointError>>, Cancelled> {
+    let total = plan.designs.len();
+    // One contiguous span per worker; the input-order merge of
+    // `parallel_map` restores plan order.
+    let per_span = total.div_ceil(jobs.get().min(total).max(1)).max(1);
+    let starts: Vec<usize> = (0..total).step_by(per_span).collect();
+    let mut out = Vec::with_capacity(total);
+    for span in parallel_map(jobs, starts, |start| {
+        plan.run_span(start, (start + per_span).min(total), cancel)
+    }) {
+        out.extend(span?);
+    }
+    Ok(out)
+}
 
-        let mut l1 = None;
-        if slots.iter().any(|s| matches!(s, LaneSlot::Live(..))) {
-            // At least one lane built, so the L1 geometries are valid.
-            let mut first = true;
-            let replayed = self.replay_run(refs, None, |chunk| {
-                for (lane, slot) in slots.iter_mut().enumerate() {
-                    let failure = match slot {
-                        LaneSlot::Live(sys, wall) => {
-                            let index = offset + lane;
-                            let trip = first && self.injected_faults.contains(&index);
-                            let start = Instant::now();
-                            let outcome = catch_panic(|| {
-                                if trip {
-                                    panic!("injected fault at index {index}");
-                                }
-                                replay(sys, chunk);
-                            });
-                            *wall += start.elapsed().as_nanos() as u64;
-                            outcome.err()
-                        }
-                        LaneSlot::Failed(_) => None,
-                    };
-                    if let Some(msg) = failure {
-                        // The panicked lane's state is unspecified;
-                        // replacing the slot drops it for good.
-                        *slot = LaneSlot::Failed(SweepPointError {
-                            index: offset + lane,
-                            label: lanes[lane].label(),
-                            cause: PointCause::Panic(msg),
-                        });
-                    }
-                }
-                first = false;
-            });
-            l1 = Some(replayed.expect("uncancellable run cannot be cancelled").l1);
+/// The chunk-broadcast reference engine: one shared stream, each
+/// design re-filtering every chunk through its own scalar
+/// [`System::run_batch`] loop, under the default [`SystemConfig`].
+///
+/// Production runs go through [`execute`]; this path is the middle
+/// reference of the cross-engine differential harness (scalar
+/// [`run_app`](crate::workloads::run_app) ≡ broadcast ≡ lock-step) and
+/// of the `sweep-fanout/8-designs-100k` benchmark.
+///
+/// # Panics
+///
+/// Panics if any design is invalid.
+pub fn run_broadcast(
+    app: &AppProfile,
+    seed: u64,
+    designs: &[L2Design],
+    refs: usize,
+) -> Vec<SimReport> {
+    let mut systems: Vec<System> = designs
+        .iter()
+        .map(|design| {
+            System::new(app.name, *design, SystemConfig::default())
+                .expect("reference designs must be valid")
+        })
+        .collect();
+    if !systems.is_empty() {
+        let mut stream = TraceStream::new(app, seed);
+        let mut left = refs;
+        while left > 0 {
+            let chunk = stream.next_chunk();
+            let n = chunk.len().min(left);
+            for sys in &mut systems {
+                sys.run_batch(&chunk[..n]);
+            }
+            left -= n;
         }
-
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(lane, slot)| match slot {
-                LaneSlot::Live(mut sys, wall) => {
-                    if let Some(l1) = &l1 {
-                        sys.adopt_l1(l1);
-                    }
-                    let start = Instant::now();
-                    match catch_panic(move || sys.finish()) {
-                        Ok(report) => Ok((report, wall + start.elapsed().as_nanos() as u64)),
-                        Err(msg) => Err(SweepPointError {
-                            index: offset + lane,
-                            label: lanes[lane].label(),
-                            cause: PointCause::Panic(msg),
-                        }),
-                    }
-                }
-                LaneSlot::Failed(e) => Err(e),
-            })
-            .collect()
     }
+    systems.into_iter().map(System::finish).collect()
 }
 
 #[cfg(test)]
@@ -591,32 +550,53 @@ mod tests {
         ]
     }
 
+    /// The reports of a plan every design of which is valid.
+    fn reports(plan: &Plan<'_>, jobs: Jobs) -> Vec<SimReport> {
+        execute(plan, jobs, None)
+            .expect("no cancel token")
+            .into_iter()
+            .map(|p| p.expect("valid design").report)
+            .collect()
+    }
+
     #[test]
     fn lockstep_matches_scalar_oracle() {
         let app = AppProfile::game();
         let designs = pool();
         let refs = 20_011; // not chunk-aligned
-        let reports = LockStep::new(&app, 3).run(&designs, refs);
-        for (design, got) in designs.iter().zip(&reports) {
+        let got = reports(&Plan::new(&app, 3, refs, &designs), Jobs::SERIAL);
+        for (design, got) in designs.iter().zip(&got) {
             let want = run_app(&app, *design, refs, 3);
             assert_eq!(format!("{got:?}"), format!("{want:?}"));
         }
     }
 
     #[test]
-    fn lane_group_width_does_not_change_reports() {
+    fn lane_group_width_and_jobs_do_not_change_reports() {
         let app = AppProfile::browser();
         let designs = pool();
-        let reference = LockStep::new(&app, 7).run(&designs, 15_000);
+        let reference = reports(&Plan::new(&app, 7, 15_000, &designs), Jobs::SERIAL);
         for width in [1usize, 2, 3, 8, 64] {
-            let got = LockStep::new(&app, 7)
-                .with_lane_group(width)
-                .run(&designs, 15_000);
-            assert_eq!(got.len(), reference.len());
-            for (g, r) in got.iter().zip(&reference) {
-                assert_eq!(format!("{g:?}"), format!("{r:?}"), "width={width}");
+            for jobs in [1usize, 2, 3, 8] {
+                let plan = Plan::new(&app, 7, 15_000, &designs).with_lane_group(width);
+                let got = reports(&plan, Jobs::new(jobs));
+                assert_eq!(got.len(), reference.len());
+                for (g, r) in got.iter().zip(&reference) {
+                    assert_eq!(
+                        format!("{g:?}"),
+                        format!("{r:?}"),
+                        "width={width} jobs={jobs}"
+                    );
+                }
             }
         }
+    }
+
+    #[test]
+    fn empty_plan_produces_no_points() {
+        let app = AppProfile::music();
+        let points = execute(&Plan::new(&app, 1, 50_000, &[]), Jobs::new(4), None);
+        assert!(points.expect("no cancel token").is_empty());
     }
 
     #[test]
@@ -638,30 +618,44 @@ mod tests {
     fn injected_fault_poisons_only_its_own_lane() {
         let app = AppProfile::video();
         let designs = pool();
-        let outcomes = LockStep::new(&app, 5)
-            .with_injected_faults(&[2])
-            .run_timed_isolated_span(&designs, 12_000, 0);
-        let clean = LockStep::new(&app, 5).run(&designs, 12_000);
+        let outcomes = execute(
+            &Plan::new(&app, 5, 12_000, &designs).with_injected_faults(&[2]),
+            Jobs::SERIAL,
+            None,
+        )
+        .expect("no cancel token");
+        let clean = reports(&Plan::new(&app, 5, 12_000, &designs), Jobs::SERIAL);
         for (i, outcome) in outcomes.iter().enumerate() {
             if i == 2 {
                 let e = outcome.as_ref().expect_err("injected fault must fail");
                 assert_eq!(e.index, 2);
                 assert!(e.to_string().contains("injected fault at index 2"), "{e}");
             } else {
-                let (report, _) = outcome.as_ref().expect("other lanes survive");
-                assert_eq!(format!("{report:?}"), format!("{:?}", clean[i]));
+                let point = outcome.as_ref().expect("other lanes survive");
+                assert_eq!(format!("{:?}", point.report), format!("{:?}", clean[i]));
             }
         }
     }
 
     #[test]
-    fn isolated_span_reports_absolute_indices() {
+    fn failures_report_absolute_indices() {
         let app = AppProfile::email();
-        let designs = [L2Design::SharedSram { ways: 0 }, L2Design::baseline()];
-        let outcomes = LockStep::new(&app, 1).run_timed_isolated_span(&designs, 3_000, 10);
-        let e = outcomes[0].as_ref().expect_err("ways=0 is invalid");
-        assert_eq!(e.index, 10);
-        assert!(matches!(e.cause, PointCause::Build(_)));
-        assert!(outcomes[1].is_ok());
+        let designs = [
+            L2Design::baseline(),
+            L2Design::baseline(),
+            L2Design::SharedSram { ways: 0 },
+            L2Design::baseline(),
+        ];
+        for jobs in [1usize, 2, 4] {
+            let plan = Plan::new(&app, 1, 3_000, &designs).with_lane_group(1);
+            let outcomes = execute(&plan, Jobs::new(jobs), None).expect("no cancel token");
+            let e = outcomes[2].as_ref().expect_err("ways=0 is invalid");
+            assert_eq!(e.index, 2, "jobs={jobs}");
+            assert!(matches!(e.cause, PointCause::Build(_)));
+            assert!(outcomes
+                .iter()
+                .enumerate()
+                .all(|(i, o)| o.is_ok() == (i != 2)));
+        }
     }
 }

@@ -55,9 +55,9 @@ use moca_trace::{AppProfile, MemoryAccess};
 
 use crate::cancel::{CancelToken, Cancelled};
 use crate::config::SystemConfig;
-use crate::fanout::{TraceStream, STREAM_CHUNK};
 use crate::lockstep::{FilteredChunk, FrontEnd};
 use crate::parallel::catch_panic;
+use crate::stream::{TraceStream, STREAM_CHUNK};
 
 /// Bound of the global memo in bytes: 512 chunks of raw references,
 /// the budget of the raw-chunk cache the memo replaced, so the memory
@@ -487,13 +487,23 @@ fn front_end<'a>(stream: TraceStream<'a>, cfg: &SystemConfig) -> FrontEnd<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lockstep::LockStep;
+    use crate::lockstep::{execute, Plan};
+    use crate::parallel::Jobs;
     use crate::system::System;
     use crate::workloads::run_app;
     use moca_core::L2Design;
 
     fn designs() -> [L2Design; 2] {
         [L2Design::baseline(), L2Design::static_default()]
+    }
+
+    /// The reports of a plan every design of which is valid.
+    fn reports(plan: Plan<'_>) -> Vec<crate::SimReport> {
+        execute(&plan, Jobs::SERIAL, None)
+            .expect("no cancel token")
+            .into_iter()
+            .map(|p| p.expect("valid design").report)
+            .collect()
     }
 
     fn rendered(reports: &[crate::SimReport]) -> Vec<String> {
@@ -505,10 +515,9 @@ mod tests {
         // The F8 (6M) vs F5 (3M) browser case, scaled down.
         let app = AppProfile::browser();
         let memo = RunMemo::with_capacity(MEMO_CAP_BYTES);
+        let pool = designs();
         for refs in [2 * STREAM_CHUNK + 99, 4 * STREAM_CHUNK + 198] {
-            let got = LockStep::new(&app, 11)
-                .with_memo(&memo)
-                .run(&designs(), refs);
+            let got = reports(Plan::new(&app, 11, refs, &pool).with_memo(&memo));
             let want: Vec<_> = designs()
                 .iter()
                 .map(|d| run_app(&app, *d, refs, 11))
@@ -533,11 +542,13 @@ mod tests {
             dram_latency_cycles: 200,
             ..default
         };
+        let pool = designs();
         for cfg in [default, small_l1, other_l2] {
-            let got = LockStep::new(&app, 4)
-                .with_config(cfg)
-                .with_memo(&memo)
-                .run(&designs(), refs);
+            let got = reports(
+                Plan::new(&app, 4, refs, &pool)
+                    .with_config(cfg)
+                    .with_memo(&memo),
+            );
             let want: Vec<_> = designs()
                 .iter()
                 .map(|&d| {
@@ -559,16 +570,13 @@ mod tests {
         let memo = RunMemo::with_capacity(MEMO_CAP_BYTES);
         let before = crate::lockstep::front_end_refs();
         let start = std::sync::Barrier::new(4);
+        let pool = designs();
         let reports: Vec<Vec<String>> = std::thread::scope(|scope| {
             let workers: Vec<_> = (0..4)
                 .map(|_| {
                     scope.spawn(|| {
                         start.wait();
-                        rendered(
-                            &LockStep::new(&app, 6)
-                                .with_memo(&memo)
-                                .run(&designs(), refs),
-                        )
+                        rendered(&reports(Plan::new(&app, 6, refs, &pool).with_memo(&memo)))
                     })
                 })
                 .collect();

@@ -230,14 +230,15 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Runs `f`, converting a panic into `Err(message)` instead of
 /// unwinding further.
 ///
-/// This is the isolation primitive behind every `*_isolated` runner:
-/// the panic is contained on the current thread, its payload is
-/// preserved as a deterministic string, and the process panic hook is
+/// This is the isolation primitive behind the sweep executor's lanes
+/// ([`crate::lockstep::execute`]) and [`parallel_map_isolated`]: the
+/// panic is contained on the current thread, its payload is preserved
+/// as a deterministic string, and the process panic hook is
 /// muted for the duration (a sweep with hundreds of injected faults
 /// should not print hundreds of backtraces).
 ///
 /// `AssertUnwindSafe` note: callers must not reuse state `f` mutated
-/// before panicking — the isolated runners drop the failed item's
+/// before panicking — the isolated callers drop the failed item's
 /// `System` (and discard its result slot) rather than touching it again.
 ///
 /// # Examples
@@ -251,9 +252,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// ```
 pub fn catch_panic<R>(f: impl FnOnce() -> R) -> Result<R, String> {
     install_quiet_panic_hook();
-    QUIET_PANICS.with(|q| q.set(true));
+    // Restore rather than clear: an isolated lane inside an isolated
+    // experiment must leave the outer scope quiet.
+    let outer = QUIET_PANICS.with(|q| q.replace(true));
     let result = std::panic::catch_unwind(AssertUnwindSafe(f));
-    QUIET_PANICS.with(|q| q.set(false));
+    QUIET_PANICS.with(|q| q.set(outer));
     result.map_err(panic_message)
 }
 
@@ -291,17 +294,6 @@ where
     F: Fn(T) -> R + Sync,
 {
     parallel_map(jobs, items, |item| catch_panic(|| f(item)))
-}
-
-/// [`parallel_map`] over borrowed items: applies `f(&items[i])` in
-/// parallel and returns results in input order.
-pub fn parallel_map_ref<'a, T, R, F>(jobs: Jobs, items: &'a [T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&'a T) -> R + Sync,
-{
-    parallel_map(jobs, (0..items.len()).collect(), |i| f(&items[i]))
 }
 
 #[cfg(test)]
@@ -342,14 +334,6 @@ mod tests {
     fn more_jobs_than_items_is_fine() {
         let got = parallel_map(Jobs::new(32), vec![1, 2, 3], |x| x + 1);
         assert_eq!(got, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn ref_variant_borrows_items() {
-        let items = vec!["a".to_string(), "bb".to_string(), "ccc".to_string()];
-        let lens = parallel_map_ref(Jobs::new(2), &items, |s| s.len());
-        assert_eq!(lens, vec![1, 2, 3]);
-        assert_eq!(items.len(), 3); // still owned by the caller
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! module is the bridge into the sweep kernel: a [`FileTraceSource`]
 //! wraps one validated file, and the [`TraceRegistry`] maps
 //! `(profile fingerprint, seed)` identities to registered sources so
-//! every [`TraceStream`](crate::fanout::TraceStream) in the process —
-//! and therefore `FanOut`, `LockStep`, every sweep entry point, and the
+//! every [`TraceStream`](crate::stream::TraceStream) in the process —
+//! and therefore the sweep executor, every sweep entry point, and the
 //! checkpointed experiment driver — transparently replays from file
 //! instead of generating, with byte-identical output.
 //!
@@ -35,6 +35,7 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use moca_trace::binfmt::{TraceHeader, TraceReader};
 use moca_trace::fxhash::FxHashMap;
 use moca_trace::io::ReadTraceError;
+use moca_trace::AppProfile;
 
 use crate::telemetry::Event;
 
@@ -186,6 +187,24 @@ impl TraceRegistry {
     /// The registered source for `(fingerprint, seed)`, if any.
     pub fn lookup(&self, fingerprint: u64, seed: u64) -> Option<Arc<FileTraceSource>> {
         self.lock().get(&(fingerprint, seed)).map(Arc::clone)
+    }
+
+    /// The fingerprint naming the `(profile, seed)` stream when `source`
+    /// backs it: the file's
+    /// [`source fingerprint`](FileTraceSource::source_fingerprint),
+    /// otherwise the profile fingerprint. Filtered runs and journal keys
+    /// of decoded streams live in their own namespace through it.
+    pub fn stream_fingerprint(profile: &AppProfile, source: Option<&FileTraceSource>) -> u64 {
+        source.map_or_else(
+            || profile.fingerprint(),
+            FileTraceSource::source_fingerprint,
+        )
+    }
+
+    /// [`TraceRegistry::stream_fingerprint`] of the `(profile, seed)`
+    /// stream as this registry backs it.
+    pub fn fingerprint_for(&self, profile: &AppProfile, seed: u64) -> u64 {
+        Self::stream_fingerprint(profile, self.lookup(profile.fingerprint(), seed).as_deref())
     }
 
     /// Number of registered sources.

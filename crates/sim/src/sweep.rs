@@ -5,10 +5,14 @@
 //! family of design points over an app, collect [`SimReport`]s, and
 //! export them as CSV or a comparison table.
 //!
-//! Sweeps run on the shared-trace fan-out engine ([`crate::fanout`]):
-//! the workload trace is generated once per `(app, seed)` and broadcast
-//! to every design point, so an N-point sweep pays the trace-generation
-//! cost once instead of N times.
+//! Every sweep is a thin layer over the one executor,
+//! [`crate::lockstep::execute`]: [`sweep`] maps parameters to designs
+//! and designs to [`SweepPoint`]s, and [`sweep_pruned`] (below) and
+//! [`crate::checkpoint::sweep_checkpointed`] pre-filter the designs and
+//! execute a smaller plan. The workload stream is filtered once per
+//! `(app, seed)` and replayed by every design lane, so an N-point sweep
+//! pays the front-end cost once instead of N times; a failing design
+//! point fails in its own slot.
 //!
 //! # MRC-based pruning
 //!
@@ -17,13 +21,12 @@
 //! through the exact Mattson profiler ([`moca_cache::MrcProfiler`])
 //! yields the hit/miss counts of **every** way count at once, and
 //! [`moca_energy::project_energy`] turns those counts into the energy a
-//! simulation would integrate. [`sweep_pruned`] /
-//! [`sweep_pruned_parallel`] use that to score the whole LRU grid
-//! analytically, keep only the Pareto frontier of (projected energy,
-//! projected cycles), and run full lock-step simulation for the
-//! survivors only — non-LRU designs (partitioned, STT-RAM, dynamic,
-//! non-LRU policies, prefetch-enabled configs) bypass the profiler and
-//! always simulate. Every simulated report is byte-identical to the
+//! simulation would integrate. [`sweep_pruned`] uses that to score the
+//! whole LRU grid analytically, keep only the Pareto frontier of
+//! (projected energy, projected cycles), and run full lock-step
+//! simulation for the survivors only — non-LRU designs (partitioned,
+//! STT-RAM, dynamic, non-LRU policies, prefetch-enabled configs) bypass
+//! the profiler and always simulate. Every simulated report is byte-identical to the
 //! same point of an unpruned sweep (`crates/sim/tests/mrc_prune.rs`).
 
 use std::io::{self, Write};
@@ -35,9 +38,10 @@ use moca_core::{L2BaseParams, L2Design};
 use moca_energy::{project_energy, AccessCounts, MemoryTechnology, SramBank, Technology, Time};
 use moca_trace::AppProfile;
 
+use crate::cancel::{CancelToken, Cancelled};
 use crate::config::SystemConfig;
 use crate::error::SweepPointError;
-use crate::fanout::FanOut;
+use crate::lockstep::{execute, Plan, Point};
 use crate::memo::RunMemo;
 use crate::metrics::SimReport;
 use crate::parallel::Jobs;
@@ -57,30 +61,49 @@ pub struct SweepPoint<P> {
     pub wall_ns: u64,
 }
 
-/// Runs `app` on the design produced for every parameter value.
+impl<P> SweepPoint<P> {
+    pub(crate) fn new(param: P, point: Point) -> Self {
+        SweepPoint {
+            param,
+            report: point.report,
+            wall_ns: point.wall_ns,
+        }
+    }
+}
+
+/// Runs `app` on the design produced for every parameter value, with
+/// the design points sharded over `jobs` threads.
 ///
-/// The trace is generated once and broadcast to every design, but each
-/// report is byte-identical to running that design alone via
+/// One outcome per parameter, in parameter order: the point, or the
+/// [`SweepPointError`] of a design that failed to build or panicked —
+/// every other point still completes. The reports (and their CSV
+/// rendering minus the measured `wall_ns` column) and the failed-point
+/// set are **byte-identical** for every job count, and each report is
+/// byte-identical to running that design alone via
 /// [`crate::workloads::run_app`].
 ///
 /// # Examples
 ///
 /// ```
+/// use moca_sim::parallel::Jobs;
 /// use moca_sim::sweep::sweep;
 /// use moca_core::L2Design;
 /// use moca_trace::AppProfile;
 ///
-/// // Sweep the shared-cache associativity.
+/// // Sweep the shared-cache associativity; ways = 0 is rejected at
+/// // build time while the other points complete.
 /// let points = sweep(
-///     &[4u32, 8, 16],
+///     &[4u32, 0, 16],
 ///     |&ways| L2Design::SharedSram { ways },
 ///     &AppProfile::music(),
 ///     30_000,
 ///     1,
+///     Jobs::new(2),
 /// );
-/// assert_eq!(points.len(), 3);
+/// assert_eq!(points[1].as_ref().unwrap_err().index, 1);
+/// let (four, sixteen) = (points[0].as_ref().unwrap(), points[2].as_ref().unwrap());
 /// // More ways → miss rate cannot get worse by much.
-/// assert!(points[2].report.l2_miss_rate() <= points[0].report.l2_miss_rate() + 0.01);
+/// assert!(sixteen.report.l2_miss_rate() <= four.report.l2_miss_rate() + 0.01);
 /// ```
 pub fn sweep<P, F>(
     params: &[P],
@@ -88,145 +111,42 @@ pub fn sweep<P, F>(
     app: &AppProfile,
     refs: usize,
     seed: u64,
-) -> Vec<SweepPoint<P>>
+    jobs: Jobs,
+) -> Vec<Result<SweepPoint<P>, SweepPointError>>
 where
     P: Clone,
     F: FnMut(&P) -> L2Design,
 {
     let designs: Vec<L2Design> = params.iter().map(to_design).collect();
-    let timed = FanOut::new(app, seed).run_timed(&designs, refs);
-    params
-        .iter()
-        .zip(timed)
-        .map(|(p, (report, wall_ns))| SweepPoint {
-            param: p.clone(),
-            report,
-            wall_ns,
-        })
-        .collect()
-}
-
-/// [`sweep`] with the design points sharded over `jobs` threads.
-///
-/// The fan-out engine partitions the designs into contiguous groups,
-/// one shared trace stream per worker, and merges results in parameter
-/// order — so the reports (and their CSV rendering minus the measured
-/// `wall_ns` column) are **byte-identical** to the serial [`sweep`] for
-/// every job count.
-///
-/// # Examples
-///
-/// ```
-/// use moca_sim::parallel::Jobs;
-/// use moca_sim::sweep::{sweep, sweep_parallel};
-/// use moca_core::L2Design;
-/// use moca_trace::AppProfile;
-///
-/// let app = AppProfile::music();
-/// let to_design = |&ways: &u32| L2Design::SharedSram { ways };
-/// let serial = sweep(&[4u32, 8], to_design, &app, 20_000, 1);
-/// let parallel = sweep_parallel(&[4u32, 8], to_design, &app, 20_000, 1, Jobs::new(2));
-/// assert_eq!(serial.len(), parallel.len());
-/// assert_eq!(serial[0].report.cycles, parallel[0].report.cycles);
-/// ```
-pub fn sweep_parallel<P, F>(
-    params: &[P],
-    to_design: F,
-    app: &AppProfile,
-    refs: usize,
-    seed: u64,
-    jobs: Jobs,
-) -> Vec<SweepPoint<P>>
-where
-    P: Clone + Send + Sync,
-    F: Fn(&P) -> L2Design + Sync,
-{
-    let designs: Vec<L2Design> = params.iter().map(to_design).collect();
-    let timed = FanOut::new(app, seed).run_timed_parallel(&designs, refs, jobs);
-    params
-        .iter()
-        .zip(timed)
-        .map(|(p, (report, wall_ns))| SweepPoint {
-            param: p.clone(),
-            report,
-            wall_ns,
-        })
-        .collect()
-}
-
-/// [`sweep`] with per-point failure isolation: an invalid or panicking
-/// design point yields `Err(SweepPointError)` in its slot while every
-/// other point still completes.
-///
-/// Equivalent to [`sweep_parallel_isolated`] with [`Jobs::SERIAL`].
-pub fn sweep_isolated<P, F>(
-    params: &[P],
-    to_design: F,
-    app: &AppProfile,
-    refs: usize,
-    seed: u64,
-) -> Vec<Result<SweepPoint<P>, SweepPointError>>
-where
-    P: Clone + Send + Sync,
-    F: Fn(&P) -> L2Design + Sync,
-{
-    sweep_parallel_isolated(params, to_design, app, refs, seed, Jobs::SERIAL)
-}
-
-/// [`sweep_parallel`] with per-point failure isolation.
-///
-/// A design point that fails to build (e.g. zero ways) or panics
-/// mid-simulation is reported as `Err(SweepPointError)`; all remaining
-/// points run to completion. The surviving [`SweepPoint`]s *and* the
-/// failed-point set (indices, labels, rendered causes) are byte-identical
-/// for every `jobs` value — the determinism contract extends to
-/// failures (`crates/sim/tests/fault_tolerance.rs`).
-///
-/// # Examples
-///
-/// ```
-/// use moca_sim::parallel::Jobs;
-/// use moca_sim::sweep::sweep_parallel_isolated;
-/// use moca_core::L2Design;
-/// use moca_trace::AppProfile;
-///
-/// // ways = 0 is rejected at build time; 4 and 8 still complete.
-/// let points = sweep_parallel_isolated(
-///     &[4u32, 0, 8],
-///     |&ways| L2Design::SharedSram { ways },
-///     &AppProfile::music(),
-///     10_000,
-///     1,
-///     Jobs::new(2),
-/// );
-/// assert!(points[0].is_ok() && points[2].is_ok());
-/// assert_eq!(points[1].as_ref().unwrap_err().index, 1);
-/// ```
-pub fn sweep_parallel_isolated<P, F>(
-    params: &[P],
-    to_design: F,
-    app: &AppProfile,
-    refs: usize,
-    seed: u64,
-    jobs: Jobs,
-) -> Vec<Result<SweepPoint<P>, SweepPointError>>
-where
-    P: Clone + Send + Sync,
-    F: Fn(&P) -> L2Design + Sync,
-{
-    let designs: Vec<L2Design> = params.iter().map(to_design).collect();
-    let outcomes = FanOut::new(app, seed).run_timed_parallel_isolated(&designs, refs, jobs);
+    let outcomes = execute(&Plan::new(app, seed, refs, &designs), jobs, None)
+        .expect("uncancellable sweep cannot be cancelled");
     params
         .iter()
         .zip(outcomes)
-        .map(|(p, outcome)| {
-            outcome.map(|(report, wall_ns)| SweepPoint {
-                param: p.clone(),
-                report,
-                wall_ns,
-            })
-        })
+        .map(|(p, outcome)| outcome.map(|point| SweepPoint::new(p.clone(), point)))
         .collect()
+}
+
+/// Executes the designs at `indices` (ascending) of `designs` as one
+/// smaller plan; each outcome's failure carries its index into
+/// `designs`. The shared tail of the pre-filtering sweeps
+/// ([`sweep_pruned`] and [`crate::checkpoint::sweep_checkpointed`]).
+pub(crate) fn execute_subset(
+    app: &AppProfile,
+    seed: u64,
+    refs: usize,
+    designs: &[L2Design],
+    indices: &[usize],
+    jobs: Jobs,
+    cancel: Option<&CancelToken>,
+) -> Result<Vec<Result<Point, SweepPointError>>, Cancelled> {
+    let subset: Vec<L2Design> = indices.iter().map(|&i| designs[i]).collect();
+    let outcomes = execute(&Plan::new(app, seed, refs, &subset), jobs, cancel)?;
+    Ok(outcomes
+        .into_iter()
+        .zip(indices)
+        .map(|(outcome, &index)| outcome.map_err(|e| SweepPointError { index, ..e }))
+        .collect())
 }
 
 /// The CSV header matching [`csv_row`].
@@ -379,8 +299,7 @@ impl MrcScore {
 ///
 /// # Panics
 ///
-/// Panics if `max_ways` is zero or exceeds
-/// [`MAX_DEPTH`](moca_cache::mrc::MAX_DEPTH).
+/// Panics if `max_ways` is zero or exceeds [`MAX_DEPTH`].
 pub fn profile_lru_grid(app: &AppProfile, refs: usize, seed: u64, max_ways: u32) -> MissRateCurve {
     let cfg = SystemConfig::default();
     let sets = u32::try_from(L2BaseParams::default().sets).expect("default set count fits u32");
@@ -483,9 +402,10 @@ fn scorable_ways(design: &L2Design, cfg: &SystemConfig) -> Option<u32> {
 #[derive(Debug, Clone)]
 pub struct PrunedSweep<P> {
     /// Simulated points — the Pareto survivors plus every non-scorable
-    /// design — in the original parameter order. Each report is
-    /// byte-identical to the same point of an unpruned [`sweep`].
-    pub points: Vec<SweepPoint<P>>,
+    /// design — in the original parameter order, each failure carrying
+    /// its original parameter index. Each report is byte-identical to
+    /// the same point of an unpruned [`sweep`].
+    pub points: Vec<Result<SweepPoint<P>, SweepPointError>>,
     /// Analytic scores of way counts `1..=max_ways`, or empty when the
     /// input had fewer than two scorable grid points (a profiling pass
     /// could not have saved a simulation, so none runs).
@@ -506,13 +426,23 @@ impl<P> PrunedSweep<P> {
 /// [`sweep`] with MRC-based pruning: one exact stack-distance pass
 /// scores every shared-SRAM LRU point analytically, and only the
 /// (projected energy, projected cycles) Pareto survivors — plus every
-/// design the profiler cannot score — run full lock-step simulation.
+/// design the profiler cannot score — run full lock-step simulation,
+/// sharded over `jobs` threads.
 ///
-/// Equivalent to [`sweep_pruned_parallel`] with [`Jobs::SERIAL`].
+/// The profiling pass, the scores, and the survivor set are computed
+/// before any simulation and do not depend on `jobs`, so the pruned
+/// sweep inherits [`sweep`]'s determinism contract: the simulated
+/// reports are byte-identical for every job count, and byte-identical
+/// to the same points of an unpruned [`sweep`]
+/// (`crates/sim/tests/mrc_prune.rs`).
+///
+/// When telemetry is enabled the profiling pass emits one `mrc` event
+/// carrying the grid/pruned/simulated split and the profile wall time.
 ///
 /// # Examples
 ///
 /// ```
+/// use moca_sim::parallel::Jobs;
 /// use moca_sim::sweep::sweep_pruned;
 /// use moca_core::L2Design;
 /// use moca_trace::AppProfile;
@@ -524,11 +454,13 @@ impl<P> PrunedSweep<P> {
 ///     &AppProfile::game(),
 ///     20_000,
 ///     1,
+///     Jobs::SERIAL,
 /// );
 /// assert_eq!(pruned.grid_points, 12);
 /// assert_eq!(pruned.simulated_points() + pruned.pruned_points, 12);
 /// // Every simulated point's hit count matches its analytic score.
 /// for p in &pruned.points {
+///     let p = p.as_ref().expect("valid design");
 ///     let score = pruned.scores[p.param as usize - 1];
 ///     assert_eq!(p.report.l2_stats.hits(), score.hits);
 /// }
@@ -539,39 +471,13 @@ pub fn sweep_pruned<P, F>(
     app: &AppProfile,
     refs: usize,
     seed: u64,
-) -> PrunedSweep<P>
-where
-    P: Clone + Send + Sync,
-    F: Fn(&P) -> L2Design + Sync,
-{
-    sweep_pruned_parallel(params, to_design, app, refs, seed, Jobs::SERIAL)
-}
-
-/// [`sweep_pruned`] with the surviving design points sharded over
-/// `jobs` threads.
-///
-/// The profiling pass, the scores, and the survivor set are computed
-/// before any simulation and do not depend on `jobs`, so the pruned
-/// sweep inherits the fan-out engine's determinism contract: the
-/// simulated reports are byte-identical for every job count, and
-/// byte-identical to the same points of an unpruned [`sweep_parallel`]
-/// (`crates/sim/tests/mrc_prune.rs`).
-///
-/// When telemetry is enabled the profiling pass emits one `mrc` event
-/// carrying the grid/pruned/simulated split and the profile wall time.
-pub fn sweep_pruned_parallel<P, F>(
-    params: &[P],
-    to_design: F,
-    app: &AppProfile,
-    refs: usize,
-    seed: u64,
     jobs: Jobs,
 ) -> PrunedSweep<P>
 where
-    P: Clone + Send + Sync,
-    F: Fn(&P) -> L2Design + Sync,
+    P: Clone,
+    F: FnMut(&P) -> L2Design,
 {
-    let designs: Vec<L2Design> = params.iter().map(&to_design).collect();
+    let designs: Vec<L2Design> = params.iter().map(to_design).collect();
     let cfg = SystemConfig::default();
     let scorable: Vec<Option<u32>> = designs.iter().map(|d| scorable_ways(d, &cfg)).collect();
     let grid_points = scorable.iter().filter(|w| w.is_some()).count();
@@ -606,36 +512,24 @@ where
         Vec::new()
     };
 
-    let keep: Vec<bool> = scorable
-        .iter()
-        .map(|s| match s {
-            Some(w) if !scores.is_empty() => scores[*w as usize - 1].survives,
+    let kept: Vec<usize> = (0..designs.len())
+        .filter(|&i| match scorable[i] {
+            Some(w) if !scores.is_empty() => scores[w as usize - 1].survives,
             _ => true,
         })
         .collect();
-    let surviving: Vec<L2Design> = designs
+    let outcomes = execute_subset(app, seed, refs, &designs, &kept, jobs, None)
+        .expect("uncancellable sweep cannot be cancelled");
+    let points = kept
         .iter()
-        .zip(&keep)
-        .filter(|(_, &k)| k)
-        .map(|(d, _)| *d)
-        .collect();
-    let timed = FanOut::new(app, seed).run_timed_parallel(&surviving, refs, jobs);
-    let points = params
-        .iter()
-        .zip(&keep)
-        .filter(|(_, &k)| k)
-        .zip(timed)
-        .map(|((p, _), (report, wall_ns))| SweepPoint {
-            param: p.clone(),
-            report,
-            wall_ns,
-        })
+        .zip(outcomes)
+        .map(|(&i, outcome)| outcome.map(|point| SweepPoint::new(params[i].clone(), point)))
         .collect();
     PrunedSweep {
         points,
         scores,
         grid_points,
-        pruned_points: keep.iter().filter(|&&k| !k).count(),
+        pruned_points: designs.len() - kept.len(),
     }
 }
 
@@ -652,6 +546,14 @@ mod tests {
         ]
     }
 
+    /// The points of a sweep whose every design is valid.
+    fn ok<P>(outcomes: Vec<Result<SweepPoint<P>, SweepPointError>>) -> Vec<SweepPoint<P>> {
+        outcomes
+            .into_iter()
+            .map(|p| p.expect("valid design"))
+            .collect()
+    }
+
     /// CSV with the measured `wall_ns` column blanked, for byte-identity
     /// comparisons across job counts.
     fn csv_sans_wall<P>(points: &[SweepPoint<P>]) -> Vec<u8> {
@@ -663,13 +565,14 @@ mod tests {
     #[test]
     fn sweep_runs_every_point() {
         let app = AppProfile::game();
-        let pts = sweep(
+        let pts = ok(sweep(
             &[2u32, 4],
             |&w| L2Design::SharedSram { ways: w },
             &app,
             20_000,
             3,
-        );
+            Jobs::SERIAL,
+        ));
         assert_eq!(pts.len(), 2);
         assert_eq!(pts[0].param, 2);
         assert!(pts[0].report.l2_stats.accesses() > 0);
@@ -680,13 +583,14 @@ mod tests {
     fn sweep_matches_per_design_run_app() {
         let app = AppProfile::game();
         let params = [2u32, 8];
-        let pts = sweep(
+        let pts = ok(sweep(
             &params,
             |&w| L2Design::SharedSram { ways: w },
             &app,
             20_000,
             3,
-        );
+            Jobs::SERIAL,
+        ));
         for (p, pt) in params.iter().zip(&pts) {
             let solo = run_app(&app, L2Design::SharedSram { ways: *p }, 20_000, 3);
             assert_eq!(format!("{:?}", pt.report), format!("{solo:?}"));
@@ -698,10 +602,10 @@ mod tests {
         let app = AppProfile::game();
         let to_design = |&w: &u32| L2Design::SharedSram { ways: w };
         let params = [2u32, 4, 8, 16];
-        let serial = sweep(&params, to_design, &app, 20_000, 3);
+        let serial = ok(sweep(&params, to_design, &app, 20_000, 3, Jobs::SERIAL));
         let serial_csv = csv_sans_wall(&serial);
         for jobs in [1, 2, 8] {
-            let par = sweep_parallel(&params, to_design, &app, 20_000, 3, Jobs::new(jobs));
+            let par = ok(sweep(&params, to_design, &app, 20_000, 3, Jobs::new(jobs)));
             assert_eq!(serial_csv, csv_sans_wall(&par), "jobs = {jobs}");
         }
     }
@@ -879,8 +783,8 @@ mod tests {
         let app = AppProfile::game();
         let to_design = |&w: &u32| L2Design::SharedSram { ways: w };
         let params: Vec<u32> = (1..=10).collect();
-        let full = sweep(&params, to_design, &app, 20_000, 3);
-        let pruned = sweep_pruned(&params, to_design, &app, 20_000, 3);
+        let full = ok(sweep(&params, to_design, &app, 20_000, 3, Jobs::SERIAL));
+        let pruned = sweep_pruned(&params, to_design, &app, 20_000, 3, Jobs::SERIAL);
         assert_eq!(pruned.grid_points, 10);
         assert_eq!(pruned.scores.len(), 10);
         assert!(
@@ -888,7 +792,8 @@ mod tests {
             "a 10-point LRU grid must have dominated points"
         );
         assert_eq!(pruned.simulated_points() + pruned.pruned_points, 10);
-        for p in &pruned.points {
+        for p in pruned.points {
+            let p = p.expect("valid design");
             let twin = &full[p.param as usize - 1];
             assert_eq!(twin.param, p.param);
             assert_eq!(csv_row(&p.report, 0), csv_row(&twin.report, 0));
@@ -899,11 +804,34 @@ mod tests {
     fn non_scorable_designs_always_simulate() {
         let app = AppProfile::music();
         let designs = [L2Design::static_default(), L2Design::dynamic_default()];
-        let pruned = sweep_pruned(&designs, |d| *d, &app, 10_000, 1);
+        let pruned = sweep_pruned(&designs, |d| *d, &app, 10_000, 1, Jobs::SERIAL);
         assert_eq!(pruned.grid_points, 0);
         assert_eq!(pruned.pruned_points, 0);
         assert!(pruned.scores.is_empty(), "nothing scorable, no profiling pass");
         assert_eq!(pruned.simulated_points(), 2);
+    }
+
+    #[test]
+    fn pruned_failures_carry_their_parameter_index() {
+        let app = AppProfile::music();
+        let mut params: Vec<u32> = (1..=10).collect();
+        params.push(0);
+        let pruned = sweep_pruned(
+            &params,
+            |&w| L2Design::SharedSram { ways: w },
+            &app,
+            10_000,
+            1,
+            Jobs::new(2),
+        );
+        assert!(pruned.pruned_points > 0, "the grid must prune");
+        // ways = 0 is not scorable, so it always simulates — and fails
+        // in its own slot under its parameter index, not its index in
+        // the smaller plan of survivors.
+        let (last, rest) = pruned.points.split_last().expect("points");
+        let e = last.as_ref().expect_err("ways=0 is invalid");
+        assert_eq!(e.index, 10);
+        assert!(rest.iter().all(Result::is_ok));
     }
 
     #[test]
@@ -915,6 +843,7 @@ mod tests {
             &app,
             10_000,
             1,
+            Jobs::SERIAL,
         );
         assert_eq!(pruned.grid_points, 1);
         assert!(pruned.scores.is_empty(), "one point cannot be pruned");

@@ -173,7 +173,7 @@ pub enum Event {
         /// Accumulated value.
         value: u64,
     },
-    /// One MRC-based sweep-pruning decision (see [`crate::sweep`]).
+    /// One MRC-based sweep-pruning decision (see [`mod@crate::sweep`]).
     ///
     /// Deterministic: the profiler consumes the shared trace stream, so
     /// the grid/pruned/simulated split is identical for every `--jobs`

@@ -52,10 +52,11 @@ pub const EXPERIMENT_SEED: u64 = 0x5EED_2015;
 /// This is the scalar *reference path*: one [`System`] stepping every
 /// reference of a private [`TraceGenerator`], off the filtered-run
 /// memo and off the lock-step kernel. That independence is what makes
-/// it the oracle the differential suites compare every multi-design
-/// engine against. Experiments run their designs through those engines
-/// ([`crate::lockstep::LockStep`], [`crate::sweep::sweep`], the shared
-/// [`crate::experiments::matrix::run_matrix`]), which pay trace
+/// it the oracle the differential suites compare the sweep executor
+/// against. Experiments run their designs through that executor
+/// ([`crate::lockstep::execute`], directly or through
+/// [`crate::sweep::sweep`] and the shared
+/// [`crate::experiments::matrix::run_matrix`]), which pays trace
 /// generation and L1 filtering once per lane group instead of once per
 /// design.
 ///

@@ -9,7 +9,7 @@ use std::io::BufWriter;
 use std::path::PathBuf;
 
 use moca_sim::experiments::matrix::{column_order, run_matrix};
-use moca_sim::lockstep::LockStep;
+use moca_sim::lockstep::{execute, Plan};
 use moca_sim::EXPERIMENT_SEED;
 use moca_sim::{
     front_end_refs, run_app, FileTraceSource, Jobs, RunMemo, Scale, TraceRegistry, TraceStream,
@@ -110,11 +110,12 @@ fn unmemoized_lockstep_falls_back_past_a_corrupt_chunk_byte_identically() {
     TraceRegistry::global().register(FileTraceSource::open(&path).expect("open"));
 
     let designs = column_order();
-    let reports = LockStep::new(&app, seed)
+    let plan = Plan::new(&app, seed, refs, &designs)
         .with_lane_group(2)
-        .unmemoized()
-        .run(&designs, refs);
-    for (design, got) in designs.iter().zip(&reports) {
+        .unmemoized();
+    let points = execute(&plan, Jobs::SERIAL, None).expect("no cancel token");
+    for (design, got) in designs.iter().zip(&points) {
+        let got = &got.as_ref().expect("valid design").report;
         let want = run_app(&app, *design, refs, seed);
         assert_eq!(format!("{got:?}"), format!("{want:?}"), "{}", design.label());
     }

@@ -71,8 +71,8 @@ determinism_tests! {
 
 /// Fan-out-vs-sequential equivalence.
 ///
-/// The shared-trace fan-out engine (`moca_sim::fanout`) promises that
-/// broadcasting one trace stream to N designs — through any memo state
+/// The sweep executor (`moca_sim::lockstep::execute`) promises that
+/// running N designs over one trace stream — through any memo state
 /// and any job count — produces reports **byte-identical** to running
 /// each design alone through `run_app`, which owns a private generator
 /// and never touches the memo. These tests pin that promise for the
@@ -81,9 +81,10 @@ determinism_tests! {
 mod fanout_equivalence {
     use moca_core::{L2Design, RefreshPolicy};
     use moca_energy::RetentionClass;
-    use moca_sim::fanout::{fan_out, fan_out_parallel};
+    use moca_sim::lockstep::{execute, Plan};
     use moca_sim::parallel::Jobs;
     use moca_sim::workloads::run_app;
+    use moca_sim::SimReport;
     use moca_testkit::{check, require, Config, TestRng};
     use moca_trace::AppProfile;
 
@@ -133,6 +134,21 @@ mod fanout_equivalence {
         ]
     }
 
+    /// The executor's reports for `designs`, every one of which is valid.
+    fn executor_reports(
+        app: &AppProfile,
+        designs: &[L2Design],
+        refs: usize,
+        seed: u64,
+        jobs: Jobs,
+    ) -> Vec<SimReport> {
+        execute(&Plan::new(app, seed, refs, designs), jobs, None)
+            .expect("no cancel token")
+            .into_iter()
+            .map(|p| p.expect("valid design").report)
+            .collect()
+    }
+
     /// Asserts `run_app` loop == fan-out(jobs=1) == fan-out(jobs=2) ==
     /// fan-out(jobs=8) for the given sweep, by `Debug` rendering.
     fn assert_fanout_equivalent(app: &AppProfile, designs: &[L2Design], refs: usize, seed: u64) {
@@ -141,7 +157,7 @@ mod fanout_equivalence {
             .map(|&d| format!("{:?}", run_app(app, d, refs, seed)))
             .collect();
         for jobs in [1usize, 2, 8] {
-            let fanned = fan_out_parallel(app, designs, refs, seed, Jobs::new(jobs));
+            let fanned = executor_reports(app, designs, refs, seed, Jobs::new(jobs));
             assert_eq!(fanned.len(), sequential.len());
             for (i, (seq, fan)) in sequential.iter().zip(&fanned).enumerate() {
                 assert_eq!(
@@ -178,7 +194,7 @@ mod fanout_equivalence {
     fn single_design_fan_out_is_run_app() {
         let app = AppProfile::music();
         let solo = run_app(&app, L2Design::static_default(), 20_000, 7);
-        let fanned = fan_out(&app, &[L2Design::static_default()], 20_000, 7);
+        let fanned = executor_reports(&app, &[L2Design::static_default()], 20_000, 7, Jobs::SERIAL);
         assert_eq!(format!("{:?}", fanned[0]), format!("{solo:?}"));
     }
 
@@ -189,7 +205,8 @@ mod fanout_equivalence {
     /// chunking itself is exercised.
     #[test]
     fn sweep_csv_is_byte_identical_across_jobs_through_lockstep() {
-        use moca_sim::sweep::{sweep, sweep_parallel, write_csv};
+        use moca_sim::sweep::{sweep, write_csv, SweepPoint};
+        use moca_sim::SweepPointError;
         use moca_sim::LANE_GROUP;
 
         let params: [u32; 11] = [1, 2, 4, 8, 16, 2, 4, 8, 16, 1, 2];
@@ -199,16 +216,15 @@ mod fanout_equivalence {
         );
         let app = AppProfile::browser();
         let to_design = |&ways: &u32| L2Design::SharedSram { ways };
-        let serial = sweep(&params, to_design, &app, 12_000, 42);
-        let mut reference = Vec::new();
-        write_csv(&mut reference, serial.iter().map(|p| (&p.report, 0u64)))
-            .expect("csv renders");
+        let rows = |points: &[Result<SweepPoint<u32>, SweepPointError>]| {
+            let mut csv = Vec::new();
+            let reports = points.iter().map(|p| &p.as_ref().expect("valid design").report);
+            write_csv(&mut csv, reports.map(|r| (r, 0u64))).expect("csv renders");
+            csv
+        };
+        let reference = rows(&sweep(&params, to_design, &app, 12_000, 42, Jobs::SERIAL));
         for jobs in [1usize, 2, 8] {
-            let sharded =
-                sweep_parallel(&params, to_design, &app, 12_000, 42, Jobs::new(jobs));
-            let mut got = Vec::new();
-            write_csv(&mut got, sharded.iter().map(|p| (&p.report, 0u64)))
-                .expect("csv renders");
+            let got = rows(&sweep(&params, to_design, &app, 12_000, 42, Jobs::new(jobs)));
             assert_eq!(
                 String::from_utf8(reference.clone()).expect("utf8"),
                 String::from_utf8(got).expect("utf8"),
@@ -240,8 +256,10 @@ mod fanout_equivalence {
         let _ = std::fs::remove_dir_all(&base);
 
         let mut j = Journal::open(&base.join("full")).expect("open");
-        let full = sweep_checkpointed(&mut j, &params, to_design, &app, refs, 11, Jobs::new(2))
-            .expect("full run");
+        let full =
+            sweep_checkpointed(&mut j, &params, to_design, &app, refs, 11, Jobs::new(2), None)
+                .expect("full run")
+                .expect("no cancel token");
         let mut csv_full = Vec::new();
         write_checkpoint_csv(&mut csv_full, &full).expect("csv");
 
@@ -249,13 +267,16 @@ mod fanout_equivalence {
         // 8-lane group; the resume completes that group's remainder
         // plus the rest under a different job count.
         let mut j = Journal::open(&base.join("killed")).expect("open");
-        sweep_checkpointed(&mut j, &params[..3], to_design, &app, refs, 11, Jobs::SERIAL)
-            .expect("partial run");
+        sweep_checkpointed(&mut j, &params[..3], to_design, &app, refs, 11, Jobs::SERIAL, None)
+            .expect("partial run")
+            .expect("no cancel token");
         drop(j);
 
         let mut j = Journal::resume(&base.join("killed")).expect("resume");
-        let resumed = sweep_checkpointed(&mut j, &params, to_design, &app, refs, 11, Jobs::new(8))
-            .expect("resumed run");
+        let resumed =
+            sweep_checkpointed(&mut j, &params, to_design, &app, refs, 11, Jobs::new(8), None)
+                .expect("resumed run")
+                .expect("no cancel token");
         assert_eq!(
             resumed.iter().filter(|p| p.is_replayed()).count(),
             3,
@@ -290,7 +311,7 @@ mod fanout_equivalence {
                 (app, designs, refs, seed, jobs)
             },
             |(app, designs, refs, seed, jobs)| {
-                let fanned = fan_out_parallel(app, designs, *refs, *seed, Jobs::new(*jobs));
+                let fanned = executor_reports(app, designs, *refs, *seed, Jobs::new(*jobs));
                 for (i, (design, fan)) in designs.iter().zip(&fanned).enumerate() {
                     let solo = run_app(app, *design, *refs, *seed);
                     require!(

@@ -9,17 +9,21 @@
 //! 3. surviving reports are byte-identical to a fault-free run of the
 //!    same designs;
 //! 4. a killed checkpointed sweep resumes to byte-identical output;
-//! 5. write failures surface as `io::Result` errors, not panics.
+//! 5. write failures surface as `io::Result` errors, not panics;
+//! 6. isolation composes with telemetry and cancellation: surviving
+//!    lanes emit their `point` events, and a tripped token cancels a
+//!    plan with a failed lane without journaling anything.
 
 use std::io;
 
 use moca_core::L2Design;
 use moca_sim::checkpoint::{sweep_checkpointed, write_checkpoint_csv, CheckpointedPoint, Journal};
-use moca_sim::lockstep::LockStep;
+use moca_sim::lockstep::{execute, Plan};
 use moca_sim::memo::{RunMemo, MEMO_CAP_BYTES};
 use moca_sim::parallel::{parallel_map_isolated, Jobs};
-use moca_sim::sweep::{sweep_parallel, sweep_parallel_isolated};
-use moca_sim::PointCause;
+use moca_sim::sweep::sweep;
+use moca_sim::telemetry::{self, JsonValue};
+use moca_sim::{CancelToken, Cancelled, PointCause, SimReport};
 use moca_testkit::{check, Config, FaultPlan, ShortWriter, TestRng};
 use moca_trace::AppProfile;
 
@@ -45,7 +49,7 @@ fn outcome_fingerprint(outcomes: &[Result<moca_sim::SweepPoint<u32>, moca_sim::S
 fn faulty_points_are_isolated_from_their_neighbours() {
     let app = AppProfile::music();
     let params = [4u32, 0, 8, 0, 2];
-    let outcomes = sweep_parallel_isolated(&params, to_design, &app, 6_000, 1, Jobs::SERIAL);
+    let outcomes = sweep(&params, to_design, &app, 6_000, 1, Jobs::SERIAL);
 
     assert_eq!(outcomes.len(), params.len());
     for (i, outcome) in outcomes.iter().enumerate() {
@@ -65,7 +69,10 @@ fn faulty_points_are_isolated_from_their_neighbours() {
     // same valid designs (the shared trace stream is unaffected by the
     // failed slots).
     let valid: Vec<u32> = params.iter().copied().filter(|&w| w != 0).collect();
-    let clean = sweep_parallel(&valid, to_design, &app, 6_000, 1, Jobs::SERIAL);
+    let clean: Vec<_> = sweep(&valid, to_design, &app, 6_000, 1, Jobs::SERIAL)
+        .into_iter()
+        .map(|p| p.expect("valid design"))
+        .collect();
     let survived: Vec<_> = outcomes.iter().filter_map(|o| o.as_ref().ok()).collect();
     assert_eq!(survived.len(), clean.len());
     for (s, c) in survived.iter().zip(&clean) {
@@ -79,11 +86,11 @@ fn failed_set_is_identical_for_every_job_count() {
     let app = AppProfile::game();
     // Faults at fixed positions across group boundaries for jobs ∈ {2, 8}.
     let params = [2u32, 0, 4, 6, 0, 8, 10, 0, 12, 16, 0, 1];
-    let reference = outcome_fingerprint(&sweep_parallel_isolated(
+    let reference = outcome_fingerprint(&sweep(
         &params, to_design, &app, 5_000, 9, Jobs::SERIAL,
     ));
     for jobs in [2, 3, 8] {
-        let sharded = outcome_fingerprint(&sweep_parallel_isolated(
+        let sharded = outcome_fingerprint(&sweep(
             &params,
             to_design,
             &app,
@@ -152,10 +159,10 @@ fn randomized_fault_injection_is_deterministic_across_jobs() {
         },
         |(app_idx, params, seed, jobs)| {
             let app = &apps[*app_idx];
-            let serial = outcome_fingerprint(&sweep_parallel_isolated(
+            let serial = outcome_fingerprint(&sweep(
                 params, to_design, app, 3_000, *seed, Jobs::SERIAL,
             ));
-            let sharded = outcome_fingerprint(&sweep_parallel_isolated(
+            let sharded = outcome_fingerprint(&sweep(
                 params,
                 to_design,
                 app,
@@ -184,21 +191,114 @@ fn poisoned_memo_recovers_and_replays_correctly() {
     let designs = [L2Design::baseline(), L2Design::static_default()];
     let refs = 20_000;
 
+    let run = || -> Vec<SimReport> {
+        let plan = Plan::new(&app, 5, refs, &designs).with_memo(&memo);
+        execute(&plan, Jobs::SERIAL, None)
+            .expect("no cancel token")
+            .into_iter()
+            .map(|p| p.expect("valid design").report)
+            .collect()
+    };
+
     // Prime, then poison the memo's lock the way a crashed worker would.
-    let warm = LockStep::new(&app, 5).with_memo(&memo).run(&designs, refs);
+    let warm = run();
     memo.poison();
 
     // Every accessor recovers: stats are readable and a fresh replay
     // still produces the reference reports (served from the cached run).
     let stats = memo.stats();
     assert_eq!(stats.runs, 1);
-    let replay = LockStep::new(&app, 5).with_memo(&memo).run(&designs, refs);
+    let replay = run();
     assert_eq!(memo.stats().hits, stats.hits + 1);
     for ((warm, replay), design) in warm.iter().zip(&replay).zip(&designs) {
         assert_eq!(format!("{warm:?}"), format!("{replay:?}"));
         let direct = moca_sim::run_app(&app, *design, refs, 5);
         assert_eq!(format!("{replay:?}"), format!("{direct:?}"));
     }
+}
+
+/// Isolation and telemetry compose: a plan with one invalid design
+/// emits a `point` event for every surviving lane, under the same sweep
+/// indices at every job count.
+#[test]
+fn surviving_lanes_emit_point_events_at_job_invariant_indices() {
+    let recorder = telemetry::install();
+    // No other test of this suite runs `email`, so its point events are
+    // this test's alone.
+    let app = AppProfile::email();
+    let params = [4u32, 8, 0, 2, 16, 1, 12];
+    for jobs in [1usize, 2, 8] {
+        telemetry::set_scope(&format!("isolated-jobs-{jobs}"));
+        let outcomes = sweep(&params, to_design, &app, 4_000, 3, Jobs::new(jobs));
+        assert!(outcomes[2].is_err(), "ways=0 must fail at jobs={jobs}");
+    }
+
+    let mut jsonl = Vec::new();
+    recorder.write_jsonl(&mut jsonl).expect("jsonl to a Vec");
+    let mut indices: Vec<(String, u64)> = Vec::new();
+    for line in String::from_utf8(jsonl).expect("utf8").lines() {
+        let fields = telemetry::parse_line(line).expect("every line parses");
+        let field = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone());
+        let str_field = |key: &str| match field(key) {
+            Some(JsonValue::Str(s)) => s,
+            other => panic!("{key}: {other:?} in {line}"),
+        };
+        if str_field("kind") != "point" || str_field("app") != "email" {
+            continue;
+        }
+        assert_eq!(field("total"), Some(JsonValue::Num(params.len() as u64)), "{line}");
+        match field("index") {
+            Some(JsonValue::Num(index)) => indices.push((str_field("scope"), index)),
+            other => panic!("index: {other:?} in {line}"),
+        }
+    }
+    for jobs in [1usize, 2, 8] {
+        let scope = format!("isolated-jobs-{jobs}");
+        let mut got: Vec<u64> = indices
+            .iter()
+            .filter(|(s, _)| *s == scope)
+            .map(|&(_, i)| i)
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, [0, 1, 3, 4, 5, 6], "surviving point events at jobs={jobs}");
+    }
+}
+
+/// Cancellation applies to a plan with a failed lane: a tripped token
+/// returns `Cancelled` — from the executor and from a checkpointed
+/// sweep — and journals nothing.
+#[test]
+fn tripped_token_cancels_a_plan_with_a_failed_lane_and_journals_nothing() {
+    let app = AppProfile::music();
+    let params = [4u32, 0, 8];
+    let designs: Vec<L2Design> = params.iter().map(to_design).collect();
+    let token = CancelToken::new();
+    token.cancel();
+    let dir = std::env::temp_dir().join(format!("moca-ft-cancel-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    for jobs in [1usize, 2, 8] {
+        let plan = Plan::new(&app, 13, 5_000, &designs);
+        let outcome = execute(&plan, Jobs::new(jobs), Some(&token));
+        assert_eq!(outcome.err(), Some(Cancelled), "executor at jobs={jobs}");
+
+        let mut j = Journal::open(&dir).expect("open");
+        let outcome = sweep_checkpointed(
+            &mut j,
+            &params,
+            to_design,
+            &app,
+            5_000,
+            13,
+            Jobs::new(jobs),
+            Some(&token),
+        )
+        .expect("no journal i/o error");
+        assert!(matches!(outcome, Err(Cancelled)), "checkpointed at jobs={jobs}");
+        assert!(j.is_empty(), "a cancelled sweep journals nothing");
+    }
+    assert!(Journal::open(&dir).expect("reopen").is_empty());
+    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 #[test]
@@ -213,22 +313,25 @@ fn killed_checkpoint_run_resumes_byte_identically() {
 
     // Reference: one uninterrupted run.
     let mut j = Journal::open(&dir_full).expect("open");
-    let full = sweep_checkpointed(&mut j, &params, to_design, &app, refs, 11, Jobs::new(2))
-        .expect("full run");
+    let full = sweep_checkpointed(&mut j, &params, to_design, &app, refs, 11, Jobs::new(2), None)
+        .expect("full run")
+        .expect("no cancel token");
     let mut csv_full = Vec::new();
     write_checkpoint_csv(&mut csv_full, &full).expect("csv");
 
     // "Killed" run: two points land in the journal, then the process
     // dies (simulated by dropping the journal mid-way).
     let mut j = Journal::open(&dir_killed).expect("open");
-    sweep_checkpointed(&mut j, &params[..2], to_design, &app, refs, 11, Jobs::SERIAL)
-        .expect("partial run");
+    sweep_checkpointed(&mut j, &params[..2], to_design, &app, refs, 11, Jobs::SERIAL, None)
+        .expect("partial run")
+        .expect("no cancel token");
     drop(j);
 
     // Resume: finished points replay, the rest simulate.
     let mut j = Journal::resume(&dir_killed).expect("resume");
-    let resumed = sweep_checkpointed(&mut j, &params, to_design, &app, refs, 11, Jobs::new(3))
-        .expect("resumed run");
+    let resumed = sweep_checkpointed(&mut j, &params, to_design, &app, refs, 11, Jobs::new(3), None)
+        .expect("resumed run")
+        .expect("no cancel token");
     assert_eq!(
         resumed.iter().filter(|p| p.is_replayed()).count(),
         2,

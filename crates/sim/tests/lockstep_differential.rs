@@ -21,10 +21,20 @@ use moca_cache::L1Pair;
 use moca_cache::ReplacementPolicy;
 use moca_core::{L2Design, RefreshPolicy};
 use moca_energy::RetentionClass;
-use moca_sim::lockstep::LockStep;
+use moca_sim::lockstep::{execute, Plan};
 use moca_sim::memo::{RunMemo, MEMO_CAP_BYTES};
+use moca_sim::parallel::Jobs;
 use moca_sim::{SimReport, System, SystemConfig};
 use moca_trace::{AppProfile, TraceGenerator};
+
+/// The reports of a plan every design of which is valid.
+fn run(plan: Plan<'_>) -> Vec<SimReport> {
+    execute(&plan, Jobs::SERIAL, None)
+        .expect("no cancel token")
+        .into_iter()
+        .map(|p| p.expect("valid design").report)
+        .collect()
+}
 
 /// All six replacement policies, labelled for failure messages.
 const POLICIES: [(&str, ReplacementPolicy); 6] = [
@@ -122,9 +132,7 @@ fn policy_ways_pool_grid_matches_scalar_oracle_fieldwise() {
         for ways in [1u32, 2, 4, 8] {
             for k in [1usize, 2, 3, 8] {
                 let pool = grid_pool(ways, k);
-                let reports = LockStep::new(&app, seed)
-                    .with_config(cfg)
-                    .run(&pool, refs);
+                let reports = run(Plan::new(&app, seed, refs, &pool).with_config(cfg));
                 assert_eq!(reports.len(), k);
                 for (lane, (design, got)) in pool.iter().zip(&reports).enumerate() {
                     let want = scalar_oracle(&app, *design, cfg, refs, seed);
@@ -193,9 +201,7 @@ fn ragged_mixed_family_pool_matches_scalar_oracle_at_every_width() {
         .map(|&design| scalar_oracle(&app, design, cfg, refs, seed))
         .collect();
     for width in [1usize, 2, 3, 5, 8] {
-        let reports = LockStep::new(&app, seed)
-            .with_lane_group(width)
-            .run(&pool, refs);
+        let reports = run(Plan::new(&app, seed, refs, &pool).with_lane_group(width));
         assert_eq!(reports.len(), pool.len());
         for (lane, (want, got)) in oracle.iter().zip(&reports).enumerate() {
             let ctx = format!("ragged pool width={width} lane={lane}");
@@ -227,7 +233,7 @@ fn row_buffer_dram_and_prefetch_configs_match_scalar_oracle() {
             L2Design::static_default(),
             L2Design::SharedSram { ways: 2 },
         ];
-        let reports = LockStep::new(&app, seed).with_config(cfg).run(&pool, refs);
+        let reports = run(Plan::new(&app, seed, refs, &pool).with_config(cfg));
         for (lane, (design, got)) in pool.iter().zip(&reports).enumerate() {
             let want = scalar_oracle(&app, *design, cfg, refs, seed);
             let ctx = format!("cfg={cfg:?} lane={lane}");
@@ -269,16 +275,13 @@ fn memo_hit_miss_rejected_and_unmemoized_runs_match_scalar_oracle() {
         let memo = RunMemo::with_capacity(MEMO_CAP_BYTES);
         let partial = RunMemo::with_capacity(l1_bytes + 1024);
         let empty = RunMemo::with_capacity(0);
-        let lockstep = LockStep::new(&app, seed).with_lane_group(width);
+        let lockstep = Plan::new(&app, seed, refs, &pool).with_lane_group(width);
         let runs = [
-            ("miss", lockstep.clone().with_memo(&memo).run(&pool, refs)),
-            ("hit", lockstep.clone().with_memo(&memo).run(&pool, refs)),
-            (
-                "partial",
-                lockstep.clone().with_memo(&partial).run(&pool, refs),
-            ),
-            ("empty", lockstep.clone().with_memo(&empty).run(&pool, refs)),
-            ("unmemoized", lockstep.clone().unmemoized().run(&pool, refs)),
+            ("miss", run(lockstep.clone().with_memo(&memo))),
+            ("hit", run(lockstep.clone().with_memo(&memo))),
+            ("partial", run(lockstep.clone().with_memo(&partial))),
+            ("empty", run(lockstep.clone().with_memo(&empty))),
+            ("unmemoized", run(lockstep.clone().unmemoized())),
         ];
         let stats = memo.stats();
         assert_eq!(

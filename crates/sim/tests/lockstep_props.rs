@@ -16,11 +16,10 @@
 
 use moca_core::{L2Design, RefreshPolicy};
 use moca_energy::RetentionClass;
-use moca_sim::fanout::FanOut;
-use moca_sim::lockstep::LockStep;
+use moca_sim::lockstep::{execute, run_broadcast, Plan, Point};
 use moca_sim::parallel::Jobs;
 use moca_sim::workloads::run_app;
-use moca_sim::SweepPointError;
+use moca_sim::{SimReport, SweepPointError};
 use moca_testkit::differential::{engines_agree, EngineRun};
 use moca_testkit::{check, require, require_eq, Config, FaultPlan, TestRng};
 use moca_trace::AppProfile;
@@ -65,6 +64,19 @@ fn design_pool() -> Vec<L2Design> {
     ]
 }
 
+/// Executes `plan` and returns every outcome.
+fn run(plan: &Plan<'_>, jobs: Jobs) -> Vec<Result<Point, SweepPointError>> {
+    execute(plan, jobs, None).expect("no cancel token")
+}
+
+/// The reports of a plan every design of which is valid.
+fn reports(plan: &Plan<'_>, jobs: Jobs) -> Vec<SimReport> {
+    run(plan, jobs)
+        .into_iter()
+        .map(|p| p.expect("valid design").report)
+        .collect()
+}
+
 #[test]
 fn random_inputs_agree_across_scalar_broadcast_and_lockstep() {
     let pool = design_pool();
@@ -81,23 +93,23 @@ fn random_inputs_agree_across_scalar_broadcast_and_lockstep() {
             (app, designs, refs, seed, jobs, width)
         },
         |(app, designs, refs, seed, jobs, width)| {
-            let fan = FanOut::new(app, *seed);
             let sequential: Vec<_> = designs
                 .iter()
                 .map(|&d| run_app(app, d, *refs, *seed))
                 .collect();
             let runs = [
                 EngineRun::render("scalar run_app", &sequential),
-                EngineRun::render("broadcast", &fan.run_broadcast(designs, *refs)),
+                EngineRun::render("broadcast", &run_broadcast(app, *seed, designs, *refs)),
                 EngineRun::render(
                     "lockstep serial",
-                    &LockStep::new(app, *seed)
-                        .with_lane_group(*width)
-                        .run(designs, *refs),
+                    &reports(
+                        &Plan::new(app, *seed, *refs, designs).with_lane_group(*width),
+                        Jobs::SERIAL,
+                    ),
                 ),
                 EngineRun::render(
                     "lockstep parallel",
-                    &fan.run_parallel(designs, *refs, Jobs::new(*jobs)),
+                    &reports(&Plan::new(app, *seed, *refs, designs), Jobs::new(*jobs)),
                 ),
             ];
             engines_agree(
@@ -114,13 +126,11 @@ fn random_inputs_agree_across_scalar_broadcast_and_lockstep() {
 
 /// Renders isolated outcomes into deterministic comparable text (wall
 /// time excluded — it is measurement noise).
-fn outcome_fingerprint(
-    outcomes: &[Result<(moca_sim::SimReport, u64), SweepPointError>],
-) -> Vec<String> {
+fn outcome_fingerprint(outcomes: &[Result<Point, SweepPointError>]) -> Vec<String> {
     outcomes
         .iter()
         .map(|o| match o {
-            Ok((report, _wall)) => format!("ok {report:?}"),
+            Ok(point) => format!("ok {:?}", point.report),
             Err(e) => format!("err {e}"),
         })
         .collect()
@@ -139,13 +149,13 @@ fn panicking_design_poisons_only_its_own_lane_identically_across_jobs() {
         !faults.is_empty() && faults.len() < pool.len(),
         "the plan must fault some but not all lanes: {faults:?}"
     );
-    let fan = FanOut::new(&app, seed).with_injected_faults(&faults);
+    let plan = Plan::new(&app, seed, refs, &pool).with_injected_faults(&faults);
 
-    let reference = outcome_fingerprint(&fan.run_timed_isolated(&pool, refs));
+    let reference = outcome_fingerprint(&run(&plan, Jobs::SERIAL));
 
     // Failed lanes carry the deterministic injected payload; surviving
     // lanes are byte-identical to a fault-free run of the same pool.
-    let clean = FanOut::new(&app, seed).run(&pool, refs);
+    let clean = reports(&Plan::new(&app, seed, refs, &pool), Jobs::SERIAL);
     for (i, line) in reference.iter().enumerate() {
         if faults.contains(&i) {
             assert!(
@@ -164,8 +174,7 @@ fn panicking_design_poisons_only_its_own_lane_identically_across_jobs() {
     // The failed-point set — and every surviving report — is identical
     // for every job count.
     for jobs in [1usize, 2, 8] {
-        let sharded =
-            outcome_fingerprint(&fan.run_timed_parallel_isolated(&pool, refs, Jobs::new(jobs)));
+        let sharded = outcome_fingerprint(&run(&plan, Jobs::new(jobs)));
         assert_eq!(reference, sharded, "jobs={jobs} diverged from serial");
     }
 }
@@ -189,13 +198,9 @@ fn randomized_fault_sets_are_job_count_invariant() {
             (app, designs, faults, refs, seed, jobs)
         },
         |(app, designs, faults, refs, seed, jobs)| {
-            let fan = FanOut::new(app, *seed).with_injected_faults(faults);
-            let serial = outcome_fingerprint(&fan.run_timed_isolated(designs, *refs));
-            let sharded = outcome_fingerprint(&fan.run_timed_parallel_isolated(
-                designs,
-                *refs,
-                Jobs::new(*jobs),
-            ));
+            let plan = Plan::new(app, *seed, *refs, designs).with_injected_faults(faults);
+            let serial = outcome_fingerprint(&run(&plan, Jobs::SERIAL));
+            let sharded = outcome_fingerprint(&run(&plan, Jobs::new(*jobs)));
             require_eq!(serial, sharded, "jobs={jobs}");
             for (i, line) in serial.iter().enumerate() {
                 require!(

@@ -17,7 +17,7 @@
 
 use moca_core::L2Design;
 use moca_sim::parallel::Jobs;
-use moca_sim::sweep::{csv_row, sweep, sweep_pruned_parallel, PrunedSweep, CSV_HEADER};
+use moca_sim::sweep::{csv_row, sweep, sweep_pruned, PrunedSweep, SweepPoint, CSV_HEADER};
 use moca_sim::{profile_lru_grid, score_lru_grid, write_csv};
 use moca_trace::AppProfile;
 
@@ -36,9 +36,17 @@ fn mixed_designs() -> Vec<L2Design> {
     designs
 }
 
-fn rows(points: &PrunedSweep<L2Design>) -> Vec<String> {
-    points
+/// The simulated points of a pruned sweep whose every design is valid.
+fn simulated<P>(pruned: &PrunedSweep<P>) -> Vec<&SweepPoint<P>> {
+    pruned
         .points
+        .iter()
+        .map(|p| p.as_ref().expect("valid design"))
+        .collect()
+}
+
+fn rows(points: &PrunedSweep<L2Design>) -> Vec<String> {
+    simulated(points)
         .iter()
         .map(|p| csv_row(&p.report, 0))
         .collect()
@@ -50,13 +58,16 @@ fn pruned_subset_is_byte_identical_to_unpruned_sweep_at_every_job_count() {
     let designs = mixed_designs();
     let to_design = |d: &L2Design| *d;
 
-    let full = sweep(&designs, to_design, &app, REFS, SEED);
-    let full_rows: Vec<String> = full.iter().map(|p| csv_row(&p.report, 0)).collect();
+    let full = sweep(&designs, to_design, &app, REFS, SEED, Jobs::SERIAL);
+    let full_rows: Vec<String> = full
+        .iter()
+        .map(|p| csv_row(&p.as_ref().expect("valid design").report, 0))
+        .collect();
 
-    let serial = sweep_pruned_parallel(&designs, to_design, &app, REFS, SEED, Jobs::SERIAL);
+    let serial = sweep_pruned(&designs, to_design, &app, REFS, SEED, Jobs::SERIAL);
     assert_eq!(serial.grid_points, GRID_WAYS as usize);
     assert!(serial.pruned_points > 0, "a {GRID_WAYS}-point grid must prune");
-    let serial_params: Vec<L2Design> = serial.points.iter().map(|p| p.param).collect();
+    let serial_params: Vec<L2Design> = simulated(&serial).iter().map(|p| p.param).collect();
     let serial_rows = rows(&serial);
 
     // Both non-scorable designs bypass the profiler and simulate.
@@ -87,8 +98,8 @@ fn pruned_subset_is_byte_identical_to_unpruned_sweep_at_every_job_count() {
 
     // Same survivor set, same bytes, for every job count.
     for jobs in [1usize, 2, 8] {
-        let par = sweep_pruned_parallel(&designs, to_design, &app, REFS, SEED, Jobs::new(jobs));
-        let par_params: Vec<L2Design> = par.points.iter().map(|p| p.param).collect();
+        let par = sweep_pruned(&designs, to_design, &app, REFS, SEED, Jobs::new(jobs));
+        let par_params: Vec<L2Design> = simulated(&par).iter().map(|p| p.param).collect();
         assert_eq!(serial_params, par_params, "survivor set changed at jobs={jobs}");
         assert_eq!(serial_rows, rows(&par), "report bytes changed at jobs={jobs}");
         assert_eq!(serial.pruned_points, par.pruned_points);
@@ -109,10 +120,10 @@ fn csv_emission_pairs_each_param_with_its_own_report_and_wall_time() {
     let app = AppProfile::game();
     let designs = mixed_designs();
     for jobs in [1usize, 2, 8] {
-        let pruned =
-            sweep_pruned_parallel(&designs, |d: &L2Design| *d, &app, REFS, SEED, Jobs::new(jobs));
+        let pruned = sweep_pruned(&designs, |d: &L2Design| *d, &app, REFS, SEED, Jobs::new(jobs));
         assert!(pruned.pruned_points > 0, "the grid must prune");
-        for point in &pruned.points {
+        let points = simulated(&pruned);
+        for point in &points {
             assert_eq!(
                 point.report.design,
                 point.param.label(),
@@ -128,14 +139,14 @@ fn csv_emission_pairs_each_param_with_its_own_report_and_wall_time() {
         // Through the CSV writer: one row per surviving point, design
         // column in input order, wall_ns column from the same point.
         let mut buf = Vec::new();
-        write_csv(&mut buf, pruned.points.iter().map(|p| (&p.report, p.wall_ns)))
+        write_csv(&mut buf, points.iter().map(|p| (&p.report, p.wall_ns)))
             .expect("csv to a Vec");
         let csv = String::from_utf8(buf).expect("utf8");
         let mut lines = csv.lines();
         assert_eq!(lines.next(), Some(CSV_HEADER));
         let rows: Vec<&str> = lines.collect();
-        assert_eq!(rows.len(), pruned.points.len());
-        for (row, point) in rows.iter().zip(&pruned.points) {
+        assert_eq!(rows.len(), points.len());
+        for (row, point) in rows.iter().zip(&points) {
             assert_eq!(row, &csv_row(&point.report, point.wall_ns));
             let design_field = row.split(',').nth(1).expect("design column");
             assert_eq!(design_field, point.param.label());
@@ -155,12 +166,14 @@ fn analytic_scores_are_exact_for_every_grid_point_of_the_full_sweep() {
         &app,
         REFS,
         SEED,
+        Jobs::SERIAL,
     );
 
     let curve = profile_lru_grid(&app, REFS, SEED, GRID_WAYS);
     let scores = score_lru_grid(&curve, REFS);
     assert_eq!(scores.len(), GRID_WAYS as usize);
     for (point, score) in full.iter().zip(&scores) {
+        let point = point.as_ref().expect("valid design");
         assert_eq!(point.param, score.ways);
         assert_eq!(
             point.report.l2_stats.hits(),

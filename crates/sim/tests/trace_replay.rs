@@ -13,8 +13,8 @@ use std::sync::Arc;
 use moca_core::L2Design;
 use moca_sim::checkpoint::{point_key, point_key_with_source, Journal};
 use moca_sim::{
-    csv_row, run_app, sweep_checkpointed, sweep_parallel, write_csv, FanOut, FileTraceSource, Jobs,
-    LockStep, RunMemo, TraceRegistry, TraceStream, MEMO_CAP_BYTES,
+    csv_row, execute, run_app, sweep, sweep_checkpointed, write_csv, FileTraceSource, Jobs, Plan,
+    RunMemo, SimReport, SweepPoint, SweepPointError, TraceRegistry, TraceStream, MEMO_CAP_BYTES,
 };
 use moca_trace::binfmt::{self, TraceReader, CHUNK_REFS};
 use moca_trace::AppProfile;
@@ -58,6 +58,23 @@ fn file_stream_serves_generator_identical_chunks_from_disk() {
     std::fs::remove_file(&path).ok();
 }
 
+/// The reports of a plan every design of which is valid.
+fn reports(plan: Plan<'_>, jobs: Jobs) -> Vec<SimReport> {
+    execute(&plan, jobs, None)
+        .expect("no cancel token")
+        .into_iter()
+        .map(|p| p.expect("valid design").report)
+        .collect()
+}
+
+/// A sweep's CSV with the wall-time column blanked.
+fn sweep_csv<P>(points: &[Result<SweepPoint<P>, SweepPointError>]) -> Vec<u8> {
+    let mut csv = Vec::new();
+    let reports = points.iter().map(|p| &p.as_ref().expect("valid design").report);
+    write_csv(&mut csv, reports.map(|r| (r, 0))).expect("csv");
+    csv
+}
+
 #[test]
 fn registered_corpus_replays_byte_identically_at_every_job_count() {
     let app = AppProfile::game();
@@ -74,24 +91,19 @@ fn registered_corpus_replays_byte_identically_at_every_job_count() {
         .collect();
     let to_design = |&i: &usize| designs[i];
     let params = [0usize, 1];
-    let mut baseline_csv = Vec::new();
-    let points = sweep_parallel(&params, to_design, &app, refs, seed, Jobs::SERIAL);
-    write_csv(&mut baseline_csv, points.iter().map(|p| (&p.report, 0))).expect("csv");
+    let baseline_csv = sweep_csv(&sweep(&params, to_design, &app, refs, seed, Jobs::SERIAL));
 
     let path = compile_to_temp(&app, seed, refs, "corpus");
     TraceRegistry::global().register(FileTraceSource::open(&path).expect("open"));
     let before = TraceRegistry::global().stats();
 
     for jobs in [1usize, 2, 8] {
-        let reports: Vec<String> = FanOut::new(&app, seed)
-            .run_parallel(&designs, refs, Jobs::new(jobs))
+        let reports: Vec<String> = reports(Plan::new(&app, seed, refs, &designs), Jobs::new(jobs))
             .iter()
             .map(|r| csv_row(r, 0))
             .collect();
         assert_eq!(reports, baseline, "fan-out diverged at jobs={jobs}");
-        let points = sweep_parallel(&params, to_design, &app, refs, seed, Jobs::new(jobs));
-        let mut csv = Vec::new();
-        write_csv(&mut csv, points.iter().map(|p| (&p.report, 0))).expect("csv");
+        let csv = sweep_csv(&sweep(&params, to_design, &app, refs, seed, Jobs::new(jobs)));
         assert_eq!(csv, baseline_csv, "sweep CSV diverged at jobs={jobs}");
     }
 
@@ -126,7 +138,7 @@ fn corrupted_corpus_falls_back_to_generation_byte_identically() {
     // the corruption only surfaces at replay time.
     TraceRegistry::global().register(FileTraceSource::open(&path).expect("open"));
     let before = TraceRegistry::global().stats();
-    let reports = FanOut::new(&app, seed).run(&[design], refs);
+    let reports = reports(Plan::new(&app, seed, refs, &[design]), Jobs::SERIAL);
     assert_eq!(csv_row(&reports[0], 0), baseline, "fallback must preserve byte-identity");
     let after = TraceRegistry::global().stats();
     assert!(
@@ -157,8 +169,10 @@ fn checkpoint_keys_follow_the_trace_source() {
     let to_design = |&ways: &u32| L2Design::SharedSram { ways };
 
     let mut journal = Journal::open(&dir).expect("open journal");
-    let first = sweep_checkpointed(&mut journal, &[4u32, 8], to_design, &app, refs, seed, Jobs::SERIAL)
-        .expect("first sweep");
+    let first =
+        sweep_checkpointed(&mut journal, &[4u32, 8], to_design, &app, refs, seed, Jobs::SERIAL, None)
+            .expect("first sweep")
+            .expect("no cancel token");
     assert!(first.iter().all(|p| !p.is_replayed()));
 
     // The journal keys carry the file's source fingerprint, not the
@@ -170,8 +184,10 @@ fn checkpoint_keys_follow_the_trace_source() {
     );
 
     let mut journal = Journal::resume(&dir).expect("resume journal");
-    let second = sweep_checkpointed(&mut journal, &[4u32, 8], to_design, &app, refs, seed, Jobs::SERIAL)
-        .expect("second sweep");
+    let second =
+        sweep_checkpointed(&mut journal, &[4u32, 8], to_design, &app, refs, seed, Jobs::SERIAL, None)
+            .expect("second sweep")
+            .expect("no cancel token");
     assert!(second.iter().all(|p| p.is_replayed()));
     assert_eq!(first[0].row(), second[0].row());
 
@@ -186,9 +202,8 @@ fn file_backed_and_generated_streams_are_memoized_apart() {
     let refs = 2 * CHUNK_REFS + 321;
     let designs = [L2Design::baseline(), L2Design::static_default()];
     let memo = RunMemo::with_capacity(MEMO_CAP_BYTES);
-    let generated = LockStep::new(&app, seed)
-        .with_memo(&memo)
-        .run(&designs, refs);
+    let plan = Plan::new(&app, seed, refs, &designs).with_memo(&memo);
+    let generated = reports(plan.clone(), Jobs::SERIAL);
     assert_eq!((memo.stats().runs, memo.stats().misses), (1, 1));
 
     // Registering a corpus for the identity moves the stream into the
@@ -197,9 +212,7 @@ fn file_backed_and_generated_streams_are_memoized_apart() {
     let path = compile_to_temp(&app, seed, refs, "memo-key");
     TraceRegistry::global().register(FileTraceSource::open(&path).expect("open"));
     let decoded_before = TraceRegistry::global().stats().chunks_decoded;
-    let decoded = LockStep::new(&app, seed)
-        .with_memo(&memo)
-        .run(&designs, refs);
+    let decoded = reports(plan.clone(), Jobs::SERIAL);
     let stats = memo.stats();
     assert_eq!((stats.runs, stats.hits, stats.misses), (2, 0, 2));
     assert!(TraceRegistry::global().stats().chunks_decoded >= decoded_before + 2);
@@ -211,9 +224,7 @@ fn file_backed_and_generated_streams_are_memoized_apart() {
         );
     }
     // The decoded run is cached under the file's key from now on.
-    LockStep::new(&app, seed)
-        .with_memo(&memo)
-        .run(&designs, refs);
+    reports(plan, Jobs::SERIAL);
     assert_eq!(memo.stats().hits, 1);
     std::fs::remove_file(&path).ok();
 }

@@ -407,7 +407,7 @@ impl FaultPlan {
     }
 }
 
-/// An [`io::Write`] sink that accepts only `limit` bytes, then reports
+/// An [`std::io::Write`] sink that accepts only `limit` bytes, then reports
 /// end-of-space by returning `Ok(0)` — which `write_all` (and thus
 /// `write!`/`writeln!`) converts into [`WriteZero`].
 ///

@@ -23,10 +23,13 @@ cargo test -q --offline --workspace
 echo "== lint (clippy, warnings are errors) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== rustdoc (warnings are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "== fault-tolerance suite (panic isolation, checkpoint, i/o errors) =="
 cargo test -q --offline -p moca-sim --test fault_tolerance
 
-echo "== cross-engine differential suite (scalar vs broadcast vs lock-step) =="
+echo "== cross-engine differential suite (scalar vs broadcast vs executor) =="
 cargo test -q --offline -p moca-sim --test lockstep_differential
 cargo test -q --offline -p moca-sim --test lockstep_props
 
