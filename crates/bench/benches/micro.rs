@@ -157,8 +157,7 @@ fn sweep_fanout(r: &mut Runner) {
     // The warmup iteration leaves the run in the global memo, as any
     // sweep after the first one over a stream in a process would find it.
     let cycles = |plan: &Plan<'_>| {
-        execute(plan, Jobs::SERIAL, None)
-            .expect("no cancel token")
+        execute(plan, Jobs::SERIAL)
             .iter()
             .map(|p| p.as_ref().expect("valid design").report.cycles)
             .sum::<u64>()
@@ -231,9 +230,7 @@ fn search_generation(r: &mut Runner) {
     };
     r.throughput_elems(cfg.population as u64);
     r.bench("search-generation/8-pop-20k", || {
-        let outcome = run_search(&cfg, Jobs::SERIAL, None, None)
-            .expect("search runs")
-            .expect("not cancelled");
+        let outcome = run_search(&cfg, Jobs::SERIAL, None).expect("search runs");
         black_box(outcome.front.len() + outcome.archive.len())
     });
 }
@@ -308,10 +305,9 @@ fn filtered_run(r: &mut Runner) {
     const REFS: usize = 100_000;
     let replay = || {
         let mut lines = 0u64;
-        memo.replay(&app, 1, &cfg, REFS, None, |chunk| {
+        memo.replay(&app, 1, &cfg, REFS, |chunk| {
             lines += chunk.events().iter().map(|e| e.demand.line).sum::<u64>();
-        })
-        .expect("not cancelled");
+        });
         lines
     };
     replay(); // build: every later pass is a hit

@@ -35,7 +35,6 @@ use std::time::Instant;
 
 use moca_core::L2BaseParams;
 use moca_energy::{bank_area_mm2, try_capacity_bytes, ArithmeticOverflow, Technology};
-use moca_sim::cancel::CancelToken;
 use moca_sim::checkpoint::Journal;
 use moca_sim::parallel::Jobs;
 use moca_sim::sweep::sweep_pruned;
@@ -209,11 +208,6 @@ impl SearchOutcome {
 /// Journal key of generation `g` of the search with fingerprint `fp`.
 pub fn generation_key(fp: u64, generation: u32) -> String {
     format!("search:{fp:016x}:gen:{generation}")
-}
-
-/// Journal key of a served search's final rendered report.
-pub fn result_key(fp: u64) -> String {
-    format!("search:{fp:016x}:result")
 }
 
 /// Area objective of one design: the checked capacity product feeds the
@@ -522,9 +516,7 @@ fn front_hypervolume_permille(state: &State, selected: &[usize]) -> u64 {
 /// Runs the search.
 ///
 /// With a `journal`, every finished generation is checkpointed and
-/// already-journaled generations are replayed byte-identically. With a
-/// `cancel` token, the loop stops at the next generation boundary and
-/// returns `Ok(None)` (nothing partial is journaled).
+/// already-journaled generations are replayed byte-identically.
 ///
 /// # Errors
 ///
@@ -534,8 +526,7 @@ pub fn run_search(
     cfg: &SearchConfig,
     jobs: Jobs,
     mut journal: Option<&mut Journal>,
-    cancel: Option<&CancelToken>,
-) -> io::Result<Option<SearchOutcome>> {
+) -> io::Result<SearchOutcome> {
     let app = AppProfile::by_name(&cfg.app).ok_or_else(|| {
         io::Error::new(io::ErrorKind::InvalidInput, format!("unknown app {:?}", cfg.app))
     })?;
@@ -549,9 +540,6 @@ pub fn run_search(
     let mut state = State::new();
 
     for generation in 0..cfg.generations {
-        if cancel.is_some_and(|c| c.is_cancelled()) {
-            return Ok(None);
-        }
         let key = generation_key(fp, generation);
         if let Some(payload) = journal.as_ref().and_then(|j| j.get(&key)) {
             let payload = payload.to_string();
@@ -652,14 +640,14 @@ pub fn run_search(
             .then(fitness[a].cycles.cmp(&fitness[b].cycles))
             .then_with(|| state.archive[a].label.cmp(&state.archive[b].label))
     });
-    Ok(Some(SearchOutcome {
+    Ok(SearchOutcome {
         config: cfg.clone(),
         fingerprint: fp,
         stats: state.stats,
         population: state.population,
         front,
         archive: state.archive,
-    }))
+    })
 }
 
 #[cfg(test)]
@@ -693,9 +681,7 @@ mod tests {
 
     #[test]
     fn search_seeds_the_handpicked_designs_into_the_archive() {
-        let out = run_search(&tiny(), Jobs::SERIAL, None, None)
-            .expect("io")
-            .expect("not cancelled");
+        let out = run_search(&tiny(), Jobs::SERIAL, None).expect("io");
         for label in [
             moca_core::L2Design::baseline().label(),
             moca_core::L2Design::static_default().label(),
@@ -711,16 +697,8 @@ mod tests {
     #[test]
     fn unknown_app_is_invalid_input() {
         let cfg = SearchConfig { app: "nope".into(), ..tiny() };
-        let err = run_search(&cfg, Jobs::SERIAL, None, None).unwrap_err();
+        let err = run_search(&cfg, Jobs::SERIAL, None).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-    }
-
-    #[test]
-    fn cancelled_search_returns_none() {
-        let token = CancelToken::new();
-        token.cancel();
-        let out = run_search(&tiny(), Jobs::SERIAL, None, Some(&token)).expect("io");
-        assert!(out.is_none());
     }
 
     #[test]

@@ -33,9 +33,7 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
 /// `journal` when one is supplied (the `repro --search` path).
 pub fn run_with(scale: Scale, jobs: Jobs, journal: Option<&mut Journal>) -> ExperimentResult {
     let cfg = SearchConfig::for_scale(scale);
-    let outcome = run_search(&cfg, jobs, journal, None)
-        .expect("search journal I/O")
-        .expect("uncancelled search runs to completion");
+    let outcome = run_search(&cfg, jobs, journal).expect("search journal I/O");
     result_from(&outcome)
 }
 

@@ -38,8 +38,7 @@ pub mod genome;
 pub mod nsga;
 
 pub use engine::{
-    design_area_mm2, generation_key, result_key, run_search, EvalRecord, GenStats, SearchConfig,
-    SearchOutcome,
+    design_area_mm2, generation_key, run_search, EvalRecord, GenStats, SearchConfig, SearchOutcome,
 };
 pub use genome::{Family, Genome};
 pub use nsga::{

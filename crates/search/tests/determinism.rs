@@ -45,13 +45,9 @@ fn journal_bytes(dir: &std::path::Path) -> Vec<u8> {
 #[test]
 fn final_front_and_render_are_identical_across_jobs() {
     let cfg = tiny();
-    let reference = run_search(&cfg, Jobs::new(1), None, None)
-        .expect("search runs")
-        .expect("not cancelled");
+    let reference = run_search(&cfg, Jobs::new(1), None).expect("search runs");
     for jobs in [2usize, 8] {
-        let outcome = run_search(&cfg, Jobs::new(jobs), None, None)
-            .expect("search runs")
-            .expect("not cancelled");
+        let outcome = run_search(&cfg, Jobs::new(jobs), None).expect("search runs");
         assert_eq!(
             outcome.render(),
             reference.render(),
@@ -72,9 +68,7 @@ fn checkpoint_journals_are_byte_identical_across_jobs() {
     for jobs in [1usize, 2, 8] {
         let dir = temp_dir(&format!("jobs-{jobs}"));
         let mut journal = Journal::open(&dir).expect("journal");
-        run_search(&cfg, Jobs::new(jobs), Some(&mut journal), None)
-            .expect("search runs")
-            .expect("not cancelled");
+        run_search(&cfg, Jobs::new(jobs), Some(&mut journal)).expect("search runs");
         journals.push((jobs, journal_bytes(&dir)));
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
@@ -92,9 +86,7 @@ fn kill_at_any_generation_boundary_resumes_byte_identically() {
     // Uninterrupted reference run (jobs 2), journaled.
     let full_dir = temp_dir("full");
     let mut journal = Journal::open(&full_dir).expect("journal");
-    let reference = run_search(&cfg, Jobs::new(2), Some(&mut journal), None)
-        .expect("search runs")
-        .expect("not cancelled");
+    let reference = run_search(&cfg, Jobs::new(2), Some(&mut journal)).expect("search runs");
     drop(journal);
     let full_bytes = journal_bytes(&full_dir);
     let lines: Vec<&[u8]> = full_bytes.split_inclusive(|&b| b == b'\n').collect();
@@ -113,9 +105,7 @@ fn kill_at_any_generation_boundary_resumes_byte_identically() {
         std::fs::create_dir_all(&dir).expect("mkdir");
         std::fs::write(dir.join(Journal::FILE_NAME), lines[..k].concat()).expect("seed journal");
         let mut journal = Journal::open(&dir).expect("journal");
-        let resumed = run_search(&cfg, Jobs::new(1), Some(&mut journal), None)
-            .expect("search resumes")
-            .expect("not cancelled");
+        let resumed = run_search(&cfg, Jobs::new(1), Some(&mut journal)).expect("search resumes");
         drop(journal);
         assert_eq!(
             resumed.render(),
@@ -137,16 +127,12 @@ fn a_fully_journaled_search_is_a_pure_replay() {
     let cfg = tiny();
     let dir = temp_dir("replay");
     let mut journal = Journal::open(&dir).expect("journal");
-    let first = run_search(&cfg, Jobs::new(2), Some(&mut journal), None)
-        .expect("search runs")
-        .expect("not cancelled");
+    let first = run_search(&cfg, Jobs::new(2), Some(&mut journal)).expect("search runs");
     let bytes_after_first = journal_bytes(&dir);
 
     // Second run over the same journal: every generation replays, no
     // new records are appended, and the outcome is byte-identical.
-    let second = run_search(&cfg, Jobs::new(1), Some(&mut journal), None)
-        .expect("search replays")
-        .expect("not cancelled");
+    let second = run_search(&cfg, Jobs::new(1), Some(&mut journal)).expect("search replays");
     assert_eq!(second.render(), first.render());
     assert_eq!(journal_bytes(&dir), bytes_after_first, "replay appended nothing");
     std::fs::remove_dir_all(&dir).expect("cleanup");

@@ -1,19 +1,18 @@
-//! Checkpoint/resume for long sweeps and `repro` runs.
+//! Checkpoint/resume for `repro` runs and design-space searches.
 //!
 //! A full `repro` pass costs minutes; a killed run used to lose all of
 //! it. This module provides an append-only, crash-tolerant **journal**
-//! of completed work keyed by content fingerprints, so a restarted run
-//! replays finished results verbatim and only simulates what is
-//! missing:
+//! of completed work, so a restarted run replays finished results
+//! verbatim and only simulates what is missing. Two kinds of record use
+//! it:
 //!
-//! * **sweep points** are keyed by `(AppProfile::fingerprint, design
-//!   fingerprint, seed, refs)` — the exact identity of one deterministic
-//!   simulation — and store their CSV row ([`crate::sweep::csv_row`]
-//!   with the run-local `wall_ns` column blanked, since wall time is
-//!   measurement noise, not simulation output);
 //! * **experiments** (the `repro` binary) are keyed by
-//!   `(experiment id, scale, seed)` and store the fully rendered block,
-//!   so resumed output is byte-identical to an uninterrupted run.
+//!   `(experiment id, scale, seed)` ([`experiment_key`]) and store the
+//!   fully rendered block, so resumed output is byte-identical to an
+//!   uninterrupted run;
+//! * **search generations** (`moca-search`) are keyed by the search
+//!   configuration's fingerprint and the generation index, and store
+//!   the search state after that generation.
 //!
 //! # Journal format
 //!
@@ -28,64 +27,25 @@
 //! the payload — the *final* field, so embedded commas stay raw — has
 //! newlines, carriage returns, and backslashes escaped. Records are
 //! flushed as soon as the work completes; a process killed mid-write
-//! leaves at most one torn final line, which fails the
-//! checksum/format check and is ignored on reload. Corruption never
-//! aborts a resume — an unreadable record is simply re-simulated.
+//! leaves at most one torn final line — possibly cut inside a
+//! multi-byte character — which fails the UTF-8, format or checksum
+//! check and is ignored on reload. Corruption never aborts a resume —
+//! an unreadable record is simply re-simulated.
 
 use std::fs::{File, OpenOptions};
 use std::hash::Hasher;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-use moca_core::L2Design;
 use moca_trace::fxhash::{FxHashMap, FxHasher};
-use moca_trace::AppProfile;
 
-use crate::cancel::{CancelToken, Cancelled};
-use crate::parallel::Jobs;
-use crate::replay::TraceRegistry;
-use crate::sweep::{csv_row, execute_subset, SweepPoint, CSV_HEADER};
 use crate::telemetry::{self, Event};
 
-/// Fixed-seed fingerprint of a byte string (journal checksums and
-/// design identities).
+/// Fixed-seed fingerprint of a byte string (journal checksums).
 fn fxhash_bytes(bytes: &[u8]) -> u64 {
     let mut h = FxHasher::default();
     h.write(bytes);
     h.finish()
-}
-
-/// A stable 64-bit identity for a design point, derived from its label
-/// (the label encodes every design parameter; see
-/// [`L2Design::label`]).
-pub fn design_fingerprint(design: &L2Design) -> u64 {
-    fxhash_bytes(design.label().as_bytes())
-}
-
-/// The journal key of one sweep point:
-/// `(app fingerprint, design fingerprint, seed, refs)`.
-pub fn point_key(app: &AppProfile, design: &L2Design, seed: u64, refs: usize) -> String {
-    point_key_with_source(app.fingerprint(), design, seed, refs)
-}
-
-/// [`point_key`] with an explicit trace-source fingerprint.
-///
-/// For in-process generation the source fingerprint *is* the app
-/// fingerprint, so the key is unchanged; a sweep replaying a registered
-/// compiled trace keys by the file's
-/// [`source fingerprint`](moca_trace::binfmt::TraceHeader::source_fingerprint)
-/// instead — the same namespacing the filtered-run memo applies — so
-/// file-backed points memoize and resume in their own identity space.
-pub fn point_key_with_source(
-    source_fingerprint: u64,
-    design: &L2Design,
-    seed: u64,
-    refs: usize,
-) -> String {
-    format!(
-        "pt:{source_fingerprint:016x}:{:016x}:{seed:016x}:{refs}",
-        design_fingerprint(design),
-    )
 }
 
 /// The journal key of one `repro` experiment at a given scale/seed.
@@ -175,13 +135,19 @@ impl Journal {
             .read(true)
             .append(true)
             .open(&path)?;
-        let mut text = String::new();
-        file.read_to_string(&mut text)?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
         let mut entries = FxHashMap::default();
-        for line in text.split_inclusive('\n') {
+        for line in bytes.split_inclusive(|&b| b == b'\n') {
             // A record is only durable once its newline landed; the
             // final line of a killed process may be torn — skip it.
-            let Some(line) = line.strip_suffix('\n') else {
+            let Some(line) = line.strip_suffix(b"\n") else {
+                continue;
+            };
+            // A torn or corrupt line may not even be UTF-8 (a kill can
+            // cut a multi-byte character in half): skip it like any
+            // other unreadable record.
+            let Ok(line) = std::str::from_utf8(line) else {
                 continue;
             };
             let Some((key, checksum, payload)) = parse_record(line) else {
@@ -194,6 +160,11 @@ impl Journal {
                 continue;
             };
             entries.insert(key.to_string(), payload);
+        }
+        if bytes.last().is_some_and(|&b| b != b'\n') {
+            // Terminate a torn final line, so the next record starts on
+            // a line of its own instead of extending the torn one.
+            file.write_all(b"\n")?;
         }
         Ok(Self { path, entries, file })
     }
@@ -302,178 +273,6 @@ fn parse_record(line: &str) -> Option<(&str, u64, &str)> {
     Some((key, checksum, payload))
 }
 
-/// One point of a checkpointed sweep: either freshly simulated in this
-/// run, or replayed verbatim from the journal.
-#[derive(Debug, Clone)]
-pub enum CheckpointedPoint<P> {
-    /// Simulated by this run (and recorded to the journal). Boxed: a
-    /// [`SweepPoint`] carries a full report (hundreds of bytes), which
-    /// would otherwise dominate the size of every `Replayed` value too.
-    Fresh(Box<SweepPoint<P>>),
-    /// Completed by an earlier run; only the recorded CSV row is
-    /// available (reconstructing a full [`SimReport`] is not needed to
-    /// export results — and `row` is byte-identical to what this run
-    /// would have produced).
-    ///
-    /// [`SimReport`]: crate::metrics::SimReport
-    Replayed {
-        /// The swept parameter value.
-        param: P,
-        /// The recorded CSV row (fields per [`CSV_HEADER`], `wall_ns`
-        /// blanked).
-        row: String,
-    },
-}
-
-impl<P> CheckpointedPoint<P> {
-    /// The swept parameter value.
-    pub fn param(&self) -> &P {
-        match self {
-            CheckpointedPoint::Fresh(p) => &p.param,
-            CheckpointedPoint::Replayed { param, .. } => param,
-        }
-    }
-
-    /// The point's CSV row with the `wall_ns` column blanked — the
-    /// checkpoint-stable rendering (wall time varies run to run; every
-    /// other field is deterministic).
-    pub fn row(&self) -> String {
-        match self {
-            CheckpointedPoint::Fresh(p) => csv_row(&p.report, 0),
-            CheckpointedPoint::Replayed { row, .. } => row.clone(),
-        }
-    }
-
-    /// `true` when the point was replayed from the journal.
-    pub fn is_replayed(&self) -> bool {
-        matches!(self, CheckpointedPoint::Replayed { .. })
-    }
-}
-
-/// [`crate::sweep::sweep`] with journal-backed checkpointing: points
-/// already recorded under this `(app, design, seed, refs)` identity are
-/// skipped and replayed verbatim; the rest are simulated as one smaller
-/// plan (sharded over `jobs`) and recorded.
-///
-/// The concatenation of [`CheckpointedPoint::row`]s is **byte-identical
-/// between an uninterrupted run and any kill/resume sequence** — rows
-/// are deterministic once `wall_ns` is blanked, and the journal stores
-/// exactly that rendering. See [`write_checkpoint_csv`].
-///
-/// Journaled points are always served (a cache hit never simulates, so
-/// a call whose results are all cached succeeds even with a tripped
-/// token). If any point is missing and `cancel` trips before — or at a
-/// chunk boundary during — the simulation of the missing set, the call
-/// returns `Ok(Err(Cancelled))` and journals nothing: cancellation is
-/// all-or-nothing at the granularity of one call, so a later retry
-/// resumes from exactly the pre-call journal state.
-///
-/// # Errors
-///
-/// Returns any journal I/O error. A design point that fails to build or
-/// panics fails the call with an [`io::Error`] wrapping its
-/// [`SweepPointError`](crate::error::SweepPointError), after the points
-/// before it were journaled, so a rerun resumes past them.
-///
-/// # Examples
-///
-/// ```
-/// use moca_sim::checkpoint::{sweep_checkpointed, Journal};
-/// use moca_sim::parallel::Jobs;
-/// use moca_core::L2Design;
-/// use moca_trace::AppProfile;
-///
-/// let dir = std::env::temp_dir().join(format!("moca-ckpt-doc-{}", std::process::id()));
-/// # let _ = std::fs::remove_dir_all(&dir);
-/// let app = AppProfile::music();
-/// let to_design = |&ways: &u32| L2Design::SharedSram { ways };
-///
-/// let mut journal = Journal::open(&dir)?;
-/// let first = sweep_checkpointed(&mut journal, &[4u32, 8], to_design, &app, 10_000, 1, Jobs::SERIAL, None)?
-///     .expect("no cancel token");
-/// assert!(first.iter().all(|p| !p.is_replayed()));
-///
-/// // A second run (fresh process in real life) replays both points.
-/// let mut journal = Journal::open(&dir)?;
-/// let second = sweep_checkpointed(&mut journal, &[4u32, 8], to_design, &app, 10_000, 1, Jobs::SERIAL, None)?
-///     .expect("no cancel token");
-/// assert!(second.iter().all(|p| p.is_replayed()));
-/// assert_eq!(first[0].row(), second[0].row());
-/// # std::fs::remove_dir_all(&dir)?;
-/// # Ok::<(), std::io::Error>(())
-/// ```
-#[allow(clippy::too_many_arguments)]
-pub fn sweep_checkpointed<P, F>(
-    journal: &mut Journal,
-    params: &[P],
-    to_design: F,
-    app: &AppProfile,
-    refs: usize,
-    seed: u64,
-    jobs: Jobs,
-    cancel: Option<&CancelToken>,
-) -> io::Result<Result<Vec<CheckpointedPoint<P>>, Cancelled>>
-where
-    P: Clone,
-    F: FnMut(&P) -> L2Design,
-{
-    let designs: Vec<L2Design> = params.iter().map(to_design).collect();
-    let source_fp = TraceRegistry::global().fingerprint_for(app, seed);
-    let keys: Vec<String> = designs
-        .iter()
-        .map(|d| point_key_with_source(source_fp, d, seed, refs))
-        .collect();
-    let missing: Vec<usize> = (0..designs.len())
-        .filter(|&i| !journal.contains(&keys[i]))
-        .collect();
-    let mut outcomes = match execute_subset(app, seed, refs, &designs, &missing, jobs, cancel) {
-        Ok(outcomes) => outcomes.into_iter(),
-        Err(Cancelled) => return Ok(Err(Cancelled)),
-    };
-
-    let mut points = Vec::with_capacity(designs.len());
-    for (i, key) in keys.iter().enumerate() {
-        let param = params[i].clone();
-        if missing.binary_search(&i).is_ok() {
-            let point = outcomes
-                .next()
-                .expect("one outcome per missing point")
-                .map_err(io::Error::other)?;
-            journal.record(key, &csv_row(&point.report, 0))?;
-            points.push(CheckpointedPoint::Fresh(Box::new(SweepPoint::new(param, point))));
-        } else {
-            journal.note_replay(key);
-            let row = journal.get(key).expect("non-missing point has a journal entry");
-            points.push(CheckpointedPoint::Replayed {
-                param,
-                row: row.to_string(),
-            });
-        }
-    }
-    Ok(Ok(points))
-}
-
-/// Writes checkpointed sweep points as CSV (header + one
-/// [`CheckpointedPoint::row`] per point).
-///
-/// Because rows blank `wall_ns`, the output is byte-identical whether
-/// the sweep ran uninterrupted or was killed and resumed any number of
-/// times.
-///
-/// # Errors
-///
-/// Returns any underlying I/O error.
-pub fn write_checkpoint_csv<P, W: Write>(
-    mut writer: W,
-    points: &[CheckpointedPoint<P>],
-) -> io::Result<()> {
-    writeln!(writer, "{CSV_HEADER}")?;
-    for p in points {
-        writeln!(writer, "{}", p.row())?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -535,6 +334,9 @@ mod tests {
         let mut f = OpenOptions::new().append(true).open(&path).expect("append");
         f.write_all(b"not-a-record\n").expect("write");
         f.write_all(b"badsum,0000000000000000,payload\n").expect("write");
+        // A record cut inside a multi-byte `—`: not valid UTF-8.
+        f.write_all(b"exp:A2:Quick:0,0123456789abcdef,## A2 \xe2\x80\n")
+            .expect("write");
         f.write_all(b"torn,00000000").expect("write");
         drop(f);
 
@@ -542,9 +344,12 @@ mod tests {
         assert_eq!(j.len(), 1);
         assert_eq!(j.get("good"), Some("kept"));
 
-        // The journal stays appendable after corruption.
+        // The journal stays appendable after corruption, and a record
+        // appended after a torn final line survives the next reload.
         let mut j = Journal::open(&dir).expect("reopen again");
         j.record("after", "still works").expect("record");
+        let j = Journal::open(&dir).expect("reopen after append");
+        assert_eq!(j.get("after"), Some("still works"));
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
@@ -567,83 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn point_keys_separate_every_identity_component() {
-        let app = AppProfile::music();
-        let other_app = AppProfile::game();
-        let d1 = L2Design::baseline();
-        let d2 = L2Design::static_default();
-        let base = point_key(&app, &d1, 1, 1000);
-        assert_ne!(base, point_key(&other_app, &d1, 1, 1000), "app");
-        assert_ne!(base, point_key(&app, &d2, 1, 1000), "design");
-        assert_ne!(base, point_key(&app, &d1, 2, 1000), "seed");
-        assert_ne!(base, point_key(&app, &d1, 1, 2000), "refs");
-        assert_eq!(base, point_key(&app, &d1, 1, 1000), "stable");
-    }
-
-    #[test]
-    fn checkpointed_sweep_resumes_byte_identically() {
-        let app = AppProfile::game();
-        let to_design = |&w: &u32| L2Design::SharedSram { ways: w };
-        let params = [2u32, 4, 8];
-        let refs = 12_000;
-
-        // Uninterrupted reference run.
-        let dir_a = temp_dir("sweep-a");
-        let mut ja = Journal::open(&dir_a).expect("open");
-        let full =
-            sweep_checkpointed(&mut ja, &params, to_design, &app, refs, 3, Jobs::SERIAL, None)
-                .expect("run")
-                .expect("no cancel token");
-        let mut csv_full = Vec::new();
-        write_checkpoint_csv(&mut csv_full, &full).expect("csv");
-
-        // "Killed" run: only the first point completed before the kill.
-        let dir_b = temp_dir("sweep-b");
-        let mut jb = Journal::open(&dir_b).expect("open");
-        let partial = sweep_checkpointed(
-            &mut jb,
-            &params[..1],
-            to_design,
-            &app,
-            refs,
-            3,
-            Jobs::SERIAL,
-            None,
-        )
-        .expect("partial")
-        .expect("no cancel token");
-        assert_eq!(partial.len(), 1);
-        drop(jb);
-
-        // Resume with the full parameter list: point 0 replays, 1..2 run.
-        let mut jb = Journal::resume(&dir_b).expect("resume");
-        let resumed =
-            sweep_checkpointed(&mut jb, &params, to_design, &app, refs, 3, Jobs::new(2), None)
-                .expect("resumed")
-                .expect("no cancel token");
-        assert!(resumed[0].is_replayed());
-        assert!(!resumed[1].is_replayed() && !resumed[2].is_replayed());
-        let mut csv_resumed = Vec::new();
-        write_checkpoint_csv(&mut csv_resumed, &resumed).expect("csv");
-
-        assert_eq!(
-            csv_full, csv_resumed,
-            "kill/resume must reproduce the uninterrupted CSV byte-for-byte"
-        );
-
-        // A third run replays everything without simulating.
-        let mut jb = Journal::resume(&dir_b).expect("resume");
-        let replayed =
-            sweep_checkpointed(&mut jb, &params, to_design, &app, refs, 3, Jobs::SERIAL, None)
-                .expect("replay")
-                .expect("no cancel token");
-        assert!(replayed.iter().all(CheckpointedPoint::is_replayed));
-
-        std::fs::remove_dir_all(&dir_a).expect("cleanup");
-        std::fs::remove_dir_all(&dir_b).expect("cleanup");
-    }
-
-    #[test]
     fn record_failure_surfaces_io_error() {
         let dir = temp_dir("io-error");
         let mut j = Journal::open(&dir).expect("open");
@@ -653,14 +381,8 @@ mod tests {
         // instead exercise the error path through a full write to a
         // closed pipe-like sink at the csv layer.
         let mut sink = moca_testkit::ShortWriter::new(4);
-        let err = write_checkpoint_csv(
-            &mut sink,
-            &[CheckpointedPoint::Replayed {
-                param: 1u32,
-                row: "x".repeat(64),
-            }],
-        )
-        .expect_err("short write must error");
+        let err = crate::sweep::write_csv(&mut sink, std::iter::empty())
+            .expect_err("short write must error");
         assert_eq!(err.kind(), io::ErrorKind::WriteZero);
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }

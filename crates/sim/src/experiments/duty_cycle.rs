@@ -90,15 +90,14 @@ fn run_at_duty(design: L2Design, refs: usize, duty: f64) -> crate::metrics::SimR
     // there, and the L1 decisions do not depend on time.
     let mut bursts = Bursts::new(refs, duty);
     let replayed = RunMemo::global()
-        .replay(&app, EXPERIMENT_SEED, &cfg, refs, None, |chunk| {
+        .replay(&app, EXPERIMENT_SEED, &cfg, refs, |chunk| {
             for ev in chunk.events() {
                 bursts.retire_hits(&mut sys, u64::from(ev.gap));
                 sys.step_filtered(Some(&ev.demand), ev.writeback.as_ref());
                 bursts.advance(&mut sys, 1);
             }
             bursts.retire_hits(&mut sys, chunk.tail_gap() as u64);
-        })
-        .expect("uncancellable run cannot be cancelled");
+        });
     sys.adopt_l1(&replayed.l1);
     sys.finish()
 }

@@ -35,7 +35,7 @@ fn run_hybrid(app: &AppProfile, refs: usize) -> (f64, f64, f64, u64) {
     // run; the hit gaps retire in O(1), and each miss reaches the L2 at
     // this runner's own clock.
     RunMemo::global()
-        .replay(app, EXPERIMENT_SEED, &cfg, refs, None, |chunk| {
+        .replay(app, EXPERIMENT_SEED, &cfg, refs, |chunk| {
             for ev in chunk.events() {
                 core.retire_many(u64::from(ev.gap));
                 let now = core.cycle();
@@ -51,8 +51,7 @@ fn run_hybrid(app: &AppProfile, refs: usize) -> (f64, f64, f64, u64) {
                 core.retire(resp.latency_cycles + dram);
             }
             core.retire_many(chunk.tail_gap() as u64);
-        })
-        .expect("uncancellable run cannot be cancelled");
+        });
     l2.finalize(core.cycle());
     (
         l2.energy().total().joules(),

@@ -175,8 +175,7 @@ pub fn run_matrix(designs: &[L2Design], scale: Scale, jobs: Jobs) -> DesignMatri
         let plan = Plan::new(&app, EXPERIMENT_SEED, scale.refs(), designs)
             .with_lane_group(MATRIX_LANE_GROUP)
             .unmemoized();
-        execute(&plan, Jobs::SERIAL, None)
-            .expect("uncancellable run cannot be cancelled")
+        execute(&plan, Jobs::SERIAL)
             .into_iter()
             // Invariant: every caller passes the experiments' constant,
             // valid designs (see `# Panics`).

@@ -99,9 +99,6 @@ pub const SUITE_IDS: [&str; 17] = [
     "A7", "M1",
 ];
 
-/// Ids of the experiments that read the shared design matrix.
-pub const MATRIX_IDS: [&str; 4] = ["F1", "F2", "T2", "F6"];
-
 /// The designs a matrix experiment reads, and how it renders them.
 type MatrixExperiment = (fn() -> Vec<L2Design>, fn(&DesignMatrix) -> ExperimentResult);
 

@@ -42,7 +42,6 @@ fn run_at(design: L2Design, temp_c: f64, refs: usize) -> (f64, f64) {
             EXPERIMENT_SEED,
             &SystemConfig::default(),
             refs,
-            None,
             |chunk| {
                 for ev in chunk.events() {
                     now += 2 * u64::from(ev.gap) + 2;
@@ -55,8 +54,7 @@ fn run_at(design: L2Design, temp_c: f64, refs: usize) -> (f64, f64) {
                 }
                 now += 2 * chunk.tail_gap() as u64;
             },
-        )
-        .expect("uncancellable run cannot be cancelled");
+        );
     l2.finalize(now);
     let e = l2.energy();
     (e.total().joules(), e.leakage_fraction())

@@ -9,9 +9,11 @@
 //! ([`lockstep::execute`]) that runs every set of designs on the
 //! lock-step multi-design kernel over one trace stream ([`stream`]), a
 //! process-wide memo of L1-filtered runs ([`memo`]), a file-backed
-//! trace replay layer over compiled corpora ([`replay`]), a
-//! zero-dependency observability layer ([`telemetry`]), and the
-//! `repro` / `tracegen` / `trace_corpus` binaries.
+//! trace replay layer over compiled corpora ([`replay`]), the
+//! crash-tolerant journal that checkpoints `repro` experiments and
+//! search generations ([`checkpoint`]), a zero-dependency
+//! observability layer ([`telemetry`]), and the `tracegen` /
+//! `trace_corpus` binaries.
 //!
 //! ```
 //! use moca_core::L2Design;
@@ -28,7 +30,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod cancel;
 pub mod checkpoint;
 pub mod config;
 pub mod cpu;
@@ -48,8 +49,7 @@ pub mod table;
 pub mod telemetry;
 pub mod workloads;
 
-pub use cancel::{CancelToken, Cancelled};
-pub use checkpoint::{sweep_checkpointed, CheckpointedPoint, Journal};
+pub use checkpoint::Journal;
 pub use config::SystemConfig;
 pub use cpu::InOrderCore;
 pub use dram::{DramModel, RowBufferDram, RowBufferParams};

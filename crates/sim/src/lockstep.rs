@@ -6,10 +6,10 @@
 //! A [`Plan`] names the stream, the reference count, the designs and
 //! the system configuration; [`execute`] splits the designs into one
 //! contiguous span per worker and runs each span as consecutive lane
-//! groups. Every lane group does the same three things: it emits a
-//! telemetry `point` event per completed lane, polls the cancel token
-//! once per filtered chunk, and puts each lane's build error or panic
-//! in that lane's own slot while the other lanes keep replaying.
+//! groups. Every lane group does the same two things: it emits a
+//! telemetry `point` event per completed lane, and puts each lane's
+//! build error or panic in that lane's own slot while the other lanes
+//! keep replaying.
 //!
 //! The kernel removes the per-design front-end multiplier:
 //!
@@ -58,7 +58,6 @@ use moca_cache::{L1Pair, L2Request, ReplacementPolicy};
 use moca_core::L2Design;
 use moca_trace::AppProfile;
 
-use crate::cancel::{CancelToken, Cancelled};
 use crate::config::SystemConfig;
 use crate::error::{PointCause, SweepPointError};
 use crate::memo::{replay_unmemoized, Replayed, RunMemo};
@@ -258,8 +257,7 @@ pub struct Point {
 ///
 /// let app = AppProfile::music();
 /// let designs = [L2Design::baseline(), L2Design::static_default()];
-/// let points = execute(&Plan::new(&app, 1, 30_000, &designs), Jobs::SERIAL, None)
-///     .expect("no cancel token");
+/// let points = execute(&Plan::new(&app, 1, 30_000, &designs), Jobs::SERIAL);
 /// // Byte-identical to the scalar oracle:
 /// let solo = moca_sim::run_app(&app, designs[1], 30_000, 1);
 /// let report = &points[1].as_ref().expect("valid design").report;
@@ -342,29 +340,19 @@ impl<'a> Plan<'a> {
     }
 
     /// The lanes `start..end` of the plan, one lane group after another.
-    fn run_span(
-        &self,
-        start: usize,
-        end: usize,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Vec<Result<Point, SweepPointError>>, Cancelled> {
+    fn run_span(&self, start: usize, end: usize) -> Vec<Result<Point, SweepPointError>> {
         let mut out = Vec::with_capacity(end - start);
         for offset in (start..end).step_by(self.lane_group) {
-            out.extend(self.run_group(offset, (offset + self.lane_group).min(end), cancel)?);
+            out.extend(self.run_group(offset, (offset + self.lane_group).min(end)));
         }
-        Ok(out)
+        out
     }
 
     /// One lane group over plan indices `start..end`: build the lanes,
-    /// replay the filtered run (polling `cancel` once per chunk), finish.
+    /// replay the filtered run, finish.
     /// A lane that fails to build, or panics while replaying or
     /// finishing, fails in its own slot; every other lane keeps going.
-    fn run_group(
-        &self,
-        start: usize,
-        end: usize,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Vec<Result<Point, SweepPointError>>, Cancelled> {
+    fn run_group(&self, start: usize, end: usize) -> Vec<Result<Point, SweepPointError>> {
         let failed = |index: usize, cause: PointCause| SweepPointError {
             index,
             label: self.designs[index].label(),
@@ -390,7 +378,7 @@ impl<'a> Plan<'a> {
             // attributed to every lane of the group — it is wait time
             // each of them experienced.
             let mut first = true;
-            replayed = Some(self.replay_run(cancel, |chunk| {
+            replayed = Some(self.replay_run(|chunk| {
                 for ((index, lane), wall) in (start..).zip(&mut lanes).zip(&mut walls) {
                     let Ok(sys) = lane else {
                         continue;
@@ -411,11 +399,11 @@ impl<'a> Plan<'a> {
                     }
                 }
                 first = false;
-            })?);
+            }));
         }
 
         let total = self.designs.len();
-        Ok((start..)
+        (start..)
             .zip(lanes)
             .zip(walls)
             .map(|((index, lane), wall)| {
@@ -442,19 +430,15 @@ impl<'a> Plan<'a> {
                     wall_ns: wall + energy_ns,
                 })
             })
-            .collect())
+            .collect()
     }
 
     /// The filtered run of the plan's stream, from the memo or filtered
     /// live, fed chunk by chunk to `visit`.
-    fn replay_run(
-        &self,
-        cancel: Option<&CancelToken>,
-        visit: impl FnMut(&FilteredChunk),
-    ) -> Result<Replayed, Cancelled> {
+    fn replay_run(&self, visit: impl FnMut(&FilteredChunk)) -> Replayed {
         match self.memo {
-            Some(memo) => memo.replay(self.app, self.seed, &self.cfg, self.refs, cancel, visit),
-            None => replay_unmemoized(self.app, self.seed, &self.cfg, self.refs, cancel, visit),
+            Some(memo) => memo.replay(self.app, self.seed, &self.cfg, self.refs, visit),
+            None => replay_unmemoized(self.app, self.seed, &self.cfg, self.refs, visit),
         }
     }
 }
@@ -470,29 +454,18 @@ impl<'a> Plan<'a> {
 /// of each design, failures carry their absolute plan index, and the
 /// telemetry `point` event of each completed lane carries the same
 /// index for every job count.
-///
-/// # Errors
-///
-/// Returns [`Cancelled`] if `cancel` tripped before the last lane group
-/// finished; `cancel` is polled once per filtered chunk of every lane
-/// group, and nothing partial is observable.
-pub fn execute(
-    plan: &Plan<'_>,
-    jobs: Jobs,
-    cancel: Option<&CancelToken>,
-) -> Result<Vec<Result<Point, SweepPointError>>, Cancelled> {
+pub fn execute(plan: &Plan<'_>, jobs: Jobs) -> Vec<Result<Point, SweepPointError>> {
     let total = plan.designs.len();
     // One contiguous span per worker; the input-order merge of
     // `parallel_map` restores plan order.
     let per_span = total.div_ceil(jobs.get().min(total).max(1)).max(1);
     let starts: Vec<usize> = (0..total).step_by(per_span).collect();
-    let mut out = Vec::with_capacity(total);
-    for span in parallel_map(jobs, starts, |start| {
-        plan.run_span(start, (start + per_span).min(total), cancel)
-    }) {
-        out.extend(span?);
-    }
-    Ok(out)
+    parallel_map(jobs, starts, |start| {
+        plan.run_span(start, (start + per_span).min(total))
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// The chunk-broadcast reference engine: one shared stream, each
@@ -552,8 +525,7 @@ mod tests {
 
     /// The reports of a plan every design of which is valid.
     fn reports(plan: &Plan<'_>, jobs: Jobs) -> Vec<SimReport> {
-        execute(plan, jobs, None)
-            .expect("no cancel token")
+        execute(plan, jobs)
             .into_iter()
             .map(|p| p.expect("valid design").report)
             .collect()
@@ -595,8 +567,8 @@ mod tests {
     #[test]
     fn empty_plan_produces_no_points() {
         let app = AppProfile::music();
-        let points = execute(&Plan::new(&app, 1, 50_000, &[]), Jobs::new(4), None);
-        assert!(points.expect("no cancel token").is_empty());
+        let points = execute(&Plan::new(&app, 1, 50_000, &[]), Jobs::new(4));
+        assert!(points.is_empty());
     }
 
     #[test]
@@ -621,9 +593,7 @@ mod tests {
         let outcomes = execute(
             &Plan::new(&app, 5, 12_000, &designs).with_injected_faults(&[2]),
             Jobs::SERIAL,
-            None,
-        )
-        .expect("no cancel token");
+        );
         let clean = reports(&Plan::new(&app, 5, 12_000, &designs), Jobs::SERIAL);
         for (i, outcome) in outcomes.iter().enumerate() {
             if i == 2 {
@@ -648,7 +618,7 @@ mod tests {
         ];
         for jobs in [1usize, 2, 4] {
             let plan = Plan::new(&app, 1, 3_000, &designs).with_lane_group(1);
-            let outcomes = execute(&plan, Jobs::new(jobs), None).expect("no cancel token");
+            let outcomes = execute(&plan, Jobs::new(jobs));
             let e = outcomes[2].as_ref().expect_err("ways=0 is invalid");
             assert_eq!(e.index, 2, "jobs={jobs}");
             assert!(matches!(e.cause, PointCause::Build(_)));

@@ -35,9 +35,6 @@
 //!
 //! Each key has its own lock, held while the run is built: concurrent
 //! consumers of one key wait for that one build instead of repeating it.
-//! A build polls its caller's [`CancelToken`] once per chunk; a
-//! cancelled build is dropped, never inserted, and the next consumer
-//! builds the run again.
 //!
 //! # Determinism
 //!
@@ -53,7 +50,6 @@ use moca_cache::L1Pair;
 use moca_trace::fxhash::FxHashMap;
 use moca_trace::{AppProfile, MemoryAccess};
 
-use crate::cancel::{CancelToken, Cancelled};
 use crate::config::SystemConfig;
 use crate::lockstep::{FilteredChunk, FrontEnd};
 use crate::parallel::catch_panic;
@@ -101,7 +97,7 @@ struct FilteredRun {
 /// The state behind one key's lock.
 #[derive(Debug)]
 enum Slot {
-    /// Not built yet, or the last build was cancelled.
+    /// Not built yet, or its build panicked.
     Empty,
     Ready(Arc<FilteredRun>),
     /// Built once and did not fit: consumers filter the stream
@@ -199,17 +195,11 @@ impl<'a> Source<'_, 'a> {
 
     /// Feeds every chunk to `visit` and returns the L1 pair after the
     /// run; `start` is when the caller began obtaining the run.
-    fn drain(
-        self,
-        start: Instant,
-        cancel: Option<&CancelToken>,
-        mut visit: impl FnMut(&FilteredChunk),
-    ) -> Result<Replayed, Cancelled> {
+    fn drain(self, start: Instant, mut visit: impl FnMut(&FilteredChunk)) -> Replayed {
         let mut front_ns = start.elapsed().as_nanos() as u64;
         let l1 = match self {
             Source::Cached(run) => {
                 for chunk in &run.chunks {
-                    poll(cancel)?;
                     visit(chunk);
                 }
                 run.l1.clone()
@@ -221,14 +211,12 @@ impl<'a> Source<'_, 'a> {
                 mut left,
             } => {
                 for chunk in &prefix {
-                    poll(cancel)?;
                     visit(chunk);
                 }
                 drop(prefix);
                 drop(held);
                 let mut chunk = FilteredChunk::default();
                 while left > 0 {
-                    poll(cancel)?;
                     let fill = Instant::now();
                     left -= front.fill_next(left, &mut chunk);
                     front_ns += fill.elapsed().as_nanos() as u64;
@@ -237,18 +225,13 @@ impl<'a> Source<'_, 'a> {
                 front.into_l1()
             }
         };
-        Ok(Replayed { l1, front_ns })
+        Replayed { l1, front_ns }
     }
 }
 
 /// Filters the first `refs` references of the `(app, seed)` stream live,
 /// without a memo: [`RunMemo::replay`]'s contract for a stream read
 /// exactly once, where caching the run would only fill the memo.
-///
-/// # Errors
-///
-/// Returns [`Cancelled`] if `cancel` tripped before the last chunk was
-/// visited.
 ///
 /// # Panics
 ///
@@ -258,19 +241,10 @@ pub(crate) fn replay_unmemoized(
     seed: u64,
     cfg: &SystemConfig,
     refs: usize,
-    cancel: Option<&CancelToken>,
     visit: impl FnMut(&FilteredChunk),
-) -> Result<Replayed, Cancelled> {
+) -> Replayed {
     let start = Instant::now();
-    Source::live(TraceStream::new(app, seed), cfg, refs).drain(start, cancel, visit)
-}
-
-/// `Err(Cancelled)` once `cancel` has tripped.
-fn poll(cancel: Option<&CancelToken>) -> Result<(), Cancelled> {
-    match cancel {
-        Some(token) if token.is_cancelled() => Err(Cancelled),
-        _ => Ok(()),
-    }
+    Source::live(TraceStream::new(app, seed), cfg, refs).drain(start, visit)
 }
 
 /// Bytes a build has reserved against the cap; released on drop unless
@@ -381,13 +355,7 @@ impl RunMemo {
     ///
     /// The run comes from the memo when cached; otherwise it is built
     /// here (concurrent callers of the same key wait for this build)
-    /// and offered to the memo. `cancel`, when given, is polled before
-    /// every chunk, built or visited.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Cancelled`] if `cancel` tripped before the last chunk
-    /// was visited.
+    /// and offered to the memo.
     ///
     /// # Panics
     ///
@@ -400,9 +368,8 @@ impl RunMemo {
         seed: u64,
         cfg: &SystemConfig,
         refs: usize,
-        cancel: Option<&CancelToken>,
         visit: impl FnMut(&FilteredChunk),
-    ) -> Result<Replayed, Cancelled> {
+    ) -> Replayed {
         let start = Instant::now();
         let stream = TraceStream::new(app, seed);
         let key = RunKey::new(&stream, seed, refs, cfg);
@@ -427,10 +394,10 @@ impl RunMemo {
             }
             Slot::Empty => {
                 self.lock().misses += 1;
-                self.build(state, stream, cfg, refs, cancel)?
+                self.build(state, stream, cfg, refs)
             }
         };
-        source.drain(start, cancel, visit)
+        source.drain(start, visit)
     }
 
     /// Builds the run of an empty slot while holding its lock, and
@@ -441,8 +408,7 @@ impl RunMemo {
         stream: TraceStream<'a>,
         cfg: &SystemConfig,
         refs: usize,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Source<'m, 'a>, Cancelled> {
+    ) -> Source<'m, 'a> {
         let mut front = front_end(stream, cfg);
         let mut held = Reservation {
             memo: self,
@@ -453,7 +419,6 @@ impl RunMemo {
         let mut scratch = FilteredChunk::default();
         let mut left = refs;
         while fits && left > 0 {
-            poll(cancel)?;
             left -= front.fill_next(left, &mut scratch);
             let chunk = scratch.to_owned_exact();
             fits = held.grow(chunk.heap_bytes());
@@ -462,12 +427,12 @@ impl RunMemo {
         if !fits {
             *state = Slot::Rejected;
             self.lock().rejected += 1;
-            return Ok(Source::Live {
+            return Source::Live {
                 prefix: chunks,
                 held: Some(held),
                 front: Box::new(front),
                 left,
-            });
+            };
         }
         let run = Arc::new(FilteredRun {
             chunks,
@@ -475,7 +440,7 @@ impl RunMemo {
         });
         held.commit();
         *state = Slot::Ready(Arc::clone(&run));
-        Ok(Source::Cached(run))
+        Source::Cached(run)
     }
 }
 
@@ -499,8 +464,7 @@ mod tests {
 
     /// The reports of a plan every design of which is valid.
     fn reports(plan: Plan<'_>) -> Vec<crate::SimReport> {
-        execute(&plan, Jobs::SERIAL, None)
-            .expect("no cancel token")
+        execute(&plan, Jobs::SERIAL)
             .into_iter()
             .map(|p| p.expect("valid design").report)
             .collect()
@@ -592,31 +556,11 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_build_is_never_inserted() {
-        let app = AppProfile::video();
-        let memo = RunMemo::with_capacity(MEMO_CAP_BYTES);
-        let cfg = SystemConfig::default();
-        let token = CancelToken::new();
-        token.cancel();
-        let out = memo.replay(&app, 8, &cfg, 20_000, Some(&token), |_| {});
-        assert_eq!(out.err(), Some(Cancelled));
-        let stats = memo.stats();
-        assert_eq!((stats.runs, stats.used_bytes, stats.rejected), (0, 0, 0));
-        // The next consumer builds the run itself.
-        let mut refs = 0;
-        memo.replay(&app, 8, &cfg, 20_000, None, |chunk| refs += chunk.refs())
-            .expect("not cancelled");
-        assert_eq!(refs, 20_000);
-        assert_eq!(memo.stats().runs, 1);
-    }
-
-    #[test]
     fn rejected_runs_warn_and_a_fitting_memo_does_not() {
         let app = AppProfile::email();
         let cfg = SystemConfig::default();
         let full = RunMemo::with_capacity(0);
-        full.replay(&app, 9, &cfg, 10_000, None, |_| {})
-            .expect("runs");
+        full.replay(&app, 9, &cfg, 10_000, |_| {});
         let warning = full
             .stats()
             .rejection_warning()
@@ -624,9 +568,7 @@ mod tests {
         assert!(warning.contains("1 run(s) rejected"), "{warning}");
 
         let roomy = RunMemo::with_capacity(MEMO_CAP_BYTES);
-        roomy
-            .replay(&app, 9, &cfg, 10_000, None, |_| {})
-            .expect("runs");
+        roomy.replay(&app, 9, &cfg, 10_000, |_| {});
         assert!(roomy.stats().rejection_warning().is_none());
         assert!(roomy.stats().used_bytes > 0);
     }

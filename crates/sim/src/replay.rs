@@ -8,16 +8,16 @@
 //! `(profile fingerprint, seed)` identities to registered sources so
 //! every [`TraceStream`](crate::stream::TraceStream) in the process —
 //! and therefore the sweep executor, every sweep entry point, and the
-//! checkpointed experiment driver — transparently replays from file
-//! instead of generating, with byte-identical output.
+//! experiment driver — transparently replays from file instead of
+//! generating, with byte-identical output.
 //!
 //! # Identity and fallback
 //!
 //! A registered source only ever serves the stream its header claims:
 //! lookups key on the `(fingerprint, seed)` recorded at compile time,
-//! and file-backed streams re-key the filtered-run memo (and checkpoint
-//! journals) by [`TraceHeader::source_fingerprint`] so file-decoded
-//! runs can never alias generated ones. If a chunk fails to decode
+//! and file-backed streams re-key the filtered-run memo by
+//! [`TraceHeader::source_fingerprint`] so file-decoded runs can never
+//! alias generated ones. If a chunk fails to decode
 //! mid-replay (truncation, bit rot), the stream silently falls back to
 //! in-process generation — the output contract is owed to the caller —
 //! and the failure is surfaced in [`TraceIoStats::decode_errors`].
@@ -86,7 +86,7 @@ impl FileTraceSource {
         self.header.seed
     }
 
-    /// The memo/checkpoint keying fingerprint for streams replaying
+    /// The memo keying fingerprint for streams replaying
     /// this file (see [`TraceHeader::source_fingerprint`]).
     pub fn source_fingerprint(&self) -> u64 {
         self.source_fingerprint
@@ -192,19 +192,13 @@ impl TraceRegistry {
     /// The fingerprint naming the `(profile, seed)` stream when `source`
     /// backs it: the file's
     /// [`source fingerprint`](FileTraceSource::source_fingerprint),
-    /// otherwise the profile fingerprint. Filtered runs and journal keys
-    /// of decoded streams live in their own namespace through it.
+    /// otherwise the profile fingerprint. Filtered runs of decoded
+    /// streams live in their own namespace through it.
     pub fn stream_fingerprint(profile: &AppProfile, source: Option<&FileTraceSource>) -> u64 {
         source.map_or_else(
             || profile.fingerprint(),
             FileTraceSource::source_fingerprint,
         )
-    }
-
-    /// [`TraceRegistry::stream_fingerprint`] of the `(profile, seed)`
-    /// stream as this registry backs it.
-    pub fn fingerprint_for(&self, profile: &AppProfile, seed: u64) -> u64 {
-        Self::stream_fingerprint(profile, self.lookup(profile.fingerprint(), seed).as_deref())
     }
 
     /// Number of registered sources.

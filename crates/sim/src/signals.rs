@@ -7,13 +7,11 @@
 //! handler itself down to the only thing that is async-signal-safe in
 //! Rust: a relaxed atomic store.
 //!
-//! Long-running binaries (`repro`, `moca_serve`) call
-//! [`install_shutdown_handlers`] once at startup and poll
-//! [`shutdown_requested`] at safe points — between experiments, at
-//! accept-loop iterations, between queued jobs. The first SIGTERM or
-//! SIGINT therefore never kills the process mid-write: the binary
-//! finishes its current unit of work, flushes telemetry and journals,
-//! and exits 0.
+//! The long-running `repro` binary calls [`install_shutdown_handlers`]
+//! once at startup and polls [`shutdown_requested`] between
+//! experiments. The first SIGTERM or SIGINT therefore never kills the
+//! process mid-write: the binary finishes its current experiment,
+//! flushes telemetry and journals, and exits 0.
 //!
 //! [`request_shutdown`] sets the same flag programmatically, so drain
 //! paths are testable in-process without delivering real signals.
@@ -80,7 +78,7 @@ pub fn shutdown_requested() -> bool {
 }
 
 /// Sets the shutdown flag without a signal — the programmatic drain
-/// trigger used by tests and by servers that drain on their own.
+/// trigger used by tests.
 pub fn request_shutdown() {
     SHUTDOWN.store(true, Ordering::Relaxed);
 }

@@ -55,8 +55,8 @@ struct FileBackend {
 ///
 /// File-backed streams report the file's
 /// [`source fingerprint`](FileTraceSource::source_fingerprint) rather
-/// than the plain profile fingerprint, so filtered runs (and checkpoint
-/// keys) of decoded streams live in their own namespace; a chunk that
+/// than the plain profile fingerprint, so filtered runs of decoded
+/// streams live in their own namespace; a chunk that
 /// fails to decode drops the stream back to generation for the
 /// remainder — the decoded prefix and generated tail are the same bytes
 /// by construction, and the error is counted in the registry's

@@ -7,12 +7,11 @@
 //!
 //! Every sweep is a thin layer over the one executor,
 //! [`crate::lockstep::execute`]: [`sweep`] maps parameters to designs
-//! and designs to [`SweepPoint`]s, and [`sweep_pruned`] (below) and
-//! [`crate::checkpoint::sweep_checkpointed`] pre-filter the designs and
-//! execute a smaller plan. The workload stream is filtered once per
-//! `(app, seed)` and replayed by every design lane, so an N-point sweep
-//! pays the front-end cost once instead of N times; a failing design
-//! point fails in its own slot.
+//! and designs to [`SweepPoint`]s, and [`sweep_pruned`] (below)
+//! pre-filters the designs and executes a smaller plan. The workload
+//! stream is filtered once per `(app, seed)` and replayed by every
+//! design lane, so an N-point sweep pays the front-end cost once
+//! instead of N times; a failing design point fails in its own slot.
 //!
 //! # MRC-based pruning
 //!
@@ -38,7 +37,6 @@ use moca_core::{L2BaseParams, L2Design};
 use moca_energy::{project_energy, AccessCounts, MemoryTechnology, SramBank, Technology, Time};
 use moca_trace::AppProfile;
 
-use crate::cancel::{CancelToken, Cancelled};
 use crate::config::SystemConfig;
 use crate::error::SweepPointError;
 use crate::lockstep::{execute, Plan, Point};
@@ -62,7 +60,7 @@ pub struct SweepPoint<P> {
 }
 
 impl<P> SweepPoint<P> {
-    pub(crate) fn new(param: P, point: Point) -> Self {
+    fn new(param: P, point: Point) -> Self {
         SweepPoint {
             param,
             report: point.report,
@@ -118,35 +116,12 @@ where
     F: FnMut(&P) -> L2Design,
 {
     let designs: Vec<L2Design> = params.iter().map(to_design).collect();
-    let outcomes = execute(&Plan::new(app, seed, refs, &designs), jobs, None)
-        .expect("uncancellable sweep cannot be cancelled");
+    let outcomes = execute(&Plan::new(app, seed, refs, &designs), jobs);
     params
         .iter()
         .zip(outcomes)
         .map(|(p, outcome)| outcome.map(|point| SweepPoint::new(p.clone(), point)))
         .collect()
-}
-
-/// Executes the designs at `indices` (ascending) of `designs` as one
-/// smaller plan; each outcome's failure carries its index into
-/// `designs`. The shared tail of the pre-filtering sweeps
-/// ([`sweep_pruned`] and [`crate::checkpoint::sweep_checkpointed`]).
-pub(crate) fn execute_subset(
-    app: &AppProfile,
-    seed: u64,
-    refs: usize,
-    designs: &[L2Design],
-    indices: &[usize],
-    jobs: Jobs,
-    cancel: Option<&CancelToken>,
-) -> Result<Vec<Result<Point, SweepPointError>>, Cancelled> {
-    let subset: Vec<L2Design> = indices.iter().map(|&i| designs[i]).collect();
-    let outcomes = execute(&Plan::new(app, seed, refs, &subset), jobs, cancel)?;
-    Ok(outcomes
-        .into_iter()
-        .zip(indices)
-        .map(|(outcome, &index)| outcome.map_err(|e| SweepPointError { index, ..e }))
-        .collect())
 }
 
 /// The CSV header matching [`csv_row`].
@@ -305,15 +280,14 @@ pub fn profile_lru_grid(app: &AppProfile, refs: usize, seed: u64, max_ways: u32)
     let sets = u32::try_from(L2BaseParams::default().sets).expect("default set count fits u32");
     let mut prof = MrcProfiler::new(&[sets], max_ways).expect("default L2 geometry is valid");
     RunMemo::global()
-        .replay(app, seed, &cfg, refs, None, |chunk| {
+        .replay(app, seed, &cfg, refs, |chunk| {
             for ev in chunk.events() {
                 prof.observe(&ev.demand);
                 if let Some(wb) = &ev.writeback {
                     prof.observe(wb);
                 }
             }
-        })
-        .expect("uncancellable run cannot be cancelled");
+        });
     prof.curve(sets).expect("profiled lane exists")
 }
 
@@ -518,12 +492,17 @@ where
             _ => true,
         })
         .collect();
-    let outcomes = execute_subset(app, seed, refs, &designs, &kept, jobs, None)
-        .expect("uncancellable sweep cannot be cancelled");
+    // The survivors run as one smaller plan; each failure is re-indexed
+    // from the plan to the parameter list.
+    let survivors: Vec<L2Design> = kept.iter().map(|&i| designs[i]).collect();
+    let outcomes = execute(&Plan::new(app, seed, refs, &survivors), jobs);
     let points = kept
         .iter()
         .zip(outcomes)
-        .map(|(&i, outcome)| outcome.map(|point| SweepPoint::new(params[i].clone(), point)))
+        .map(|(&index, outcome)| match outcome {
+            Ok(point) => Ok(SweepPoint::new(params[index].clone(), point)),
+            Err(e) => Err(SweepPointError { index, ..e }),
+        })
         .collect();
     PrunedSweep {
         points,

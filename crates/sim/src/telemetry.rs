@@ -162,7 +162,7 @@ pub enum Event {
         /// `"append"` (freshly recorded) or `"replay"` (served from the
         /// journal without simulating).
         event: &'static str,
-        /// The journal key (experiment or sweep-point identity).
+        /// The journal key (experiment or search-generation identity).
         key: String,
     },
     /// A named counter total (synthesized at drain time from

@@ -113,7 +113,7 @@ fn unmemoized_lockstep_falls_back_past_a_corrupt_chunk_byte_identically() {
     let plan = Plan::new(&app, seed, refs, &designs)
         .with_lane_group(2)
         .unmemoized();
-    let points = execute(&plan, Jobs::SERIAL, None).expect("no cancel token");
+    let points = execute(&plan, Jobs::SERIAL);
     for (design, got) in designs.iter().zip(&points) {
         let got = &got.as_ref().expect("valid design").report;
         let want = run_app(&app, *design, refs, seed);

@@ -142,8 +142,7 @@ mod fanout_equivalence {
         seed: u64,
         jobs: Jobs,
     ) -> Vec<SimReport> {
-        execute(&Plan::new(app, seed, refs, designs), jobs, None)
-            .expect("no cancel token")
+        execute(&Plan::new(app, seed, refs, designs), jobs)
             .into_iter()
             .map(|p| p.expect("valid design").report)
             .collect()
@@ -231,65 +230,6 @@ mod fanout_equivalence {
                 "sweep CSV differs between serial and jobs={jobs}"
             );
         }
-    }
-
-    /// Kill/resume smoke over the lock-step engine: the journal is
-    /// dropped after three points — mid lane group, so the resumed run
-    /// re-forms different lane groupings than the killed one — and the
-    /// resumed CSV must still be byte-identical to an uninterrupted run.
-    #[test]
-    fn checkpoint_resume_across_a_lane_group_boundary_is_byte_identical() {
-        use moca_sim::checkpoint::{sweep_checkpointed, write_checkpoint_csv, Journal};
-        use moca_sim::LANE_GROUP;
-
-        // Distinct way counts: the journal keys points by design, so a
-        // duplicate would replay more than the killed prefix.
-        let params: [u32; 10] = [2, 4, 8, 16, 1, 3, 5, 6, 7, 9];
-        assert!(params.len() > LANE_GROUP);
-        let app = AppProfile::video();
-        let refs = 8_000;
-        let to_design = |&ways: &u32| L2Design::SharedSram { ways };
-        let base = std::env::temp_dir().join(format!(
-            "moca-lockstep-resume-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&base);
-
-        let mut j = Journal::open(&base.join("full")).expect("open");
-        let full =
-            sweep_checkpointed(&mut j, &params, to_design, &app, refs, 11, Jobs::new(2), None)
-                .expect("full run")
-                .expect("no cancel token");
-        let mut csv_full = Vec::new();
-        write_checkpoint_csv(&mut csv_full, &full).expect("csv");
-
-        // Three journaled points is a ragged prefix of the first
-        // 8-lane group; the resume completes that group's remainder
-        // plus the rest under a different job count.
-        let mut j = Journal::open(&base.join("killed")).expect("open");
-        sweep_checkpointed(&mut j, &params[..3], to_design, &app, refs, 11, Jobs::SERIAL, None)
-            .expect("partial run")
-            .expect("no cancel token");
-        drop(j);
-
-        let mut j = Journal::resume(&base.join("killed")).expect("resume");
-        let resumed =
-            sweep_checkpointed(&mut j, &params, to_design, &app, refs, 11, Jobs::new(8), None)
-                .expect("resumed run")
-                .expect("no cancel token");
-        assert_eq!(
-            resumed.iter().filter(|p| p.is_replayed()).count(),
-            3,
-            "exactly the journaled points replay"
-        );
-        let mut csv_resumed = Vec::new();
-        write_checkpoint_csv(&mut csv_resumed, &resumed).expect("csv");
-        assert_eq!(
-            String::from_utf8(csv_full).expect("utf8"),
-            String::from_utf8(csv_resumed).expect("utf8"),
-            "resume across a lane-group boundary must reproduce the uninterrupted CSV"
-        );
-        std::fs::remove_dir_all(&base).expect("cleanup");
     }
 
     #[test]

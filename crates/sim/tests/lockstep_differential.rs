@@ -29,8 +29,7 @@ use moca_trace::{AppProfile, TraceGenerator};
 
 /// The reports of a plan every design of which is valid.
 fn run(plan: Plan<'_>) -> Vec<SimReport> {
-    execute(&plan, Jobs::SERIAL, None)
-        .expect("no cancel token")
+    execute(&plan, Jobs::SERIAL)
         .into_iter()
         .map(|p| p.expect("valid design").report)
         .collect()

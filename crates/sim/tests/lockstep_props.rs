@@ -66,7 +66,7 @@ fn design_pool() -> Vec<L2Design> {
 
 /// Executes `plan` and returns every outcome.
 fn run(plan: &Plan<'_>, jobs: Jobs) -> Vec<Result<Point, SweepPointError>> {
-    execute(plan, jobs, None).expect("no cancel token")
+    execute(plan, jobs)
 }
 
 /// The reports of a plan every design of which is valid.

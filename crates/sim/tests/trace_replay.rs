@@ -1,5 +1,5 @@
-//! File-backed trace replay: byte-identity, fallback, and checkpoint
-//! integration.
+//! File-backed trace replay: byte-identity, fallback, and memo
+//! namespacing.
 //!
 //! Each test uses a unique `(app, seed)` identity: the registry and
 //! filtered-run memo are process-global, and unique seeds keep
@@ -11,10 +11,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use moca_core::L2Design;
-use moca_sim::checkpoint::{point_key, point_key_with_source, Journal};
 use moca_sim::{
-    csv_row, execute, run_app, sweep, sweep_checkpointed, write_csv, FileTraceSource, Jobs, Plan,
-    RunMemo, SimReport, SweepPoint, SweepPointError, TraceRegistry, TraceStream, MEMO_CAP_BYTES,
+    csv_row, execute, run_app, sweep, write_csv, FileTraceSource, Jobs, Plan, RunMemo, SimReport,
+    SweepPoint, SweepPointError, TraceRegistry, TraceStream, MEMO_CAP_BYTES,
 };
 use moca_trace::binfmt::{self, TraceReader, CHUNK_REFS};
 use moca_trace::AppProfile;
@@ -60,8 +59,7 @@ fn file_stream_serves_generator_identical_chunks_from_disk() {
 
 /// The reports of a plan every design of which is valid.
 fn reports(plan: Plan<'_>, jobs: Jobs) -> Vec<SimReport> {
-    execute(&plan, jobs, None)
-        .expect("no cancel token")
+    execute(&plan, jobs)
         .into_iter()
         .map(|p| p.expect("valid design").report)
         .collect()
@@ -145,53 +143,6 @@ fn corrupted_corpus_falls_back_to_generation_byte_identically() {
         after.decode_errors > before.decode_errors,
         "the checksum failure must be counted"
     );
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn checkpoint_keys_follow_the_trace_source() {
-    let app = AppProfile::music();
-    let seed = 0xF11E_0004u64;
-    let refs = CHUNK_REFS;
-    let design = L2Design::baseline();
-
-    // Without a corpus the key is exactly the historical app-keyed one.
-    assert_eq!(
-        point_key(&app, &design, seed, refs),
-        point_key_with_source(app.fingerprint(), &design, seed, refs)
-    );
-
-    let path = compile_to_temp(&app, seed, refs, "ckpt");
-    let source = TraceRegistry::global().register(FileTraceSource::open(&path).expect("open"));
-
-    let dir = std::env::temp_dir().join(format!("moca-replay-it-{}-journal", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let to_design = |&ways: &u32| L2Design::SharedSram { ways };
-
-    let mut journal = Journal::open(&dir).expect("open journal");
-    let first =
-        sweep_checkpointed(&mut journal, &[4u32, 8], to_design, &app, refs, seed, Jobs::SERIAL, None)
-            .expect("first sweep")
-            .expect("no cancel token");
-    assert!(first.iter().all(|p| !p.is_replayed()));
-
-    // The journal keys carry the file's source fingerprint, not the
-    // app's: replaying against a different corpus must not hit them.
-    let journal_text = std::fs::read_to_string(dir.join(Journal::FILE_NAME)).expect("journal");
-    assert!(
-        journal_text.contains(&format!("{:016x}", source.source_fingerprint())),
-        "journal keys must be namespaced by the trace-source fingerprint"
-    );
-
-    let mut journal = Journal::resume(&dir).expect("resume journal");
-    let second =
-        sweep_checkpointed(&mut journal, &[4u32, 8], to_design, &app, refs, seed, Jobs::SERIAL, None)
-            .expect("second sweep")
-            .expect("no cancel token");
-    assert!(second.iter().all(|p| p.is_replayed()));
-    assert_eq!(first[0].row(), second[0].row());
-
-    std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_file(&path).ok();
 }
 

@@ -516,190 +516,6 @@ impl std::io::Seek for ShortSeekWriter {
     }
 }
 
-/// A seeded latency/stall plan: decides, per write call, how many bytes
-/// the peer "accepts" and whether the call stalls outright — a pure
-/// function of `(seed, call index)`, like [`FaultPlan`].
-///
-/// This is the deterministic stand-in for a slow or wedged client:
-/// instead of sleeping (wall-clock flaky), a [`SlowWriter`] driven by a
-/// plan dribbles bytes in tiny chunks and surfaces planned stalls as
-/// [`TimedOut`] errors — exactly what a socket with a write timeout
-/// returns when a slow-loris peer stops draining. Code under test sees
-/// the same `io::Error` it would see in production, with zero clocks
-/// involved.
-///
-/// [`TimedOut`]: std::io::ErrorKind::TimedOut
-///
-/// ```
-/// use moca_testkit::StallPlan;
-///
-/// let plan = StallPlan::new(7).with_stall_rate(1, 4);
-/// let a: Vec<bool> = (0..64).map(|i| plan.should_stall(i)).collect();
-/// let b: Vec<bool> = (0..64).map(|i| plan.should_stall(i)).collect();
-/// assert_eq!(a, b); // fully deterministic
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StallPlan {
-    seed: u64,
-    /// Stall when `mix(seed, index) % denom < num`.
-    num: u64,
-    denom: u64,
-    /// Upper bound on bytes accepted per non-stalled write call.
-    max_chunk: usize,
-}
-
-impl StallPlan {
-    /// A plan that never stalls and accepts at most 7 bytes per call
-    /// (adjust with [`StallPlan::with_stall_rate`] and
-    /// [`StallPlan::with_max_chunk`]).
-    pub fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            num: 0,
-            denom: 1,
-            max_chunk: 7,
-        }
-    }
-
-    /// Sets the stall rate to `num / denom` of all write calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `denom` is zero or `num > denom`.
-    pub fn with_stall_rate(mut self, num: u64, denom: u64) -> Self {
-        assert!(denom > 0 && num <= denom, "rate {num}/{denom} is not a probability");
-        self.num = num;
-        self.denom = denom;
-        self
-    }
-
-    /// Sets the per-call accepted-bytes cap (minimum 1).
-    pub fn with_max_chunk(mut self, max_chunk: usize) -> Self {
-        self.max_chunk = max_chunk.max(1);
-        self
-    }
-
-    /// splitmix64-style finalizer over `seed ^ index` (the same mix as
-    /// [`FaultPlan`], salted so the two plans decorrelate on one seed).
-    fn mix(&self, index: u64) -> u64 {
-        let mut z = self.seed ^ 0x0051_07A1_1ED0_u64 ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Whether write call `index` stalls (times out) — a pure function
-    /// of `(seed, index)`.
-    pub fn should_stall(&self, index: u64) -> bool {
-        self.mix(index) % self.denom < self.num
-    }
-
-    /// Bytes accepted by write call `index` when it does not stall:
-    /// `1..=min(max_chunk, requested)`, a pure function of
-    /// `(seed, index)`.
-    pub fn chunk_len(&self, index: u64, requested: usize) -> usize {
-        let cap = self.max_chunk.min(requested).max(1);
-        (self.mix(index.wrapping_add(0x5EED)) % cap as u64) as usize + 1
-    }
-}
-
-/// An [`io::Write`](std::io::Write) wrapper driven by a [`StallPlan`]:
-/// each write call either accepts a small planned number of bytes or
-/// fails with [`TimedOut`], deterministically simulating a slow-loris
-/// peer behind a socket write timeout.
-///
-/// Because `write` accepts short counts (never zero), `write_all`
-/// through a stall-free plan still completes — just in many tiny
-/// writes, exercising every partial-write resumption path in between.
-///
-/// [`TimedOut`]: std::io::ErrorKind::TimedOut
-///
-/// ```
-/// use std::io::Write;
-/// use moca_testkit::{SlowWriter, StallPlan};
-///
-/// // Stall-free: everything lands, in dribs and drabs.
-/// let mut w = SlowWriter::new(Vec::new(), StallPlan::new(3));
-/// w.write_all(b"trickled through").unwrap();
-/// assert_eq!(w.written(), b"trickled through");
-/// assert!(w.calls() > 2);
-///
-/// // Always-stall: the first call times out, nothing lands.
-/// let mut w = SlowWriter::new(Vec::new(), StallPlan::new(3).with_stall_rate(1, 1));
-/// let err = w.write_all(b"never arrives").unwrap_err();
-/// assert_eq!(err.kind(), std::io::ErrorKind::TimedOut);
-/// assert!(w.written().is_empty());
-/// ```
-#[derive(Debug)]
-pub struct SlowWriter<W> {
-    inner: W,
-    plan: StallPlan,
-    calls: u64,
-    stalls: u64,
-}
-
-impl<W> SlowWriter<W> {
-    /// Wraps `inner` under `plan`.
-    pub fn new(inner: W, plan: StallPlan) -> Self {
-        Self {
-            inner,
-            plan,
-            calls: 0,
-            stalls: 0,
-        }
-    }
-
-    /// Write calls observed so far (including stalled ones).
-    pub fn calls(&self) -> u64 {
-        self.calls
-    }
-
-    /// Write calls that stalled with [`TimedOut`](std::io::ErrorKind::TimedOut).
-    pub fn stalls(&self) -> u64 {
-        self.stalls
-    }
-
-    /// The wrapped writer.
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
-
-    /// A reference to the wrapped writer.
-    pub fn get_ref(&self) -> &W {
-        &self.inner
-    }
-}
-
-impl SlowWriter<Vec<u8>> {
-    /// The bytes that made it through to a `Vec`-backed writer.
-    pub fn written(&self) -> &[u8] {
-        self.get_ref()
-    }
-}
-
-impl<W: std::io::Write> std::io::Write for SlowWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let index = self.calls;
-        self.calls += 1;
-        if self.plan.should_stall(index) {
-            self.stalls += 1;
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                format!("injected stall at write call {index}"),
-            ));
-        }
-        if buf.is_empty() {
-            return Ok(0);
-        }
-        let n = self.plan.chunk_len(index, buf.len());
-        self.inner.write(&buf[..n.min(buf.len())])
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -826,60 +642,6 @@ mod tests {
         assert_eq!(err.kind(), std::io::ErrorKind::WriteZero);
         assert_eq!(w.written(), b"0123456789");
         w.flush().expect("flush is infallible");
-    }
-
-    #[test]
-    fn stall_plan_is_deterministic_and_rate_shaped() {
-        let plan = StallPlan::new(0xC0FFEE).with_stall_rate(1, 4).with_max_chunk(5);
-        let a: Vec<(bool, usize)> = (0..500).map(|i| (plan.should_stall(i), plan.chunk_len(i, 64))).collect();
-        let b: Vec<(bool, usize)> = (0..500).map(|i| (plan.should_stall(i), plan.chunk_len(i, 64))).collect();
-        assert_eq!(a, b);
-        let stalls = a.iter().filter(|(s, _)| *s).count();
-        assert!((50..=200).contains(&stalls), "1/4 rate produced {stalls}/500 stalls");
-        assert!(a.iter().all(|&(_, n)| (1..=5).contains(&n)));
-        // chunk_len never exceeds the requested length.
-        assert!((0..100).all(|i| plan.chunk_len(i, 2) <= 2));
-        assert!((0..100).all(|i| plan.chunk_len(i, 1) == 1));
-    }
-
-    #[test]
-    fn stall_plan_decorrelates_from_fault_plan() {
-        // Same seed, same rate: the two plans must not trip on the same
-        // index set (that would couple stall tests to fault tests).
-        let faults = FaultPlan::new(99).with_rate(1, 2);
-        let stalls = StallPlan::new(99).with_stall_rate(1, 2);
-        let same = (0..256).filter(|&i| faults.should_fault(i) == stalls.should_stall(i as u64)).count();
-        assert!(same < 256, "plans are perfectly correlated");
-    }
-
-    #[test]
-    fn slow_writer_trickles_everything_through_without_stalls() {
-        use std::io::Write;
-        let payload: Vec<u8> = (0..u8::MAX).collect();
-        let mut w = SlowWriter::new(Vec::new(), StallPlan::new(11).with_max_chunk(3));
-        w.write_all(&payload).expect("stall-free plan completes");
-        assert_eq!(w.written(), &payload[..]);
-        assert!(w.calls() >= (payload.len() / 3) as u64);
-        assert_eq!(w.stalls(), 0);
-        w.flush().expect("flush passes through");
-    }
-
-    #[test]
-    fn slow_writer_surfaces_planned_stalls_as_timeouts() {
-        use std::io::Write;
-        let plan = StallPlan::new(5).with_stall_rate(1, 3);
-        let first_stall = (0..).find(|&i| plan.should_stall(i)).unwrap();
-        let mut w = SlowWriter::new(Vec::new(), plan);
-        let err = loop {
-            match w.write_all(b"xxxxxxxx") {
-                Ok(()) => continue,
-                Err(e) => break e,
-            }
-        };
-        assert_eq!(err.kind(), std::io::ErrorKind::TimedOut);
-        assert_eq!(w.stalls(), 1);
-        assert_eq!(w.calls(), first_stall + 1);
-        assert!(err.to_string().contains(&format!("write call {first_stall}")));
     }
 
     #[test]

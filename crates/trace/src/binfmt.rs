@@ -35,8 +35,8 @@
 //!   byte surfaces as a structured [`ReadTraceError`] naming the
 //!   failing chunk — never a panic, never silent garbage.
 //! * **Fingerprinted.** The header records the generating
-//!   [`AppProfile::fingerprint`] and seed. Consumers key caches and
-//!   checkpoint journals by [`TraceHeader::source_fingerprint`], which
+//!   [`AppProfile::fingerprint`] and seed. Consumers key caches by
+//!   [`TraceHeader::source_fingerprint`], which
 //!   also folds in the format identity, so a file-backed stream can
 //!   never alias an in-process generated one.
 //!
@@ -418,8 +418,8 @@ impl TraceHeader {
     ///
     /// Distinct from the plain profile fingerprint: it folds in the
     /// container identity (magic, version, chunk granularity, length)
-    /// so memo keys and checkpoint-journal keys for file-backed
-    /// streams can never collide with in-process generated ones, and a
+    /// so memo keys for file-backed streams can never collide with
+    /// in-process generated ones, and a
     /// re-recorded file of different length re-keys cleanly.
     pub fn source_fingerprint(&self) -> u64 {
         let mut h = FxHasher::default();

@@ -103,9 +103,7 @@ fn c3_shrunk_static_partition_stays_within_two_percent_miss_of_shared() {
 #[test]
 fn s1_evolved_front_dominates_or_ties_the_handpicked_designs() {
     let cfg = moca::search::SearchConfig::for_scale(Scale::Quick);
-    let outcome = moca::search::run_search(&cfg, Jobs::available(), None, None)
-        .expect("search runs")
-        .expect("not cancelled");
+    let outcome = moca::search::run_search(&cfg, Jobs::available(), None).expect("search runs");
     for (claim, label) in [
         ("S1-C7", L2Design::static_default().label()),
         ("S1-C8", L2Design::dynamic_default().label()),
