@@ -14,7 +14,9 @@
 //!
 //! * a per-scope profile table — sweep points and the nanoseconds each
 //!   scope spent in trace generation vs cache simulation vs energy
-//!   accounting, plus each scope's share of the total measured time;
+//!   accounting, plus each scope's share of the total measured time,
+//!   and each scope's MRC pruning (grid points pruned, profiling time)
+//!   and search generations (count, evaluation time);
 //! * a worker-pool table (workers observed, items processed, busy time)
 //!   when the run was parallel;
 //! * checkpoint journal activity and the end-of-run filtered-run memo
@@ -31,13 +33,22 @@ use std::process::ExitCode;
 use moca_sim::table::Table;
 use moca_sim::telemetry::{parse_line, JsonValue};
 
-/// Per-scope accumulator for `point` events.
+/// Per-scope accumulator for `point`, `mrc` and `search` events.
 #[derive(Default)]
 struct PhaseAgg {
     points: u64,
     gen_ns: u64,
     sim_ns: u64,
     energy_ns: u64,
+    /// MRC pruning decisions: grid points scored and pruned, and the
+    /// profiling passes' wall time.
+    mrc_grid: u64,
+    mrc_pruned: u64,
+    mrc_ns: u64,
+    /// Search generations, and their evaluation fan-outs' wall time
+    /// (which contains the simulated candidates' points).
+    generations: u64,
+    search_ns: u64,
 }
 
 impl PhaseAgg {
@@ -103,20 +114,38 @@ struct Report {
 }
 
 impl Report {
+    /// The accumulator of the event's scope.
+    fn phase(&mut self, fields: &[(String, JsonValue)]) -> Result<&mut PhaseAgg, String> {
+        let scope = str_field(fields, "scope")?.to_string();
+        Ok(self.phases.entry(scope).or_default())
+    }
+
     /// Folds one JSONL line into the aggregate.
     fn ingest(&mut self, line: &str) -> Result<(), String> {
         let fields = parse_line(line)?;
         self.events += 1;
         match str_field(&fields, "kind")? {
             "point" => {
-                let agg = self
-                    .phases
-                    .entry(str_field(&fields, "scope")?.to_string())
-                    .or_default();
+                let agg = self.phase(&fields)?;
                 agg.points += 1;
                 agg.gen_ns += num_field(&fields, "trace_gen_ns")?;
                 agg.sim_ns += num_field(&fields, "sim_ns")?;
                 agg.energy_ns += num_field(&fields, "energy_ns")?;
+            }
+            "mrc" => {
+                let grid = num_field(&fields, "grid")?;
+                let pruned = num_field(&fields, "pruned")?;
+                let profile_ns = num_field(&fields, "profile_ns")?;
+                let agg = self.phase(&fields)?;
+                agg.mrc_grid += grid;
+                agg.mrc_pruned += pruned;
+                agg.mrc_ns += profile_ns;
+            }
+            "search" => {
+                let eval_ns = num_field(&fields, "eval_ns")?;
+                let agg = self.phase(&fields)?;
+                agg.generations += 1;
+                agg.search_ns += eval_ns;
             }
             "worker_stop" => {
                 let key = (
@@ -173,12 +202,21 @@ impl Report {
         out.push_str(&format!(
             "# telemetry report — {} event(s), {} scope(s) with sweep points\n\n",
             self.events,
-            self.phases.len()
+            self.phases.values().filter(|a| a.points > 0).count()
         ));
 
         let grand_total: u64 = self.phases.values().map(PhaseAgg::total_ns).sum();
         let mut profile = Table::new(vec![
-            "scope", "points", "gen ms", "sim ms", "energy ms", "share",
+            "scope",
+            "points",
+            "gen ms",
+            "sim ms",
+            "energy ms",
+            "share",
+            "mrc pruned/grid",
+            "mrc ms",
+            "search gens",
+            "search ms",
         ]);
         for (scope, agg) in &self.phases {
             profile.row(vec![
@@ -188,6 +226,10 @@ impl Report {
                 ms(agg.sim_ns),
                 ms(agg.energy_ns),
                 pct(agg.total_ns(), grand_total),
+                format!("{}/{}", agg.mrc_pruned, agg.mrc_grid),
+                ms(agg.mrc_ns),
+                agg.generations.to_string(),
+                ms(agg.search_ns),
             ]);
         }
         if !profile.is_empty() {
@@ -299,6 +341,8 @@ mod tests {
             r#"{"v":1,"kind":"memo","runs":3,"used_bytes":4096,"cap_bytes":100663296,"hits":9,"misses":3,"rejected":0,"front_end_refs":24000}"#,
             r#"{"v":1,"kind":"trace_io","files":4,"chunks_decoded":148,"bytes_read":900000,"decode_ns":123456,"checksum_verifies":148,"decode_errors":0}"#,
             r#"{"v":1,"kind":"counter","name":"sim_batches","value":4}"#,
+            r#"{"v":1,"kind":"mrc","scope":"M1","app":"game","grid":24,"max_ways":24,"pruned":16,"simulated":8,"profile_ns":7000000}"#,
+            r#"{"v":1,"kind":"search","scope":"S1","generation":0,"population":12,"front_size":6,"hv_permille":995,"evals_pruned":3,"evals_simulated":9,"evals_cached":0,"eval_ns":2000000}"#,
         ];
         for line in lines {
             r.ingest(line).unwrap();
@@ -312,7 +356,22 @@ mod tests {
         assert_eq!(r.memo, Some((3, 4096, 100663296, 9, 3, 0, 24000)));
         assert_eq!(r.trace_io, Some((4, 148, 900000, 123456, 148, 0)));
         assert_eq!(r.counters["sim_batches"], 4);
+        let m1 = &r.phases["M1"];
+        assert_eq!((m1.mrc_grid, m1.mrc_pruned, m1.mrc_ns), (24, 16, 7_000_000));
+        let s1 = &r.phases["S1"];
+        assert_eq!((s1.generations, s1.search_ns), (1, 2_000_000));
         let rendered = r.render();
+        assert!(rendered.contains("1 scope(s) with sweep points"));
+        let row = |scope: &str| {
+            rendered
+                .lines()
+                .find(|l| l.starts_with(scope))
+                .unwrap_or_else(|| panic!("no profile row for {scope}:\n{rendered}"))
+                .split_whitespace()
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(row("M1")[6..], ["16/24", "7.00", "0", "0.00"]);
+        assert_eq!(row("S1")[6..], ["0/0", "0.00", "1", "2.00"]);
         assert!(rendered.contains("per-scope profile"));
         assert!(rendered.contains("worker pools"));
         assert!(rendered.contains("sim_batches"));
@@ -331,6 +390,10 @@ mod tests {
             .ingest(r#"{"v":1,"kind":"point","scope":"F3"}"#)
             .is_err(),
             "point without timing fields must be rejected");
+        assert!(r
+            .ingest(r#"{"v":1,"kind":"mrc","scope":"M1","app":"game","grid":24}"#)
+            .is_err(),
+            "mrc without its counts must be rejected");
     }
 
     #[test]

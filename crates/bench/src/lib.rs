@@ -1,15 +1,14 @@
-//! Offline benchmark harness plus shared helpers for the `moca-bench`
-//! targets.
+//! Offline benchmark harness for the `moca-bench` targets.
 //!
-//! Each reproduced figure/table has a bench target named after it
-//! (`fig1_kernel_share`, `table2_energy`, ...). The targets use the
-//! dependency-free [`Runner`] below — warmup iterations followed by `N`
-//! timed iterations per benchmark, reported as median/min wall time with
-//! a machine-readable JSON line — so `cargo bench` works with zero
-//! registry access. Each target measures the *simulation kernel* of its
-//! experiment at a reduced reference count so iteration times stay in
-//! the hundreds of milliseconds; regenerating the full figures is the
-//! job of the `repro` binary, not the benches.
+//! The `micro` target times the substrates (trace generation, the cache
+//! access path, L1 filtering, the sweep executor, the filtered-run memo,
+//! MRC profiling, search) with the dependency-free [`Runner`] below —
+//! warmup iterations followed by `N` timed iterations per benchmark,
+//! reported as median/min wall time with a machine-readable JSON line —
+//! so `cargo bench` works with zero registry access. [`regression`]
+//! compares such a run against a stored baseline (`bench_guard`).
+//! End-to-end `repro` timing is the job of the reprobench ledger, not
+//! of these benches.
 //!
 //! Flags (after `cargo bench -p moca-bench -- ...`):
 //!
@@ -24,22 +23,10 @@ pub mod regression;
 use std::hint::black_box;
 use std::time::Instant;
 
-use moca_core::L2Design;
-use moca_sim::metrics::SimReport;
-use moca_sim::run_app;
 use moca_trace::AppProfile;
-
-/// References per bench iteration — small enough for quick iterations,
-/// large enough to exercise steady-state behaviour (epochs, sweeps).
-pub const BENCH_REFS: usize = 120_000;
 
 /// The seed all bench iterations share (determinism keeps variance low).
 pub const BENCH_SEED: u64 = 2015;
-
-/// Runs one app/design pair at bench scale and returns the report.
-pub fn bench_run(app: &AppProfile, design: L2Design) -> SimReport {
-    run_app(app, design, BENCH_REFS, BENCH_SEED)
-}
 
 /// The app most benches use.
 pub fn bench_app() -> AppProfile {
@@ -153,8 +140,8 @@ fn fmt_ns(ns: u64) -> String {
 /// human line and a JSON line:
 ///
 /// ```text
-/// fig6_performance/baseline-cpr: median 41.20 ms, min 40.97 ms (5 iters)
-/// {"group":"fig6_performance","bench":"baseline-cpr","iters":5,"median_ns":41204512,"min_ns":40972011}
+/// micro/cache-access/lru: median 41.20 ms, min 40.97 ms (5 iters)
+/// {"group":"micro","bench":"cache-access/lru","iters":5,"median_ns":41204512,"min_ns":40972011}
 /// ```
 pub struct Runner {
     group: String,
@@ -256,14 +243,6 @@ impl Runner {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_run_is_deterministic() {
-        let app = bench_app();
-        let a = bench_run(&app, L2Design::baseline());
-        let b = bench_run(&app, L2Design::baseline());
-        assert_eq!(a.cycles, b.cycles);
-    }
 
     fn strings(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()

@@ -3,39 +3,45 @@
 //! Reproduces claim C6: the dynamic controller minimizes the active cache
 //! size, repartitioning the user/kernel segments each epoch and power-gating
 //! unused ways. The table samples the allocation timeline of two
-//! representative apps.
+//! representative apps, read from the shared design matrix.
 
 use moca_core::L2Design;
-use moca_trace::AppProfile;
 
+use crate::experiments::matrix::DesignMatrix;
 use crate::experiments::{ClaimCheck, ExperimentResult};
-use crate::parallel::{parallel_map, Jobs};
 use crate::table::Table;
-use crate::workloads::{run_app, Scale, EXPERIMENT_SEED};
 
-/// Apps shown in the timeline table.
+/// Apps shown in the timeline table, in suite order.
 pub const TIMELINE_APPS: [&str; 2] = ["browser", "camera"];
 
 /// Timeline samples shown per app.
 const SAMPLES: usize = 12;
 
-/// Runs the experiment, sharding the timeline simulations over `jobs`
-/// threads.
-pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
+/// The designs F7 reads from the shared design matrix.
+pub fn designs() -> Vec<L2Design> {
+    vec![L2Design::dynamic_default()]
+}
+
+/// Builds the result from the [`TIMELINE_APPS`] rows of the dynamic
+/// design's column.
+///
+/// # Panics
+///
+/// Panics if the matrix holds no column for the dynamic design.
+pub fn from_matrix(m: &DesignMatrix) -> ExperimentResult {
     let mut table = Table::new(vec!["app", "time (ms)", "user ways", "kernel ways", "total"]);
     let mut mean_ways = Vec::new();
     let mut changes = Vec::new();
-    let runs = parallel_map(jobs, TIMELINE_APPS.to_vec(), |name| {
-        let app = AppProfile::by_name(name).expect("known app");
-        run_app(&app, L2Design::dynamic_default(), scale.refs(), EXPERIMENT_SEED)
-    });
-    for (name, r) in TIMELINE_APPS.iter().zip(&runs) {
+    let runs = m
+        .reports(L2Design::dynamic_default())
+        .filter(|r| TIMELINE_APPS.contains(&r.app.as_str()));
+    for r in runs {
         mean_ways.push(r.mean_active_ways);
         changes.push(r.timeline.len().saturating_sub(1));
         let step = (r.timeline.len() / SAMPLES).max(1);
         for s in r.timeline.iter().step_by(step) {
             table.row(vec![
-                name.to_string(),
+                r.app.clone(),
                 format!("{:.2}", s.cycle as f64 / (r.clock_ghz * 1e6)),
                 s.user_ways.to_string(),
                 s.kernel_ways.to_string(),
@@ -77,11 +83,15 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::matrix::run_matrix;
+    use crate::parallel::Jobs;
+    use crate::workloads::Scale;
 
     #[test]
     fn dynamic_adapts() {
-        let r = run(Scale::Quick, Jobs::available());
+        let r = from_matrix(&run_matrix(&designs(), Scale::Quick, Jobs::available()));
         assert!(r.passed(), "claims failed:\n{}", r.render());
         assert!(r.table.contains("browser"));
+        assert!(r.table.contains("camera"));
     }
 }

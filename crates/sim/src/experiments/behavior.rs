@@ -11,10 +11,12 @@ use moca_core::{recommend_retention, L2Design};
 use moca_energy::RetentionClass;
 use moca_trace::{AppProfile, Mode};
 
+use crate::config::SystemConfig;
 use crate::experiments::{ClaimCheck, ExperimentResult};
+use crate::lockstep::{execute, Plan};
 use crate::parallel::{parallel_map, Jobs};
 use crate::table::{pct, Table};
-use crate::workloads::{run_app_with_behavior, Scale, EXPERIMENT_SEED};
+use crate::workloads::{Scale, EXPERIMENT_SEED};
 
 /// Lifetime quantile a retention class must cover.
 pub const COVERAGE: f64 = 0.95;
@@ -28,10 +30,18 @@ fn fmt_cycles_ms(c: Option<u64>) -> String {
 
 /// Runs the experiment, sharding the per-app simulations over `jobs`
 /// threads.
+///
+/// Each app is one probed, unmemoized [`Plan`] over the static SRAM
+/// partition: caching ten full-length runs would crowd the memo the
+/// later sweeps replay from.
 pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
-    let design = L2Design::StaticSram {
+    let design = [L2Design::StaticSram {
         user_ways: 6,
         kernel_ways: 4,
+    }];
+    let probe = SystemConfig {
+        l2_behavior_probe: true,
+        ..SystemConfig::default()
     };
     let mut table = Table::new(vec![
         "app",
@@ -43,10 +53,14 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
     ]);
     let mut recs: Vec<(RetentionClass, RetentionClass)> = Vec::new();
     let runs = parallel_map(jobs, AppProfile::suite(), |app| {
-        let r = run_app_with_behavior(&app, design, scale.refs(), EXPERIMENT_SEED);
-        (app, r)
+        let plan = Plan::new(&app, EXPERIMENT_SEED, scale.refs(), &design)
+            .with_config(probe)
+            .unmemoized();
+        execute(&plan, Jobs::SERIAL)
     });
-    for (app, r) in runs {
+    for point in runs.into_iter().flatten() {
+        // Invariant: the one design is a constant, valid partition.
+        let r = point.expect("F4 design is valid").report;
         let mut row_rec = (RetentionClass::TenYears, RetentionClass::TenYears);
         for mode in Mode::ALL {
             let b = r.behavior(mode);
@@ -56,7 +70,7 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
                 Mode::Kernel => row_rec.1 = rec,
             }
             table.row(vec![
-                app.name.to_string(),
+                r.app.clone(),
                 mode.to_string(),
                 fmt_cycles_ms(b.reuse.median()),
                 fmt_cycles_ms(b.lifetime.quantile(COVERAGE)),

@@ -110,6 +110,7 @@ fn matrix_experiment(id: &str) -> Option<MatrixExperiment> {
         "F2" => Some((interference::designs, interference::from_matrix)),
         "T2" => Some((energy_table::designs, energy_table::from_matrix)),
         "F6" => Some((performance::designs, performance::from_matrix)),
+        "F7" => Some((adaptation::designs, adaptation::from_matrix)),
         _ => None,
     }
 }
@@ -161,7 +162,6 @@ impl Runner {
             "F3" => Some(static_sweep::run(scale, jobs)),
             "F4" => Some(behavior::run(scale, jobs)),
             "F5" => Some(retention_sweep::run(scale, jobs)),
-            "F7" => Some(adaptation::run(scale, jobs)),
             "F8" => Some(sensitivity::run(scale, jobs)),
             "A1" => Some(area::run(scale, jobs)),
             "A2" => Some(partition_style::run(scale, jobs)),

@@ -12,30 +12,20 @@ use moca_trace::AppProfile;
 
 use crate::config::SystemConfig;
 use crate::experiments::{ClaimCheck, ExperimentResult};
-use crate::metrics::SimReport;
+use crate::lockstep::{execute, Plan};
 use crate::parallel::{parallel_map, Jobs};
-use crate::system::System;
 use crate::table::{f3, Table};
 use crate::workloads::{Scale, EXPERIMENT_SEED};
 
 /// Streaming-heavy apps where a next-line prefetcher matters most.
 pub const APPS: [&str; 3] = ["video", "camera", "maps"];
 
-fn run(app: &AppProfile, design: L2Design, refs: usize, prefetch: bool) -> SimReport {
-    let cfg = SystemConfig {
-        l2_next_line_prefetch: prefetch,
-        ..SystemConfig::default()
-    };
-    let mut sys = System::new(app.name, design, cfg).expect("valid design");
-    let mut gen = moca_trace::TraceGenerator::new(app, EXPERIMENT_SEED);
-    sys.run_generated(&mut gen, refs);
-    sys.finish()
-}
-
-/// Runs the experiment, sharding the app × design on/off pairs over
-/// `jobs` threads.
+/// Runs the experiment: one plan of both designs per app and prefetch
+/// setting, sharded over `jobs` threads. Prefetching changes only the
+/// L2, so an app's two plans replay one memoized filtered run.
 pub fn run_experiment(scale: Scale, jobs: Jobs) -> ExperimentResult {
     let refs = scale.sweep_refs();
+    let designs = [L2Design::baseline(), L2Design::static_default()];
     let mut table = Table::new(vec![
         "app / design",
         "demand miss (no pf)",
@@ -45,32 +35,38 @@ pub fn run_experiment(scale: Scale, jobs: Jobs) -> ExperimentResult {
     ]);
     let mut speedups = Vec::new();
     let mut miss_drops = Vec::new();
-    let cells: Vec<(&str, L2Design)> = APPS
+    let cells: Vec<(&str, bool)> = APPS
         .iter()
-        .flat_map(|&name| {
-            [L2Design::baseline(), L2Design::static_default()]
-                .into_iter()
-                .map(move |design| (name, design))
-        })
+        .flat_map(|&name| [(name, false), (name, true)])
         .collect();
-    let pairs = parallel_map(jobs, cells, |(name, design)| {
+    let runs = parallel_map(jobs, cells, |(name, prefetch)| {
         let app = AppProfile::by_name(name).expect("known app");
-        let off = run(&app, design, refs, false);
-        let on = run(&app, design, refs, true);
-        (name, design, off, on)
+        let cfg = SystemConfig {
+            l2_next_line_prefetch: prefetch,
+            ..SystemConfig::default()
+        };
+        let plan = Plan::new(&app, EXPERIMENT_SEED, refs, &designs).with_config(cfg);
+        execute(&plan, Jobs::SERIAL)
+            .into_iter()
+            // Invariant: both designs are constant, valid designs.
+            .map(|p| p.expect("A5 designs are valid").report)
+            .collect::<Vec<_>>()
     });
-    for (name, design, off, on) in pairs {
-        let speedup = off.cpr() / on.cpr();
-        let energy_ratio = on.l2_energy.normalized_to(&off.l2_energy);
-        speedups.push(speedup);
-        miss_drops.push(off.l2_demand_miss_rate() - on.l2_demand_miss_rate());
-        table.row(vec![
-            format!("{name} / {}", design.label()),
-            f3(off.l2_demand_miss_rate()),
-            f3(on.l2_demand_miss_rate()),
-            f3(speedup),
-            f3(energy_ratio),
-        ]);
+    // `runs` alternates prefetch off/on per app, in `APPS` order.
+    for (name, pair) in APPS.iter().zip(runs.chunks_exact(2)) {
+        for (design, (off, on)) in designs.iter().zip(pair[0].iter().zip(&pair[1])) {
+            let speedup = off.cpr() / on.cpr();
+            let energy_ratio = on.l2_energy.normalized_to(&off.l2_energy);
+            speedups.push(speedup);
+            miss_drops.push(off.l2_demand_miss_rate() - on.l2_demand_miss_rate());
+            table.row(vec![
+                format!("{name} / {}", design.label()),
+                f3(off.l2_demand_miss_rate()),
+                f3(on.l2_demand_miss_rate()),
+                f3(speedup),
+                f3(energy_ratio),
+            ]);
+        }
     }
     let mean_speedup = speedups.iter().sum::<f64>() / speedups.len() as f64;
     let mean_drop = miss_drops.iter().sum::<f64>() / miss_drops.len() as f64;

@@ -69,4 +69,4 @@ pub use sweep::{
 };
 pub use system::{BuildSystemError, System};
 pub use telemetry::{Event, JsonlRecorder, NullRecorder, Recorder};
-pub use workloads::{run_app, run_app_with_behavior, Scale, EXPERIMENT_SEED};
+pub use workloads::{run_app, Scale, EXPERIMENT_SEED};

@@ -506,8 +506,12 @@ mod tests {
             dram_latency_cycles: 200,
             ..default
         };
+        let probed = SystemConfig {
+            l2_behavior_probe: true,
+            ..default
+        };
         let pool = designs();
-        for cfg in [default, small_l1, other_l2] {
+        for cfg in [default, small_l1, other_l2, probed] {
             let got = reports(
                 Plan::new(&app, 4, refs, &pool)
                     .with_config(cfg)
@@ -524,7 +528,7 @@ mod tests {
             assert_eq!(rendered(&got), rendered(&want), "cfg = {cfg:?}");
         }
         let stats = memo.stats();
-        assert_eq!((stats.runs, stats.misses, stats.hits), (2, 2, 1));
+        assert_eq!((stats.runs, stats.misses, stats.hits), (2, 2, 2));
     }
 
     #[test]

@@ -74,7 +74,6 @@ pub struct System {
     l1: L1Pair,
     l2: MobileL2,
     dram: Option<RowBufferDram>,
-    behavior_probe: bool,
     app: String,
 }
 
@@ -113,16 +112,8 @@ impl System {
             l1,
             l2,
             dram,
-            behavior_probe: false,
             app: app.into(),
         })
-    }
-
-    /// Enables segment behaviour probing (costs an extra L2 tag probe per
-    /// request; used by the behaviour experiments).
-    pub fn with_behavior_probe(mut self) -> Self {
-        self.behavior_probe = true;
-        self
     }
 
     /// The L2 under test.
@@ -141,7 +132,7 @@ impl System {
         let outcome = self.l1.filter(access, now);
         let mut stall = 0u64;
         if let Some(demand) = outcome.demand {
-            let resp = if self.behavior_probe {
+            let resp = if self.cfg.l2_behavior_probe {
                 self.l2.request_with_behavior(&demand, now)
             } else {
                 self.l2.request(&demand, now)
@@ -159,7 +150,7 @@ impl System {
         if let Some(wb) = outcome.writeback {
             // Writebacks are off the critical path: they cost energy and
             // may evict, but do not stall the core.
-            if self.behavior_probe {
+            if self.cfg.l2_behavior_probe {
                 self.l2.request_with_behavior(&wb, now);
             } else {
                 self.l2.request(&wb, now);
@@ -204,7 +195,7 @@ impl System {
         let now = self.core.cycle();
         let mut stall = 0u64;
         if let Some(demand) = demand {
-            let resp = if self.behavior_probe {
+            let resp = if self.cfg.l2_behavior_probe {
                 self.l2.request_with_behavior(demand, now)
             } else {
                 self.l2.request(demand, now)
@@ -220,7 +211,7 @@ impl System {
             stall = resp.latency_cycles + dram_cycles;
         }
         if let Some(wb) = writeback {
-            if self.behavior_probe {
+            if self.cfg.l2_behavior_probe {
                 self.l2.request_with_behavior(wb, now);
             } else {
                 self.l2.request(wb, now);
@@ -426,9 +417,11 @@ mod tests {
 
     #[test]
     fn behavior_probe_populates_reports() {
-        let mut sys = System::new("email", L2Design::static_default(), SystemConfig::default())
-            .expect("valid")
-            .with_behavior_probe();
+        let cfg = SystemConfig {
+            l2_behavior_probe: true,
+            ..SystemConfig::default()
+        };
+        let mut sys = System::new("email", L2Design::static_default(), cfg).expect("valid");
         let trace = TraceGenerator::new(&AppProfile::email(), 3).take(150_000);
         sys.run(trace);
         let r = sys.finish();

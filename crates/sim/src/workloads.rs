@@ -1,14 +1,11 @@
 //! Standard workload execution helpers shared by all experiments.
 
-use std::time::Instant;
-
 use moca_core::L2Design;
 use moca_trace::{AppProfile, TraceGenerator};
 
 use crate::config::SystemConfig;
 use crate::metrics::SimReport;
 use crate::system::System;
-use crate::telemetry::{self, Event};
 
 /// How long experiments run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,74 +55,17 @@ pub const EXPERIMENT_SEED: u64 = 0x5EED_2015;
 /// [`crate::sweep::sweep`] and the shared
 /// [`crate::experiments::matrix::run_matrix`]), which pays trace
 /// generation and L1 filtering once per lane group instead of once per
-/// design.
+/// design. It emits no telemetry `point` event; only executor lanes do.
 ///
 /// # Panics
 ///
-/// Panics if `design` is invalid (experiments construct designs from
-/// validated enums, so this indicates a bug, not bad user input).
+/// Panics if `design` is invalid (callers pass constant, known-valid
+/// designs, so this indicates a bug, not bad user input).
 pub fn run_app(app: &AppProfile, design: L2Design, refs: usize, seed: u64) -> SimReport {
-    let sys = System::new(app.name, design, SystemConfig::default())
+    let mut sys = System::new(app.name, design, SystemConfig::default())
         .expect("experiment design must be valid");
-    finish_run(sys, app, refs, seed)
-}
-
-/// Runs one app with segment-behaviour probing enabled.
-///
-/// # Panics
-///
-/// Panics if `design` is invalid.
-pub fn run_app_with_behavior(
-    app: &AppProfile,
-    design: L2Design,
-    refs: usize,
-    seed: u64,
-) -> SimReport {
-    let sys = System::new(app.name, design, SystemConfig::default())
-        .expect("experiment design must be valid")
-        .with_behavior_probe();
-    finish_run(sys, app, refs, seed)
-}
-
-/// Drives `sys` over the first `refs` references of `(app, seed)`.
-///
-/// With telemetry disabled this is exactly [`System::run_generated`];
-/// with it enabled, the same chunked loop runs with per-stage timing
-/// and emits one `point` event (`index` 0, `total` 1 — a standalone
-/// run is a one-point sweep). Both paths feed identical batches to the
-/// system, so the report stays byte-identical either way.
-fn finish_run(mut sys: System, app: &AppProfile, refs: usize, seed: u64) -> SimReport {
-    let mut gen = TraceGenerator::new(app, seed);
-    if !telemetry::enabled() {
-        sys.run_generated(&mut gen, refs);
-        return sys.finish();
-    }
-    let mut chunk = Vec::with_capacity(TraceGenerator::DEFAULT_CHUNK.min(refs.max(1)));
-    let mut gen_ns = 0u64;
-    let mut sim_ns = 0u64;
-    let mut left = refs;
-    while left > 0 {
-        let start = Instant::now();
-        let n = gen.fill(&mut chunk).min(left);
-        gen_ns += start.elapsed().as_nanos() as u64;
-        let start = Instant::now();
-        sys.run_batch(&chunk[..n]);
-        sim_ns += start.elapsed().as_nanos() as u64;
-        left -= n;
-    }
-    let start = Instant::now();
-    let report = sys.finish();
-    let energy_ns = start.elapsed().as_nanos() as u64;
-    telemetry::record(Event::point(
-        &report.app,
-        &report.design,
-        0,
-        1,
-        gen_ns,
-        sim_ns,
-        energy_ns,
-    ));
-    report
+    sys.run_generated(&mut TraceGenerator::new(app, seed), refs);
+    sys.finish()
 }
 
 #[cfg(test)]

@@ -42,7 +42,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         user_ways: 6,
         kernel_ways: 4,
     };
-    let mut sys = System::new(app.name, design, SystemConfig::default())?.with_behavior_probe();
+    let cfg = SystemConfig {
+        l2_behavior_probe: true,
+        ..SystemConfig::default()
+    };
+    let mut sys = System::new(app.name, design, cfg)?;
     sys.run(TraceGenerator::new(&app, 7).take(refs));
     let report = sys.finish();
 

@@ -69,14 +69,16 @@ fi
 echo "kill/resume smoke passed"
 
 echo "== telemetry smoke (repro --telemetry + --progress, stream validates) =="
+# No ids: every suite id plus S1, so the stream carries every event kind
+# (--mrc adds M1's pruning decision, S1 its search generations).
 TELEM="$SMOKE_DIR/telemetry.jsonl"
-"$REPRO" --quick --progress --telemetry "$TELEM" F3 A2 \
+"$REPRO" --quick --mrc --progress --telemetry "$TELEM" \
   > "$SMOKE_DIR/telemetry_stdout.txt" 2> "$SMOKE_DIR/telemetry_stderr.txt"
-grep -q '^\[progress\] F3 (1/2)' "$SMOKE_DIR/telemetry_stderr.txt" \
+grep -q '^\[progress\] F1 (1/18)' "$SMOKE_DIR/telemetry_stderr.txt" \
   || { echo "missing --progress heartbeat on stderr"; exit 1; }
 test -s "$TELEM" || { echo "telemetry stream is empty"; exit 1; }
-# telemetry_report parses every line (exit 2 on the first malformed one)
-# and must find the sweep points in its aggregate.
+# telemetry_report parses every line (exit 2 on the first malformed one
+# or unknown kind) and must find the sweep points in its aggregate.
 target/release/telemetry_report "$TELEM" > "$SMOKE_DIR/telemetry_report.txt"
 grep -q 'per-scope profile' "$SMOKE_DIR/telemetry_report.txt" \
   || { echo "telemetry_report produced no profile"; exit 1; }
@@ -202,36 +204,40 @@ diff -u "$SMOKE_DIR/s1_j1.txt" "$SMOKE_DIR/s1_resumed.txt" \
   || { echo "search kill/resume diverged from the uninterrupted run"; exit 1; }
 echo "search smoke passed"
 
-echo "== design-matrix smoke (F1 F2 T2 F6 share one matrix: --jobs determinism) =="
-# The four matrix experiments read one lock-step design matrix, sharded
-# per app over the workers; the rendered blocks must not depend on how.
-# Trimmed and masked like the search smoke above.
-"$REPRO" --quick --jobs 1 F1 F2 T2 F6 > "$SMOKE_DIR/matrix_j1_full.txt"
+echo "== design-matrix smoke (F1 F2 T2 F6 F7 share one matrix, F4 probes: --jobs determinism) =="
+# The five matrix experiments read one lock-step design matrix, sharded
+# per app over the workers, and F4 runs one probed plan per app; the
+# rendered blocks must not depend on how. Trimmed and masked like the
+# search smoke above.
+MATRIX_IDS=(F1 F2 T2 F6 F4 F7)
+"$REPRO" --quick --jobs 1 "${MATRIX_IDS[@]}" > "$SMOKE_DIR/matrix_j1_full.txt"
 trim_search_run "$SMOKE_DIR/matrix_j1_full.txt" > "$SMOKE_DIR/matrix_j1.txt"
-for id in F1 F2 T2 F6; do
+for id in "${MATRIX_IDS[@]}"; do
   grep -q "^## $id " "$SMOKE_DIR/matrix_j1.txt" \
     || { echo "matrix run rendered no $id block"; exit 1; }
 done
-"$REPRO" --quick --jobs 2 F1 F2 T2 F6 > "$SMOKE_DIR/matrix_j2_full.txt"
+"$REPRO" --quick --jobs 2 "${MATRIX_IDS[@]}" > "$SMOKE_DIR/matrix_j2_full.txt"
 trim_search_run "$SMOKE_DIR/matrix_j2_full.txt" > "$SMOKE_DIR/matrix_j2.txt"
 diff -u "$SMOKE_DIR/matrix_j1.txt" "$SMOKE_DIR/matrix_j2.txt" \
   || { echo "design-matrix output varies with --jobs"; exit 1; }
 echo "design-matrix smoke passed"
 
-echo "== filtered-run memo smoke (F5 F8 A2 A3 M1 replay memoized runs: --jobs determinism) =="
+echo "== filtered-run memo smoke (F5 F8 A2 A3 A5 M1 replay memoized runs: --jobs determinism) =="
 # Lock-step lane groups, the M1 profile and the A2/A3 custom runners all
-# replay memoized filtered runs; under --jobs 2 concurrent consumers of
-# one run wait for a single build. The rendered blocks must not depend
-# on that. Trimmed and masked like the search smoke above.
-"$REPRO" --quick --jobs 1 F5 F8 A2 A3 M1 > "$SMOKE_DIR/memo_j1_full.txt"
+# replay memoized filtered runs, and A5's prefetch-off and -on plans of
+# one app share one; under --jobs 2 concurrent consumers of one run wait
+# for a single build. The rendered blocks must not depend on that.
+# Trimmed and masked like the search smoke above.
+MEMO_IDS=(F5 F8 A2 A3 A5 M1)
+"$REPRO" --quick --jobs 1 "${MEMO_IDS[@]}" > "$SMOKE_DIR/memo_j1_full.txt"
 trim_search_run "$SMOKE_DIR/memo_j1_full.txt" > "$SMOKE_DIR/memo_j1.txt"
-for id in F5 F8 A2 A3 M1; do
+for id in "${MEMO_IDS[@]}"; do
   grep -q "^## $id " "$SMOKE_DIR/memo_j1.txt" \
     || { echo "memo run rendered no $id block"; exit 1; }
 done
 grep -q '^filtered-run memo: [1-9][0-9]* run(s) cached' "$SMOKE_DIR/memo_j1_full.txt" \
   || { echo "memoized experiments cached no filtered run"; exit 1; }
-"$REPRO" --quick --jobs 2 F5 F8 A2 A3 M1 > "$SMOKE_DIR/memo_j2_full.txt"
+"$REPRO" --quick --jobs 2 "${MEMO_IDS[@]}" > "$SMOKE_DIR/memo_j2_full.txt"
 trim_search_run "$SMOKE_DIR/memo_j2_full.txt" > "$SMOKE_DIR/memo_j2.txt"
 diff -u "$SMOKE_DIR/memo_j1.txt" "$SMOKE_DIR/memo_j2.txt" \
   || { echo "memoized experiment output varies with --jobs"; exit 1; }
@@ -323,7 +329,7 @@ grep -q "^checkpoint: ${#SMOKE_IDS[@]} replayed, 0 recorded" "$SMOKE_DIR/torn_re
   || { echo "the record re-run after a torn tail was not journaled"; exit 1; }
 echo "graceful-drain smoke passed"
 
-echo "== bench smoke (1 iteration per target, offline) =="
+echo "== bench smoke (1 iteration of the micro target, offline) =="
 cargo bench -p moca-bench --offline -- --smoke
 
 echo "== bench regression guard (micro vs BENCH_micro.json) =="

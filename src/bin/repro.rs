@@ -245,7 +245,7 @@ enum Block {
     Aborted { id: String, message: String },
 }
 
-/// Runs one experiment; the matrix experiments (F1, F2, T2, F6) share
+/// Runs one experiment; the matrix experiments (F1, F2, T2, F6, F7) share
 /// the runner's design matrix.
 ///
 /// S1 receives the run journal so the search can checkpoint each

@@ -11,8 +11,10 @@
 
 use moca::core::{find_min_partition, recommend_retention, L2Design};
 use moca::sim::experiments::matrix::run_matrix;
+use moca::sim::lockstep::{execute, Plan};
 use moca::sim::parallel::{parallel_map, Jobs};
-use moca::sim::workloads::{run_app, run_app_with_behavior, Scale, EXPERIMENT_SEED};
+use moca::sim::workloads::{run_app, Scale, EXPERIMENT_SEED};
+use moca::sim::SystemConfig;
 use moca::trace::{AppProfile, Mode};
 
 /// C1 — in interactive mobile apps, the OS kernel contributes more than
@@ -155,12 +157,22 @@ fn tv_distance(a: &[u64], b: &[u64]) -> f64 {
 /// apps (the basis for per-segment retention classes).
 #[test]
 fn c4_kernel_and_user_reuse_lifetime_distributions_are_distinct() {
-    let design = L2Design::StaticSram {
+    let design = [L2Design::StaticSram {
         user_ways: 6,
         kernel_ways: 4,
+    }];
+    let probe = SystemConfig {
+        l2_behavior_probe: true,
+        ..SystemConfig::default()
     };
     let stats = parallel_map(Jobs::available(), AppProfile::suite(), |app| {
-        let r = run_app_with_behavior(&app, design, Scale::Quick.refs(), EXPERIMENT_SEED);
+        let plan = Plan::new(&app, EXPERIMENT_SEED, Scale::Quick.refs(), &design)
+            .with_config(probe)
+            .unmemoized();
+        let r = execute(&plan, Jobs::SERIAL)
+            .remove(0)
+            .expect("the static partition is valid")
+            .report;
         let user = r.behavior(Mode::User);
         let kernel = r.behavior(Mode::Kernel);
         let reuse_tv = tv_distance(user.reuse.buckets(), kernel.reuse.buckets());
