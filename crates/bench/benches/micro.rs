@@ -306,7 +306,7 @@ fn filtered_run(r: &mut Runner) {
     let replay = || {
         let mut lines = 0u64;
         memo.replay(&app, 1, &cfg, REFS, |chunk| {
-            lines += chunk.events().iter().map(|e| e.demand.line).sum::<u64>();
+            lines += chunk.events().map(|e| e.demand.line).sum::<u64>();
         });
         lines
     };

@@ -63,13 +63,13 @@ pub fn union(designs: impl IntoIterator<Item = L2Design>) -> Vec<L2Design> {
 
 /// Design lanes per lock-step group in [`run_matrix`].
 ///
-/// Each L2 way costs ≈100 KiB of state (2048 sets × tag, signature,
-/// cold metadata and LRU stamp), and a lane group holds every lane's L2
-/// at once. Over the full [`column_order`] width 2 pairs the designs as
-/// {16 + 10 ways}, {10 + 16} and {32}: no group holds more state than
-/// the 32-way interference-free cell on its own, so peak memory stays
-/// where one design at a time puts it. Wider groups share the front end
-/// further but grow peak memory by the extra lanes' L2s.
+/// Every group of an app replays the one filtered run of its stream, so
+/// the width does not change how often the stream is filtered; it bounds
+/// how much L2 state is live at once. Each L2 way costs ≈100 KiB (2048
+/// sets × tag, signature, cold metadata and LRU stamp), and a group
+/// holds every lane's L2. Over the full [`column_order`] width 2 pairs
+/// the designs as {16 + 10 ways}, {10 + 16} and {32}: no group holds
+/// more state than the 32-way interference-free cell on its own.
 const MATRIX_LANE_GROUP: usize = 2;
 
 /// All apps × a set of designs.
@@ -155,17 +155,19 @@ impl DesignMatrix {
 
 /// Runs every suite app on every design at the given scale.
 ///
-/// Each app is one lock-step run: one stream and one L1 filter pass per
-/// lane group of `MATRIX_LANE_GROUP` (two) designs, with the designs as
-/// lanes. Apps are sharded over `jobs` threads and merged back in suite
-/// order. Every cell is byte-identical to a scalar
+/// Each app is one lock-step plan with the designs as lanes, in lane
+/// groups of `MATRIX_LANE_GROUP` (two): the app's stream is generated
+/// and L1-filtered once, into a run the plan's groups replay. Apps are
+/// sharded over `jobs` threads and merged back in suite order. Every
+/// cell is byte-identical to a scalar
 /// [`run_app`](crate::workloads::run_app) of its (app, design), for
 /// every job count.
 ///
-/// The streams bypass the filtered-run memo: each lane group filters
-/// its stream live, once. Caching a run per app would buy nothing here
-/// and would hold several MB per app, raising the peak memory of a
-/// matrix-only run well past its current footprint.
+/// The plans are unmemoized: an app's run lives only while its plan
+/// runs and never enters the filtered-run memo, because no later
+/// experiment replays it. The run is built before the first group's
+/// L2s exist, so it never shares peak memory with them or with the
+/// stream's generator.
 ///
 /// # Panics
 ///

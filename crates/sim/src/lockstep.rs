@@ -1,7 +1,7 @@
 //! The sweep executor: every set of L2 designs run over one
 //! `(app, seed)` stream goes through [`execute`], on a lock-step
 //! multi-design kernel where K designs advance through the same trace
-//! reference together, sharing one L1 front end per lane group.
+//! reference together, replaying one L1-filtered run of the stream.
 //!
 //! A [`Plan`] names the stream, the reference count, the designs and
 //! the system configuration; [`execute`] splits the designs into one
@@ -21,7 +21,10 @@
 //!   front end therefore filters each chunk once and every design lane
 //!   replays the same [`FilteredChunk`]. The filtered run itself comes
 //!   from the process-wide [`RunMemo`], so every lane group (and every
-//!   other consumer) of one stream shares a single front-end pass.
+//!   other consumer) of one stream shares a single front-end pass; an
+//!   [`unmemoized`](Plan::unmemoized) plan of several lane groups
+//!   shares one pass through a run that lives only as long as the plan
+//!   runs.
 //! * **Event replay**: a lane only touches its L2 at the L2-visible
 //!   events of the chunk. The (dominant) runs of pure L1 hits between
 //!   events are retired in O(1) by the closed-form
@@ -51,28 +54,29 @@
 //! pin this against both the scalar oracle and the broadcast reference
 //! engine ([`run_broadcast`]).
 
+use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use moca_cache::{L1Pair, L2Request, ReplacementPolicy};
+use moca_cache::{L1Pair, L2Cause, L2Request, ReplacementPolicy};
 use moca_core::L2Design;
-use moca_trace::AppProfile;
+use moca_trace::{AccessKind, AppProfile, Mode};
 
 use crate::config::SystemConfig;
 use crate::error::{PointCause, SweepPointError};
-use crate::memo::{replay_unmemoized, Replayed, RunMemo};
+use crate::memo::{Replayed, RunMemo, Source};
 use crate::metrics::SimReport;
 use crate::parallel::{catch_panic, parallel_map, Jobs};
-use crate::stream::TraceStream;
+use crate::stream::{TraceStream, STREAM_CHUNK};
 use crate::system::{BuildSystemError, System};
 use crate::telemetry::{self, Event};
 
-/// Default number of design lanes sharing one front-end filter pass.
+/// Default number of design lanes replaying a filtered run together.
 ///
 /// Eight matches the widest sweeps in the experiment suite; pools larger
-/// than the width run as consecutive lane groups. Memoized groups all
-/// replay the one cached filtered run of the stream; an
-/// [`unmemoized`](Plan::unmemoized) group filters the stream itself.
+/// than the width run as consecutive lane groups, all replaying one
+/// filtered run of the stream, so the width bounds how many L2s are
+/// live at once, not how often the stream is filtered.
 pub const LANE_GROUP: usize = 8;
 
 /// One L2-visible event of a filtered chunk: the demand miss (and the
@@ -88,13 +92,67 @@ pub struct LaneEvent {
     pub writeback: Option<L2Request>,
 }
 
+/// Bits of an event tag holding the hit gap. A gap never exceeds one
+/// chunk, so the bits above it are free for the requests' flags.
+const GAP_BITS: u32 = 23;
+const GAP_MASK: u32 = (1 << GAP_BITS) - 1;
+/// Shift of the demand request's [`request_bits`] within a tag.
+const DEMAND_SHIFT: u32 = GAP_BITS;
+/// Shift of the writeback request's [`request_bits`] within a tag.
+const WRITEBACK_SHIFT: u32 = GAP_BITS + 4;
+/// Tag bit set when the event carries a writeback.
+const HAS_WRITEBACK: u32 = 1 << 31;
+const _: () = assert!(STREAM_CHUNK <= GAP_MASK as usize);
+
+/// Every field of `req` except its line, in four bits: the cause (two
+/// bits), the kernel mode bit and the write bit.
+fn request_bits(req: &L2Request) -> u32 {
+    let cause = match req.cause {
+        L2Cause::Demand(AccessKind::InstrFetch) => 0,
+        L2Cause::Demand(AccessKind::Load) => 1,
+        L2Cause::Demand(AccessKind::Store) => 2,
+        L2Cause::Writeback => 3,
+    };
+    cause | u32::from(req.mode == Mode::Kernel) << 2 | u32::from(req.write) << 3
+}
+
+/// The request [`request_bits`] encoded, at `line` (bits above the low
+/// four are ignored).
+fn request(line: u64, bits: u32) -> L2Request {
+    L2Request {
+        line,
+        write: bits & 8 != 0,
+        mode: if bits & 4 != 0 {
+            Mode::Kernel
+        } else {
+            Mode::User
+        },
+        cause: match bits & 3 {
+            0 => L2Cause::Demand(AccessKind::InstrFetch),
+            1 => L2Cause::Demand(AccessKind::Load),
+            2 => L2Cause::Demand(AccessKind::Store),
+            _ => L2Cause::Writeback,
+        },
+    }
+}
+
 /// One chunk of the shared stream after L1 filtering: the L2-visible
 /// events in order, plus the trailing run of hits.
+///
+/// Events are stored packed, 12 bytes each plus 8 per writeback: the
+/// demand line, and a `u32` tag holding the hit gap in its low bits and
+/// both requests' flags above it. Writeback lines sit in a sidecar, in
+/// event order. [`FilteredChunk::events`] decodes them losslessly.
 #[derive(Debug, Default)]
 pub struct FilteredChunk {
     refs: u32,
     tail: u32,
-    events: Vec<LaneEvent>,
+    /// The demand line of each event.
+    lines: Vec<u64>,
+    /// Each event's hit gap and request flags.
+    tags: Vec<u32>,
+    /// The writeback line of each event that carries one.
+    writebacks: Vec<u64>,
 }
 
 impl FilteredChunk {
@@ -104,8 +162,23 @@ impl FilteredChunk {
     }
 
     /// The L2-visible events, in reference order.
-    pub fn events(&self) -> &[LaneEvent] {
-        &self.events
+    pub fn events(&self) -> impl Iterator<Item = LaneEvent> + '_ {
+        let mut writebacks = self.writebacks.iter();
+        self.lines
+            .iter()
+            .zip(&self.tags)
+            .map(move |(&line, &tag)| LaneEvent {
+                gap: tag & GAP_MASK,
+                demand: request(line, tag >> DEMAND_SHIFT),
+                writeback: if tag & HAS_WRITEBACK == 0 {
+                    None
+                } else {
+                    // The sidecar holds one line per flagged event.
+                    writebacks
+                        .next()
+                        .map(|&wb| request(wb, tag >> WRITEBACK_SHIFT))
+                },
+            })
     }
 
     /// Pure-L1-hit references after the last event.
@@ -113,18 +186,34 @@ impl FilteredChunk {
         self.tail as usize
     }
 
-    /// A copy whose event buffer holds exactly its events, for storing.
+    /// Appends `event`, whose gap must fit [`GAP_BITS`].
+    fn push(&mut self, event: &LaneEvent) {
+        debug_assert!(event.gap <= GAP_MASK);
+        let mut tag = event.gap | request_bits(&event.demand) << DEMAND_SHIFT;
+        if let Some(wb) = &event.writeback {
+            tag |= HAS_WRITEBACK | request_bits(wb) << WRITEBACK_SHIFT;
+            self.writebacks.push(wb.line);
+        }
+        self.lines.push(event.demand.line);
+        self.tags.push(tag);
+    }
+
+    /// A copy whose buffers hold exactly its events, for storing.
     pub(crate) fn to_owned_exact(&self) -> Self {
         FilteredChunk {
             refs: self.refs,
             tail: self.tail,
-            events: self.events.to_vec(),
+            lines: self.lines.to_vec(),
+            tags: self.tags.to_vec(),
+            writebacks: self.writebacks.to_vec(),
         }
     }
 
-    /// Heap bytes held by the event buffer.
+    /// Heap bytes held by the packed event buffers.
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.events.capacity() * std::mem::size_of::<LaneEvent>()
+        self.lines.capacity() * size_of::<u64>()
+            + self.tags.capacity() * size_of::<u32>()
+            + self.writebacks.capacity() * size_of::<u64>()
     }
 }
 
@@ -142,7 +231,8 @@ pub fn front_end_refs() -> u64 {
 
 /// The shared L1 front end: the `(app, seed)` trace stream plus one
 /// live L1 pair, filtering each chunk once for every lane that replays
-/// it (the builder of a memoized run, or one unmemoized lane group).
+/// it (a run being built, or the one lane group of an unmemoized
+/// plan, which filters live).
 #[derive(Debug)]
 pub struct FrontEnd<'a> {
     stream: TraceStream<'a>,
@@ -194,14 +284,16 @@ impl<'a> FrontEnd<'a> {
     pub fn fill_next(&mut self, limit: usize, out: &mut FilteredChunk) -> usize {
         let chunk = self.stream.next_chunk();
         let n = chunk.len().min(limit);
-        out.events.clear();
+        out.lines.clear();
+        out.tags.clear();
+        out.writebacks.clear();
         let mut gap = 0u32;
         for access in &chunk[..n] {
             let outcome = self.l1.filter(access, self.filtered);
             self.filtered += 1;
             match outcome.demand {
                 Some(demand) => {
-                    out.events.push(LaneEvent {
+                    out.push(&LaneEvent {
                         gap,
                         demand,
                         writeback: outcome.writeback,
@@ -218,10 +310,11 @@ impl<'a> FrontEnd<'a> {
     }
 }
 
-/// Replays one filtered chunk into a design lane: O(1) retires over the
-/// hit gaps, one L2 interaction per event, all at the lane's own clock.
-fn replay(sys: &mut System, chunk: &FilteredChunk) {
-    for ev in &chunk.events {
+/// Replays one filtered chunk, whose decoded events are `events`, into
+/// a design lane: O(1) retires over the hit gaps, one L2 interaction
+/// per event, all at the lane's own clock.
+fn replay(sys: &mut System, events: &[LaneEvent], chunk: &FilteredChunk) {
+    for ev in events {
         sys.retire_hits(u64::from(ev.gap));
         sys.step_filtered(Some(&ev.demand), ev.writeback.as_ref());
     }
@@ -302,22 +395,24 @@ impl<'a> Plan<'a> {
         self
     }
 
-    /// Sets the number of lanes sharing one front end (minimum 1).
+    /// Sets the number of lanes replaying the filtered run together
+    /// (minimum 1), which bounds how many L2s are live at once.
     ///
-    /// Width 1 disables front-end sharing entirely — each design pays
-    /// its own replay of the stream — which is the contrast the
+    /// Width 1 replays the run once per design — the contrast the
     /// `lockstep/lane-group-width` benchmark measures.
     pub fn with_lane_group(mut self, width: usize) -> Self {
         self.lane_group = width.max(1);
         self
     }
 
-    /// Filters the stream once per lane group instead of replaying the
-    /// memoized run: every group decodes or generates and filters its
-    /// own chunks, and no memo is read or filled.
+    /// Keeps the plan's filtered run out of every memo: it lives only
+    /// while [`execute`] runs the plan. A plan run as one lane group
+    /// filters its stream live, chunk by chunk; a plan run as several
+    /// filters it once, into a run all of its lane groups replay and
+    /// drop with the plan.
     ///
-    /// For runs whose stream no later consumer reads again, where
-    /// caching the run would only hold memory. Reports are unchanged.
+    /// For streams no later consumer reads again, where caching the run
+    /// would only hold memory. Reports are unchanged.
     pub fn unmemoized(mut self) -> Self {
         self.memo = None;
         self
@@ -339,25 +434,57 @@ impl<'a> Plan<'a> {
         self
     }
 
-    /// The lanes `start..end` of the plan, one lane group after another.
-    fn run_span(&self, start: usize, end: usize) -> Vec<Result<Point, SweepPointError>> {
+    /// The lanes `start..end` of the plan, one lane group after another,
+    /// replaying runs from `memo` (`None`: each group filters live).
+    fn run_span(
+        &self,
+        start: usize,
+        end: usize,
+        memo: Option<&RunMemo>,
+    ) -> Vec<Result<Point, SweepPointError>> {
         let mut out = Vec::with_capacity(end - start);
         for offset in (start..end).step_by(self.lane_group) {
-            out.extend(self.run_group(offset, (offset + self.lane_group).min(end)));
+            out.extend(self.run_group(offset, (offset + self.lane_group).min(end), memo));
         }
         out
     }
 
-    /// One lane group over plan indices `start..end`: build the lanes,
-    /// replay the filtered run, finish.
+    /// `true` when the lane of plan index `index` passes the checks
+    /// [`System::new`] makes: its design and the L1 geometries.
+    fn can_build(&self, index: usize) -> bool {
+        self.designs[index].validate().is_ok()
+            && self.cfg.l1i_geometry().is_ok()
+            && self.cfg.l1d_geometry().is_ok()
+    }
+
+    /// One lane group over plan indices `start..end`: obtain the
+    /// filtered run, build the lanes, replay the run, finish.
+    ///
+    /// The run is obtained before any lane's L2 is allocated, so a run
+    /// being built (the stream's generator plus the growing run) never
+    /// shares peak memory with the group's L2s. A group none of whose
+    /// lanes can build obtains nothing.
     /// A lane that fails to build, or panics while replaying or
     /// finishing, fails in its own slot; every other lane keeps going.
-    fn run_group(&self, start: usize, end: usize) -> Vec<Result<Point, SweepPointError>> {
+    fn run_group(
+        &self,
+        start: usize,
+        end: usize,
+        memo: Option<&RunMemo>,
+    ) -> Vec<Result<Point, SweepPointError>> {
         let failed = |index: usize, cause: PointCause| SweepPointError {
             index,
             label: self.designs[index].label(),
             cause,
         };
+        let began = Instant::now();
+        let run = (start..end)
+            .any(|index| self.can_build(index))
+            .then(|| match memo {
+                Some(memo) => memo.obtain(self.app, self.seed, &self.cfg, self.refs),
+                None => Source::live(TraceStream::new(self.app, self.seed), &self.cfg, self.refs),
+            });
+        let obtain_ns = began.elapsed().as_nanos() as u64;
         // Each lane is its system, or the error it failed with (the
         // system is then dropped). Systems stay unboxed: boxing them
         // raised the matrix run's peak RSS by ~0.3 MiB.
@@ -372,13 +499,16 @@ impl<'a> Plan<'a> {
         let mut walls = vec![0u64; lanes.len()];
 
         let mut replayed = None;
-        if lanes.iter().any(Result::is_ok) {
-            // At least one lane built, so the L1 geometries are valid.
-            // Shared front-end time (memo lookup, or the filter pass) is
-            // attributed to every lane of the group — it is wait time
-            // each of them experienced.
+        let mut decode_ns = 0;
+        if let Some(run) = run.filter(|_| lanes.iter().any(Result::is_ok)) {
             let mut first = true;
-            replayed = Some(self.replay_run(|chunk| {
+            // Decoded once per chunk for every lane of the group.
+            let mut events = Vec::new();
+            replayed = Some(run.drain(|chunk| {
+                let began = Instant::now();
+                events.clear();
+                events.extend(chunk.events());
+                decode_ns += began.elapsed().as_nanos() as u64;
                 for ((index, lane), wall) in (start..).zip(&mut lanes).zip(&mut walls) {
                     let Ok(sys) = lane else {
                         continue;
@@ -389,7 +519,7 @@ impl<'a> Plan<'a> {
                         if trip {
                             panic!("injected fault at index {index}");
                         }
-                        replay(sys, chunk);
+                        replay(sys, &events, chunk);
                     });
                     *wall += began.elapsed().as_nanos() as u64;
                     if let Err(msg) = outcome {
@@ -401,6 +531,12 @@ impl<'a> Plan<'a> {
                 first = false;
             }));
         }
+        // The group's shared front-end time (obtaining the run, any live
+        // filtering, decoding its chunks) is charged once, to its first
+        // completed lane, so sums over `point` events count it once.
+        let mut front_ns = replayed
+            .as_ref()
+            .map(|r| obtain_ns + r.front_ns + decode_ns);
 
         let total = self.designs.len();
         (start..)
@@ -408,7 +544,7 @@ impl<'a> Plan<'a> {
             .zip(walls)
             .map(|((index, lane), wall)| {
                 let mut sys = lane?;
-                let Replayed { l1, front_ns } = replayed.as_ref().expect("live lanes replayed");
+                let Replayed { l1, .. } = replayed.as_ref().expect("live lanes replayed");
                 sys.adopt_l1(l1);
                 let began = Instant::now();
                 let report = catch_panic(move || sys.finish())
@@ -420,7 +556,7 @@ impl<'a> Plan<'a> {
                         &report.design,
                         index,
                         total,
-                        *front_ns,
+                        front_ns.take().unwrap_or(0),
                         wall,
                         energy_ns,
                     ));
@@ -432,15 +568,6 @@ impl<'a> Plan<'a> {
             })
             .collect()
     }
-
-    /// The filtered run of the plan's stream, from the memo or filtered
-    /// live, fed chunk by chunk to `visit`.
-    fn replay_run(&self, visit: impl FnMut(&FilteredChunk)) -> Replayed {
-        match self.memo {
-            Some(memo) => memo.replay(self.app, self.seed, &self.cfg, self.refs, visit),
-            None => replay_unmemoized(self.app, self.seed, &self.cfg, self.refs, visit),
-        }
-    }
 }
 
 /// Runs every design of `plan` and returns one outcome per design, in
@@ -448,20 +575,29 @@ impl<'a> Plan<'a> {
 /// lane that failed to build or panicked.
 ///
 /// The designs are split into contiguous spans, one per worker of
-/// `jobs`, each span running as consecutive lane groups that share one
-/// front end. Every outcome is independent of that split: reports are
-/// byte-identical to a scalar [`run_app`](crate::workloads::run_app)
-/// of each design, failures carry their absolute plan index, and the
-/// telemetry `point` event of each completed lane carries the same
-/// index for every job count.
+/// `jobs`, each span running as consecutive lane groups that replay
+/// one filtered run. Every outcome is independent of that split:
+/// reports are byte-identical to a scalar
+/// [`run_app`](crate::workloads::run_app) of each design, failures
+/// carry their absolute plan index, and the telemetry `point` event of
+/// each completed lane carries the same index for every job count.
 pub fn execute(plan: &Plan<'_>, jobs: Jobs) -> Vec<Result<Point, SweepPointError>> {
     let total = plan.designs.len();
     // One contiguous span per worker; the input-order merge of
     // `parallel_map` restores plan order.
     let per_span = total.div_ceil(jobs.get().min(total).max(1)).max(1);
     let starts: Vec<usize> = (0..total).step_by(per_span).collect();
+    let groups: usize = starts
+        .iter()
+        .map(|&start| ((start + per_span).min(total) - start).div_ceil(plan.lane_group))
+        .sum();
+    // An unmemoized plan replayed by several lane groups filters its
+    // stream once, into an unbounded memo that dies with this call; its
+    // spans share that one build as concurrent consumers of one key.
+    let scoped = (plan.memo.is_none() && groups > 1).then(|| RunMemo::with_capacity(usize::MAX));
+    let memo = plan.memo.or(scoped.as_ref());
     parallel_map(jobs, starts, |start| {
-        plan.run_span(start, (start + per_span).min(total))
+        plan.run_span(start, (start + per_span).min(total), memo)
     })
     .into_iter()
     .flatten()
@@ -580,10 +716,63 @@ mod tests {
         let n = front.fill_next(5_000, &mut chunk);
         assert_eq!(n, 5_000);
         assert_eq!(chunk.refs(), 5_000);
-        let events = chunk.events().len();
-        let gaps: usize = chunk.events().iter().map(|e| e.gap as usize).sum();
+        let events = chunk.events().count();
+        let gaps: usize = chunk.events().map(|e| e.gap as usize).sum();
         assert!(events > 0, "a cold L1 must miss");
         assert_eq!(events + gaps + chunk.tail_gap(), 5_000);
+    }
+
+    #[test]
+    fn packed_events_round_trip_losslessly() {
+        let causes = [
+            L2Cause::Demand(AccessKind::InstrFetch),
+            L2Cause::Demand(AccessKind::Load),
+            L2Cause::Demand(AccessKind::Store),
+            L2Cause::Writeback,
+        ];
+        let requests = |line: u64| {
+            causes.into_iter().flat_map(move |cause| {
+                Mode::ALL.into_iter().flat_map(move |mode| {
+                    [false, true].map(|write| L2Request {
+                        line,
+                        write,
+                        mode,
+                        cause,
+                    })
+                })
+            })
+        };
+        let lines = [0, u64::MAX, u64::MAX >> 6];
+        let mut events = Vec::new();
+        for gap in [0, STREAM_CHUNK as u32] {
+            for &line in &lines {
+                for demand in requests(line) {
+                    events.push(LaneEvent {
+                        gap,
+                        demand,
+                        writeback: None,
+                    });
+                    for &wb_line in &lines {
+                        events.extend(requests(wb_line).map(|wb| LaneEvent {
+                            gap,
+                            demand,
+                            writeback: Some(wb),
+                        }));
+                    }
+                }
+            }
+        }
+        let mut chunk = FilteredChunk::default();
+        for event in &events {
+            chunk.push(event);
+        }
+        assert!(chunk.events().eq(events.iter().copied()));
+        // Packed: a line and a tag per event, a line per writeback.
+        let writebacks = events.iter().filter(|e| e.writeback.is_some()).count();
+        assert_eq!(
+            chunk.to_owned_exact().heap_bytes(),
+            events.len() * 12 + writebacks * 8
+        );
     }
 
     #[test]

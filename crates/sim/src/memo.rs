@@ -25,7 +25,8 @@
 //! # Bound
 //!
 //! The memo holds at most [`MEMO_CAP_BYTES`] of runs: each run is
-//! charged its events plus its L1 pair. Runs are inserted until the
+//! charged its packed events — 12 bytes per L2-visible event plus 8 per
+//! writeback it carries — plus its L1 pair. Runs are inserted until the
 //! memo is full and never evicted; a run that does not fit is
 //! *rejected* and every consumer of its key filters the stream itself,
 //! replaying the recorded prefix first. Bytes are reserved while a run
@@ -58,6 +59,10 @@ use crate::stream::{TraceStream, STREAM_CHUNK};
 /// Bound of the global memo in bytes: 512 chunks of raw references,
 /// the budget of the raw-chunk cache the memo replaced, so the memory
 /// ceiling of a run does not rise.
+///
+/// Runs are charged their packed size, about 16 bytes per L2-visible
+/// event (12, plus 8 for the roughly half of events carrying a
+/// writeback), so the full suite's memoized runs fill about 40% of it.
 pub const MEMO_CAP_BYTES: usize = 512 * STREAM_CHUNK * size_of::<MemoryAccess>();
 
 /// The identity of one filtered run.
@@ -89,7 +94,7 @@ impl RunKey {
 /// The L2-visible stream of exactly `refs` references of one stream,
 /// plus the L1 pair after them (lanes adopt it before `finish`).
 #[derive(Debug)]
-struct FilteredRun {
+pub(crate) struct FilteredRun {
     chunks: Vec<FilteredChunk>,
     l1: L1Pair,
 }
@@ -168,8 +173,9 @@ pub struct Replayed {
     pub front_ns: u64,
 }
 
-/// Where a replay reads its chunks from.
-enum Source<'m, 'a> {
+/// A filtered run obtained for one replay, before anything is replayed
+/// from it: cached, or filtered live while it is drained.
+pub(crate) enum Source<'m, 'a> {
     Cached(Arc<FilteredRun>),
     /// An unmemoized or rejected run: the recorded prefix (still
     /// charged to the memo until it is dropped), then the live front
@@ -183,8 +189,14 @@ enum Source<'m, 'a> {
 }
 
 impl<'a> Source<'_, 'a> {
-    /// A run filtered live from the start of `stream`.
-    fn live(stream: TraceStream<'a>, cfg: &SystemConfig, refs: usize) -> Self {
+    /// The first `refs` references of `stream`, filtered live as they
+    /// are drained and never cached: for a stream read exactly once,
+    /// where caching the run would only hold memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg`'s L1 geometry is invalid (see [`RunMemo::replay`]).
+    pub(crate) fn live(stream: TraceStream<'a>, cfg: &SystemConfig, refs: usize) -> Self {
         Source::Live {
             prefix: Vec::new(),
             held: None,
@@ -194,9 +206,10 @@ impl<'a> Source<'_, 'a> {
     }
 
     /// Feeds every chunk to `visit` and returns the L1 pair after the
-    /// run; `start` is when the caller began obtaining the run.
-    fn drain(self, start: Instant, mut visit: impl FnMut(&FilteredChunk)) -> Replayed {
-        let mut front_ns = start.elapsed().as_nanos() as u64;
+    /// run. `front_ns` counts the live filtering done here; the caller
+    /// adds the time it spent obtaining the source.
+    pub(crate) fn drain(self, mut visit: impl FnMut(&FilteredChunk)) -> Replayed {
+        let mut front_ns = 0;
         let l1 = match self {
             Source::Cached(run) => {
                 for chunk in &run.chunks {
@@ -229,27 +242,9 @@ impl<'a> Source<'_, 'a> {
     }
 }
 
-/// Filters the first `refs` references of the `(app, seed)` stream live,
-/// without a memo: [`RunMemo::replay`]'s contract for a stream read
-/// exactly once, where caching the run would only fill the memo.
-///
-/// # Panics
-///
-/// Panics if `cfg`'s L1 geometry is invalid (see [`RunMemo::replay`]).
-pub(crate) fn replay_unmemoized(
-    app: &AppProfile,
-    seed: u64,
-    cfg: &SystemConfig,
-    refs: usize,
-    visit: impl FnMut(&FilteredChunk),
-) -> Replayed {
-    let start = Instant::now();
-    Source::live(TraceStream::new(app, seed), cfg, refs).drain(start, visit)
-}
-
 /// Bytes a build has reserved against the cap; released on drop unless
 /// the run was committed to the memo.
-struct Reservation<'m> {
+pub(crate) struct Reservation<'m> {
     memo: &'m RunMemo,
     bytes: usize,
 }
@@ -371,6 +366,23 @@ impl RunMemo {
         visit: impl FnMut(&FilteredChunk),
     ) -> Replayed {
         let start = Instant::now();
+        let source = self.obtain(app, seed, cfg, refs);
+        let obtain_ns = start.elapsed().as_nanos() as u64;
+        let mut replayed = source.drain(visit);
+        replayed.front_ns += obtain_ns;
+        replayed
+    }
+
+    /// The run [`RunMemo::replay`] drains, obtained without replaying
+    /// it: a hit, a build (concurrent callers of the same key wait for
+    /// it), or a live front end for a rejected key.
+    pub(crate) fn obtain<'m, 'a>(
+        &'m self,
+        app: &'a AppProfile,
+        seed: u64,
+        cfg: &SystemConfig,
+        refs: usize,
+    ) -> Source<'m, 'a> {
         let stream = TraceStream::new(app, seed);
         let key = RunKey::new(&stream, seed, refs, cfg);
         let slot = Arc::clone(
@@ -380,7 +392,7 @@ impl RunMemo {
                 .or_insert_with(|| Arc::new(Mutex::new(Slot::Empty))),
         );
         let state = slot.lock().unwrap_or_else(PoisonError::into_inner);
-        let source = match &*state {
+        match &*state {
             Slot::Ready(run) => {
                 let run = Arc::clone(run);
                 drop(state);
@@ -396,8 +408,7 @@ impl RunMemo {
                 self.lock().misses += 1;
                 self.build(state, stream, cfg, refs)
             }
-        };
-        source.drain(start, visit)
+        }
     }
 
     /// Builds the run of an empty slot while holding its lock, and

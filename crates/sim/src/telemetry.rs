@@ -86,9 +86,9 @@ pub enum Event {
         /// Number of points in the sweep this point belongs to.
         total: u32,
         /// Wall time spent generating (or fetching) the shared trace
-        /// for this point's stream. Shared generation is attributed to
-        /// every point of the group it was generated for — it is wait
-        /// time each of those points experienced.
+        /// for this point's stream. A lane group's shared front-end
+        /// time is carried by its first completed point and the others
+        /// carry 0, so a sum over points counts it once.
         trace_gen_ns: u64,
         /// Wall time spent inside [`crate::System::run_batch`].
         sim_ns: u64,

@@ -1,5 +1,5 @@
 //! The shared design matrix: every cell equals the scalar oracle, and
-//! its unmemoized lock-step streams build no filtered run.
+//! its unmemoized lock-step streams put no run in the global memo.
 //!
 //! No test in this binary replays through the global filtered-run memo,
 //! so its counters only move if the matrix path touches it.
@@ -68,7 +68,8 @@ fn running_the_matrix_builds_no_run() {
     let m = run_matrix(&column_order(), Scale::Smoke, Jobs::new(2));
     assert_eq!(m.rows.len(), AppProfile::suite().len());
     assert_eq!(RunMemo::global().stats(), before);
-    // The matrix still filtered its streams, live, once per lane group.
+    // The matrix still filtered its streams, once per app, into runs
+    // that lived only while each app's plan ran.
     assert!(
         front_end_refs() >= filtered + (AppProfile::suite().len() * Scale::Smoke.refs()) as u64
     );

@@ -1,7 +1,7 @@
 //! Randomized cross-engine properties of the lock-step kernel, built on
 //! the `moca-testkit` differential harness.
 //!
-//! Two contracts are pinned here:
+//! Three contracts are pinned here:
 //!
 //! 1. **Three-engine agreement**: for randomized (app, design pool,
 //!    refs, seed, jobs) inputs, the scalar sequential oracle, the
@@ -13,16 +13,21 @@
 //!    completion byte-identically to a fault-free run — and the failed
 //!    point set (indices, labels, rendered causes) is identical across
 //!    jobs 1/2/8.
+//! 3. **Lossless packed events**: the events a front end packs into a
+//!    filtered chunk decode to exactly the outcomes of
+//!    [`moca_cache::L1Pair::filter`], reference by reference.
 
+use moca_cache::{L1Pair, ReplacementPolicy};
 use moca_core::{L2Design, RefreshPolicy};
 use moca_energy::RetentionClass;
-use moca_sim::lockstep::{execute, run_broadcast, Plan, Point};
+use moca_sim::lockstep::{execute, run_broadcast, FilteredChunk, FrontEnd, LaneEvent, Plan, Point};
 use moca_sim::parallel::Jobs;
+use moca_sim::stream::{TraceStream, STREAM_CHUNK};
 use moca_sim::workloads::run_app;
-use moca_sim::{SimReport, SweepPointError};
+use moca_sim::{SimReport, SweepPointError, SystemConfig};
 use moca_testkit::differential::{engines_agree, EngineRun};
 use moca_testkit::{check, require, require_eq, Config, FaultPlan, TestRng};
-use moca_trace::AppProfile;
+use moca_trace::{AppProfile, TraceGenerator};
 
 /// Design pool spanning every family a sweep-shaped experiment touches.
 fn design_pool() -> Vec<L2Design> {
@@ -207,6 +212,70 @@ fn randomized_fault_sets_are_job_count_invariant() {
                     line.starts_with("err") == faults.contains(&i),
                     "lane {i} fault membership mismatch: {line}"
                 );
+            }
+            Ok(())
+        },
+    );
+}
+
+/// One filtered chunk as plain values: its events and its tail gap.
+type ChunkEvents = (Vec<LaneEvent>, usize);
+
+#[test]
+fn decoded_events_equal_l1_filter_outcomes() {
+    let apps = AppProfile::suite();
+    let cfg = SystemConfig::default();
+    check(
+        Config::cases(8),
+        |rng: &mut TestRng| {
+            let app = rng.pick(&apps).clone();
+            let refs = rng.range_usize(1, 3 * STREAM_CHUNK + 500);
+            let seed = rng.next_u64();
+            (app, refs, seed)
+        },
+        |(app, refs, seed)| {
+            // The oracle: every reference through a fresh L1 pair, with
+            // gaps cut at the stream's chunk boundaries.
+            let geometry = |g: Result<_, _>| g.map_err(|e| format!("{e}"));
+            let mut l1 = L1Pair::new(
+                geometry(cfg.l1i_geometry())?,
+                geometry(cfg.l1d_geometry())?,
+                ReplacementPolicy::Lru,
+            );
+            let mut want: Vec<ChunkEvents> = Vec::new();
+            let accesses: Vec<_> = TraceGenerator::new(app, *seed).take(*refs).collect();
+            for (c, chunk) in accesses.chunks(STREAM_CHUNK).enumerate() {
+                let mut events = Vec::new();
+                let mut gap = 0;
+                for (i, access) in chunk.iter().enumerate() {
+                    let outcome = l1.filter(access, (c * STREAM_CHUNK + i) as u64);
+                    match outcome.demand {
+                        Some(demand) => {
+                            events.push(LaneEvent {
+                                gap,
+                                demand,
+                                writeback: outcome.writeback,
+                            });
+                            gap = 0;
+                        }
+                        None => gap += 1,
+                    }
+                }
+                want.push((events, gap as usize));
+            }
+
+            let mut front =
+                FrontEnd::over(TraceStream::new(app, *seed), &cfg).map_err(|e| format!("{e}"))?;
+            let mut chunk = FilteredChunk::default();
+            let mut got: Vec<ChunkEvents> = Vec::new();
+            let mut left = *refs;
+            while left > 0 {
+                left -= front.fill_next(left, &mut chunk);
+                got.push((chunk.events().collect(), chunk.tail_gap()));
+            }
+            require_eq!(got.len(), want.len());
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                require!(g == w, "chunk {i} of app={} refs={refs}", app.name);
             }
             Ok(())
         },

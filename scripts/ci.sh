@@ -220,6 +220,11 @@ done
 trim_search_run "$SMOKE_DIR/matrix_j2_full.txt" > "$SMOKE_DIR/matrix_j2.txt"
 diff -u "$SMOKE_DIR/matrix_j1.txt" "$SMOKE_DIR/matrix_j2.txt" \
   || { echo "design-matrix output varies with --jobs"; exit 1; }
+# The matrix alone filters each app's 1M-ref quick stream once: 10
+# apps, one front-end pass each, whatever the lane-group width.
+"$REPRO" --quick --jobs 1 F1 F2 T2 F6 > "$SMOKE_DIR/matrix_only.txt"
+grep -q ' 10000000 front-end ref(s)$' "$SMOKE_DIR/matrix_only.txt" \
+  || { echo "design matrix did not filter each stream exactly once"; exit 1; }
 echo "design-matrix smoke passed"
 
 echo "== filtered-run memo smoke (F5 F8 A2 A3 A5 M1 replay memoized runs: --jobs determinism) =="
