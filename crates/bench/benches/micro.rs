@@ -4,7 +4,9 @@
 //! filtered-run memo.
 
 use moca_bench::{bench_app, Runner, BENCH_SEED};
-use moca_cache::{CacheGeometry, L1Pair, ReplacementPolicy, SetAssocCache, UtilityMonitor, WayMask};
+use moca_cache::{
+    CacheGeometry, L1Pair, ReplacementPolicy, SetAssocCache, UtilityMonitor, WayMask,
+};
 use moca_core::{L2Design, RefreshPolicy};
 use moca_energy::RetentionClass;
 use moca_search::{run_search, SearchConfig};

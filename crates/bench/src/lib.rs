@@ -44,7 +44,10 @@ pub struct BenchConfig {
 
 impl Default for BenchConfig {
     fn default() -> Self {
-        BenchConfig { warmup: 1, iters: 5 }
+        BenchConfig {
+            warmup: 1,
+            iters: 5,
+        }
     }
 }
 
@@ -250,21 +253,45 @@ mod tests {
 
     #[test]
     fn config_defaults() {
-        assert_eq!(BenchConfig::parse(&[]), BenchConfig { warmup: 1, iters: 5 });
+        assert_eq!(
+            BenchConfig::parse(&[]),
+            BenchConfig {
+                warmup: 1,
+                iters: 5
+            }
+        );
     }
 
     #[test]
     fn config_smoke_is_one_iteration() {
         let cfg = BenchConfig::parse(&strings(&["--bench", "--smoke"]));
-        assert_eq!(cfg, BenchConfig { warmup: 0, iters: 1 });
+        assert_eq!(
+            cfg,
+            BenchConfig {
+                warmup: 0,
+                iters: 1
+            }
+        );
     }
 
     #[test]
     fn config_explicit_counts_both_forms() {
         let cfg = BenchConfig::parse(&strings(&["--iters", "3", "--warmup=2"]));
-        assert_eq!(cfg, BenchConfig { warmup: 2, iters: 3 });
+        assert_eq!(
+            cfg,
+            BenchConfig {
+                warmup: 2,
+                iters: 3
+            }
+        );
         let cfg = BenchConfig::parse(&strings(&["--iters=7", "--warmup", "0"]));
-        assert_eq!(cfg, BenchConfig { warmup: 0, iters: 7 });
+        assert_eq!(
+            cfg,
+            BenchConfig {
+                warmup: 0,
+                iters: 7
+            }
+        );
     }
 
     #[test]
@@ -275,7 +302,13 @@ mod tests {
 
     #[test]
     fn runner_measures_and_counts() {
-        let mut r = Runner::with_config("test", BenchConfig { warmup: 1, iters: 4 });
+        let mut r = Runner::with_config(
+            "test",
+            BenchConfig {
+                warmup: 1,
+                iters: 4,
+            },
+        );
         let mut calls = 0u32;
         let m = r.bench("count-calls", || {
             calls += 1;

@@ -44,7 +44,9 @@ pub fn parse_records(text: &str) -> Vec<BenchRecord> {
         let Some(value) = after_colon(rest).and_then(|s| s.strip_prefix('"')) else {
             continue;
         };
-        let Some(name_end) = value.find('"') else { break };
+        let Some(name_end) = value.find('"') else {
+            break;
+        };
         let name = &value[..name_end];
         rest = &value[name_end + 1..];
         // min_ns belongs to the same record: it must appear before the
@@ -114,10 +116,7 @@ pub fn compare(
         .map(|base| {
             let cur = current.iter().find(|c| c.bench == base.bench);
             let (cur_min_ns, ratio) = match cur {
-                Some(c) => (
-                    Some(c.min_ns),
-                    base.min_ns as f64 / c.min_ns.max(1) as f64,
-                ),
+                Some(c) => (Some(c.min_ns), base.min_ns as f64 / c.min_ns.max(1) as f64),
                 None => (None, 0.0),
             };
             Comparison {
@@ -257,8 +256,8 @@ mod tests {
                 .unwrap_or_else(|| panic!("missing {name}"))
                 .min_ns as f64
         };
-        let speedup =
-            min_of("sweep-fanout/8-designs-100k-sequential") / min_of("sweep-fanout/8-designs-100k");
+        let speedup = min_of("sweep-fanout/8-designs-100k-sequential")
+            / min_of("sweep-fanout/8-designs-100k");
         assert!(
             speedup >= 2.0,
             "recorded fan-out speedup {speedup:.2}x is below the 2x criterion"

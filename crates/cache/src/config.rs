@@ -164,11 +164,7 @@ impl CacheGeometry {
     /// # Errors
     ///
     /// Same conditions as [`CacheGeometry::new`].
-    pub fn try_new(
-        capacity_bytes: u64,
-        ways: u32,
-        line_bytes: u64,
-    ) -> Result<Self, GeometryError> {
+    pub fn try_new(capacity_bytes: u64, ways: u32, line_bytes: u64) -> Result<Self, GeometryError> {
         Self::new(capacity_bytes, ways, line_bytes)
     }
 
@@ -238,9 +234,21 @@ impl fmt::Display for CacheGeometry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let cap = self.capacity_bytes();
         if cap >= 1 << 20 && cap.is_multiple_of(1 << 20) {
-            write!(f, "{} MiB {}-way/{} B", cap >> 20, self.ways, self.line_bytes)
+            write!(
+                f,
+                "{} MiB {}-way/{} B",
+                cap >> 20,
+                self.ways,
+                self.line_bytes
+            )
         } else {
-            write!(f, "{} KiB {}-way/{} B", cap >> 10, self.ways, self.line_bytes)
+            write!(
+                f,
+                "{} KiB {}-way/{} B",
+                cap >> 10,
+                self.ways,
+                self.line_bytes
+            )
         }
     }
 }
@@ -733,7 +741,10 @@ mod tests {
         assert_eq!(p.kernel(), WayMask::range(6, 10));
         assert_eq!(p.all(), WayMask::first(10));
         assert_eq!(p.total_ways(), 10);
-        assert_eq!(p.to_string(), format!("user {} | kernel {}", p.user(), p.kernel()));
+        assert_eq!(
+            p.to_string(),
+            format!("user {} | kernel {}", p.user(), p.kernel())
+        );
     }
 
     #[test]

@@ -230,8 +230,8 @@ mod tests {
         let trace: Vec<_> = TraceGenerator::new(&AppProfile::browser(), 5)
             .take(400_000)
             .collect();
-        let raw_kernel = trace.iter().filter(|a| a.mode == Mode::Kernel).count() as f64
-            / trace.len() as f64;
+        let raw_kernel =
+            trace.iter().filter(|a| a.mode == Mode::Kernel).count() as f64 / trace.len() as f64;
         let mut l2_total = 0u64;
         let mut l2_kernel = 0u64;
         for (i, a) in trace.iter().enumerate() {

@@ -301,7 +301,10 @@ impl MrcProfiler {
         };
         Some(MissRateCurve {
             sets,
-            cum_hits: [prefix(&lane.position_hits[0]), prefix(&lane.position_hits[1])],
+            cum_hits: [
+                prefix(&lane.position_hits[0]),
+                prefix(&lane.position_hits[1]),
+            ],
             cum_write_hits: [
                 prefix(&lane.write_position_hits[0]),
                 prefix(&lane.write_position_hits[1]),

@@ -7,8 +7,7 @@
 use crate::config::WayMask;
 
 /// Replacement policy selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[derive(Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReplacementPolicy {
     /// True least-recently-used (per-way timestamps).
     #[default]
@@ -27,7 +26,6 @@ pub enum ReplacementPolicy {
     /// Static re-reference interval prediction (2-bit RRPV).
     Srrip,
 }
-
 
 /// Runtime replacement state for a whole cache.
 #[derive(Debug, Clone)]
@@ -184,12 +182,10 @@ impl ReplacementState {
     pub(crate) fn victim(&mut self, set: u64, ways: u32, allowed: WayMask) -> u32 {
         assert!(!allowed.is_empty(), "cannot choose a victim from no ways");
         match self {
-            ReplacementState::Lru { stamps, .. } | ReplacementState::Fifo { stamps, .. } => {
-                allowed
-                    .iter()
-                    .min_by_key(|&w| stamps[Self::idx(set, ways, w)])
-                    .expect("allowed is non-empty")
-            }
+            ReplacementState::Lru { stamps, .. } | ReplacementState::Fifo { stamps, .. } => allowed
+                .iter()
+                .min_by_key(|&w| stamps[Self::idx(set, ways, w)])
+                .expect("allowed is non-empty"),
             ReplacementState::Random { state } => {
                 // xorshift64
                 let mut x = *state;
@@ -255,7 +251,11 @@ impl ReplacementState {
                 // Strict `<` keeps the lowest way on stamp ties in both
                 // loops, matching `min_by_key` in the reference `victim`.
                 let abits = allowed.bits();
-                let full = if ways >= 64 { u64::MAX } else { (1 << ways) - 1 };
+                let full = if ways >= 64 {
+                    u64::MAX
+                } else {
+                    (1 << ways) - 1
+                };
                 if abits & full == full {
                     // Unrestricted mask: a linear min-reduction the
                     // compiler can vectorize.
@@ -315,7 +315,11 @@ impl ReplacementState {
                 ways: tree_ways,
             } => {
                 let ways = *tree_ways;
-                let full = if ways >= 64 { u64::MAX } else { (1 << ways) - 1 };
+                let full = if ways >= 64 {
+                    u64::MAX
+                } else {
+                    (1 << ways) - 1
+                };
                 let word = &mut words[set as usize];
                 if ways >= 2 && allowed.bits() & full == full {
                     // Unrestricted mask: the touch path is the victim
@@ -349,7 +353,11 @@ impl ReplacementState {
             ReplacementState::Srrip { rrpv } => {
                 let rrpv = &mut rrpv[base..base + ways as usize];
                 let abits = allowed.bits();
-                let full = if ways >= 64 { u64::MAX } else { (1 << ways) - 1 };
+                let full = if ways >= 64 {
+                    u64::MAX
+                } else {
+                    (1 << ways) - 1
+                };
                 let w = if abits & full == full {
                     srrip_victim_full(rrpv)
                 } else {
@@ -553,7 +561,10 @@ mod tests {
             seen[v as usize] = true;
             st.on_fill(0, 4, v);
         }
-        assert!(seen.iter().all(|&s| s), "PLRU should rotate victims: {seen:?}");
+        assert!(
+            seen.iter().all(|&s| s),
+            "PLRU should rotate victims: {seen:?}"
+        );
     }
 
     #[test]

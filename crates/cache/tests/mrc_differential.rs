@@ -12,9 +12,7 @@
 //! and traces.
 
 use moca_cache::mrc::MrcProfiler;
-use moca_cache::{
-    CacheGeometry, L2Cause, L2Request, ReplacementPolicy, SetAssocCache, WayMask,
-};
+use moca_cache::{CacheGeometry, L2Cause, L2Request, ReplacementPolicy, SetAssocCache, WayMask};
 use moca_testkit::{check, require_eq, Config, TestRng};
 use moca_trace::{AccessKind, Mode};
 
@@ -64,9 +62,7 @@ fn arb_case(rng: &mut TestRng) -> Case {
     // A line universe a few times the largest capacity keeps reuse
     // frequent without making every access a cold miss.
     let universe = u64::from(sets) * u64::from(max_ways) * 3;
-    let trace = rng.vec(100, 600, |r| {
-        (r.range_u64(0, universe), r.bool(), r.bool())
-    });
+    let trace = rng.vec(100, 600, |r| (r.range_u64(0, universe), r.bool(), r.bool()));
     Case {
         sets,
         max_ways,
@@ -144,9 +140,8 @@ fn one_profiler_scores_a_whole_grid_of_set_counts() {
         |rng| {
             let max_ways = rng.range_u32(1, 7);
             let universe = 96u64;
-            let trace: Vec<Req> = rng.vec(150, 500, |r| {
-                (r.range_u64(0, universe), r.bool(), r.bool())
-            });
+            let trace: Vec<Req> =
+                rng.vec(150, 500, |r| (r.range_u64(0, universe), r.bool(), r.bool()));
             (max_ways, trace)
         },
         |&(max_ways, ref trace)| {

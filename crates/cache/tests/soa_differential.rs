@@ -24,13 +24,26 @@ use moca_trace::Mode;
 #[derive(Debug, Clone)]
 enum RefPolicy {
     /// LRU and FIFO share timestamp storage; only LRU refreshes on hits.
-    Stamped { lru: bool, stamps: Vec<u64>, clock: u64 },
-    Random { state: u64 },
-    Nru { referenced: Vec<bool> },
+    Stamped {
+        lru: bool,
+        stamps: Vec<u64>,
+        clock: u64,
+    },
+    Random {
+        state: u64,
+    },
+    Nru {
+        referenced: Vec<bool>,
+    },
     /// Tree PLRU, one boolean per tree node per set. `true` means "the
     /// LRU side is the left subtree".
-    Plru { nodes: Vec<bool>, ways: u32 },
-    Srrip { rrpv: Vec<u8> },
+    Plru {
+        nodes: Vec<bool>,
+        ways: u32,
+    },
+    Srrip {
+        rrpv: Vec<u8>,
+    },
 }
 
 impl RefPolicy {
@@ -250,7 +263,14 @@ impl RefCache {
         }
     }
 
-    fn access(&mut self, line: u64, write: bool, mode: Mode, now: u64, mask: WayMask) -> AccessResult {
+    fn access(
+        &mut self,
+        line: u64,
+        write: bool,
+        mode: Mode,
+        now: u64,
+        mask: WayMask,
+    ) -> AccessResult {
         let set = line & self.set_mask;
         let tag = line >> self.tag_shift;
         for way in mask.iter() {
@@ -539,9 +559,7 @@ fn soa_engine_matches_reference_under_partitioning() {
             let split = rng.range_u32(1, ways);
             let policy = arb_policy(rng);
             let universe = sets * u64::from(ways) * 3;
-            let accesses = rng.vec(100, 400, |r| {
-                (r.range_u64(0, universe), r.bool(), r.bool())
-            });
+            let accesses = rng.vec(100, 400, |r| (r.range_u64(0, universe), r.bool(), r.bool()));
             (sets, ways, split, policy, accesses)
         },
         |&(sets, ways, split, policy, ref accesses)| {

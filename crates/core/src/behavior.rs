@@ -281,6 +281,9 @@ mod tests {
             h.record(1 << 18); // ~0.26 ms
         }
         h.record(1 << 40); // ~18 min
-        assert_eq!(recommend_retention(&h, 1.0, 0.95), RetentionClass::TenMillis);
+        assert_eq!(
+            recommend_retention(&h, 1.0, 0.95),
+            RetentionClass::TenMillis
+        );
     }
 }

@@ -401,7 +401,10 @@ mod tests {
             refresh: RefreshPolicy::Refresh,
             epoch_cycles: 1000,
         };
-        assert!(matches!(d.validate(), Err(DesignError::MinExceedsMax { .. })));
+        assert!(matches!(
+            d.validate(),
+            Err(DesignError::MinExceedsMax { .. })
+        ));
         let d = L2Design::DynamicStt {
             max_ways: 8,
             min_ways: 1,

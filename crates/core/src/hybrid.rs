@@ -431,6 +431,9 @@ mod tests {
             l2.request(&req(i % 64, i % 2 == 0), i * 5);
         }
         let share = l2.hybrid_stats().sram_write_share();
-        assert!(share > 0.8, "SRAM should absorb write-hot lines, got {share:.2}");
+        assert!(
+            share > 0.8,
+            "SRAM should absorb write-hot lines, got {share:.2}"
+        );
     }
 }

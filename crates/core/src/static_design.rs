@@ -70,7 +70,10 @@ pub fn find_min_partition<F>(
 where
     F: FnMut(u32, u32) -> f64,
 {
-    assert!(max_user_ways > 0 && max_kernel_ways > 0, "need at least one way each");
+    assert!(
+        max_user_ways > 0 && max_kernel_ways > 0,
+        "need at least one way each"
+    );
     assert!(tolerance >= 0.0, "tolerance must be non-negative");
 
     let budget = baseline_miss_rate + tolerance;

@@ -292,11 +292,8 @@ mod tests {
 
     #[test]
     fn refresh_uses_write_energy() {
-        let mut a = EnergyAccountant::new(Technology::sttram(
-            1 << 20,
-            16,
-            RetentionClass::TenMillis,
-        ));
+        let mut a =
+            EnergyAccountant::new(Technology::sttram(1 << 20, 16, RetentionClass::TenMillis));
         a.record_refreshes(3);
         let expected = a.bank().write_energy() * 3;
         assert!((a.breakdown().refresh.pj() - expected.pj()).abs() < 1e-9);

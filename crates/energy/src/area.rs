@@ -95,11 +95,7 @@ mod tests {
     #[test]
     fn sttram_is_about_a_third_of_sram() {
         let sram = bank_area_mm2(&Technology::sram(2 << 20, 16));
-        let stt = bank_area_mm2(&Technology::sttram(
-            2 << 20,
-            16,
-            RetentionClass::TenMillis,
-        ));
+        let stt = bank_area_mm2(&Technology::sttram(2 << 20, 16, RetentionClass::TenMillis));
         let ratio = stt / sram;
         assert!((ratio - CELL_AREA_RATIO).abs() < 1e-9, "ratio {ratio}");
     }
@@ -120,7 +116,10 @@ mod tests {
     #[test]
     fn try_capacity_bytes_boundary() {
         assert_eq!(try_capacity_bytes(128 << 10, 16).expect("fits"), 2 << 20);
-        assert_eq!(try_capacity_bytes(u64::MAX / 2, 2).expect("fits"), u64::MAX - 1);
+        assert_eq!(
+            try_capacity_bytes(u64::MAX / 2, 2).expect("fits"),
+            u64::MAX - 1
+        );
         let err = try_capacity_bytes(u64::MAX / 2 + 1, 2).unwrap_err();
         assert!(err.to_string().contains("bank capacity"));
     }

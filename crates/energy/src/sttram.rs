@@ -76,12 +76,7 @@ impl SttRamBank {
     /// assert!(lo.write_energy().nj() < 0.4 * hi.write_energy().nj());
     /// assert!(lo.write_latency().ns() < hi.write_latency().ns());
     /// ```
-    pub fn new(
-        capacity_bytes: u64,
-        ways: u32,
-        retention: RetentionClass,
-        tech: TechNode,
-    ) -> Self {
+    pub fn new(capacity_bytes: u64, ways: u32, retention: RetentionClass, tech: TechNode) -> Self {
         assert!(capacity_bytes > 0, "capacity must be non-zero");
         assert!(ways > 0, "ways must be non-zero");
         let delta = retention.delta();
@@ -92,8 +87,7 @@ impl SttRamBank {
         // Read path: sensing only, Δ-independent; scales like SRAM
         // periphery.
         let read_energy = Energy::from_nj(ANCHOR_READ_NJ * periph_scale);
-        let read_latency =
-            Time::from_ns(ANCHOR_READ_LAT_NS * c.powf(0.3) * tech.latency_scale());
+        let read_latency = Time::from_ns(ANCHOR_READ_LAT_NS * c.powf(0.3) * tech.latency_scale());
 
         // Write path: MTJ switching dominates. E ∝ (Δ/Δref)² with a small
         // periphery component that scales like reads.
@@ -105,8 +99,9 @@ impl SttRamBank {
         // before the MTJ switching pulse, so total write latency is the
         // periphery share of the read path plus the Δ-dependent pulse.
         let pulse_ns = WRITE_LAT_BASE_NS + WRITE_LAT_DELTA_NS * (delta / DELTA_REF).powf(1.5);
-        let write_latency =
-            Time::from_ns(read_latency.ns() * WRITE_PERIPHERY_SHARE + pulse_ns * tech.latency_scale());
+        let write_latency = Time::from_ns(
+            read_latency.ns() * WRITE_PERIPHERY_SHARE + pulse_ns * tech.latency_scale(),
+        );
 
         // Leakage: periphery only, a fixed fraction of equal SRAM.
         let sram_equiv = SramBank::new(capacity_bytes, ways, tech);
@@ -208,9 +203,17 @@ mod tests {
     fn anchor_write_cost_at_ten_years() {
         let b = bank(RetentionClass::TenYears);
         // Δ≈40.3 so slightly above the Δ=40 anchor, plus 0.4 nJ periphery.
-        assert!((b.write_energy().nj() - 3.96).abs() < 0.2, "{}", b.write_energy().nj());
+        assert!(
+            (b.write_energy().nj() - 3.96).abs() < 0.2,
+            "{}",
+            b.write_energy().nj()
+        );
         // 0.6 × 11 ns periphery + ~10 ns pulse.
-        assert!((b.write_latency().ns() - 16.7).abs() < 0.7, "{}", b.write_latency().ns());
+        assert!(
+            (b.write_latency().ns() - 16.7).abs() < 0.7,
+            "{}",
+            b.write_latency().ns()
+        );
         assert_eq!(b.label(), "STT-RAM");
     }
 
@@ -284,6 +287,9 @@ mod tests {
         assert!(small.leakage_power().mw() < big.leakage_power().mw());
         // MTJ component dominates writes, so write energy grows slowly.
         let ratio = big.write_energy().nj() / small.write_energy().nj();
-        assert!(ratio < 1.3, "write energy should be MTJ-dominated, got {ratio}");
+        assert!(
+            ratio < 1.3,
+            "write energy should be MTJ-dominated, got {ratio}"
+        );
     }
 }

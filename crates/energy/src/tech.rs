@@ -6,8 +6,7 @@ use crate::units::{Energy, Power, Time};
 ///
 /// Scale factors are normalized to the 45 nm anchor used by the paper's
 /// era of mobile SoCs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[derive(Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TechNode {
     /// 65 nm.
     Nm65,
@@ -17,7 +16,6 @@ pub enum TechNode {
     /// 32 nm.
     Nm32,
 }
-
 
 impl TechNode {
     /// Dynamic-energy multiplier relative to 45 nm
@@ -160,7 +158,11 @@ mod tests {
         assert_eq!(Temperature::default(), Temperature::REFERENCE);
         assert!((Temperature::REFERENCE.leakage_scale() - 1.0).abs() < 1e-12);
         let hot = Temperature::from_celsius(85.0);
-        assert!((hot.leakage_scale() - 2.0).abs() < 1e-9, "{}", hot.leakage_scale());
+        assert!(
+            (hot.leakage_scale() - 2.0).abs() < 1e-9,
+            "{}",
+            hot.leakage_scale()
+        );
         let cold = Temperature::from_celsius(35.0);
         assert!((cold.leakage_scale() - 0.5).abs() < 1e-9);
         assert_eq!(hot.to_string(), "85 C");

@@ -281,12 +281,7 @@ impl fmt::Display for Power {
 
 impl fmt::Display for Time {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt_scaled(
-            f,
-            self.0,
-            &[(1e9, "s"), (1e6, "ms"), (1e3, "us")],
-            "ns",
-        )
+        fmt_scaled(f, self.0, &[(1e9, "s"), (1e6, "ms"), (1e3, "us")], "ns")
     }
 }
 
@@ -344,7 +339,9 @@ mod tests {
     fn sum_iterates() {
         let total: Energy = (1..=4).map(|i| Energy::from_pj(i as f64)).sum();
         assert_eq!(total.pj(), 10.0);
-        let t: Time = vec![Time::from_ns(1.0), Time::from_ns(2.0)].into_iter().sum();
+        let t: Time = vec![Time::from_ns(1.0), Time::from_ns(2.0)]
+            .into_iter()
+            .sum();
         assert_eq!(t.ns(), 3.0);
     }
 

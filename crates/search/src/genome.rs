@@ -168,7 +168,11 @@ impl Genome {
             family: if pick(rng) { a.family } else { b.family },
             ways: if pick(rng) { a.ways } else { b.ways },
             user_ways: if pick(rng) { a.user_ways } else { b.user_ways },
-            kernel_ways: if pick(rng) { a.kernel_ways } else { b.kernel_ways },
+            kernel_ways: if pick(rng) {
+                a.kernel_ways
+            } else {
+                b.kernel_ways
+            },
             user_retention: if pick(rng) {
                 a.user_retention
             } else {

@@ -65,8 +65,7 @@ impl Fitness {
 /// strictly better.
 pub fn dominates(a: &Fitness, b: &Fitness) -> bool {
     let no_worse = a.energy_nj <= b.energy_nj && a.cycles <= b.cycles && a.area_mm2 <= b.area_mm2;
-    let better =
-        a.energy_nj < b.energy_nj || a.cycles < b.cycles || a.area_mm2 < b.area_mm2;
+    let better = a.energy_nj < b.energy_nj || a.cycles < b.cycles || a.area_mm2 < b.area_mm2;
     no_worse && better
 }
 
@@ -123,11 +122,8 @@ pub fn crowding_distance(front: &[usize], fitness: &[Fitness], labels: &[&str]) 
     if m <= 2 {
         return vec![f64::INFINITY; m];
     }
-    let objectives: [fn(&Fitness) -> f64; 3] = [
-        |f| f.energy_nj,
-        |f| f.cycles as f64,
-        |f| f.area_mm2,
-    ];
+    let objectives: [fn(&Fitness) -> f64; 3] =
+        [|f| f.energy_nj, |f| f.cycles as f64, |f| f.area_mm2];
     for obj in objectives {
         let mut order: Vec<usize> = (0..m).collect();
         order.sort_by(|&a, &b| {
@@ -208,9 +204,15 @@ mod tests {
         let a = fit(1.0, 10, 1.0);
         assert!(!dominates(&a, &a), "a point never dominates itself");
         assert!(dominates(&fit(0.9, 10, 1.0), &a));
-        assert!(!dominates(&fit(0.9, 11, 1.0), &a), "trade-off, no dominance");
+        assert!(
+            !dominates(&fit(0.9, 11, 1.0), &a),
+            "trade-off, no dominance"
+        );
         assert!(dominates_or_ties_2d(&a, &a));
-        assert!(dominates_or_ties_2d(&fit(1.0, 9, 99.0), &a), "area ignored in 2d");
+        assert!(
+            dominates_or_ties_2d(&fit(1.0, 9, 99.0), &a),
+            "area ignored in 2d"
+        );
     }
 
     #[test]

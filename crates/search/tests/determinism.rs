@@ -24,8 +24,10 @@ fn tiny() -> SearchConfig {
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("moca-search-determinism-{tag}-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!(
+        "moca-search-determinism-{tag}-{}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -134,6 +136,10 @@ fn a_fully_journaled_search_is_a_pure_replay() {
     // new records are appended, and the outcome is byte-identical.
     let second = run_search(&cfg, Jobs::new(1), Some(&mut journal)).expect("search replays");
     assert_eq!(second.render(), first.render());
-    assert_eq!(journal_bytes(&dir), bytes_after_first, "replay appended nothing");
+    assert_eq!(
+        journal_bytes(&dir),
+        bytes_after_first,
+        "replay appended nothing"
+    );
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }

@@ -73,10 +73,7 @@ type ParsedFlags<'a> = (Vec<&'a str>, Vec<(&'static str, String)>);
 
 /// Splits `args` into positionals and `--flag value` / `--flag=value`
 /// pairs, rejecting unknown flags.
-fn parse_flags<'a>(
-    args: &'a [String],
-    known: &[&'static str],
-) -> Result<ParsedFlags<'a>, String> {
+fn parse_flags<'a>(args: &'a [String], known: &[&'static str]) -> Result<ParsedFlags<'a>, String> {
     let mut positional = Vec::new();
     let mut flags = Vec::new();
     let mut i = 0;
@@ -129,7 +126,12 @@ fn record(args: &[String]) -> ExitCode {
     for (flag, value) in flags {
         match flag {
             "apps" => apps = value.split(',').map(|s| s.trim().to_string()).collect(),
-            "all" => apps = AppProfile::suite().iter().map(|p| p.name.to_string()).collect(),
+            "all" => {
+                apps = AppProfile::suite()
+                    .iter()
+                    .map(|p| p.name.to_string())
+                    .collect()
+            }
             "refs" => match value.parse() {
                 Ok(n) if n > 0 => refs = n,
                 _ => return fail(&format!("invalid --refs value {value:?}")),
@@ -184,7 +186,10 @@ fn record(args: &[String]) -> ExitCode {
 
 /// Accepts decimal or `0x`-prefixed hex seeds.
 fn parse_seed(value: &str) -> Option<u64> {
-    match value.strip_prefix("0x").or_else(|| value.strip_prefix("0X")) {
+    match value
+        .strip_prefix("0x")
+        .or_else(|| value.strip_prefix("0X"))
+    {
         Some(hex) => u64::from_str_radix(hex, 16).ok(),
         None => value.parse().ok(),
     }

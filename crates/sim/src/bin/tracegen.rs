@@ -23,7 +23,14 @@ fn usage() -> ExitCode {
     eprintln!("usage: tracegen <app|mixed> <refs> <out-file> [--text | --emit] [--seed N]");
     eprintln!("  --text  line-oriented text format instead of the binary stream");
     eprintln!("  --emit  chunked replay container (apps only; refs round up to full chunks)");
-    eprintln!("apps: {}", AppProfile::suite().iter().map(|p| p.name).collect::<Vec<_>>().join(", "));
+    eprintln!(
+        "apps: {}",
+        AppProfile::suite()
+            .iter()
+            .map(|p| p.name)
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
     ExitCode::FAILURE
 }
 
@@ -74,7 +81,9 @@ fn main() -> ExitCode {
         // identity in its header; a mixed session has no single
         // generating profile to fingerprint, so it cannot be compiled.
         if name == "mixed" {
-            eprintln!("--emit needs a named app: a mixed session has no single profile fingerprint");
+            eprintln!(
+                "--emit needs a named app: a mixed session has no single profile fingerprint"
+            );
             return usage();
         }
         let Some(profile) = AppProfile::by_name(name) else {
@@ -108,7 +117,11 @@ fn main() -> ExitCode {
 
     let trace: Box<dyn Iterator<Item = MemoryAccess>> = if name == "mixed" {
         let per_app = (refs / 10).max(1) as u64;
-        Box::new(PhasedWorkload::mixed_session(per_app, seed).cycle().take(refs))
+        Box::new(
+            PhasedWorkload::mixed_session(per_app, seed)
+                .cycle()
+                .take(refs),
+        )
     } else {
         let Some(profile) = AppProfile::by_name(name) else {
             eprintln!("unknown app '{name}'");

@@ -76,7 +76,11 @@ pub struct SweepPointError {
 
 impl fmt::Display for SweepPointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "sweep point {} ({}): {}", self.index, self.label, self.cause)
+        write!(
+            f,
+            "sweep point {} ({}): {}",
+            self.index, self.label, self.cause
+        )
     }
 }
 

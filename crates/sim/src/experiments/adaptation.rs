@@ -29,7 +29,13 @@ pub fn designs() -> Vec<L2Design> {
 ///
 /// Panics if the matrix holds no column for the dynamic design.
 pub fn from_matrix(m: &DesignMatrix) -> ExperimentResult {
-    let mut table = Table::new(vec!["app", "time (ms)", "user ways", "kernel ways", "total"]);
+    let mut table = Table::new(vec![
+        "app",
+        "time (ms)",
+        "user ways",
+        "kernel ways",
+        "total",
+    ]);
     let mut mean_ways = Vec::new();
     let mut changes = Vec::new();
     let runs = m

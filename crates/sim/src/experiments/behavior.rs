@@ -88,9 +88,7 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
         .iter()
         .filter(|(u, k)| k.duration().secs() <= u.duration().secs())
         .count();
-    let volatile_ok = recs
-        .iter()
-        .all(|(u, k)| u.is_volatile() && k.is_volatile());
+    let volatile_ok = recs.iter().all(|(u, k)| u.is_volatile() && k.is_volatile());
 
     let claims = vec![
         ClaimCheck {
@@ -101,7 +99,8 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
         },
         ClaimCheck {
             claim: "C4/C5",
-            target: "both segments' lifetimes are covered by volatile (sub-hour) retention classes".into(),
+            target: "both segments' lifetimes are covered by volatile (sub-hour) retention classes"
+                .into(),
             measured: format!("all volatile = {volatile_ok}"),
             pass: volatile_ok,
         },

@@ -48,7 +48,12 @@ pub fn from_matrix(m: &DesignMatrix) -> ExperimentResult {
 
     // Component breakdown of the baseline and the two techniques (suite
     // means) — shows *where* the savings come from.
-    let mut breakdown = Table::new(vec!["design", "leakage share", "dynamic share", "refresh share"]);
+    let mut breakdown = Table::new(vec![
+        "design",
+        "leakage share",
+        "dynamic share",
+        "refresh share",
+    ]);
     for d in [0usize, 2, 3] {
         let leak = m.mean_over_apps(d, |r, _| r.l2_energy.leakage_fraction());
         let dynamic = m.mean_over_apps(d, |r, _| {
@@ -129,7 +134,12 @@ mod tests {
         let designs = headline_designs();
         let rows: Vec<Vec<SimReport>> = AppProfile::suite()[..3]
             .iter()
-            .map(|app| designs.iter().map(|d| run_app(app, *d, 400_000, 7)).collect())
+            .map(|app| {
+                designs
+                    .iter()
+                    .map(|d| run_app(app, *d, 400_000, 7))
+                    .collect()
+            })
             .collect();
         let m = DesignMatrix { designs, rows };
         let r = from_matrix(&m);

@@ -34,24 +34,23 @@ fn run_hybrid(app: &AppProfile, refs: usize) -> (f64, f64, f64, u64) {
     // The L1 outcome of every reference comes from the shared filtered
     // run; the hit gaps retire in O(1), and each miss reaches the L2 at
     // this runner's own clock.
-    RunMemo::global()
-        .replay(app, EXPERIMENT_SEED, &cfg, refs, |chunk| {
-            for ev in chunk.events() {
-                core.retire_many(u64::from(ev.gap));
-                let now = core.cycle();
-                let resp = l2.request(&ev.demand, now);
-                let dram = if resp.dram_read {
-                    cfg.dram_latency_cycles
-                } else {
-                    0
-                };
-                if let Some(wb) = &ev.writeback {
-                    l2.request(wb, now);
-                }
-                core.retire(resp.latency_cycles + dram);
+    RunMemo::global().replay(app, EXPERIMENT_SEED, &cfg, refs, |chunk| {
+        for ev in chunk.events() {
+            core.retire_many(u64::from(ev.gap));
+            let now = core.cycle();
+            let resp = l2.request(&ev.demand, now);
+            let dram = if resp.dram_read {
+                cfg.dram_latency_cycles
+            } else {
+                0
+            };
+            if let Some(wb) = &ev.writeback {
+                l2.request(wb, now);
             }
-            core.retire_many(chunk.tail_gap() as u64);
-        });
+            core.retire(resp.latency_cycles + dram);
+        }
+        core.retire_many(chunk.tail_gap() as u64);
+    });
     l2.finalize(core.cycle());
     (
         l2.energy().total().joules(),
@@ -88,8 +87,16 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
         let designs = [L2Design::baseline(), all_stt];
         let mut pair = sweep(&designs, |d| *d, &app, refs, EXPERIMENT_SEED, Jobs::SERIAL);
         // Invariant: both designs are valid constants.
-        let stt = pair.pop().expect("two designs").expect("valid design").report;
-        let base = pair.pop().expect("two designs").expect("valid design").report;
+        let stt = pair
+            .pop()
+            .expect("two designs")
+            .expect("valid design")
+            .report;
+        let base = pair
+            .pop()
+            .expect("two designs")
+            .expect("valid design")
+            .report;
         let hybrid = run_hybrid(&app, refs);
         (base, stt, hybrid)
     });

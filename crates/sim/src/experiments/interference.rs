@@ -39,7 +39,9 @@ pub fn from_matrix(m: &DesignMatrix) -> ExperimentResult {
     ]);
     let mut cross_shares = Vec::new();
     let mut deltas = Vec::new();
-    let pairs = m.reports(L2Design::baseline()).zip(m.reports(interference_free()));
+    let pairs = m
+        .reports(L2Design::baseline())
+        .zip(m.reports(interference_free()));
     for (shared, iso) in pairs {
         let delta = shared.l2_miss_rate() - iso.l2_miss_rate();
         let cross = shared.l2_stats.cross_eviction_share();
@@ -66,7 +68,8 @@ pub fn from_matrix(m: &DesignMatrix) -> ExperimentResult {
     let claims = vec![
         ClaimCheck {
             claim: "C2",
-            target: "cross-mode evictions are a substantial share of shared-L2 evictions (> 15%)".into(),
+            target: "cross-mode evictions are a substantial share of shared-L2 evictions (> 15%)"
+                .into(),
             measured: pct(mean_cross),
             pass: mean_cross > 0.15,
         },

@@ -24,19 +24,19 @@ pub fn designs() -> Vec<L2Design> {
 ///
 /// Panics if the matrix holds no baseline column.
 pub fn from_matrix(m: &DesignMatrix) -> ExperimentResult {
-    let mut table = Table::new(vec!["app", "raw kernel share", "L2 kernel share", "L2 accesses/1k refs"]);
+    let mut table = Table::new(vec![
+        "app",
+        "raw kernel share",
+        "L2 kernel share",
+        "L2 accesses/1k refs",
+    ]);
     let mut l2_shares = Vec::new();
     for r in m.reports(L2Design::baseline()) {
         let raw = r.l1_stats.mode(Mode::Kernel).accesses() as f64 / r.l1_stats.accesses() as f64;
         let l2 = r.l2_kernel_share();
         let rate = r.l2_stats.accesses() as f64 * 1000.0 / r.refs as f64;
         l2_shares.push(l2);
-        table.row(vec![
-            r.app.clone(),
-            pct(raw),
-            pct(l2),
-            format!("{rate:.0}"),
-        ]);
+        table.row(vec![r.app.clone(), pct(raw), pct(l2), format!("{rate:.0}")]);
     }
     let mean = l2_shares.iter().sum::<f64>() / l2_shares.len() as f64;
     table.row(vec!["MEAN".into(), "-".into(), pct(mean), "-".into()]);

@@ -95,8 +95,8 @@ impl ExperimentResult {
 
 /// Ids of the experiments [`all`] runs, in suite order.
 pub const SUITE_IDS: [&str; 17] = [
-    "F1", "F2", "F3", "F4", "F5", "T2", "F6", "F7", "F8", "A1", "A2", "A3", "A4", "A5", "A6",
-    "A7", "M1",
+    "F1", "F2", "F3", "F4", "F5", "T2", "F6", "F7", "F8", "A1", "A2", "A3", "A4", "A5", "A6", "A7",
+    "M1",
 ];
 
 /// The designs a matrix experiment reads, and how it renders them.

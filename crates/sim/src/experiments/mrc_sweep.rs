@@ -201,7 +201,11 @@ mod tests {
         assert!(full.passed(), "unpruned claims failed:\n{}", full.render());
 
         let pruned = run_with(Scale::Quick, Jobs::available(), true);
-        assert!(pruned.passed(), "pruned claims failed:\n{}", pruned.render());
+        assert!(
+            pruned.passed(),
+            "pruned claims failed:\n{}",
+            pruned.render()
+        );
         let (grid, skipped, simulated) = last_prune_counts().expect("pruned run records counts");
         assert_eq!(grid, GRID_WAYS as usize);
         assert_eq!(skipped + simulated, grid);

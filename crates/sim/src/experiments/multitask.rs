@@ -20,11 +20,7 @@ use crate::table::{f3, pct, Table};
 use crate::workloads::{Scale, EXPERIMENT_SEED};
 
 /// Co-scheduled pairs (foreground + background-ish mixes).
-pub const PAIRS: [(&str, &str); 3] = [
-    ("browser", "music"),
-    ("game", "email"),
-    ("video", "social"),
-];
+pub const PAIRS: [(&str, &str); 3] = [("browser", "music"), ("game", "email"), ("video", "social")];
 
 /// Scheduler quantum in references (~10 ms at mobile rates).
 const QUANTUM: u64 = 20_000;
@@ -67,9 +63,7 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
             .map(move |d| (pair, d))
         })
         .collect();
-    let reports = parallel_map(jobs, cells, |((a, b), design)| {
-        run_pair(a, b, design, refs)
-    });
+    let reports = parallel_map(jobs, cells, |((a, b), design)| run_pair(a, b, design, refs));
     for (&(a, b), row) in PAIRS.iter().zip(reports.chunks(3)) {
         let (base, stat, dynamic) = (&row[0], &row[1], &row[2]);
         let saving = 1.0 - stat.energy_ratio_vs(base);

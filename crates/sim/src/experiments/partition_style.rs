@@ -33,24 +33,23 @@ fn run_set_partitioned(app: &AppProfile, refs: usize) -> (f64, f64, u64) {
     // The L1 outcome of every reference comes from the shared filtered
     // run; the hit gaps retire in O(1), and each miss reaches the L2 at
     // this runner's own clock.
-    RunMemo::global()
-        .replay(app, EXPERIMENT_SEED, &cfg, refs, |chunk| {
-            for ev in chunk.events() {
-                core.retire_many(u64::from(ev.gap));
-                let now = core.cycle();
-                let resp = l2.request(&ev.demand, now);
-                let dram = if resp.dram_read {
-                    cfg.dram_latency_cycles
-                } else {
-                    0
-                };
-                if let Some(wb) = &ev.writeback {
-                    l2.request(wb, now);
-                }
-                core.retire(resp.latency_cycles + dram);
+    RunMemo::global().replay(app, EXPERIMENT_SEED, &cfg, refs, |chunk| {
+        for ev in chunk.events() {
+            core.retire_many(u64::from(ev.gap));
+            let now = core.cycle();
+            let resp = l2.request(&ev.demand, now);
+            let dram = if resp.dram_read {
+                cfg.dram_latency_cycles
+            } else {
+                0
+            };
+            if let Some(wb) = &ev.writeback {
+                l2.request(wb, now);
             }
-            core.retire_many(chunk.tail_gap() as u64);
-        });
+            core.retire(resp.latency_cycles + dram);
+        }
+        core.retire_many(chunk.tail_gap() as u64);
+    });
     l2.finalize(core.cycle());
     let miss = l2.stats().miss_rate();
     let cpr = core.cycle() as f64 / core.refs() as f64;
@@ -81,8 +80,16 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
         let designs = [L2Design::baseline(), way_design];
         let mut pair = sweep(&designs, |d| *d, &app, refs, EXPERIMENT_SEED, Jobs::SERIAL);
         // Invariant: both designs are valid constants.
-        let way = pair.pop().expect("two designs").expect("valid design").report;
-        let base = pair.pop().expect("two designs").expect("valid design").report;
+        let way = pair
+            .pop()
+            .expect("two designs")
+            .expect("valid design")
+            .report;
+        let base = pair
+            .pop()
+            .expect("two designs")
+            .expect("valid design")
+            .report;
         let set = run_set_partitioned(&app, refs);
         (base, way, set)
     });

@@ -94,7 +94,12 @@ mod tests {
         let designs = headline_designs();
         let rows: Vec<Vec<SimReport>> = AppProfile::suite()[..2]
             .iter()
-            .map(|app| designs.iter().map(|d| run_app(app, *d, 300_000, 7)).collect())
+            .map(|app| {
+                designs
+                    .iter()
+                    .map(|d| run_app(app, *d, 300_000, 7))
+                    .collect()
+            })
             .collect();
         let m = DesignMatrix { designs, rows };
         let r = from_matrix(&m);

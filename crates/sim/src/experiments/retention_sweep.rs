@@ -55,13 +55,17 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
         }
     }
     let mut designs: Vec<L2Design> = vec![L2Design::baseline()];
-    designs.extend(configs.iter().map(|&(rc, policy)| L2Design::StaticMultiRetention {
-        user_ways: 6,
-        kernel_ways: 4,
-        user_retention: rc,
-        kernel_retention: rc,
-        refresh: policy,
-    }));
+    designs.extend(
+        configs
+            .iter()
+            .map(|&(rc, policy)| L2Design::StaticMultiRetention {
+                user_ways: 6,
+                kernel_ways: 4,
+                user_retention: rc,
+                kernel_retention: rc,
+                refresh: policy,
+            }),
+    );
     // per_app[i][0] is app i's baseline; [1..] follow `configs` order.
     let per_app: Vec<Vec<_>> = parallel_map(jobs, apps.clone(), |a| {
         sweep(&designs, |d| *d, &a, refs, EXPERIMENT_SEED, Jobs::SERIAL)

@@ -47,13 +47,21 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
     for epoch in [100_000u64, 500_000, 2_000_000, 8_000_000] {
         variants.push((
             format!("epoch {}k cycles", epoch / 1000),
-            dynamic_with(epoch, RefreshPolicy::InvalidateOnExpiry, RetentionClass::TenMillis),
+            dynamic_with(
+                epoch,
+                RefreshPolicy::InvalidateOnExpiry,
+                RetentionClass::TenMillis,
+            ),
         ));
     }
     // 2. Refresh policy.
     variants.push((
         "policy invalidate-on-expiry".into(),
-        dynamic_with(500_000, RefreshPolicy::InvalidateOnExpiry, RetentionClass::TenMillis),
+        dynamic_with(
+            500_000,
+            RefreshPolicy::InvalidateOnExpiry,
+            RetentionClass::TenMillis,
+        ),
     ));
     variants.push((
         "policy refresh".into(),
@@ -76,8 +84,14 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
             kernel_ways: 4,
         },
     ));
-    variants.push(("2x2: STT static (default)".into(), L2Design::static_default()));
-    variants.push(("2x2: STT dynamic (default)".into(), L2Design::dynamic_default()));
+    variants.push((
+        "2x2: STT static (default)".into(),
+        L2Design::static_default(),
+    ));
+    variants.push((
+        "2x2: STT dynamic (default)".into(),
+        L2Design::dynamic_default(),
+    ));
     // 4. Kernel retention.
     for rc in [
         RetentionClass::OneSecond,

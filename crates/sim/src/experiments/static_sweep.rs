@@ -65,7 +65,12 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
         table.row(vec![
             name.to_string(),
             f3(choice.baseline_miss_rate),
-            format!("{}u + {}k = {}", choice.user_ways, choice.kernel_ways, choice.total_ways()),
+            format!(
+                "{}u + {}k = {}",
+                choice.user_ways,
+                choice.kernel_ways,
+                choice.total_ways()
+            ),
             f3(choice.miss_rate),
             format!("{:.0}%", choice.total_ways() as f64 / 16.0 * 100.0),
             choice.evaluated.to_string(),

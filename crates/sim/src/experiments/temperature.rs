@@ -36,25 +36,24 @@ fn run_at(design: L2Design, temp_c: f64, refs: usize) -> (f64, f64) {
     // Every (temperature, design) cell replays the same memoized
     // filtered run; each reference advances time by 2 cycles, so a hit
     // gap of `g` references advances it by `2 * g`.
-    RunMemo::global()
-        .replay(
-            &app,
-            EXPERIMENT_SEED,
-            &SystemConfig::default(),
-            refs,
-            |chunk| {
-                for ev in chunk.events() {
-                    now += 2 * u64::from(ev.gap) + 2;
-                    for req in std::iter::once(&ev.demand).chain(&ev.writeback) {
-                        let resp = l2.request(req, now);
-                        if resp.dram_read {
-                            now += 120;
-                        }
+    RunMemo::global().replay(
+        &app,
+        EXPERIMENT_SEED,
+        &SystemConfig::default(),
+        refs,
+        |chunk| {
+            for ev in chunk.events() {
+                now += 2 * u64::from(ev.gap) + 2;
+                for req in std::iter::once(&ev.demand).chain(&ev.writeback) {
+                    let resp = l2.request(req, now);
+                    if resp.dram_read {
+                        now += 120;
                     }
                 }
-                now += 2 * chunk.tail_gap() as u64;
-            },
-        );
+            }
+            now += 2 * chunk.tail_gap() as u64;
+        },
+    );
     l2.finalize(now);
     let e = l2.energy();
     (e.total().joules(), e.leakage_fraction())

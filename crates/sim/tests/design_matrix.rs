@@ -19,10 +19,8 @@ use moca_trace::{AppProfile, TraceGenerator};
 
 /// Compiles `(app, seed, refs)` into a uniquely named temp file.
 fn compile_to_temp(app: &AppProfile, seed: u64, refs: usize, tag: &str) -> PathBuf {
-    let path = std::env::temp_dir().join(format!(
-        "moca-matrix-it-{}-{tag}.mtrc",
-        std::process::id()
-    ));
+    let path =
+        std::env::temp_dir().join(format!("moca-matrix-it-{}-{tag}.mtrc", std::process::id()));
     let file = File::create(&path).expect("create temp trace");
     binfmt::compile(BufWriter::new(file), app, seed, refs).expect("compile");
     path
@@ -118,7 +116,12 @@ fn unmemoized_lockstep_falls_back_past_a_corrupt_chunk_byte_identically() {
     for (design, got) in designs.iter().zip(&points) {
         let got = &got.as_ref().expect("valid design").report;
         let want = run_app(&app, *design, refs, seed);
-        assert_eq!(format!("{got:?}"), format!("{want:?}"), "{}", design.label());
+        assert_eq!(
+            format!("{got:?}"),
+            format!("{want:?}"),
+            "{}",
+            design.label()
+        );
     }
     assert!(TraceRegistry::global().stats().decode_errors > 0);
     std::fs::remove_file(&path).ok();

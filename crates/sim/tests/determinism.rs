@@ -17,7 +17,10 @@ use moca_sim::workloads::Scale;
 fn render_full(r: &ExperimentResult) -> String {
     let mut out = r.render();
     for c in &r.claims {
-        out.push_str(&format!("{} {} {} {}\n", c.claim, c.target, c.measured, c.pass));
+        out.push_str(&format!(
+            "{} {} {} {}\n",
+            c.claim, c.target, c.measured, c.pass
+        ));
     }
     out
 }
@@ -217,13 +220,22 @@ mod fanout_equivalence {
         let to_design = |&ways: &u32| L2Design::SharedSram { ways };
         let rows = |points: &[Result<SweepPoint<u32>, SweepPointError>]| {
             let mut csv = Vec::new();
-            let reports = points.iter().map(|p| &p.as_ref().expect("valid design").report);
+            let reports = points
+                .iter()
+                .map(|p| &p.as_ref().expect("valid design").report);
             write_csv(&mut csv, reports.map(|r| (r, 0u64))).expect("csv renders");
             csv
         };
         let reference = rows(&sweep(&params, to_design, &app, 12_000, 42, Jobs::SERIAL));
         for jobs in [1usize, 2, 8] {
-            let got = rows(&sweep(&params, to_design, &app, 12_000, 42, Jobs::new(jobs)));
+            let got = rows(&sweep(
+                &params,
+                to_design,
+                &app,
+                12_000,
+                42,
+                Jobs::new(jobs),
+            ));
             assert_eq!(
                 String::from_utf8(reference.clone()).expect("utf8"),
                 String::from_utf8(got).expect("utf8"),
@@ -243,8 +255,7 @@ mod fanout_equivalence {
             Config::cases(12),
             |rng: &mut TestRng| {
                 let app = rng.pick(&apps).clone();
-                let designs =
-                    rng.vec(1, 6, |rng| *rng.pick(&pool));
+                let designs = rng.vec(1, 6, |rng| *rng.pick(&pool));
                 let refs = rng.range_usize(1_000, 30_000);
                 let seed = rng.next_u64();
                 let jobs = rng.range_usize(1, 9);

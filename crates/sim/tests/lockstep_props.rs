@@ -149,7 +149,9 @@ fn panicking_design_poisons_only_its_own_lane_identically_across_jobs() {
     let seed = 0xFA_117;
     // Deterministic fault plan over the 10-design pool: roughly a third
     // of the lanes panic mid-run.
-    let faults = FaultPlan::new(0xBAD_5EED).with_rate(1, 3).faulty_indices(pool.len());
+    let faults = FaultPlan::new(0xBAD_5EED)
+        .with_rate(1, 3)
+        .faulty_indices(pool.len());
     assert!(
         !faults.is_empty() && faults.len() < pool.len(),
         "the plan must fault some but not all lanes: {faults:?}"

@@ -66,7 +66,10 @@ fn pruned_subset_is_byte_identical_to_unpruned_sweep_at_every_job_count() {
 
     let serial = sweep_pruned(&designs, to_design, &app, REFS, SEED, Jobs::SERIAL);
     assert_eq!(serial.grid_points, GRID_WAYS as usize);
-    assert!(serial.pruned_points > 0, "a {GRID_WAYS}-point grid must prune");
+    assert!(
+        serial.pruned_points > 0,
+        "a {GRID_WAYS}-point grid must prune"
+    );
     let serial_params: Vec<L2Design> = simulated(&serial).iter().map(|p| p.param).collect();
     let serial_rows = rows(&serial);
 
@@ -100,8 +103,15 @@ fn pruned_subset_is_byte_identical_to_unpruned_sweep_at_every_job_count() {
     for jobs in [1usize, 2, 8] {
         let par = sweep_pruned(&designs, to_design, &app, REFS, SEED, Jobs::new(jobs));
         let par_params: Vec<L2Design> = simulated(&par).iter().map(|p| p.param).collect();
-        assert_eq!(serial_params, par_params, "survivor set changed at jobs={jobs}");
-        assert_eq!(serial_rows, rows(&par), "report bytes changed at jobs={jobs}");
+        assert_eq!(
+            serial_params, par_params,
+            "survivor set changed at jobs={jobs}"
+        );
+        assert_eq!(
+            serial_rows,
+            rows(&par),
+            "report bytes changed at jobs={jobs}"
+        );
         assert_eq!(serial.pruned_points, par.pruned_points);
         assert_eq!(
             serial.scores, par.scores,
@@ -120,7 +130,14 @@ fn csv_emission_pairs_each_param_with_its_own_report_and_wall_time() {
     let app = AppProfile::game();
     let designs = mixed_designs();
     for jobs in [1usize, 2, 8] {
-        let pruned = sweep_pruned(&designs, |d: &L2Design| *d, &app, REFS, SEED, Jobs::new(jobs));
+        let pruned = sweep_pruned(
+            &designs,
+            |d: &L2Design| *d,
+            &app,
+            REFS,
+            SEED,
+            Jobs::new(jobs),
+        );
         assert!(pruned.pruned_points > 0, "the grid must prune");
         let points = simulated(&pruned);
         for point in &points {
@@ -139,8 +156,7 @@ fn csv_emission_pairs_each_param_with_its_own_report_and_wall_time() {
         // Through the CSV writer: one row per surviving point, design
         // column in input order, wall_ns column from the same point.
         let mut buf = Vec::new();
-        write_csv(&mut buf, points.iter().map(|p| (&p.report, p.wall_ns)))
-            .expect("csv to a Vec");
+        write_csv(&mut buf, points.iter().map(|p| (&p.report, p.wall_ns))).expect("csv to a Vec");
         let csv = String::from_utf8(buf).expect("utf8");
         let mut lines = csv.lines();
         assert_eq!(lines.next(), Some(CSV_HEADER));

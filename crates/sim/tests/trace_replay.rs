@@ -21,10 +21,8 @@ use moca_trace::AppProfile;
 /// Compiles `(app, seed, refs)` into a uniquely named temp file and
 /// returns its path.
 fn compile_to_temp(app: &AppProfile, seed: u64, refs: usize, tag: &str) -> PathBuf {
-    let path = std::env::temp_dir().join(format!(
-        "moca-replay-it-{}-{tag}.mtrc",
-        std::process::id()
-    ));
+    let path =
+        std::env::temp_dir().join(format!("moca-replay-it-{}-{tag}.mtrc", std::process::id()));
     let file = File::create(&path).expect("create temp trace");
     binfmt::compile(BufWriter::new(file), app, seed, refs).expect("compile");
     path
@@ -68,7 +66,9 @@ fn reports(plan: Plan<'_>, jobs: Jobs) -> Vec<SimReport> {
 /// A sweep's CSV with the wall-time column blanked.
 fn sweep_csv<P>(points: &[Result<SweepPoint<P>, SweepPointError>]) -> Vec<u8> {
     let mut csv = Vec::new();
-    let reports = points.iter().map(|p| &p.as_ref().expect("valid design").report);
+    let reports = points
+        .iter()
+        .map(|p| &p.as_ref().expect("valid design").report);
     write_csv(&mut csv, reports.map(|r| (r, 0))).expect("csv");
     csv
 }
@@ -101,7 +101,14 @@ fn registered_corpus_replays_byte_identically_at_every_job_count() {
             .map(|r| csv_row(r, 0))
             .collect();
         assert_eq!(reports, baseline, "fan-out diverged at jobs={jobs}");
-        let csv = sweep_csv(&sweep(&params, to_design, &app, refs, seed, Jobs::new(jobs)));
+        let csv = sweep_csv(&sweep(
+            &params,
+            to_design,
+            &app,
+            refs,
+            seed,
+            Jobs::new(jobs),
+        ));
         assert_eq!(csv, baseline_csv, "sweep CSV diverged at jobs={jobs}");
     }
 
@@ -137,7 +144,11 @@ fn corrupted_corpus_falls_back_to_generation_byte_identically() {
     TraceRegistry::global().register(FileTraceSource::open(&path).expect("open"));
     let before = TraceRegistry::global().stats();
     let reports = reports(Plan::new(&app, seed, refs, &[design]), Jobs::SERIAL);
-    assert_eq!(csv_row(&reports[0], 0), baseline, "fallback must preserve byte-identity");
+    assert_eq!(
+        csv_row(&reports[0], 0),
+        baseline,
+        "fallback must preserve byte-identity"
+    );
     let after = TraceRegistry::global().stats();
     assert!(
         after.decode_errors > before.decode_errors,

@@ -46,10 +46,7 @@ impl EngineRun {
     /// the same rendering the workspace's determinism suites compare, so
     /// "the harness agrees" and "the suites agree" mean the same bytes.
     pub fn render<O: Debug>(engine: impl Into<String>, outputs: &[O]) -> Self {
-        Self::new(
-            engine,
-            outputs.iter().map(|o| format!("{o:?}")).collect(),
-        )
+        Self::new(engine, outputs.iter().map(|o| format!("{o:?}")).collect())
     }
 }
 

@@ -46,7 +46,11 @@ impl TestRng {
     /// xorshift state must be non-zero).
     pub fn new(seed: u64) -> Self {
         Self {
-            state: if seed == 0 { 0x9E37_79B9_7F4A_7C15 } else { seed },
+            state: if seed == 0 {
+                0x9E37_79B9_7F4A_7C15
+            } else {
+                seed
+            },
         }
     }
 
@@ -373,7 +377,10 @@ impl FaultPlan {
     ///
     /// Panics if `denom` is zero or `num > denom`.
     pub fn with_rate(mut self, num: u64, denom: u64) -> Self {
-        assert!(denom > 0 && num <= denom, "rate {num}/{denom} is not a probability");
+        assert!(
+            denom > 0 && num <= denom,
+            "rate {num}/{denom} is not a probability"
+        );
         self.num = num;
         self.denom = denom;
         self
@@ -552,23 +559,31 @@ mod tests {
     #[test]
     fn passing_property_runs_all_cases() {
         let counted = std::cell::Cell::new(0usize);
-        check(Config::cases(25), |rng| rng.next_u64(), |_| {
-            counted.set(counted.get() + 1);
-            Ok(())
-        });
+        check(
+            Config::cases(25),
+            |rng| rng.next_u64(),
+            |_| {
+                counted.set(counted.get() + 1);
+                Ok(())
+            },
+        );
         assert_eq!(counted.get(), 25);
     }
 
     #[test]
     #[should_panic(expected = "property failed")]
     fn failing_property_panics_with_report() {
-        check(Config::cases(50), |rng| rng.range_u64(0, 100), |&n| {
-            require!(n < 101, "unreachable");
-            if n >= 10 {
-                return Err("too big".into());
-            }
-            Ok(())
-        });
+        check(
+            Config::cases(50),
+            |rng| rng.range_u64(0, 100),
+            |&n| {
+                require!(n < 101, "unreachable");
+                if n >= 10 {
+                    return Err("too big".into());
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]
@@ -593,9 +608,18 @@ mod tests {
             }
         }
         let failing = failing.expect("a failing input exists");
-        let (min, _msg, _steps) =
-            shrink_failure(failing, "seed".into(), &|v: &Vec<u64>| shrink_vec(v), &prop, 256);
-        assert_eq!(min.len(), 1, "shrunk to a single offending element: {min:?}");
+        let (min, _msg, _steps) = shrink_failure(
+            failing,
+            "seed".into(),
+            &|v: &Vec<u64>| shrink_vec(v),
+            &prop,
+            256,
+        );
+        assert_eq!(
+            min.len(),
+            1,
+            "shrunk to a single offending element: {min:?}"
+        );
         assert!(min[0] >= 1000);
     }
 
@@ -622,8 +646,14 @@ mod tests {
         let hits = FaultPlan::new(7).with_rate(1, 4).faulty_indices(4000).len();
         // 1/4 of 4000 = 1000; allow generous slack, determinism is the point.
         assert!((700..1300).contains(&hits), "unexpected fault count {hits}");
-        assert!(FaultPlan::new(7).with_rate(0, 1).faulty_indices(100).is_empty());
-        assert_eq!(FaultPlan::new(7).with_rate(1, 1).faulty_indices(100).len(), 100);
+        assert!(FaultPlan::new(7)
+            .with_rate(0, 1)
+            .faulty_indices(100)
+            .is_empty());
+        assert_eq!(
+            FaultPlan::new(7).with_rate(1, 1).faulty_indices(100).len(),
+            100
+        );
     }
 
     #[test]

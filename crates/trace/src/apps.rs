@@ -481,9 +481,21 @@ mod tests {
             let heap_end = layout::HEAP_BASE + p.heap_lines * layout::LINE;
             let code_end = layout::CODE_BASE + p.code_lines * layout::LINE;
             let stack_end = layout::STACK_BASE + p.stack_lines * layout::LINE;
-            assert!(heap_end < layout::STACK_BASE, "{}: heap runs into stack", p.name);
-            assert!(code_end < layout::HEAP_BASE, "{}: code runs into heap", p.name);
-            assert!(stack_end < KERNEL_BASE, "{}: stack runs into kernel", p.name);
+            assert!(
+                heap_end < layout::STACK_BASE,
+                "{}: heap runs into stack",
+                p.name
+            );
+            assert!(
+                code_end < layout::HEAP_BASE,
+                "{}: code runs into heap",
+                p.name
+            );
+            assert!(
+                stack_end < KERNEL_BASE,
+                "{}: stack runs into kernel",
+                p.name
+            );
         }
     }
 }

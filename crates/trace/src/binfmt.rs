@@ -159,7 +159,11 @@ fn untag3(bits: u8) -> Option<(AccessKind, Mode)> {
         2 => AccessKind::Store,
         _ => return None,
     };
-    let mode = if bits & 0x4 == 0 { Mode::User } else { Mode::Kernel };
+    let mode = if bits & 0x4 == 0 {
+        Mode::User
+    } else {
+        Mode::Kernel
+    };
     Some((kind, mode))
 }
 
@@ -201,7 +205,12 @@ fn decode_chunk(
 // Writer
 // ---------------------------------------------------------------------
 
-fn render_header(fingerprint: u64, seed: u64, total_refs: u64, chunk_count: u32) -> [u8; HEADER_LEN] {
+fn render_header(
+    fingerprint: u64,
+    seed: u64,
+    total_refs: u64,
+    chunk_count: u32,
+) -> [u8; HEADER_LEN] {
     let mut h = [0u8; HEADER_LEN];
     h[0..8].copy_from_slice(&MAGIC);
     h[8..10].copy_from_slice(&VERSION.to_le_bytes());
@@ -514,7 +523,11 @@ impl<R: Read + Seek> TraceReader<R> {
         }
         src.seek(SeekFrom::End(-(dir_len as i64)))?;
         let mut dir = vec![0u8; dir_len as usize];
-        read_exact_or(&mut src, &mut dir, bad("file shorter than its chunk directory"))?;
+        read_exact_or(
+            &mut src,
+            &mut dir,
+            bad("file shorter than its chunk directory"),
+        )?;
         let (dir_body, dir_sum) = dir.split_at(dir.len() - 8);
         if u64::from_le_bytes(dir_sum.try_into().expect("8 bytes")) != fxhash_bytes(dir_body) {
             return Err(bad("chunk directory checksum mismatch"));
@@ -535,7 +548,11 @@ impl<R: Read + Seek> TraceReader<R> {
             if bytes == 0 {
                 return Err(bad("empty chunk payload"));
             }
-            chunks.push(ChunkEntry { offset, bytes, refs });
+            chunks.push(ChunkEntry {
+                offset,
+                bytes,
+                refs,
+            });
             offset = offset
                 .checked_add(u64::from(bytes) + 8)
                 .ok_or(ReadTraceError::HeaderCorrupt("chunk offsets overflow"))?;
@@ -756,9 +773,7 @@ mod tests {
         // sequential pass does — the per-chunk predictor reset.
         let app = AppProfile::game();
         let bytes = compile_mem(&app, 9, 3 * CHUNK_REFS);
-        let want: Vec<_> = TraceGenerator::new(&app, 9)
-            .take(3 * CHUNK_REFS)
-            .collect();
+        let want: Vec<_> = TraceGenerator::new(&app, 9).take(3 * CHUNK_REFS).collect();
         let mut reader = TraceReader::new(Cursor::new(&bytes)).expect("open");
         let mut chunk = Vec::new();
         reader.read_chunk(2, &mut chunk).expect("chunk 2");
@@ -781,7 +796,9 @@ mod tests {
         // compile() always pads, but the container itself allows a
         // short tail (future external traces); full_chunks excludes it.
         let app = AppProfile::email();
-        let trace: Vec<_> = TraceGenerator::new(&app, 3).take(CHUNK_REFS + 100).collect();
+        let trace: Vec<_> = TraceGenerator::new(&app, 3)
+            .take(CHUNK_REFS + 100)
+            .collect();
         let mut writer =
             TraceWriter::create(Cursor::new(Vec::new()), app.fingerprint(), 3).expect("create");
         writer.write_chunk(&trace[..CHUNK_REFS]).expect("full");

@@ -132,8 +132,12 @@ mod tests {
 
     #[test]
     fn kernel_heavy_builder_raises_kernel_share() {
-        let light = AppProfileBuilder::new("light").kernel_entry_every(5_000.0).build();
-        let heavy = AppProfileBuilder::new("heavy").kernel_entry_every(300.0).build();
+        let light = AppProfileBuilder::new("light")
+            .kernel_entry_every(5_000.0)
+            .build();
+        let heavy = AppProfileBuilder::new("heavy")
+            .kernel_entry_every(300.0)
+            .build();
         let share = |p: &AppProfile| {
             TraceStats::collect(TraceGenerator::new(p, 3).take(100_000), 64).kernel_share()
         };

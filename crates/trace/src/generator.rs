@@ -73,8 +73,8 @@ impl TraceGenerator {
         let line = layout::LINE;
 
         let code_region = Region::new(layout::CODE_BASE, profile.code_lines, line);
-        let code_spec =
-            RegionSpec::new(profile.code_lines, profile.code_theta, 0.5, 6.0).with_temporal(0.60, 6.0);
+        let code_spec = RegionSpec::new(profile.code_lines, profile.code_theta, 0.5, 6.0)
+            .with_temporal(0.60, 6.0);
         let mut code_rng = rng.fork(1);
         let code = RegionStream::new(code_region, code_spec, &mut code_rng);
 
@@ -91,15 +91,15 @@ impl TraceGenerator {
         let heap = RegionStream::new(heap_region, heap_spec, &mut heap_rng);
 
         let stack_region = Region::new(layout::STACK_BASE, profile.stack_lines, line);
-        let stack_spec = RegionSpec::new(profile.stack_lines, 0.8, 0.3, 3.0).with_temporal(0.70, 4.0);
+        let stack_spec =
+            RegionSpec::new(profile.stack_lines, 0.8, 0.3, 3.0).with_temporal(0.70, 4.0);
         let mut stack_rng = rng.fork(3);
         let stack = RegionStream::new(stack_region, stack_spec, &mut stack_rng);
 
         let mut kernel_rng = rng.fork(4);
         let kernel = KernelModel::new(&mut kernel_rng);
 
-        let (syscall_services, syscall_weights) =
-            profile.syscall_mix.iter().copied().unzip();
+        let (syscall_services, syscall_weights) = profile.syscall_mix.iter().copied().unzip();
         let (irq_services, irq_weights) = profile.irq_mix.iter().copied().unzip();
 
         let tick = profile.tick_period_refs as i64;
@@ -185,7 +185,10 @@ impl TraceGenerator {
     ///
     /// Must only be called once the previous buffer is fully consumed.
     fn refill(&mut self) {
-        debug_assert!(self.pos >= self.buf.len(), "refill with unconsumed accesses");
+        debug_assert!(
+            self.pos >= self.buf.len(),
+            "refill with unconsumed accesses"
+        );
         self.buf.clear();
         self.pos = 0;
         while self.buf.len() < Self::DEFAULT_CHUNK {
@@ -297,10 +300,7 @@ mod tests {
     #[test]
     fn trace_alternates_modes() {
         let trace = sample("email", 100_000, 5);
-        let switches = trace
-            .windows(2)
-            .filter(|w| w[0].mode != w[1].mode)
-            .count();
+        let switches = trace.windows(2).filter(|w| w[0].mode != w[1].mode).count();
         assert!(
             switches > 20,
             "expected many user/kernel transitions, got {switches}"
@@ -313,7 +313,7 @@ mod tests {
         let trace: Vec<_> = TraceGenerator::new(&p, 13)
             .take(p.tick_period_refs as usize * 4)
             .collect();
-        use crate::kernel::layout::{SCHED_BASE, SCHED_LINES, LINE};
+        use crate::kernel::layout::{LINE, SCHED_BASE, SCHED_LINES};
         let sched_hits = trace
             .iter()
             .filter(|a| a.addr >= SCHED_BASE && a.addr < SCHED_BASE + SCHED_LINES * LINE)

@@ -156,9 +156,7 @@ impl ReadTraceError {
     /// This error's [`CorruptionClass`].
     pub fn corruption_class(&self) -> CorruptionClass {
         match self {
-            ReadTraceError::BadMagic(_) | ReadTraceError::BadFileMagic(_) => {
-                CorruptionClass::Magic
-            }
+            ReadTraceError::BadMagic(_) | ReadTraceError::BadFileMagic(_) => CorruptionClass::Magic,
             ReadTraceError::BadVersion(_) | ReadTraceError::BadFileVersion(_) => {
                 CorruptionClass::Version
             }
@@ -391,7 +389,9 @@ mod tests {
     use crate::generator::TraceGenerator;
 
     fn sample_trace(n: usize) -> Vec<MemoryAccess> {
-        TraceGenerator::new(&AppProfile::browser(), 3).take(n).collect()
+        TraceGenerator::new(&AppProfile::browser(), 3)
+            .take(n)
+            .collect()
     }
 
     #[test]

@@ -130,17 +130,29 @@ impl DataRegion {
         use layout::*;
         match self {
             // Hot task structs: heavily skewed reuse.
-            DataRegion::Sched => RegionSpec::new(SCHED_LINES, 1.0, 0.05, 4.0).with_hot(384, 0.95).with_temporal(0.50, 4.0),
+            DataRegion::Sched => RegionSpec::new(SCHED_LINES, 1.0, 0.05, 4.0)
+                .with_hot(384, 0.95)
+                .with_temporal(0.50, 4.0),
             // Dentry/inode lookups: skewed but wider.
-            DataRegion::Vfs => RegionSpec::new(VFS_LINES, 0.9, 0.05, 4.0).with_hot(640, 0.90).with_temporal(0.50, 4.0),
+            DataRegion::Vfs => RegionSpec::new(VFS_LINES, 0.9, 0.05, 4.0)
+                .with_hot(640, 0.90)
+                .with_temporal(0.50, 4.0),
             // Page cache: big footprint, moderate skew, copy loops stream.
-            DataRegion::PageCache => RegionSpec::new(PAGE_CACHE_LINES, 0.8, 0.45, 24.0).with_hot(1536, 0.80).with_temporal(0.45, 5.0),
+            DataRegion::PageCache => RegionSpec::new(PAGE_CACHE_LINES, 0.8, 0.45, 24.0)
+                .with_hot(1536, 0.80)
+                .with_temporal(0.45, 5.0),
             // Socket buffers: skewed towards live buffers, streaming runs.
-            DataRegion::Net => RegionSpec::new(NET_LINES, 0.8, 0.6, 20.0).with_hot(512, 0.85).with_temporal(0.45, 5.0),
+            DataRegion::Net => RegionSpec::new(NET_LINES, 0.8, 0.6, 20.0)
+                .with_hot(512, 0.85)
+                .with_temporal(0.45, 5.0),
             // Binder transaction buffers: streaming copies over live set.
-            DataRegion::Binder => RegionSpec::new(BINDER_LINES, 0.8, 0.5, 16.0).with_hot(512, 0.85).with_temporal(0.45, 5.0),
+            DataRegion::Binder => RegionSpec::new(BINDER_LINES, 0.8, 0.5, 16.0)
+                .with_hot(512, 0.85)
+                .with_temporal(0.45, 5.0),
             // Page-table walks: moderately skewed.
-            DataRegion::Mm => RegionSpec::new(MM_LINES, 0.8, 0.1, 4.0).with_hot(512, 0.90).with_temporal(0.50, 4.0),
+            DataRegion::Mm => RegionSpec::new(MM_LINES, 0.8, 0.1, 4.0)
+                .with_hot(512, 0.90)
+                .with_temporal(0.50, 4.0),
         }
     }
 }
@@ -236,21 +248,51 @@ impl Service {
         // data_weights order follows DataRegion::ALL:
         //                     [sched, vfs, pcache, net, binder, mm]
         match self {
-            Service::FileRead => ServiceSpec::new(self, 900.0, 0.45, 0.25, [0.5, 1.5, 7.0, 0.0, 0.0, 0.5]),
-            Service::FileWrite => ServiceSpec::new(self, 800.0, 0.45, 0.55, [0.5, 1.5, 6.5, 0.0, 0.0, 0.5]),
-            Service::VfsMeta => ServiceSpec::new(self, 300.0, 0.55, 0.20, [0.5, 6.0, 1.0, 0.0, 0.0, 0.5]),
-            Service::Mmap => ServiceSpec::new(self, 400.0, 0.50, 0.45, [0.5, 1.0, 0.5, 0.0, 0.0, 6.0]),
-            Service::PageFault => ServiceSpec::new(self, 250.0, 0.50, 0.40, [0.5, 0.0, 2.0, 0.0, 0.0, 5.0]),
-            Service::Futex => ServiceSpec::new(self, 120.0, 0.60, 0.30, [6.0, 0.0, 0.0, 0.0, 0.0, 1.0]),
-            Service::Poll => ServiceSpec::new(self, 200.0, 0.60, 0.15, [3.0, 2.0, 0.0, 2.0, 0.0, 0.0]),
-            Service::Ioctl => ServiceSpec::new(self, 500.0, 0.50, 0.40, [1.0, 1.0, 0.0, 0.0, 2.0, 1.0]),
-            Service::Binder => ServiceSpec::new(self, 700.0, 0.45, 0.45, [1.5, 0.5, 0.0, 0.0, 6.0, 0.5]),
-            Service::NetSend => ServiceSpec::new(self, 600.0, 0.45, 0.50, [0.5, 0.5, 0.0, 7.0, 0.0, 0.5]),
-            Service::NetRecv => ServiceSpec::new(self, 650.0, 0.45, 0.35, [0.5, 0.5, 0.5, 7.0, 0.0, 0.5]),
-            Service::SchedTick => ServiceSpec::new(self, 80.0, 0.55, 0.30, [8.0, 0.0, 0.0, 0.0, 0.0, 0.5]),
-            Service::IrqTouch => ServiceSpec::new(self, 150.0, 0.55, 0.30, [3.0, 0.0, 0.0, 0.0, 1.0, 0.0]),
-            Service::IrqNet => ServiceSpec::new(self, 400.0, 0.50, 0.40, [1.0, 0.0, 0.0, 6.0, 0.0, 0.0]),
-            Service::IrqDisk => ServiceSpec::new(self, 300.0, 0.50, 0.35, [1.0, 1.0, 4.0, 0.0, 0.0, 0.5]),
+            Service::FileRead => {
+                ServiceSpec::new(self, 900.0, 0.45, 0.25, [0.5, 1.5, 7.0, 0.0, 0.0, 0.5])
+            }
+            Service::FileWrite => {
+                ServiceSpec::new(self, 800.0, 0.45, 0.55, [0.5, 1.5, 6.5, 0.0, 0.0, 0.5])
+            }
+            Service::VfsMeta => {
+                ServiceSpec::new(self, 300.0, 0.55, 0.20, [0.5, 6.0, 1.0, 0.0, 0.0, 0.5])
+            }
+            Service::Mmap => {
+                ServiceSpec::new(self, 400.0, 0.50, 0.45, [0.5, 1.0, 0.5, 0.0, 0.0, 6.0])
+            }
+            Service::PageFault => {
+                ServiceSpec::new(self, 250.0, 0.50, 0.40, [0.5, 0.0, 2.0, 0.0, 0.0, 5.0])
+            }
+            Service::Futex => {
+                ServiceSpec::new(self, 120.0, 0.60, 0.30, [6.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+            }
+            Service::Poll => {
+                ServiceSpec::new(self, 200.0, 0.60, 0.15, [3.0, 2.0, 0.0, 2.0, 0.0, 0.0])
+            }
+            Service::Ioctl => {
+                ServiceSpec::new(self, 500.0, 0.50, 0.40, [1.0, 1.0, 0.0, 0.0, 2.0, 1.0])
+            }
+            Service::Binder => {
+                ServiceSpec::new(self, 700.0, 0.45, 0.45, [1.5, 0.5, 0.0, 0.0, 6.0, 0.5])
+            }
+            Service::NetSend => {
+                ServiceSpec::new(self, 600.0, 0.45, 0.50, [0.5, 0.5, 0.0, 7.0, 0.0, 0.5])
+            }
+            Service::NetRecv => {
+                ServiceSpec::new(self, 650.0, 0.45, 0.35, [0.5, 0.5, 0.5, 7.0, 0.0, 0.5])
+            }
+            Service::SchedTick => {
+                ServiceSpec::new(self, 80.0, 0.55, 0.30, [8.0, 0.0, 0.0, 0.0, 0.0, 0.5])
+            }
+            Service::IrqTouch => {
+                ServiceSpec::new(self, 150.0, 0.55, 0.30, [3.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+            }
+            Service::IrqNet => {
+                ServiceSpec::new(self, 400.0, 0.50, 0.40, [1.0, 0.0, 0.0, 6.0, 0.0, 0.0])
+            }
+            Service::IrqDisk => {
+                ServiceSpec::new(self, 300.0, 0.50, 0.35, [1.0, 1.0, 4.0, 0.0, 0.0, 0.5])
+            }
         }
     }
 }
@@ -337,8 +379,7 @@ impl KernelModel {
             let mut stream_rng = rng.fork(0x1000 + i as u64);
             handler_text.push(RegionStream::new(region, spec, &mut stream_rng));
         }
-        let core_base =
-            layout::TEXT_BASE + (Service::ALL.len() as u64) * HANDLER_TEXT_LINES * line;
+        let core_base = layout::TEXT_BASE + (Service::ALL.len() as u64) * HANDLER_TEXT_LINES * line;
         debug_assert!(
             core_base + CORE_TEXT_LINES * line <= layout::TEXT_BASE + layout::TEXT_LINES * line,
             "kernel text regions exceed TEXT area"

@@ -61,7 +61,7 @@ pub use apps::AppProfile;
 pub use builder::AppProfileBuilder;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use generator::TraceGenerator;
+pub use kernel::Service;
 pub use multiprog::MultiProgrammed;
 pub use phases::PhasedWorkload;
-pub use kernel::Service;
 pub use stats::TraceStats;

@@ -173,11 +173,8 @@ mod tests {
         };
         let apps = pair();
         let mean_solo = (solo_share(&apps[0]) + solo_share(&apps[1])) / 2.0;
-        let multi = TraceStats::collect(
-            MultiProgrammed::new(&apps, 2000, 5).take(200_000),
-            64,
-        )
-        .kernel_share();
+        let multi = TraceStats::collect(MultiProgrammed::new(&apps, 2000, 5).take(200_000), 64)
+            .kernel_share();
         assert!(
             (multi - mean_solo).abs() < 0.06,
             "co-scheduled kernel share ({multi:.3}) should track the mean of the              solo shares ({mean_solo:.3})"

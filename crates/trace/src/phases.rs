@@ -91,7 +91,9 @@ impl PhasedWorkload {
 
     /// Name of the app currently (or next to be) emitted.
     pub fn current_app(&self) -> &str {
-        self.phases[self.phase_idx.min(self.phases.len() - 1)].0.name
+        self.phases[self.phase_idx.min(self.phases.len() - 1)]
+            .0
+            .name
     }
 
     fn start_phase(&mut self) {
@@ -209,10 +211,8 @@ mod tests {
 
     #[test]
     fn current_app_tracks_phase() {
-        let mut w = PhasedWorkload::new(
-            vec![(AppProfile::music(), 10), (AppProfile::game(), 10)],
-            2,
-        );
+        let mut w =
+            PhasedWorkload::new(vec![(AppProfile::music(), 10), (AppProfile::game(), 10)], 2);
         assert_eq!(w.current_app(), "music");
         for _ in 0..11 {
             w.next();

@@ -253,12 +253,7 @@ mod tests {
                 .collect::<Vec<f64>>()
         };
         let (nu, nk) = (normalize(user), normalize(kernel));
-        let tv: f64 = nu
-            .iter()
-            .zip(&nk)
-            .map(|(a, b)| (a - b).abs())
-            .sum::<f64>()
-            / 2.0;
+        let tv: f64 = nu.iter().zip(&nk).map(|(a, b)| (a - b).abs()).sum::<f64>() / 2.0;
         assert!(
             tv > 0.05,
             "user and kernel reuse distributions should differ (TV = {tv:.3})"

@@ -15,9 +15,7 @@ use std::hash::Hasher;
 use std::io::Cursor;
 
 use moca_testkit::{check, Config, ShortSeekWriter};
-use moca_trace::binfmt::{
-    self, TraceReader, TraceWriter, CHUNK_REFS, HEADER_LEN, MAGIC, VERSION,
-};
+use moca_trace::binfmt::{self, TraceReader, TraceWriter, CHUNK_REFS, HEADER_LEN, MAGIC, VERSION};
 use moca_trace::io::ReadTraceError;
 use moca_trace::{AccessKind, AppProfile, FxHasher, MemoryAccess, Mode, TraceGenerator};
 
@@ -70,8 +68,9 @@ fn randomized_roundtrip_matches_generator() {
                     decoded.len()
                 ));
             }
-            let expected: Vec<MemoryAccess> =
-                TraceGenerator::new(app, *seed).take(decoded.len()).collect();
+            let expected: Vec<MemoryAccess> = TraceGenerator::new(app, *seed)
+                .take(decoded.len())
+                .collect();
             for (i, (d, e)) in decoded.iter().zip(&expected).enumerate() {
                 if d != e {
                     return Err(format!("ref {i} diverged: decoded {d:?}, generated {e:?}"));
@@ -98,12 +97,21 @@ fn codec_survives_extreme_deltas_and_every_tag() {
     // Maximal forward and backward jumps: 0 ↔ u64::MAX, alternating, for
     // both the address and pc predictors (deltas wrap through i64).
     for i in 0..16u64 {
-        let (addr, pc) = if i % 2 == 0 { (u64::MAX, 0) } else { (0, u64::MAX) };
+        let (addr, pc) = if i % 2 == 0 {
+            (u64::MAX, 0)
+        } else {
+            (0, u64::MAX)
+        };
         chunk.push(MemoryAccess::new(addr, pc, AccessKind::Load, Mode::User));
     }
     // Largest magnitudes around the zigzag boundary.
     for addr in [i64::MAX as u64, i64::MAX as u64 + 1, u64::MAX, 0, 1] {
-        chunk.push(MemoryAccess::new(addr, addr ^ 0xDEAD, AccessKind::Store, Mode::Kernel));
+        chunk.push(MemoryAccess::new(
+            addr,
+            addr ^ 0xDEAD,
+            AccessKind::Store,
+            Mode::Kernel,
+        ));
     }
 
     let mut w = TraceWriter::create(Cursor::new(Vec::new()), 0xF00D, 7).expect("create");
@@ -118,10 +126,11 @@ fn partial_and_multi_chunk_writer_roundtrip() {
     let refs: Vec<MemoryAccess> = TraceGenerator::new(&profile, 11)
         .take(CHUNK_REFS + CHUNK_REFS / 2)
         .collect();
-    let mut w = TraceWriter::create(Cursor::new(Vec::new()), profile.fingerprint(), 11)
-        .expect("create");
+    let mut w =
+        TraceWriter::create(Cursor::new(Vec::new()), profile.fingerprint(), 11).expect("create");
     w.write_chunk(&refs[..CHUNK_REFS]).expect("full chunk");
-    w.write_chunk(&refs[CHUNK_REFS..]).expect("partial final chunk");
+    w.write_chunk(&refs[CHUNK_REFS..])
+        .expect("partial final chunk");
     let bytes = w.finish().expect("finish").into_inner();
 
     let mut reader = TraceReader::new(Cursor::new(&bytes[..])).expect("parse");
@@ -249,7 +258,10 @@ fn patch_chunk0(bytes: &mut [u8], payload: &[u8]) {
         .header()
         .clone();
     let entry = header.chunks[0];
-    assert!(payload.len() <= entry.bytes as usize, "patch longer than chunk");
+    assert!(
+        payload.len() <= entry.bytes as usize,
+        "patch longer than chunk"
+    );
     let start = entry.offset as usize;
     let end = start + entry.bytes as usize;
     bytes[start..start + payload.len()].copy_from_slice(payload);
@@ -290,7 +302,10 @@ fn corruption_errors_render_the_failing_chunk_index() {
     assert!(e.to_string().contains("17"));
     let e = ReadTraceError::ChunkTruncated { chunk: 3 };
     assert!(e.to_string().contains("3"));
-    let e = ReadTraceError::ChunkCorrupt { chunk: 9, what: "x" };
+    let e = ReadTraceError::ChunkCorrupt {
+        chunk: 9,
+        what: "x",
+    };
     assert!(e.to_string().contains("9"));
 }
 
@@ -300,7 +315,13 @@ fn short_writes_surface_as_io_errors_not_panics() {
     let full = compile_bytes(&profile, 9, CHUNK_REFS);
     // Every prefix length that cuts the file short must produce a real
     // I/O error from compile (WriteZero via write_all), never a panic.
-    for limit in [0, HEADER_LEN - 1, HEADER_LEN, full.len() / 2, full.len() - 1] {
+    for limit in [
+        0,
+        HEADER_LEN - 1,
+        HEADER_LEN,
+        full.len() / 2,
+        full.len() - 1,
+    ] {
         let err = binfmt::compile(ShortSeekWriter::new(limit), &profile, 9, CHUNK_REFS)
             .expect_err("short writer must fail");
         assert_eq!(err.kind(), std::io::ErrorKind::WriteZero, "limit {limit}");

@@ -59,7 +59,9 @@ fn suite_traces_match_golden_hashes() {
         let app = AppProfile::by_name(name).expect("known app");
         let got = trace_hash(&app, SEED, PREFIX);
         if got != expected {
-            failures.push(format!("{name}: expected {expected:#018x}, got {got:#018x}"));
+            failures.push(format!(
+                "{name}: expected {expected:#018x}, got {got:#018x}"
+            ));
         }
     }
     assert!(

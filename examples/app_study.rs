@@ -14,7 +14,9 @@ use moca::sim::{System, SystemConfig};
 use moca::trace::{AppProfile, Mode, TraceGenerator, TraceStats};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let name = std::env::args().nth(1).unwrap_or_else(|| "maps".to_string());
+    let name = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "maps".to_string());
     let Some(app) = AppProfile::by_name(&name) else {
         eprintln!("unknown app '{name}'; available:");
         for p in AppProfile::suite() {
@@ -27,7 +29,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Trace-level statistics (no cache involved).
     let stats = TraceStats::collect(TraceGenerator::new(&app, 7).take(refs), 64);
     println!("== {} — trace level ==", app.name);
-    println!("kernel share of references: {:.1}%", stats.kernel_share() * 100.0);
+    println!(
+        "kernel share of references: {:.1}%",
+        stats.kernel_share() * 100.0
+    );
     for mode in Mode::ALL {
         let m = stats.mode(mode);
         println!(
@@ -52,7 +57,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!();
     println!("== {} — partitioned L2 ({}) ==", app.name, report.design);
-    println!("kernel share of L2 accesses: {:.1}%", report.l2_kernel_share() * 100.0);
+    println!(
+        "kernel share of L2 accesses: {:.1}%",
+        report.l2_kernel_share() * 100.0
+    );
     println!("L2 miss rate: {:.3}", report.l2_miss_rate());
     for mode in Mode::ALL {
         let b = report.behavior(mode);

@@ -11,7 +11,9 @@ use moca::sim::{System, SystemConfig};
 use moca::trace::{AppProfile, TraceGenerator};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let name = std::env::args().nth(1).unwrap_or_else(|| "camera".to_string());
+    let name = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "camera".to_string());
     let app = AppProfile::by_name(&name).ok_or("unknown app (try: camera, browser, music)")?;
     let refs = 4_000_000;
 
@@ -19,7 +21,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     base.run(TraceGenerator::new(&app, 99).take(refs));
     let base = base.finish();
 
-    let mut dynamic = System::new(app.name, L2Design::dynamic_default(), SystemConfig::default())?;
+    let mut dynamic = System::new(
+        app.name,
+        L2Design::dynamic_default(),
+        SystemConfig::default(),
+    )?;
     dynamic.run(TraceGenerator::new(&app, 99).take(refs));
     let report = dynamic.finish();
 

@@ -19,7 +19,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let baseline = baseline.finish();
 
     // 2. The paper's dynamic short-retention STT-RAM design.
-    let mut dynamic = System::new(app.name, L2Design::dynamic_default(), SystemConfig::default())?;
+    let mut dynamic = System::new(
+        app.name,
+        L2Design::dynamic_default(),
+        SystemConfig::default(),
+    )?;
     dynamic.run(TraceGenerator::new(&app, 42).take(refs));
     let dynamic = dynamic.finish();
 

@@ -23,7 +23,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let refs = 2_000_000;
     let base = run(&app, L2Design::baseline(), refs);
 
-    println!("{}: sweeping retention of a 6u+4k STT-RAM partition", app.name);
+    println!(
+        "{}: sweeping retention of a 6u+4k STT-RAM partition",
+        app.name
+    );
     println!();
     println!("retention  policy                 normE   slowdown  expired  refreshes");
     for rc in RetentionClass::SWEEP {

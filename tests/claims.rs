@@ -43,7 +43,12 @@ fn c2_shared_vs_isolated_miss_rate_gap_is_positive() {
         kernel_ways: 16,
     };
     let deltas = parallel_map(Jobs::available(), AppProfile::suite(), |app| {
-        let shared = run_app(&app, L2Design::baseline(), Scale::Quick.refs(), EXPERIMENT_SEED);
+        let shared = run_app(
+            &app,
+            L2Design::baseline(),
+            Scale::Quick.refs(),
+            EXPERIMENT_SEED,
+        );
         let iso = run_app(&app, isolated, Scale::Quick.refs(), EXPERIMENT_SEED);
         shared.l2_miss_rate() - iso.l2_miss_rate()
     });
@@ -136,10 +141,7 @@ fn s1_evolved_front_dominates_or_ties_the_handpicked_designs() {
 /// Total variation distance between two bucketed distributions
 /// (0 = identical, 1 = disjoint support).
 fn tv_distance(a: &[u64], b: &[u64]) -> f64 {
-    let (ta, tb) = (
-        a.iter().sum::<u64>() as f64,
-        b.iter().sum::<u64>() as f64,
-    );
+    let (ta, tb) = (a.iter().sum::<u64>() as f64, b.iter().sum::<u64>() as f64);
     if ta == 0.0 || tb == 0.0 {
         return 1.0;
     }

@@ -2,7 +2,7 @@
 //! same way wherever they are counted.
 
 use moca::cache::{L1Pair, L2Request};
-use moca::core::{L2Design, MobileL2, L2BaseParams};
+use moca::core::{L2BaseParams, L2Design, MobileL2};
 use moca::sim::{System, SystemConfig};
 use moca::trace::{AppProfile, Mode, TraceGenerator};
 
@@ -63,9 +63,12 @@ fn segment_energies_sum_to_total() {
     }
     l2.finalize(now);
     let total = l2.energy().total().pj();
-    let parts = l2.segment_energy(Mode::User).total().pj()
-        + l2.segment_energy(Mode::Kernel).total().pj();
-    assert!((total - parts).abs() < 1e-6, "total {total} != parts {parts}");
+    let parts =
+        l2.segment_energy(Mode::User).total().pj() + l2.segment_energy(Mode::Kernel).total().pj();
+    assert!(
+        (total - parts).abs() < 1e-6,
+        "total {total} != parts {parts}"
+    );
 }
 
 #[test]
@@ -85,7 +88,11 @@ fn leakage_grows_linearly_with_idle_time() {
     };
     let one = mk(1_000_000);
     let two = mk(2_000_000);
-    assert!((two / one - 2.0).abs() < 0.01, "leakage ratio {}", two / one);
+    assert!(
+        (two / one - 2.0).abs() < 0.01,
+        "leakage ratio {}",
+        two / one
+    );
 }
 
 #[test]

@@ -7,8 +7,7 @@ use moca::sim::{System, SystemConfig};
 use moca::trace::{AppProfile, Mode, TraceGenerator};
 
 fn run(app: &AppProfile, design: L2Design, refs: usize, seed: u64) -> moca::sim::SimReport {
-    let mut sys =
-        System::new(app.name, design, SystemConfig::default()).expect("valid design");
+    let mut sys = System::new(app.name, design, SystemConfig::default()).expect("valid design");
     sys.run(TraceGenerator::new(app, seed).take(refs));
     sys.finish()
 }

@@ -109,7 +109,9 @@ fn cache_bookkeeping_invariants() {
             let mask = WayMask::first(*mask_ways);
             for (i, (line, write, mode)) in lines.iter().enumerate() {
                 let res = cache.access(*line, *write, *mode, i as u64, mask);
-                let view = cache.probe(*line, mask).expect("line resident after access");
+                let view = cache
+                    .probe(*line, mask)
+                    .expect("line resident after access");
                 require_eq!(view.line, *line);
                 require!(mask.contains(res.way));
                 if let Some(v) = res.victim {
@@ -138,7 +140,12 @@ fn partition_isolation() {
     check_shrink(
         Config::cases(64),
         |rng| rng.vec(1, 400, |r| (r.range_u64(0, 2048), r.bool(), r.bool())),
-        |v| shrink_vec(v).into_iter().filter(|c| !c.is_empty()).collect(),
+        |v| {
+            shrink_vec(v)
+                .into_iter()
+                .filter(|c| !c.is_empty())
+                .collect()
+        },
         |ops| {
             let geom = CacheGeometry::new(16 * 8 * 64, 8, 64).expect("valid");
             let mut cache = SetAssocCache::new(geom, ReplacementPolicy::Lru);

@@ -3,9 +3,7 @@
 
 use moca::core::L2Design;
 use moca::sim::{System, SystemConfig};
-use moca::trace::{
-    AppProfile, AppProfileBuilder, Mode, MultiProgrammed, PhasedWorkload, Service,
-};
+use moca::trace::{AppProfile, AppProfileBuilder, Mode, MultiProgrammed, PhasedWorkload, Service};
 
 fn system(design: L2Design) -> System {
     System::new("composed", design, SystemConfig::default()).expect("valid design")
@@ -44,7 +42,10 @@ fn phased_session_changes_dynamic_allocation() {
     let mut sys = system(L2Design::dynamic_default());
     sys.run(session);
     let r = sys.finish();
-    assert!(r.timeline.len() > 3, "controller must react to the phase change");
+    assert!(
+        r.timeline.len() > 3,
+        "controller must react to the phase change"
+    );
     let totals: Vec<u32> = r
         .timeline
         .iter()
