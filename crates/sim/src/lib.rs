@@ -60,7 +60,7 @@ pub use lockstep::{
 };
 pub use memo::{MemoStats, RunMemo, MEMO_CAP_BYTES};
 pub use metrics::{geometric_mean, mean, SimReport};
-pub use parallel::{catch_panic, parallel_map, parallel_map_isolated, Jobs};
+pub use parallel::{catch_panic, parallel_map, Jobs};
 pub use replay::{FileTraceSource, TraceIoStats, TraceRegistry};
 pub use stream::TraceStream;
 pub use sweep::{
@@ -68,5 +68,5 @@ pub use sweep::{
     MrcScore, PrunedSweep, SweepPoint,
 };
 pub use system::{BuildSystemError, System};
-pub use telemetry::{Event, JsonlRecorder, NullRecorder, Recorder};
+pub use telemetry::{Event, JsonlRecorder};
 pub use workloads::{run_app, Scale, EXPERIMENT_SEED};

@@ -37,7 +37,7 @@ use moca_trace::fxhash::FxHashMap;
 use moca_trace::io::ReadTraceError;
 use moca_trace::AppProfile;
 
-use crate::telemetry::Event;
+use crate::telemetry::{Event, Kind};
 
 /// One compiled trace file, opened, header-validated, and ready to
 /// hand out cheap per-stream readers.
@@ -134,14 +134,13 @@ pub struct TraceIoStats {
 impl TraceIoStats {
     /// The counters as a `trace_io` telemetry event.
     pub fn to_event(self) -> Event {
-        Event::TraceIo {
-            files: self.files,
-            chunks_decoded: self.chunks_decoded,
-            bytes_read: self.bytes_read,
-            decode_ns: self.decode_ns,
-            checksum_verifies: self.checksum_verifies,
-            decode_errors: self.decode_errors,
-        }
+        Event::new(Kind::TraceIo)
+            .num("files", self.files)
+            .num("chunks_decoded", self.chunks_decoded)
+            .num("bytes_read", self.bytes_read)
+            .num("decode_ns", self.decode_ns)
+            .num("checksum_verifies", self.checksum_verifies)
+            .num("decode_errors", self.decode_errors)
     }
 }
 

@@ -17,6 +17,9 @@ echo "== build (release, offline) =="
 # exercise stale or missing.
 cargo build --release --offline --workspace
 
+echo "== format (rustfmt, no diff) =="
+cargo fmt --all --check
+
 echo "== tests (workspace, offline) =="
 cargo test -q --offline --workspace
 
@@ -69,8 +72,11 @@ fi
 echo "kill/resume smoke passed"
 
 echo "== telemetry smoke (repro --telemetry + --progress, stream validates) =="
-# No ids: every suite id plus S1, so the stream carries every event kind
-# (--mrc adds M1's pruning decision, S1 its search generations).
+# No ids: every suite id plus S1, so the stream carries the point, mrc
+# (--mrc: M1's pruning decision), search (S1's generations), memo and
+# counter kinds, plus the worker pair on a multi-core host. The
+# checkpoint and trace_io kinds need --checkpoint and --trace: the
+# trace replay smoke below drives those through telemetry_report.
 TELEM="$SMOKE_DIR/telemetry.jsonl"
 "$REPRO" --quick --mrc --progress --telemetry "$TELEM" \
   > "$SMOKE_DIR/telemetry_stdout.txt" 2> "$SMOKE_DIR/telemetry_stderr.txt"
@@ -145,6 +151,16 @@ grep -q '^trace corpus: 4 file(s), ' "$SMOKE_DIR/f3_replay_full.txt" \
   || { echo "missing trace-corpus footer line"; exit 1; }
 grep -q '^trace corpus: .* 0 chunk(s) decoded' "$SMOKE_DIR/f3_replay_full.txt" \
   && { echo "corpus was registered but nothing was decoded from it"; exit 1; }
+# A live stream with the journal, corpus and worker kinds too:
+# telemetry_report must accept it and render each of their sections.
+"$REPRO" --quick --jobs 2 --checkpoint "$SMOKE_DIR/f3_telem_ckpt" \
+  --trace "$SMOKE_DIR/corpus" --telemetry "$SMOKE_DIR/f3_telem.jsonl" F3 > /dev/null
+target/release/telemetry_report "$SMOKE_DIR/f3_telem.jsonl" > "$SMOKE_DIR/f3_telem_report.txt" \
+  || { echo "telemetry_report rejected the checkpointed corpus-replay stream"; exit 1; }
+for section in 'checkpoint journal:' 'trace replay:' 'worker pools'; do
+  grep -qF "$section" "$SMOKE_DIR/f3_telem_report.txt" \
+    || { echo "telemetry_report printed no '$section' section"; exit 1; }
+done
 echo "trace replay smoke passed"
 
 echo "== composed mrc+trace smoke (repro --mrc --trace, pruned rows stay a subset) =="
