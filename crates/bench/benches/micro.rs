@@ -168,9 +168,10 @@ fn sweep_fanout(r: &mut Runner) {
     r.bench("sweep-lockstep/8-designs-100k", || {
         black_box(cycles(&Plan::new(&app, BENCH_SEED, REFS, &designs)))
     });
-    // Lane grouping ablation: width 1 replays the memoized run once per
-    // design instead of once per group of eight, isolating what the
-    // design-major lane layout itself buys.
+    // Lane grouping ablation: width 1 runs eight one-lane groups over the
+    // memoized run instead of one group of eight. Lanes replay a cached
+    // run one after another at any width, so this pins that grouping
+    // itself costs nothing; it is not a locality contrast.
     r.throughput_elems((designs.len() * REFS) as u64);
     r.bench("lockstep/lane-group-width", || {
         black_box(cycles(

@@ -89,7 +89,7 @@ fn run_at_duty(design: L2Design, refs: usize, duty: f64) -> crate::metrics::SimR
     // per-reference run: a hit gap that spans a burst boundary is split
     // there, and the L1 decisions do not depend on time.
     let mut bursts = Bursts::new(refs, duty);
-    let replayed = RunMemo::global().replay(&app, EXPERIMENT_SEED, &cfg, refs, |chunk| {
+    let l1 = RunMemo::global().replay(&app, EXPERIMENT_SEED, &cfg, refs, |chunk| {
         for ev in chunk.events() {
             bursts.retire_hits(&mut sys, u64::from(ev.gap));
             sys.step_filtered(Some(&ev.demand), ev.writeback.as_ref());
@@ -97,7 +97,7 @@ fn run_at_duty(design: L2Design, refs: usize, duty: f64) -> crate::metrics::SimR
         }
         bursts.retire_hits(&mut sys, chunk.tail_gap() as u64);
     });
-    sys.adopt_l1(&replayed.l1);
+    sys.adopt_l1(&l1);
     sys.finish()
 }
 

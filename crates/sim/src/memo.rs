@@ -163,16 +163,6 @@ pub fn mib(bytes: usize) -> f64 {
     bytes as f64 / f64::from(1u32 << 20)
 }
 
-/// What one [`RunMemo::replay`] call leaves its caller.
-#[derive(Debug)]
-pub struct Replayed {
-    /// The L1 pair after the run.
-    pub l1: L1Pair,
-    /// Wall time spent obtaining the run (memo lookup, waiting for a
-    /// concurrent build, or filtering), excluding the caller's visits.
-    pub front_ns: u64,
-}
-
 /// A filtered run obtained for one replay, before anything is replayed
 /// from it: cached, or filtered live while it is drained.
 pub(crate) enum Source<'m, 'a> {
@@ -205,16 +195,17 @@ impl<'a> Source<'_, 'a> {
         }
     }
 
-    /// Feeds every chunk to `visit` and returns the L1 pair after the
-    /// run. `front_ns` counts the live filtering done here; the caller
-    /// adds the time it spent obtaining the source.
-    pub(crate) fn drain(self, mut visit: impl FnMut(&FilteredChunk)) -> Replayed {
+    /// Feeds the run to `visit` as windows of consecutive chunks: a
+    /// cached run is one window (its whole chunk slice), a live one its
+    /// recorded prefix, then one window per freshly filtered chunk.
+    /// Returns the L1 pair after the run and the nanoseconds spent
+    /// filtering live here (the caller adds the time it spent obtaining
+    /// the source).
+    pub(crate) fn drain(self, mut visit: impl FnMut(&[FilteredChunk])) -> (L1Pair, u64) {
         let mut front_ns = 0;
         let l1 = match self {
             Source::Cached(run) => {
-                for chunk in &run.chunks {
-                    visit(chunk);
-                }
+                visit(&run.chunks);
                 run.l1.clone()
             }
             Source::Live {
@@ -223,9 +214,7 @@ impl<'a> Source<'_, 'a> {
                 mut front,
                 mut left,
             } => {
-                for chunk in &prefix {
-                    visit(chunk);
-                }
+                visit(&prefix);
                 drop(prefix);
                 drop(held);
                 let mut chunk = FilteredChunk::default();
@@ -233,12 +222,12 @@ impl<'a> Source<'_, 'a> {
                     let fill = Instant::now();
                     left -= front.fill_next(left, &mut chunk);
                     front_ns += fill.elapsed().as_nanos() as u64;
-                    visit(&chunk);
+                    visit(std::slice::from_ref(&chunk));
                 }
                 front.into_l1()
             }
         };
-        Replayed { l1, front_ns }
+        (l1, front_ns)
     }
 }
 
@@ -363,14 +352,10 @@ impl RunMemo {
         seed: u64,
         cfg: &SystemConfig,
         refs: usize,
-        visit: impl FnMut(&FilteredChunk),
-    ) -> Replayed {
-        let start = Instant::now();
+        mut visit: impl FnMut(&FilteredChunk),
+    ) -> L1Pair {
         let source = self.obtain(app, seed, cfg, refs);
-        let obtain_ns = start.elapsed().as_nanos() as u64;
-        let mut replayed = source.drain(visit);
-        replayed.front_ns += obtain_ns;
-        replayed
+        source.drain(|window| window.iter().for_each(&mut visit)).0
     }
 
     /// The run [`RunMemo::replay`] drains, obtained without replaying

@@ -220,6 +220,21 @@ diff -u "$SMOKE_DIR/s1_j1.txt" "$SMOKE_DIR/s1_resumed.txt" \
   || { echo "search kill/resume diverged from the uninterrupted run"; exit 1; }
 echo "search smoke passed"
 
+echo "== full-scale body gate (repro --jobs 2 vs the EXPERIMENTS.md transcript) =="
+# The checked-in transcript is the byte-identity contract of every
+# change: the whole full-scale body, from its `# moca reproduction run`
+# header down to the `---` footer separator, with the jobs suffix of the
+# `scale:` line masked on both sides.
+"$REPRO" --jobs 2 > "$SMOKE_DIR/full_j2_full.txt"
+trim_search_run "$SMOKE_DIR/full_j2_full.txt" > "$SMOKE_DIR/full_j2.txt"
+awk '/^# moca reproduction run$/{on=1} on&&/^---$/{exit} on' EXPERIMENTS.md \
+  | sed 's/^\(scale: .*\), jobs [0-9][0-9]*$/\1/' > "$SMOKE_DIR/full_expected.txt"
+test -s "$SMOKE_DIR/full_expected.txt" \
+  || { echo "EXPERIMENTS.md has no full-scale transcript"; exit 1; }
+diff -u "$SMOKE_DIR/full_expected.txt" "$SMOKE_DIR/full_j2.txt" \
+  || { echo "full-scale body diverged from EXPERIMENTS.md"; exit 1; }
+echo "full-scale body gate passed"
+
 echo "== design-matrix smoke (F1 F2 T2 F6 F7 share one matrix, F4 probes: --jobs determinism) =="
 # The five matrix experiments read one lock-step design matrix, sharded
 # per app over the workers, and F4 runs one probed plan per app; the
