@@ -168,16 +168,6 @@ fn sweep_fanout(r: &mut Runner) {
     r.bench("sweep-lockstep/8-designs-100k", || {
         black_box(cycles(&Plan::new(&app, BENCH_SEED, REFS, &designs)))
     });
-    // Lane grouping ablation: width 1 runs eight one-lane groups over the
-    // memoized run instead of one group of eight. Lanes replay a cached
-    // run one after another at any width, so this pins that grouping
-    // itself costs nothing; it is not a locality contrast.
-    r.throughput_elems((designs.len() * REFS) as u64);
-    r.bench("lockstep/lane-group-width", || {
-        black_box(cycles(
-            &Plan::new(&app, BENCH_SEED, REFS, &designs).with_lane_group(1),
-        ))
-    });
 }
 
 /// MRC-based grid pruning: one exact Mattson pass scores a 24-point LRU
@@ -298,7 +288,7 @@ fn trace_replay(r: &mut Runner) {
     std::fs::remove_file(&path).ok();
 }
 
-/// Replaying a memoized filtered run: the path every lane group, MRC
+/// Replaying a memoized filtered run: the path every design lane, MRC
 /// profile and custom runner of a stream takes once one consumer has
 /// built the run.
 fn filtered_run(r: &mut Runner) {

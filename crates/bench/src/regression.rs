@@ -225,7 +225,6 @@ mod tests {
             "sweep-fanout/8-designs-100k-sequential",
             "sweep-fanout/8-designs-100k",
             "sweep-lockstep/8-designs-100k",
-            "lockstep/lane-group-width",
             "mrc/profile-100k",
             "sweep-lockstep/24-designs-100k",
             "sweep-pruned/24-designs-100k",

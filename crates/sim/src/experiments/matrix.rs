@@ -61,17 +61,6 @@ pub fn union(designs: impl IntoIterator<Item = L2Design>) -> Vec<L2Design> {
     out
 }
 
-/// Design lanes per lock-step group in [`run_matrix`].
-///
-/// Every group of an app replays the one filtered run of its stream, so
-/// the width does not change how often the stream is filtered; it bounds
-/// how much L2 state is live at once. Each L2 way costs ≈100 KiB (2048
-/// sets × tag, signature, cold metadata and LRU stamp), and a group
-/// holds every lane's L2. Over the full [`column_order`] width 2 pairs
-/// the designs as {16 + 10 ways}, {10 + 16} and {32}: no group holds
-/// more state than the 32-way interference-free cell on its own.
-const MATRIX_LANE_GROUP: usize = 2;
-
 /// All apps × a set of designs.
 #[derive(Debug, Clone)]
 pub struct DesignMatrix {
@@ -155,18 +144,18 @@ impl DesignMatrix {
 
 /// Runs every suite app on every design at the given scale.
 ///
-/// Each app is one lock-step plan with the designs as lanes, in lane
-/// groups of `MATRIX_LANE_GROUP` (two): the app's stream is generated
-/// and L1-filtered once, into a run the plan's groups replay. Apps are
-/// sharded over `jobs` threads and merged back in suite order. Every
+/// Each app is one lock-step plan with the designs as lanes: the app's
+/// stream is generated and L1-filtered once, into a run each lane
+/// replays in turn, so one L2 per app in flight is live at a time. Apps
+/// are sharded over `jobs` threads and merged back in suite order. Every
 /// cell is byte-identical to a scalar
 /// [`run_app`](crate::workloads::run_app) of its (app, design), for
 /// every job count.
 ///
 /// The plans are unmemoized: an app's run lives only while its plan
 /// runs and never enters the filtered-run memo, because no later
-/// experiment replays it. The run is built before the first group's
-/// L2s exist, so it never shares peak memory with them or with the
+/// experiment replays it. The run is built before the first lane's L2
+/// exists, so it never shares peak memory with an L2 or with the
 /// stream's generator.
 ///
 /// # Panics
@@ -174,9 +163,7 @@ impl DesignMatrix {
 /// Panics if a design is invalid.
 pub fn run_matrix(designs: &[L2Design], scale: Scale, jobs: Jobs) -> DesignMatrix {
     let rows = parallel_map(jobs, AppProfile::suite(), |app| {
-        let plan = Plan::new(&app, EXPERIMENT_SEED, scale.refs(), designs)
-            .with_lane_group(MATRIX_LANE_GROUP)
-            .unmemoized();
+        let plan = Plan::new(&app, EXPERIMENT_SEED, scale.refs(), designs).unmemoized();
         execute(&plan, Jobs::SERIAL)
             .into_iter()
             // Invariant: every caller passes the experiments' constant,

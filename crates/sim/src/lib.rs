@@ -56,7 +56,6 @@ pub use dram::{DramModel, RowBufferDram, RowBufferParams};
 pub use error::{PointCause, SweepPointError};
 pub use lockstep::{
     execute, front_end_refs, run_broadcast, FilteredChunk, FrontEnd, LaneEvent, Plan, Point,
-    LANE_GROUP,
 };
 pub use memo::{MemoStats, RunMemo, MEMO_CAP_BYTES};
 pub use metrics::{geometric_mean, mean, SimReport};

@@ -4,12 +4,13 @@
 //! of the stream, each at its own clock.
 //!
 //! A [`Plan`] names the stream, the reference count, the designs and
-//! the system configuration; [`execute`] splits the designs into one
-//! contiguous span per worker and runs each span as consecutive lane
-//! groups. Every lane group does the same two things: it emits a
-//! telemetry `point` event per completed lane, and puts each lane's
-//! build error or panic in that lane's own slot while the other lanes
-//! keep replaying.
+//! the system configuration. [`execute`] obtains the plan's filtered
+//! run once, then hands the designs to workers one lane at a time: each
+//! lane builds its own L2, replays the whole run, adopts the L1 pair
+//! after it and finishes, so at most one L2 per worker is live. A lane's
+//! build error or panic lands in that lane's own slot while the other
+//! lanes keep going, and each completed lane emits a telemetry `point`
+//! event.
 //!
 //! The kernel removes the per-design front-end multiplier:
 //!
@@ -20,10 +21,10 @@
 //!   function of the access sequence, not of any design's clock. One
 //!   front end therefore filters each chunk once and every design lane
 //!   replays the same [`FilteredChunk`]. The filtered run itself comes
-//!   from the process-wide [`RunMemo`], so every lane group (and every
-//!   other consumer) of one stream shares a single front-end pass; an
-//!   [`unmemoized`](Plan::unmemoized) plan of several lane groups
-//!   shares one pass through a run that lives only as long as the plan
+//!   from the process-wide [`RunMemo`], so every lane (and every other
+//!   consumer) of one stream shares a single front-end pass; an
+//!   [`unmemoized`](Plan::unmemoized) plan of several designs shares
+//!   one pass through a private run that lives only as long as the plan
 //!   runs.
 //! * **Event replay**: a lane only touches its L2 at the L2-visible
 //!   events of the chunk. The (dominant) runs of pure L1 hits between
@@ -32,13 +33,10 @@
 //!   local time — so per-design timestamps, stalls, leakage windows and
 //!   expiry decisions are bit-identical to a scalar run.
 //!
-//! Lanes are laid out design-major: within a lane group the per-design
-//! state (`System`s, wall clocks, failure slots) sits side-by-side in
-//! flat arrays indexed by lane. Replay is lane-major: the run reaches
-//! the group as windows of chunks (a cached run is one window), and each
-//! lane replays a whole window before the next lane starts, so one
-//! lane's L2 stays resident in the host cache while it replays instead
-//! of the group's L2s evicting each other every chunk.
+//! Replay is lane-major: one lane replays every chunk of the run before
+//! the next lane starts, so its L2 stays resident in the host cache
+//! while it replays instead of several L2s evicting each other every
+//! chunk.
 //!
 //! # Determinism
 //!
@@ -49,14 +47,15 @@
 //! at the same per-lane cycles with the same requests. Failures are
 //! deterministic too (build errors are pure functions of the design;
 //! panics in a deterministic replay carry a deterministic payload), so
-//! the failed-point set is identical for any split of the designs over
-//! workers or lane groups. The cross-engine differential suites
-//! (`crates/sim/tests/lockstep_differential.rs`, `lockstep_props.rs`)
-//! pin this against both the scalar oracle and the broadcast reference
-//! engine ([`run_broadcast`]).
+//! the failed-point set is identical for any number of workers. The
+//! cross-engine differential suites
+//! (`crates/sim/tests/lockstep_differential.rs`, `lockstep_props.rs`) pin
+//! this against both the scalar oracle and the broadcast reference engine
+//! ([`run_broadcast`]).
 
 use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use moca_cache::{L1Pair, L2Cause, L2Request, ReplacementPolicy};
@@ -65,21 +64,12 @@ use moca_trace::{AccessKind, AppProfile, Mode};
 
 use crate::config::SystemConfig;
 use crate::error::{PointCause, SweepPointError};
-use crate::memo::{RunMemo, Source};
+use crate::memo::{FilteredRun, RunMemo};
 use crate::metrics::SimReport;
 use crate::parallel::{catch_panic, parallel_map, Jobs};
 use crate::stream::{TraceStream, STREAM_CHUNK};
 use crate::system::{BuildSystemError, System};
 use crate::telemetry::{self, Event, Kind};
-
-/// Default number of design lanes in one lane group.
-///
-/// Pools larger than the width run as consecutive lane groups, all
-/// replaying one filtered run of the stream, and within a group each
-/// lane replays the run in turn; so the width only bounds how many L2s
-/// are live at once, not how often the stream is filtered or how lanes
-/// share the host cache.
-pub const LANE_GROUP: usize = 8;
 
 /// One L2-visible event of a filtered chunk: the demand miss (and the
 /// dirty-victim writeback it may carry) plus the run of pure L1 hits
@@ -233,7 +223,7 @@ pub fn front_end_refs() -> u64 {
 
 /// The shared L1 front end: the `(app, seed)` trace stream plus one
 /// live L1 pair, filtering each chunk once for every lane that replays
-/// it (a run being built, or the one lane group of an unmemoized
+/// it (a run being built, or the one lane of an unmemoized one-design
 /// plan, which filters live).
 #[derive(Debug)]
 pub struct FrontEnd<'a> {
@@ -264,16 +254,6 @@ impl<'a> FrontEnd<'a> {
             l1,
             filtered: 0,
         })
-    }
-
-    /// The shared L1 pair (adopted by every lane before `finish`).
-    pub fn l1(&self) -> &L1Pair {
-        &self.l1
-    }
-
-    /// The L1 pair, consuming the front end.
-    pub(crate) fn into_l1(self) -> L1Pair {
-        self.l1
     }
 
     /// Pulls the next chunk of the stream, filters at most `limit` of
@@ -310,6 +290,25 @@ impl<'a> FrontEnd<'a> {
         FRONT_END_REFS.fetch_add(n as u64, Ordering::Relaxed);
         n
     }
+
+    /// Filters the next `refs` references chunk by chunk, handing each
+    /// filtered chunk to `visit`, and returns the L1 pair after them
+    /// plus the nanoseconds spent filtering (visits excluded).
+    pub(crate) fn filter(
+        mut self,
+        mut refs: usize,
+        mut visit: impl FnMut(&FilteredChunk),
+    ) -> (L1Pair, u64) {
+        let mut chunk = FilteredChunk::default();
+        let mut front_ns = 0;
+        while refs > 0 {
+            let began = Instant::now();
+            refs -= self.fill_next(refs, &mut chunk);
+            front_ns += began.elapsed().as_nanos() as u64;
+            visit(&chunk);
+        }
+        (self.l1, front_ns)
+    }
 }
 
 /// Replays one filtered chunk into a design lane, decoding its events
@@ -340,6 +339,17 @@ pub struct Point {
     pub wall_ns: u64,
 }
 
+/// A lane that ran to completion, with its timings split by layer.
+struct Lane {
+    report: SimReport,
+    /// Decoding and replaying the lane's chunks.
+    sim_ns: u64,
+    /// Inside `System::finish`.
+    energy_ns: u64,
+    /// Filtering the stream live (a lane without a run only).
+    front_ns: u64,
+}
+
 /// A set of L2 designs to run over one `(app, seed)` stream for `refs`
 /// references: the input of [`execute`].
 ///
@@ -366,9 +376,8 @@ pub struct Plan<'a> {
     refs: usize,
     designs: &'a [L2Design],
     cfg: SystemConfig,
-    lane_group: usize,
-    /// The memo lane groups replay filtered runs from; `None` filters
-    /// the stream once per lane group.
+    /// The memo the plan's filtered run comes from; `None` keeps the
+    /// run private to the plan.
     memo: Option<&'a RunMemo>,
     /// Absolute plan indices forced to panic at the start of their
     /// replay (fault-injection hook for the isolation suites).
@@ -377,8 +386,8 @@ pub struct Plan<'a> {
 
 impl<'a> Plan<'a> {
     /// A plan running every design over `refs` references of the
-    /// `(app, seed)` stream, with the default [`SystemConfig`],
-    /// [`LANE_GROUP`] lanes per front end and the global [`RunMemo`].
+    /// `(app, seed)` stream, with the default [`SystemConfig`] and the
+    /// global [`RunMemo`].
     pub fn new(app: &'a AppProfile, seed: u64, refs: usize, designs: &'a [L2Design]) -> Self {
         Plan {
             app,
@@ -386,7 +395,6 @@ impl<'a> Plan<'a> {
             refs,
             designs,
             cfg: SystemConfig::default(),
-            lane_group: LANE_GROUP,
             memo: Some(RunMemo::global()),
             injected_faults: Vec::new(),
         }
@@ -398,22 +406,12 @@ impl<'a> Plan<'a> {
         self
     }
 
-    /// Sets the number of lanes in one lane group (minimum 1), which
-    /// bounds how many L2s are live at once.
-    ///
-    /// Reports do not depend on it. Lanes replay a cached run one after
-    /// another at any width, so it changes little but peak memory; over
-    /// a live run, a wider group filters the stream fewer times.
-    pub fn with_lane_group(mut self, width: usize) -> Self {
-        self.lane_group = width.max(1);
-        self
-    }
-
     /// Keeps the plan's filtered run out of every memo: it lives only
-    /// while [`execute`] runs the plan. A plan run as one lane group
-    /// filters its stream live, chunk by chunk; a plan run as several
-    /// filters it once, into a run all of its lane groups replay and
-    /// drop with the plan.
+    /// while [`execute`] runs the plan. A plan of several designs
+    /// filters its stream once, into a private run every lane replays
+    /// and that is dropped when [`execute`] returns; the one lane of a
+    /// one-design plan filters the stream live, chunk by chunk, and
+    /// holds no run at all.
     ///
     /// For streams no later consumer reads again, where caching the run
     /// would only hold memory. Reports are unchanged.
@@ -446,129 +444,68 @@ impl<'a> Plan<'a> {
             && self.cfg.l1d_geometry().is_ok()
     }
 
-    /// The filtered run of the plan's stream: from `memo`, or filtered
-    /// live (`None`).
-    fn source<'m>(&self, memo: Option<&'m RunMemo>) -> Source<'m, 'a> {
-        match memo {
-            Some(memo) => memo.obtain(self.app, self.seed, &self.cfg, self.refs),
-            None => Source::live(TraceStream::new(self.app, self.seed), &self.cfg, self.refs),
+    /// The plan's filtered run: the memo's (a hit, or a build), a
+    /// private run for an unmemoized plan of several designs, or `None`
+    /// for an unmemoized one-design plan, whose lane filters live.
+    fn run(&self) -> Option<Arc<FilteredRun>> {
+        match self.memo {
+            Some(memo) => Some(memo.obtain(self.app, self.seed, &self.cfg, self.refs)),
+            None if self.designs.len() > 1 => {
+                let stream = TraceStream::new(self.app, self.seed);
+                let run = FilteredRun::filter(stream, &self.cfg, self.refs, |_| {});
+                Some(Arc::new(run))
+            }
+            None => None,
         }
     }
 
-    /// One lane group over plan indices `start..end`: obtain the
-    /// filtered run, build the lanes, replay the run, finish.
+    /// The lane of plan index `index`: build its system, replay every
+    /// chunk of `run` into it (or, without a run, filter the plan's
+    /// stream live), adopt the L1 pair after the run, finish.
     ///
-    /// The run is obtained before any lane's L2 is allocated, so a run
-    /// being built (the stream's generator plus the growing run) never
-    /// shares peak memory with the group's L2s. A group none of whose
-    /// lanes can build obtains nothing.
-    ///
-    /// Replay is lane-major: for each window of the run (a cached run is
-    /// one window), each live lane replays every chunk of the window
-    /// before the next lane starts, so one lane's L2 stays resident in
-    /// the host cache for the whole window. A lane that fails to build,
-    /// or panics while replaying or finishing, fails in its own slot;
-    /// every other lane keeps going.
-    fn run_group(
-        &self,
-        start: usize,
-        end: usize,
-        memo: Option<&RunMemo>,
-    ) -> Vec<Result<Point, SweepPointError>> {
-        let failed = |index: usize, cause: PointCause| SweepPointError {
+    /// A lane that fails to build, or panics while replaying or
+    /// finishing, fails in its own slot.
+    fn run_lane(&self, index: usize, run: Option<&FilteredRun>) -> Result<Lane, SweepPointError> {
+        let failed = |cause: PointCause| SweepPointError {
             index,
             label: self.designs[index].label(),
             cause,
         };
+        let panicked = |msg: String| failed(PointCause::Panic(msg));
+        let built = catch_panic(|| System::new(self.app.name, self.designs[index], self.cfg));
+        let mut sys = built
+            .map_err(panicked)?
+            .map_err(|e| failed(PointCause::Build(e)))?;
         let began = Instant::now();
-        let run = (start..end)
-            .any(|index| self.can_build(index))
-            .then(|| self.source(memo));
-        let obtain_ns = began.elapsed().as_nanos() as u64;
-        // Each lane is its system, or the error it failed with (the
-        // system is then dropped). Systems stay unboxed: boxing them
-        // raised the matrix run's peak RSS by ~0.3 MiB.
-        let mut lanes: Vec<Result<System, SweepPointError>> = (start..end)
-            .map(|index| {
-                match catch_panic(|| System::new(self.app.name, self.designs[index], self.cfg)) {
-                    Ok(built) => built.map_err(|e| failed(index, PointCause::Build(e))),
-                    Err(msg) => Err(failed(index, PointCause::Panic(msg))),
-                }
-            })
-            .collect();
-        let mut walls = vec![0u64; lanes.len()];
-
-        // The group's shared front-end time (obtaining the run and any
-        // live filtering) is charged once, to its first completed lane,
-        // so sums over `point` events count it once.
-        let mut front_ns = None;
-        if lanes.iter().any(Result::is_ok) {
-            // `can_build` mirrors `System::new`, so the run is in hand
-            // whenever a lane built.
-            let run = run.unwrap_or_else(|| self.source(memo));
-            let mut first = true;
-            let (l1, live_ns) = run.drain(|window| {
-                for ((index, lane), wall) in (start..).zip(&mut lanes).zip(&mut walls) {
-                    let Ok(sys) = lane else {
-                        continue;
-                    };
-                    let trip = first && self.injected_faults.contains(&index);
-                    let began = Instant::now();
-                    let outcome = catch_panic(|| {
-                        if trip {
-                            panic!("injected fault at index {index}");
-                        }
-                        for chunk in window {
-                            replay(sys, chunk);
-                        }
-                    });
-                    *wall += began.elapsed().as_nanos() as u64;
-                    if let Err(msg) = outcome {
-                        // The panicked lane's state is unspecified;
-                        // replacing it drops the system for good.
-                        *lane = Err(failed(index, PointCause::Panic(msg)));
-                    }
-                }
-                first = false;
-            });
-            lanes.iter_mut().flatten().for_each(|sys| sys.adopt_l1(&l1));
-            front_ns = Some(obtain_ns + live_ns);
-        }
-
-        let total = self.designs.len();
-        (start..)
-            .zip(lanes)
-            .zip(walls)
-            .map(|((index, lane), wall)| {
-                let sys = lane?;
-                let began = Instant::now();
-                let report = catch_panic(move || sys.finish())
-                    .map_err(|msg| failed(index, PointCause::Panic(msg)))?;
-                let energy_ns = began.elapsed().as_nanos() as u64;
-                if telemetry::enabled() {
-                    telemetry::record(
-                        Event::new(Kind::Point)
-                            .str("app", &report.app)
-                            // `L2Design::label`.
-                            .str("design", &report.design)
-                            // Plan-order index, stable across job counts.
-                            .num("index", index as u64)
-                            .num("total", total as u64)
-                            // Shared front end: obtaining the run and any
-                            // live filtering; first completed lane only.
-                            .num("trace_gen_ns", front_ns.take().unwrap_or(0))
-                            // Decoding and replaying the lane's chunks.
-                            .num("sim_ns", wall)
-                            // Inside `System::finish`.
-                            .num("energy_ns", energy_ns),
-                    );
-                }
-                Ok(Point {
-                    report,
-                    wall_ns: wall + energy_ns,
-                })
-            })
-            .collect()
+        let replayed = catch_panic(|| {
+            if self.injected_faults.contains(&index) {
+                panic!("injected fault at index {index}");
+            }
+            let Some(run) = run else {
+                let stream = TraceStream::new(self.app, self.seed);
+                let (l1, front_ns) =
+                    FrontEnd::over(stream, &self.cfg)?.filter(self.refs, |c| replay(&mut sys, c));
+                sys.adopt_l1(&l1);
+                return Ok(front_ns);
+            };
+            for chunk in &run.chunks {
+                replay(&mut sys, chunk);
+            }
+            sys.adopt_l1(&run.l1);
+            Ok(0)
+        });
+        let front_ns = replayed
+            .map_err(panicked)?
+            .map_err(|e| failed(PointCause::Build(e)))?;
+        let sim_ns = (began.elapsed().as_nanos() as u64).saturating_sub(front_ns);
+        let began = Instant::now();
+        let report = catch_panic(move || sys.finish()).map_err(panicked)?;
+        Ok(Lane {
+            report,
+            sim_ns,
+            energy_ns: began.elapsed().as_nanos() as u64,
+            front_ns,
+        })
     }
 }
 
@@ -576,39 +513,64 @@ impl<'a> Plan<'a> {
 /// plan order: the lane's [`Point`], or the [`SweepPointError`] of a
 /// lane that failed to build or panicked.
 ///
-/// The designs are split into contiguous spans, one per worker of
-/// `jobs`, each span running as consecutive lane groups that replay
-/// one filtered run. Every outcome is independent of that split:
-/// reports are byte-identical to a scalar
-/// [`run_app`](crate::workloads::run_app) of each design, failures
-/// carry their absolute plan index, and the telemetry `point` event of
-/// each completed lane carries the same index for every job count.
+/// The plan's filtered run is obtained once, before any lane's L2 is
+/// allocated, so the stream's generator and a run being built never
+/// share peak memory with an L2; a plan none of whose lanes can build
+/// obtains nothing. The lanes then go to the workers of `jobs` one at
+/// a time, each replaying the whole run on its own. Every outcome is
+/// independent of the job count: reports are byte-identical to a
+/// scalar [`run_app`](crate::workloads::run_app) of each design,
+/// failures carry their plan index, and the telemetry `point` events
+/// are recorded after the lanes finish, in plan order.
 pub fn execute(plan: &Plan<'_>, jobs: Jobs) -> Vec<Result<Point, SweepPointError>> {
     let total = plan.designs.len();
-    // One contiguous span per worker; the input-order merge of
-    // `parallel_map` restores plan order.
-    let per_span = total.div_ceil(jobs.get().min(total).max(1)).max(1);
-    let starts: Vec<usize> = (0..total).step_by(per_span).collect();
-    let groups: usize = starts
-        .iter()
-        .map(|&start| ((start + per_span).min(total) - start).div_ceil(plan.lane_group))
-        .sum();
-    // An unmemoized plan replayed by several lane groups filters its
-    // stream once, into an unbounded memo that dies with this call; its
-    // spans share that one build as concurrent consumers of one key.
-    let scoped = (plan.memo.is_none() && groups > 1).then(|| RunMemo::with_capacity(usize::MAX));
-    let memo = plan.memo.or(scoped.as_ref());
-    // Each span runs as consecutive lane groups.
-    parallel_map(jobs, starts, |start| {
-        let end = (start + per_span).min(total);
-        (start..end)
-            .step_by(plan.lane_group)
-            .flat_map(|group| plan.run_group(group, (group + plan.lane_group).min(end), memo))
-            .collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    let began = Instant::now();
+    let run = (0..total)
+        .any(|index| plan.can_build(index))
+        .then(|| plan.run())
+        .flatten();
+    let obtain_ns = began.elapsed().as_nanos() as u64;
+    let lanes = parallel_map(jobs, (0..total).collect(), |index| {
+        plan.run_lane(index, run.as_deref())
+    });
+    // The plan's front-end time (obtaining its run, or a lane filtering
+    // live) is charged once, to its first completed lane, so sums over
+    // `point` events count it once.
+    let live_ns: u64 = lanes.iter().flatten().map(|lane| lane.front_ns).sum();
+    let mut front_ns = Some(obtain_ns + live_ns);
+    (0..)
+        .zip(lanes)
+        .map(|(index, lane)| {
+            let Lane {
+                report,
+                sim_ns,
+                energy_ns,
+                ..
+            } = lane?;
+            if telemetry::enabled() {
+                telemetry::record(
+                    Event::new(Kind::Point)
+                        .str("app", &report.app)
+                        // `L2Design::label`.
+                        .str("design", &report.design)
+                        // Plan-order index, stable across job counts.
+                        .num("index", index)
+                        .num("total", total as u64)
+                        // Shared front end: obtaining the run and any
+                        // live filtering; first completed lane only.
+                        .num("trace_gen_ns", front_ns.take().unwrap_or(0))
+                        // Decoding and replaying the lane's chunks.
+                        .num("sim_ns", sim_ns)
+                        // Inside `System::finish`.
+                        .num("energy_ns", energy_ns),
+                );
+            }
+            Ok(Point {
+                report,
+                wall_ns: sim_ns + energy_ns,
+            })
+        })
+        .collect()
 }
 
 /// The chunk-broadcast reference engine: one shared stream, each
@@ -687,22 +649,15 @@ mod tests {
     }
 
     #[test]
-    fn lane_group_width_and_jobs_do_not_change_reports() {
+    fn jobs_do_not_change_reports() {
         let app = AppProfile::browser();
         let designs = pool();
         let reference = reports(&Plan::new(&app, 7, 15_000, &designs), Jobs::SERIAL);
-        for width in [1usize, 2, 3, 8, 64] {
-            for jobs in [1usize, 2, 3, 8] {
-                let plan = Plan::new(&app, 7, 15_000, &designs).with_lane_group(width);
-                let got = reports(&plan, Jobs::new(jobs));
-                assert_eq!(got.len(), reference.len());
-                for (g, r) in got.iter().zip(&reference) {
-                    assert_eq!(
-                        format!("{g:?}"),
-                        format!("{r:?}"),
-                        "width={width} jobs={jobs}"
-                    );
-                }
+        for jobs in [1usize, 2, 3, 8] {
+            let got = reports(&Plan::new(&app, 7, 15_000, &designs), Jobs::new(jobs));
+            assert_eq!(got.len(), reference.len());
+            for (g, r) in got.iter().zip(&reference) {
+                assert_eq!(format!("{g:?}"), format!("{r:?}"), "jobs={jobs}");
             }
         }
     }
@@ -782,21 +737,22 @@ mod tests {
         );
     }
 
-    /// Every window shape a lane group replays: the global memo's cached
-    /// run (one window), a full memo's rejected key (one window per
-    /// chunk, filtered live), and an unmemoized one-group plan (live).
+    /// Every run shape a lane replays: the global memo's cached run, a
+    /// full memo's rejected key (a run built and handed back uncached),
+    /// an unmemoized plan's private run, and an unmemoized one-design
+    /// plan's live front end.
     #[test]
     fn injected_fault_poisons_only_its_own_lane() {
         let app = AppProfile::video();
         let designs = pool();
         let full = RunMemo::with_capacity(0);
-        // One lane group over two chunks: live plans replay two windows.
+        // Two chunks, so the live lane filters more than one.
         let base = Plan::new(&app, 5, 12_000, &designs).with_injected_faults(&[2]);
         let clean = reports(&Plan::new(&app, 5, 12_000, &designs), Jobs::SERIAL);
         for (shape, plan) in [
             ("cached", base.clone()),
             ("rejected", base.clone().with_memo(&full)),
-            ("live", base.clone().unmemoized()),
+            ("private", base.clone().unmemoized()),
         ] {
             for (i, outcome) in execute(&plan, Jobs::SERIAL).iter().enumerate() {
                 if i == 2 {
@@ -811,6 +767,15 @@ mod tests {
             }
         }
         assert_eq!(full.stats().rejected, 1);
+
+        // Live: a one-design plan of the faulted design fails in its
+        // slot, and the same plan unfaulted equals the clean report.
+        let live = Plan::new(&app, 5, 12_000, &designs[2..3]).unmemoized();
+        let faulted = execute(&live.clone().with_injected_faults(&[0]), Jobs::SERIAL);
+        let e = faulted[0].as_ref().expect_err("injected fault must fail");
+        assert!(e.to_string().contains("injected fault at index 0"), "{e}");
+        let got = &reports(&live, Jobs::SERIAL)[0];
+        assert_eq!(format!("{got:?}"), format!("{:?}", clean[2]), "live");
     }
 
     #[test]
@@ -823,8 +788,7 @@ mod tests {
             L2Design::baseline(),
         ];
         for jobs in [1usize, 2, 4] {
-            let plan = Plan::new(&app, 1, 3_000, &designs).with_lane_group(1);
-            let outcomes = execute(&plan, Jobs::new(jobs));
+            let outcomes = execute(&Plan::new(&app, 1, 3_000, &designs), Jobs::new(jobs));
             let e = outcomes[2].as_ref().expect_err("ways=0 is invalid");
             assert_eq!(e.index, 2, "jobs={jobs}");
             assert!(matches!(e.cause, PointCause::Build(_)));

@@ -4,7 +4,7 @@
 //! (T1), and the L1 filter decision is time-independent (see
 //! [`crate::lockstep`]). So for one stream, every design sees the same
 //! L2-visible request sequence, and the L1 pair ends in the same state.
-//! A sweep that replays that sequence into many lane groups, custom
+//! A sweep that replays that sequence into many design lanes, custom
 //! runners and MRC profiles only needs to generate (or decode) and
 //! filter it once.
 //!
@@ -27,10 +27,12 @@
 //! The memo holds at most [`MEMO_CAP_BYTES`] of runs: each run is
 //! charged its packed events — 12 bytes per L2-visible event plus 8 per
 //! writeback it carries — plus its L1 pair. Runs are inserted until the
-//! memo is full and never evicted; a run that does not fit is
-//! *rejected* and every consumer of its key filters the stream itself,
-//! replaying the recorded prefix first. Bytes are reserved while a run
-//! is built, so builds in flight count against the cap too.
+//! memo is full and never evicted. Bytes are reserved while a run is
+//! built, so builds in flight count against the cap too. A build that
+//! outgrows the cap is finished anyway: it releases its reservation,
+//! marks its key *rejected* and is handed back uncached, to be dropped
+//! with the plan that asked for it. Every later consumer of a rejected
+//! key filters the stream into a private run of its own.
 //!
 //! # Concurrency
 //!
@@ -45,7 +47,6 @@
 
 use std::mem::size_of;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::Instant;
 
 use moca_cache::L1Pair;
 use moca_trace::fxhash::FxHashMap;
@@ -95,8 +96,32 @@ impl RunKey {
 /// plus the L1 pair after them (lanes adopt it before `finish`).
 #[derive(Debug)]
 pub(crate) struct FilteredRun {
-    chunks: Vec<FilteredChunk>,
-    l1: L1Pair,
+    pub(crate) chunks: Vec<FilteredChunk>,
+    pub(crate) l1: L1Pair,
+}
+
+impl FilteredRun {
+    /// Filters the first `refs` references of `stream` into a run,
+    /// handing the heap bytes of each piece it keeps to `charge`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg`'s L1 geometry is invalid (see [`RunMemo::replay`]).
+    pub(crate) fn filter(
+        stream: TraceStream<'_>,
+        cfg: &SystemConfig,
+        refs: usize,
+        mut charge: impl FnMut(usize),
+    ) -> Self {
+        let mut chunks = Vec::new();
+        let (l1, _) = front_end(stream, cfg).filter(refs, |chunk| {
+            let chunk = chunk.to_owned_exact();
+            charge(chunk.heap_bytes());
+            chunks.push(chunk);
+        });
+        charge(l1.heap_bytes());
+        FilteredRun { chunks, l1 }
+    }
 }
 
 /// The state behind one key's lock.
@@ -105,8 +130,8 @@ enum Slot {
     /// Not built yet, or its build panicked.
     Empty,
     Ready(Arc<FilteredRun>),
-    /// Built once and did not fit: consumers filter the stream
-    /// themselves. The memo never evicts, so the run would not fit
+    /// Built once and did not fit: consumers filter private runs of
+    /// their own. The memo never evicts, so the run would not fit
     /// later either.
     Rejected,
 }
@@ -163,77 +188,9 @@ pub fn mib(bytes: usize) -> f64 {
     bytes as f64 / f64::from(1u32 << 20)
 }
 
-/// A filtered run obtained for one replay, before anything is replayed
-/// from it: cached, or filtered live while it is drained.
-pub(crate) enum Source<'m, 'a> {
-    Cached(Arc<FilteredRun>),
-    /// An unmemoized or rejected run: the recorded prefix (still
-    /// charged to the memo until it is dropped), then the live front
-    /// end for `left` more references.
-    Live {
-        prefix: Vec<FilteredChunk>,
-        held: Option<Reservation<'m>>,
-        front: Box<FrontEnd<'a>>,
-        left: usize,
-    },
-}
-
-impl<'a> Source<'_, 'a> {
-    /// The first `refs` references of `stream`, filtered live as they
-    /// are drained and never cached: for a stream read exactly once,
-    /// where caching the run would only hold memory.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg`'s L1 geometry is invalid (see [`RunMemo::replay`]).
-    pub(crate) fn live(stream: TraceStream<'a>, cfg: &SystemConfig, refs: usize) -> Self {
-        Source::Live {
-            prefix: Vec::new(),
-            held: None,
-            front: Box::new(front_end(stream, cfg)),
-            left: refs,
-        }
-    }
-
-    /// Feeds the run to `visit` as windows of consecutive chunks: a
-    /// cached run is one window (its whole chunk slice), a live one its
-    /// recorded prefix, then one window per freshly filtered chunk.
-    /// Returns the L1 pair after the run and the nanoseconds spent
-    /// filtering live here (the caller adds the time it spent obtaining
-    /// the source).
-    pub(crate) fn drain(self, mut visit: impl FnMut(&[FilteredChunk])) -> (L1Pair, u64) {
-        let mut front_ns = 0;
-        let l1 = match self {
-            Source::Cached(run) => {
-                visit(&run.chunks);
-                run.l1.clone()
-            }
-            Source::Live {
-                prefix,
-                held,
-                mut front,
-                mut left,
-            } => {
-                visit(&prefix);
-                drop(prefix);
-                drop(held);
-                let mut chunk = FilteredChunk::default();
-                while left > 0 {
-                    let fill = Instant::now();
-                    left -= front.fill_next(left, &mut chunk);
-                    front_ns += fill.elapsed().as_nanos() as u64;
-                    visit(std::slice::from_ref(&chunk));
-                }
-                front.into_l1()
-            }
-        };
-        (l1, front_ns)
-    }
-}
-
 /// Bytes a build has reserved against the cap; released on drop unless
 /// the run was committed to the memo.
-pub(crate) struct Reservation<'m> {
+struct Reservation<'m> {
     memo: &'m RunMemo,
     bytes: usize,
 }
@@ -352,22 +309,24 @@ impl RunMemo {
         seed: u64,
         cfg: &SystemConfig,
         refs: usize,
-        mut visit: impl FnMut(&FilteredChunk),
+        visit: impl FnMut(&FilteredChunk),
     ) -> L1Pair {
-        let source = self.obtain(app, seed, cfg, refs);
-        source.drain(|window| window.iter().for_each(&mut visit)).0
+        let run = self.obtain(app, seed, cfg, refs);
+        run.chunks.iter().for_each(visit);
+        run.l1.clone()
     }
 
-    /// The run [`RunMemo::replay`] drains, obtained without replaying
-    /// it: a hit, a build (concurrent callers of the same key wait for
-    /// it), or a live front end for a rejected key.
-    pub(crate) fn obtain<'m, 'a>(
-        &'m self,
-        app: &'a AppProfile,
+    /// The whole run [`RunMemo::replay`] walks, obtained without
+    /// replaying it: a hit, or a build (concurrent callers of the same
+    /// key wait for it). The run of a rejected key is built here too,
+    /// and handed back uncached.
+    pub(crate) fn obtain(
+        &self,
+        app: &AppProfile,
         seed: u64,
         cfg: &SystemConfig,
         refs: usize,
-    ) -> Source<'m, 'a> {
+    ) -> Arc<FilteredRun> {
         let stream = TraceStream::new(app, seed);
         let key = RunKey::new(&stream, seed, refs, cfg);
         let slot = Arc::clone(
@@ -382,12 +341,12 @@ impl RunMemo {
                 let run = Arc::clone(run);
                 drop(state);
                 self.lock().hits += 1;
-                Source::Cached(run)
+                run
             }
             Slot::Rejected => {
                 drop(state);
                 self.lock().misses += 1;
-                Source::live(stream, cfg, refs)
+                Arc::new(FilteredRun::filter(stream, cfg, refs, |_| {}))
             }
             Slot::Empty => {
                 self.lock().misses += 1;
@@ -397,46 +356,31 @@ impl RunMemo {
     }
 
     /// Builds the run of an empty slot while holding its lock, and
-    /// either caches it or marks the key rejected.
-    fn build<'m, 'a>(
-        &'m self,
+    /// either caches it or, when it outgrew the cap, marks the key
+    /// rejected and hands the finished run back uncached.
+    fn build(
+        &self,
         mut state: MutexGuard<'_, Slot>,
-        stream: TraceStream<'a>,
+        stream: TraceStream<'_>,
         cfg: &SystemConfig,
         refs: usize,
-    ) -> Source<'m, 'a> {
-        let mut front = front_end(stream, cfg);
+    ) -> Arc<FilteredRun> {
         let mut held = Reservation {
             memo: self,
             bytes: 0,
         };
-        let mut chunks = Vec::new();
-        let mut fits = held.grow(front.l1().heap_bytes());
-        let mut scratch = FilteredChunk::default();
-        let mut left = refs;
-        while fits && left > 0 {
-            left -= front.fill_next(left, &mut scratch);
-            let chunk = scratch.to_owned_exact();
-            fits = held.grow(chunk.heap_bytes());
-            chunks.push(chunk);
-        }
-        if !fits {
+        let mut fits = true;
+        let run = Arc::new(FilteredRun::filter(stream, cfg, refs, |bytes| {
+            fits = fits && held.grow(bytes);
+        }));
+        if fits {
+            held.commit();
+            *state = Slot::Ready(Arc::clone(&run));
+        } else {
             *state = Slot::Rejected;
             self.lock().rejected += 1;
-            return Source::Live {
-                prefix: chunks,
-                held: Some(held),
-                front: Box::new(front),
-                left,
-            };
         }
-        let run = Arc::new(FilteredRun {
-            chunks,
-            l1: front.into_l1(),
-        });
-        held.commit();
-        *state = Slot::Ready(Arc::clone(&run));
-        Source::Cached(run)
+        run
     }
 }
 

@@ -54,8 +54,8 @@ pub const EXPERIMENT_SEED: u64 = 0x5EED_2015;
 /// ([`crate::lockstep::execute`], directly or through
 /// [`crate::sweep::sweep`] and the shared
 /// [`crate::experiments::matrix::run_matrix`]), which pays trace
-/// generation and L1 filtering once per lane group instead of once per
-/// design. It emits no telemetry `point` event; only executor lanes do.
+/// generation and L1 filtering once per plan (once per stream, when the
+/// run is memoized) instead of once per design. It emits no telemetry `point` event; only executor lanes do.
 ///
 /// # Panics
 ///

@@ -109,9 +109,7 @@ fn unmemoized_lockstep_falls_back_past_a_corrupt_chunk_byte_identically() {
     TraceRegistry::global().register(FileTraceSource::open(&path).expect("open"));
 
     let designs = column_order();
-    let plan = Plan::new(&app, seed, refs, &designs)
-        .with_lane_group(2)
-        .unmemoized();
+    let plan = Plan::new(&app, seed, refs, &designs).unmemoized();
     let points = execute(&plan, Jobs::SERIAL);
     for (design, got) in designs.iter().zip(&points) {
         let got = &got.as_ref().expect("valid design").report;

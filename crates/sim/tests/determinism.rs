@@ -202,20 +202,13 @@ mod fanout_equivalence {
 
     /// The rendered CSV — the artifact sweeps actually ship — is
     /// byte-identical across job counts through the lock-step engine,
-    /// with the wall-time column masked (it is measurement noise). The
-    /// pool is larger than one lane group with a ragged tail, so group
-    /// chunking itself is exercised.
+    /// with the wall-time column masked (it is measurement noise).
     #[test]
     fn sweep_csv_is_byte_identical_across_jobs_through_lockstep() {
         use moca_sim::sweep::{sweep, write_csv, SweepPoint};
         use moca_sim::SweepPointError;
-        use moca_sim::LANE_GROUP;
 
         let params: [u32; 11] = [1, 2, 4, 8, 16, 2, 4, 8, 16, 1, 2];
-        assert!(
-            params.len() > LANE_GROUP,
-            "the pool must span more than one lane group"
-        );
         let app = AppProfile::browser();
         let to_design = |&ways: &u32| L2Design::SharedSram { ways };
         let rows = |points: &[Result<SweepPoint<u32>, SweepPointError>]| {

@@ -1,17 +1,17 @@
 //! Cross-engine differential suite for the lock-step kernel.
 //!
 //! The lock-step engine rewrote the hottest loop in the codebase (one
-//! shared L1 front end per lane group, O(1) retires over hit gaps), so
-//! its correctness contract is pinned exhaustively here: for every
+//! shared L1 front end per stream, O(1) retires over hit gaps), so its
+//! correctness contract is pinned exhaustively here: for every
 //! replacement policy × associativity × pool size cell of a small grid,
-//! and for ragged mixed-family pools that do not fill a lane group, the
+//! and for a ragged mixed-family pool split unevenly over workers, the
 //! [`SimReport`] of every design must match the scalar `run_app`-style
 //! oracle **field by field** — the oracle owns a private generator and
 //! its own per-design L1, sharing no code with the front end under test.
 //!
-//! Where a lane group's filtered run comes from — built into the memo,
-//! replayed from it, rejected by a full memo, or filtered unmemoized —
-//! is one more input of the grid.
+//! Where a plan's filtered run comes from — built into the memo,
+//! replayed from it, built past a full memo's cap, or kept private to
+//! an unmemoized plan — is one more input of the grid.
 //!
 //! The randomized scalar ≡ broadcast ≡ lock-step properties (and the
 //! fault-isolation cases) live in `lockstep_props.rs`; byte-identity of
@@ -29,7 +29,12 @@ use moca_trace::{AppProfile, TraceGenerator};
 
 /// The reports of a plan every design of which is valid.
 fn run(plan: Plan<'_>) -> Vec<SimReport> {
-    execute(&plan, Jobs::SERIAL)
+    run_with(plan, Jobs::SERIAL)
+}
+
+/// [`run`] on `jobs` workers.
+fn run_with(plan: Plan<'_>, jobs: Jobs) -> Vec<SimReport> {
+    execute(&plan, jobs)
         .into_iter()
         .map(|p| p.expect("valid design").report)
         .collect()
@@ -146,11 +151,10 @@ fn policy_ways_pool_grid_matches_scalar_oracle_fieldwise() {
 }
 
 /// Ragged mixed-family pool: 11 designs spanning shared/partitioned
-/// SRAM, STT retention mixes, and both dynamic variants — one full lane
-/// group of 8 plus a ragged tail of 3 — checked at several lane-group
-/// widths, including widths that split the pool unevenly.
+/// SRAM, STT retention mixes, and both dynamic variants — checked at
+/// several job counts, including counts that split the pool unevenly.
 #[test]
-fn ragged_mixed_family_pool_matches_scalar_oracle_at_every_width() {
+fn ragged_mixed_family_pool_matches_scalar_oracle_at_every_job_count() {
     let app = AppProfile::game();
     let refs = 12_345;
     let seed = 2015;
@@ -199,11 +203,11 @@ fn ragged_mixed_family_pool_matches_scalar_oracle_at_every_width() {
         .iter()
         .map(|&design| scalar_oracle(&app, design, cfg, refs, seed))
         .collect();
-    for width in [1usize, 2, 3, 5, 8] {
-        let reports = run(Plan::new(&app, seed, refs, &pool).with_lane_group(width));
+    for jobs in [1usize, 2, 3, 5, 8] {
+        let reports = run_with(Plan::new(&app, seed, refs, &pool), Jobs::new(jobs));
         assert_eq!(reports.len(), pool.len());
         for (lane, (want, got)) in oracle.iter().zip(&reports).enumerate() {
-            let ctx = format!("ragged pool width={width} lane={lane}");
+            let ctx = format!("ragged pool jobs={jobs} lane={lane}");
             assert_reports_match_fieldwise(want, got, &ctx);
         }
     }
@@ -251,8 +255,9 @@ fn row_buffer_dram_and_prefetch_configs_match_scalar_oracle() {
 }
 
 /// Memo hit, memo miss, rejected run and unmemoized filtering all feed
-/// the lanes the same chunks: every report matches the scalar oracle at
-/// lane widths 1, 2 and 8, over a run that ends mid-chunk.
+/// the lanes the same chunks: every report matches the scalar oracle
+/// at one and three jobs, over a run that ends mid-chunk, and the memo
+/// counters count plans, whatever the job count.
 #[test]
 fn memo_hit_miss_rejected_and_unmemoized_runs_match_scalar_oracle() {
     let app = AppProfile::email();
@@ -274,39 +279,39 @@ fn memo_hit_miss_rejected_and_unmemoized_runs_match_scalar_oracle() {
         .iter()
         .map(|&design| scalar_oracle(&app, design, cfg, refs, seed))
         .collect();
-    // Room for the L1 pair and a sliver of events: the build is
-    // rejected mid-run and its consumers replay the recorded prefix
-    // before filtering the rest live.
+    // Room for the L1 pair and a sliver of events: the build outgrows
+    // the cap mid-run, is finished anyway and handed back uncached.
     let l1_bytes = L1Pair::mobile_default().heap_bytes();
-    for width in [1usize, 2, 8] {
-        let groups = pool.len().div_ceil(width) as u64;
+    let stats_at = |jobs: Jobs| {
         let memo = RunMemo::with_capacity(MEMO_CAP_BYTES);
         let partial = RunMemo::with_capacity(l1_bytes + 1024);
         let empty = RunMemo::with_capacity(0);
-        let lockstep = Plan::new(&app, seed, refs, &pool).with_lane_group(width);
+        let lockstep = Plan::new(&app, seed, refs, &pool);
         let runs = [
-            ("miss", run(lockstep.clone().with_memo(&memo))),
-            ("hit", run(lockstep.clone().with_memo(&memo))),
-            ("partial", run(lockstep.clone().with_memo(&partial))),
-            ("empty", run(lockstep.clone().with_memo(&empty))),
-            ("unmemoized", run(lockstep.clone().unmemoized())),
+            ("miss", run_with(lockstep.clone().with_memo(&memo), jobs)),
+            ("hit", run_with(lockstep.clone().with_memo(&memo), jobs)),
+            (
+                "partial",
+                run_with(lockstep.clone().with_memo(&partial), jobs),
+            ),
+            ("empty", run_with(lockstep.clone().with_memo(&empty), jobs)),
+            ("unmemoized", run_with(lockstep.clone().unmemoized(), jobs)),
         ];
         let stats = memo.stats();
-        assert_eq!(
-            (stats.runs, stats.misses, stats.hits),
-            (1, 1, 2 * groups - 1)
-        );
+        assert_eq!((stats.runs, stats.misses, stats.hits), (1, 1, 1));
         for rejecting in [&partial, &empty] {
             let stats = rejecting.stats();
             assert_eq!((stats.runs, stats.used_bytes, stats.rejected), (0, 0, 1));
-            assert_eq!((stats.misses, stats.hits), (groups, 0));
+            assert_eq!((stats.misses, stats.hits), (1, 0));
         }
         for (source, reports) in &runs {
             assert_eq!(reports.len(), pool.len());
             for (lane, (want, got)) in oracle.iter().zip(reports).enumerate() {
-                let ctx = format!("{source} run width={width} lane={lane}");
+                let ctx = format!("{source} run {jobs:?} lane={lane}");
                 assert_reports_match_fieldwise(want, got, &ctx);
             }
         }
-    }
+        [memo.stats(), partial.stats(), empty.stats()]
+    };
+    assert_eq!(stats_at(Jobs::SERIAL), stats_at(Jobs::new(3)));
 }

@@ -94,10 +94,9 @@ fn random_inputs_agree_across_scalar_broadcast_and_lockstep() {
             let refs = rng.range_usize(1_000, 25_000);
             let seed = rng.next_u64();
             let jobs = rng.range_usize(1, 9);
-            let width = rng.range_usize(1, 9);
-            (app, designs, refs, seed, jobs, width)
+            (app, designs, refs, seed, jobs)
         },
-        |(app, designs, refs, seed, jobs, width)| {
+        |(app, designs, refs, seed, jobs)| {
             let sequential: Vec<_> = designs
                 .iter()
                 .map(|&d| run_app(app, d, *refs, *seed))
@@ -107,10 +106,7 @@ fn random_inputs_agree_across_scalar_broadcast_and_lockstep() {
                 EngineRun::render("broadcast", &run_broadcast(app, *seed, designs, *refs)),
                 EngineRun::render(
                     "lockstep serial",
-                    &reports(
-                        &Plan::new(app, *seed, *refs, designs).with_lane_group(*width),
-                        Jobs::SERIAL,
-                    ),
+                    &reports(&Plan::new(app, *seed, *refs, designs), Jobs::SERIAL),
                 ),
                 EngineRun::render(
                     "lockstep parallel",
@@ -119,7 +115,7 @@ fn random_inputs_agree_across_scalar_broadcast_and_lockstep() {
             ];
             engines_agree(
                 &format!(
-                    "app={} designs={} refs={refs} seed={seed:#x} jobs={jobs} width={width}",
+                    "app={} designs={} refs={refs} seed={seed:#x} jobs={jobs}",
                     app.name,
                     designs.len()
                 ),

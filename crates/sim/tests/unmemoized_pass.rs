@@ -1,4 +1,4 @@
-//! An unmemoized plan of several lane groups filters its stream once.
+//! An unmemoized plan of several designs filters its stream once.
 //!
 //! This binary holds one test, so nothing else moves the process-wide
 //! front-end counter or the global memo while it measures them.
@@ -11,7 +11,7 @@ use moca_sim::workloads::run_app;
 use moca_trace::AppProfile;
 
 #[test]
-fn five_designs_in_width_two_groups_share_one_filter_pass() {
+fn five_unmemoized_designs_share_one_filter_pass() {
     let app = AppProfile::pdf();
     let designs = [
         L2Design::baseline(),
@@ -28,13 +28,11 @@ fn five_designs_in_width_two_groups_share_one_filter_pass() {
     ];
     let refs = 30_011; // not chunk-aligned
     let seed = 8;
-    let plan = Plan::new(&app, seed, refs, &designs)
-        .with_lane_group(2)
-        .unmemoized();
+    let plan = Plan::new(&app, seed, refs, &designs).unmemoized();
     let memo_before = RunMemo::global().stats();
     let refs_before = front_end_refs();
     let points = execute(&plan, Jobs::SERIAL);
-    // Three lane groups, one pass over the stream.
+    // Five lanes, one pass over the stream.
     assert_eq!(front_end_refs() - refs_before, refs as u64);
     assert_eq!(RunMemo::global().stats(), memo_before);
 

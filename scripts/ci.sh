@@ -252,18 +252,20 @@ trim_search_run "$SMOKE_DIR/matrix_j2_full.txt" > "$SMOKE_DIR/matrix_j2.txt"
 diff -u "$SMOKE_DIR/matrix_j1.txt" "$SMOKE_DIR/matrix_j2.txt" \
   || { echo "design-matrix output varies with --jobs"; exit 1; }
 # The matrix alone filters each app's 1M-ref quick stream once: 10
-# apps, one front-end pass each, whatever the lane-group width.
+# apps, one front-end pass each, however many designs replay it.
 "$REPRO" --quick --jobs 1 F1 F2 T2 F6 > "$SMOKE_DIR/matrix_only.txt"
 grep -q ' 10000000 front-end ref(s)$' "$SMOKE_DIR/matrix_only.txt" \
   || { echo "design matrix did not filter each stream exactly once"; exit 1; }
 echo "design-matrix smoke passed"
 
 echo "== filtered-run memo smoke (F5 F8 A2 A3 A5 M1 replay memoized runs: --jobs determinism) =="
-# Lock-step lane groups, the M1 profile and the A2/A3 custom runners all
+# Lock-step plans, the M1 profile and the A2/A3 custom runners all
 # replay memoized filtered runs, and A5's prefetch-off and -on plans of
 # one app share one; under --jobs 2 concurrent consumers of one run wait
 # for a single build. The rendered blocks must not depend on that.
-# Trimmed and masked like the search smoke above.
+# Trimmed and masked like the search smoke above. Each plan obtains its
+# run once, so the memo counters of the footer must not depend on it
+# either.
 MEMO_IDS=(F5 F8 A2 A3 A5 M1)
 "$REPRO" --quick --jobs 1 "${MEMO_IDS[@]}" > "$SMOKE_DIR/memo_j1_full.txt"
 trim_search_run "$SMOKE_DIR/memo_j1_full.txt" > "$SMOKE_DIR/memo_j1.txt"
@@ -277,6 +279,9 @@ grep -q '^filtered-run memo: [1-9][0-9]* run(s) cached' "$SMOKE_DIR/memo_j1_full
 trim_search_run "$SMOKE_DIR/memo_j2_full.txt" > "$SMOKE_DIR/memo_j2.txt"
 diff -u "$SMOKE_DIR/memo_j1.txt" "$SMOKE_DIR/memo_j2.txt" \
   || { echo "memoized experiment output varies with --jobs"; exit 1; }
+diff -u <(grep '^filtered-run memo:' "$SMOKE_DIR/memo_j1_full.txt") \
+  <(grep '^filtered-run memo:' "$SMOKE_DIR/memo_j2_full.txt") \
+  || { echo "filtered-run memo counters vary with --jobs"; exit 1; }
 echo "filtered-run memo smoke passed"
 
 echo "== trace corruption exit-code smoke (one distinct code per class) =="
@@ -378,7 +383,7 @@ cargo bench -p moca-bench --offline --bench micro | tee target/bench_micro_curre
 # fails on baseline benches missing from the current run, but only if
 # they are in the baseline — keep this check in sync with BENCH_micro.json).
 for bench in "sweep-fanout/8-designs-100k" "sweep-lockstep/8-designs-100k" \
-             "lockstep/lane-group-width" "filtered-run/warm-replay" \
+             "filtered-run/warm-replay" \
              "trace-gen/100k-refs" "trace-decode/100k-refs" \
              "trace-file/replay-100k" "mrc/profile-100k" \
              "sweep-lockstep/24-designs-100k" "sweep-pruned/24-designs-100k" \
