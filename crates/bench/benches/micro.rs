@@ -1,7 +1,6 @@
 //! Microbenchmarks of the substrates: trace generation throughput, the
 //! cache access path, L1 filtering, the utility monitor, the sweep
-//! executor against the chunk-broadcast reference engine, and the
-//! filtered-run memo.
+//! executor, and the filtered-run memo.
 
 use moca_bench::{bench_app, Runner, BENCH_SEED};
 use moca_cache::{
@@ -10,14 +9,12 @@ use moca_cache::{
 use moca_core::{L2Design, RefreshPolicy};
 use moca_energy::RetentionClass;
 use moca_search::{run_search, SearchConfig};
-use moca_sim::lockstep::{execute, run_broadcast, Plan};
+use moca_sim::lockstep::{execute, Plan, Point};
 use moca_sim::memo::{RunMemo, MEMO_CAP_BYTES};
 use moca_sim::parallel::Jobs;
 use moca_sim::stream::TraceStream;
-use moca_sim::sweep::{sweep, sweep_pruned};
-use moca_sim::{
-    profile_lru_grid, run_app, FileTraceSource, SweepPoint, SweepPointError, SystemConfig,
-};
+use moca_sim::sweep::sweep_pruned;
+use moca_sim::{profile_lru_grid, FileTraceSource, SweepPointError, SystemConfig};
 use moca_trace::binfmt::{self, TraceReader, CHUNK_REFS};
 use moca_trace::{AppProfile, MemoryAccess, Mode, TraceGenerator};
 use std::hint::black_box;
@@ -131,28 +128,10 @@ fn sweep_designs() -> [L2Design; 8] {
     ]
 }
 
-fn sweep_fanout(r: &mut Runner) {
+fn sweep_lockstep(r: &mut Runner) {
     let app = bench_app();
     let designs = sweep_designs();
     const REFS: usize = 100_000;
-    // The pre-fan-out sweep shape: every design regenerates the trace.
-    r.throughput_elems((designs.len() * REFS) as u64);
-    r.bench("sweep-fanout/8-designs-100k-sequential", || {
-        let mut cycles = 0u64;
-        for &design in &designs {
-            cycles += run_app(&app, design, REFS, BENCH_SEED).cycles;
-        }
-        black_box(cycles)
-    });
-    // Shared-trace chunk broadcast: one stream stepped per-reference
-    // through all eight systems (the reference engine retained as
-    // `run_broadcast` for the differential harness; it generates its
-    // stream on every call).
-    r.throughput_elems((designs.len() * REFS) as u64);
-    r.bench("sweep-fanout/8-designs-100k", || {
-        let reports = run_broadcast(&app, BENCH_SEED, &designs, REFS);
-        black_box(reports.iter().map(|rep| rep.cycles).sum::<u64>())
-    });
     // The executor behind every production sweep: the eight design lanes
     // replay only the L2-visible events of the stream's filtered run,
     // skipping pure-hit runs in O(1), each lane isolated against panics.
@@ -179,9 +158,10 @@ fn mrc_pruning(r: &mut Runner) {
     let app = bench_app();
     const REFS: usize = 100_000;
     const GRID: u32 = 24;
-    let params: Vec<u32> = (1..=GRID).collect();
-    let to_design = |&w: &u32| L2Design::SharedSram { ways: w };
-    let cycles = |points: &[Result<SweepPoint<u32>, SweepPointError>]| {
+    let designs: Vec<L2Design> = (1..=GRID)
+        .map(|ways| L2Design::SharedSram { ways })
+        .collect();
+    let cycles = |points: &[Result<Point, SweepPointError>]| {
         points
             .iter()
             .map(|p| p.as_ref().expect("valid design").report.cycles)
@@ -197,15 +177,16 @@ fn mrc_pruning(r: &mut Runner) {
     // Simulating all 24 points (the pre-MRC sweep shape)...
     r.throughput_elems((GRID as usize * REFS) as u64);
     r.bench("sweep-lockstep/24-designs-100k", || {
-        let points = sweep(&params, to_design, &app, REFS, BENCH_SEED, Jobs::SERIAL);
+        let points = execute(&Plan::new(&app, BENCH_SEED, REFS, &designs), Jobs::SERIAL);
         black_box(cycles(&points))
     });
     // ...vs profiling the grid and simulating only the survivors. Same
     // nominal throughput denominator, so the JSON ratio is the speedup.
     r.throughput_elems((GRID as usize * REFS) as u64);
     r.bench("sweep-pruned/24-designs-100k", || {
-        let pruned = sweep_pruned(&params, to_design, &app, REFS, BENCH_SEED, Jobs::SERIAL);
-        black_box(cycles(&pruned.points) + pruned.pruned_points as u64)
+        let pruned = sweep_pruned(&designs, &app, REFS, BENCH_SEED, Jobs::SERIAL);
+        let simulated: Vec<_> = pruned.points.into_iter().flatten().collect();
+        black_box(cycles(&simulated) + pruned.pruned_points as u64)
     });
 }
 
@@ -315,7 +296,7 @@ fn main() {
     cache_access_path(&mut r);
     l1_filter(&mut r);
     utility_monitor(&mut r);
-    sweep_fanout(&mut r);
+    sweep_lockstep(&mut r);
     mrc_pruning(&mut r);
     search_generation(&mut r);
     trace_replay(&mut r);

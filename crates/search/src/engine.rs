@@ -383,24 +383,21 @@ fn evaluate(
     }
     if !fresh.is_empty() {
         let designs: Vec<moca_core::L2Design> = fresh.iter().map(|g| g.decode()).collect();
-        let result = sweep_pruned(&designs, |d| *d, app, cfg.refs, cfg.seed, jobs);
+        let result = sweep_pruned(&designs, app, cfg.refs, cfg.seed, jobs);
         // Genomes decode through the validating constructors, so a
         // failed point is an engine fault, not a bad candidate.
         let points = result
             .points
             .into_iter()
+            .map(Option::transpose)
             .collect::<Result<Vec<_>, _>>()
             .map_err(io::Error::other)?;
-        let mut simulated: FxHashMap<String, usize> = FxHashMap::default();
-        for (k, point) in points.iter().enumerate() {
-            simulated.insert(point.param.label(), k);
-        }
-        for (g, label) in fresh.iter().zip(&fresh_labels) {
+        for (g, point) in fresh.iter().zip(points) {
             let area_mm2 = design_area_mm2(g).map_err(io::Error::other)?;
-            let fitness = match simulated.get(label) {
-                Some(&k) => {
+            let fitness = match point {
+                Some(point) => {
                     counts.simulated += 1;
-                    let r = &points[k].report;
+                    let r = &point.report;
                     Fitness {
                         energy_nj: r.l2_energy.total().nj() + r.dram_energy.nj(),
                         cycles: r.cycles,

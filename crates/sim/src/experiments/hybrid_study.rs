@@ -12,12 +12,10 @@ use moca_core::{HybridL2, L2BaseParams, L2Design, RefreshPolicy};
 use moca_energy::RetentionClass;
 use moca_trace::AppProfile;
 
-use crate::config::SystemConfig;
-use crate::cpu::InOrderCore;
-use crate::experiments::{ClaimCheck, ExperimentResult};
-use crate::memo::RunMemo;
+use crate::experiments::{replay_flat, ClaimCheck, ExperimentResult};
+use crate::lockstep::{execute, Plan};
+use crate::metrics::SimReport;
 use crate::parallel::{parallel_map, Jobs};
-use crate::sweep::sweep;
 use crate::table::{f3, pct, Table};
 use crate::workloads::{Scale, EXPERIMENT_SEED};
 
@@ -27,30 +25,9 @@ pub const APPS: [&str; 3] = ["camera", "video", "browser"];
 /// Runs the hybrid through its own small runner (it is not an
 /// [`L2Design`] variant; see [`HybridL2`] docs).
 fn run_hybrid(app: &AppProfile, refs: usize) -> (f64, f64, f64, u64) {
-    let cfg = SystemConfig::default();
-    let mut core = InOrderCore::new(cfg.base_cycles_per_ref);
     let mut l2 = HybridL2::new(2, 14, RetentionClass::TenYears, &L2BaseParams::default())
         .expect("static config is valid");
-    // The L1 outcome of every reference comes from the shared filtered
-    // run; the hit gaps retire in O(1), and each miss reaches the L2 at
-    // this runner's own clock.
-    RunMemo::global().replay(app, EXPERIMENT_SEED, &cfg, refs, |chunk| {
-        for ev in chunk.events() {
-            core.retire_many(u64::from(ev.gap));
-            let now = core.cycle();
-            let resp = l2.request(&ev.demand, now);
-            let dram = if resp.dram_read {
-                cfg.dram_latency_cycles
-            } else {
-                0
-            };
-            if let Some(wb) = &ev.writeback {
-                l2.request(wb, now);
-            }
-            core.retire(resp.latency_cycles + dram);
-        }
-        core.retire_many(chunk.tail_gap() as u64);
-    });
+    let core = replay_flat(app, refs, |req, now| l2.request(req, now));
     l2.finalize(core.cycle());
     (
         l2.energy().total().joules(),
@@ -85,25 +62,22 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
         // Baseline, all-STT and the hybrid's own runner all replay one
         // memoized filtered run of the stream.
         let designs = [L2Design::baseline(), all_stt];
-        let mut pair = sweep(&designs, |d| *d, &app, refs, EXPERIMENT_SEED, Jobs::SERIAL);
         // Invariant: both designs are valid constants.
-        let stt = pair
-            .pop()
-            .expect("two designs")
-            .expect("valid design")
-            .report;
-        let base = pair
-            .pop()
-            .expect("two designs")
-            .expect("valid design")
-            .report;
+        let reports: Vec<SimReport> = execute(
+            &Plan::new(&app, EXPERIMENT_SEED, refs, &designs),
+            Jobs::SERIAL,
+        )
+        .into_iter()
+        .map(|p| p.expect("valid design").report)
+        .collect();
         let hybrid = run_hybrid(&app, refs);
-        (base, stt, hybrid)
+        (reports, hybrid)
     });
-    for (name, (base, stt, (hybrid_j, hybrid_cpr, share, migrations))) in APPS.iter().zip(runs) {
+    for (name, (reports, (hybrid_j, hybrid_cpr, share, migrations))) in APPS.iter().zip(runs) {
+        let (base, stt) = (&reports[0], &reports[1]);
         let base_j = base.l2_energy.total().joules();
         let hybrid_norm = hybrid_j / base_j;
-        let stt_norm = stt.energy_ratio_vs(&base);
+        let stt_norm = stt.energy_ratio_vs(base);
         norm_gaps.push(hybrid_norm - stt_norm);
         shares.push(share);
         table.row(vec![

@@ -24,8 +24,9 @@ use moca_core::L2Design;
 use moca_trace::AppProfile;
 
 use crate::experiments::{ClaimCheck, ExperimentResult};
+use crate::lockstep::{execute, Plan, Point};
 use crate::parallel::Jobs;
-use crate::sweep::{profile_lru_grid, score_lru_grid, sweep, sweep_pruned, SweepPoint};
+use crate::sweep::{profile_lru_grid, score_lru_grid, sweep_pruned};
 use crate::table::{f3, Table};
 use crate::workloads::{Scale, EXPERIMENT_SEED};
 
@@ -52,7 +53,7 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
 }
 
 /// Measured total energy (L2 + DRAM) of a simulated point, in nJ.
-fn measured_energy_nj(p: &SweepPoint<u32>) -> f64 {
+fn measured_energy_nj(p: &Point) -> f64 {
     p.report.l2_energy.total().nj() + p.report.dram_energy.nj()
 }
 
@@ -61,24 +62,29 @@ fn measured_energy_nj(p: &SweepPoint<u32>) -> f64 {
 pub fn run_with(scale: Scale, jobs: Jobs, pruned: bool) -> ExperimentResult {
     let refs = scale.sweep_refs();
     let app = AppProfile::by_name(APP).expect("known app");
-    let params: Vec<u32> = (1..=GRID_WAYS).collect();
-    let to_design = |&w: &u32| L2Design::SharedSram { ways: w };
+    let designs: Vec<L2Design> = (1..=GRID_WAYS)
+        .map(|ways| L2Design::SharedSram { ways })
+        .collect();
 
-    let (scores, outcomes) = if pruned {
-        let p = sweep_pruned(&params, to_design, &app, refs, EXPERIMENT_SEED, jobs);
+    let (scores, slots) = if pruned {
+        let p = sweep_pruned(&designs, &app, refs, EXPERIMENT_SEED, jobs);
         *LAST_PRUNE.lock().expect("prune-count lock") =
-            Some((p.grid_points, p.pruned_points, p.points.len()));
+            Some((p.grid_points, p.pruned_points, p.simulated_points()));
         (p.scores, p.points)
     } else {
         let curve = profile_lru_grid(&app, refs, EXPERIMENT_SEED, GRID_WAYS);
         let scores = score_lru_grid(&curve, refs);
-        let points = sweep(&params, to_design, &app, refs, EXPERIMENT_SEED, jobs);
+        let plan = Plan::new(&app, EXPERIMENT_SEED, refs, &designs);
+        let points = execute(&plan, jobs).into_iter().map(Some).collect();
         (scores, points)
     };
-    let points: Vec<SweepPoint<u32>> = outcomes
-        .into_iter()
-        // Invariant: every grid point has 1..=GRID_WAYS ways, a valid design.
-        .map(|p| p.expect("grid designs are valid"))
+    // Slot `i` holds the grid point of `i + 1` ways; pruned slots are empty.
+    let points: Vec<(u32, Point)> = (1..)
+        .zip(slots)
+        .filter_map(|(ways, slot)| {
+            // Invariant: every grid point has 1..=GRID_WAYS ways, a valid design.
+            slot.map(|p| (ways, p.expect("grid designs are valid")))
+        })
         .collect();
 
     let mut score_table = Table::new(vec![
@@ -111,9 +117,9 @@ pub fn run_with(scale: Scale, jobs: Jobs, pruned: bool) -> ExperimentResult {
         "cycles",
         "measured EDP",
     ]);
-    for p in &points {
+    for (ways, p) in &points {
         sim_table.row(vec![
-            p.param.to_string(),
+            ways.to_string(),
             f3(p.report.l2_miss_rate()),
             format!("{:.1}", measured_energy_nj(p) / 1e3),
             p.report.cycles.to_string(),
@@ -124,8 +130,8 @@ pub fn run_with(scale: Scale, jobs: Jobs, pruned: bool) -> ExperimentResult {
     // Exactness: every simulated LRU point's hit/miss counts equal the
     // profiler's — the engine's headline contract.
     let mut mismatches = 0usize;
-    for p in &points {
-        let s = scores[p.param as usize - 1];
+    for (ways, p) in &points {
+        let s = scores[*ways as usize - 1];
         if p.report.l2_stats.hits() != s.hits || p.report.l2_stats.misses() != s.misses {
             mismatches += 1;
         }
@@ -140,9 +146,9 @@ pub fn run_with(scale: Scale, jobs: Jobs, pruned: bool) -> ExperimentResult {
     // Frontier safety: the measured-EDP winner is an analytic survivor.
     // In pruned mode only survivors simulated, so the check degenerates;
     // the unpruned suite run is the real guard.
-    let best = points
+    let (best, _) = points
         .iter()
-        .min_by(|a, b| {
+        .min_by(|(_, a), (_, b)| {
             let ea = measured_energy_nj(a) * a.report.cycles as f64;
             let eb = measured_energy_nj(b) * b.report.cycles as f64;
             ea.partial_cmp(&eb).expect("finite EDP")
@@ -153,14 +159,14 @@ pub fn run_with(scale: Scale, jobs: Jobs, pruned: bool) -> ExperimentResult {
         target: "the measured-EDP-best grid point survives analytic pruning".into(),
         measured: format!(
             "best = {} ways; survivor set = {:?}",
-            best.param,
+            best,
             scores
                 .iter()
                 .filter(|s| s.survives)
                 .map(|s| s.ways)
                 .collect::<Vec<_>>()
         ),
-        pass: scores[best.param as usize - 1].survives,
+        pass: scores[*best as usize - 1].survives,
     };
 
     let survivors = scores.iter().filter(|s| s.survives).count();

@@ -10,12 +10,10 @@
 use moca_core::{L2BaseParams, L2Design, SetPartitionedL2};
 use moca_trace::AppProfile;
 
-use crate::config::SystemConfig;
-use crate::cpu::InOrderCore;
-use crate::experiments::{ClaimCheck, ExperimentResult};
-use crate::memo::RunMemo;
+use crate::experiments::{replay_flat, ClaimCheck, ExperimentResult};
+use crate::lockstep::{execute, Plan};
+use crate::metrics::SimReport;
 use crate::parallel::{parallel_map, Jobs};
-use crate::sweep::sweep;
 use crate::table::{f3, Table};
 use crate::workloads::{Scale, EXPERIMENT_SEED};
 
@@ -26,30 +24,9 @@ pub const APPS: [&str; 4] = ["browser", "video", "music", "office"];
 /// (the standard [`System`](crate::system::System) drives `MobileL2`, so
 /// this experiment has its own small runner).
 fn run_set_partitioned(app: &AppProfile, refs: usize) -> (f64, f64, u64) {
-    let cfg = SystemConfig::default();
-    let mut core = InOrderCore::new(cfg.base_cycles_per_ref);
     let mut l2 = SetPartitionedL2::new(1024, 512, 16, &L2BaseParams::default())
         .expect("static geometry is valid");
-    // The L1 outcome of every reference comes from the shared filtered
-    // run; the hit gaps retire in O(1), and each miss reaches the L2 at
-    // this runner's own clock.
-    RunMemo::global().replay(app, EXPERIMENT_SEED, &cfg, refs, |chunk| {
-        for ev in chunk.events() {
-            core.retire_many(u64::from(ev.gap));
-            let now = core.cycle();
-            let resp = l2.request(&ev.demand, now);
-            let dram = if resp.dram_read {
-                cfg.dram_latency_cycles
-            } else {
-                0
-            };
-            if let Some(wb) = &ev.writeback {
-                l2.request(wb, now);
-            }
-            core.retire(resp.latency_cycles + dram);
-        }
-        core.retire_many(chunk.tail_gap() as u64);
-    });
+    let core = replay_flat(app, refs, |req, now| l2.request(req, now));
     l2.finalize(core.cycle());
     let miss = l2.stats().miss_rate();
     let cpr = core.cycle() as f64 / core.refs() as f64;
@@ -78,29 +55,26 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
         // Baseline, way-partitioned and the set-partitioned runner all
         // replay one memoized filtered run of the stream.
         let designs = [L2Design::baseline(), way_design];
-        let mut pair = sweep(&designs, |d| *d, &app, refs, EXPERIMENT_SEED, Jobs::SERIAL);
         // Invariant: both designs are valid constants.
-        let way = pair
-            .pop()
-            .expect("two designs")
-            .expect("valid design")
-            .report;
-        let base = pair
-            .pop()
-            .expect("two designs")
-            .expect("valid design")
-            .report;
+        let reports: Vec<SimReport> = execute(
+            &Plan::new(&app, EXPERIMENT_SEED, refs, &designs),
+            Jobs::SERIAL,
+        )
+        .into_iter()
+        .map(|p| p.expect("valid design").report)
+        .collect();
         let set = run_set_partitioned(&app, refs);
-        (base, way, set)
+        (reports, set)
     });
-    for (name, (base, way, (set_miss, set_cpr, _))) in APPS.iter().zip(runs) {
+    for (name, (reports, (set_miss, set_cpr, _))) in APPS.iter().zip(runs) {
+        let (base, way) = (&reports[0], &reports[1]);
         way_miss_sum += way.l2_miss_rate();
         set_miss_sum += set_miss;
         table.row(vec![
             name.to_string(),
             f3(way.l2_miss_rate()),
             f3(set_miss),
-            f3(way.slowdown_vs(&base)),
+            f3(way.slowdown_vs(base)),
             f3(set_cpr / base.cpr()),
         ]);
     }

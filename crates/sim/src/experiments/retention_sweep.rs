@@ -13,8 +13,8 @@ use moca_energy::RetentionClass;
 use moca_trace::AppProfile;
 
 use crate::experiments::{ClaimCheck, ExperimentResult};
+use crate::lockstep::{execute, Plan};
 use crate::parallel::{parallel_map, Jobs};
-use crate::sweep::sweep;
 use crate::table::{f3, Table};
 use crate::workloads::{Scale, EXPERIMENT_SEED};
 
@@ -68,11 +68,14 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
     );
     // per_app[i][0] is app i's baseline; [1..] follow `configs` order.
     let per_app: Vec<Vec<_>> = parallel_map(jobs, apps.clone(), |a| {
-        sweep(&designs, |d| *d, &a, refs, EXPERIMENT_SEED, Jobs::SERIAL)
-            .into_iter()
-            // Invariant: the baseline and every grid point are valid.
-            .map(|p| p.expect("retention grid designs are valid").report)
-            .collect()
+        execute(
+            &Plan::new(&a, EXPERIMENT_SEED, refs, &designs),
+            Jobs::SERIAL,
+        )
+        .into_iter()
+        // Invariant: the baseline and every grid point are valid.
+        .map(|p| p.expect("retention grid designs are valid").report)
+        .collect()
     });
     let baseline_energy: Vec<f64> = per_app
         .iter()

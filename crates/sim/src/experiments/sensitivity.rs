@@ -15,8 +15,8 @@ use moca_energy::RetentionClass;
 use moca_trace::AppProfile;
 
 use crate::experiments::{ClaimCheck, ExperimentResult};
+use crate::lockstep::{execute, Plan};
 use crate::parallel::Jobs;
-use crate::sweep::sweep;
 use crate::table::{f3, Table};
 use crate::workloads::{Scale, EXPERIMENT_SEED};
 
@@ -108,7 +108,7 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
     work.extend(variants.iter().map(|(_, d)| *d));
     // One shared trace stream feeds the baseline plus all 13 variants;
     // reports stay byte-identical to per-design `run_app`.
-    let mut reports: Vec<_> = sweep(&work, |d| *d, &app, refs, EXPERIMENT_SEED, jobs)
+    let mut reports: Vec<_> = execute(&Plan::new(&app, EXPERIMENT_SEED, refs, &work), jobs)
         .into_iter()
         // Invariant: the baseline and every variant are valid constants.
         .map(|p| p.expect("sensitivity variants are valid").report)

@@ -11,8 +11,8 @@ use moca_core::{find_min_partition, L2Design};
 use moca_trace::AppProfile;
 
 use crate::experiments::{ClaimCheck, ExperimentResult};
+use crate::lockstep::{execute, Plan};
 use crate::parallel::{parallel_map, Jobs};
-use crate::sweep::sweep;
 use crate::table::{f3, Table};
 use crate::workloads::{Scale, EXPERIMENT_SEED};
 
@@ -46,7 +46,11 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
         // front end, because every evaluation of the same (app, seed)
         // after the first replays the memoized filtered run.
         let eval = |design: L2Design| {
-            let mut points = sweep(&[design], |d| *d, &app, refs, EXPERIMENT_SEED, Jobs::SERIAL);
+            let designs = [design];
+            let mut points = execute(
+                &Plan::new(&app, EXPERIMENT_SEED, refs, &designs),
+                Jobs::SERIAL,
+            );
             // Invariant: the baseline and every searched partition are valid.
             let point = points.pop().expect("one design in, one point out");
             point.expect("searched designs are valid").report

@@ -12,8 +12,8 @@
 //! trace replay layer over compiled corpora ([`replay`]), the
 //! crash-tolerant journal that checkpoints `repro` experiments and
 //! search generations ([`checkpoint`]), a zero-dependency
-//! observability layer ([`telemetry`]), and the `tracegen` /
-//! `trace_corpus` binaries.
+//! observability layer ([`telemetry`]), and the `trace_corpus`
+//! binary.
 //!
 //! ```
 //! use moca_core::L2Design;
@@ -54,17 +54,15 @@ pub use config::SystemConfig;
 pub use cpu::InOrderCore;
 pub use dram::{DramModel, RowBufferDram, RowBufferParams};
 pub use error::{PointCause, SweepPointError};
-pub use lockstep::{
-    execute, front_end_refs, run_broadcast, FilteredChunk, FrontEnd, LaneEvent, Plan, Point,
-};
+pub use lockstep::{execute, front_end_refs, FilteredChunk, FrontEnd, LaneEvent, Plan, Point};
 pub use memo::{MemoStats, RunMemo, MEMO_CAP_BYTES};
 pub use metrics::{geometric_mean, mean, SimReport};
 pub use parallel::{catch_panic, parallel_map, Jobs};
 pub use replay::{FileTraceSource, TraceIoStats, TraceRegistry};
 pub use stream::TraceStream;
 pub use sweep::{
-    comparison_table, csv_row, profile_lru_grid, score_lru_grid, sweep, sweep_pruned, write_csv,
-    MrcScore, PrunedSweep, SweepPoint,
+    comparison_table, csv_row, profile_lru_grid, score_lru_grid, sweep_pruned, write_csv, MrcScore,
+    PrunedSweep,
 };
 pub use system::{BuildSystemError, System};
 pub use telemetry::{Event, JsonlRecorder};

@@ -48,10 +48,8 @@
 //! deterministic too (build errors are pure functions of the design;
 //! panics in a deterministic replay carry a deterministic payload), so
 //! the failed-point set is identical for any number of workers. The
-//! cross-engine differential suites
-//! (`crates/sim/tests/lockstep_differential.rs`, `lockstep_props.rs`) pin
-//! this against both the scalar oracle and the broadcast reference engine
-//! ([`run_broadcast`]).
+//! differential suites (`crates/sim/tests/lockstep_differential.rs`,
+//! `lockstep_props.rs`) pin this against the scalar oracle.
 
 use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -571,46 +569,6 @@ pub fn execute(plan: &Plan<'_>, jobs: Jobs) -> Vec<Result<Point, SweepPointError
             })
         })
         .collect()
-}
-
-/// The chunk-broadcast reference engine: one shared stream, each
-/// design re-filtering every chunk through its own scalar
-/// [`System::run_batch`] loop, under the default [`SystemConfig`].
-///
-/// Production runs go through [`execute`]; this path is the middle
-/// reference of the cross-engine differential harness (scalar
-/// [`run_app`](crate::workloads::run_app) ≡ broadcast ≡ lock-step) and
-/// of the `sweep-fanout/8-designs-100k` benchmark.
-///
-/// # Panics
-///
-/// Panics if any design is invalid.
-pub fn run_broadcast(
-    app: &AppProfile,
-    seed: u64,
-    designs: &[L2Design],
-    refs: usize,
-) -> Vec<SimReport> {
-    let mut systems: Vec<System> = designs
-        .iter()
-        .map(|design| {
-            System::new(app.name, *design, SystemConfig::default())
-                .expect("reference designs must be valid")
-        })
-        .collect();
-    if !systems.is_empty() {
-        let mut stream = TraceStream::new(app, seed);
-        let mut left = refs;
-        while left > 0 {
-            let chunk = stream.next_chunk();
-            let n = chunk.len().min(left);
-            for sys in &mut systems {
-                sys.run_batch(&chunk[..n]);
-            }
-            left -= n;
-        }
-    }
-    systems.into_iter().map(System::finish).collect()
 }
 
 #[cfg(test)]

@@ -1,17 +1,13 @@
-//! Parameter-sweep utilities and report export.
+//! MRC-pruned sweeps and report export.
 //!
-//! The experiment modules cover the paper's figures; this module gives
-//! downstream users the same machinery for *their own* studies: run a
-//! family of design points over an app, collect [`SimReport`]s, and
-//! export them as CSV or a comparison table.
-//!
-//! Every sweep is a thin layer over the one executor,
-//! [`crate::lockstep::execute`]: [`sweep`] maps parameters to designs
-//! and designs to [`SweepPoint`]s, and [`sweep_pruned`] (below)
-//! pre-filters the designs and executes a smaller plan. The workload
-//! stream is filtered once per `(app, seed)` and replayed by every
-//! design lane, so an N-point sweep pays the front-end cost once
-//! instead of N times; a failing design point fails in its own slot.
+//! A family of design points over an app runs through the one executor,
+//! [`crate::lockstep::execute`]: build the design list, hand it to a
+//! [`Plan`], and export the [`SimReport`]s as CSV or a comparison table.
+//! The workload stream is filtered once per `(app, seed)` and replayed
+//! by every design lane, so an N-point sweep pays the front-end cost
+//! once instead of N times; a failing design point fails in its own
+//! slot. [`sweep_pruned`] (below) pre-filters the designs and executes a
+//! smaller plan.
 //!
 //! # MRC-based pruning
 //!
@@ -46,84 +42,6 @@ use crate::parallel::Jobs;
 use crate::table::Table;
 use crate::telemetry::{self, Event, Kind};
 
-/// One point of a sweep: the parameter value, its simulation report,
-/// and the wall-clock time spent simulating it.
-#[derive(Debug, Clone)]
-pub struct SweepPoint<P> {
-    /// The swept parameter value.
-    pub param: P,
-    /// The resulting report.
-    pub report: SimReport,
-    /// Wall-clock nanoseconds spent simulating this design point
-    /// (trace generation is shared across the sweep and excluded).
-    pub wall_ns: u64,
-}
-
-impl<P> SweepPoint<P> {
-    fn new(param: P, point: Point) -> Self {
-        SweepPoint {
-            param,
-            report: point.report,
-            wall_ns: point.wall_ns,
-        }
-    }
-}
-
-/// Runs `app` on the design produced for every parameter value, with
-/// the design points sharded over `jobs` threads.
-///
-/// One outcome per parameter, in parameter order: the point, or the
-/// [`SweepPointError`] of a design that failed to build or panicked —
-/// every other point still completes. The reports (and their CSV
-/// rendering minus the measured `wall_ns` column) and the failed-point
-/// set are **byte-identical** for every job count, and each report is
-/// byte-identical to running that design alone via
-/// [`crate::workloads::run_app`].
-///
-/// # Examples
-///
-/// ```
-/// use moca_sim::parallel::Jobs;
-/// use moca_sim::sweep::sweep;
-/// use moca_core::L2Design;
-/// use moca_trace::AppProfile;
-///
-/// // Sweep the shared-cache associativity; ways = 0 is rejected at
-/// // build time while the other points complete.
-/// let points = sweep(
-///     &[4u32, 0, 16],
-///     |&ways| L2Design::SharedSram { ways },
-///     &AppProfile::music(),
-///     30_000,
-///     1,
-///     Jobs::new(2),
-/// );
-/// assert_eq!(points[1].as_ref().unwrap_err().index, 1);
-/// let (four, sixteen) = (points[0].as_ref().unwrap(), points[2].as_ref().unwrap());
-/// // More ways → miss rate cannot get worse by much.
-/// assert!(sixteen.report.l2_miss_rate() <= four.report.l2_miss_rate() + 0.01);
-/// ```
-pub fn sweep<P, F>(
-    params: &[P],
-    to_design: F,
-    app: &AppProfile,
-    refs: usize,
-    seed: u64,
-    jobs: Jobs,
-) -> Vec<Result<SweepPoint<P>, SweepPointError>>
-where
-    P: Clone,
-    F: FnMut(&P) -> L2Design,
-{
-    let designs: Vec<L2Design> = params.iter().map(to_design).collect();
-    let outcomes = execute(&Plan::new(app, seed, refs, &designs), jobs);
-    params
-        .iter()
-        .zip(outcomes)
-        .map(|(p, outcome)| outcome.map(|point| SweepPoint::new(p.clone(), point)))
-        .collect()
-}
-
 /// The CSV header matching [`csv_row`].
 pub const CSV_HEADER: &str = "app,design,refs,cycles,cpr,l2_accesses,l2_miss_rate,\
 l2_kernel_share,l2_energy_nj,leakage_nj,dynamic_nj,refresh_nj,dram_energy_nj,\
@@ -153,7 +71,7 @@ fn csv_field(field: &str) -> std::borrow::Cow<'_, str> {
 /// Renders one report as a CSV row (fields per [`CSV_HEADER`]).
 ///
 /// `wall_ns` is the measured simulation time of the point (use
-/// [`SweepPoint::wall_ns`], or `0` when timing was not collected).
+/// [`Point::wall_ns`], or `0` when timing was not collected).
 /// The `app` and `design` string fields are RFC-4180-quoted when they
 /// contain CSV metacharacters; numeric fields are never quoted.
 pub fn csv_row(r: &SimReport, wall_ns: u64) -> String {
@@ -183,7 +101,7 @@ pub fn csv_row(r: &SimReport, wall_ns: u64) -> String {
 
 /// Writes `(report, wall_ns)` pairs as CSV (header + one row per pair).
 ///
-/// A mutable reference to any [`Write`] can be passed. Sweep results
+/// A mutable reference to any [`Write`] can be passed. Executed points
 /// adapt via `points.iter().map(|p| (&p.report, p.wall_ns))`; pass `0`
 /// as `wall_ns` for reports without timing.
 ///
@@ -370,15 +288,15 @@ fn scorable_ways(design: &L2Design, cfg: &SystemConfig) -> Option<u32> {
     }
 }
 
-/// Result of a pruned sweep: the simulated survivors plus the analytic
-/// scores that justified skipping the rest.
+/// Result of a pruned sweep: one slot per input design plus the
+/// analytic scores that justified skipping the pruned ones.
 #[derive(Debug, Clone)]
-pub struct PrunedSweep<P> {
-    /// Simulated points — the Pareto survivors plus every non-scorable
-    /// design — in the original parameter order, each failure carrying
-    /// its original parameter index. Each report is byte-identical to
-    /// the same point of an unpruned [`sweep`].
-    pub points: Vec<Result<SweepPoint<P>, SweepPointError>>,
+pub struct PrunedSweep {
+    /// One slot per input design, in input order: `None` for a pruned
+    /// design, otherwise its lane's outcome — a failure carries its
+    /// input index. Each report is byte-identical to the same design of
+    /// an unpruned [`execute`].
+    pub points: Vec<Option<Result<Point, SweepPointError>>>,
     /// Analytic scores of way counts `1..=max_ways`, or empty when the
     /// input had fewer than two scorable grid points (a profiling pass
     /// could not have saved a simulation, so none runs).
@@ -389,24 +307,24 @@ pub struct PrunedSweep<P> {
     pub pruned_points: usize,
 }
 
-impl<P> PrunedSweep<P> {
+impl PrunedSweep {
     /// Number of design points that ran full simulation.
     pub fn simulated_points(&self) -> usize {
-        self.points.len()
+        self.points.iter().filter(|p| p.is_some()).count()
     }
 }
 
-/// [`sweep`] with MRC-based pruning: one exact stack-distance pass
-/// scores every shared-SRAM LRU point analytically, and only the
-/// (projected energy, projected cycles) Pareto survivors — plus every
-/// design the profiler cannot score — run full lock-step simulation,
-/// sharded over `jobs` threads.
+/// Runs `designs` over `app` with MRC-based pruning: one exact
+/// stack-distance pass scores every shared-SRAM LRU point analytically,
+/// and only the (projected energy, projected cycles) Pareto survivors —
+/// plus every design the profiler cannot score — run full lock-step
+/// simulation, sharded over `jobs` threads.
 ///
 /// The profiling pass, the scores, and the survivor set are computed
 /// before any simulation and do not depend on `jobs`, so the pruned
-/// sweep inherits [`sweep`]'s determinism contract: the simulated
+/// sweep inherits [`execute`]'s determinism contract: the simulated
 /// reports are byte-identical for every job count, and byte-identical
-/// to the same points of an unpruned [`sweep`]
+/// to the same designs of an unpruned [`execute`]
 /// (`crates/sim/tests/mrc_prune.rs`).
 ///
 /// When telemetry is enabled the profiling pass emits one `mrc` event
@@ -420,37 +338,25 @@ impl<P> PrunedSweep<P> {
 /// use moca_core::L2Design;
 /// use moca_trace::AppProfile;
 ///
-/// let ways: Vec<u32> = (1..=12).collect();
-/// let pruned = sweep_pruned(
-///     &ways,
-///     |&ways| L2Design::SharedSram { ways },
-///     &AppProfile::game(),
-///     20_000,
-///     1,
-///     Jobs::SERIAL,
-/// );
+/// let designs: Vec<L2Design> = (1..=12).map(|ways| L2Design::SharedSram { ways }).collect();
+/// let pruned = sweep_pruned(&designs, &AppProfile::game(), 20_000, 1, Jobs::SERIAL);
 /// assert_eq!(pruned.grid_points, 12);
 /// assert_eq!(pruned.simulated_points() + pruned.pruned_points, 12);
 /// // Every simulated point's hit count matches its analytic score.
-/// for p in &pruned.points {
-///     let p = p.as_ref().expect("valid design");
-///     let score = pruned.scores[p.param as usize - 1];
-///     assert_eq!(p.report.l2_stats.hits(), score.hits);
+/// for (score, slot) in pruned.scores.iter().zip(&pruned.points) {
+///     if let Some(point) = slot {
+///         let point = point.as_ref().expect("valid design");
+///         assert_eq!(point.report.l2_stats.hits(), score.hits);
+///     }
 /// }
 /// ```
-pub fn sweep_pruned<P, F>(
-    params: &[P],
-    to_design: F,
+pub fn sweep_pruned(
+    designs: &[L2Design],
     app: &AppProfile,
     refs: usize,
     seed: u64,
     jobs: Jobs,
-) -> PrunedSweep<P>
-where
-    P: Clone,
-    F: FnMut(&P) -> L2Design,
-{
-    let designs: Vec<L2Design> = params.iter().map(to_design).collect();
+) -> PrunedSweep {
     let cfg = SystemConfig::default();
     let scorable: Vec<Option<u32>> = designs.iter().map(|d| scorable_ways(d, &cfg)).collect();
     let grid_points = scorable.iter().filter(|w| w.is_some()).count();
@@ -489,29 +395,35 @@ where
         Vec::new()
     };
 
-    let kept: Vec<usize> = (0..designs.len())
-        .filter(|&i| match scorable[i] {
-            Some(w) if !scores.is_empty() => scores[w as usize - 1].survives,
+    let kept: Vec<bool> = scorable
+        .iter()
+        .map(|ways| match ways {
+            Some(w) if !scores.is_empty() => scores[*w as usize - 1].survives,
             _ => true,
         })
         .collect();
     // The survivors run as one smaller plan; each failure is re-indexed
-    // from the plan to the parameter list.
-    let survivors: Vec<L2Design> = kept.iter().map(|&i| designs[i]).collect();
-    let outcomes = execute(&Plan::new(app, seed, refs, &survivors), jobs);
+    // from the plan to the input list.
+    let survivors: Vec<L2Design> = designs
+        .iter()
+        .zip(&kept)
+        .filter(|(_, &keep)| keep)
+        .map(|(d, _)| *d)
+        .collect();
+    let mut outcomes = execute(&Plan::new(app, seed, refs, &survivors), jobs).into_iter();
     let points = kept
         .iter()
-        .zip(outcomes)
-        .map(|(&index, outcome)| match outcome {
-            Ok(point) => Ok(SweepPoint::new(params[index].clone(), point)),
-            Err(e) => Err(SweepPointError { index, ..e }),
+        .enumerate()
+        .map(|(index, &keep)| {
+            let outcome = if keep { outcomes.next() } else { None };
+            outcome.map(|o| o.map_err(|e| SweepPointError { index, ..e }))
         })
         .collect();
     PrunedSweep {
         points,
         scores,
         grid_points,
-        pruned_points: designs.len() - kept.len(),
+        pruned_points: designs.len() - survivors.len(),
     }
 }
 
@@ -528,68 +440,19 @@ mod tests {
         ]
     }
 
-    /// The points of a sweep whose every design is valid.
-    fn ok<P>(outcomes: Vec<Result<SweepPoint<P>, SweepPointError>>) -> Vec<SweepPoint<P>> {
-        outcomes
-            .into_iter()
-            .map(|p| p.expect("valid design"))
-            .collect()
-    }
-
-    /// CSV with the measured `wall_ns` column blanked, for byte-identity
-    /// comparisons across job counts.
-    fn csv_sans_wall<P>(points: &[SweepPoint<P>]) -> Vec<u8> {
-        let mut buf = Vec::new();
-        write_csv(&mut buf, points.iter().map(|p| (&p.report, 0))).expect("write");
-        buf
-    }
-
     #[test]
-    fn sweep_runs_every_point() {
+    fn executed_points_carry_reports_and_time() {
         let app = AppProfile::game();
-        let pts = ok(sweep(
-            &[2u32, 4],
-            |&w| L2Design::SharedSram { ways: w },
-            &app,
-            20_000,
-            3,
-            Jobs::SERIAL,
-        ));
+        let designs = [
+            L2Design::SharedSram { ways: 2 },
+            L2Design::SharedSram { ways: 4 },
+        ];
+        let pts = execute(&Plan::new(&app, 3, 20_000, &designs), Jobs::SERIAL);
         assert_eq!(pts.len(), 2);
-        assert_eq!(pts[0].param, 2);
-        assert!(pts[0].report.l2_stats.accesses() > 0);
-        assert!(pts[0].wall_ns > 0, "sweep points carry simulation time");
-    }
-
-    #[test]
-    fn sweep_matches_per_design_run_app() {
-        let app = AppProfile::game();
-        let params = [2u32, 8];
-        let pts = ok(sweep(
-            &params,
-            |&w| L2Design::SharedSram { ways: w },
-            &app,
-            20_000,
-            3,
-            Jobs::SERIAL,
-        ));
-        for (p, pt) in params.iter().zip(&pts) {
-            let solo = run_app(&app, L2Design::SharedSram { ways: *p }, 20_000, 3);
-            assert_eq!(format!("{:?}", pt.report), format!("{solo:?}"));
-        }
-    }
-
-    #[test]
-    fn parallel_sweep_csv_is_byte_identical_to_serial() {
-        let app = AppProfile::game();
-        let to_design = |&w: &u32| L2Design::SharedSram { ways: w };
-        let params = [2u32, 4, 8, 16];
-        let serial = ok(sweep(&params, to_design, &app, 20_000, 3, Jobs::SERIAL));
-        let serial_csv = csv_sans_wall(&serial);
-        for jobs in [1, 2, 8] {
-            let par = ok(sweep(&params, to_design, &app, 20_000, 3, Jobs::new(jobs)));
-            assert_eq!(serial_csv, csv_sans_wall(&par), "jobs = {jobs}");
-        }
+        let first = pts[0].as_ref().expect("valid design");
+        assert_eq!(first.report.design, designs[0].label());
+        assert!(first.report.l2_stats.accesses() > 0);
+        assert!(first.wall_ns > 0, "executed points carry simulation time");
     }
 
     #[test]
@@ -775,25 +638,38 @@ mod tests {
         assert_eq!(kept, vec![1, 2, 4]);
     }
 
+    /// `ways`-way shared-SRAM designs, one per entry.
+    fn grid(ways: impl IntoIterator<Item = u32>) -> Vec<L2Design> {
+        ways.into_iter()
+            .map(|ways| L2Design::SharedSram { ways })
+            .collect()
+    }
+
     #[test]
     fn pruned_sweep_reports_match_unpruned_points() {
         let app = AppProfile::game();
-        let to_design = |&w: &u32| L2Design::SharedSram { ways: w };
-        let params: Vec<u32> = (1..=10).collect();
-        let full = ok(sweep(&params, to_design, &app, 20_000, 3, Jobs::SERIAL));
-        let pruned = sweep_pruned(&params, to_design, &app, 20_000, 3, Jobs::SERIAL);
+        let designs = grid(1..=10);
+        let full = execute(&Plan::new(&app, 3, 20_000, &designs), Jobs::SERIAL);
+        let pruned = sweep_pruned(&designs, &app, 20_000, 3, Jobs::SERIAL);
         assert_eq!(pruned.grid_points, 10);
         assert_eq!(pruned.scores.len(), 10);
         assert!(
             pruned.pruned_points > 0,
             "a 10-point LRU grid must have dominated points"
         );
+        assert_eq!(pruned.points.len(), 10, "one slot per input design");
         assert_eq!(pruned.simulated_points() + pruned.pruned_points, 10);
-        for p in pruned.points {
-            let p = p.expect("valid design");
-            let twin = &full[p.param as usize - 1];
-            assert_eq!(twin.param, p.param);
-            assert_eq!(csv_row(&p.report, 0), csv_row(&twin.report, 0));
+        assert_eq!(
+            pruned.points.iter().flatten().count(),
+            pruned.simulated_points()
+        );
+        for ((slot, twin), score) in pruned.points.iter().zip(&full).zip(&pruned.scores) {
+            assert_eq!(slot.is_some(), score.survives, "ways = {}", score.ways);
+            if let Some(p) = slot {
+                let p = p.as_ref().expect("valid design");
+                let twin = twin.as_ref().expect("valid design");
+                assert_eq!(csv_row(&p.report, 0), csv_row(&twin.report, 0));
+            }
         }
     }
 
@@ -801,7 +677,7 @@ mod tests {
     fn non_scorable_designs_always_simulate() {
         let app = AppProfile::music();
         let designs = [L2Design::static_default(), L2Design::dynamic_default()];
-        let pruned = sweep_pruned(&designs, |d| *d, &app, 10_000, 1, Jobs::SERIAL);
+        let pruned = sweep_pruned(&designs, &app, 10_000, 1, Jobs::SERIAL);
         assert_eq!(pruned.grid_points, 0);
         assert_eq!(pruned.pruned_points, 0);
         assert!(
@@ -809,42 +685,32 @@ mod tests {
             "nothing scorable, no profiling pass"
         );
         assert_eq!(pruned.simulated_points(), 2);
+        assert!(pruned.points.iter().all(Option::is_some));
     }
 
     #[test]
-    fn pruned_failures_carry_their_parameter_index() {
+    fn pruned_failures_carry_their_input_index() {
         let app = AppProfile::music();
-        let mut params: Vec<u32> = (1..=10).collect();
-        params.push(0);
-        let pruned = sweep_pruned(
-            &params,
-            |&w| L2Design::SharedSram { ways: w },
-            &app,
-            10_000,
-            1,
-            Jobs::new(2),
-        );
+        let designs = grid((1..=10).chain([0]));
+        let pruned = sweep_pruned(&designs, &app, 10_000, 1, Jobs::new(2));
         assert!(pruned.pruned_points > 0, "the grid must prune");
         // ways = 0 is not scorable, so it always simulates — and fails
-        // in its own slot under its parameter index, not its index in
-        // the smaller plan of survivors.
+        // in its own slot under its input index, not its index in the
+        // smaller plan of survivors.
         let (last, rest) = pruned.points.split_last().expect("points");
-        let e = last.as_ref().expect_err("ways=0 is invalid");
+        let e = last
+            .as_ref()
+            .expect("ways=0 simulates")
+            .as_ref()
+            .expect_err("ways=0 is invalid");
         assert_eq!(e.index, 10);
-        assert!(rest.iter().all(Result::is_ok));
+        assert!(rest.iter().flatten().all(Result::is_ok));
     }
 
     #[test]
     fn single_grid_point_skips_profiling() {
         let app = AppProfile::music();
-        let pruned = sweep_pruned(
-            &[4u32],
-            |&w| L2Design::SharedSram { ways: w },
-            &app,
-            10_000,
-            1,
-            Jobs::SERIAL,
-        );
+        let pruned = sweep_pruned(&grid([4]), &app, 10_000, 1, Jobs::SERIAL);
         assert_eq!(pruned.grid_points, 1);
         assert!(pruned.scores.is_empty(), "one point cannot be pruned");
         assert_eq!(pruned.simulated_points(), 1);

@@ -126,37 +126,11 @@ impl System {
         self.core.cycle()
     }
 
-    /// Processes one reference.
+    /// Processes one reference: the L1 filter at the current cycle,
+    /// then `step_filtered` on its demand/writeback pair.
     pub fn step(&mut self, access: &MemoryAccess) {
-        let now = self.core.cycle();
-        let outcome = self.l1.filter(access, now);
-        let mut stall = 0u64;
-        if let Some(demand) = outcome.demand {
-            let resp = if self.cfg.l2_behavior_probe {
-                self.l2.request_with_behavior(&demand, now)
-            } else {
-                self.l2.request(&demand, now)
-            };
-            let dram_cycles = if !resp.dram_read {
-                0
-            } else {
-                match self.dram.as_mut() {
-                    None => self.cfg.dram_latency_cycles,
-                    Some(dram) => dram.access(demand.line, self.cfg.line_bytes).1,
-                }
-            };
-            stall = resp.latency_cycles + dram_cycles;
-        }
-        if let Some(wb) = outcome.writeback {
-            // Writebacks are off the critical path: they cost energy and
-            // may evict, but do not stall the core.
-            if self.cfg.l2_behavior_probe {
-                self.l2.request_with_behavior(&wb, now);
-            } else {
-                self.l2.request(&wb, now);
-            }
-        }
-        self.core.retire(stall);
+        let outcome = self.l1.filter(access, self.core.cycle());
+        self.step_filtered(outcome.demand.as_ref(), outcome.writeback.as_ref());
     }
 
     /// Advances time by `cycles` without issuing references (an idle
@@ -179,14 +153,17 @@ impl System {
         self.core.retire_many(n);
     }
 
-    /// Processes one reference whose L1 outcome was already computed by a
-    /// shared front end.
+    /// Processes one reference whose L1 outcome was already computed,
+    /// by [`System::step`] or by a shared front end.
     ///
-    /// This is [`System::step`] with the `l1.filter` call hoisted out:
-    /// the demand/writeback pair is exactly what `filter` returned for
+    /// The demand/writeback pair is exactly what `filter` returned for
     /// this access, and the L1 decision is time-independent (replacement
     /// state never reads the timestamp), so issuing the requests at this
     /// lane's *own* `now` reproduces the scalar run bit for bit.
+    // Forced inline: with `step` as a second caller the compiler stops
+    // inlining it into the lane replay loop, which then measured 4-7%
+    // slower end to end on the matrix experiments.
+    #[inline(always)]
     pub(crate) fn step_filtered(
         &mut self,
         demand: Option<&L2Request>,
@@ -211,6 +188,8 @@ impl System {
             stall = resp.latency_cycles + dram_cycles;
         }
         if let Some(wb) = writeback {
+            // Writebacks are off the critical path: they cost energy and
+            // may evict, but do not stall the core.
             if self.cfg.l2_behavior_probe {
                 self.l2.request_with_behavior(wb, now);
             } else {
@@ -247,12 +226,10 @@ impl System {
         n
     }
 
-    /// Processes a contiguous batch of references.
-    ///
-    /// Semantically one [`System::step`] per access; this is the hot-path
-    /// entry for callers that stage references in a reused buffer (see
-    /// [`TraceGenerator::fill`]).
-    pub fn run_batch(&mut self, batch: &[MemoryAccess]) -> u64 {
+    /// Processes a contiguous batch of references: one [`System::step`]
+    /// per access, staged by [`System::run_generated`] in a reused
+    /// buffer (see [`TraceGenerator::fill`]).
+    fn run_batch(&mut self, batch: &[MemoryAccess]) -> u64 {
         for a in batch {
             self.step(a);
         }

@@ -51,11 +51,11 @@ pub const EXPERIMENT_SEED: u64 = 0x5EED_2015;
 /// memo and off the lock-step kernel. That independence is what makes
 /// it the oracle the differential suites compare the sweep executor
 /// against. Experiments run their designs through that executor
-/// ([`crate::lockstep::execute`], directly or through
-/// [`crate::sweep::sweep`] and the shared
+/// ([`crate::lockstep::execute`], directly or through the shared
 /// [`crate::experiments::matrix::run_matrix`]), which pays trace
 /// generation and L1 filtering once per plan (once per stream, when the
-/// run is memoized) instead of once per design. It emits no telemetry `point` event; only executor lanes do.
+/// run is memoized) instead of once per design. It emits no telemetry
+/// `point` event; only executor lanes do.
 ///
 /// # Panics
 ///

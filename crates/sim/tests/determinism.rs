@@ -205,30 +205,21 @@ mod fanout_equivalence {
     /// with the wall-time column masked (it is measurement noise).
     #[test]
     fn sweep_csv_is_byte_identical_across_jobs_through_lockstep() {
-        use moca_sim::sweep::{sweep, write_csv, SweepPoint};
-        use moca_sim::SweepPointError;
+        use moca_sim::sweep::write_csv;
 
-        let params: [u32; 11] = [1, 2, 4, 8, 16, 2, 4, 8, 16, 1, 2];
+        let designs: Vec<L2Design> = [1u32, 2, 4, 8, 16, 2, 4, 8, 16, 1, 2]
+            .map(|ways| L2Design::SharedSram { ways })
+            .to_vec();
         let app = AppProfile::browser();
-        let to_design = |&ways: &u32| L2Design::SharedSram { ways };
-        let rows = |points: &[Result<SweepPoint<u32>, SweepPointError>]| {
+        let rows = |jobs: Jobs| {
             let mut csv = Vec::new();
-            let reports = points
-                .iter()
-                .map(|p| &p.as_ref().expect("valid design").report);
-            write_csv(&mut csv, reports.map(|r| (r, 0u64))).expect("csv renders");
+            let reports = executor_reports(&app, &designs, 12_000, 42, jobs);
+            write_csv(&mut csv, reports.iter().map(|r| (r, 0u64))).expect("csv renders");
             csv
         };
-        let reference = rows(&sweep(&params, to_design, &app, 12_000, 42, Jobs::SERIAL));
+        let reference = rows(Jobs::SERIAL);
         for jobs in [1usize, 2, 8] {
-            let got = rows(&sweep(
-                &params,
-                to_design,
-                &app,
-                12_000,
-                42,
-                Jobs::new(jobs),
-            ));
+            let got = rows(Jobs::new(jobs));
             assert_eq!(
                 String::from_utf8(reference.clone()).expect("utf8"),
                 String::from_utf8(got).expect("utf8"),

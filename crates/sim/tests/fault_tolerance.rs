@@ -12,12 +12,11 @@
 //!    `point` events.
 
 use moca_core::L2Design;
-use moca_sim::lockstep::{execute, Plan};
+use moca_sim::lockstep::{execute, Plan, Point};
 use moca_sim::memo::{RunMemo, MEMO_CAP_BYTES};
 use moca_sim::parallel::{catch_panic, parallel_map, Jobs};
-use moca_sim::sweep::sweep;
 use moca_sim::telemetry::{self, JsonValue};
-use moca_sim::{PointCause, SimReport};
+use moca_sim::{PointCause, SimReport, SweepPointError};
 use moca_testkit::{check, Config, FaultPlan, TestRng};
 use moca_trace::AppProfile;
 
@@ -27,15 +26,25 @@ fn to_design(&ways: &u32) -> L2Design {
     L2Design::SharedSram { ways }
 }
 
+/// Runs the design of every way count through one plan.
+fn run_ways(
+    ways: &[u32],
+    app: &AppProfile,
+    refs: usize,
+    seed: u64,
+    jobs: Jobs,
+) -> Vec<Result<Point, SweepPointError>> {
+    let designs: Vec<L2Design> = ways.iter().map(to_design).collect();
+    execute(&Plan::new(app, seed, refs, &designs), jobs)
+}
+
 /// Renders an isolated sweep outcome into comparable, deterministic
 /// text (wall time excluded — it is measurement noise).
-fn outcome_fingerprint(
-    outcomes: &[Result<moca_sim::SweepPoint<u32>, moca_sim::SweepPointError>],
-) -> Vec<String> {
+fn outcome_fingerprint(outcomes: &[Result<Point, SweepPointError>]) -> Vec<String> {
     outcomes
         .iter()
         .map(|o| match o {
-            Ok(p) => format!("ok {} {:?}", p.param, p.report),
+            Ok(p) => format!("ok {:?}", p.report),
             Err(e) => format!("err {e}"),
         })
         .collect()
@@ -45,7 +54,7 @@ fn outcome_fingerprint(
 fn faulty_points_are_isolated_from_their_neighbours() {
     let app = AppProfile::music();
     let params = [4u32, 0, 8, 0, 2];
-    let outcomes = sweep(&params, to_design, &app, 6_000, 1, Jobs::SERIAL);
+    let outcomes = run_ways(&params, &app, 6_000, 1, Jobs::SERIAL);
 
     assert_eq!(outcomes.len(), params.len());
     for (i, outcome) in outcomes.iter().enumerate() {
@@ -56,7 +65,7 @@ fn faulty_points_are_isolated_from_their_neighbours() {
             assert!(e.to_string().contains("build failed"), "{e}");
         } else {
             let p = outcome.as_ref().expect("valid design must survive");
-            assert_eq!(p.param, params[i]);
+            assert_eq!(p.report.design, to_design(&params[i]).label());
             assert!(p.report.cycles > 0);
         }
     }
@@ -65,14 +74,13 @@ fn faulty_points_are_isolated_from_their_neighbours() {
     // same valid designs (the shared trace stream is unaffected by the
     // failed slots).
     let valid: Vec<u32> = params.iter().copied().filter(|&w| w != 0).collect();
-    let clean: Vec<_> = sweep(&valid, to_design, &app, 6_000, 1, Jobs::SERIAL)
+    let clean: Vec<_> = run_ways(&valid, &app, 6_000, 1, Jobs::SERIAL)
         .into_iter()
         .map(|p| p.expect("valid design"))
         .collect();
     let survived: Vec<_> = outcomes.iter().filter_map(|o| o.as_ref().ok()).collect();
     assert_eq!(survived.len(), clean.len());
     for (s, c) in survived.iter().zip(&clean) {
-        assert_eq!(s.param, c.param);
         assert_eq!(format!("{:?}", s.report), format!("{:?}", c.report));
     }
 }
@@ -82,10 +90,9 @@ fn failed_set_is_identical_for_every_job_count() {
     let app = AppProfile::game();
     // Faults at fixed positions across group boundaries for jobs ∈ {2, 8}.
     let params = [2u32, 0, 4, 6, 0, 8, 10, 0, 12, 16, 0, 1];
-    let reference = outcome_fingerprint(&sweep(&params, to_design, &app, 5_000, 9, Jobs::SERIAL));
+    let reference = outcome_fingerprint(&run_ways(&params, &app, 5_000, 9, Jobs::SERIAL));
     for jobs in [2, 3, 8] {
-        let sharded =
-            outcome_fingerprint(&sweep(&params, to_design, &app, 5_000, 9, Jobs::new(jobs)));
+        let sharded = outcome_fingerprint(&run_ways(&params, &app, 5_000, 9, Jobs::new(jobs)));
         assert_eq!(reference, sharded, "jobs={jobs} diverged from serial");
     }
 }
@@ -148,16 +155,9 @@ fn randomized_fault_injection_is_deterministic_across_jobs() {
         },
         |(app_idx, params, seed, jobs)| {
             let app = &apps[*app_idx];
-            let serial =
-                outcome_fingerprint(&sweep(params, to_design, app, 3_000, *seed, Jobs::SERIAL));
-            let sharded = outcome_fingerprint(&sweep(
-                params,
-                to_design,
-                app,
-                3_000,
-                *seed,
-                Jobs::new(*jobs),
-            ));
+            let serial = outcome_fingerprint(&run_ways(params, app, 3_000, *seed, Jobs::SERIAL));
+            let sharded =
+                outcome_fingerprint(&run_ways(params, app, 3_000, *seed, Jobs::new(*jobs)));
             moca_testkit::require_eq!(serial, sharded, "jobs={jobs}");
             for (i, line) in serial.iter().enumerate() {
                 let expect_err = params[i] == 0;
@@ -212,7 +212,7 @@ fn surviving_lanes_emit_point_events_at_job_invariant_indices() {
     let params = [4u32, 8, 0, 2, 16, 1, 12];
     for jobs in [1usize, 2, 8] {
         telemetry::set_scope(&format!("isolated-jobs-{jobs}"));
-        let outcomes = sweep(&params, to_design, &app, 4_000, 3, Jobs::new(jobs));
+        let outcomes = run_ways(&params, &app, 4_000, 3, Jobs::new(jobs));
         assert!(outcomes[2].is_err(), "ways=0 must fail at jobs={jobs}");
     }
 

@@ -13,7 +13,7 @@
 //! replayed from it, built past a full memo's cap, or kept private to
 //! an unmemoized plan — is one more input of the grid.
 //!
-//! The randomized scalar ≡ broadcast ≡ lock-step properties (and the
+//! The randomized scalar ≡ lock-step properties (and the
 //! fault-isolation cases) live in `lockstep_props.rs`; byte-identity of
 //! rendered experiment output stays in `determinism.rs`.
 

@@ -3,11 +3,10 @@
 //!
 //! Three contracts are pinned here:
 //!
-//! 1. **Three-engine agreement**: for randomized (app, design pool,
-//!    refs, seed, jobs) inputs, the scalar sequential oracle, the
-//!    retained PR 3 chunk-broadcast engine, and the lock-step kernel
-//!    (serial *and* sharded over worker threads) produce byte-identical
-//!    [`moca_sim::SimReport`]s.
+//! 1. **Oracle agreement**: for randomized (app, design pool, refs,
+//!    seed, jobs) inputs, the scalar sequential oracle and the lock-step
+//!    kernel (serial *and* sharded over worker threads) produce
+//!    byte-identical [`moca_sim::SimReport`]s.
 //! 2. **Lane poisoning**: a design that panics mid-run fails alone — its
 //!    lane is poisoned, every other lane of the shared front end runs to
 //!    completion byte-identically to a fault-free run — and the failed
@@ -20,7 +19,7 @@
 use moca_cache::{L1Pair, ReplacementPolicy};
 use moca_core::{L2Design, RefreshPolicy};
 use moca_energy::RetentionClass;
-use moca_sim::lockstep::{execute, run_broadcast, FilteredChunk, FrontEnd, LaneEvent, Plan, Point};
+use moca_sim::lockstep::{execute, FilteredChunk, FrontEnd, LaneEvent, Plan, Point};
 use moca_sim::parallel::Jobs;
 use moca_sim::stream::{TraceStream, STREAM_CHUNK};
 use moca_sim::workloads::run_app;
@@ -83,7 +82,7 @@ fn reports(plan: &Plan<'_>, jobs: Jobs) -> Vec<SimReport> {
 }
 
 #[test]
-fn random_inputs_agree_across_scalar_broadcast_and_lockstep() {
+fn random_inputs_agree_across_scalar_and_lockstep() {
     let pool = design_pool();
     let apps = AppProfile::suite();
     check(
@@ -103,7 +102,6 @@ fn random_inputs_agree_across_scalar_broadcast_and_lockstep() {
                 .collect();
             let runs = [
                 EngineRun::render("scalar run_app", &sequential),
-                EngineRun::render("broadcast", &run_broadcast(app, *seed, designs, *refs)),
                 EngineRun::render(
                     "lockstep serial",
                     &reports(&Plan::new(app, *seed, *refs, designs), Jobs::SERIAL),

@@ -12,8 +12,8 @@ use std::sync::Arc;
 
 use moca_core::L2Design;
 use moca_sim::{
-    csv_row, execute, run_app, sweep, write_csv, FileTraceSource, Jobs, Plan, RunMemo, SimReport,
-    SweepPoint, SweepPointError, TraceRegistry, TraceStream, MEMO_CAP_BYTES,
+    csv_row, execute, run_app, FileTraceSource, Jobs, Plan, RunMemo, SimReport, TraceRegistry,
+    TraceStream, MEMO_CAP_BYTES,
 };
 use moca_trace::binfmt::{self, TraceReader, CHUNK_REFS};
 use moca_trace::AppProfile;
@@ -63,16 +63,6 @@ fn reports(plan: Plan<'_>, jobs: Jobs) -> Vec<SimReport> {
         .collect()
 }
 
-/// A sweep's CSV with the wall-time column blanked.
-fn sweep_csv<P>(points: &[Result<SweepPoint<P>, SweepPointError>]) -> Vec<u8> {
-    let mut csv = Vec::new();
-    let reports = points
-        .iter()
-        .map(|p| &p.as_ref().expect("valid design").report);
-    write_csv(&mut csv, reports.map(|r| (r, 0))).expect("csv");
-    csv
-}
-
 #[test]
 fn registered_corpus_replays_byte_identically_at_every_job_count() {
     let app = AppProfile::game();
@@ -87,9 +77,6 @@ fn registered_corpus_replays_byte_identically_at_every_job_count() {
         .iter()
         .map(|&d| csv_row(&run_app(&app, d, refs, seed), 0))
         .collect();
-    let to_design = |&i: &usize| designs[i];
-    let params = [0usize, 1];
-    let baseline_csv = sweep_csv(&sweep(&params, to_design, &app, refs, seed, Jobs::SERIAL));
 
     let path = compile_to_temp(&app, seed, refs, "corpus");
     TraceRegistry::global().register(FileTraceSource::open(&path).expect("open"));
@@ -101,15 +88,6 @@ fn registered_corpus_replays_byte_identically_at_every_job_count() {
             .map(|r| csv_row(r, 0))
             .collect();
         assert_eq!(reports, baseline, "fan-out diverged at jobs={jobs}");
-        let csv = sweep_csv(&sweep(
-            &params,
-            to_design,
-            &app,
-            refs,
-            seed,
-            Jobs::new(jobs),
-        ));
-        assert_eq!(csv, baseline_csv, "sweep CSV diverged at jobs={jobs}");
     }
 
     let after = TraceRegistry::global().stats();

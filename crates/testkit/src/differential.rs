@@ -3,8 +3,8 @@
 //!
 //! The workspace's strongest correctness tool is redundancy: the same
 //! (app, design pool, seed) input can be replayed through the scalar
-//! oracle, the chunk-broadcast engine, and the lock-step kernel, and
-//! every [`Debug`]-rendered report must match **byte for byte**. This
+//! oracle and the lock-step kernel (serial and sharded over workers),
+//! and every [`Debug`]-rendered report must match **byte for byte**. This
 //! module is the comparison layer those suites share: engines are
 //! represented uniformly as an [`EngineRun`] (name + rendered outputs),
 //! and a divergence is reported with the item index, the first differing

@@ -15,7 +15,7 @@
 //!   that still fails;
 //! * redundant implementations of the same computation can be
 //!   cross-checked byte-for-byte through the [`differential`] harness
-//!   (used by the sweep engines' scalar ≡ broadcast ≡ lock-step suites).
+//!   (used by the sweep engine's scalar ≡ lock-step suites).
 //!
 //! ```
 //! use moca_testkit::{check, Config, require};

@@ -1,10 +1,10 @@
 //! Chunked binary trace container: compile a workload once, replay it
 //! into every subsequent sweep at decode speed.
 //!
-//! The legacy stream format in [`crate::io`] is a flat record stream:
-//! fine for archiving, useless for random access, and unprotected
-//! against corruption. This module defines the on-disk format behind
-//! `tracegen --emit`, `repro --trace`, and the `trace_corpus` tool:
+//! This module defines the one on-disk trace format, behind
+//! `trace_corpus record`, `repro --trace`, and the rest of the
+//! `trace_corpus` tool. Chunks give random access through a directory,
+//! and checksums catch corruption:
 //!
 //! ```text
 //! ┌──────────────────────── fixed header (52 bytes) ───────────────────────┐

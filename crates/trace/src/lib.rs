@@ -33,7 +33,7 @@
 //! * [`generator`] — [`TraceGenerator`], the top-level stream.
 //! * [`phases`] — app-switching sessions ([`phases::PhasedWorkload`]).
 //! * [`multiprog`] — time-sliced co-scheduling ([`multiprog::MultiProgrammed`]).
-//! * [`io`] — binary and text trace serialization.
+//! * [`io`] — trace decoding errors ([`io::ReadTraceError`]).
 //! * [`binfmt`] — chunked, checksummed trace container (compile/replay).
 //! * [`stats`] — [`TraceStats`] trace summaries.
 //! * [`fxhash`] — fixed-seed hashing for deterministic analysis maps.

@@ -64,19 +64,6 @@ impl PhasedWorkload {
         }
     }
 
-    /// A "mixed usage" session cycling through the whole ten-app suite,
-    /// `refs_per_app` references each — the synthetic composite workload
-    /// of the evaluation.
-    pub fn mixed_session(refs_per_app: u64, seed: u64) -> Self {
-        Self::new(
-            AppProfile::suite()
-                .into_iter()
-                .map(|p| (p, refs_per_app))
-                .collect(),
-            seed,
-        )
-    }
-
     /// Makes the workload repeat forever (each lap re-seeds the apps so
     /// laps differ but the whole stream stays deterministic).
     pub fn cycle(mut self) -> Self {
@@ -142,7 +129,6 @@ mod tests {
     use super::*;
     use crate::apps::layout;
     use crate::kernel::layout::is_kernel_addr;
-    use crate::stats::TraceStats;
 
     #[test]
     fn phases_emit_exact_counts() {
@@ -187,15 +173,6 @@ mod tests {
             .count();
         assert_eq!(first_half_beyond, 0, "music stays within its heap");
         assert!(second_half_beyond > 0, "maps reaches beyond music's heap");
-    }
-
-    #[test]
-    fn mixed_session_covers_suite() {
-        let w = PhasedWorkload::mixed_session(1000, 5);
-        assert_eq!(w.lap_refs(), 10_000);
-        let stats = TraceStats::collect(w, 64);
-        assert_eq!(stats.total_accesses(), 10_000);
-        assert!(stats.kernel_share() > 0.05);
     }
 
     #[test]

@@ -13,7 +13,7 @@ export CARGO_NET_OFFLINE=true
 echo "== build (release, offline) =="
 # --workspace: the root manifest is a real package, so a bare `cargo
 # build` would build only the facade crate and leave the moca-sim
-# binaries (repro/tracegen/trace_corpus) that the smoke tests below
+# binaries (repro/trace_corpus) that the smoke tests below
 # exercise stale or missing.
 cargo build --release --offline --workspace
 
@@ -32,7 +32,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 echo "== fault-tolerance suite (panic isolation, deterministic failed sets) =="
 cargo test -q --offline -p moca-sim --test fault_tolerance
 
-echo "== cross-engine differential suite (scalar vs broadcast vs executor) =="
+echo "== differential suite (scalar oracle vs executor) =="
 cargo test -q --offline -p moca-sim --test lockstep_differential
 cargo test -q --offline -p moca-sim --test lockstep_props
 
@@ -121,24 +121,20 @@ while IFS= read -r row; do
 done < "$SMOKE_DIR/m1_pruned_rows.txt"
 echo "mrc pruning smoke passed"
 
-echo "== trace replay smoke (tracegen --emit, trace_corpus, repro --trace) =="
-TRACEGEN=target/release/tracegen
+echo "== trace replay smoke (trace_corpus record/validate/stat, repro --trace) =="
 CORPUS_TOOL=target/release/trace_corpus
-# Compile one trace, validate it, and round-trip its identity.
-"$TRACEGEN" browser 100000 "$SMOKE_DIR/browser.mtrc" --emit --seed 7 \
-  2> "$SMOKE_DIR/tracegen_emit.txt"
-grep -q 'compiled .* chunk(s)' "$SMOKE_DIR/tracegen_emit.txt" \
-  || { echo "tracegen --emit reported no compile summary"; exit 1; }
-"$CORPUS_TOOL" validate "$SMOKE_DIR/browser.mtrc" \
-  || { echo "trace_corpus validate rejected a fresh file"; exit 1; }
-"$CORPUS_TOOL" stat "$SMOKE_DIR/browser.mtrc" > "$SMOKE_DIR/corpus_stat.txt"
-grep -q 'kernel share' "$SMOKE_DIR/corpus_stat.txt" \
-  || { echo "trace_corpus stat produced no summary"; exit 1; }
 # Record the quick-scale sweep corpus (default apps/refs/seed match the
 # F3 search sweep) and validate the whole directory.
-"$CORPUS_TOOL" record "$SMOKE_DIR/corpus" > /dev/null
+"$CORPUS_TOOL" record "$SMOKE_DIR/corpus" > "$SMOKE_DIR/corpus_record.txt"
+grep -q '^recorded .* chunk(s)' "$SMOKE_DIR/corpus_record.txt" \
+  || { echo "trace_corpus record reported no compile summary"; exit 1; }
 "$CORPUS_TOOL" validate "$SMOKE_DIR/corpus" > /dev/null \
   || { echo "recorded corpus failed validation"; exit 1; }
+# One recorded file decodes to the generator-level trace summary.
+CORPUS_FILE="$SMOKE_DIR/corpus/browser-000000005eed2015.mtrc"
+"$CORPUS_TOOL" stat "$CORPUS_FILE" > "$SMOKE_DIR/corpus_stat.txt"
+grep -q 'kernel share' "$SMOKE_DIR/corpus_stat.txt" \
+  || { echo "trace_corpus stat produced no summary"; exit 1; }
 # The same experiment replayed from the corpus must emit the same bytes
 # up to the run-local footer, and must actually decode from the files.
 "$REPRO" --quick F3 > "$SMOKE_DIR/f3_inprocess_full.txt"
@@ -303,7 +299,7 @@ expect_validate_exit() { # EXPECTED FILE LABEL
   [ "$code" -eq "$1" ] \
     || { echo "validate $3: expected exit $1, got $code"; exit 1; }
 }
-TRC="$SMOKE_DIR/browser.mtrc"
+TRC="$CORPUS_FILE"
 cp "$TRC" "$SMOKE_DIR/bad_magic.mtrc";   flip_byte "$SMOKE_DIR/bad_magic.mtrc" 0
 cp "$TRC" "$SMOKE_DIR/bad_version.mtrc"; flip_byte "$SMOKE_DIR/bad_version.mtrc" 8
 cp "$TRC" "$SMOKE_DIR/bad_header.mtrc";  flip_byte "$SMOKE_DIR/bad_header.mtrc" 20
@@ -382,7 +378,7 @@ cargo bench -p moca-bench --offline --bench micro | tee target/bench_micro_curre
 # The sweep-engine and memo benches must be present in the run (bench_guard
 # fails on baseline benches missing from the current run, but only if
 # they are in the baseline — keep this check in sync with BENCH_micro.json).
-for bench in "sweep-fanout/8-designs-100k" "sweep-lockstep/8-designs-100k" \
+for bench in "sweep-lockstep/8-designs-100k" \
              "filtered-run/warm-replay" \
              "trace-gen/100k-refs" "trace-decode/100k-refs" \
              "trace-file/replay-100k" "mrc/profile-100k" \

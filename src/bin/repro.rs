@@ -63,7 +63,7 @@
 //! # Trace replay
 //!
 //! * `--trace PATH` registers a compiled trace corpus (one `.mtrc` file
-//!   or a directory of them, see `tracegen --emit` / `trace_corpus`)
+//!   or a directory of them, see `trace_corpus record`)
 //!   with the global [`moca_sim::replay::TraceRegistry`]. Sweeps whose
 //!   (app, seed) identity matches a registered file decode their
 //!   reference stream from disk instead of regenerating it; the report

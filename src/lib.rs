@@ -165,7 +165,7 @@ mod tests {
         let io: MocaError = std::io::Error::other("disk full").into();
         assert!(io.to_string().contains("disk full"));
 
-        let trace: MocaError = moca_trace::io::ReadTraceError::Corrupt("truncated record").into();
+        let trace: MocaError = moca_trace::io::ReadTraceError::HeaderCorrupt("truncated").into();
         assert!(trace.to_string().contains("trace error"));
 
         let overflow: MocaError = moca_energy::AccessCounts::try_write_allocate(u64::MAX, 0, 1)

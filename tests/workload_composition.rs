@@ -98,7 +98,12 @@ fn mixed_session_runs_on_every_headline_design() {
         L2Design::dynamic_default(),
     ] {
         let mut sys = system(design);
-        sys.run(PhasedWorkload::mixed_session(20_000, 9));
+        // A "mixed usage" session: the whole ten-app suite in turn.
+        let suite = AppProfile::suite()
+            .into_iter()
+            .map(|p| (p, 20_000))
+            .collect();
+        sys.run(PhasedWorkload::new(suite, 9));
         let r = sys.finish();
         assert_eq!(r.refs, 200_000);
         assert!(r.l2_energy.total().nj() > 0.0);
