@@ -138,6 +138,10 @@ pub struct AccessResult {
     pub way: u32,
     /// A valid block displaced by the fill, if any.
     pub victim: Option<EvictedBlock>,
+    /// On a hit, the line's `last_touch` before this access; 0 on a miss.
+    pub prev_touch: u64,
+    /// On a hit, the line's `last_write` before this access; 0 on a miss.
+    pub prev_write: u64,
 }
 
 /// Folds a tag to its 8-bit lookup signature.
@@ -361,6 +365,7 @@ impl SetAssocCache {
         };
         if let Some(way) = hit {
             let m = &mut self.meta[base + way as usize];
+            let (prev_touch, prev_write) = (m.last_touch, m.last_write);
             if write {
                 self.flags[si * 2 + 1] |= 1u64 << way;
                 m.last_write = now;
@@ -375,6 +380,8 @@ impl SetAssocCache {
                 hit: true,
                 way,
                 victim: None,
+                prev_touch,
+                prev_write,
             };
         }
 
@@ -430,6 +437,8 @@ impl SetAssocCache {
             hit: false,
             way,
             victim,
+            prev_touch: 0,
+            prev_write: 0,
         }
     }
 

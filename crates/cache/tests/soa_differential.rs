@@ -277,6 +277,7 @@ impl RefCache {
             let i = self.idx(set, way);
             if self.blocks[i].valid && self.blocks[i].tag == tag {
                 let b = &mut self.blocks[i];
+                let (prev_touch, prev_write) = (b.last_touch, b.last_write);
                 if write {
                     b.dirty = true;
                     b.last_write = now;
@@ -290,6 +291,8 @@ impl RefCache {
                     hit: true,
                     way,
                     victim: None,
+                    prev_touch,
+                    prev_write,
                 };
             }
         }
@@ -329,6 +332,8 @@ impl RefCache {
             hit: false,
             way,
             victim,
+            prev_touch: 0,
+            prev_write: 0,
         }
     }
 

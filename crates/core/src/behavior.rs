@@ -96,12 +96,17 @@ impl IntervalHistogram {
 /// Behaviour observed for one L2 segment while simulating.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SegmentBehavior {
-    /// Intervals between consecutive touches of the same resident block.
+    /// Intervals between consecutive touches of the same resident block,
+    /// recorded on each hit from the block's previous touch.
     pub reuse: IntervalHistogram,
     /// Block lifetimes (fill → eviction/invalidation).
     pub lifetime: IntervalHistogram,
     /// Intervals between consecutive cell writes of the same block — the
-    /// quantity an STT-RAM retention time must cover.
+    /// quantity an STT-RAM retention time must cover. Recorded on each
+    /// write hit from the block's previous cell write (its fill, an
+    /// earlier write hit or a refresh); a write that misses, including
+    /// one to a block whose retention expired, starts a new block and
+    /// records no interval.
     pub write_interval: IntervalHistogram,
     /// Evicted blocks that were touched only by their fill ("dead on
     /// arrival").

@@ -40,12 +40,6 @@ pub struct SystemConfig {
     /// (see [`moca_core::L2BaseParams::policy`]). The L1 pair always uses
     /// LRU, matching the paper's platform.
     pub l2_policy: ReplacementPolicy,
-    /// Probe every L2 request for segment behaviour (reuse intervals,
-    /// block lifetimes, dead blocks), reported in
-    /// [`SimReport::behavior`](crate::SimReport::behavior). Costs an
-    /// extra L2 tag probe per request; used by the behaviour
-    /// experiment (F4).
-    pub l2_behavior_probe: bool,
 }
 
 impl Default for SystemConfig {
@@ -65,7 +59,6 @@ impl Default for SystemConfig {
             dram_model: DramModel::Flat,
             l2_next_line_prefetch: false,
             l2_policy: ReplacementPolicy::Lru,
-            l2_behavior_probe: false,
         }
     }
 }

@@ -9,14 +9,11 @@
 
 use moca_core::{recommend_retention, L2Design};
 use moca_energy::RetentionClass;
-use moca_trace::{AppProfile, Mode};
+use moca_trace::Mode;
 
-use crate::config::SystemConfig;
+use crate::experiments::matrix::DesignMatrix;
 use crate::experiments::{ClaimCheck, ExperimentResult};
-use crate::lockstep::{execute, Plan};
-use crate::parallel::{parallel_map, Jobs};
 use crate::table::{pct, Table};
-use crate::workloads::{Scale, EXPERIMENT_SEED};
 
 /// Lifetime quantile a retention class must cover.
 pub const COVERAGE: f64 = 0.95;
@@ -28,21 +25,22 @@ fn fmt_cycles_ms(c: Option<u64>) -> String {
     }
 }
 
-/// Runs the experiment, sharding the per-app simulations over `jobs`
-/// threads.
-///
-/// Each app is one probed, unmemoized [`Plan`] over the static SRAM
-/// partition: caching ten full-length runs would crowd the memo the
-/// later sweeps replay from.
-pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
-    let design = [L2Design::StaticSram {
+/// The designs F4 reads from the shared design matrix: the static SRAM
+/// partition.
+pub fn designs() -> Vec<L2Design> {
+    vec![L2Design::StaticSram {
         user_ways: 6,
         kernel_ways: 4,
-    }];
-    let probe = SystemConfig {
-        l2_behavior_probe: true,
-        ..SystemConfig::default()
-    };
+    }]
+}
+
+/// Builds the result from the static SRAM partition's column, one row
+/// per (app, segment).
+///
+/// # Panics
+///
+/// Panics if the matrix holds no column for the static SRAM partition.
+pub fn from_matrix(m: &DesignMatrix) -> ExperimentResult {
     let mut table = Table::new(vec![
         "app",
         "segment",
@@ -52,15 +50,7 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
         "recommended retention",
     ]);
     let mut recs: Vec<(RetentionClass, RetentionClass)> = Vec::new();
-    let runs = parallel_map(jobs, AppProfile::suite(), |app| {
-        let plan = Plan::new(&app, EXPERIMENT_SEED, scale.refs(), &design)
-            .with_config(probe)
-            .unmemoized();
-        execute(&plan, Jobs::SERIAL)
-    });
-    for point in runs.into_iter().flatten() {
-        // Invariant: the one design is a constant, valid partition.
-        let r = point.expect("F4 design is valid").report;
+    for r in m.reports(designs()[0]) {
         let mut row_rec = (RetentionClass::TenYears, RetentionClass::TenYears);
         for mode in Mode::ALL {
             let b = r.behavior(mode);
@@ -122,10 +112,13 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::matrix::run_matrix;
+    use crate::parallel::Jobs;
+    use crate::workloads::Scale;
 
     #[test]
     fn behaviour_supports_multi_retention() {
-        let r = run(Scale::Quick, Jobs::available());
+        let r = from_matrix(&run_matrix(&designs(), Scale::Quick, Jobs::available()));
         assert!(r.passed(), "claims failed:\n{}", r.render());
         assert!(r.table.contains("kernel"));
     }

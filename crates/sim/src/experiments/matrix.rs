@@ -1,10 +1,11 @@
 //! The shared design matrix: every app on every design the matrix
 //! experiments read.
 //!
-//! F1 (kernel share), F2 (interference), T2 (energy), F6 (performance)
-//! and F7 (adaptation) all read one [`DesignMatrix`], each looking its
-//! columns up by design, so the five experiments describe the same
-//! simulations and a design two of them read is simulated once.
+//! F1 (kernel share), F2 (interference), F4 (segment behaviour), T2
+//! (energy), F6 (performance) and F7 (adaptation) all read one
+//! [`DesignMatrix`], each looking its columns up by design, so the six
+//! experiments describe the same simulations and a design two of them
+//! read is simulated once.
 
 use moca_core::L2Design;
 use moca_trace::AppProfile;

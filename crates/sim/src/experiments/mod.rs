@@ -113,6 +113,7 @@ fn matrix_experiment(id: &str) -> Option<MatrixExperiment> {
     match id {
         "F1" => Some((kernel_share::designs, kernel_share::from_matrix)),
         "F2" => Some((interference::designs, interference::from_matrix)),
+        "F4" => Some((behavior::designs, behavior::from_matrix)),
         "T2" => Some((energy_table::designs, energy_table::from_matrix)),
         "F6" => Some((performance::designs, performance::from_matrix)),
         "F7" => Some((adaptation::designs, adaptation::from_matrix)),
@@ -165,7 +166,6 @@ impl Runner {
         }
         match id.as_str() {
             "F3" => Some(static_sweep::run(scale, jobs)),
-            "F4" => Some(behavior::run(scale, jobs)),
             "F5" => Some(retention_sweep::run(scale, jobs)),
             "F8" => Some(sensitivity::run(scale, jobs)),
             "A1" => Some(area::run(scale, jobs)),
@@ -183,12 +183,12 @@ impl Runner {
     /// The shared matrix, computed on first use and recomputed only if
     /// it lacks one of `designs`.
     fn matrix(&mut self, designs: &[L2Design]) -> &DesignMatrix {
-        if self.matrix.as_ref().is_some_and(|m| m.covers(designs)) {
-            return self.matrix.as_ref().expect("checked above");
+        if !self.matrix.as_ref().is_some_and(|m| m.covers(designs)) {
+            self.designs = matrix::union(self.designs.iter().chain(designs).copied());
+            self.matrix = None;
         }
-        self.designs = matrix::union(self.designs.iter().chain(designs).copied());
         self.matrix
-            .insert(matrix::run_matrix(&self.designs, self.scale, self.jobs))
+            .get_or_insert_with(|| matrix::run_matrix(&self.designs, self.scale, self.jobs))
     }
 }
 

@@ -446,12 +446,8 @@ mod tests {
             dram_latency_cycles: 200,
             ..default
         };
-        let probed = SystemConfig {
-            l2_behavior_probe: true,
-            ..default
-        };
         let pool = designs();
-        for cfg in [default, small_l1, other_l2, probed] {
+        for cfg in [default, small_l1, other_l2] {
             let got = reports(
                 Plan::new(&app, 4, refs, &pool)
                     .with_config(cfg)
@@ -468,7 +464,7 @@ mod tests {
             assert_eq!(rendered(&got), rendered(&want), "cfg = {cfg:?}");
         }
         let stats = memo.stats();
-        assert_eq!((stats.runs, stats.misses, stats.hits), (2, 2, 2));
+        assert_eq!((stats.runs, stats.misses, stats.hits), (2, 2, 1));
     }
 
     #[test]

@@ -39,8 +39,10 @@ pub struct SimReport {
     pub mean_active_ways: f64,
     /// Allocation history (dynamic designs).
     pub timeline: Vec<AllocationSample>,
-    /// Per-mode segment behaviour (populated when behaviour probing was
-    /// enabled).
+    /// Per-mode segment behaviour, recorded on every run. Reuse and
+    /// write intervals are recorded on L2 hits only, so under a
+    /// retention design a write to an expired block starts a new block
+    /// instead of adding a write interval.
     pub behavior: [SegmentBehavior; 2],
 }
 

@@ -172,11 +172,7 @@ impl System {
         let now = self.core.cycle();
         let mut stall = 0u64;
         if let Some(demand) = demand {
-            let resp = if self.cfg.l2_behavior_probe {
-                self.l2.request_with_behavior(demand, now)
-            } else {
-                self.l2.request(demand, now)
-            };
+            let resp = self.l2.request(demand, now);
             let dram_cycles = if !resp.dram_read {
                 0
             } else {
@@ -190,11 +186,7 @@ impl System {
         if let Some(wb) = writeback {
             // Writebacks are off the critical path: they cost energy and
             // may evict, but do not stall the core.
-            if self.cfg.l2_behavior_probe {
-                self.l2.request_with_behavior(wb, now);
-            } else {
-                self.l2.request(wb, now);
-            }
+            self.l2.request(wb, now);
         }
         self.core.retire(stall);
     }
@@ -393,12 +385,9 @@ mod tests {
     }
 
     #[test]
-    fn behavior_probe_populates_reports() {
-        let cfg = SystemConfig {
-            l2_behavior_probe: true,
-            ..SystemConfig::default()
-        };
-        let mut sys = System::new("email", L2Design::static_default(), cfg).expect("valid");
+    fn behavior_populates_reports() {
+        let mut sys = System::new("email", L2Design::static_default(), SystemConfig::default())
+            .expect("valid");
         let trace = TraceGenerator::new(&AppProfile::email(), 3).take(150_000);
         sys.run(trace);
         let r = sys.finish();

@@ -214,9 +214,8 @@ fn ragged_mixed_family_pool_matches_scalar_oracle_at_every_job_count() {
 }
 
 /// The non-default knobs that change the replay path itself — row-buffer
-/// DRAM (stateful per-demand timing), the next-line prefetcher and the
-/// segment-behaviour probe — stay byte-identical through the front end
-/// too.
+/// DRAM (stateful per-demand timing) and the next-line prefetcher — stay
+/// byte-identical through the front end too, segment behaviour included.
 #[test]
 fn row_buffer_dram_and_prefetch_configs_match_scalar_oracle() {
     let app = AppProfile::video();
@@ -231,10 +230,6 @@ fn row_buffer_dram_and_prefetch_configs_match_scalar_oracle() {
             l2_next_line_prefetch: true,
             ..SystemConfig::default()
         },
-        SystemConfig {
-            l2_behavior_probe: true,
-            ..SystemConfig::default()
-        },
     ] {
         let pool = [
             L2Design::baseline(),
@@ -246,10 +241,9 @@ fn row_buffer_dram_and_prefetch_configs_match_scalar_oracle() {
             let want = scalar_oracle(&app, *design, cfg, refs, seed);
             let ctx = format!("cfg={cfg:?} lane={lane}");
             assert_reports_match_fieldwise(&want, got, &ctx);
-            // The probe must reach the lanes, not just agree on empty
-            // histograms.
-            let probed = got.behavior.iter().any(|b| b.reuse.total() > 0);
-            assert_eq!(probed, cfg.l2_behavior_probe, "{ctx}");
+            // Every lane records behaviour, so the match above compares
+            // filled histograms, not empty ones.
+            assert!(got.behavior.iter().all(|b| b.reuse.total() > 0), "{ctx}");
         }
     }
 }

@@ -42,16 +42,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // System-level run on the static partition, with behaviour probing.
+    // System-level run on the static partition; every run records
+    // segment behaviour.
     let design = L2Design::StaticSram {
         user_ways: 6,
         kernel_ways: 4,
     };
-    let cfg = SystemConfig {
-        l2_behavior_probe: true,
-        ..SystemConfig::default()
-    };
-    let mut sys = System::new(app.name, design, cfg)?;
+    let mut sys = System::new(app.name, design, SystemConfig::default())?;
     sys.run(TraceGenerator::new(&app, 7).take(refs));
     let report = sys.finish();
 

@@ -231,11 +231,10 @@ diff -u "$SMOKE_DIR/full_expected.txt" "$SMOKE_DIR/full_j2.txt" \
   || { echo "full-scale body diverged from EXPERIMENTS.md"; exit 1; }
 echo "full-scale body gate passed"
 
-echo "== design-matrix smoke (F1 F2 T2 F6 F7 share one matrix, F4 probes: --jobs determinism) =="
-# The five matrix experiments read one lock-step design matrix, sharded
-# per app over the workers, and F4 runs one probed plan per app; the
-# rendered blocks must not depend on how. Trimmed and masked like the
-# search smoke above.
+echo "== design-matrix smoke (F1 F2 T2 F6 F4 F7 read one matrix: --jobs determinism) =="
+# The six matrix experiments read one lock-step design matrix, sharded
+# per app over the workers; the rendered blocks must not depend on how.
+# Trimmed and masked like the search smoke above.
 MATRIX_IDS=(F1 F2 T2 F6 F4 F7)
 "$REPRO" --quick --jobs 1 "${MATRIX_IDS[@]}" > "$SMOKE_DIR/matrix_j1_full.txt"
 trim_search_run "$SMOKE_DIR/matrix_j1_full.txt" > "$SMOKE_DIR/matrix_j1.txt"
@@ -247,11 +246,14 @@ done
 trim_search_run "$SMOKE_DIR/matrix_j2_full.txt" > "$SMOKE_DIR/matrix_j2.txt"
 diff -u "$SMOKE_DIR/matrix_j1.txt" "$SMOKE_DIR/matrix_j2.txt" \
   || { echo "design-matrix output varies with --jobs"; exit 1; }
-# The matrix alone filters each app's 1M-ref quick stream once: 10
-# apps, one front-end pass each, however many designs replay it.
+# The matrix filters each app's 1M-ref quick stream once: 10 apps, one
+# front-end pass each, however many designs replay it, with and without
+# F4 and F7, which read its columns and simulate nothing of their own.
 "$REPRO" --quick --jobs 1 F1 F2 T2 F6 > "$SMOKE_DIR/matrix_only.txt"
-grep -q ' 10000000 front-end ref(s)$' "$SMOKE_DIR/matrix_only.txt" \
-  || { echo "design matrix did not filter each stream exactly once"; exit 1; }
+for run in matrix_only matrix_j1_full; do
+  grep -q ' 10000000 front-end ref(s)$' "$SMOKE_DIR/$run.txt" \
+    || { echo "$run: design matrix did not filter each stream exactly once"; exit 1; }
+done
 echo "design-matrix smoke passed"
 
 echo "== filtered-run memo smoke (F5 F8 A2 A3 A5 M1 replay memoized runs: --jobs determinism) =="

@@ -14,7 +14,6 @@ use moca::sim::experiments::matrix::run_matrix;
 use moca::sim::lockstep::{execute, Plan};
 use moca::sim::parallel::{parallel_map, Jobs};
 use moca::sim::workloads::{run_app, Scale, EXPERIMENT_SEED};
-use moca::sim::SystemConfig;
 use moca::trace::{AppProfile, Mode};
 
 /// C1 — in interactive mobile apps, the OS kernel contributes more than
@@ -163,14 +162,8 @@ fn c4_kernel_and_user_reuse_lifetime_distributions_are_distinct() {
         user_ways: 6,
         kernel_ways: 4,
     }];
-    let probe = SystemConfig {
-        l2_behavior_probe: true,
-        ..SystemConfig::default()
-    };
     let stats = parallel_map(Jobs::available(), AppProfile::suite(), |app| {
-        let plan = Plan::new(&app, EXPERIMENT_SEED, Scale::Quick.refs(), &design)
-            .with_config(probe)
-            .unmemoized();
+        let plan = Plan::new(&app, EXPERIMENT_SEED, Scale::Quick.refs(), &design).unmemoized();
         let r = execute(&plan, Jobs::SERIAL)
             .remove(0)
             .expect("the static partition is valid")
