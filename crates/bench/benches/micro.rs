@@ -279,7 +279,7 @@ fn filtered_run(r: &mut Runner) {
     const REFS: usize = 100_000;
     let replay = || {
         let mut lines = 0u64;
-        memo.replay(&app, 1, &cfg, REFS, |chunk| {
+        memo.replay(TraceStream::new(&app, 1), &cfg, REFS, |chunk| {
             lines += chunk.events().map(|e| e.demand.line).sum::<u64>();
         });
         lines

@@ -14,6 +14,7 @@ use crate::config::SystemConfig;
 use crate::experiments::{ClaimCheck, ExperimentResult};
 use crate::memo::RunMemo;
 use crate::parallel::{parallel_map, Jobs};
+use crate::stream::TraceStream;
 use crate::system::System;
 use crate::table::{pct, Table};
 use crate::workloads::{Scale, EXPERIMENT_SEED};
@@ -89,7 +90,8 @@ fn run_at_duty(design: L2Design, refs: usize, duty: f64) -> crate::metrics::SimR
     // per-reference run: a hit gap that spans a burst boundary is split
     // there, and the L1 decisions do not depend on time.
     let mut bursts = Bursts::new(refs, duty);
-    let l1 = RunMemo::global().replay(&app, EXPERIMENT_SEED, &cfg, refs, |chunk| {
+    let stream = TraceStream::new(&app, EXPERIMENT_SEED);
+    let l1 = RunMemo::global().replay(stream, &cfg, refs, |chunk| {
         for ev in chunk.events() {
             bursts.retire_hits(&mut sys, u64::from(ev.gap));
             sys.step_filtered(Some(&ev.demand), ev.writeback.as_ref());

@@ -35,6 +35,7 @@ use crate::cpu::InOrderCore;
 use crate::experiments::matrix::DesignMatrix;
 use crate::memo::RunMemo;
 use crate::parallel::Jobs;
+use crate::stream::TraceStream;
 use crate::workloads::{Scale, EXPERIMENT_SEED};
 
 /// A paper claim checked against measured data.
@@ -229,7 +230,8 @@ where
 {
     let cfg = SystemConfig::default();
     let mut core = InOrderCore::new(cfg.base_cycles_per_ref);
-    RunMemo::global().replay(app, EXPERIMENT_SEED, &cfg, refs, |chunk| {
+    let stream = TraceStream::new(app, EXPERIMENT_SEED);
+    RunMemo::global().replay(stream, &cfg, refs, |chunk| {
         for ev in chunk.events() {
             core.retire_many(u64::from(ev.gap));
             let now = core.cycle();

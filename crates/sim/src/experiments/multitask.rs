@@ -9,37 +9,35 @@
 //! multi-tasking.
 
 use moca_core::L2Design;
-use moca_trace::{AppProfile, MultiProgrammed};
+use moca_trace::AppProfile;
 
-use crate::config::SystemConfig;
 use crate::experiments::{ClaimCheck, ExperimentResult};
-use crate::metrics::SimReport;
+use crate::lockstep::{execute, Plan};
 use crate::parallel::{parallel_map, Jobs};
-use crate::system::System;
+use crate::stream::Mix;
 use crate::table::{f3, pct, Table};
 use crate::workloads::{Scale, EXPERIMENT_SEED};
 
 /// Co-scheduled pairs (foreground + background-ish mixes).
-pub const PAIRS: [(&str, &str); 3] = [("browser", "music"), ("game", "email"), ("video", "social")];
+pub const PAIRS: [[fn() -> AppProfile; 2]; 3] = [
+    [AppProfile::browser, AppProfile::music],
+    [AppProfile::game, AppProfile::email],
+    [AppProfile::video, AppProfile::social],
+];
 
 /// Scheduler quantum in references (~10 ms at mobile rates).
 const QUANTUM: u64 = 20_000;
 
-fn run_pair(a: &str, b: &str, design: L2Design, refs: usize) -> SimReport {
-    let apps = vec![
-        AppProfile::by_name(a).expect("known app"),
-        AppProfile::by_name(b).expect("known app"),
-    ];
-    let name = format!("{a}+{b}");
-    let mut sys = System::new(name, design, SystemConfig::default()).expect("valid design");
-    sys.run(MultiProgrammed::new(&apps, QUANTUM, EXPERIMENT_SEED).take(refs));
-    sys.finish()
-}
-
-/// Runs the experiment, sharding the pair × design grid over `jobs`
+/// Runs the experiment: one unmemoized plan of the three designs per
+/// pair (no later experiment replays a mix), pairs sharded over `jobs`
 /// threads.
 pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
     let refs = scale.sweep_refs() * 2;
+    let designs = [
+        L2Design::baseline(),
+        L2Design::static_default(),
+        L2Design::dynamic_default(),
+    ];
     let mut table = Table::new(vec![
         "pair",
         "L2 kernel share",
@@ -51,20 +49,17 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
     let mut savings = Vec::new();
     let mut slowdowns = Vec::new();
     let mut kernel_shares = Vec::new();
-    let cells: Vec<((&str, &str), L2Design)> = PAIRS
-        .iter()
-        .flat_map(|&pair| {
-            [
-                L2Design::baseline(),
-                L2Design::static_default(),
-                L2Design::dynamic_default(),
-            ]
+    let rows = parallel_map(jobs, PAIRS.to_vec(), |pair| {
+        // Invariant: every pair names two apps and QUANTUM is non-zero.
+        let mix = Mix::new(pair.map(|app| app()).to_vec(), QUANTUM).expect("A7 mixes are valid");
+        let plan = Plan::mix(&mix, EXPERIMENT_SEED, refs, &designs).unmemoized();
+        execute(&plan, Jobs::SERIAL)
             .into_iter()
-            .map(move |d| (pair, d))
-        })
-        .collect();
-    let reports = parallel_map(jobs, cells, |((a, b), design)| run_pair(a, b, design, refs));
-    for (&(a, b), row) in PAIRS.iter().zip(reports.chunks(3)) {
+            // Invariant: the three designs are constant, valid designs.
+            .map(|p| p.expect("A7 designs are valid").report)
+            .collect::<Vec<_>>()
+    });
+    for row in &rows {
         let (base, stat, dynamic) = (&row[0], &row[1], &row[2]);
         let saving = 1.0 - stat.energy_ratio_vs(base);
         let slow = stat.slowdown_vs(base);
@@ -72,7 +67,7 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
         slowdowns.push(slow);
         kernel_shares.push(base.l2_kernel_share());
         table.row(vec![
-            format!("{a}+{b}"),
+            base.app.clone(),
             pct(base.l2_kernel_share()),
             pct(base.l2_stats.cross_eviction_share()),
             pct(saving),

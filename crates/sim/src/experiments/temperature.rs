@@ -14,6 +14,7 @@ use crate::config::SystemConfig;
 use crate::experiments::{ClaimCheck, ExperimentResult};
 use crate::memo::RunMemo;
 use crate::parallel::{parallel_map, Jobs};
+use crate::stream::TraceStream;
 use crate::table::{pct, Table};
 use crate::workloads::{Scale, EXPERIMENT_SEED};
 
@@ -37,8 +38,7 @@ fn run_at(design: L2Design, temp_c: f64, refs: usize) -> (f64, f64) {
     // filtered run; each reference advances time by 2 cycles, so a hit
     // gap of `g` references advances it by `2 * g`.
     RunMemo::global().replay(
-        &app,
-        EXPERIMENT_SEED,
+        TraceStream::new(&app, EXPERIMENT_SEED),
         &SystemConfig::default(),
         refs,
         |chunk| {

@@ -7,7 +7,8 @@
 //! index and `EXPERIMENTS.md` for results), plus sweep/CSV utilities, a
 //! deterministic thread pool ([`parallel`]), one sweep executor
 //! ([`lockstep::execute`]) that runs every set of designs on the
-//! lock-step multi-design kernel over one trace stream ([`stream`]), a
+//! lock-step multi-design kernel over one trace stream — one app's or a
+//! co-scheduled mix's ([`stream`]) — a
 //! process-wide memo of L1-filtered runs ([`memo`]), a file-backed
 //! trace replay layer over compiled corpora ([`replay`]), the
 //! crash-tolerant journal that checkpoints `repro` experiments and
@@ -59,7 +60,7 @@ pub use memo::{MemoStats, RunMemo, MEMO_CAP_BYTES};
 pub use metrics::{geometric_mean, mean, SimReport};
 pub use parallel::{catch_panic, parallel_map, Jobs};
 pub use replay::{FileTraceSource, TraceIoStats, TraceRegistry};
-pub use stream::TraceStream;
+pub use stream::{Mix, MixError, Source, TraceStream};
 pub use sweep::{
     comparison_table, csv_row, profile_lru_grid, score_lru_grid, sweep_pruned, write_csv, MrcScore,
     PrunedSweep,

@@ -1,16 +1,17 @@
-//! The sweep executor: every set of L2 designs run over one
-//! `(app, seed)` stream goes through [`execute`], on a lock-step
+//! The sweep executor: every set of L2 designs run over one trace
+//! stream — one app's `(app, seed)` stream, or a co-scheduled mix's
+//! (see [`crate::stream`]) — goes through [`execute`], on a lock-step
 //! multi-design kernel where K designs replay the same L1-filtered run
 //! of the stream, each at its own clock.
 //!
-//! A [`Plan`] names the stream, the reference count, the designs and
-//! the system configuration. [`execute`] obtains the plan's filtered
-//! run once, then hands the designs to workers one lane at a time: each
-//! lane builds its own L2, replays the whole run, adopts the L1 pair
-//! after it and finishes, so at most one L2 per worker is live. A lane's
-//! build error or panic lands in that lane's own slot while the other
-//! lanes keep going, and each completed lane emits a telemetry `point`
-//! event.
+//! A [`Plan`] names the stream's source and seed, the reference count,
+//! the designs and the system configuration. [`execute`] obtains the
+//! plan's filtered run once, then hands the designs to workers one lane
+//! at a time: each lane builds its own L2, replays the whole run,
+//! adopts the L1 pair after it and finishes, so at most one L2 per
+//! worker is live. A lane's build error or panic lands in that lane's
+//! own slot while the other lanes keep going, and each completed lane
+//! emits a telemetry `point` event.
 //!
 //! The kernel removes the per-design front-end multiplier:
 //!
@@ -41,7 +42,8 @@
 //! # Determinism
 //!
 //! Every report is **byte-identical** to a sequential
-//! [`run_app`](crate::workloads::run_app) of the same design: the L1
+//! [`run_app`](crate::workloads::run_app) of the same design (for a mix,
+//! to a [`System::run`] over its `MultiProgrammed` stream): the L1
 //! counts are the front end's (identical by construction, adopted into
 //! each lane before [`System::finish`]); the L2/DRAM interactions happen
 //! at the same per-lane cycles with the same requests. Failures are
@@ -65,7 +67,7 @@ use crate::error::{PointCause, SweepPointError};
 use crate::memo::{FilteredRun, RunMemo};
 use crate::metrics::SimReport;
 use crate::parallel::{catch_panic, parallel_map, Jobs};
-use crate::stream::{TraceStream, STREAM_CHUNK};
+use crate::stream::{Mix, Source, TraceStream, STREAM_CHUNK};
 use crate::system::{BuildSystemError, System};
 use crate::telemetry::{self, Event, Kind};
 
@@ -219,10 +221,10 @@ pub fn front_end_refs() -> u64 {
     FRONT_END_REFS.load(Ordering::Relaxed)
 }
 
-/// The shared L1 front end: the `(app, seed)` trace stream plus one
-/// live L1 pair, filtering each chunk once for every lane that replays
-/// it (a run being built, or the one lane of an unmemoized one-design
-/// plan, which filters live).
+/// The shared L1 front end: one trace stream plus one live L1 pair,
+/// filtering each chunk once for every lane that replays it (a run
+/// being built, or the one lane of an unmemoized one-design plan, which
+/// filters live).
 #[derive(Debug)]
 pub struct FrontEnd<'a> {
     stream: TraceStream<'a>,
@@ -348,8 +350,12 @@ struct Lane {
     front_ns: u64,
 }
 
-/// A set of L2 designs to run over one `(app, seed)` stream for `refs`
+/// A set of L2 designs to run over one trace stream for `refs`
 /// references: the input of [`execute`].
+///
+/// The stream is one app's ([`Plan::new`]) or a co-scheduled mix's
+/// ([`Plan::mix`]), at a seed. Each lane's system is named after the
+/// source: the app's name, or the mix's (`browser+music`).
 ///
 /// # Examples
 ///
@@ -369,7 +375,7 @@ struct Lane {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Plan<'a> {
-    app: &'a AppProfile,
+    source: Source<'a>,
     seed: u64,
     refs: usize,
     designs: &'a [L2Design],
@@ -387,8 +393,19 @@ impl<'a> Plan<'a> {
     /// `(app, seed)` stream, with the default [`SystemConfig`] and the
     /// global [`RunMemo`].
     pub fn new(app: &'a AppProfile, seed: u64, refs: usize, designs: &'a [L2Design]) -> Self {
+        Self::over(Source::App(app), seed, refs, designs)
+    }
+
+    /// A plan running every design over `refs` references of the
+    /// co-scheduled `mix`'s stream at `seed`, with the default
+    /// [`SystemConfig`] and the global [`RunMemo`].
+    pub fn mix(mix: &'a Mix, seed: u64, refs: usize, designs: &'a [L2Design]) -> Self {
+        Self::over(Source::Mix(mix), seed, refs, designs)
+    }
+
+    fn over(source: Source<'a>, seed: u64, refs: usize, designs: &'a [L2Design]) -> Self {
         Plan {
-            app,
+            source,
             seed,
             refs,
             designs,
@@ -442,15 +459,19 @@ impl<'a> Plan<'a> {
             && self.cfg.l1d_geometry().is_ok()
     }
 
+    /// A fresh cursor over the plan's stream.
+    fn stream(&self) -> TraceStream<'a> {
+        TraceStream::of(self.source, self.seed)
+    }
+
     /// The plan's filtered run: the memo's (a hit, or a build), a
     /// private run for an unmemoized plan of several designs, or `None`
     /// for an unmemoized one-design plan, whose lane filters live.
     fn run(&self) -> Option<Arc<FilteredRun>> {
         match self.memo {
-            Some(memo) => Some(memo.obtain(self.app, self.seed, &self.cfg, self.refs)),
+            Some(memo) => Some(memo.obtain(self.stream(), &self.cfg, self.refs)),
             None if self.designs.len() > 1 => {
-                let stream = TraceStream::new(self.app, self.seed);
-                let run = FilteredRun::filter(stream, &self.cfg, self.refs, |_| {});
+                let run = FilteredRun::filter(self.stream(), &self.cfg, self.refs, |_| {});
                 Some(Arc::new(run))
             }
             None => None,
@@ -470,7 +491,7 @@ impl<'a> Plan<'a> {
             cause,
         };
         let panicked = |msg: String| failed(PointCause::Panic(msg));
-        let built = catch_panic(|| System::new(self.app.name, self.designs[index], self.cfg));
+        let built = catch_panic(|| System::new(self.source.name(), self.designs[index], self.cfg));
         let mut sys = built
             .map_err(panicked)?
             .map_err(|e| failed(PointCause::Build(e)))?;
@@ -480,9 +501,8 @@ impl<'a> Plan<'a> {
                 panic!("injected fault at index {index}");
             }
             let Some(run) = run else {
-                let stream = TraceStream::new(self.app, self.seed);
-                let (l1, front_ns) =
-                    FrontEnd::over(stream, &self.cfg)?.filter(self.refs, |c| replay(&mut sys, c));
+                let (l1, front_ns) = FrontEnd::over(self.stream(), &self.cfg)?
+                    .filter(self.refs, |c| replay(&mut sys, c));
                 sys.adopt_l1(&l1);
                 return Ok(front_ns);
             };

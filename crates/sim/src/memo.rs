@@ -12,9 +12,9 @@
 //! [`FilteredChunk`]s of exactly `refs` references plus the L1 pair
 //! after them — keyed by
 //!
-//! * the stream's source fingerprint — the profile fingerprint, or a
-//!   registered trace file's own fingerprint, so decoded and generated
-//!   streams never share a run;
+//! * the stream's source fingerprint — the profile fingerprint, a
+//!   registered trace file's own fingerprint, or a co-scheduled mix's,
+//!   so decoded, generated and mixed streams never share a run;
 //! * the seed;
 //! * `refs`, the exact run length — runs of different lengths are
 //!   separate entries (sharing a prefix would need an L1 snapshot per
@@ -50,7 +50,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use moca_cache::L1Pair;
 use moca_trace::fxhash::FxHashMap;
-use moca_trace::{AppProfile, MemoryAccess};
+use moca_trace::MemoryAccess;
 
 use crate::config::SystemConfig;
 use crate::lockstep::{FilteredChunk, FrontEnd};
@@ -79,10 +79,10 @@ struct RunKey {
 }
 
 impl RunKey {
-    fn new(stream: &TraceStream<'_>, seed: u64, refs: usize, cfg: &SystemConfig) -> Self {
+    fn new(stream: &TraceStream<'_>, refs: usize, cfg: &SystemConfig) -> Self {
         RunKey {
             source: stream.source_fingerprint(),
-            seed,
+            seed: stream.seed(),
             refs: refs as u64,
             l1i_bytes: cfg.l1i_bytes,
             l1d_bytes: cfg.l1d_bytes,
@@ -290,9 +290,9 @@ impl RunMemo {
         });
     }
 
-    /// Replays the filtered run of the first `refs` references of the
-    /// `(app, seed)` stream under `cfg`'s L1 pair: `visit` sees every
-    /// chunk in stream order, and the L1 pair after the run comes back.
+    /// Replays the filtered run of the first `refs` references of
+    /// `stream` under `cfg`'s L1 pair: `visit` sees every chunk in
+    /// stream order, and the L1 pair after the run comes back.
     ///
     /// The run comes from the memo when cached; otherwise it is built
     /// here (concurrent callers of the same key wait for this build)
@@ -305,13 +305,12 @@ impl RunMemo {
     /// validates it.
     pub fn replay(
         &self,
-        app: &AppProfile,
-        seed: u64,
+        stream: TraceStream<'_>,
         cfg: &SystemConfig,
         refs: usize,
         visit: impl FnMut(&FilteredChunk),
     ) -> L1Pair {
-        let run = self.obtain(app, seed, cfg, refs);
+        let run = self.obtain(stream, cfg, refs);
         run.chunks.iter().for_each(visit);
         run.l1.clone()
     }
@@ -322,13 +321,11 @@ impl RunMemo {
     /// and handed back uncached.
     pub(crate) fn obtain(
         &self,
-        app: &AppProfile,
-        seed: u64,
+        stream: TraceStream<'_>,
         cfg: &SystemConfig,
         refs: usize,
     ) -> Arc<FilteredRun> {
-        let stream = TraceStream::new(app, seed);
-        let key = RunKey::new(&stream, seed, refs, cfg);
+        let key = RunKey::new(&stream, refs, cfg);
         let slot = Arc::clone(
             self.lock()
                 .slots
@@ -397,6 +394,7 @@ mod tests {
     use crate::system::System;
     use crate::workloads::run_app;
     use moca_core::L2Design;
+    use moca_trace::AppProfile;
 
     fn designs() -> [L2Design; 2] {
         [L2Design::baseline(), L2Design::static_default()]
@@ -500,7 +498,7 @@ mod tests {
         let app = AppProfile::email();
         let cfg = SystemConfig::default();
         let full = RunMemo::with_capacity(0);
-        full.replay(&app, 9, &cfg, 10_000, |_| {});
+        full.replay(TraceStream::new(&app, 9), &cfg, 10_000, |_| {});
         let warning = full
             .stats()
             .rejection_warning()
@@ -508,9 +506,29 @@ mod tests {
         assert!(warning.contains("1 run(s) rejected"), "{warning}");
 
         let roomy = RunMemo::with_capacity(MEMO_CAP_BYTES);
-        roomy.replay(&app, 9, &cfg, 10_000, |_| {});
+        roomy.replay(TraceStream::new(&app, 9), &cfg, 10_000, |_| {});
         assert!(roomy.stats().rejection_warning().is_none());
         assert!(roomy.stats().used_bytes > 0);
+    }
+
+    #[test]
+    fn a_mix_and_its_apps_are_distinct_runs() {
+        let (browser, music) = (AppProfile::browser(), AppProfile::music());
+        let mix = crate::stream::Mix::new(vec![browser.clone(), music.clone()], 2_000)
+            .expect("valid mix");
+        let memo = RunMemo::with_capacity(MEMO_CAP_BYTES);
+        let cfg = SystemConfig::default();
+        let refs = STREAM_CHUNK + 3;
+        let mixed = TraceStream::of(crate::stream::Source::Mix(&mix), 1);
+        for stream in [
+            TraceStream::new(&browser, 1),
+            TraceStream::new(&music, 1),
+            mixed,
+        ] {
+            memo.replay(stream, &cfg, refs, |_| {});
+        }
+        let stats = memo.stats();
+        assert_eq!((stats.runs, stats.misses, stats.hits), (3, 3, 0));
     }
 
     #[test]

@@ -1,10 +1,14 @@
-//! The `(app, seed)` trace stream every simulation reads.
+//! The trace streams every simulation reads: one app's `(app, seed)`
+//! stream, or a co-scheduled mix's.
 //!
-//! A [`TraceStream`] is one forward cursor over the stream
-//! `TraceGenerator::new(app, seed)` produces, cut into fixed
-//! [`STREAM_CHUNK`]-long chunks. It decodes chunks from a registered
-//! compiled trace when one covers the stream and generates them
-//! otherwise, into one reused buffer.
+//! A [`TraceStream`] is one forward cursor over the stream of a
+//! [`Source`] at a seed, cut into fixed [`STREAM_CHUNK`]-long chunks.
+//! An app stream is the one `TraceGenerator::new(app, seed)` produces:
+//! it decodes chunks from a registered compiled trace when one covers
+//! the stream and generates them otherwise. A [`Mix`] stream is the one
+//! `MultiProgrammed::new(apps, quantum, seed)` produces: it has no
+//! compiled form and is always generated. Either way every chunk lands
+//! in one reused buffer.
 //!
 //! # Determinism
 //!
@@ -13,13 +17,16 @@
 //! local generator owned by the calling worker, so every consumer sees
 //! exactly the generator's stream for any job count and any memo state.
 
+use std::fmt;
 use std::fs::File;
+use std::hash::Hasher;
 use std::io::BufReader;
 use std::sync::Arc;
 use std::time::Instant;
 
 use moca_trace::binfmt::TraceReader;
-use moca_trace::{AppProfile, MemoryAccess, TraceGenerator};
+use moca_trace::fxhash::FxHasher;
+use moca_trace::{AppProfile, MemoryAccess, MultiProgrammed, TraceGenerator};
 
 use crate::replay::{FileTraceSource, TraceRegistry};
 
@@ -30,6 +37,115 @@ use crate::replay::{FileTraceSource, TraceRegistry};
 /// same size, and a filtered run's chunks cover the same references
 /// for every consumer.
 pub const STREAM_CHUNK: usize = TraceGenerator::DEFAULT_CHUNK;
+
+/// Why a [`Mix`] could not be built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MixError {
+    /// The mix schedules no app.
+    NoApps,
+    /// The scheduler quantum is zero references.
+    ZeroQuantum,
+}
+
+impl fmt::Display for MixError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MixError::NoApps => write!(f, "a co-scheduled mix needs at least one app"),
+            MixError::ZeroQuantum => write!(f, "a co-scheduled mix needs a non-zero quantum"),
+        }
+    }
+}
+
+impl std::error::Error for MixError {}
+
+/// A co-scheduled mix: apps time-sliced round-robin on one core, each
+/// running `quantum` references at a time (see [`MultiProgrammed`]).
+///
+/// Building the mix is the only fallible step: a valid mix always
+/// yields a stream, so a plan over it cannot fail for its source.
+///
+/// # Examples
+///
+/// ```
+/// use moca_sim::stream::{Mix, MixError};
+/// use moca_trace::AppProfile;
+///
+/// let mix = Mix::new(vec![AppProfile::browser(), AppProfile::music()], 20_000)?;
+/// assert_eq!(mix.name(), "browser+music");
+/// assert_eq!(Mix::new(Vec::new(), 20_000).unwrap_err(), MixError::NoApps);
+/// # Ok::<(), MixError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct Mix {
+    apps: Vec<AppProfile>,
+    quantum: u64,
+    name: String,
+    /// The identity of the mix's streams: its apps' fingerprints, in
+    /// order, and its quantum.
+    fingerprint: u64,
+}
+
+impl Mix {
+    /// A mix of `apps` in schedule order, switching every `quantum`
+    /// references.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MixError`] if `apps` is empty or `quantum` is zero.
+    pub fn new(apps: Vec<AppProfile>, quantum: u64) -> Result<Self, MixError> {
+        if apps.is_empty() {
+            return Err(MixError::NoApps);
+        }
+        if quantum == 0 {
+            return Err(MixError::ZeroQuantum);
+        }
+        let name = apps
+            .iter()
+            .map(|app| app.name)
+            .collect::<Vec<_>>()
+            .join("+");
+        // Tagged, so a mix and the profile stream of one of its apps
+        // hash different inputs and key different memo runs.
+        let mut h = FxHasher::default();
+        h.write(b"mix");
+        h.write_usize(apps.len());
+        for app in &apps {
+            h.write_u64(app.fingerprint());
+        }
+        h.write_u64(quantum);
+        Ok(Mix {
+            fingerprint: h.finish(),
+            apps,
+            quantum,
+            name,
+        })
+    }
+
+    /// The apps' names joined by `+`, in schedule order.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+}
+
+/// What a [`TraceStream`] reads.
+#[derive(Debug, Clone, Copy)]
+pub enum Source<'a> {
+    /// One app on its own.
+    App(&'a AppProfile),
+    /// A co-scheduled mix.
+    Mix(&'a Mix),
+}
+
+impl<'a> Source<'a> {
+    /// The name a system running this source reports: the app's name,
+    /// or the mix's.
+    pub(crate) fn name(self) -> &'a str {
+        match self {
+            Source::App(app) => app.name,
+            Source::Mix(mix) => mix.name(),
+        }
+    }
+}
 
 /// A [`FileTraceSource`] a stream replays from, with its lazily opened
 /// per-stream reader.
@@ -42,21 +158,55 @@ struct FileBackend {
     full_chunks: u32,
 }
 
-/// A forward cursor over the `(app, seed)` trace stream, in
+/// A stream's local generator.
+#[derive(Debug)]
+enum Generator {
+    App(Box<TraceGenerator>),
+    Mix(MultiProgrammed),
+}
+
+impl Generator {
+    fn new(source: Source<'_>, seed: u64) -> Self {
+        match source {
+            Source::App(app) => Generator::App(Box::new(TraceGenerator::new(app, seed))),
+            // `Mix::new` rejected what `MultiProgrammed::new` asserts.
+            Source::Mix(mix) => Generator::Mix(MultiProgrammed::new(&mix.apps, mix.quantum, seed)),
+        }
+    }
+
+    /// Replaces `out`'s contents with the next [`STREAM_CHUNK`]
+    /// accesses; `out` holds exactly that capacity.
+    fn fill(&mut self, out: &mut Vec<MemoryAccess>) {
+        match self {
+            Generator::App(gen) => {
+                gen.fill(out);
+            }
+            Generator::Mix(mix) => {
+                out.clear();
+                out.extend(mix.by_ref().take(STREAM_CHUNK));
+            }
+        }
+    }
+}
+
+/// A forward cursor over the stream of a [`Source`] at a seed, in
 /// [`STREAM_CHUNK`]-long chunks.
 ///
-/// The stream is identical to `TraceGenerator::new(app, seed)`; the
+/// An app stream is identical to `TraceGenerator::new(app, seed)`; the
 /// difference is purely operational: a compiled trace file registered in
 /// the [`TraceRegistry`] serves chunks by decode instead of generation,
 /// and a local generator (created lazily, only on the first chunk the
-/// file cannot serve) fills the rest. Every chunk lands in one buffer
-/// reused for the whole stream. Consumption is strictly forward from
-/// chunk 0 — exactly the access pattern of a simulation run.
+/// file cannot serve) fills the rest. A mix stream is identical to
+/// `MultiProgrammed::new(apps, quantum, seed)` and always generated.
+/// Every chunk lands in one buffer reused for the whole stream.
+/// Consumption is strictly forward from chunk 0 — exactly the access
+/// pattern of a simulation run.
 ///
 /// File-backed streams report the file's
 /// [`source fingerprint`](FileTraceSource::source_fingerprint) rather
-/// than the plain profile fingerprint, so filtered runs of decoded
-/// streams live in their own namespace; a chunk that
+/// than the plain profile fingerprint, and mix streams one derived from
+/// the mix's apps and quantum, so filtered runs of decoded streams and
+/// of mixes live in namespaces of their own; a chunk that
 /// fails to decode drops the stream back to generation for the
 /// remainder — the decoded prefix and generated tail are the same bytes
 /// by construction, and the error is counted in the registry's
@@ -76,13 +226,13 @@ struct FileBackend {
 /// ```
 #[derive(Debug)]
 pub struct TraceStream<'a> {
-    profile: &'a AppProfile,
+    source: Source<'a>,
     seed: u64,
     fingerprint: u64,
     /// Registered compiled-trace backend, if one covers this stream.
     file: Option<FileBackend>,
     /// Local generator; only built when the file cannot serve a chunk.
-    gen: Option<TraceGenerator>,
+    gen: Option<Generator>,
     /// Chunks the local generator has produced (its stream position).
     generated: u32,
     /// Index of the next chunk to hand out.
@@ -96,8 +246,17 @@ impl<'a> TraceStream<'a> {
     /// [`TraceRegistry`]'s source for this identity when one is
     /// registered.
     pub fn new(profile: &'a AppProfile, seed: u64) -> Self {
-        let source = TraceRegistry::global().lookup(profile.fingerprint(), seed);
-        Self::build(profile, seed, source)
+        let file = TraceRegistry::global().lookup(profile.fingerprint(), seed);
+        Self::build(Source::App(profile), seed, file)
+    }
+
+    /// A stream over `source` at `seed`: [`TraceStream::new`] for an
+    /// app, the generated mix stream for a mix.
+    pub fn of(source: Source<'a>, seed: u64) -> Self {
+        match source {
+            Source::App(profile) => Self::new(profile, seed),
+            Source::Mix(_) => Self::build(source, seed, None),
+        }
     }
 
     /// A stream replaying an explicit [`FileTraceSource`] (tests,
@@ -109,24 +268,29 @@ impl<'a> TraceStream<'a> {
     pub fn with_source(profile: &'a AppProfile, seed: u64, source: Arc<FileTraceSource>) -> Self {
         debug_assert_eq!(source.fingerprint(), profile.fingerprint());
         debug_assert_eq!(source.seed(), seed);
-        Self::build(profile, seed, Some(source))
+        Self::build(Source::App(profile), seed, Some(source))
     }
 
-    fn build(profile: &'a AppProfile, seed: u64, source: Option<Arc<FileTraceSource>>) -> Self {
-        let file = source
-            .filter(|s| s.fingerprint() == profile.fingerprint() && s.seed() == seed)
-            .map(|source| FileBackend {
-                full_chunks: source.full_chunks(),
-                reader: None,
-                source,
-            });
+    fn build(source: Source<'a>, seed: u64, file: Option<Arc<FileTraceSource>>) -> Self {
+        let (file, fingerprint) = match source {
+            Source::App(profile) => {
+                let file = file
+                    .filter(|s| s.fingerprint() == profile.fingerprint() && s.seed() == seed)
+                    .map(|source| FileBackend {
+                        full_chunks: source.full_chunks(),
+                        reader: None,
+                        source,
+                    });
+                let fingerprint =
+                    TraceRegistry::stream_fingerprint(profile, file.as_ref().map(|f| &*f.source));
+                (file, fingerprint)
+            }
+            Source::Mix(mix) => (None, mix.fingerprint),
+        };
         TraceStream {
-            profile,
+            source,
             seed,
-            fingerprint: TraceRegistry::stream_fingerprint(
-                profile,
-                file.as_ref().map(|f| &*f.source),
-            ),
+            fingerprint,
             file,
             gen: None,
             generated: 0,
@@ -135,14 +299,19 @@ impl<'a> TraceStream<'a> {
         }
     }
 
+    /// The seed the stream was built at.
+    pub(crate) fn seed(&self) -> u64 {
+        self.seed
+    }
+
     /// Index of the next chunk [`TraceStream::next_chunk`] will return.
     pub fn position(&self) -> u32 {
         self.next
     }
 
     /// The identity of this stream's source: the profile fingerprint,
-    /// or the file's source fingerprint when replaying a registered
-    /// compiled trace.
+    /// the file's source fingerprint when replaying a registered
+    /// compiled trace, or the mix's fingerprint.
     pub fn source_fingerprint(&self) -> u64 {
         self.fingerprint
     }
@@ -197,7 +366,7 @@ impl<'a> TraceStream<'a> {
         }
         let gen = self
             .gen
-            .get_or_insert_with(|| TraceGenerator::new(self.profile, self.seed));
+            .get_or_insert_with(|| Generator::new(self.source, self.seed));
         while self.generated < self.next {
             gen.fill(out);
             self.generated += 1;
@@ -254,5 +423,52 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_eq!(a, TraceStream::new(&browser, 1).next_chunk());
+    }
+
+    fn pair(quantum: u64) -> Mix {
+        Mix::new(vec![AppProfile::browser(), AppProfile::music()], quantum).expect("valid mix")
+    }
+
+    #[test]
+    fn mix_stream_matches_multiprogrammed_chunk_for_chunk() {
+        // 3_001 does not divide the chunk, so quanta straddle chunks.
+        let mix = pair(3_001);
+        let expected: Vec<_> = MultiProgrammed::new(&mix.apps, 3_001, 5)
+            .take(3 * STREAM_CHUNK)
+            .collect();
+        let mut stream = TraceStream::of(Source::Mix(&mix), 5);
+        let mut got = Vec::new();
+        for _ in 0..3 {
+            got.extend_from_slice(stream.next_chunk());
+        }
+        assert_eq!(got, expected);
+        assert!(!stream.is_file_backed());
+        assert_eq!(stream.seed(), 5);
+    }
+
+    #[test]
+    fn mix_fingerprint_separates_apps_order_and_quantum() {
+        let mix = pair(3_001);
+        let fp = TraceStream::of(Source::Mix(&mix), 5).source_fingerprint();
+        assert_eq!(fp, mix.fingerprint);
+        for app in &mix.apps {
+            assert_ne!(fp, app.fingerprint());
+        }
+        let swapped = Mix::new(vec![AppProfile::music(), AppProfile::browser()], 3_001);
+        let solo = Mix::new(vec![AppProfile::browser()], 3_001);
+        for other in [pair(3_000), swapped.expect("valid"), solo.expect("valid")] {
+            assert_ne!(fp, other.fingerprint, "{}", other.name());
+        }
+        assert_eq!(fp, pair(3_001).fingerprint);
+    }
+
+    #[test]
+    fn invalid_mixes_are_rejected_at_construction() {
+        let empty = Mix::new(Vec::new(), 20_000).unwrap_err();
+        assert_eq!(empty, MixError::NoApps);
+        assert!(empty.to_string().contains("at least one app"));
+        let still = Mix::new(vec![AppProfile::game()], 0).unwrap_err();
+        assert_eq!(still, MixError::ZeroQuantum);
+        assert!(still.to_string().contains("non-zero quantum"));
     }
 }

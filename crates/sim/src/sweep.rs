@@ -39,6 +39,7 @@ use crate::lockstep::{execute, Plan, Point};
 use crate::memo::RunMemo;
 use crate::metrics::SimReport;
 use crate::parallel::Jobs;
+use crate::stream::TraceStream;
 use crate::table::Table;
 use crate::telemetry::{self, Event, Kind};
 
@@ -197,7 +198,7 @@ pub fn profile_lru_grid(app: &AppProfile, refs: usize, seed: u64, max_ways: u32)
     let cfg = SystemConfig::default();
     let sets = u32::try_from(L2BaseParams::default().sets).expect("default set count fits u32");
     let mut prof = MrcProfiler::new(&[sets], max_ways).expect("default L2 geometry is valid");
-    RunMemo::global().replay(app, seed, &cfg, refs, |chunk| {
+    RunMemo::global().replay(TraceStream::new(app, seed), &cfg, refs, |chunk| {
         for ev in chunk.events() {
             prof.observe(&ev.demand);
             if let Some(wb) = &ev.writeback {

@@ -203,7 +203,10 @@ impl System {
 
     /// Runs an entire trace (or any iterator of references).
     ///
-    /// For references coming out of a [`TraceGenerator`], prefer
+    /// The scalar reference path for arbitrary access sequences, used by
+    /// tests and examples; experiments run their designs through
+    /// [`crate::lockstep::execute`], co-scheduled mixes included. For
+    /// references coming out of a [`TraceGenerator`], prefer
     /// [`System::run_generated`], which streams chunked batches through a
     /// reused buffer instead of pulling one access at a time.
     pub fn run<I>(&mut self, trace: I) -> u64

@@ -11,7 +11,9 @@
 //!
 //! Where a plan's filtered run comes from — built into the memo,
 //! replayed from it, built past a full memo's cap, or kept private to
-//! an unmemoized plan — is one more input of the grid.
+//! an unmemoized plan — is one more input of the grid, and so is the
+//! stream's source: one app, or a co-scheduled mix checked against a
+//! scalar run over its `MultiProgrammed` stream.
 //!
 //! The randomized scalar ≡ lock-step properties (and the
 //! fault-isolation cases) live in `lockstep_props.rs`; byte-identity of
@@ -24,8 +26,8 @@ use moca_energy::RetentionClass;
 use moca_sim::lockstep::{execute, Plan};
 use moca_sim::memo::{RunMemo, MEMO_CAP_BYTES};
 use moca_sim::parallel::Jobs;
-use moca_sim::{SimReport, System, SystemConfig};
-use moca_trace::{AppProfile, TraceGenerator};
+use moca_sim::{Mix, SimReport, System, SystemConfig};
+use moca_trace::{AppProfile, MultiProgrammed, TraceGenerator};
 
 /// The reports of a plan every design of which is valid.
 fn run(plan: Plan<'_>) -> Vec<SimReport> {
@@ -308,4 +310,65 @@ fn memo_hit_miss_rejected_and_unmemoized_runs_match_scalar_oracle() {
         [memo.stats(), partial.stats(), empty.stats()]
     };
     assert_eq!(stats_at(Jobs::SERIAL), stats_at(Jobs::new(3)));
+}
+
+/// A co-scheduled mix is one more stream source: every lane of a mix
+/// plan matches a scalar [`System::run`] over the mix's
+/// [`MultiProgrammed`] stream, at two seeds and two quanta (3 001 does
+/// not divide the chunk, so quanta straddle chunk boundaries), over a
+/// run that ends mid-chunk — memoized (built, then replayed),
+/// unmemoized, and live in a one-design plan, at one and two jobs.
+#[test]
+fn mix_plans_match_scalar_multiprogrammed_oracle() {
+    let apps = vec![AppProfile::browser(), AppProfile::music()];
+    let refs = 2 * 8192 + 555; // off chunk alignment
+    let pool = [
+        L2Design::baseline(),
+        L2Design::static_default(),
+        L2Design::dynamic_default(),
+        L2Design::SharedStt {
+            ways: 16,
+            retention: RetentionClass::TenMillis,
+            refresh: RefreshPolicy::InvalidateOnExpiry,
+        },
+    ];
+    let cfg = SystemConfig::default();
+    // One memo for every (quantum, seed): a mix key that ignored either
+    // would replay another stream's run and diverge from the oracle.
+    let memo = RunMemo::with_capacity(MEMO_CAP_BYTES);
+    for quantum in [2_048u64, 3_001] {
+        let mix = Mix::new(apps.clone(), quantum).expect("valid mix");
+        for seed in [0x5EED_2015u64, 7] {
+            let oracle: Vec<SimReport> = pool
+                .iter()
+                .map(|&design| {
+                    let mut sys = System::new(mix.name(), design, cfg).expect("valid design");
+                    sys.run(MultiProgrammed::new(&apps, quantum, seed).take(refs));
+                    sys.finish()
+                })
+                .collect();
+            assert_eq!(oracle[0].app, "browser+music");
+            let plan = Plan::mix(&mix, seed, refs, &pool);
+            for jobs in [Jobs::SERIAL, Jobs::new(2)] {
+                for (shape, plan) in [
+                    ("memoized", plan.clone().with_memo(&memo)),
+                    ("unmemoized", plan.clone().unmemoized()),
+                ] {
+                    let reports = run_with(plan, jobs);
+                    assert_eq!(reports.len(), pool.len());
+                    for (lane, (want, got)) in oracle.iter().zip(&reports).enumerate() {
+                        let ctx =
+                            format!("quantum={quantum} seed={seed} {shape} {jobs:?} lane={lane}");
+                        assert_reports_match_fieldwise(want, got, &ctx);
+                    }
+                }
+            }
+            let live = run(Plan::mix(&mix, seed, refs, &pool[3..]).unmemoized());
+            let ctx = format!("quantum={quantum} seed={seed} live");
+            assert_reports_match_fieldwise(&oracle[3], &live[0], &ctx);
+        }
+    }
+    // Each (quantum, seed) built once, replayed once (at Jobs 2).
+    let stats = memo.stats();
+    assert_eq!((stats.runs, stats.misses, stats.hits), (4, 4, 4));
 }

@@ -282,6 +282,25 @@ diff -u <(grep '^filtered-run memo:' "$SMOKE_DIR/memo_j1_full.txt") \
   || { echo "filtered-run memo counters vary with --jobs"; exit 1; }
 echo "filtered-run memo smoke passed"
 
+echo "== co-scheduled mix smoke (A7 runs through the executor: --jobs determinism) =="
+# A7 runs one unmemoized three-design plan per co-scheduled pair: each
+# pair's 600k-ref quick mix stream is filtered once, however many
+# designs replay it, and no run enters the memo. The rendered block
+# must not depend on --jobs. Trimmed and masked like the search smoke.
+"$REPRO" --quick --jobs 1 A7 > "$SMOKE_DIR/a7_j1_full.txt"
+trim_search_run "$SMOKE_DIR/a7_j1_full.txt" > "$SMOKE_DIR/a7_j1.txt"
+grep -q '^## A7 ' "$SMOKE_DIR/a7_j1.txt" \
+  || { echo "mix run rendered no A7 block"; exit 1; }
+grep -q ' 1800000 front-end ref(s)$' "$SMOKE_DIR/a7_j1_full.txt" \
+  || { echo "A7 did not filter each mix stream exactly once"; exit 1; }
+grep -q '^filtered-run memo: 0 run(s) cached, ' "$SMOKE_DIR/a7_j1_full.txt" \
+  || { echo "A7's unmemoized mix runs entered the memo"; exit 1; }
+"$REPRO" --quick --jobs 2 A7 > "$SMOKE_DIR/a7_j2_full.txt"
+trim_search_run "$SMOKE_DIR/a7_j2_full.txt" > "$SMOKE_DIR/a7_j2.txt"
+diff -u "$SMOKE_DIR/a7_j1.txt" "$SMOKE_DIR/a7_j2.txt" \
+  || { echo "co-scheduled mix output varies with --jobs"; exit 1; }
+echo "co-scheduled mix smoke passed"
+
 echo "== trace corruption exit-code smoke (one distinct code per class) =="
 # trace_corpus validate maps each corruption class to its own exit code
 # (CorruptionClass::exit_code): 3 magic, 4 version, 5 payload checksum,

@@ -67,6 +67,8 @@ pub enum MocaError {
     Build(moca_sim::BuildSystemError),
     /// One point of a sweep failed (build rejection or caught panic).
     SweepPoint(moca_sim::SweepPointError),
+    /// A co-scheduled mix was rejected (no apps, or a zero quantum).
+    Mix(moca_sim::MixError),
     /// An energy/area projection overflowed its integer arithmetic
     /// (event-count sums or capacity products out of range).
     EnergyOverflow(moca_energy::ArithmeticOverflow),
@@ -83,6 +85,7 @@ impl fmt::Display for MocaError {
             MocaError::Trace(e) => write!(f, "trace error: {e}"),
             MocaError::Build(e) => write!(f, "system build error: {e}"),
             MocaError::SweepPoint(e) => write!(f, "sweep point failure: {e}"),
+            MocaError::Mix(e) => write!(f, "invalid mix: {e}"),
             MocaError::EnergyOverflow(e) => write!(f, "energy projection overflow: {e}"),
             MocaError::Io(e) => write!(f, "i/o error: {e}"),
         }
@@ -97,6 +100,7 @@ impl std::error::Error for MocaError {
             MocaError::Trace(e) => Some(e),
             MocaError::Build(e) => Some(e),
             MocaError::SweepPoint(e) => Some(e),
+            MocaError::Mix(e) => Some(e),
             MocaError::EnergyOverflow(e) => Some(e),
             MocaError::Io(e) => Some(e),
         }
@@ -133,6 +137,12 @@ impl From<moca_sim::SweepPointError> for MocaError {
     }
 }
 
+impl From<moca_sim::MixError> for MocaError {
+    fn from(e: moca_sim::MixError) -> Self {
+        MocaError::Mix(e)
+    }
+}
+
 impl From<moca_energy::ArithmeticOverflow> for MocaError {
     fn from(e: moca_energy::ArithmeticOverflow) -> Self {
         MocaError::EnergyOverflow(e)
@@ -164,6 +174,10 @@ mod tests {
 
         let io: MocaError = std::io::Error::other("disk full").into();
         assert!(io.to_string().contains("disk full"));
+
+        let mix: MocaError = moca_sim::Mix::new(Vec::new(), 1).unwrap_err().into();
+        assert!(mix.source().is_some());
+        assert!(mix.to_string().contains("invalid mix"));
 
         let trace: MocaError = moca_trace::io::ReadTraceError::HeaderCorrupt("truncated").into();
         assert!(trace.to_string().contains("trace error"));

@@ -19,9 +19,10 @@ use std::process::Command;
 use moca_sim::telemetry::{mask_timing, parse_line, JsonValue, Kind};
 
 /// Experiments used by the tests: A2 fans out per-app design pairs
-/// (multi-point sweeps) and F3 runs standalone single-point sweeps, so
-/// both `point` shapes appear in the stream.
-const IDS: [&str; 2] = ["F3", "A2"];
+/// (multi-point sweeps), F3 runs standalone single-point sweeps and A7
+/// runs one three-design plan per co-scheduled mix, so both `point`
+/// shapes and mix streams appear in the stream.
+const IDS: [&str; 3] = ["F3", "A2", "A7"];
 
 /// Runs `repro --quick --jobs N --progress --telemetry <tmp>` and
 /// returns `(jsonl stream, stderr)`.
