@@ -1,10 +1,11 @@
 //! L2 design-point configuration.
 //!
 //! The paper's evaluation compares four designs; [`L2Design`] captures all
-//! of them (plus intermediate points for sweeps) as data, and
-//! [`MobileL2`](crate::mobile_l2::MobileL2) executes any of them.
+//! of them (plus sweep points and two alternatives) as data, and
+//! [`L2Engine::new`](crate::engine::L2Engine::new) builds each one's engine.
 
 use moca_cache::replacement::ReplacementPolicy;
+use moca_cache::GeometryError;
 use moca_energy::{RetentionClass, TechNode, Temperature};
 
 use std::fmt;
@@ -152,6 +153,26 @@ pub enum L2Design {
         /// Epoch length in cycles between repartition decisions.
         epoch_cycles: u64,
     },
+    /// Set-partitioned SRAM: user and kernel arrays of their own set counts
+    /// (A2; see [`SetPartitionedL2`](crate::set_partition::SetPartitionedL2)).
+    SetPartitionedSram {
+        /// Sets of the user array.
+        user_sets: u64,
+        /// Sets of the kernel array.
+        kernel_sets: u64,
+        /// Associativity of each array.
+        ways: u32,
+    },
+    /// Mode-agnostic SRAM + non-volatile STT-RAM hybrid with write-history
+    /// steering (A3; see [`HybridL2`](crate::hybrid::HybridL2)).
+    HybridStt {
+        /// Ways of the SRAM partition.
+        sram_ways: u32,
+        /// Ways of the STT-RAM partition.
+        stt_ways: u32,
+        /// Retention class of the STT-RAM cells (must be non-volatile).
+        retention: RetentionClass,
+    },
 }
 
 /// Errors from validating an [`L2Design`].
@@ -170,6 +191,14 @@ pub enum DesignError {
     },
     /// Epoch length of zero cycles.
     ZeroEpoch,
+    /// A set-partitioned array's set count is zero or not a power of two.
+    BadSetCount(&'static str, u64),
+    /// A hybrid's STT-RAM retention class is volatile.
+    VolatileHybrid,
+    /// An engine was given a design another engine runs.
+    OtherEngine,
+    /// The base parameters give the design no valid cache geometry.
+    Geometry(GeometryError),
 }
 
 impl fmt::Display for DesignError {
@@ -182,11 +211,22 @@ impl fmt::Display for DesignError {
                 "two segments of at least {min_ways} ways cannot fit in {max_ways} ways"
             ),
             DesignError::ZeroEpoch => f.write_str("epoch length must be non-zero"),
+            DesignError::BadSetCount(which, n) => write!(f, "{which} sets {n} not a power of two"),
+            DesignError::VolatileHybrid => f.write_str("hybrid STT-RAM ways must be non-volatile"),
+            DesignError::OtherEngine => f.write_str("the design runs on another L2 engine"),
+            DesignError::Geometry(e) => write!(f, "no valid L2 geometry: {e}"),
         }
     }
 }
 
-impl std::error::Error for DesignError {}
+impl std::error::Error for DesignError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            DesignError::Geometry(e) => Some(e),
+            _ => None,
+        }
+    }
+}
 
 impl L2Design {
     /// The paper's baseline: 2 MiB 16-way shared SRAM.
@@ -237,6 +277,12 @@ impl L2Design {
             L2Design::DynamicSram { max_ways, .. } | L2Design::DynamicStt { max_ways, .. } => {
                 max_ways
             }
+            L2Design::SetPartitionedSram { ways, .. } => ways,
+            L2Design::HybridStt {
+                sram_ways,
+                stt_ways,
+                ..
+            } => sram_ways + stt_ways,
         }
     }
 
@@ -292,6 +338,34 @@ impl L2Design {
                     return Err(DesignError::ZeroEpoch);
                 }
             }
+            L2Design::SetPartitionedSram {
+                user_sets,
+                kernel_sets,
+                ways,
+            } => {
+                for (which, sets) in [("user array", user_sets), ("kernel array", kernel_sets)] {
+                    if !sets.is_power_of_two() {
+                        return Err(DesignError::BadSetCount(which, sets));
+                    }
+                }
+                if ways == 0 {
+                    return Err(DesignError::ZeroWays("set-partitioned array"));
+                }
+            }
+            L2Design::HybridStt {
+                sram_ways,
+                stt_ways,
+                retention,
+            } => {
+                for (which, ways) in [("sram partition", sram_ways), ("stt partition", stt_ways)] {
+                    if ways == 0 {
+                        return Err(DesignError::ZeroWays(which));
+                    }
+                }
+                if retention.is_volatile() {
+                    return Err(DesignError::VolatileHybrid);
+                }
+            }
         }
         if self.physical_ways() > 64 {
             return Err(DesignError::TooManyWays(self.physical_ways()));
@@ -326,6 +400,16 @@ impl L2Design {
                 kernel_retention,
                 ..
             } => format!("STT-dynamic-{max_ways}w-{user_retention}/{kernel_retention}"),
+            L2Design::SetPartitionedSram {
+                user_sets,
+                kernel_sets,
+                ways,
+            } => format!("SRAM-setpart-{user_sets}/{kernel_sets}sets-{ways}w"),
+            L2Design::HybridStt {
+                sram_ways,
+                stt_ways,
+                retention,
+            } => format!("Hybrid-{sram_ways}s{stt_ways}t-{retention}"),
         }
     }
 }
@@ -426,6 +510,59 @@ mod tests {
     }
 
     #[test]
+    fn validation_catches_set_partitioned_geometry() {
+        let set = |user_sets, kernel_sets, ways| L2Design::SetPartitionedSram {
+            user_sets,
+            kernel_sets,
+            ways,
+        };
+        assert_eq!(set(1024, 512, 16).validate(), Ok(()));
+        assert_eq!(
+            set(0, 512, 16).validate(),
+            Err(DesignError::BadSetCount("user array", 0))
+        );
+        assert_eq!(
+            set(1024, 3, 16).validate(),
+            Err(DesignError::BadSetCount("kernel array", 3))
+        );
+        assert_eq!(
+            set(1024, 512, 0).validate(),
+            Err(DesignError::ZeroWays("set-partitioned array"))
+        );
+        assert_eq!(
+            set(1024, 512, 65).validate(),
+            Err(DesignError::TooManyWays(65))
+        );
+    }
+
+    #[test]
+    fn validation_catches_hybrid_splits_and_volatile_retention() {
+        let hybrid = |sram_ways, stt_ways, retention| L2Design::HybridStt {
+            sram_ways,
+            stt_ways,
+            retention,
+        };
+        let nv = RetentionClass::TenYears;
+        assert_eq!(hybrid(2, 14, nv).validate(), Ok(()));
+        assert_eq!(
+            hybrid(0, 14, nv).validate(),
+            Err(DesignError::ZeroWays("sram partition"))
+        );
+        assert_eq!(
+            hybrid(2, 0, nv).validate(),
+            Err(DesignError::ZeroWays("stt partition"))
+        );
+        assert_eq!(
+            hybrid(40, 40, nv).validate(),
+            Err(DesignError::TooManyWays(80))
+        );
+        assert_eq!(
+            hybrid(2, 14, RetentionClass::TenMillis).validate(),
+            Err(DesignError::VolatileHybrid)
+        );
+    }
+
+    #[test]
     fn labels_are_distinct() {
         let labels = [
             L2Design::baseline().label(),
@@ -434,6 +571,18 @@ mod tests {
             L2Design::StaticSram {
                 user_ways: 6,
                 kernel_ways: 2,
+            }
+            .label(),
+            L2Design::SetPartitionedSram {
+                user_sets: 1024,
+                kernel_sets: 512,
+                ways: 16,
+            }
+            .label(),
+            L2Design::HybridStt {
+                sram_ways: 2,
+                stt_ways: 14,
+                retention: RetentionClass::TenYears,
             }
             .label(),
         ];

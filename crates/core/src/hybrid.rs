@@ -3,9 +3,10 @@
 //! A well-known alternative to the paper's homogeneous STT-RAM designs:
 //! keep a few SRAM ways for *write-hot* blocks and fill everything else
 //! into dense, low-leakage STT-RAM ways, steering blocks with a small
-//! write-history table (WHT). The A3 extension experiment compares this
-//! hybrid against the all-SRAM baseline and an all-STT-RAM cache to show
-//! where the paper's multi-retention approach stands.
+//! write-history table (WHT). [`HybridL2`] executes
+//! [`L2Design::HybridStt`]; the A3 extension experiment compares it
+//! against the all-SRAM baseline and an all-STT-RAM cache to show where
+//! the paper's multi-retention approach stands.
 //!
 //! Scope: the hybrid is mode-agnostic (no user/kernel partitioning) and
 //! requires a non-volatile STT retention class — it isolates the *write
@@ -15,10 +16,10 @@
 use moca_cache::stats::CacheStats;
 use moca_cache::{L2Request, SetAssocCache, WayMask};
 use moca_energy::{
-    EnergyAccountant, EnergyBreakdown, MemoryTechnology, RetentionClass, Technology, Time,
+    EnergyAccountant, EnergyBreakdown, MemoryTechnology, SramBank, SttRamBank, Technology, Time,
 };
 
-use crate::design::{DesignError, L2BaseParams};
+use crate::design::{DesignError, L2BaseParams, L2Design};
 use crate::mobile_l2::{L2Response, TrafficCounters};
 
 /// Number of entries in the write-history table (direct-mapped).
@@ -57,19 +58,27 @@ impl HybridStats {
     }
 }
 
+/// Index of the SRAM partition in [`HybridL2`]'s partitions.
+const SRAM: usize = 0;
+/// Index of the STT-RAM partition.
+const STT: usize = 1;
+
+/// One partition of the hybrid array: its ways, bank and latencies.
+#[derive(Debug, Clone)]
+struct Partition {
+    mask: WayMask,
+    acct: EnergyAccountant,
+    read_latency: u64,
+    write_latency: u64,
+}
+
 /// A shared hybrid L2: `sram_ways` SRAM + `stt_ways` STT-RAM in one
 /// physical array.
 #[derive(Debug, Clone)]
 pub struct HybridL2 {
     cache: SetAssocCache,
-    sram_mask: WayMask,
-    stt_mask: WayMask,
-    sram_acct: EnergyAccountant,
-    stt_acct: EnergyAccountant,
-    sram_read_lat: u64,
-    sram_write_lat: u64,
-    stt_read_lat: u64,
-    stt_write_lat: u64,
+    /// The SRAM ways, then the STT-RAM ways.
+    parts: [Partition; 2],
     /// Direct-mapped write-history counters, indexed by line hash.
     wht: Vec<u8>,
     /// Per-resident-block STT write streak (indexed like the cache).
@@ -81,65 +90,42 @@ pub struct HybridL2 {
 }
 
 impl HybridL2 {
-    /// Builds the hybrid with the given way split and STT retention.
+    /// Builds a [`L2Design::HybridStt`] design.
     ///
     /// # Errors
     ///
-    /// Returns [`DesignError::ZeroWays`] if either partition is empty or
-    /// [`DesignError::TooManyWays`] if the total exceeds 64. Volatile
-    /// retention classes are rejected (see module docs).
-    pub fn new(
-        sram_ways: u32,
-        stt_ways: u32,
-        retention: RetentionClass,
-        params: &L2BaseParams,
-    ) -> Result<Self, DesignError> {
-        if sram_ways == 0 {
-            return Err(DesignError::ZeroWays("sram partition"));
-        }
-        if stt_ways == 0 {
-            return Err(DesignError::ZeroWays("stt partition"));
-        }
-        let total = sram_ways + stt_ways;
-        if total > 64 {
-            return Err(DesignError::TooManyWays(total));
-        }
-        assert!(
-            !retention.is_volatile(),
-            "the hybrid engine models non-volatile STT ways; use MobileL2 for \
-             retention-relaxed designs"
-        );
-        let geom = moca_cache::CacheGeometry::from_sets(params.sets, total, params.line_bytes)
-            .expect("validated way count");
-        let sram_bank = Technology::Sram(moca_energy::SramBank::new(
-            params.way_bytes() * u64::from(sram_ways),
+    /// Returns the [`DesignError`] of [`L2Design::validate`] (an empty
+    /// partition, more than 64 ways, a volatile retention class — see
+    /// module docs), [`DesignError::OtherEngine`] for any other design, or
+    /// [`DesignError::Geometry`] if `params` give no valid geometry.
+    pub fn new(design: L2Design, params: L2BaseParams) -> Result<Self, DesignError> {
+        design.validate()?;
+        let L2Design::HybridStt {
             sram_ways,
-            params.tech,
-        ));
-        let stt_bank = Technology::SttRam(moca_energy::SttRamBank::new(
-            params.way_bytes() * u64::from(stt_ways),
             stt_ways,
             retention,
-            params.tech,
-        ));
-        let lat = |t: &Technology| {
-            (
-                t.read_latency().cycles(params.clock_ghz).max(1),
-                t.write_latency().cycles(params.clock_ghz).max(1),
-            )
+        } = design
+        else {
+            return Err(DesignError::OtherEngine);
         };
-        let (srl, swl) = lat(&sram_bank);
-        let (trl, twl) = lat(&stt_bank);
+        let total = design.physical_ways();
+        let geom = moca_cache::CacheGeometry::from_sets(params.sets, total, params.line_bytes)
+            .map_err(DesignError::Geometry)?;
+        let bytes = |ways: u32| params.way_bytes() * u64::from(ways);
+        let part = |mask, tech: Technology| Partition {
+            mask,
+            read_latency: tech.read_latency().cycles(params.clock_ghz).max(1),
+            write_latency: tech.write_latency().cycles(params.clock_ghz).max(1),
+            acct: EnergyAccountant::new(tech),
+        };
+        let sram = SramBank::new(bytes(sram_ways), sram_ways, params.tech);
+        let stt = SttRamBank::new(bytes(stt_ways), stt_ways, retention, params.tech);
         Ok(Self {
             cache: SetAssocCache::new(geom, params.policy),
-            sram_mask: WayMask::first(sram_ways),
-            stt_mask: WayMask::range(sram_ways, total),
-            sram_acct: EnergyAccountant::new(sram_bank),
-            stt_acct: EnergyAccountant::new(stt_bank),
-            sram_read_lat: srl,
-            sram_write_lat: swl,
-            stt_read_lat: trl,
-            stt_write_lat: twl,
+            parts: [
+                part(WayMask::first(sram_ways), Technology::Sram(sram)),
+                part(WayMask::range(sram_ways, total), Technology::SttRam(stt)),
+            ],
             wht: vec![0; WHT_ENTRIES],
             stt_write_streak: vec![0; (params.sets as usize) * total as usize],
             stats: HybridStats::default(),
@@ -160,8 +146,9 @@ impl HybridL2 {
             return;
         }
         let dt = Time::from_cycles(elapsed, self.clock_ghz);
-        self.sram_acct.accrue_leakage(dt, 1.0);
-        self.stt_acct.accrue_leakage(dt, 1.0);
+        for part in &mut self.parts {
+            part.acct.accrue_leakage(dt, 1.0);
+        }
         self.last_accrual = now;
     }
 
@@ -172,114 +159,99 @@ impl HybridL2 {
     /// Processes one request at cycle `now`.
     pub fn request(&mut self, req: &L2Request, now: u64) -> L2Response {
         self.accrue(now);
-        let full = self.sram_mask.union(self.stt_mask);
         let set = self.cache.geometry().set_of_line(req.line);
+        let wht = Self::wht_index(req.line);
+        let full = self.parts[SRAM].mask.union(self.parts[STT].mask);
 
         // Hybrid lookup probes both partitions (one array, both masks).
-        if let Some(view) = self.cache.probe(req.line, full) {
-            // Find the way to classify the hit.
+        if self.cache.probe(req.line, full).is_some() {
             let result = self.cache.access(req.line, req.write, req.mode, now, full);
             debug_assert!(result.hit);
-            let in_sram = self.sram_mask.contains(result.way);
-            if req.write {
-                let wht = &mut self.wht[Self::wht_index(req.line)];
-                *wht = (*wht + 1).min(WHT_MAX);
-            }
-            let latency = match (in_sram, req.write) {
-                (true, false) => {
-                    self.sram_acct.record_reads(1);
-                    self.stats.sram_writes += 0;
-                    self.sram_read_lat
-                }
-                (true, true) => {
-                    self.sram_acct.record_writes(1);
-                    self.stats.sram_writes += 1;
-                    self.sram_write_lat
-                }
-                (false, false) => {
-                    self.stt_acct.record_reads(1);
-                    self.stt_read_lat
-                }
-                (false, true) => {
-                    self.stt_acct.record_writes(1);
-                    self.stats.stt_writes += 1;
-                    // Track the write streak; migrate write-hot blocks.
-                    let si = self.streak_idx(set, result.way);
-                    self.stt_write_streak[si] = self.stt_write_streak[si].saturating_add(1);
-                    if self.stt_write_streak[si] >= MIGRATE_AFTER {
-                        self.migrate_to_sram(req, set, result.way, now);
-                    }
-                    self.stt_write_lat
-                }
+            let p = if self.parts[SRAM].mask.contains(result.way) {
+                SRAM
+            } else {
+                STT
             };
-            let _ = view;
-            return L2Response {
+            let part = &mut self.parts[p];
+            let hit = L2Response {
                 hit: true,
-                latency_cycles: latency,
+                latency_cycles: part.read_latency,
                 dram_read: false,
+            };
+            if !req.write {
+                part.acct.record_reads(1);
+                return hit;
+            }
+            part.acct.record_writes(1);
+            let latency_cycles = part.write_latency;
+            self.wht[wht] = (self.wht[wht] + 1).min(WHT_MAX);
+            if p == SRAM {
+                self.stats.sram_writes += 1;
+            } else {
+                self.stats.stt_writes += 1;
+                // Track the write streak; migrate write-hot blocks.
+                let si = self.streak_idx(set, result.way);
+                self.stt_write_streak[si] = self.stt_write_streak[si].saturating_add(1);
+                if self.stt_write_streak[si] >= MIGRATE_AFTER {
+                    self.migrate_to_sram(set, result.way, now);
+                }
+            }
+            return L2Response {
+                latency_cycles,
+                ..hit
             };
         }
 
         // Miss: steer the fill by predicted write intensity.
-        let hot = self.wht[Self::wht_index(req.line)] >= WHT_HOT || req.write;
-        let mask = if hot { self.sram_mask } else { self.stt_mask };
-        let result = self.cache.access(req.line, req.write, req.mode, now, mask);
+        let p = if self.wht[wht] >= WHT_HOT || req.write {
+            SRAM
+        } else {
+            STT
+        };
+        let result = self
+            .cache
+            .access(req.line, req.write, req.mode, now, self.parts[p].mask);
         debug_assert!(!result.hit);
         self.traffic.dram_reads += 1;
         let si = self.streak_idx(set, result.way);
         self.stt_write_streak[si] = 0;
-        if hot {
+        if p == SRAM {
             self.stats.sram_fills += 1;
-            self.sram_acct.record_reads(1);
-            self.sram_acct.record_writes(1);
         } else {
             self.stats.stt_fills += 1;
-            self.stt_acct.record_reads(1);
-            self.stt_acct.record_writes(1);
         }
-        if let Some(v) = result.victim {
-            if v.dirty {
-                if hot {
-                    self.sram_acct.record_reads(1);
-                } else {
-                    self.stt_acct.record_reads(1);
-                }
-                self.traffic.dram_writes += 1;
-            }
+        let part = &mut self.parts[p];
+        part.acct.record_reads(1);
+        part.acct.record_writes(1);
+        if result.victim.is_some_and(|v| v.dirty) {
+            part.acct.record_reads(1);
+            self.traffic.dram_writes += 1;
         }
         L2Response {
             hit: false,
-            latency_cycles: if hot {
-                self.sram_read_lat
-            } else {
-                self.stt_read_lat
-            },
+            latency_cycles: part.read_latency,
             dram_read: true,
         }
     }
 
     /// Moves a write-hot block from an STT way into the SRAM partition.
-    fn migrate_to_sram(&mut self, req: &L2Request, set: u64, way: u32, now: u64) {
+    fn migrate_to_sram(&mut self, set: u64, way: u32, now: u64) {
         let Some(ev) = self.cache.invalidate_at(set, way) else {
             return;
         };
         // Read out of STT, write into SRAM.
-        self.stt_acct.record_reads(1);
-        let result = self
-            .cache
-            .access(ev.line, ev.dirty, ev.owner, now, self.sram_mask);
+        self.parts[STT].acct.record_reads(1);
+        let sram = self.parts[SRAM].mask;
+        let result = self.cache.access(ev.line, ev.dirty, ev.owner, now, sram);
         debug_assert!(!result.hit);
-        self.sram_acct.record_writes(1);
-        if let Some(v) = result.victim {
-            if v.dirty {
-                self.sram_acct.record_reads(1);
-                self.traffic.dram_writes += 1;
-            }
+        self.parts[SRAM].acct.record_writes(1);
+        if result.victim.is_some_and(|v| v.dirty) {
+            self.parts[SRAM].acct.record_reads(1);
+            self.traffic.dram_writes += 1;
         }
         let si = self.streak_idx(set, way);
         self.stt_write_streak[si] = 0;
         self.stats.migrations += 1;
-        let _ = req;
     }
 
     /// Accrues trailing leakage; call once after the last request.
@@ -301,8 +273,9 @@ impl HybridL2 {
     /// Merged energy breakdown.
     pub fn energy(&self) -> EnergyBreakdown {
         let mut e = EnergyBreakdown::new();
-        e.merge(self.sram_acct.breakdown());
-        e.merge(self.stt_acct.breakdown());
+        for part in &self.parts {
+            e.merge(part.acct.breakdown());
+        }
         e
     }
 
@@ -310,21 +283,13 @@ impl HybridL2 {
     pub fn traffic(&self) -> TrafficCounters {
         self.traffic
     }
-
-    /// Short label for tables.
-    pub fn label(&self) -> String {
-        format!(
-            "Hybrid-{}s{}t",
-            self.sram_mask.count(),
-            self.stt_mask.count()
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use moca_cache::L2Cause;
+    use moca_energy::RetentionClass;
     use moca_trace::{AccessKind, Mode};
 
     fn req(line: u64, write: bool) -> L2Request {
@@ -340,8 +305,17 @@ mod tests {
         }
     }
 
+    fn hybrid(sram_ways: u32, stt_ways: u32, retention: RetentionClass) -> L2Design {
+        L2Design::HybridStt {
+            sram_ways,
+            stt_ways,
+            retention,
+        }
+    }
+
     fn mk() -> HybridL2 {
-        HybridL2::new(2, 14, RetentionClass::TenYears, &L2BaseParams::default()).expect("valid")
+        let design = hybrid(2, 14, RetentionClass::TenYears);
+        HybridL2::new(design, L2BaseParams::default()).expect("valid")
     }
 
     #[test]
@@ -406,21 +380,31 @@ mod tests {
         assert!(e.total().nj() > 0.0);
         assert!(e.leakage.nj() > 0.0);
         assert!(l2.traffic().dram_reads > 0);
-        assert!(l2.label().contains("Hybrid-2s14t"));
     }
 
     #[test]
     fn rejects_bad_configs() {
         let p = L2BaseParams::default();
-        assert!(HybridL2::new(0, 14, RetentionClass::TenYears, &p).is_err());
-        assert!(HybridL2::new(2, 0, RetentionClass::TenYears, &p).is_err());
-        assert!(HybridL2::new(40, 40, RetentionClass::TenYears, &p).is_err());
+        let nv = RetentionClass::TenYears;
+        assert!(HybridL2::new(hybrid(0, 14, nv), p).is_err());
+        assert!(HybridL2::new(hybrid(2, 0, nv), p).is_err());
+        assert!(HybridL2::new(hybrid(40, 40, nv), p).is_err());
+        assert_eq!(
+            HybridL2::new(L2Design::baseline(), p).unwrap_err(),
+            DesignError::OtherEngine
+        );
     }
 
     #[test]
-    #[should_panic(expected = "non-volatile")]
     fn rejects_volatile_retention() {
-        let _ = HybridL2::new(2, 14, RetentionClass::TenMillis, &L2BaseParams::default());
+        assert_eq!(
+            HybridL2::new(
+                hybrid(2, 14, RetentionClass::TenMillis),
+                L2BaseParams::default()
+            )
+            .unwrap_err(),
+            DesignError::VolatileHybrid
+        );
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! 3. **Dynamic partitioning with short-retention STT-RAM** and way
 //!    power-gating ([`L2Design::DynamicStt`], controller in [`dynamic`]).
 //!
-//! All design points execute on the same engine, [`MobileL2`].
+//! All design points execute on [`MobileL2`] but two alternatives, and
+//! [`L2Engine::new`] maps each design to its engine.
 //!
 //! ```
 //! use moca_core::{L2BaseParams, L2Design, MobileL2};
@@ -38,6 +39,7 @@
 pub mod behavior;
 pub mod design;
 pub mod dynamic;
+pub mod engine;
 pub mod hybrid;
 pub mod mobile_l2;
 pub mod set_partition;
@@ -46,6 +48,7 @@ pub mod static_design;
 pub use behavior::{recommend_retention, IntervalHistogram, SegmentBehavior};
 pub use design::{DesignError, L2BaseParams, L2Design, RefreshPolicy};
 pub use dynamic::{AllocationSample, ControllerConfig, DynamicController};
+pub use engine::L2Engine;
 pub use hybrid::{HybridL2, HybridStats};
 pub use mobile_l2::{ExpiryStats, L2Response, MobileL2, TrafficCounters};
 pub use set_partition::SetPartitionedL2;

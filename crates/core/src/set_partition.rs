@@ -12,170 +12,87 @@
 //!   counts, and resizing means re-indexing the whole array (which is why
 //!   the paper's dynamic technique is way-based).
 //!
-//! [`SetPartitionedL2`] exists for the A2 ablation experiment comparing
-//! the two at equal capacity.
-//!
-//! [`MobileL2`]: crate::mobile_l2::MobileL2
+//! [`SetPartitionedL2`] executes [`L2Design::SetPartitionedSram`] as two
+//! shared-SRAM [`MobileL2`] arrays, so both partitioning styles run the
+//! same request path; the A2 experiment compares them at equal capacity.
 
 use moca_cache::stats::CacheStats;
-use moca_cache::{CacheGeometry, GeometryError, L2Request, SetAssocCache, WayMask};
-use moca_energy::{EnergyAccountant, EnergyBreakdown, MemoryTechnology, Technology, Time};
-use moca_trace::Mode;
+use moca_cache::L2Request;
+use moca_energy::EnergyBreakdown;
 
-use crate::design::L2BaseParams;
-use crate::mobile_l2::{L2Response, TrafficCounters};
+use crate::design::{DesignError, L2BaseParams, L2Design};
+use crate::mobile_l2::{L2Response, MobileL2, TrafficCounters};
 
-/// A two-array, set-partitioned L2 (user and kernel arrays).
+/// A two-array, set-partitioned L2: the user array serves user-mode
+/// requests and the kernel array kernel-mode ones.
 #[derive(Debug, Clone)]
 pub struct SetPartitionedL2 {
-    caches: [SetAssocCache; 2],
-    masks: [WayMask; 2],
-    accts: [EnergyAccountant; 2],
-    read_latency: [u64; 2],
-    write_latency: [u64; 2],
-    traffic: TrafficCounters,
-    clock_ghz: f64,
-    last_accrual: u64,
+    /// Boxed so an [`L2Engine`](crate::engine::L2Engine) is no larger
+    /// than one array.
+    arrays: Box<[MobileL2; 2]>,
 }
 
 impl SetPartitionedL2 {
-    /// Builds the design: `user_sets` / `kernel_sets` sets of `ways`-way
-    /// SRAM each (set counts must be powers of two).
+    /// Builds a [`L2Design::SetPartitionedSram`] design: two shared-SRAM
+    /// arrays of `ways` ways and their own set counts.
     ///
     /// # Errors
     ///
-    /// Returns [`GeometryError`] if either geometry is invalid.
-    pub fn new(
-        user_sets: u64,
-        kernel_sets: u64,
-        ways: u32,
-        params: &L2BaseParams,
-    ) -> Result<Self, GeometryError> {
-        let mk = |sets: u64| -> Result<(SetAssocCache, EnergyAccountant, u64, u64), GeometryError> {
-            let geom = CacheGeometry::from_sets(sets, ways, params.line_bytes)?;
-            let bank = Technology::Sram(moca_energy::SramBank::new(
-                geom.capacity_bytes(),
-                ways,
-                params.tech,
-            ));
-            let read = bank.read_latency().cycles(params.clock_ghz).max(1);
-            let write = bank.write_latency().cycles(params.clock_ghz).max(1);
-            Ok((
-                SetAssocCache::new(geom, params.policy),
-                EnergyAccountant::new(bank),
-                read,
-                write,
-            ))
+    /// Returns the [`DesignError`] of [`L2Design::validate`],
+    /// [`DesignError::OtherEngine`] for any other design, or
+    /// [`DesignError::Geometry`] if `params` give no valid geometry.
+    pub fn new(design: L2Design, params: L2BaseParams) -> Result<Self, DesignError> {
+        design.validate()?;
+        let L2Design::SetPartitionedSram {
+            user_sets,
+            kernel_sets,
+            ways,
+        } = design
+        else {
+            return Err(DesignError::OtherEngine);
         };
-        let (uc, ua, url, uwl) = mk(user_sets)?;
-        let (kc, ka, krl, kwl) = mk(kernel_sets)?;
+        let array = |sets| {
+            MobileL2::new(
+                L2Design::SharedSram { ways },
+                L2BaseParams { sets, ..params },
+            )
+        };
         Ok(Self {
-            caches: [uc, kc],
-            masks: [WayMask::first(ways); 2],
-            accts: [ua, ka],
-            read_latency: [url, krl],
-            write_latency: [uwl, kwl],
-            traffic: TrafficCounters::default(),
-            clock_ghz: params.clock_ghz,
-            last_accrual: 0,
+            arrays: Box::new([array(user_sets)?, array(kernel_sets)?]),
         })
     }
 
-    /// Total capacity of both arrays in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.caches
-            .iter()
-            .map(|c| c.geometry().capacity_bytes())
-            .sum()
-    }
-
-    /// Short label for tables.
-    pub fn label(&self) -> String {
-        format!(
-            "SRAM-setpart-{}K/{}K",
-            self.caches[0].geometry().capacity_bytes() >> 10,
-            self.caches[1].geometry().capacity_bytes() >> 10,
-        )
-    }
-
-    fn accrue(&mut self, now: u64) {
-        let elapsed = now.saturating_sub(self.last_accrual);
-        if elapsed == 0 {
-            return;
-        }
-        let dt = Time::from_cycles(elapsed, self.clock_ghz);
-        for a in &mut self.accts {
-            a.accrue_leakage(dt, 1.0);
-        }
-        self.last_accrual = now;
-    }
-
-    /// Processes one request at cycle `now`.
+    /// Processes one request at cycle `now`, in its mode's array.
     pub fn request(&mut self, req: &L2Request, now: u64) -> L2Response {
-        self.accrue(now);
-        let i = req.mode.index();
-        let result = self.caches[i].access(req.line, req.write, req.mode, now, self.masks[i]);
-        if result.hit {
-            if req.write {
-                self.accts[i].record_writes(1);
-            } else {
-                self.accts[i].record_reads(1);
-            }
-            return L2Response {
-                hit: true,
-                latency_cycles: if req.write {
-                    self.write_latency[i]
-                } else {
-                    self.read_latency[i]
-                },
-                dram_read: false,
-            };
-        }
-        self.accts[i].record_reads(1);
-        self.accts[i].record_writes(1);
-        self.traffic.dram_reads += 1;
-        if let Some(v) = result.victim {
-            if v.dirty {
-                self.accts[i].record_reads(1);
-                self.traffic.dram_writes += 1;
-            }
-        }
-        L2Response {
-            hit: false,
-            latency_cycles: self.read_latency[i],
-            dram_read: true,
-        }
+        self.arrays[req.mode.index()].request(req, now)
     }
 
     /// Accrues trailing leakage; call once after the last request.
     pub fn finalize(&mut self, now: u64) {
-        self.accrue(now);
+        self.arrays.iter_mut().for_each(|a| a.finalize(now));
     }
 
     /// Merged statistics of both arrays.
     pub fn stats(&self) -> CacheStats {
         let mut s = CacheStats::new();
-        s.merge(self.caches[0].stats());
-        s.merge(self.caches[1].stats());
+        self.arrays.iter().for_each(|a| s.merge(a.stats()));
         s
     }
 
     /// Merged energy breakdown.
     pub fn energy(&self) -> EnergyBreakdown {
         let mut e = EnergyBreakdown::new();
-        e.merge(self.accts[0].breakdown());
-        e.merge(self.accts[1].breakdown());
+        self.arrays.iter().for_each(|a| e.merge(&a.energy()));
         e
     }
 
-    /// DRAM traffic so far.
+    /// DRAM traffic of both arrays.
     pub fn traffic(&self) -> TrafficCounters {
-        self.traffic
-    }
-
-    /// Per-mode miss rate.
-    pub fn miss_rate(&self, mode: Mode) -> f64 {
-        self.caches[mode.index()].stats().miss_rate()
+        let [u, k] = self.arrays.each_ref().map(MobileL2::traffic);
+        TrafficCounters {
+            dram_reads: u.dram_reads + k.dram_reads,
+            dram_writes: u.dram_writes + k.dram_writes,
+        }
     }
 }
 
@@ -183,7 +100,7 @@ impl SetPartitionedL2 {
 mod tests {
     use super::*;
     use moca_cache::L2Cause;
-    use moca_trace::AccessKind;
+    use moca_trace::{AccessKind, Mode};
 
     fn req(line: u64, write: bool, mode: Mode) -> L2Request {
         L2Request {
@@ -198,16 +115,24 @@ mod tests {
         }
     }
 
+    fn design(user_sets: u64) -> L2Design {
+        L2Design::SetPartitionedSram {
+            user_sets,
+            kernel_sets: 512,
+            ways: 16,
+        }
+    }
+
     fn mk() -> SetPartitionedL2 {
         // 1 MiB user (1024 sets x 16w) + 512 KiB kernel (512 sets x 16w).
-        SetPartitionedL2::new(1024, 512, 16, &L2BaseParams::default()).expect("valid")
+        SetPartitionedL2::new(design(1024), L2BaseParams::default()).expect("valid")
     }
 
     #[test]
-    fn capacity_and_label() {
+    fn arrays_have_their_own_geometry() {
         let l2 = mk();
-        assert_eq!(l2.capacity_bytes(), (1 << 20) + (512 << 10));
-        assert_eq!(l2.label(), "SRAM-setpart-1024K/512K");
+        let bytes = l2.arrays.each_ref().map(MobileL2::active_capacity_bytes);
+        assert_eq!(bytes, [1 << 20, 512 << 10]);
     }
 
     #[test]
@@ -236,14 +161,24 @@ mod tests {
         assert_eq!(l2.traffic().dram_reads, s.misses());
         assert!(l2.energy().total().nj() > 0.0);
         assert!(l2.energy().leakage.nj() > 0.0);
-        assert!(l2.miss_rate(Mode::User) > 0.0);
-        assert!(l2.miss_rate(Mode::Kernel) > 0.0);
+        assert!(l2.arrays.iter().all(|a| a.stats().miss_rate() > 0.0));
     }
 
     #[test]
     fn bad_geometry_is_rejected() {
         // 3 sets is not a power of two.
-        assert!(SetPartitionedL2::new(3, 512, 16, &L2BaseParams::default()).is_err());
+        assert_eq!(
+            SetPartitionedL2::new(design(3), L2BaseParams::default()).unwrap_err(),
+            DesignError::BadSetCount("user array", 3)
+        );
+        let bad_line = L2BaseParams {
+            line_bytes: 48,
+            ..L2BaseParams::default()
+        };
+        assert!(matches!(
+            SetPartitionedL2::new(design(1024), bad_line),
+            Err(DesignError::Geometry(_))
+        ));
     }
 
     #[test]

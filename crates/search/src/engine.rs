@@ -227,11 +227,15 @@ pub fn design_area_mm2(genome: &Genome) -> Result<f64, ArithmeticOverflow> {
     let design = genome.decode();
     let ways = design.physical_ways();
     let capacity = try_capacity_bytes(L2BaseParams::default().way_bytes(), ways)?;
+    // No genome family decodes to a set-partitioned or hybrid design.
     let bank = match design {
         L2Design::SharedSram { .. }
         | L2Design::StaticSram { .. }
-        | L2Design::DynamicSram { .. } => Technology::sram(capacity, ways),
-        L2Design::SharedStt { retention, .. } => Technology::sttram(capacity, ways, retention),
+        | L2Design::DynamicSram { .. }
+        | L2Design::SetPartitionedSram { .. } => Technology::sram(capacity, ways),
+        L2Design::SharedStt { retention, .. } | L2Design::HybridStt { retention, .. } => {
+            Technology::sttram(capacity, ways, retention)
+        }
         L2Design::StaticMultiRetention { user_retention, .. }
         | L2Design::DynamicStt { user_retention, .. } => {
             Technology::sttram(capacity, ways, user_retention)

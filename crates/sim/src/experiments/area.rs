@@ -25,7 +25,15 @@ fn physical_bank(design: &L2Design) -> Technology {
         L2Design::SharedSram { .. }
         | L2Design::StaticSram { .. }
         | L2Design::DynamicSram { .. } => Technology::sram(capacity, ways),
-        L2Design::SharedStt { retention, .. } => Technology::sttram(capacity, ways, *retention),
+        // Two arrays of their own set counts (64 B lines, as WAY_BYTES).
+        L2Design::SetPartitionedSram {
+            user_sets,
+            kernel_sets,
+            ..
+        } => Technology::sram((user_sets + kernel_sets) * u64::from(ways) * 64, ways),
+        L2Design::SharedStt { retention, .. } | L2Design::HybridStt { retention, .. } => {
+            Technology::sttram(capacity, ways, *retention)
+        }
         L2Design::StaticMultiRetention { user_retention, .. } => {
             Technology::sttram(capacity, ways, *user_retention)
         }

@@ -1,51 +1,40 @@
 //! A3 (extension) — hybrid SRAM/STT-RAM versus the homogeneous designs.
 //!
-//! The hybrid ([`HybridL2`]) keeps two SRAM ways for write-hot blocks and
-//! fills the rest into non-volatile STT-RAM, steering fills with a
-//! write-history table. This experiment positions it between the
+//! The hybrid ([`L2Design::HybridStt`]) keeps two SRAM ways for write-hot
+//! blocks and fills the rest into non-volatile STT-RAM, steering fills
+//! with a write-history table. This experiment positions it between the
 //! all-SRAM baseline and an all-STT-RAM cache: the hybrid removes most
 //! STT write energy but keeps the SRAM ways' leakage, which is exactly
 //! why the paper's retention-relaxation approach (cheap STT writes
 //! everywhere) wins overall (compare with T2).
 
-use moca_core::{HybridL2, L2BaseParams, L2Design, RefreshPolicy};
+use moca_core::{L2Design, RefreshPolicy};
 use moca_energy::RetentionClass;
-use moca_trace::AppProfile;
 
-use crate::experiments::{replay_flat, ClaimCheck, ExperimentResult};
-use crate::lockstep::{execute, Plan};
-use crate::metrics::SimReport;
-use crate::parallel::{parallel_map, Jobs};
+use crate::experiments::{app_reports, ClaimCheck, ExperimentResult};
+use crate::parallel::Jobs;
 use crate::table::{f3, pct, Table};
-use crate::workloads::{Scale, EXPERIMENT_SEED};
+use crate::workloads::Scale;
 
 /// Apps compared (write-heavy ones are where the hybrid matters).
 pub const APPS: [&str; 3] = ["camera", "video", "browser"];
 
-/// Runs the hybrid through its own small runner (it is not an
-/// [`L2Design`] variant; see [`HybridL2`] docs).
-fn run_hybrid(app: &AppProfile, refs: usize) -> (f64, f64, f64, u64) {
-    let mut l2 = HybridL2::new(2, 14, RetentionClass::TenYears, &L2BaseParams::default())
-        .expect("static config is valid");
-    let core = replay_flat(app, refs, |req, now| l2.request(req, now));
-    l2.finalize(core.cycle());
-    (
-        l2.energy().total().joules(),
-        core.cycle() as f64 / core.refs() as f64,
-        l2.hybrid_stats().sram_write_share(),
-        l2.hybrid_stats().migrations,
-    )
-}
-
-/// Runs the experiment, sharding the per-app comparison runs over `jobs`
-/// threads.
+/// Runs the experiment, sharding the per-app plans over `jobs` threads.
 pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
     let refs = scale.sweep_refs();
-    let all_stt = L2Design::SharedStt {
-        ways: 16,
-        retention: RetentionClass::TenYears,
-        refresh: RefreshPolicy::InvalidateOnExpiry,
-    };
+    let designs = [
+        L2Design::baseline(),
+        L2Design::SharedStt {
+            ways: 16,
+            retention: RetentionClass::TenYears,
+            refresh: RefreshPolicy::InvalidateOnExpiry,
+        },
+        L2Design::HybridStt {
+            sram_ways: 2,
+            stt_ways: 14,
+            retention: RetentionClass::TenYears,
+        },
+    ];
     let mut table = Table::new(vec![
         "app",
         "all-SRAM normE",
@@ -57,27 +46,12 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
     ]);
     let mut norm_gaps = Vec::new();
     let mut shares = Vec::new();
-    let runs = parallel_map(jobs, APPS.to_vec(), |name| {
-        let app = AppProfile::by_name(name).expect("known app");
-        // Baseline, all-STT and the hybrid's own runner all replay one
-        // memoized filtered run of the stream.
-        let designs = [L2Design::baseline(), all_stt];
-        // Invariant: both designs are valid constants.
-        let reports: Vec<SimReport> = execute(
-            &Plan::new(&app, EXPERIMENT_SEED, refs, &designs),
-            Jobs::SERIAL,
-        )
-        .into_iter()
-        .map(|p| p.expect("valid design").report)
-        .collect();
-        let hybrid = run_hybrid(&app, refs);
-        (reports, hybrid)
-    });
-    for (name, (reports, (hybrid_j, hybrid_cpr, share, migrations))) in APPS.iter().zip(runs) {
-        let (base, stt) = (&reports[0], &reports[1]);
-        let base_j = base.l2_energy.total().joules();
-        let hybrid_norm = hybrid_j / base_j;
+    let runs = app_reports(&APPS, &designs, refs, jobs);
+    for (name, reports) in APPS.iter().zip(runs) {
+        let (base, stt, hybrid) = (&reports[0], &reports[1], &reports[2]);
+        let hybrid_norm = hybrid.l2_energy.total().joules() / base.l2_energy.total().joules();
         let stt_norm = stt.energy_ratio_vs(base);
+        let share = hybrid.hybrid.sram_write_share();
         norm_gaps.push(hybrid_norm - stt_norm);
         shares.push(share);
         table.row(vec![
@@ -85,9 +59,9 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
             "1.000".to_string(),
             f3(stt_norm),
             f3(hybrid_norm),
-            f3(hybrid_cpr / base.cpr()),
+            f3(hybrid.slowdown_vs(base)),
             pct(share),
-            migrations.to_string(),
+            hybrid.hybrid.migrations.to_string(),
         ]);
     }
     let mean_share = shares.iter().sum::<f64>() / shares.len() as f64;

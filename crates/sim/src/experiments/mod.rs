@@ -26,16 +26,13 @@ pub mod sensitivity;
 pub mod static_sweep;
 pub mod temperature;
 
-use moca_cache::L2Request;
-use moca_core::{L2Design, L2Response};
+use moca_core::L2Design;
 use moca_trace::AppProfile;
 
-use crate::config::SystemConfig;
-use crate::cpu::InOrderCore;
 use crate::experiments::matrix::DesignMatrix;
-use crate::memo::RunMemo;
-use crate::parallel::Jobs;
-use crate::stream::TraceStream;
+use crate::lockstep::{execute, Plan};
+use crate::metrics::SimReport;
+use crate::parallel::{parallel_map, Jobs};
 use crate::workloads::{Scale, EXPERIMENT_SEED};
 
 /// A paper claim checked against measured data.
@@ -215,40 +212,25 @@ pub fn by_id(id: &str, scale: Scale, jobs: Jobs) -> Option<ExperimentResult> {
     Runner::new(scale, jobs, [id]).run(id)
 }
 
-/// Replays the memoized filtered run of `(app, EXPERIMENT_SEED)` for
-/// `refs` references through a core and an L2 that is not a
-/// [`MobileL2`](moca_core::MobileL2) (A2's set-partitioned and A3's
-/// hybrid cache), with flat DRAM under the default [`SystemConfig`].
-///
-/// `request` is the L2's `request(req, now)`. The hit gaps retire in
-/// O(1); each miss reaches the L2 at this runner's own clock, and its
-/// writeback follows at the same cycle without stalling the core.
-/// Returns the core, whose clock is the run's end time.
-pub(crate) fn replay_flat<F>(app: &AppProfile, refs: usize, mut request: F) -> InOrderCore
-where
-    F: FnMut(&L2Request, u64) -> L2Response,
-{
-    let cfg = SystemConfig::default();
-    let mut core = InOrderCore::new(cfg.base_cycles_per_ref);
-    let stream = TraceStream::new(app, EXPERIMENT_SEED);
-    RunMemo::global().replay(stream, &cfg, refs, |chunk| {
-        for ev in chunk.events() {
-            core.retire_many(u64::from(ev.gap));
-            let now = core.cycle();
-            let resp = request(&ev.demand, now);
-            let dram = if resp.dram_read {
-                cfg.dram_latency_cycles
-            } else {
-                0
-            };
-            if let Some(wb) = &ev.writeback {
-                request(wb, now);
-            }
-            core.retire(resp.latency_cycles + dram);
-        }
-        core.retire_many(chunk.tail_gap() as u64);
-    });
-    core
+/// The reports of `designs`, in order, over each app's memoized
+/// `refs`-reference stream: one plan per app, apps sharded over `jobs`.
+fn app_reports(
+    apps: &[&str],
+    designs: &[L2Design],
+    refs: usize,
+    jobs: Jobs,
+) -> Vec<Vec<SimReport>> {
+    parallel_map(jobs, apps.to_vec(), |name| {
+        // Invariant: callers pass suite app names and valid constant designs.
+        let app = AppProfile::by_name(name).expect("known app");
+        execute(
+            &Plan::new(&app, EXPERIMENT_SEED, refs, designs),
+            Jobs::SERIAL,
+        )
+        .into_iter()
+        .map(|p| p.expect("valid design").report)
+        .collect()
+    })
 }
 
 #[cfg(test)]

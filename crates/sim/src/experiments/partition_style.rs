@@ -7,34 +7,17 @@
 //! way-based choice is the right substrate for the dynamic technique —
 //! it performs comparably while being resizable at way granularity.
 
-use moca_core::{L2BaseParams, L2Design, SetPartitionedL2};
-use moca_trace::AppProfile;
+use moca_core::L2Design;
 
-use crate::experiments::{replay_flat, ClaimCheck, ExperimentResult};
-use crate::lockstep::{execute, Plan};
-use crate::metrics::SimReport;
-use crate::parallel::{parallel_map, Jobs};
+use crate::experiments::{app_reports, ClaimCheck, ExperimentResult};
+use crate::parallel::Jobs;
 use crate::table::{f3, Table};
-use crate::workloads::{Scale, EXPERIMENT_SEED};
+use crate::workloads::Scale;
 
 /// Apps compared.
 pub const APPS: [&str; 4] = ["browser", "video", "music", "office"];
 
-/// Runs a set-partitioned configuration through the L1s and core model
-/// (the standard [`System`](crate::system::System) drives `MobileL2`, so
-/// this experiment has its own small runner).
-fn run_set_partitioned(app: &AppProfile, refs: usize) -> (f64, f64, u64) {
-    let mut l2 = SetPartitionedL2::new(1024, 512, 16, &L2BaseParams::default())
-        .expect("static geometry is valid");
-    let core = replay_flat(app, refs, |req, now| l2.request(req, now));
-    l2.finalize(core.cycle());
-    let miss = l2.stats().miss_rate();
-    let cpr = core.cycle() as f64 / core.refs() as f64;
-    (miss, cpr, core.cycle())
-}
-
-/// Runs the experiment, sharding the per-app comparison runs over `jobs`
-/// threads.
+/// Runs the experiment, sharding the per-app plans over `jobs` threads.
 pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
     let refs = scale.sweep_refs();
     let mut table = Table::new(vec![
@@ -44,38 +27,33 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
         "way-part slowdown",
         "set-part slowdown",
     ]);
-    let way_design = L2Design::StaticSram {
-        user_ways: 8,
-        kernel_ways: 4,
-    };
+    // Baseline, way-partitioned 8u+4k and set-partitioned 1 MiB + 512 KiB
+    // (1024 / 512 sets of 16 ways).
+    let designs = [
+        L2Design::baseline(),
+        L2Design::StaticSram {
+            user_ways: 8,
+            kernel_ways: 4,
+        },
+        L2Design::SetPartitionedSram {
+            user_sets: 1024,
+            kernel_sets: 512,
+            ways: 16,
+        },
+    ];
     let mut way_miss_sum = 0.0;
     let mut set_miss_sum = 0.0;
-    let runs = parallel_map(jobs, APPS.to_vec(), |name| {
-        let app = AppProfile::by_name(name).expect("known app");
-        // Baseline, way-partitioned and the set-partitioned runner all
-        // replay one memoized filtered run of the stream.
-        let designs = [L2Design::baseline(), way_design];
-        // Invariant: both designs are valid constants.
-        let reports: Vec<SimReport> = execute(
-            &Plan::new(&app, EXPERIMENT_SEED, refs, &designs),
-            Jobs::SERIAL,
-        )
-        .into_iter()
-        .map(|p| p.expect("valid design").report)
-        .collect();
-        let set = run_set_partitioned(&app, refs);
-        (reports, set)
-    });
-    for (name, (reports, (set_miss, set_cpr, _))) in APPS.iter().zip(runs) {
-        let (base, way) = (&reports[0], &reports[1]);
+    let runs = app_reports(&APPS, &designs, refs, jobs);
+    for (name, reports) in APPS.iter().zip(runs) {
+        let (base, way, set) = (&reports[0], &reports[1], &reports[2]);
         way_miss_sum += way.l2_miss_rate();
-        set_miss_sum += set_miss;
+        set_miss_sum += set.l2_miss_rate();
         table.row(vec![
             name.to_string(),
             f3(way.l2_miss_rate()),
-            f3(set_miss),
+            f3(set.l2_miss_rate()),
             f3(way.slowdown_vs(base)),
-            f3(set_cpr / base.cpr()),
+            f3(set.slowdown_vs(base)),
         ]);
     }
     let n = APPS.len() as f64;

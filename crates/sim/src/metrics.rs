@@ -1,7 +1,7 @@
 //! Simulation result reporting.
 
 use moca_cache::stats::CacheStats;
-use moca_core::{AllocationSample, ExpiryStats, SegmentBehavior, TrafficCounters};
+use moca_core::{AllocationSample, ExpiryStats, HybridStats, SegmentBehavior, TrafficCounters};
 use moca_energy::{Energy, EnergyBreakdown, Time};
 use moca_trace::Mode;
 
@@ -44,6 +44,8 @@ pub struct SimReport {
     /// retention design a write to an expired block starts a new block
     /// instead of adding a write interval.
     pub behavior: [SegmentBehavior; 2],
+    /// The hybrid engine's placement counters (zero for other designs).
+    pub hybrid: HybridStats,
 }
 
 impl SimReport {
@@ -179,6 +181,7 @@ mod tests {
             mean_active_ways: 16.0,
             timeline: Vec::new(),
             behavior: [SegmentBehavior::new(), SegmentBehavior::new()],
+            hybrid: HybridStats::default(),
         }
     }
 

@@ -2,8 +2,7 @@
 
 use moca_cache::stats::CacheStats;
 use moca_cache::{GeometryError, L1Pair, L2Request};
-use moca_core::{DesignError, L2BaseParams, L2Design, MobileL2};
-use moca_energy::Energy;
+use moca_core::{DesignError, HybridStats, L2BaseParams, L2Design, L2Engine, MobileL2};
 use moca_trace::{MemoryAccess, Mode, TraceGenerator};
 
 use crate::config::SystemConfig;
@@ -72,7 +71,8 @@ pub struct System {
     cfg: SystemConfig,
     core: InOrderCore,
     l1: L1Pair,
-    l2: MobileL2,
+    design: L2Design,
+    l2: L2Engine,
     dram: Option<RowBufferDram>,
     app: String,
 }
@@ -101,7 +101,7 @@ impl System {
             policy: cfg.l2_policy,
             ..L2BaseParams::default()
         };
-        let l2 = MobileL2::new(design, params)?;
+        let l2 = L2Engine::new(design, params)?;
         let dram = match cfg.dram_model {
             DramModel::Flat => None,
             DramModel::RowBuffer => Some(RowBufferDram::new(RowBufferParams::default())),
@@ -110,15 +110,11 @@ impl System {
             cfg,
             core: InOrderCore::new(cfg.base_cycles_per_ref),
             l1,
+            design,
             l2,
             dram,
             app: app.into(),
         })
-    }
-
-    /// The L2 under test.
-    pub fn l2(&self) -> &MobileL2 {
-        &self.l2
     }
 
     /// Cycles elapsed so far.
@@ -272,9 +268,17 @@ impl System {
             Some(dram) => dram.energy(),
         } + self.cfg.dram_write_energy * traffic.dram_writes;
 
-        let timeline = self.l2.timeline().to_vec();
-        let mean_active_ways = if timeline.is_empty() {
-            f64::from(self.l2.active_ways())
+        // Expiry, prefetches, allocation and segment behaviour are
+        // recorded by the way-partitioned engine only.
+        let (mobile, hybrid) = match &self.l2 {
+            L2Engine::Mobile(l2) => (Some(l2), HybridStats::default()),
+            L2Engine::SetPartitioned(_) => (None, HybridStats::default()),
+            L2Engine::Hybrid(l2) => (None, l2.hybrid_stats()),
+        };
+        let final_active_ways = mobile.map_or(self.design.physical_ways(), MobileL2::active_ways);
+        let timeline = mobile.map_or_else(Vec::new, |l2| l2.timeline().to_vec());
+        let mean_active_ways = if timeline.is_empty() || end == 0 {
+            f64::from(final_active_ways)
         } else {
             let mut weighted = 0.0f64;
             for (i, s) in timeline.iter().enumerate() {
@@ -282,40 +286,34 @@ impl System {
                 let span = until.saturating_sub(s.cycle) as f64;
                 weighted += span * f64::from(s.user_ways + s.kernel_ways);
             }
-            if end == 0 {
-                f64::from(self.l2.active_ways())
-            } else {
-                weighted / end as f64
-            }
+            weighted / end as f64
         };
 
         SimReport {
-            design: self.l2.label(),
+            design: self.design.label(),
             app: self.app.clone(),
             refs: self.core.refs(),
             cycles: end,
             clock_ghz: self.cfg.clock_ghz,
             l1_stats,
-            l2_stats: *self.l2.stats(),
+            l2_stats: self.l2.stats(),
             l2_energy: self.l2.energy(),
             dram_energy,
             traffic,
-            expiry: self.l2.expiry_stats(),
-            prefetches: self.l2.prefetches(),
-            final_active_ways: self.l2.active_ways(),
+            expiry: mobile.map(MobileL2::expiry_stats).unwrap_or_default(),
+            prefetches: mobile.map_or(0, MobileL2::prefetches),
+            final_active_ways,
             mean_active_ways,
             timeline,
-            behavior: [
-                self.l2.behavior(Mode::User).clone(),
-                self.l2.behavior(Mode::Kernel).clone(),
-            ],
+            behavior: mobile.map_or_else(Default::default, |l2| {
+                [
+                    l2.behavior(Mode::User).clone(),
+                    l2.behavior(Mode::Kernel).clone(),
+                ]
+            }),
+            hybrid,
         }
     }
-}
-
-/// The DRAM energy model separated for reuse in reports.
-pub fn dram_energy(cfg: &SystemConfig, reads: u64, writes: u64) -> Energy {
-    cfg.dram_read_energy * reads + cfg.dram_write_energy * writes
 }
 
 #[cfg(test)]
@@ -420,14 +418,6 @@ mod tests {
         assert_eq!(a.l1_stats, b.l1_stats);
         assert_eq!(a.l2_stats, b.l2_stats);
         assert_eq!(a.traffic, b.traffic);
-    }
-
-    #[test]
-    fn dram_energy_helper() {
-        let cfg = SystemConfig::default();
-        let e = dram_energy(&cfg, 2, 1);
-        let expect = cfg.dram_read_energy * 2 + cfg.dram_write_energy;
-        assert!((e.pj() - expect.pj()).abs() < 1e-9);
     }
 
     #[test]

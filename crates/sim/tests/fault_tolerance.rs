@@ -16,7 +16,7 @@ use moca_sim::lockstep::{execute, Plan, Point};
 use moca_sim::memo::{RunMemo, MEMO_CAP_BYTES};
 use moca_sim::parallel::{catch_panic, parallel_map, Jobs};
 use moca_sim::telemetry::{self, JsonValue};
-use moca_sim::{PointCause, SimReport, SweepPointError};
+use moca_sim::{BuildSystemError, PointCause, SimReport, SweepPointError};
 use moca_testkit::{check, Config, FaultPlan, TestRng};
 use moca_trace::AppProfile;
 
@@ -82,6 +82,68 @@ fn faulty_points_are_isolated_from_their_neighbours() {
     assert_eq!(survived.len(), clean.len());
     for (s, c) in survived.iter().zip(&clean) {
         assert_eq!(format!("{:?}", s.report), format!("{:?}", c.report));
+    }
+}
+
+/// The set-partitioned and hybrid engines are lanes like any other: an
+/// invalid design of either fails its own slot at build time, and its
+/// neighbours — valid designs of both engines among them — complete.
+#[test]
+fn invalid_set_partitioned_and_hybrid_lanes_fail_only_their_slots() {
+    use moca_core::DesignError;
+    use moca_energy::RetentionClass;
+    let app = AppProfile::music();
+    let designs = [
+        L2Design::baseline(),
+        L2Design::HybridStt {
+            sram_ways: 2,
+            stt_ways: 14,
+            retention: RetentionClass::TenMillis,
+        },
+        L2Design::HybridStt {
+            sram_ways: 2,
+            stt_ways: 14,
+            retention: RetentionClass::TenYears,
+        },
+        L2Design::SetPartitionedSram {
+            user_sets: 3,
+            kernel_sets: 512,
+            ways: 16,
+        },
+        L2Design::SetPartitionedSram {
+            user_sets: 1024,
+            kernel_sets: 512,
+            ways: 16,
+        },
+    ];
+    let outcomes = execute(&Plan::new(&app, 1, 6_000, &designs), Jobs::SERIAL);
+    assert_eq!(outcomes.len(), designs.len());
+    let failed: Vec<usize> = outcomes
+        .iter()
+        .enumerate()
+        .filter_map(|(i, o)| o.is_err().then_some(i))
+        .collect();
+    assert_eq!(failed, [1, 3]);
+    for (i, (outcome, design)) in outcomes.iter().zip(&designs).enumerate() {
+        match design.validate() {
+            Err(want) => {
+                let e = outcome.as_ref().expect_err("invalid design must fail");
+                assert_eq!(e.index, i);
+                assert!(
+                    matches!(&e.cause, PointCause::Build(BuildSystemError::Design(got)) if *got == want),
+                    "{e}"
+                );
+                assert!(matches!(
+                    want,
+                    DesignError::VolatileHybrid | DesignError::BadSetCount("user array", 3)
+                ));
+            }
+            Ok(()) => {
+                let p = outcome.as_ref().expect("valid design must survive");
+                assert_eq!(p.report.design, design.label());
+                assert!(p.report.cycles > 0);
+            }
+        }
     }
 }
 

@@ -102,6 +102,7 @@ fn assert_reports_match_fieldwise(want: &SimReport, got: &SimReport, ctx: &str) 
     );
     field!(timeline);
     field!(behavior);
+    field!(hybrid);
     // Belt and braces: the whole rendering, in case a field is added to
     // the report without extending the list above.
     assert_eq!(
@@ -152,9 +153,10 @@ fn policy_ways_pool_grid_matches_scalar_oracle_fieldwise() {
     }
 }
 
-/// Ragged mixed-family pool: 11 designs spanning shared/partitioned
-/// SRAM, STT retention mixes, and both dynamic variants — checked at
-/// several job counts, including counts that split the pool unevenly.
+/// Ragged mixed-family pool: 13 designs spanning shared/partitioned
+/// SRAM, STT retention mixes, both dynamic variants and the
+/// set-partitioned and hybrid engines — checked at several job counts,
+/// including counts that split the pool unevenly.
 #[test]
 fn ragged_mixed_family_pool_matches_scalar_oracle_at_every_job_count() {
     let app = AppProfile::game();
@@ -198,6 +200,16 @@ fn ragged_mixed_family_pool_matches_scalar_oracle_at_every_job_count() {
         L2Design::StaticSram {
             user_ways: 8,
             kernel_ways: 4,
+        },
+        L2Design::SetPartitionedSram {
+            user_sets: 1024,
+            kernel_sets: 512,
+            ways: 16,
+        },
+        L2Design::HybridStt {
+            sram_ways: 2,
+            stt_ways: 14,
+            retention: RetentionClass::TenYears,
         },
     ];
     let cfg = SystemConfig::default();

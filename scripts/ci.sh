@@ -257,13 +257,15 @@ done
 echo "design-matrix smoke passed"
 
 echo "== filtered-run memo smoke (F5 F8 A2 A3 A5 M1 replay memoized runs: --jobs determinism) =="
-# Lock-step plans, the M1 profile and the A2/A3 custom runners all
-# replay memoized filtered runs, and A5's prefetch-off and -on plans of
-# one app share one; under --jobs 2 concurrent consumers of one run wait
-# for a single build. The rendered blocks must not depend on that.
-# Trimmed and masked like the search smoke above. Each plan obtains its
-# run once, so the memo counters of the footer must not depend on it
-# either.
+# The lock-step plans (A2's and A3's set-partitioned and hybrid lanes
+# among them) and the M1 profile replay memoized filtered runs, and A5's
+# prefetch-off and -on plans of one app share one; under --jobs 2
+# concurrent consumers of one run wait for a single build. The rendered
+# blocks must not depend on that. Trimmed and masked like the search
+# smoke above. Each plan obtains its run once, so the memo counters of
+# the footer must not depend on it either; the memo builds each of the
+# 8 (app, refs) runs once, so the front end filters exactly 2.7M refs
+# and a plan that filters privately by mistake fails here.
 MEMO_IDS=(F5 F8 A2 A3 A5 M1)
 "$REPRO" --quick --jobs 1 "${MEMO_IDS[@]}" > "$SMOKE_DIR/memo_j1_full.txt"
 trim_search_run "$SMOKE_DIR/memo_j1_full.txt" > "$SMOKE_DIR/memo_j1.txt"
@@ -273,6 +275,8 @@ for id in "${MEMO_IDS[@]}"; do
 done
 grep -q '^filtered-run memo: [1-9][0-9]* run(s) cached' "$SMOKE_DIR/memo_j1_full.txt" \
   || { echo "memoized experiments cached no filtered run"; exit 1; }
+grep -q '^filtered-run memo: .* 2700000 front-end ref(s)$' "$SMOKE_DIR/memo_j1_full.txt" \
+  || { echo "memoized experiments filtered a stream outside the memo"; exit 1; }
 "$REPRO" --quick --jobs 2 "${MEMO_IDS[@]}" > "$SMOKE_DIR/memo_j2_full.txt"
 trim_search_run "$SMOKE_DIR/memo_j2_full.txt" > "$SMOKE_DIR/memo_j2.txt"
 diff -u "$SMOKE_DIR/memo_j1.txt" "$SMOKE_DIR/memo_j2.txt" \

@@ -18,10 +18,11 @@ use std::process::Command;
 
 use moca_sim::telemetry::{mask_timing, parse_line, JsonValue, Kind};
 
-/// Experiments used by the tests: A2 fans out per-app design pairs
-/// (multi-point sweeps), F3 runs standalone single-point sweeps and A7
-/// runs one three-design plan per co-scheduled mix, so both `point`
-/// shapes and mix streams appear in the stream.
+/// Experiments used by the tests: A2 runs one three-design plan per app
+/// (multi-point sweeps, a set-partitioned lane among them), F3 runs
+/// standalone single-point sweeps and A7 runs one three-design plan per
+/// co-scheduled mix, so both `point` shapes and mix streams appear in
+/// the stream.
 const IDS: [&str; 3] = ["F3", "A2", "A7"];
 
 /// Runs `repro --quick --jobs N --progress --telemetry <tmp>` and
@@ -133,6 +134,28 @@ fn stream_is_deterministic_across_job_counts_and_covers_every_point() {
     }
     for (key, count) in &seen {
         assert_eq!(*count, 1, "sweep point emitted {count} times: {key:?}");
+    }
+
+    // A2's set-partitioned design is a lane of each app's plan: every
+    // A2 plan has three points, one of them that design's.
+    let set_partitioned = moca_core::L2Design::SetPartitionedSram {
+        user_sets: 1024,
+        kernel_sets: 512,
+        ways: 16,
+    }
+    .label();
+    for app in moca_sim::experiments::partition_style::APPS {
+        let a2: Vec<_> = seen
+            .keys()
+            .filter(|(scope, a, ..)| scope == "A2" && a == app)
+            .collect();
+        assert_eq!(a2.len(), 3, "A2 {app} points: {a2:?}");
+        assert!(a2.iter().all(|(.., total)| *total == 3), "{a2:?}");
+        assert!(
+            a2.iter()
+                .any(|(_, _, design, ..)| *design == set_partitioned),
+            "A2 {app} has no {set_partitioned} point: {a2:?}"
+        );
     }
 
     // The lock-step engine replays filtered events instead of stepping
