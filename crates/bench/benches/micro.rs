@@ -76,8 +76,8 @@ fn l1_filter(r: &mut Runner) {
     r.bench("l1-filter/filter-100k", || {
         let mut l1 = L1Pair::mobile_default();
         let mut reqs = 0u64;
-        for (i, a) in trace.iter().enumerate() {
-            let o = l1.filter(a, i as u64);
+        for a in &trace {
+            let o = l1.access(a);
             reqs += u64::from(o.demand.is_some()) + u64::from(o.writeback.is_some());
         }
         black_box(reqs)

@@ -8,9 +8,10 @@
 
 use moca_trace::{AccessKind, MemoryAccess, Mode};
 
-use crate::cache::SetAssocCache;
-use crate::config::{CacheGeometry, WayMask};
+use crate::config::CacheGeometry;
+use crate::mrc::{shift_down, LruStackCore, Touch};
 use crate::replacement::ReplacementPolicy;
+use crate::stats::CacheStats;
 
 /// Why an L2 request was generated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,16 +47,128 @@ pub struct L1Outcome {
     pub writeback: Option<L2Request>,
 }
 
+/// Entry byte flag: the line is dirty.
+const DIRTY: u8 = 1;
+/// Entry byte flag: the line was filled by a kernel-mode access.
+const KERNEL: u8 = 2;
+
+/// One L1 array: a write-back, write-allocate LRU cache kept as one
+/// MRU-ordered tag stack per set ([`LruStackCore`]) plus one byte per
+/// stack entry for its dirty bit and owner mode. An entry is valid iff
+/// it lies within its stack's length.
+///
+/// Its hits, victims and [`CacheStats`] equal a
+/// [`SetAssocCache`](crate::cache::SetAssocCache) under LRU with the full
+/// way mask (`crates/cache/tests/l1_differential.rs`). It keeps no
+/// timestamps: an L1 decision never depends on time.
+#[derive(Debug, Clone)]
+struct LruArray {
+    stacks: LruStackCore,
+    /// Entry bytes, stack-major like the stacks' tags.
+    flags: Vec<u8>,
+    ways: usize,
+    set_mask: u64,
+    tag_shift: u32,
+    stats: CacheStats,
+}
+
+impl LruArray {
+    fn new(geom: CacheGeometry) -> Self {
+        let sets = geom.sets() as usize;
+        let ways = geom.ways() as usize;
+        LruArray {
+            stacks: LruStackCore::new(sets, ways),
+            flags: vec![0; sets * ways],
+            ways,
+            set_mask: geom.sets() - 1,
+            tag_shift: geom.sets().trailing_zeros(),
+            stats: CacheStats::new(),
+        }
+    }
+
+    /// Filters `access`, whose line is `line`, through this array.
+    #[inline]
+    fn filter(&mut self, line: u64, access: &MemoryAccess) -> L1Outcome {
+        let (write, mode) = (access.kind.is_write(), access.mode);
+        let set = (line & self.set_mask) as usize;
+        let base = set * self.ways;
+        let c = &mut self.stats.by_mode[mode.index()];
+        c.writes += u64::from(write);
+        let dirty = if write { DIRTY } else { 0 };
+        match self.stacks.access(set, line >> self.tag_shift) {
+            Touch::Hit(pos) => {
+                c.hits += 1;
+                let entries = &mut self.flags[base..=base + pos as usize];
+                let hit = entries[pos as usize];
+                shift_down(entries);
+                entries[0] = hit | dirty;
+                L1Outcome {
+                    hit: true,
+                    demand: None,
+                    writeback: None,
+                }
+            }
+            Touch::Miss(victim) => {
+                c.misses += 1;
+                c.fills += 1;
+                let entries = &mut self.flags[base..base + self.stacks.len(set)];
+                // The victim's entry, when the stack was full.
+                let evicted = entries[entries.len() - 1];
+                shift_down(entries);
+                entries[0] = dirty | if mode == Mode::Kernel { KERNEL } else { 0 };
+                L1Outcome {
+                    hit: false,
+                    demand: Some(L2Request {
+                        line,
+                        write: false,
+                        mode,
+                        cause: L2Cause::Demand(access.kind),
+                    }),
+                    writeback: victim.and_then(|tag| self.evict(tag, evicted, set, mode)),
+                }
+            }
+        }
+    }
+
+    /// Counts the eviction of `tag` (entry byte `entry`) from `set` by a
+    /// `mode` fill; returns its writeback if it was dirty.
+    fn evict(&mut self, tag: u64, entry: u8, set: usize, mode: Mode) -> Option<L2Request> {
+        let owner = if entry & KERNEL != 0 {
+            Mode::Kernel
+        } else {
+            Mode::User
+        };
+        if owner == mode {
+            self.stats.same_evictions[owner.index()] += 1;
+        } else {
+            self.stats.cross_evictions[owner.index()] += 1;
+        }
+        if entry & DIRTY == 0 {
+            return None;
+        }
+        self.stats.by_mode[mode.index()].writebacks += 1;
+        Some(L2Request {
+            line: (tag << self.tag_shift) | set as u64,
+            write: true,
+            mode: owner,
+            cause: L2Cause::Writeback,
+        })
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.stacks.heap_bytes() + self.flags.capacity()
+    }
+}
+
 /// An L1 instruction + data cache pair with a shared line size.
 ///
-/// Write-back, write-allocate; both caches always use their full way mask
-/// (partitioning applies only at the L2 in this system).
+/// Write-back, write-allocate, LRU; partitioning applies only at the L2
+/// in this system, so both caches always use every way.
 #[derive(Debug, Clone)]
 pub struct L1Pair {
-    icache: SetAssocCache,
-    dcache: SetAssocCache,
-    imask: WayMask,
-    dmask: WayMask,
+    icache: LruArray,
+    dcache: LruArray,
+    line_shift: u32,
 }
 
 impl L1Pair {
@@ -64,86 +177,74 @@ impl L1Pair {
     /// # Panics
     ///
     /// Panics if the two geometries have different line sizes.
-    pub fn new(igeom: CacheGeometry, dgeom: CacheGeometry, policy: ReplacementPolicy) -> Self {
+    pub fn from_geometries(igeom: CacheGeometry, dgeom: CacheGeometry) -> Self {
         assert_eq!(
             igeom.line_bytes(),
             dgeom.line_bytes(),
             "L1I and L1D must share a line size"
         );
         Self {
-            imask: WayMask::first(igeom.ways()),
-            dmask: WayMask::first(dgeom.ways()),
-            icache: SetAssocCache::new(igeom, policy),
-            dcache: SetAssocCache::new(dgeom, policy),
+            icache: LruArray::new(igeom),
+            dcache: LruArray::new(dgeom),
+            line_shift: igeom.line_bytes().trailing_zeros(),
         }
+    }
+
+    /// [`L1Pair::from_geometries`] under the policy-taking signature the
+    /// out-of-workspace `reprobench` probe builds against. The pair is
+    /// LRU; no other policy is modelled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `policy` is not [`ReplacementPolicy::Lru`] or the
+    /// geometries have different line sizes.
+    pub fn new(igeom: CacheGeometry, dgeom: CacheGeometry, policy: ReplacementPolicy) -> Self {
+        assert_eq!(policy, ReplacementPolicy::Lru, "the L1 pair is LRU");
+        Self::from_geometries(igeom, dgeom)
     }
 
     /// Typical mobile L1s: 32 KiB, 2-way, 64 B lines, LRU.
     pub fn mobile_default() -> Self {
         let geom = CacheGeometry::new(32 << 10, 2, 64).expect("static geometry is valid");
-        Self::new(geom, geom, ReplacementPolicy::Lru)
+        Self::from_geometries(geom, geom)
     }
 
     /// Line size shared by both caches.
     pub fn line_bytes(&self) -> u64 {
-        self.icache.geometry().line_bytes()
+        1 << self.line_shift
     }
 
-    /// The instruction cache.
-    pub fn icache(&self) -> &SetAssocCache {
-        &self.icache
+    /// The instruction cache's statistics.
+    pub fn icache(&self) -> &CacheStats {
+        &self.icache.stats
     }
 
-    /// The data cache.
-    pub fn dcache(&self) -> &SetAssocCache {
-        &self.dcache
+    /// The data cache's statistics.
+    pub fn dcache(&self) -> &CacheStats {
+        &self.dcache.stats
     }
 
-    /// Resets both caches' statistics.
-    pub fn reset_stats(&mut self) {
-        self.icache.reset_stats();
-        self.dcache.reset_stats();
-    }
-
-    /// Bytes of heap memory both caches hold (see
-    /// [`SetAssocCache::heap_bytes`]).
+    /// Bytes of heap memory both caches hold.
     pub fn heap_bytes(&self) -> usize {
         self.icache.heap_bytes() + self.dcache.heap_bytes()
     }
 
     /// Filters one access; returns the L2 traffic it generates.
-    pub fn filter(&mut self, access: &MemoryAccess, now: u64) -> L1Outcome {
-        let line = access.line(self.line_bytes());
-        let (cache, mask) = if access.kind.is_ifetch() {
-            (&mut self.icache, self.imask)
+    #[inline]
+    pub fn access(&mut self, access: &MemoryAccess) -> L1Outcome {
+        let line = access.addr >> self.line_shift;
+        if access.kind.is_ifetch() {
+            self.icache.filter(line, access)
         } else {
-            (&mut self.dcache, self.dmask)
-        };
-        let res = cache.access(line, access.kind.is_write(), access.mode, now, mask);
-        if res.hit {
-            return L1Outcome {
-                hit: true,
-                demand: None,
-                writeback: None,
-            };
+            self.dcache.filter(line, access)
         }
-        let demand = Some(L2Request {
-            line,
-            write: false,
-            mode: access.mode,
-            cause: L2Cause::Demand(access.kind),
-        });
-        let writeback = res.victim.filter(|v| v.dirty).map(|v| L2Request {
-            line: v.line,
-            write: true,
-            mode: v.owner,
-            cause: L2Cause::Writeback,
-        });
-        L1Outcome {
-            hit: false,
-            demand,
-            writeback,
-        }
+    }
+
+    /// [`L1Pair::access`] under the timestamped signature the
+    /// out-of-workspace `reprobench` probe builds against; `_now` is
+    /// ignored, because the pair keeps no timestamps.
+    pub fn filter(&mut self, access: &MemoryAccess, _now: u64) -> L1Outcome {
+        self.access(access)
     }
 }
 
@@ -160,13 +261,13 @@ mod tests {
     fn first_access_misses_second_hits() {
         let mut l1 = L1Pair::mobile_default();
         let a = acc(0x1000, AccessKind::Load, Mode::User);
-        let o1 = l1.filter(&a, 0);
+        let o1 = l1.access(&a);
         assert!(!o1.hit);
         let d = o1.demand.expect("demand on miss");
         assert_eq!(d.line, 0x1000 / 64);
         assert_eq!(d.cause, L2Cause::Demand(AccessKind::Load));
         assert!(!d.write);
-        let o2 = l1.filter(&a, 1);
+        let o2 = l1.access(&a);
         assert!(o2.hit);
         assert!(o2.demand.is_none() && o2.writeback.is_none());
     }
@@ -176,11 +277,11 @@ mod tests {
         let mut l1 = L1Pair::mobile_default();
         let load = acc(0x2000, AccessKind::Load, Mode::User);
         let fetch = acc(0x2000, AccessKind::InstrFetch, Mode::User);
-        assert!(!l1.filter(&load, 0).hit);
+        assert!(!l1.access(&load).hit);
         // Same address as an ifetch still misses: different cache.
-        assert!(!l1.filter(&fetch, 1).hit);
-        assert_eq!(l1.icache().stats().misses(), 1);
-        assert_eq!(l1.dcache().stats().misses(), 1);
+        assert!(!l1.access(&fetch).hit);
+        assert_eq!(l1.icache().misses(), 1);
+        assert_eq!(l1.dcache().misses(), 1);
     }
 
     #[test]
@@ -188,12 +289,12 @@ mod tests {
         // 32 KiB 2-way 64 B: 256 sets. Lines that conflict: step by 256.
         let mut l1 = L1Pair::mobile_default();
         let store = acc(0, AccessKind::Store, Mode::User);
-        l1.filter(&store, 0);
+        l1.access(&store);
         // Two more loads to the same set evict the dirty line.
         let mut wb = None;
         for i in 1..=2u64 {
             let a = acc(i * 256 * 64, AccessKind::Load, Mode::User);
-            let o = l1.filter(&a, i);
+            let o = l1.access(&a);
             if o.writeback.is_some() {
                 wb = o.writeback;
             }
@@ -210,11 +311,11 @@ mod tests {
         let mut l1 = L1Pair::mobile_default();
         // Kernel dirties a line; user traffic evicts it.
         let kstore = acc(0, AccessKind::Store, Mode::Kernel);
-        l1.filter(&kstore, 0);
+        l1.access(&kstore);
         let mut wb = None;
         for i in 1..=2u64 {
             let a = acc(i * 256 * 64, AccessKind::Load, Mode::User);
-            let o = l1.filter(&a, i);
+            let o = l1.access(&a);
             if o.writeback.is_some() {
                 wb = o.writeback;
             }
@@ -234,8 +335,8 @@ mod tests {
             trace.iter().filter(|a| a.mode == Mode::Kernel).count() as f64 / trace.len() as f64;
         let mut l2_total = 0u64;
         let mut l2_kernel = 0u64;
-        for (i, a) in trace.iter().enumerate() {
-            let o = l1.filter(a, i as u64);
+        for a in &trace {
+            let o = l1.access(a);
             for req in [o.demand, o.writeback].into_iter().flatten() {
                 l2_total += 1;
                 if req.mode == Mode::Kernel {
@@ -251,10 +352,30 @@ mod tests {
     }
 
     #[test]
+    fn policy_and_timestamp_signatures_are_the_lru_pair() {
+        let geom = CacheGeometry::new(32 << 10, 2, 64).expect("valid");
+        let mut old = L1Pair::new(geom, geom, ReplacementPolicy::Lru);
+        let mut l1 = L1Pair::mobile_default();
+        let trace = TraceGenerator::new(&AppProfile::game(), 3).take(20_000);
+        for (i, a) in trace.enumerate() {
+            assert_eq!(old.filter(&a, i as u64), l1.access(&a));
+        }
+        assert_eq!(old.icache(), l1.icache());
+        assert_eq!(old.dcache(), l1.dcache());
+    }
+
+    #[test]
+    #[should_panic(expected = "the L1 pair is LRU")]
+    fn non_lru_policy_rejected() {
+        let geom = CacheGeometry::new(32 << 10, 2, 64).expect("valid");
+        L1Pair::new(geom, geom, ReplacementPolicy::Fifo);
+    }
+
+    #[test]
     #[should_panic(expected = "share a line size")]
     fn mismatched_line_sizes_rejected() {
         let a = CacheGeometry::new(32 << 10, 2, 64).expect("valid");
         let b = CacheGeometry::new(32 << 10, 2, 32).expect("valid");
-        L1Pair::new(a, b, ReplacementPolicy::Lru);
+        L1Pair::from_geometries(a, b);
     }
 }

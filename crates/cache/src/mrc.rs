@@ -102,21 +102,33 @@ impl LruStackCore {
     /// stack the least recently used tag falls off the end.
     #[inline]
     pub fn touch(&mut self, stack: usize, tag: u64) -> Option<u32> {
+        match self.access(stack, tag) {
+            Touch::Hit(pos) => Some(pos),
+            Touch::Miss(_) => None,
+        }
+    }
+
+    /// [`touch`](LruStackCore::touch), also naming the tag a miss
+    /// pushed off the end of a full stack — what an LRU cache of
+    /// `depth` ways evicts.
+    #[inline]
+    pub(crate) fn access(&mut self, stack: usize, tag: u64) -> Touch {
         let base = stack * self.depth;
         let window = &mut self.tags[base..base + self.depth];
         let len = self.lens[stack] as usize;
         match window[..len].iter().position(|&t| t == tag) {
             Some(pos) => {
-                window.copy_within(..pos, 1);
+                shift_down(&mut window[..=pos]);
                 window[0] = tag;
-                Some(pos as u32)
+                Touch::Hit(pos as u32)
             }
             None => {
+                let victim = (len == self.depth).then(|| window[len - 1]);
                 let len = (len + 1).min(self.depth);
                 self.lens[stack] = len as u32;
-                window.copy_within(..len - 1, 1);
+                shift_down(&mut window[..len]);
                 window[0] = tag;
-                None
+                Touch::Miss(victim)
             }
         }
     }
@@ -131,6 +143,32 @@ impl LruStackCore {
     pub fn clear(&mut self) {
         self.lens.fill(0);
     }
+
+    /// Bytes of heap memory the stacks hold.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.tags.capacity() * std::mem::size_of::<u64>()
+            + self.lens.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
+/// Moves every entry of `entries` one place toward its end, dropping the
+/// last and leaving the first in place: the move-to-front shift of a
+/// stack. An element loop, not a `memmove` call: the call costs more
+/// than the moves of the L1's two-deep stacks save.
+#[inline]
+pub(crate) fn shift_down<T: Copy>(entries: &mut [T]) {
+    for i in (1..entries.len()).rev() {
+        entries[i] = entries[i - 1];
+    }
+}
+
+/// What [`LruStackCore::access`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Touch {
+    /// The tag was resident at this 0-based recency depth.
+    Hit(u32),
+    /// The tag was not resident; a full stack evicted the tag held here.
+    Miss(Option<u64>),
 }
 
 /// One profiling lane: a full LRU stack array for a single set count.

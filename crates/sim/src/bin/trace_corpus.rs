@@ -34,7 +34,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use moca_cache::mrc::MrcProfiler;
-use moca_cache::{L1Pair, ReplacementPolicy};
+use moca_cache::L1Pair;
 use moca_core::L2BaseParams;
 use moca_sim::SystemConfig;
 use moca_trace::binfmt::{self, TraceReader};
@@ -349,7 +349,7 @@ fn stat_mrc(file: &str) -> ExitCode {
         (Ok(i), Ok(d)) => (i, d),
         _ => unreachable!("default L1 geometries are valid"),
     };
-    let mut l1 = L1Pair::new(igeom, dgeom, ReplacementPolicy::Lru);
+    let mut l1 = L1Pair::from_geometries(igeom, dgeom);
     let sets = u32::try_from(L2BaseParams::default().sets).expect("default set count fits u32");
     let max_ways = *MRC_STAT_WAYS.iter().max().expect("non-empty");
     let mut prof = MrcProfiler::new(&[sets], max_ways).expect("default L2 geometry is valid");
@@ -362,8 +362,8 @@ fn stat_mrc(file: &str) -> ExitCode {
         }
     };
     let mut it = reader.accesses();
-    for (now, access) in (&mut it).enumerate() {
-        let outcome = l1.filter(&access, now as u64);
+    for access in &mut it {
+        let outcome = l1.access(&access);
         if let Some(demand) = outcome.demand {
             prof.observe(&demand);
         }

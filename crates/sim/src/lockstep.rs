@@ -16,10 +16,10 @@
 //! The kernel removes the per-design front-end multiplier:
 //!
 //! * **Shared front end** ([`FrontEnd`]): the L1 filter decision is
-//!   *time-independent* — replacement state ([`moca_cache`] LRU) never
-//!   reads the access timestamp, so hit/miss, victim choice, and the
-//!   demand/writeback requests produced for a reference are a pure
-//!   function of the access sequence, not of any design's clock. One
+//!   *time-independent* — the LRU [`moca_cache::L1Pair`] takes no
+//!   timestamp, so hit/miss, victim choice, and the demand/writeback
+//!   requests produced for a reference are a pure function of the
+//!   access sequence, not of any design's clock. One
 //!   front end therefore filters each chunk once and every design lane
 //!   replays the same [`FilteredChunk`]. The filtered run itself comes
 //!   from the process-wide [`RunMemo`], so every lane (and every other
@@ -58,7 +58,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use moca_cache::{L1Pair, L2Cause, L2Request, ReplacementPolicy};
+use moca_cache::{L1Pair, L2Cause, L2Request};
 use moca_core::L2Design;
 use moca_trace::{AccessKind, AppProfile, Mode};
 
@@ -229,11 +229,6 @@ pub fn front_end_refs() -> u64 {
 pub struct FrontEnd<'a> {
     stream: TraceStream<'a>,
     l1: L1Pair,
-    /// References filtered so far. Doubles as the timestamp handed to the
-    /// L1 — any monotone stamp works, because L1 decisions and statistics
-    /// are time-independent (timestamps land only in cold metadata that
-    /// never reaches a report).
-    filtered: u64,
 }
 
 impl<'a> FrontEnd<'a> {
@@ -244,16 +239,8 @@ impl<'a> FrontEnd<'a> {
     /// Returns [`BuildSystemError`] if an L1 geometry is inconsistent
     /// (the same validation [`System::new`] applies).
     pub fn over(stream: TraceStream<'a>, cfg: &SystemConfig) -> Result<Self, BuildSystemError> {
-        let l1 = L1Pair::new(
-            cfg.l1i_geometry()?,
-            cfg.l1d_geometry()?,
-            ReplacementPolicy::Lru,
-        );
-        Ok(FrontEnd {
-            stream,
-            l1,
-            filtered: 0,
-        })
+        let l1 = L1Pair::from_geometries(cfg.l1i_geometry()?, cfg.l1d_geometry()?);
+        Ok(FrontEnd { stream, l1 })
     }
 
     /// Pulls the next chunk of the stream, filters at most `limit` of
@@ -271,8 +258,7 @@ impl<'a> FrontEnd<'a> {
         out.writebacks.clear();
         let mut gap = 0u32;
         for access in &chunk[..n] {
-            let outcome = self.l1.filter(access, self.filtered);
-            self.filtered += 1;
+            let outcome = self.l1.access(access);
             match outcome.demand {
                 Some(demand) => {
                     out.push(&LaneEvent {

@@ -183,7 +183,7 @@ impl Generator {
             }
             Generator::Mix(mix) => {
                 out.clear();
-                out.extend(mix.by_ref().take(STREAM_CHUNK));
+                mix.append_to(out, STREAM_CHUNK);
             }
         }
     }

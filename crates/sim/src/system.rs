@@ -89,11 +89,7 @@ impl System {
         design: L2Design,
         cfg: SystemConfig,
     ) -> Result<Self, BuildSystemError> {
-        let l1 = L1Pair::new(
-            cfg.l1i_geometry()?,
-            cfg.l1d_geometry()?,
-            moca_cache::ReplacementPolicy::Lru,
-        );
+        let l1 = L1Pair::from_geometries(cfg.l1i_geometry()?, cfg.l1d_geometry()?);
         let params = L2BaseParams {
             line_bytes: cfg.line_bytes,
             clock_ghz: cfg.clock_ghz,
@@ -122,10 +118,10 @@ impl System {
         self.core.cycle()
     }
 
-    /// Processes one reference: the L1 filter at the current cycle,
-    /// then `step_filtered` on its demand/writeback pair.
+    /// Processes one reference: the L1 filter, then `step_filtered` on
+    /// its demand/writeback pair.
     pub fn step(&mut self, access: &MemoryAccess) {
-        let outcome = self.l1.filter(access, self.core.cycle());
+        let outcome = self.l1.access(access);
         self.step_filtered(outcome.demand.as_ref(), outcome.writeback.as_ref());
     }
 
@@ -152,10 +148,11 @@ impl System {
     /// Processes one reference whose L1 outcome was already computed,
     /// by [`System::step`] or by a shared front end.
     ///
-    /// The demand/writeback pair is exactly what `filter` returned for
-    /// this access, and the L1 decision is time-independent (replacement
-    /// state never reads the timestamp), so issuing the requests at this
-    /// lane's *own* `now` reproduces the scalar run bit for bit.
+    /// The demand/writeback pair is exactly what [`L1Pair::access`]
+    /// returned for this access, and the L1 keeps no timestamps (its
+    /// decisions depend only on the reference order), so issuing the
+    /// requests at this lane's *own* `now` reproduces the scalar run bit
+    /// for bit.
     // Forced inline: with `step` as a second caller the compiler stops
     // inlining it into the lane replay loop, which then measured 4-7%
     // slower end to end on the matrix experiments.
@@ -190,9 +187,9 @@ impl System {
     /// Adopts the shared front end's L1 state so [`System::finish`] reports
     /// the same L1 statistics a scalar run would.
     ///
-    /// The counts are identical by construction (the front end filtered
-    /// exactly this system's reference stream); only the cold-metadata
-    /// timestamps differ, and those never reach a [`SimReport`].
+    /// The state is identical by construction: the front end filtered
+    /// exactly this system's reference stream, and the L1 keeps no
+    /// timestamps.
     pub(crate) fn adopt_l1(&mut self, l1: &L1Pair) {
         self.l1 = l1.clone();
     }
@@ -257,8 +254,8 @@ impl System {
         self.l2.finalize(end);
 
         let mut l1_stats = CacheStats::new();
-        l1_stats.merge(self.l1.icache().stats());
-        l1_stats.merge(self.l1.dcache().stats());
+        l1_stats.merge(self.l1.icache());
+        l1_stats.merge(self.l1.dcache());
 
         let traffic = self.l2.traffic();
         // Row-buffer DRAM accrues read energy internally; writebacks are

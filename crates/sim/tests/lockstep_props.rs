@@ -14,9 +14,9 @@
 //!    jobs 1/2/8.
 //! 3. **Lossless packed events**: the events a front end packs into a
 //!    filtered chunk decode to exactly the outcomes of
-//!    [`moca_cache::L1Pair::filter`], reference by reference.
+//!    [`moca_cache::L1Pair::access`], reference by reference.
 
-use moca_cache::{L1Pair, ReplacementPolicy};
+use moca_cache::L1Pair;
 use moca_core::{L2Design, RefreshPolicy};
 use moca_energy::RetentionClass;
 use moca_sim::lockstep::{execute, FilteredChunk, FrontEnd, LaneEvent, Plan, Point};
@@ -233,18 +233,17 @@ fn decoded_events_equal_l1_filter_outcomes() {
             // The oracle: every reference through a fresh L1 pair, with
             // gaps cut at the stream's chunk boundaries.
             let geometry = |g: Result<_, _>| g.map_err(|e| format!("{e}"));
-            let mut l1 = L1Pair::new(
+            let mut l1 = L1Pair::from_geometries(
                 geometry(cfg.l1i_geometry())?,
                 geometry(cfg.l1d_geometry())?,
-                ReplacementPolicy::Lru,
             );
             let mut want: Vec<ChunkEvents> = Vec::new();
             let accesses: Vec<_> = TraceGenerator::new(app, *seed).take(*refs).collect();
-            for (c, chunk) in accesses.chunks(STREAM_CHUNK).enumerate() {
+            for chunk in accesses.chunks(STREAM_CHUNK) {
                 let mut events = Vec::new();
                 let mut gap = 0;
-                for (i, access) in chunk.iter().enumerate() {
-                    let outcome = l1.filter(access, (c * STREAM_CHUNK + i) as u64);
+                for access in chunk {
+                    let outcome = l1.access(access);
                     match outcome.demand {
                         Some(demand) => {
                             events.push(LaneEvent {

@@ -21,7 +21,7 @@ use crate::access::{AccessKind, MemoryAccess, Mode};
 use crate::apps::{layout, AppProfile};
 use crate::kernel::{KernelModel, Service};
 use crate::locality::{Region, RegionSpec, RegionStream};
-use crate::rng::Xoshiro256;
+use crate::rng::{Weights, Xoshiro256};
 
 /// Deterministic per-app seed mixing: the same `seed` drives different
 /// streams for different app names.
@@ -54,9 +54,9 @@ pub struct TraceGenerator {
     refs_until_tick: i64,
     last_pc: u64,
     syscall_services: Vec<Service>,
-    syscall_weights: Vec<f64>,
+    syscall_weights: Weights,
     irq_services: Vec<Service>,
-    irq_weights: Vec<f64>,
+    irq_weights: Weights,
 }
 
 impl TraceGenerator {
@@ -115,9 +115,9 @@ impl TraceGenerator {
             refs_until_tick: tick,
             last_pc: layout::CODE_BASE,
             syscall_services,
-            syscall_weights,
+            syscall_weights: Weights::new(syscall_weights),
             irq_services,
-            irq_weights,
+            irq_weights: Weights::new(irq_weights),
         }
     }
 
@@ -220,7 +220,14 @@ impl TraceGenerator {
         if out.capacity() == 0 {
             out.reserve(Self::DEFAULT_CHUNK);
         }
-        let target = out.capacity();
+        self.append_to(out, out.capacity());
+        out.len()
+    }
+
+    /// Appends the next `n` accesses of the stream to `out`, copied out
+    /// of the generate-ahead buffer like [`TraceGenerator::fill`]'s.
+    pub(crate) fn append_to(&mut self, out: &mut Vec<MemoryAccess>, n: usize) {
+        let target = out.len() + n;
         while out.len() < target {
             if self.pos >= self.buf.len() {
                 self.refill();
@@ -229,7 +236,16 @@ impl TraceGenerator {
             out.extend_from_slice(&self.buf[self.pos..self.pos + take]);
             self.pos += take;
         }
-        out.len()
+    }
+
+    /// The next access of the (infinite) stream.
+    pub(crate) fn next_access(&mut self) -> MemoryAccess {
+        if self.pos >= self.buf.len() {
+            self.refill();
+        }
+        let access = self.buf[self.pos];
+        self.pos += 1;
+        access
     }
 }
 
@@ -237,12 +253,7 @@ impl Iterator for TraceGenerator {
     type Item = MemoryAccess;
 
     fn next(&mut self) -> Option<MemoryAccess> {
-        if self.pos >= self.buf.len() {
-            self.refill();
-        }
-        let access = self.buf[self.pos];
-        self.pos += 1;
-        Some(access)
+        Some(self.next_access())
     }
 }
 

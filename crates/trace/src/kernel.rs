@@ -19,7 +19,7 @@
 
 use crate::access::{AccessKind, MemoryAccess, Mode};
 use crate::locality::{Region, RegionSpec, RegionStream};
-use crate::rng::Xoshiro256;
+use crate::rng::{Weights, Xoshiro256};
 
 /// Physical address-space layout of the modelled kernel.
 ///
@@ -214,12 +214,10 @@ impl Service {
         Service::IrqDisk,
     ];
 
-    /// Dense index (matches position in [`Service::ALL`]).
+    /// Dense index (matches position in [`Service::ALL`], which lists
+    /// the variants in declaration order).
     pub fn index(self) -> usize {
-        Service::ALL
-            .iter()
-            .position(|s| *s == self)
-            .expect("service listed in ALL")
+        self as usize
     }
 
     /// Human-readable name.
@@ -357,6 +355,8 @@ pub struct KernelModel {
     handler_text: Vec<RegionStream>,
     core_text: RegionStream,
     data: Vec<RegionStream>,
+    /// Each service's [`ServiceSpec::data_weights`], by service index.
+    data_weights: Vec<Weights>,
     last_pc: u64,
 }
 
@@ -400,6 +400,10 @@ impl KernelModel {
             handler_text,
             core_text,
             data,
+            data_weights: Service::ALL
+                .iter()
+                .map(|s| Weights::new(s.spec().data_weights.to_vec()))
+                .collect(),
             last_pc: core_region.base(),
         }
     }
@@ -432,7 +436,8 @@ impl KernelModel {
                 self.last_pc = addr;
                 MemoryAccess::new(addr, addr, AccessKind::InstrFetch, Mode::Kernel)
             } else {
-                let region = DataRegion::ALL[rng.weighted_index(&spec.data_weights)];
+                let weights = &self.data_weights[service.index()];
+                let region = DataRegion::ALL[rng.weighted_index(weights)];
                 let addr = self.data[region.index()].next_addr(rng);
                 let kind = if rng.chance(spec.store_frac) {
                     AccessKind::Store

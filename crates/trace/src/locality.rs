@@ -272,6 +272,8 @@ pub struct RegionStream {
     spec: RegionSpec,
     zipf: Zipf,
     ranks: RankMap,
+    /// `1 / seq_dwell`: the chance a burst's next touch leaves its line.
+    seq_leave_p: f64,
     /// Current line of an in-progress sequential burst.
     seq_line: u64,
     /// Remaining lines in the in-progress burst.
@@ -309,6 +311,7 @@ impl RegionStream {
             spec,
             zipf: Zipf::new(support, spec.theta),
             ranks: RankMap::build(region.lines(), &mut perm_rng),
+            seq_leave_p: 1.0 / spec.seq_dwell,
             seq_line: 0,
             seq_remaining: 0,
             cold_cursor: 0,
@@ -337,11 +340,11 @@ impl RegionStream {
         if self.seq_remaining > 0 {
             // Intra-line dwell: linger on the current line so streaming
             // code enjoys L1 hits on the words of a fetched line.
-            if self.spec.seq_dwell > 1.0 && !rng.chance(1.0 / self.spec.seq_dwell) {
+            if self.spec.seq_dwell > 1.0 && !rng.chance(self.seq_leave_p) {
                 return self.seq_line;
             }
             self.seq_remaining -= 1;
-            self.seq_line = (self.seq_line + 1) % self.region.lines();
+            self.seq_line = self.wrap_next(self.seq_line);
             return self.seq_line;
         }
         // Short-term temporal locality: re-touch a recent line.
@@ -380,9 +383,20 @@ impl RegionStream {
         if rng.chance(Self::COLD_JUMP_P) {
             self.cold_cursor = rng.below(self.region.lines());
         } else {
-            self.cold_cursor = (self.cold_cursor + 1) % self.region.lines();
+            self.cold_cursor = self.wrap_next(self.cold_cursor);
         }
         self.cold_cursor
+    }
+
+    /// The line after `line` (a line of the region), wrapping to 0.
+    #[inline]
+    fn wrap_next(&self, line: u64) -> u64 {
+        let next = line + 1;
+        if next == self.region.lines() {
+            0
+        } else {
+            next
+        }
     }
 
     fn popular_line(&mut self, rng: &mut Xoshiro256) -> u64 {

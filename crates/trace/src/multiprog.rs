@@ -82,12 +82,15 @@ impl MultiProgrammed {
             addr + PROCESS_WINDOW * (i as u64 + 1)
         }
     }
-}
 
-impl Iterator for MultiProgrammed {
-    type Item = MemoryAccess;
+    /// Relocates both addresses of an access of app `i`.
+    fn relocate_access(a: &mut MemoryAccess, i: usize) {
+        a.addr = Self::relocate(a.addr, i);
+        a.pc = Self::relocate(a.pc, i);
+    }
 
-    fn next(&mut self) -> Option<MemoryAccess> {
+    /// Starts the next quantum when the current one is used up.
+    fn switch_if_done(&mut self) {
         if self.left_in_quantum == 0 {
             self.current = (self.current + 1) % self.generators.len();
             self.left_in_quantum = self.quantum_refs;
@@ -96,11 +99,37 @@ impl Iterator for MultiProgrammed {
             // no extra injection is needed here; the switch boundary just
             // changes whose stream is live.
         }
+    }
+
+    /// Appends the next `n` accesses of the schedule to `out`, the
+    /// stream the [`Iterator`] yields: each quantum slice is one bounded
+    /// copy out of its app's generate-ahead buffer, relocated in place.
+    pub fn append_to(&mut self, out: &mut Vec<MemoryAccess>, n: usize) {
+        let mut left = n;
+        while left > 0 {
+            self.switch_if_done();
+            let take = self.left_in_quantum.min(left as u64) as usize;
+            let i = self.current;
+            let start = out.len();
+            self.generators[i].append_to(out, take);
+            for a in &mut out[start..] {
+                Self::relocate_access(a, i);
+            }
+            self.left_in_quantum -= take as u64;
+            left -= take;
+        }
+    }
+}
+
+impl Iterator for MultiProgrammed {
+    type Item = MemoryAccess;
+
+    fn next(&mut self) -> Option<MemoryAccess> {
+        self.switch_if_done();
         self.left_in_quantum -= 1;
         let i = self.current;
-        let mut a = self.generators[i].next().expect("generators are infinite");
-        a.addr = Self::relocate(a.addr, i);
-        a.pc = Self::relocate(a.pc, i);
+        let mut a = self.generators[i].next_access();
+        Self::relocate_access(&mut a, i);
         Some(a)
     }
 }
@@ -179,6 +208,26 @@ mod tests {
             (multi - mean_solo).abs() < 0.06,
             "co-scheduled kernel share ({multi:.3}) should track the mean of the              solo shares ({mean_solo:.3})"
         );
+    }
+
+    #[test]
+    fn append_matches_iterator_across_quantum_boundaries() {
+        // 333 does not divide the slice lengths, so slices straddle quanta.
+        let expected: Vec<_> = MultiProgrammed::new(&pair(), 333, 4).take(5_000).collect();
+        let mut mp = MultiProgrammed::new(&pair(), 333, 4);
+        let mut got = Vec::new();
+        for n in [1, 332, 2, 1000, 0, 3665] {
+            mp.append_to(&mut got, n);
+        }
+        assert_eq!(got, expected);
+        // The two interfaces interleave over one schedule.
+        let mut mixed: Vec<_> = mp.by_ref().take(7).collect();
+        mp.append_to(&mut mixed, 700);
+        let tail: Vec<_> = MultiProgrammed::new(&pair(), 333, 4)
+            .skip(5_000)
+            .take(707)
+            .collect();
+        assert_eq!(mixed, tail);
     }
 
     #[test]

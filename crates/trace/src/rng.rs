@@ -186,28 +186,52 @@ impl Xoshiro256 {
     /// # Panics
     ///
     /// Panics if `weights` is empty or sums to zero.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        assert!(!weights.is_empty(), "weighted_index on empty weights");
-        let total: f64 = weights.iter().sum();
-        assert!(total > 0.0, "weighted_index weights sum to zero");
-        let mut target = self.next_f64() * total;
-        for (i, w) in weights.iter().enumerate() {
+    pub fn weighted_index(&mut self, weights: &Weights) -> usize {
+        assert!(
+            !weights.weights.is_empty(),
+            "weighted_index on empty weights"
+        );
+        assert!(weights.total > 0.0, "weighted_index weights sum to zero");
+        let mut target = self.next_f64() * weights.total;
+        for (i, w) in weights.weights.iter().enumerate() {
             if target < *w {
                 return i;
             }
             target -= w;
         }
-        weights.len() - 1
+        weights.weights.len() - 1
+    }
+}
+
+/// Non-negative weights for [`Xoshiro256::weighted_index`], with their
+/// total summed once, in slice order, when built.
+#[derive(Debug, Clone)]
+pub struct Weights {
+    weights: Vec<f64>,
+    total: f64,
+}
+
+impl Weights {
+    /// Wraps `weights`; the draw, not this constructor, rejects an empty
+    /// or zero-sum list, so weights that are never drawn from may be
+    /// either.
+    pub fn new(weights: Vec<f64>) -> Self {
+        let total = weights.iter().sum();
+        Weights { weights, total }
     }
 }
 
 /// A Zipf(θ)-distributed sampler over ranks `0..n`.
 ///
-/// Rank 0 is the most popular item. Uses an exact precomputed CDF with
-/// binary search, which is plenty fast for the region sizes used in
-/// workload models (up to a few hundred thousand lines) and — unlike
-/// rejection methods — consumes exactly one `u64` of randomness per
-/// sample, keeping streams stable when parameters change.
+/// Rank 0 is the most popular item. Inverts an exact precomputed CDF
+/// through a guide table (Chen & Asau's cut points): bucket `j` of `m`
+/// stores the first rank whose CDF reaches `j / m`, so a draw `u`
+/// starts at bucket `⌊u·m⌋` and scans forward — at most `1 + n / m`
+/// steps on average — to the first rank with `cdf ≥ u`. `m` is
+/// `n.next_power_of_two() / 4` (at least 1): fewer than `n / 2`
+/// buckets, so the table costs under a quarter of the CDF's memory.
+/// Unlike rejection methods it consumes exactly one `u64` of randomness
+/// per sample, keeping streams stable when parameters change.
 ///
 /// # Examples
 ///
@@ -222,6 +246,8 @@ impl Xoshiro256 {
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    /// `guide[j]`: the first rank with `cdf >= j / guide.len()`.
+    guide: Vec<u32>,
 }
 
 impl Zipf {
@@ -232,9 +258,11 @@ impl Zipf {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0` or `theta` is negative or non-finite.
+    /// Panics if `n == 0`, `n > 2^32`, or `theta` is negative or
+    /// non-finite.
     pub fn new(n: usize, theta: f64) -> Self {
         assert!(n > 0, "zipf over zero items");
+        assert!(u32::try_from(n - 1).is_ok(), "zipf ranks must fit u32");
         assert!(theta.is_finite() && theta >= 0.0, "invalid zipf theta");
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0f64;
@@ -246,7 +274,18 @@ impl Zipf {
         for v in &mut cdf {
             *v /= total;
         }
-        Self { cdf }
+        // `m` is a power of two, so `j / m` and a draw's `u * m` are exact.
+        let m = (n.next_power_of_two() / 4).max(1);
+        let mut guide = Vec::with_capacity(m);
+        let mut rank = 0;
+        for j in 0..m {
+            let cut = j as f64 / m as f64;
+            while rank < n - 1 && cdf[rank] < cut {
+                rank += 1;
+            }
+            guide.push(rank as u32);
+        }
+        Self { cdf, guide }
     }
 
     /// Number of items in the support.
@@ -259,16 +298,24 @@ impl Zipf {
         self.cdf.is_empty()
     }
 
-    /// Draws a rank in `[0, n)`.
+    /// Draws a rank in `[0, n)`: the first rank whose CDF reaches the
+    /// draw (the last rank if rounding leaves the CDF short of it).
+    #[inline]
     pub fn sample(&self, rng: &mut Xoshiro256) -> usize {
         let u = rng.next_f64();
-        match self
-            .cdf
-            .binary_search_by(|probe| probe.partial_cmp(&u).expect("cdf is finite"))
-        {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
+        self.rank(u)
+    }
+
+    /// The first rank `i` with `cdf[i] >= u`, capped at the last rank.
+    #[inline]
+    fn rank(&self, u: f64) -> usize {
+        let last = self.cdf.len() - 1;
+        // `u < 1`, so the bucket index is below `guide.len()`.
+        let mut i = self.guide[(u * self.guide.len() as f64) as usize] as usize;
+        while i < last && self.cdf[i] < u {
+            i += 1;
         }
+        i
     }
 }
 
@@ -437,7 +484,7 @@ mod tests {
     #[test]
     fn weighted_index_respects_weights() {
         let mut rng = Xoshiro256::seed_from_u64(53);
-        let w = [0.0, 3.0, 1.0];
+        let w = Weights::new(vec![0.0, 3.0, 1.0]);
         let mut counts = [0usize; 3];
         for _ in 0..40_000 {
             counts[rng.weighted_index(&w)] += 1;
@@ -485,6 +532,53 @@ mod tests {
                 (c as f64 - expected).abs() < expected * 0.15,
                 "count {c} deviates from uniform"
             );
+        }
+    }
+
+    /// The rank a binary search over the CDF gives: the first `i` with
+    /// `cdf[i] >= u`, capped at the last rank.
+    fn searched_rank(cdf: &[f64], u: f64) -> usize {
+        cdf.partition_point(|&c| c < u).min(cdf.len() - 1)
+    }
+
+    #[test]
+    fn zipf_guide_table_returns_the_binary_search_rank() {
+        let mut rng = Xoshiro256::seed_from_u64(71);
+        // θ = 8 flattens the CDF tail into runs of equal values.
+        let shapes = [
+            (1, 0.9),
+            (2, 0.0),
+            (3, 1.2),
+            (100, 0.0),
+            (128, 1.2),
+            (384, 1.0),
+            (1000, 0.6),
+            (2304, 0.9),
+            (4097, 1.3),
+            (1 << 16, 0.8),
+            (500, 8.0),
+        ];
+        for (n, theta) in shapes {
+            let zipf = Zipf::new(n, theta);
+            let cdf = &zipf.cdf;
+            let distinct = cdf.windows(2).all(|w| w[0] < w[1]);
+            let mut probes: Vec<f64> = (0..20_000).map(|_| rng.next_f64()).collect();
+            for &c in cdf {
+                probes.extend([c, c.next_up(), c.next_down()]);
+            }
+            probes.extend([0.0, f64::MIN_POSITIVE, 1.0f64.next_down()]);
+            for u in probes.into_iter().filter(|u| (0.0..1.0).contains(u)) {
+                let want = searched_rank(cdf, u);
+                assert_eq!(zipf.rank(u), want, "n {n}, theta {theta}, u {u:e}");
+                if distinct {
+                    // What `sample` returned before the guide table.
+                    let old = match cdf.binary_search_by(|c| c.total_cmp(&u)) {
+                        Ok(i) => i,
+                        Err(i) => i.min(n - 1),
+                    };
+                    assert_eq!(old, want, "n {n}, theta {theta}, u {u:e}");
+                }
+            }
         }
     }
 

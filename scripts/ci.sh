@@ -135,6 +135,13 @@ CORPUS_FILE="$SMOKE_DIR/corpus/browser-000000005eed2015.mtrc"
 "$CORPUS_TOOL" stat "$CORPUS_FILE" > "$SMOKE_DIR/corpus_stat.txt"
 grep -q 'kernel share' "$SMOKE_DIR/corpus_stat.txt" \
   || { echo "trace_corpus stat produced no summary"; exit 1; }
+# `stat --mrc` replays the file through the L1 pair into the stack-distance
+# profiler, a path the experiment bodies do not cover: its curve must
+# match the one recorded in scripts/expected (directory prefix dropped).
+"$CORPUS_TOOL" stat --mrc "$CORPUS_FILE" | sed "s|^$SMOKE_DIR/corpus/||" \
+  > "$SMOKE_DIR/corpus_stat_mrc.txt"
+diff -u scripts/expected/corpus_stat_mrc.txt "$SMOKE_DIR/corpus_stat_mrc.txt" \
+  || { echo "trace_corpus stat --mrc diverged from its recorded curve"; exit 1; }
 # The same experiment replayed from the corpus must emit the same bytes
 # up to the run-local footer, and must actually decode from the files.
 "$REPRO" --quick F3 > "$SMOKE_DIR/f3_inprocess_full.txt"

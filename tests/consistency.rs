@@ -56,7 +56,7 @@ fn segment_energies_sum_to_total() {
     let mut now = 0u64;
     for a in TraceGenerator::new(&app, 3).take(150_000) {
         now += 2;
-        let o = l1.filter(&a, now);
+        let o = l1.access(&a);
         for req in [o.demand, o.writeback].into_iter().flatten() {
             l2.request(&req, now);
         }
