@@ -29,13 +29,21 @@
 //!
 //! # Mask validation
 //!
-//! [`SetAssocCache::access`], [`SetAssocCache::probe`], and
-//! [`SetAssocCache::invalidate_line`] all validate masks the same way:
-//! a mask referencing ways at or beyond [`CacheGeometry::ways`] panics
-//! (historically `probe` silently ignored such ways while `access`
-//! panicked). `access` additionally rejects the empty mask, because a fill
-//! must land somewhere; `probe` and `invalidate_line` accept it as a
-//! trivially empty search.
+//! [`SetAssocCache::lookup`] and [`SetAssocCache::fill`] — and so
+//! [`SetAssocCache::access`] and [`SetAssocCache::probe`], which are
+//! built on them — validate masks the same way: a mask referencing ways
+//! at or beyond [`CacheGeometry::ways`] panics. `fill` (and so `access`)
+//! additionally rejects the empty mask, because a fill must land
+//! somewhere; `lookup` and `probe` accept it as a trivially empty search.
+//!
+//! # One scan per request
+//!
+//! `access` is [`SetAssocCache::lookup`] (the only tag scan) followed by
+//! [`SetAssocCache::hit_at`] the way it found or `fill` on a miss.
+//! Callers that must inspect a resident block before deciding — the L2
+//! engines' lazy retention expiry, the prefetcher's presence check, the
+//! hybrid's steered fill — call the three primitives themselves, so each
+//! request still scans its set once.
 
 use moca_trace::Mode;
 
@@ -314,7 +322,9 @@ impl SetAssocCache {
     }
 
     /// Performs an access to `line` (a line address, i.e. byte address
-    /// divided by the line size) restricted to `mask`.
+    /// divided by the line size) restricted to `mask`: one
+    /// [`SetAssocCache::lookup`], then [`SetAssocCache::hit_at`] the way
+    /// it found or [`SetAssocCache::fill`] on a miss.
     ///
     /// On a miss the line is filled into `mask`; a displaced valid block is
     /// returned in [`AccessResult::victim`].
@@ -331,63 +341,121 @@ impl SetAssocCache {
         now: u64,
         mask: WayMask,
     ) -> AccessResult {
-        let bits = mask.bits();
-        assert!(bits != 0, "access with empty way mask");
-        self.check_mask_bounds(mask);
+        match self.lookup(line, mask) {
+            Some(way) => self.hit_at(line & self.set_mask, way, write, mode, now),
+            None => self.fill(line, write, mode, now, mask),
+        }
+    }
 
+    /// The way of `mask` that holds `line`, if any: one scan of the set's
+    /// tags, changing no state.
+    ///
+    /// Lookup is restricted to the mask: partitioned segments are fully
+    /// isolated, so a line resident in foreign ways is *not* found. An
+    /// empty mask is a valid (trivially unsuccessful) search.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mask` references ways beyond the geometry.
+    #[inline]
+    pub fn lookup(&self, line: u64, mask: WayMask) -> Option<u32> {
+        self.check_mask_bounds(mask);
         let set = line & self.set_mask;
         let tag = line >> self.tag_shift;
-        let si = set as usize;
-        let base = si * self.ways as usize;
-        let valid_bits = self.flags[si * 2];
-
-        // Lookup restricted to the mask: partitioned segments are fully
-        // isolated, so a line resident in foreign ways is *not* a hit.
+        let ways = self.ways as usize;
+        let base = set as usize * ways;
+        let live = self.valid_bits(set) & mask.bits();
         // Narrow sets compare full tags directly (one cache line); wide
         // sets filter ways through the 8-bit signature array first (SWAR
         // zero-byte detection, one u64 word per 8 ways), so a wide-set
         // miss touches 1 byte per way of signatures instead of 8 bytes
         // per way of full tags, and only signature matches — real hits
         // plus ~1/256 false positives — read the tag array. Both scans
-        // visit candidates in increasing way order against valid ∩ mask,
-        // preserving the old scan order exactly.
-        let ways = self.ways as usize;
-        let hit = if self.ways <= DIRECT_SCAN_WAYS {
-            scan_tags_direct(&self.tags[base..base + ways], tag, valid_bits & bits)
+        // visit candidates in increasing way order against valid ∩ mask.
+        if self.ways <= DIRECT_SCAN_WAYS {
+            scan_tags_direct(&self.tags[base..base + ways], tag, live)
         } else {
             scan_for_tag(
                 &self.sigs[base..base + ways],
                 &self.tags[base..base + ways],
                 tag_signature(tag),
                 tag,
-                valid_bits & bits,
+                live,
             )
-        };
-        if let Some(way) = hit {
-            let m = &mut self.meta[base + way as usize];
-            let (prev_touch, prev_write) = (m.last_touch, m.last_write);
-            if write {
-                self.flags[si * 2 + 1] |= 1u64 << way;
-                m.last_write = now;
-            }
-            m.last_touch = now;
-            m.count_owner += 1;
-            self.repl.on_hit(set, self.ways, way);
-            let c = &mut self.stats.by_mode[mode.index()];
-            c.hits += 1;
-            c.writes += u64::from(write);
-            return AccessResult {
-                hit: true,
-                way,
-                victim: None,
-                prev_touch,
-                prev_write,
-            };
         }
+    }
 
-        // Miss: pick the lowest invalid way in the mask, else a policy
-        // victim (victim choice + fill bookkeeping in one dispatch).
-        let invalid = bits & !valid_bits;
+    /// Records a hit on the valid block at `(set, way)` — the way
+    /// [`SetAssocCache::lookup`] found — by a `mode` access at `now`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `way` is out of range.
+    #[inline]
+    pub fn hit_at(
+        &mut self,
+        set: u64,
+        way: u32,
+        write: bool,
+        mode: Mode,
+        now: u64,
+    ) -> AccessResult {
+        assert!(way < self.ways, "way {way} out of range");
+        debug_assert!(
+            self.valid_bits(set) & (1u64 << way) != 0,
+            "hit on an invalid way"
+        );
+        let m = &mut self.meta[set as usize * self.ways as usize + way as usize];
+        let (prev_touch, prev_write) = (m.last_touch, m.last_write);
+        if write {
+            self.flags[set as usize * 2 + 1] |= 1u64 << way;
+            m.last_write = now;
+        }
+        m.last_touch = now;
+        m.count_owner += 1;
+        self.repl.on_hit(set, self.ways, way);
+        let c = &mut self.stats.by_mode[mode.index()];
+        c.hits += 1;
+        c.writes += u64::from(write);
+        AccessResult {
+            hit: true,
+            way,
+            victim: None,
+            prev_touch,
+            prev_write,
+        }
+    }
+
+    /// Fills `line`, which is not resident in `mask` (a
+    /// [`SetAssocCache::lookup`] over `mask`, or over any superset of it,
+    /// came back empty), into `mask` as a `mode` miss at `now`.
+    ///
+    /// The fill takes the lowest invalid way of the mask, else the
+    /// policy's victim, which comes back in [`AccessResult::victim`].
+    /// Filling a line that *is* resident in `mask` leaves two copies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mask` is empty or references ways beyond the geometry.
+    #[inline]
+    pub fn fill(
+        &mut self,
+        line: u64,
+        write: bool,
+        mode: Mode,
+        now: u64,
+        mask: WayMask,
+    ) -> AccessResult {
+        let bits = mask.bits();
+        assert!(bits != 0, "access with empty way mask");
+        self.check_mask_bounds(mask);
+        let set = line & self.set_mask;
+        let tag = line >> self.tag_shift;
+        let si = set as usize;
+        let base = si * self.ways as usize;
+
+        // Victim choice + fill bookkeeping in one policy dispatch.
+        let invalid = bits & !self.flags[si * 2];
         let (way, victim) = if invalid != 0 {
             let w = invalid.trailing_zeros();
             self.repl.on_fill(set, self.ways, w);
@@ -424,7 +492,7 @@ impl SetAssocCache {
         }
         self.meta[i] = ColdMeta::filled(mode, now);
 
-        // One counter-block write per access: every miss-path stat lands
+        // One counter-block write per fill: every miss-path stat lands
         // here instead of re-dispatching `mode_mut` per field.
         let wb = u64::from(victim.is_some_and(|v| v.dirty));
         let c = &mut self.stats.by_mode[mode.index()];
@@ -442,6 +510,19 @@ impl SetAssocCache {
         }
     }
 
+    /// Timestamp of the most recent cell write (fill, store hit or
+    /// refresh) of the block at `(set, way)`: the clock an STT-RAM
+    /// retention period runs from. Meaningless for an invalid slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `set` or `way` is out of range.
+    #[inline]
+    pub fn last_write_at(&self, set: u64, way: u32) -> u64 {
+        assert!(way < self.ways, "way {way} out of range");
+        self.meta[self.idx(set, way)].last_write
+    }
+
     /// Looks a line up without changing any state.
     ///
     /// An empty mask is a valid (trivially unsuccessful) search.
@@ -451,20 +532,8 @@ impl SetAssocCache {
     /// Panics if `mask` references ways beyond the geometry — the same
     /// validation [`SetAssocCache::access`] applies.
     pub fn probe(&self, line: u64, mask: WayMask) -> Option<BlockView> {
-        self.check_mask_bounds(mask);
-        let set = line & self.set_mask;
-        let tag = line >> self.tag_shift;
-        let base = set as usize * self.ways as usize;
-        let mut cand = self.valid_bits(set) & mask.bits();
-        while cand != 0 {
-            let way = cand.trailing_zeros();
-            let i = base + way as usize;
-            if self.tags[i] == tag {
-                return Some(self.view(set, way));
-            }
-            cand &= cand - 1;
-        }
-        None
+        let way = self.lookup(line, mask)?;
+        Some(self.view(line & self.set_mask, way))
     }
 
     fn view(&self, set: u64, way: u32) -> BlockView {
@@ -571,29 +640,6 @@ impl SetAssocCache {
         } else {
             false
         }
-    }
-
-    /// Invalidates a line wherever it resides within `mask`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mask` references ways beyond the geometry (same
-    /// validation as [`SetAssocCache::access`]; the empty mask is a
-    /// trivially unsuccessful search).
-    pub fn invalidate_line(&mut self, line: u64, mask: WayMask) -> Option<EvictedBlock> {
-        self.check_mask_bounds(mask);
-        let set = line & self.set_mask;
-        let tag = line >> self.tag_shift;
-        let base = set as usize * self.ways as usize;
-        let mut cand = self.valid_bits(set) & mask.bits();
-        while cand != 0 {
-            let way = cand.trailing_zeros();
-            if self.tags[base + way as usize] == tag {
-                return self.invalidate_at(set, way);
-            }
-            cand &= cand - 1;
-        }
-        None
     }
 
     /// Evicts every valid block in `way` across all sets (used when a way
@@ -763,7 +809,7 @@ mod tests {
         let mut c = small();
         c.access(7, false, Mode::User, 0, full());
         assert!(c.probe(7, WayMask::EMPTY).is_none());
-        assert!(c.invalidate_line(7, WayMask::EMPTY).is_none());
+        assert!(c.lookup(7, WayMask::EMPTY).is_none());
     }
 
     #[test]
@@ -775,21 +821,22 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "beyond")]
-    fn invalidate_line_oversized_mask_panics_like_access() {
+    fn fill_oversized_mask_panics_like_access() {
         let mut c = small();
-        c.invalidate_line(7, WayMask::first(8));
+        c.fill(7, false, Mode::User, 0, WayMask::first(8));
     }
 
     #[test]
-    fn invalidate_line_returns_block() {
+    fn lookup_then_invalidate_at_returns_block() {
         let mut c = small();
         c.access(7, true, Mode::Kernel, 3, full());
-        let ev = c.invalidate_line(7, full()).expect("was resident");
+        let way = c.lookup(7, full()).expect("was resident");
+        let ev = c.invalidate_at(7 % 4, way).expect("valid slot");
         assert!(ev.dirty);
         assert_eq!(ev.owner, Mode::Kernel);
-        assert!(c.probe(7, full()).is_none());
+        assert!(c.lookup(7, full()).is_none());
         assert_eq!(c.stats().invalidations, 1);
-        assert!(c.invalidate_line(7, full()).is_none());
+        assert!(c.invalidate_at(7 % 4, way).is_none());
     }
 
     #[test]

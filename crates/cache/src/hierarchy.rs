@@ -154,10 +154,6 @@ impl LruArray {
             cause: L2Cause::Writeback,
         })
     }
-
-    fn heap_bytes(&self) -> usize {
-        self.stacks.heap_bytes() + self.flags.capacity()
-    }
 }
 
 /// An L1 instruction + data cache pair with a shared line size.
@@ -224,9 +220,12 @@ impl L1Pair {
         &self.dcache.stats
     }
 
-    /// Bytes of heap memory both caches hold.
-    pub fn heap_bytes(&self) -> usize {
-        self.icache.heap_bytes() + self.dcache.heap_bytes()
+    /// Both caches' statistics, merged: what a system report reads, and
+    /// all a replayed run keeps of the pair.
+    pub fn stats(&self) -> CacheStats {
+        let mut stats = self.icache.stats;
+        stats.merge(&self.dcache.stats);
+        stats
     }
 
     /// Filters one access; returns the L2 traffic it generates.

@@ -143,12 +143,6 @@ impl LruStackCore {
     pub fn clear(&mut self) {
         self.lens.fill(0);
     }
-
-    /// Bytes of heap memory the stacks hold.
-    pub(crate) fn heap_bytes(&self) -> usize {
-        self.tags.capacity() * std::mem::size_of::<u64>()
-            + self.lens.capacity() * std::mem::size_of::<u32>()
-    }
 }
 
 /// Moves every entry of `entries` one place toward its end, dropping the

@@ -7,8 +7,11 @@
 //! deliberately naive one-struct-per-block model with straightforward
 //! per-way loops and checks — over randomized geometries, policies, way
 //! masks, and operation sequences — that the two produce the identical
-//! [`AccessResult`] / [`EvictedBlock`] stream, the identical probe
-//! answers, and the identical final [`CacheStats`] and occupancy.
+//! [`AccessResult`] / [`EvictedBlock`] stream, the identical lookup and
+//! probe answers, and the identical final [`CacheStats`] and occupancy.
+//! Accesses are driven both whole (`access`) and split into the lookup,
+//! hit and fill primitives the L2 engines call, including fills steered
+//! into a narrower mask than the lookup's.
 
 use moca_cache::{
     AccessResult, BlockView, CacheGeometry, CacheStats, EvictedBlock, ReplacementPolicy,
@@ -296,7 +299,21 @@ impl RefCache {
                 };
             }
         }
+        self.fill(line, write, mode, now, mask)
+    }
 
+    /// The miss half of `access`: fills `line`, absent from `mask`, into
+    /// the first invalid way of `mask`, else the policy's victim.
+    fn fill(
+        &mut self,
+        line: u64,
+        write: bool,
+        mode: Mode,
+        now: u64,
+        mask: WayMask,
+    ) -> AccessResult {
+        let set = line & self.set_mask;
+        let tag = line >> self.tag_shift;
         let empty = mask.iter().find(|&w| !self.blocks[self.idx(set, w)].valid);
         let (way, victim) = match empty {
             Some(w) => (w, None),
@@ -335,6 +352,15 @@ impl RefCache {
             prev_touch: 0,
             prev_write: 0,
         }
+    }
+
+    fn lookup(&self, line: u64, mask: WayMask) -> Option<u32> {
+        let set = line & self.set_mask;
+        let tag = line >> self.tag_shift;
+        mask.iter().find(|&way| {
+            let b = &self.blocks[self.idx(set, way)];
+            b.valid && b.tag == tag
+        })
     }
 
     fn probe(&self, line: u64, mask: WayMask) -> Option<BlockView> {
@@ -392,11 +418,28 @@ enum Op {
         kernel: bool,
         mask_pick: u8,
     },
+    /// `lookup`, then `hit_at` the way it found or `fill` on a miss: the
+    /// L2 request path's one-scan split of `access`.
+    Split {
+        line: u64,
+        write: bool,
+        kernel: bool,
+        mask_pick: u8,
+    },
+    /// `lookup` over every way, and on a miss a `fill` into one mask: the
+    /// hybrid L2's steered fill.
+    SteeredFill {
+        line: u64,
+        write: bool,
+        kernel: bool,
+        mask_pick: u8,
+    },
     Probe {
         line: u64,
         mask_pick: u8,
     },
-    InvalidateLine {
+    /// `lookup`, then `invalidate_at` the way it found: lazy expiry.
+    Invalidate {
         line: u64,
         mask_pick: u8,
     },
@@ -456,13 +499,26 @@ fn arb_case(rng: &mut TestRng) -> Case {
     let ops = rng.vec(50, 400, |r| {
         let line = r.range_u64(0, universe);
         let mask_pick = r.range_u64(0, 3) as u8;
+        let (write, kernel) = (r.bool(), r.bool());
         match r.range_usize(0, 10) {
             0 => Op::Probe { line, mask_pick },
-            1 => Op::InvalidateLine { line, mask_pick },
+            1 => Op::Invalidate { line, mask_pick },
+            2..=3 => Op::Split {
+                line,
+                write,
+                kernel,
+                mask_pick,
+            },
+            4 => Op::SteeredFill {
+                line,
+                write,
+                kernel,
+                mask_pick,
+            },
             _ => Op::Access {
                 line,
-                write: r.bool(),
-                kernel: r.bool(),
+                write,
+                kernel,
                 mask_pick,
             },
         }
@@ -511,10 +567,51 @@ fn soa_engine_matches_reference_model() {
                         "probe #{i} diverged"
                     );
                 }
-                Op::InvalidateLine { line, mask_pick } => {
+                Op::Split {
+                    line,
+                    write,
+                    kernel,
+                    mask_pick,
+                } => {
+                    let mode = if kernel { Mode::Kernel } else { Mode::User };
                     let mask = case.masks[mask_pick as usize];
+                    let found = soa.lookup(line, mask);
+                    require_eq!(found, reference.lookup(line, mask), "lookup #{i} diverged");
+                    let set = line & reference.set_mask;
+                    let got = match found {
+                        Some(way) => {
+                            let b = &reference.blocks[reference.idx(set, way)];
+                            require_eq!(soa.last_write_at(set, way), b.last_write);
+                            soa.hit_at(set, way, write, mode, now)
+                        }
+                        None => soa.fill(line, write, mode, now, mask),
+                    };
+                    let want = reference.access(line, write, mode, now, mask);
+                    require_eq!(got, want, "split access #{i} diverged ({:?})", case.policy);
+                }
+                Op::SteeredFill {
+                    line,
+                    write,
+                    kernel,
+                    mask_pick,
+                } => {
+                    let mode = if kernel { Mode::Kernel } else { Mode::User };
+                    let all = WayMask::first(case.ways);
+                    let found = soa.lookup(line, all);
+                    require_eq!(found, reference.lookup(line, all), "lookup #{i} diverged");
+                    if found.is_none() {
+                        let mask = case.masks[mask_pick as usize];
+                        let got = soa.fill(line, write, mode, now, mask);
+                        let want = reference.fill(line, write, mode, now, mask);
+                        require_eq!(got, want, "steered fill #{i} diverged ({:?})", case.policy);
+                    }
+                }
+                Op::Invalidate { line, mask_pick } => {
+                    let mask = case.masks[mask_pick as usize];
+                    let set = line & reference.set_mask;
                     require_eq!(
-                        soa.invalidate_line(line, mask),
+                        soa.lookup(line, mask)
+                            .and_then(|way| soa.invalidate_at(set, way)),
                         reference.invalidate_line(line, mask),
                         "invalidate #{i} diverged"
                     );

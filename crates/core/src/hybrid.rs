@@ -163,11 +163,10 @@ impl HybridL2 {
         let wht = Self::wht_index(req.line);
         let full = self.parts[SRAM].mask.union(self.parts[STT].mask);
 
-        // Hybrid lookup probes both partitions (one array, both masks).
-        if self.cache.probe(req.line, full).is_some() {
-            let result = self.cache.access(req.line, req.write, req.mode, now, full);
-            debug_assert!(result.hit);
-            let p = if self.parts[SRAM].mask.contains(result.way) {
+        // One lookup over both partitions (one array, both masks).
+        if let Some(way) = self.cache.lookup(req.line, full) {
+            self.cache.hit_at(set, way, req.write, req.mode, now);
+            let p = if self.parts[SRAM].mask.contains(way) {
                 SRAM
             } else {
                 STT
@@ -190,10 +189,10 @@ impl HybridL2 {
             } else {
                 self.stats.stt_writes += 1;
                 // Track the write streak; migrate write-hot blocks.
-                let si = self.streak_idx(set, result.way);
+                let si = self.streak_idx(set, way);
                 self.stt_write_streak[si] = self.stt_write_streak[si].saturating_add(1);
                 if self.stt_write_streak[si] >= MIGRATE_AFTER {
-                    self.migrate_to_sram(set, result.way, now);
+                    self.migrate_to_sram(set, way, now);
                 }
             }
             return L2Response {
@@ -202,7 +201,8 @@ impl HybridL2 {
             };
         }
 
-        // Miss: steer the fill by predicted write intensity.
+        // Miss: steer the fill by predicted write intensity, straight into
+        // that partition's ways.
         let p = if self.wht[wht] >= WHT_HOT || req.write {
             SRAM
         } else {
@@ -210,8 +210,7 @@ impl HybridL2 {
         };
         let result = self
             .cache
-            .access(req.line, req.write, req.mode, now, self.parts[p].mask);
-        debug_assert!(!result.hit);
+            .fill(req.line, req.write, req.mode, now, self.parts[p].mask);
         self.traffic.dram_reads += 1;
         let si = self.streak_idx(set, result.way);
         self.stt_write_streak[si] = 0;
@@ -241,9 +240,10 @@ impl HybridL2 {
         };
         // Read out of STT, write into SRAM.
         self.parts[STT].acct.record_reads(1);
+        // A line is resident at most once in the array, so it is absent
+        // from the SRAM ways.
         let sram = self.parts[SRAM].mask;
-        let result = self.cache.access(ev.line, ev.dirty, ev.owner, now, sram);
-        debug_assert!(!result.hit);
+        let result = self.cache.fill(ev.line, ev.dirty, ev.owner, now, sram);
         self.parts[SRAM].acct.record_writes(1);
         if result.victim.is_some_and(|v| v.dirty) {
             self.parts[SRAM].acct.record_reads(1);

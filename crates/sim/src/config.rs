@@ -3,8 +3,6 @@
 use moca_cache::{CacheGeometry, GeometryError, ReplacementPolicy};
 use moca_energy::Energy;
 
-use crate::dram::DramModel;
-
 /// Parameters of everything around the L2: core clock, L1 pair, DRAM.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
@@ -28,11 +26,6 @@ pub struct SystemConfig {
     pub dram_read_energy: Energy,
     /// DRAM energy per line write.
     pub dram_write_energy: Energy,
-    /// DRAM timing model for demand fetches. [`DramModel::Flat`] (the
-    /// default) charges `dram_latency_cycles` per access;
-    /// [`DramModel::RowBuffer`] tracks per-bank open rows. Writebacks are
-    /// always charged flat energy (they are off the critical path).
-    pub dram_model: DramModel,
     /// Enable the L2 next-line prefetcher
     /// (see [`moca_core::L2BaseParams::next_line_prefetch`]).
     pub l2_next_line_prefetch: bool,
@@ -56,7 +49,6 @@ impl Default for SystemConfig {
             dram_latency_cycles: 120,
             dram_read_energy: Energy::from_nj(20.0),
             dram_write_energy: Energy::from_nj(22.0),
-            dram_model: DramModel::Flat,
             l2_next_line_prefetch: false,
             l2_policy: ReplacementPolicy::Lru,
         }

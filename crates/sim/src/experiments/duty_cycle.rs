@@ -99,7 +99,7 @@ fn run_at_duty(design: L2Design, refs: usize, duty: f64) -> crate::metrics::SimR
         }
         bursts.retire_hits(&mut sys, chunk.tail_gap() as u64);
     });
-    sys.adopt_l1(&l1);
+    sys.adopt_l1(l1);
     sys.finish()
 }
 

@@ -1,8 +1,7 @@
 //! # moca-sim — system model and experiment harness
 //!
 //! Assembles the full simulated platform (in-order core with idle-period
-//! support, L1 pair, one of the paper's L2 designs, flat or row-buffer
-//! DRAM) and hosts the experiment suite that regenerates every figure and
+//! support, L1 pair, one of the paper's L2 designs, flat-latency DRAM) and hosts the experiment suite that regenerates every figure and
 //! table of the reproduced evaluation (see `DESIGN.md` for the experiment
 //! index and `EXPERIMENTS.md` for results), plus sweep/CSV utilities, a
 //! deterministic thread pool ([`parallel`]), one sweep executor
@@ -34,7 +33,6 @@
 pub mod checkpoint;
 pub mod config;
 pub mod cpu;
-pub mod dram;
 pub mod error;
 pub mod experiments;
 pub mod lockstep;
@@ -53,7 +51,6 @@ pub mod workloads;
 pub use checkpoint::Journal;
 pub use config::SystemConfig;
 pub use cpu::InOrderCore;
-pub use dram::{DramModel, RowBufferDram, RowBufferParams};
 pub use error::{PointCause, SweepPointError};
 pub use lockstep::{execute, front_end_refs, FilteredChunk, FrontEnd, LaneEvent, Plan, Point};
 pub use memo::{MemoStats, RunMemo, MEMO_CAP_BYTES};

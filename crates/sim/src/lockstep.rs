@@ -8,7 +8,7 @@
 //! the designs and the system configuration. [`execute`] obtains the
 //! plan's filtered run once, then hands the designs to workers one lane
 //! at a time: each lane builds its own L2, replays the whole run,
-//! adopts the L1 pair after it and finishes, so at most one L2 per
+//! adopts the L1 statistics after it and finishes, so at most one L2 per
 //! worker is live. A lane's build error or panic lands in that lane's
 //! own slot while the other lanes keep going, and each completed lane
 //! emits a telemetry `point` event.
@@ -58,6 +58,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use moca_cache::stats::CacheStats;
 use moca_cache::{L1Pair, L2Cause, L2Request};
 use moca_core::L2Design;
 use moca_trace::{AccessKind, AppProfile, Mode};
@@ -278,13 +279,13 @@ impl<'a> FrontEnd<'a> {
     }
 
     /// Filters the next `refs` references chunk by chunk, handing each
-    /// filtered chunk to `visit`, and returns the L1 pair after them
-    /// plus the nanoseconds spent filtering (visits excluded).
+    /// filtered chunk to `visit`, and returns the L1 pair's statistics
+    /// after them plus the nanoseconds spent filtering (visits excluded).
     pub(crate) fn filter(
         mut self,
         mut refs: usize,
         mut visit: impl FnMut(&FilteredChunk),
-    ) -> (L1Pair, u64) {
+    ) -> (CacheStats, u64) {
         let mut chunk = FilteredChunk::default();
         let mut front_ns = 0;
         while refs > 0 {
@@ -293,7 +294,7 @@ impl<'a> FrontEnd<'a> {
             front_ns += began.elapsed().as_nanos() as u64;
             visit(&chunk);
         }
-        (self.l1, front_ns)
+        (self.l1.stats(), front_ns)
     }
 }
 
@@ -466,7 +467,7 @@ impl<'a> Plan<'a> {
 
     /// The lane of plan index `index`: build its system, replay every
     /// chunk of `run` into it (or, without a run, filter the plan's
-    /// stream live), adopt the L1 pair after the run, finish.
+    /// stream live), adopt the L1 statistics after the run, finish.
     ///
     /// A lane that fails to build, or panics while replaying or
     /// finishing, fails in its own slot.
@@ -489,13 +490,13 @@ impl<'a> Plan<'a> {
             let Some(run) = run else {
                 let (l1, front_ns) = FrontEnd::over(self.stream(), &self.cfg)?
                     .filter(self.refs, |c| replay(&mut sys, c));
-                sys.adopt_l1(&l1);
+                sys.adopt_l1(l1);
                 return Ok(front_ns);
             };
             for chunk in &run.chunks {
                 replay(&mut sys, chunk);
             }
-            sys.adopt_l1(&run.l1);
+            sys.adopt_l1(run.l1);
             Ok(0)
         });
         let front_ns = replayed

@@ -48,7 +48,7 @@
 use std::mem::size_of;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use moca_cache::L1Pair;
+use moca_cache::stats::CacheStats;
 use moca_trace::fxhash::FxHashMap;
 use moca_trace::MemoryAccess;
 
@@ -93,11 +93,12 @@ impl RunKey {
 }
 
 /// The L2-visible stream of exactly `refs` references of one stream,
-/// plus the L1 pair after them (lanes adopt it before `finish`).
+/// plus the L1 pair's statistics after them (lanes adopt them before
+/// `finish`).
 #[derive(Debug)]
 pub(crate) struct FilteredRun {
     pub(crate) chunks: Vec<FilteredChunk>,
-    pub(crate) l1: L1Pair,
+    pub(crate) l1: CacheStats,
 }
 
 impl FilteredRun {
@@ -119,7 +120,6 @@ impl FilteredRun {
             charge(chunk.heap_bytes());
             chunks.push(chunk);
         });
-        charge(l1.heap_bytes());
         FilteredRun { chunks, l1 }
     }
 }
@@ -292,7 +292,7 @@ impl RunMemo {
 
     /// Replays the filtered run of the first `refs` references of
     /// `stream` under `cfg`'s L1 pair: `visit` sees every chunk in
-    /// stream order, and the L1 pair after the run comes back.
+    /// stream order, and the pair's statistics after the run come back.
     ///
     /// The run comes from the memo when cached; otherwise it is built
     /// here (concurrent callers of the same key wait for this build)
@@ -309,10 +309,10 @@ impl RunMemo {
         cfg: &SystemConfig,
         refs: usize,
         visit: impl FnMut(&FilteredChunk),
-    ) -> L1Pair {
+    ) -> CacheStats {
         let run = self.obtain(stream, cfg, refs);
         run.chunks.iter().for_each(visit);
-        run.l1.clone()
+        run.l1
     }
 
     /// The whole run [`RunMemo::replay`] walks, obtained without

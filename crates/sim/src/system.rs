@@ -7,7 +7,6 @@ use moca_trace::{MemoryAccess, Mode, TraceGenerator};
 
 use crate::config::SystemConfig;
 use crate::cpu::InOrderCore;
-use crate::dram::{DramModel, RowBufferDram, RowBufferParams};
 use crate::metrics::SimReport;
 
 /// Errors from assembling a [`System`].
@@ -73,7 +72,9 @@ pub struct System {
     l1: L1Pair,
     design: L2Design,
     l2: L2Engine,
-    dram: Option<RowBufferDram>,
+    /// The front end's L1 statistics, once a lane adopts them; `finish`
+    /// reads them instead of the (then unused) live pair's.
+    adopted_l1: Option<CacheStats>,
     app: String,
 }
 
@@ -98,17 +99,13 @@ impl System {
             ..L2BaseParams::default()
         };
         let l2 = L2Engine::new(design, params)?;
-        let dram = match cfg.dram_model {
-            DramModel::Flat => None,
-            DramModel::RowBuffer => Some(RowBufferDram::new(RowBufferParams::default())),
-        };
         Ok(Self {
             cfg,
             core: InOrderCore::new(cfg.base_cycles_per_ref),
             l1,
             design,
             l2,
-            dram,
+            adopted_l1: None,
             app: app.into(),
         })
     }
@@ -166,13 +163,10 @@ impl System {
         let mut stall = 0u64;
         if let Some(demand) = demand {
             let resp = self.l2.request(demand, now);
-            let dram_cycles = if !resp.dram_read {
-                0
+            let dram_cycles = if resp.dram_read {
+                self.cfg.dram_latency_cycles
             } else {
-                match self.dram.as_mut() {
-                    None => self.cfg.dram_latency_cycles,
-                    Some(dram) => dram.access(demand.line, self.cfg.line_bytes).1,
-                }
+                0
             };
             stall = resp.latency_cycles + dram_cycles;
         }
@@ -184,14 +178,14 @@ impl System {
         self.core.retire(stall);
     }
 
-    /// Adopts the shared front end's L1 state so [`System::finish`] reports
-    /// the same L1 statistics a scalar run would.
+    /// Adopts the shared front end's L1 statistics (see
+    /// [`L1Pair::stats`]) so [`System::finish`] reports the same L1
+    /// statistics a scalar run would.
     ///
-    /// The state is identical by construction: the front end filtered
-    /// exactly this system's reference stream, and the L1 keeps no
-    /// timestamps.
-    pub(crate) fn adopt_l1(&mut self, l1: &L1Pair) {
-        self.l1 = l1.clone();
+    /// They are identical by construction: the front end filtered exactly
+    /// this system's reference stream, and the L1 keeps no timestamps.
+    pub(crate) fn adopt_l1(&mut self, stats: CacheStats) {
+        self.adopted_l1 = Some(stats);
     }
 
     /// Runs an entire trace (or any iterator of references).
@@ -253,17 +247,10 @@ impl System {
         let end = self.core.cycle();
         self.l2.finalize(end);
 
-        let mut l1_stats = CacheStats::new();
-        l1_stats.merge(self.l1.icache());
-        l1_stats.merge(self.l1.dcache());
-
+        let l1_stats = self.adopted_l1.unwrap_or_else(|| self.l1.stats());
         let traffic = self.l2.traffic();
-        // Row-buffer DRAM accrues read energy internally; writebacks are
-        // charged flat either way.
-        let dram_energy = match &self.dram {
-            None => self.cfg.dram_read_energy * traffic.dram_reads,
-            Some(dram) => dram.energy(),
-        } + self.cfg.dram_write_energy * traffic.dram_writes;
+        let dram_energy = self.cfg.dram_read_energy * traffic.dram_reads
+            + self.cfg.dram_write_energy * traffic.dram_writes;
 
         // Expiry, prefetches, allocation and segment behaviour are
         // recorded by the way-partitioned engine only.
@@ -426,49 +413,5 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("invalid L2 design"));
-    }
-}
-
-#[cfg(test)]
-mod dram_model_tests {
-    use super::*;
-    use crate::dram::DramModel;
-    use moca_core::L2Design;
-    use moca_trace::{AppProfile, TraceGenerator};
-
-    fn run(model: DramModel) -> SimReport {
-        let cfg = SystemConfig {
-            dram_model: model,
-            ..SystemConfig::default()
-        };
-        let app = AppProfile::video();
-        let mut sys = System::new(app.name, L2Design::baseline(), cfg).expect("valid");
-        sys.run(TraceGenerator::new(&app, 4).take(150_000));
-        sys.finish()
-    }
-
-    #[test]
-    fn row_buffer_model_changes_timing_not_cache_behaviour() {
-        let flat = run(DramModel::Flat);
-        let row = run(DramModel::RowBuffer);
-        // The cache-visible stream is identical.
-        assert_eq!(flat.l2_stats, row.l2_stats);
-        assert_eq!(flat.traffic, row.traffic);
-        // Timing and DRAM energy differ.
-        assert_ne!(flat.cycles, row.cycles);
-        assert!(row.dram_energy.nj() > 0.0);
-    }
-
-    #[test]
-    fn streaming_workload_benefits_from_row_buffer() {
-        // video is stream-heavy: many row hits → faster than flat 120cy.
-        let flat = run(DramModel::Flat);
-        let row = run(DramModel::RowBuffer);
-        assert!(
-            row.cycles < flat.cycles,
-            "row-buffer hits should beat the flat latency ({} vs {})",
-            row.cycles,
-            flat.cycles
-        );
     }
 }

@@ -19,7 +19,6 @@
 //! fault-isolation cases) live in `lockstep_props.rs`; byte-identity of
 //! rendered experiment output stays in `determinism.rs`.
 
-use moca_cache::L1Pair;
 use moca_cache::ReplacementPolicy;
 use moca_core::{L2Design, RefreshPolicy};
 use moca_energy::RetentionClass;
@@ -227,38 +226,31 @@ fn ragged_mixed_family_pool_matches_scalar_oracle_at_every_job_count() {
     }
 }
 
-/// The non-default knobs that change the replay path itself — row-buffer
-/// DRAM (stateful per-demand timing) and the next-line prefetcher — stay
-/// byte-identical through the front end too, segment behaviour included.
+/// The non-default knob that changes the replay path itself — the
+/// next-line prefetcher — stays byte-identical through the front end
+/// too, segment behaviour included.
 #[test]
-fn row_buffer_dram_and_prefetch_configs_match_scalar_oracle() {
+fn prefetch_config_matches_scalar_oracle() {
     let app = AppProfile::video();
     let refs = 9_001;
     let seed = 77;
-    for cfg in [
-        SystemConfig {
-            dram_model: moca_sim::DramModel::RowBuffer,
-            ..SystemConfig::default()
-        },
-        SystemConfig {
-            l2_next_line_prefetch: true,
-            ..SystemConfig::default()
-        },
-    ] {
-        let pool = [
-            L2Design::baseline(),
-            L2Design::static_default(),
-            L2Design::SharedSram { ways: 2 },
-        ];
-        let reports = run(Plan::new(&app, seed, refs, &pool).with_config(cfg));
-        for (lane, (design, got)) in pool.iter().zip(&reports).enumerate() {
-            let want = scalar_oracle(&app, *design, cfg, refs, seed);
-            let ctx = format!("cfg={cfg:?} lane={lane}");
-            assert_reports_match_fieldwise(&want, got, &ctx);
-            // Every lane records behaviour, so the match above compares
-            // filled histograms, not empty ones.
-            assert!(got.behavior.iter().all(|b| b.reuse.total() > 0), "{ctx}");
-        }
+    let cfg = SystemConfig {
+        l2_next_line_prefetch: true,
+        ..SystemConfig::default()
+    };
+    let pool = [
+        L2Design::baseline(),
+        L2Design::static_default(),
+        L2Design::SharedSram { ways: 2 },
+    ];
+    let reports = run(Plan::new(&app, seed, refs, &pool).with_config(cfg));
+    for (lane, (design, got)) in pool.iter().zip(&reports).enumerate() {
+        let want = scalar_oracle(&app, *design, cfg, refs, seed);
+        let ctx = format!("cfg={cfg:?} lane={lane}");
+        assert_reports_match_fieldwise(&want, got, &ctx);
+        // Every lane records behaviour, so the match above compares
+        // filled histograms, not empty ones.
+        assert!(got.behavior.iter().all(|b| b.reuse.total() > 0), "{ctx}");
     }
 }
 
@@ -287,16 +279,16 @@ fn memo_hit_miss_rejected_and_unmemoized_runs_match_scalar_oracle() {
         .iter()
         .map(|&design| scalar_oracle(&app, design, cfg, refs, seed))
         .collect();
-    // Room for the L1 pair and a sliver of events: the build outgrows
-    // the cap mid-run, is finished anyway and handed back uncached.
-    let l1_bytes = L1Pair::mobile_default().heap_bytes();
     let stats_at = |jobs: Jobs| {
         let memo = RunMemo::with_capacity(MEMO_CAP_BYTES);
-        let partial = RunMemo::with_capacity(l1_bytes + 1024);
-        let empty = RunMemo::with_capacity(0);
         let lockstep = Plan::new(&app, seed, refs, &pool);
+        let miss = run_with(lockstep.clone().with_memo(&memo), jobs);
+        // Room for half the run: the build outgrows the cap mid-run, is
+        // finished anyway and handed back uncached.
+        let partial = RunMemo::with_capacity(memo.stats().used_bytes / 2);
+        let empty = RunMemo::with_capacity(0);
         let runs = [
-            ("miss", run_with(lockstep.clone().with_memo(&memo), jobs)),
+            ("miss", miss),
             ("hit", run_with(lockstep.clone().with_memo(&memo), jobs)),
             (
                 "partial",
