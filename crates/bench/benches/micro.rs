@@ -3,9 +3,7 @@
 //! executor, and the filtered-run memo.
 
 use moca_bench::{bench_app, Runner, BENCH_SEED};
-use moca_cache::{
-    CacheGeometry, L1Pair, ReplacementPolicy, SetAssocCache, UtilityMonitor, WayMask,
-};
+use moca_cache::{CacheGeometry, L1Pair, SetAssocCache, UtilityMonitor, WayMask};
 use moca_core::{L2Design, RefreshPolicy};
 use moca_energy::RetentionClass;
 use moca_search::{run_search, SearchConfig};
@@ -46,26 +44,19 @@ fn trace_generation(r: &mut Runner) {
 
 fn cache_access_path(r: &mut Runner) {
     let geom = CacheGeometry::new(2 << 20, 16, 64).expect("valid");
-    let policies = [
-        ("lru", ReplacementPolicy::Lru),
-        ("plru", ReplacementPolicy::TreePlru),
-        ("srrip", ReplacementPolicy::Srrip),
-    ];
-    for (name, policy) in policies {
-        r.throughput_elems(100_000);
-        r.bench(&format!("cache-access/{name}"), || {
-            let mut cache = SetAssocCache::new(geom, policy);
-            let mask = WayMask::first(16);
-            let mut hits = 0u64;
-            for i in 0..100_000u64 {
-                let line = (i * 2654435761) % 100_000;
-                if cache.access(line, i % 7 == 0, Mode::User, i, mask).hit {
-                    hits += 1;
-                }
+    r.throughput_elems(100_000);
+    r.bench("cache-access/lru", || {
+        let mut cache = SetAssocCache::new(geom);
+        let mask = WayMask::first(16);
+        let mut hits = 0u64;
+        for i in 0..100_000u64 {
+            let line = (i * 2654435761) % 100_000;
+            if cache.access(line, i % 7 == 0, Mode::User, i, mask).hit {
+                hits += 1;
             }
-            black_box(hits)
-        });
-    }
+        }
+        black_box(hits)
+    });
 }
 
 fn l1_filter(r: &mut Runner) {

@@ -30,11 +30,19 @@
 //! # Mask validation
 //!
 //! [`SetAssocCache::lookup`] and [`SetAssocCache::fill`] — and so
-//! [`SetAssocCache::access`] and [`SetAssocCache::probe`], which are
-//! built on them — validate masks the same way: a mask referencing ways
-//! at or beyond [`CacheGeometry::ways`] panics. `fill` (and so `access`)
-//! additionally rejects the empty mask, because a fill must land
-//! somewhere; `lookup` and `probe` accept it as a trivially empty search.
+//! [`SetAssocCache::access`], which is built on them — validate masks the
+//! same way: a mask referencing ways at or beyond [`CacheGeometry::ways`]
+//! panics. `fill` (and so `access`) additionally rejects the empty mask,
+//! because a fill must land somewhere; `lookup` accepts it as a trivially
+//! empty search.
+//!
+//! # Replacement
+//!
+//! Replacement is true LRU, the paper's L2 policy: one stamp per block
+//! from a cache-wide clock that ticks on every hit and fill. A fill into
+//! a full mask evicts the allowed way with the smallest stamp, the lowest
+//! such way on a tie. Partitioning and gating work by choosing masks, so
+//! LRU is the only policy the engine models.
 //!
 //! # One scan per request
 //!
@@ -48,7 +56,6 @@
 use moca_trace::Mode;
 
 use crate::config::{CacheGeometry, WayMask};
-use crate::replacement::{ReplacementPolicy, ReplacementState};
 use crate::stats::CacheStats;
 
 /// Read-only view of a resident block.
@@ -215,11 +222,11 @@ fn scan_for_tag(set_sigs: &[u8], set_tags: &[u64], sig: u8, tag: u64, live: u64)
 /// # Examples
 ///
 /// ```
-/// use moca_cache::{CacheGeometry, ReplacementPolicy, SetAssocCache, WayMask};
+/// use moca_cache::{CacheGeometry, SetAssocCache, WayMask};
 /// use moca_trace::Mode;
 ///
 /// let geom = CacheGeometry::new(64 * 1024, 8, 64)?;
-/// let mut cache = SetAssocCache::new(geom, ReplacementPolicy::Lru);
+/// let mut cache = SetAssocCache::new(geom);
 /// let mask = WayMask::first(8);
 ///
 /// let first = cache.access(0x1000 / 64, false, Mode::User, 0, mask);
@@ -250,13 +257,16 @@ pub struct SetAssocCache {
     flags: Vec<u64>,
     /// Cold: per-block metadata, set-major like `tags`.
     meta: Vec<ColdMeta>,
-    repl: ReplacementState,
+    /// LRU: per-block stamp of the last hit or fill (layout as `tags`).
+    stamps: Vec<u64>,
+    /// LRU: the cache-wide clock the stamps are drawn from.
+    clock: u64,
     stats: CacheStats,
 }
 
 impl SetAssocCache {
-    /// Creates an empty cache.
-    pub fn new(geom: CacheGeometry, policy: ReplacementPolicy) -> Self {
+    /// Creates an empty LRU cache.
+    pub fn new(geom: CacheGeometry) -> Self {
         let n = (geom.sets() as usize) * (geom.ways() as usize);
         let sets = geom.sets() as usize;
         Self {
@@ -269,7 +279,8 @@ impl SetAssocCache {
             sigs: vec![0; n],
             flags: vec![0; sets * 2],
             meta: vec![ColdMeta::EMPTY; n],
-            repl: ReplacementState::new(policy, geom.sets(), geom.ways()),
+            stamps: vec![0; n],
+            clock: 0,
             stats: CacheStats::new(),
         }
     }
@@ -282,21 +293,6 @@ impl SetAssocCache {
     /// Accumulated statistics.
     pub fn stats(&self) -> &CacheStats {
         &self.stats
-    }
-
-    /// Resets statistics to zero (contents are untouched).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::new();
-    }
-
-    /// Bytes of heap memory the cache's arrays hold (tags, signatures,
-    /// flags, cold metadata and replacement state) — what a clone costs.
-    pub fn heap_bytes(&self) -> usize {
-        self.tags.capacity() * std::mem::size_of::<u64>()
-            + self.sigs.capacity()
-            + self.flags.capacity() * std::mem::size_of::<u64>()
-            + self.meta.capacity() * std::mem::size_of::<ColdMeta>()
-            + self.repl.heap_bytes()
     }
 
     #[inline]
@@ -405,7 +401,8 @@ impl SetAssocCache {
             self.valid_bits(set) & (1u64 << way) != 0,
             "hit on an invalid way"
         );
-        let m = &mut self.meta[set as usize * self.ways as usize + way as usize];
+        let i = set as usize * self.ways as usize + way as usize;
+        let m = &mut self.meta[i];
         let (prev_touch, prev_write) = (m.last_touch, m.last_write);
         if write {
             self.flags[set as usize * 2 + 1] |= 1u64 << way;
@@ -413,7 +410,8 @@ impl SetAssocCache {
         }
         m.last_touch = now;
         m.count_owner += 1;
-        self.repl.on_hit(set, self.ways, way);
+        self.clock += 1;
+        self.stamps[i] = self.clock;
         let c = &mut self.stats.by_mode[mode.index()];
         c.hits += 1;
         c.writes += u64::from(write);
@@ -430,8 +428,8 @@ impl SetAssocCache {
     /// [`SetAssocCache::lookup`] over `mask`, or over any superset of it,
     /// came back empty), into `mask` as a `mode` miss at `now`.
     ///
-    /// The fill takes the lowest invalid way of the mask, else the
-    /// policy's victim, which comes back in [`AccessResult::victim`].
+    /// The fill takes the lowest invalid way of the mask, else the mask's
+    /// LRU way, whose block comes back in [`AccessResult::victim`].
     /// Filling a line that *is* resident in `mask` leaves two copies.
     ///
     /// # Panics
@@ -454,14 +452,11 @@ impl SetAssocCache {
         let si = set as usize;
         let base = si * self.ways as usize;
 
-        // Victim choice + fill bookkeeping in one policy dispatch.
         let invalid = bits & !self.flags[si * 2];
         let (way, victim) = if invalid != 0 {
-            let w = invalid.trailing_zeros();
-            self.repl.on_fill(set, self.ways, w);
-            (w, None)
+            (invalid.trailing_zeros(), None)
         } else {
-            let w = self.repl.evict_and_fill(set, self.ways, mask);
+            let w = self.lru_way(base, bits);
             let i = base + w as usize;
             let m = self.meta[i];
             let ev = EvictedBlock {
@@ -482,6 +477,8 @@ impl SetAssocCache {
         };
 
         let i = base + way as usize;
+        self.clock += 1;
+        self.stamps[i] = self.clock;
         self.tags[i] = tag;
         self.sigs[i] = tag_signature(tag);
         self.flags[si * 2] |= 1u64 << way;
@@ -510,6 +507,38 @@ impl SetAssocCache {
         }
     }
 
+    /// The least recently used way among `bits` (non-empty, all valid) of
+    /// the set whose blocks start at `base`: the smallest stamp, the
+    /// lowest way on a tie (strict `<` in both scans).
+    #[inline]
+    fn lru_way(&self, base: usize, bits: u64) -> u32 {
+        let stamps = &self.stamps[base..base + self.ways as usize];
+        let mut best = u64::MAX;
+        let mut w = 0u32;
+        if bits == self.legal_bits {
+            // Unrestricted mask: a linear min-reduction the compiler can
+            // vectorize.
+            for (i, &s) in stamps.iter().enumerate() {
+                if s < best {
+                    best = s;
+                    w = i as u32;
+                }
+            }
+        } else {
+            let mut bits = bits;
+            while bits != 0 {
+                let i = bits.trailing_zeros();
+                let s = stamps[i as usize];
+                if s < best {
+                    best = s;
+                    w = i;
+                }
+                bits &= bits - 1;
+            }
+        }
+        w
+    }
+
     /// Timestamp of the most recent cell write (fill, store hit or
     /// refresh) of the block at `(set, way)`: the clock an STT-RAM
     /// retention period runs from. Meaningless for an invalid slot.
@@ -521,19 +550,6 @@ impl SetAssocCache {
     pub fn last_write_at(&self, set: u64, way: u32) -> u64 {
         assert!(way < self.ways, "way {way} out of range");
         self.meta[self.idx(set, way)].last_write
-    }
-
-    /// Looks a line up without changing any state.
-    ///
-    /// An empty mask is a valid (trivially unsuccessful) search.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mask` references ways beyond the geometry — the same
-    /// validation [`SetAssocCache::access`] applies.
-    pub fn probe(&self, line: u64, mask: WayMask) -> Option<BlockView> {
-        let way = self.lookup(line, mask)?;
-        Some(self.view(line & self.set_mask, way))
     }
 
     fn view(&self, set: u64, way: u32) -> BlockView {
@@ -703,7 +719,14 @@ mod tests {
     fn small() -> SetAssocCache {
         // 4 sets x 4 ways x 64B = 1 KiB
         let geom = CacheGeometry::new(1024, 4, 64).expect("valid");
-        SetAssocCache::new(geom, ReplacementPolicy::Lru)
+        SetAssocCache::new(geom)
+    }
+
+    /// The resident block holding `line` in `mask`: `lookup`, then
+    /// `block_at` the way it found.
+    fn resident(c: &SetAssocCache, line: u64, mask: WayMask) -> Option<BlockView> {
+        let way = c.lookup(line, mask)?;
+        c.block_at(line % 4, way)
     }
 
     fn full() -> WayMask {
@@ -753,6 +776,33 @@ mod tests {
     }
 
     #[test]
+    fn lru_respects_mask() {
+        let mut c = small();
+        for i in 0..4 {
+            c.access(set0_line(i), false, Mode::User, i, full());
+        }
+        // Way 0 is the set's LRU way but lies outside the mask.
+        let r = c.access(set0_line(9), false, Mode::User, 9, WayMask::range(2, 4));
+        assert_eq!(r.way, 2);
+        assert_eq!(r.victim.expect("mask was full").line, set0_line(2));
+    }
+
+    #[test]
+    fn lru_order_is_per_set() {
+        let mut c = small();
+        // Set 0 fills ways 0, 1 in that order; set 1 touches way 0 last.
+        c.access(set0_line(0), false, Mode::User, 0, WayMask::first(2));
+        c.access(set0_line(1), false, Mode::User, 1, WayMask::first(2));
+        c.access(1, false, Mode::User, 2, WayMask::first(2));
+        c.access(5, false, Mode::User, 3, WayMask::first(2));
+        c.access(1, false, Mode::User, 4, WayMask::first(2));
+        let r0 = c.access(set0_line(2), false, Mode::User, 5, WayMask::first(2));
+        let r1 = c.access(9, false, Mode::User, 6, WayMask::first(2));
+        assert_eq!(r0.way, 0);
+        assert_eq!(r1.way, 1);
+    }
+
+    #[test]
     fn cross_mode_eviction_counted() {
         let mut c = small();
         for i in 0..4 {
@@ -776,8 +826,8 @@ mod tests {
         let r = c.access(20, false, Mode::Kernel, 1, right);
         assert!(!r.hit);
         // And both copies may coexist in different ways.
-        assert!(c.probe(20, left).is_some());
-        assert!(c.probe(20, right).is_some());
+        assert!(c.lookup(20, left).is_some());
+        assert!(c.lookup(20, right).is_some());
     }
 
     #[test]
@@ -792,31 +842,30 @@ mod tests {
     }
 
     #[test]
-    fn probe_does_not_mutate() {
+    fn lookup_does_not_mutate() {
         let mut c = small();
         c.access(7, true, Mode::User, 3, full());
         let before = *c.stats();
-        let view = c.probe(7, full()).expect("resident");
+        let view = resident(&c, 7, full()).expect("resident");
         assert_eq!(view.line, 7);
         assert!(view.dirty);
         assert_eq!(view.owner, Mode::User);
         assert_eq!(before, *c.stats());
-        assert!(c.probe(8, full()).is_none());
+        assert!(c.lookup(8, full()).is_none());
     }
 
     #[test]
-    fn probe_accepts_empty_mask() {
+    fn lookup_accepts_empty_mask() {
         let mut c = small();
         c.access(7, false, Mode::User, 0, full());
-        assert!(c.probe(7, WayMask::EMPTY).is_none());
         assert!(c.lookup(7, WayMask::EMPTY).is_none());
     }
 
     #[test]
     #[should_panic(expected = "beyond")]
-    fn probe_oversized_mask_panics_like_access() {
+    fn lookup_oversized_mask_panics_like_access() {
         let c = small();
-        c.probe(7, WayMask::first(8));
+        c.lookup(7, WayMask::first(8));
     }
 
     #[test]
@@ -873,7 +922,7 @@ mod tests {
         c.access(5, false, Mode::User, 100, full());
         c.access(5, true, Mode::User, 200, full());
         c.access(5, false, Mode::User, 300, full());
-        let v = c.probe(5, full()).expect("resident");
+        let v = resident(&c, 5, full()).expect("resident");
         assert_eq!(v.inserted_at, 100);
         assert_eq!(v.last_touch, 300);
         assert_eq!(v.access_count, 3);
@@ -916,15 +965,6 @@ mod tests {
         c.access(2, false, Mode::Kernel, 0, full());
         let blocks: Vec<_> = c.iter_valid().collect();
         assert_eq!(blocks.len(), 2);
-    }
-
-    #[test]
-    fn reset_stats_keeps_contents() {
-        let mut c = small();
-        c.access(1, false, Mode::User, 0, full());
-        c.reset_stats();
-        assert_eq!(c.stats().accesses(), 0);
-        assert!(c.access(1, false, Mode::User, 1, full()).hit);
     }
 
     #[test]

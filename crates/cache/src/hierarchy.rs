@@ -10,8 +10,16 @@ use moca_trace::{AccessKind, MemoryAccess, Mode};
 
 use crate::config::CacheGeometry;
 use crate::mrc::{shift_down, LruStackCore, Touch};
-use crate::replacement::ReplacementPolicy;
 use crate::stats::CacheStats;
+
+/// Replacement policy argument of [`L1Pair::new`]. Every cache in this
+/// crate is LRU; the one-variant enum is kept only because the
+/// `reprobench` probe, which lives outside the workspace, names it.
+#[derive(Debug, Clone, Copy)]
+pub enum ReplacementPolicy {
+    /// True least-recently-used.
+    Lru,
+}
 
 /// Why an L2 request was generated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -187,15 +195,13 @@ impl L1Pair {
     }
 
     /// [`L1Pair::from_geometries`] under the policy-taking signature the
-    /// out-of-workspace `reprobench` probe builds against. The pair is
-    /// LRU; no other policy is modelled.
+    /// out-of-workspace `reprobench` probe builds against; kept only for
+    /// that probe.
     ///
     /// # Panics
     ///
-    /// Panics if `policy` is not [`ReplacementPolicy::Lru`] or the
-    /// geometries have different line sizes.
-    pub fn new(igeom: CacheGeometry, dgeom: CacheGeometry, policy: ReplacementPolicy) -> Self {
-        assert_eq!(policy, ReplacementPolicy::Lru, "the L1 pair is LRU");
+    /// Panics if the geometries have different line sizes.
+    pub fn new(igeom: CacheGeometry, dgeom: CacheGeometry, _policy: ReplacementPolicy) -> Self {
         Self::from_geometries(igeom, dgeom)
     }
 
@@ -240,8 +246,9 @@ impl L1Pair {
     }
 
     /// [`L1Pair::access`] under the timestamped signature the
-    /// out-of-workspace `reprobench` probe builds against; `_now` is
-    /// ignored, because the pair keeps no timestamps.
+    /// out-of-workspace `reprobench` probe builds against; kept only for
+    /// that probe. `_now` is ignored, because the pair keeps no
+    /// timestamps.
     pub fn filter(&mut self, access: &MemoryAccess, _now: u64) -> L1Outcome {
         self.access(access)
     }
@@ -361,13 +368,6 @@ mod tests {
         }
         assert_eq!(old.icache(), l1.icache());
         assert_eq!(old.dcache(), l1.dcache());
-    }
-
-    #[test]
-    #[should_panic(expected = "the L1 pair is LRU")]
-    fn non_lru_policy_rejected() {
-        let geom = CacheGeometry::new(32 << 10, 2, 64).expect("valid");
-        L1Pair::new(geom, geom, ReplacementPolicy::Fifo);
     }
 
     #[test]

@@ -9,12 +9,12 @@
 //! ## Quick start
 //!
 //! ```
-//! use moca_cache::{CacheGeometry, ReplacementPolicy, SetAssocCache, WayMask};
+//! use moca_cache::{CacheGeometry, SetAssocCache, WayMask};
 //! use moca_trace::Mode;
 //!
 //! // A 2 MiB 16-way L2, way-partitioned 12 user / 4 kernel.
 //! let geom = CacheGeometry::new(2 << 20, 16, 64)?;
-//! let mut l2 = SetAssocCache::new(geom, ReplacementPolicy::Lru);
+//! let mut l2 = SetAssocCache::new(geom);
 //! let user = WayMask::range(0, 12);
 //! let kernel = WayMask::range(12, 16);
 //!
@@ -27,8 +27,7 @@
 //! ## Module map
 //!
 //! * [`config`] — [`CacheGeometry`], [`WayMask`].
-//! * [`replacement`] — LRU / PLRU / FIFO / random / NRU / SRRIP policies.
-//! * [`cache`] — [`SetAssocCache`] engine with eviction metadata.
+//! * [`cache`] — [`SetAssocCache`] LRU engine with eviction metadata.
 //! * [`stats`] — per-mode counters including cross-mode interference.
 //! * [`hierarchy`] — [`L1Pair`] filter in front of the L2.
 //! * [`mrc`] — single-pass [`MrcProfiler`] scoring every LRU way count.
@@ -41,14 +40,12 @@ pub mod cache;
 pub mod config;
 pub mod hierarchy;
 pub mod mrc;
-pub mod replacement;
 pub mod shadow;
 pub mod stats;
 
 pub use cache::{AccessResult, BlockView, EvictedBlock, SetAssocCache};
 pub use config::{CacheGeometry, GeometryError, PartitionSpec, WayMask};
-pub use hierarchy::{L1Outcome, L1Pair, L2Cause, L2Request};
+pub use hierarchy::{L1Outcome, L1Pair, L2Cause, L2Request, ReplacementPolicy};
 pub use mrc::{LruStackCore, MissRateCurve, MrcProfiler};
-pub use replacement::ReplacementPolicy;
 pub use shadow::UtilityMonitor;
 pub use stats::{CacheStats, ModeCounters};

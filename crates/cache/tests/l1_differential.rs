@@ -4,15 +4,14 @@
 //! [`L1Pair`] keeps each set as an MRU-ordered tag stack with one byte
 //! of dirty/owner state per entry. Its claim is that this is exactly a
 //! write-back, write-allocate LRU cache: every access must produce the
-//! same hit, demand and writeback that a pair of [`SetAssocCache`]s
-//! under [`ReplacementPolicy::Lru`] with the full way mask produces,
+//! same hit, demand and writeback that a pair of (LRU)
+//! [`SetAssocCache`]s with the full way mask produces,
 //! and the two caches' [`CacheStats`] must agree field by field. This
 //! suite pins that over random geometries, app streams, seeds, lengths
 //! and adversarial small-universe streams.
 
 use moca_cache::{
-    CacheGeometry, CacheStats, L1Outcome, L1Pair, L2Cause, L2Request, ReplacementPolicy,
-    SetAssocCache, WayMask,
+    CacheGeometry, CacheStats, L1Outcome, L1Pair, L2Cause, L2Request, SetAssocCache, WayMask,
 };
 use moca_testkit::{check, require_eq, Config, TestRng};
 use moca_trace::{AccessKind, AppProfile, MemoryAccess, Mode, TraceGenerator};
@@ -27,8 +26,8 @@ struct Oracle {
 impl Oracle {
     fn new(igeom: CacheGeometry, dgeom: CacheGeometry) -> Self {
         Oracle {
-            icache: SetAssocCache::new(igeom, ReplacementPolicy::Lru),
-            dcache: SetAssocCache::new(dgeom, ReplacementPolicy::Lru),
+            icache: SetAssocCache::new(igeom),
+            dcache: SetAssocCache::new(dgeom),
             line_bytes: igeom.line_bytes(),
         }
     }

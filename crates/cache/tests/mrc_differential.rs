@@ -12,7 +12,7 @@
 //! and traces.
 
 use moca_cache::mrc::MrcProfiler;
-use moca_cache::{CacheGeometry, L2Cause, L2Request, ReplacementPolicy, SetAssocCache, WayMask};
+use moca_cache::{CacheGeometry, L2Cause, L2Request, SetAssocCache, WayMask};
 use moca_testkit::{check, require_eq, Config, TestRng};
 use moca_trace::{AccessKind, Mode};
 
@@ -86,7 +86,7 @@ fn mrc_matches_simulated_lru_for_every_way_count_and_mask() {
             let mask = case.masks[w as usize - 1];
             let geom = CacheGeometry::from_sets(u64::from(case.sets), case.phys_ways, 64)
                 .expect("generated geometry is valid");
-            let mut sim = SetAssocCache::new(geom, ReplacementPolicy::Lru);
+            let mut sim = SetAssocCache::new(geom);
             // Write hits are not a CacheStats field; tally them from the
             // per-access results instead.
             let mut write_hits = [0u64; 2];
@@ -155,7 +155,7 @@ fn one_profiler_scores_a_whole_grid_of_set_counts() {
                 for w in 1..=max_ways {
                     let geom = CacheGeometry::from_sets(u64::from(sets), w, 64)
                         .expect("generated geometry is valid");
-                    let mut sim = SetAssocCache::new(geom, ReplacementPolicy::Lru);
+                    let mut sim = SetAssocCache::new(geom);
                     let mask = WayMask::first(w);
                     for (i, req) in trace.iter().enumerate() {
                         let r = to_request(req);

@@ -1,53 +1,33 @@
-//! Property-based tests (moca-testkit) of the replacement policies
-//! through the public cache API: every policy must preserve the cache's
-//! structural invariants under arbitrary access interleavings and mask
-//! shapes.
+//! Property-based tests (moca-testkit) of LRU replacement through the
+//! public cache API: it must preserve the cache's structural invariants
+//! under arbitrary access interleavings and mask shapes.
 
 use moca_testkit::{check, check_shrink, shrink_vec, Config, TestRng};
 use moca_testkit::{require, require_eq, require_ne};
 
-use moca_cache::{CacheGeometry, ReplacementPolicy, SetAssocCache, WayMask};
+use moca_cache::{CacheGeometry, SetAssocCache, WayMask};
 use moca_trace::Mode;
-
-fn arb_policy(rng: &mut TestRng) -> ReplacementPolicy {
-    match rng.range_usize(0, 6) {
-        0 => ReplacementPolicy::Lru,
-        1 => ReplacementPolicy::Fifo,
-        2 => ReplacementPolicy::Random {
-            seed: rng.range_u64(1, 1000),
-        },
-        3 => ReplacementPolicy::Nru,
-        4 => ReplacementPolicy::TreePlru,
-        _ => ReplacementPolicy::Srrip,
-    }
-}
 
 /// A non-empty mask over 8 ways.
 fn arb_mask(rng: &mut TestRng) -> WayMask {
     WayMask::from_bits(rng.range_u64(1, 256))
 }
 
-/// Under any policy and mask, an immediate re-access of the line just
-/// accessed is a hit (no policy may evict the block it just touched for
-/// an access to the same line).
+/// Under any mask, an immediate re-access of the line just accessed is a
+/// hit (replacement may not evict the block it just touched for an
+/// access to the same line).
 #[test]
 fn reaccess_is_always_hit() {
     check(
         Config::cases(48),
-        |rng| {
-            (
-                arb_policy(rng),
-                arb_mask(rng),
-                rng.vec(1, 200, |r| r.range_u64(0, 10_000)),
-            )
-        },
-        |(policy, mask, lines)| {
+        |rng| (arb_mask(rng), rng.vec(1, 200, |r| r.range_u64(0, 10_000))),
+        |(mask, lines)| {
             let geom = CacheGeometry::new(32 * 8 * 64, 8, 64).expect("valid");
-            let mut cache = SetAssocCache::new(geom, *policy);
+            let mut cache = SetAssocCache::new(geom);
             for (i, line) in lines.iter().enumerate() {
                 cache.access(*line, false, Mode::User, i as u64, *mask);
                 let again = cache.access(*line, false, Mode::User, i as u64 + 1, *mask);
-                require!(again.hit, "immediate re-access must hit ({policy:?})");
+                require!(again.hit, "immediate re-access must hit");
             }
             Ok(())
         },
@@ -60,15 +40,10 @@ fn reaccess_is_always_hit() {
 fn victims_are_sane() {
     check(
         Config::cases(48),
-        |rng| {
-            (
-                arb_policy(rng),
-                rng.vec(32, 300, |r| r.range_u64(0, 64)), // few sets → evictions
-            )
-        },
-        |(policy, lines)| {
+        |rng| rng.vec(32, 300, |r| r.range_u64(0, 64)), // few sets → evictions
+        |lines| {
             let geom = CacheGeometry::new(4 * 4 * 64, 4, 64).expect("valid"); // 4 sets
-            let mut cache = SetAssocCache::new(geom, *policy);
+            let mut cache = SetAssocCache::new(geom);
             let mask = WayMask::first(4);
             for (i, line) in lines.iter().enumerate() {
                 let res = cache.access(*line, i % 3 == 0, Mode::User, i as u64, mask);
@@ -91,10 +66,10 @@ fn victims_are_sane() {
 fn eviction_conservation() {
     check(
         Config::cases(48),
-        |rng| (arb_policy(rng), rng.vec(1, 400, |r| r.range_u64(0, 128))),
-        |(policy, lines)| {
+        |rng| rng.vec(1, 400, |r| r.range_u64(0, 128)),
+        |lines| {
             let geom = CacheGeometry::new(8 * 4 * 64, 4, 64).expect("valid"); // 8 sets
-            let mut cache = SetAssocCache::new(geom, *policy);
+            let mut cache = SetAssocCache::new(geom);
             let mask = WayMask::first(4);
             let mut evictions = 0u64;
             for (i, line) in lines.iter().enumerate() {
@@ -126,21 +101,17 @@ fn drain_way_consistency() {
         Config::cases(48),
         |rng| {
             (
-                arb_policy(rng),
                 rng.vec(16, 200, |r| r.range_u64(0, 256)),
                 rng.range_u32(0, 4),
             )
         },
-        |(policy, lines, way)| {
-            // Shrink only the access sequence; keep policy and way fixed.
-            shrink_vec(lines)
-                .into_iter()
-                .map(|c| (*policy, c, *way))
-                .collect()
+        |(lines, way)| {
+            // Shrink only the access sequence; keep the way fixed.
+            shrink_vec(lines).into_iter().map(|c| (c, *way)).collect()
         },
-        |(policy, lines, way)| {
+        |(lines, way)| {
             let geom = CacheGeometry::new(8 * 4 * 64, 4, 64).expect("valid");
-            let mut cache = SetAssocCache::new(geom, *policy);
+            let mut cache = SetAssocCache::new(geom);
             let mask = WayMask::first(4);
             for (i, line) in lines.iter().enumerate() {
                 cache.access(*line, false, Mode::User, i as u64, mask);
@@ -149,10 +120,10 @@ fn drain_way_consistency() {
             let drained = cache.drain_way(*way);
             require_eq!(cache.occupancy(mask), before - drained.len() as u64);
             for ev in &drained {
-                require!(
-                    cache.probe(ev.line, mask).is_none(),
-                    "drained line still probes"
-                );
+                let resident = cache
+                    .lookup(ev.line, mask)
+                    .and_then(|w| cache.block_at(ev.line % 8, w));
+                require!(resident.is_none(), "drained line still resident");
             }
             Ok(())
         },

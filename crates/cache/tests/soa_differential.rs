@@ -3,202 +3,57 @@
 //!
 //! The production [`SetAssocCache`] stores block state split into hot
 //! (tags, signatures, valid/dirty bitmasks) and cold (metadata records)
-//! arrays with fused policy dispatch and SWAR scans. This suite keeps a
+//! arrays with SWAR scans and a fused LRU victim scan. This suite keeps a
 //! deliberately naive one-struct-per-block model with straightforward
-//! per-way loops and checks — over randomized geometries, policies, way
-//! masks, and operation sequences — that the two produce the identical
-//! [`AccessResult`] / [`EvictedBlock`] stream, the identical lookup and
-//! probe answers, and the identical final [`CacheStats`] and occupancy.
+//! per-way loops and checks — over randomized geometries, way masks, and
+//! operation sequences — that the two produce the identical
+//! [`AccessResult`] / [`EvictedBlock`] stream, the identical lookup
+//! answers and resident-block views, and the identical final
+//! [`CacheStats`] and occupancy.
 //! Accesses are driven both whole (`access`) and split into the lookup,
 //! hit and fill primitives the L2 engines call, including fills steered
 //! into a narrower mask than the lookup's.
 
 use moca_cache::{
-    AccessResult, BlockView, CacheGeometry, CacheStats, EvictedBlock, ReplacementPolicy,
-    SetAssocCache, WayMask,
+    AccessResult, BlockView, CacheGeometry, CacheStats, EvictedBlock, SetAssocCache, WayMask,
 };
 use moca_testkit::{check, require, require_eq, Config, TestRng};
 use moca_trace::Mode;
 
 // ---------------------------------------------------------------------------
-// Reference replacement policies: per-block flat arrays, plain loops.
+// Reference LRU: per-block stamps, plain loops.
 // ---------------------------------------------------------------------------
 
+/// LRU as per-block stamps drawn from one clock that ticks on every hit
+/// and fill; the victim is the allowed way with the smallest stamp
+/// (`min_by_key` keeps the lowest way on a tie).
 #[derive(Debug, Clone)]
-enum RefPolicy {
-    /// LRU and FIFO share timestamp storage; only LRU refreshes on hits.
-    Stamped {
-        lru: bool,
-        stamps: Vec<u64>,
-        clock: u64,
-    },
-    Random {
-        state: u64,
-    },
-    Nru {
-        referenced: Vec<bool>,
-    },
-    /// Tree PLRU, one boolean per tree node per set. `true` means "the
-    /// LRU side is the left subtree".
-    Plru {
-        nodes: Vec<bool>,
-        ways: u32,
-    },
-    Srrip {
-        rrpv: Vec<u8>,
-    },
+struct RefPolicy {
+    stamps: Vec<u64>,
+    clock: u64,
 }
 
 impl RefPolicy {
-    fn new(policy: ReplacementPolicy, sets: u64, ways: u32) -> Self {
-        let n = sets as usize * ways as usize;
-        match policy {
-            ReplacementPolicy::Lru => RefPolicy::Stamped {
-                lru: true,
-                stamps: vec![0; n],
-                clock: 0,
-            },
-            ReplacementPolicy::Fifo => RefPolicy::Stamped {
-                lru: false,
-                stamps: vec![0; n],
-                clock: 0,
-            },
-            ReplacementPolicy::Random { seed } => RefPolicy::Random { state: seed | 1 },
-            ReplacementPolicy::Nru => RefPolicy::Nru {
-                referenced: vec![false; n],
-            },
-            ReplacementPolicy::TreePlru => RefPolicy::Plru {
-                nodes: vec![false; sets as usize * ways as usize],
-                ways,
-            },
-            ReplacementPolicy::Srrip => RefPolicy::Srrip { rrpv: vec![3; n] },
+    fn new(sets: u64, ways: u32) -> Self {
+        RefPolicy {
+            stamps: vec![0; sets as usize * ways as usize],
+            clock: 0,
         }
     }
 
-    fn on_hit(&mut self, set: u64, ways: u32, way: u32) {
-        let i = set as usize * ways as usize + way as usize;
-        match self {
-            RefPolicy::Stamped { lru, stamps, clock } => {
-                if *lru {
-                    *clock += 1;
-                    stamps[i] = *clock;
-                }
-            }
-            RefPolicy::Random { .. } => {}
-            RefPolicy::Nru { referenced } => referenced[i] = true,
-            RefPolicy::Plru { nodes, ways } => {
-                let w = *ways;
-                plru_touch(set_nodes(nodes, set, w), w, way);
-            }
-            RefPolicy::Srrip { rrpv } => rrpv[i] = 0,
-        }
+    /// Records a hit on, or a fill into, `(set, way)`.
+    fn touch(&mut self, set: u64, ways: u32, way: u32) {
+        self.clock += 1;
+        self.stamps[set as usize * ways as usize + way as usize] = self.clock;
     }
 
-    fn on_fill(&mut self, set: u64, ways: u32, way: u32) {
-        let i = set as usize * ways as usize + way as usize;
-        match self {
-            RefPolicy::Stamped { stamps, clock, .. } => {
-                *clock += 1;
-                stamps[i] = *clock;
-            }
-            RefPolicy::Random { .. } => {}
-            RefPolicy::Nru { referenced } => referenced[i] = true,
-            RefPolicy::Plru { nodes, ways } => {
-                let w = *ways;
-                plru_touch(set_nodes(nodes, set, w), w, way);
-            }
-            RefPolicy::Srrip { rrpv } => rrpv[i] = 2,
-        }
-    }
-
-    fn victim(&mut self, set: u64, ways: u32, allowed: WayMask) -> u32 {
+    fn victim(&self, set: u64, ways: u32, allowed: WayMask) -> u32 {
         let base = set as usize * ways as usize;
-        match self {
-            RefPolicy::Stamped { stamps, .. } => allowed
-                .iter()
-                .min_by_key(|&w| stamps[base + w as usize])
-                .expect("non-empty mask"),
-            RefPolicy::Random { state } => {
-                let mut x = *state;
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                *state = x;
-                let nth = (x % u64::from(allowed.count())) as usize;
-                allowed.iter().nth(nth).expect("nth < count")
-            }
-            RefPolicy::Nru { referenced } => {
-                if let Some(w) = allowed.iter().find(|&w| !referenced[base + w as usize]) {
-                    return w;
-                }
-                for w in allowed.iter() {
-                    referenced[base + w as usize] = false;
-                }
-                allowed.lowest().expect("non-empty mask")
-            }
-            RefPolicy::Plru { nodes, ways } => {
-                let w = *ways;
-                plru_victim(set_nodes(nodes, set, w), w, allowed)
-            }
-            RefPolicy::Srrip { rrpv } => loop {
-                if let Some(w) = allowed.iter().find(|&w| rrpv[base + w as usize] >= 3) {
-                    return w;
-                }
-                for w in allowed.iter() {
-                    rrpv[base + w as usize] += 1;
-                }
-            },
-        }
+        allowed
+            .iter()
+            .min_by_key(|&w| self.stamps[base + w as usize])
+            .expect("non-empty mask")
     }
-}
-
-fn set_nodes(nodes: &mut [bool], set: u64, ways: u32) -> &mut [bool] {
-    let base = set as usize * ways as usize;
-    &mut nodes[base..base + ways as usize]
-}
-
-fn plru_touch(nodes: &mut [bool], ways: u32, way: u32) {
-    let mut node = 0usize;
-    let mut lo = 0u32;
-    let mut size = ways;
-    while size > 1 {
-        let half = size / 2;
-        let go_right = way >= lo + half;
-        nodes[node] = go_right;
-        if go_right {
-            lo += half;
-            node = 2 * node + 2;
-        } else {
-            node = 2 * node + 1;
-        }
-        size = half;
-    }
-}
-
-fn plru_victim(nodes: &mut [bool], ways: u32, allowed: WayMask) -> u32 {
-    if ways < 2 {
-        return 0;
-    }
-    let mut node = 0usize;
-    let mut lo = 0u32;
-    let mut size = ways;
-    while size > 1 {
-        let half = size / 2;
-        let left = WayMask::range(lo, lo + half).intersection(allowed);
-        let right = WayMask::range(lo + half, lo + size).intersection(allowed);
-        let prefer_left = nodes[node];
-        let go_right = if prefer_left {
-            left.is_empty()
-        } else {
-            !right.is_empty()
-        };
-        node = 2 * node + if go_right { 2 } else { 1 };
-        if go_right {
-            lo += half;
-        }
-        size = half;
-    }
-    lo
 }
 
 // ---------------------------------------------------------------------------
@@ -229,14 +84,14 @@ struct RefCache {
 }
 
 impl RefCache {
-    fn new(sets: u64, ways: u32, policy: ReplacementPolicy) -> Self {
+    fn new(sets: u64, ways: u32) -> Self {
         RefCache {
             sets,
             ways,
             set_mask: sets - 1,
             tag_shift: sets.trailing_zeros(),
             blocks: vec![RefBlock::default(); sets as usize * ways as usize],
-            policy: RefPolicy::new(policy, sets, ways),
+            policy: RefPolicy::new(sets, ways),
             stats: CacheStats::new(),
         }
     }
@@ -287,7 +142,7 @@ impl RefCache {
                 }
                 b.last_touch = now;
                 b.access_count += 1;
-                self.policy.on_hit(set, self.ways, way);
+                self.policy.touch(set, self.ways, way);
                 self.stats.by_mode[mode.index()].hits += 1;
                 self.stats.by_mode[mode.index()].writes += u64::from(write);
                 return AccessResult {
@@ -303,7 +158,7 @@ impl RefCache {
     }
 
     /// The miss half of `access`: fills `line`, absent from `mask`, into
-    /// the first invalid way of `mask`, else the policy's victim.
+    /// the first invalid way of `mask`, else its LRU way.
     fn fill(
         &mut self,
         line: u64,
@@ -328,7 +183,7 @@ impl RefCache {
                 (w, Some(ev))
             }
         };
-        self.policy.on_fill(set, self.ways, way);
+        self.policy.touch(set, self.ways, way);
         let i = self.idx(set, way);
         self.blocks[i] = RefBlock {
             valid: true,
@@ -434,39 +289,21 @@ enum Op {
         kernel: bool,
         mask_pick: u8,
     },
-    Probe {
-        line: u64,
-        mask_pick: u8,
-    },
+    /// `lookup`, then `block_at` the way it found: a resident block's
+    /// view.
+    Probe { line: u64, mask_pick: u8 },
     /// `lookup`, then `invalidate_at` the way it found: lazy expiry.
-    Invalidate {
-        line: u64,
-        mask_pick: u8,
-    },
+    Invalidate { line: u64, mask_pick: u8 },
 }
 
 #[derive(Debug, Clone)]
 struct Case {
     sets: u64,
     ways: u32,
-    policy: ReplacementPolicy,
     /// Three reusable non-empty masks the ops pick from; mixing masks in
     /// one run exercises partition-style overlapping footprints.
     masks: [WayMask; 3],
     ops: Vec<Op>,
-}
-
-fn arb_policy(rng: &mut TestRng) -> ReplacementPolicy {
-    match rng.range_usize(0, 6) {
-        0 => ReplacementPolicy::Lru,
-        1 => ReplacementPolicy::Fifo,
-        2 => ReplacementPolicy::Random {
-            seed: rng.range_u64(1, 1 << 20),
-        },
-        3 => ReplacementPolicy::Nru,
-        4 => ReplacementPolicy::TreePlru,
-        _ => ReplacementPolicy::Srrip,
-    }
 }
 
 fn arb_mask(rng: &mut TestRng, ways: u32) -> WayMask {
@@ -486,8 +323,7 @@ fn arb_mask(rng: &mut TestRng, ways: u32) -> WayMask {
 
 fn arb_case(rng: &mut TestRng) -> Case {
     let sets = 1u64 << rng.range_u32(1, 5); // 2..16 sets
-    let ways = 1u32 << rng.range_u32(0, 4); // 1..8 ways (pow2 for PLRU)
-    let policy = arb_policy(rng);
+    let ways = 1u32 << rng.range_u32(0, 4); // 1..8 ways
     let masks = [
         arb_mask(rng, ways),
         arb_mask(rng, ways),
@@ -526,7 +362,6 @@ fn arb_case(rng: &mut TestRng) -> Case {
     Case {
         sets,
         ways,
-        policy,
         masks,
         ops,
     }
@@ -541,8 +376,8 @@ fn soa_engine_matches_reference_model() {
     check(Config::cases(96), arb_case, |case| {
         let geom = CacheGeometry::new(case.sets * u64::from(case.ways) * 64, case.ways, 64)
             .expect("generated geometry is valid");
-        let mut soa = SetAssocCache::new(geom, case.policy);
-        let mut reference = RefCache::new(case.sets, case.ways, case.policy);
+        let mut soa = SetAssocCache::new(geom);
+        let mut reference = RefCache::new(case.sets, case.ways);
 
         for (i, op) in case.ops.iter().enumerate() {
             let now = i as u64;
@@ -557,12 +392,14 @@ fn soa_engine_matches_reference_model() {
                     let mask = case.masks[mask_pick as usize];
                     let got = soa.access(line, write, mode, now, mask);
                     let want = reference.access(line, write, mode, now, mask);
-                    require_eq!(got, want, "access #{i} diverged ({:?})", case.policy);
+                    require_eq!(got, want, "access #{i} diverged");
                 }
                 Op::Probe { line, mask_pick } => {
                     let mask = case.masks[mask_pick as usize];
+                    let set = line & reference.set_mask;
                     require_eq!(
-                        soa.probe(line, mask),
+                        soa.lookup(line, mask)
+                            .and_then(|way| soa.block_at(set, way)),
                         reference.probe(line, mask),
                         "probe #{i} diverged"
                     );
@@ -587,7 +424,7 @@ fn soa_engine_matches_reference_model() {
                         None => soa.fill(line, write, mode, now, mask),
                     };
                     let want = reference.access(line, write, mode, now, mask);
-                    require_eq!(got, want, "split access #{i} diverged ({:?})", case.policy);
+                    require_eq!(got, want, "split access #{i} diverged");
                 }
                 Op::SteeredFill {
                     line,
@@ -603,7 +440,7 @@ fn soa_engine_matches_reference_model() {
                         let mask = case.masks[mask_pick as usize];
                         let got = soa.fill(line, write, mode, now, mask);
                         let want = reference.fill(line, write, mode, now, mask);
-                        require_eq!(got, want, "steered fill #{i} diverged ({:?})", case.policy);
+                        require_eq!(got, want, "steered fill #{i} diverged");
                     }
                 }
                 Op::Invalidate { line, mask_pick } => {
@@ -659,18 +496,17 @@ fn soa_engine_matches_reference_under_partitioning() {
             let sets = 1u64 << rng.range_u32(1, 4);
             let ways = 4u32 * (1 << rng.range_u32(0, 2)); // 4 or 8
             let split = rng.range_u32(1, ways);
-            let policy = arb_policy(rng);
             let universe = sets * u64::from(ways) * 3;
             let accesses = rng.vec(100, 400, |r| (r.range_u64(0, universe), r.bool(), r.bool()));
-            (sets, ways, split, policy, accesses)
+            (sets, ways, split, accesses)
         },
-        |&(sets, ways, split, policy, ref accesses)| {
+        |&(sets, ways, split, ref accesses)| {
             let geom = CacheGeometry::new(sets * u64::from(ways) * 64, ways, 64)
                 .expect("generated geometry is valid");
             let user = WayMask::range(0, split);
             let kernel = WayMask::range(split, ways);
-            let mut soa = SetAssocCache::new(geom, policy);
-            let mut reference = RefCache::new(sets, ways, policy);
+            let mut soa = SetAssocCache::new(geom);
+            let mut reference = RefCache::new(sets, ways);
             for (i, &(line, write, is_kernel)) in accesses.iter().enumerate() {
                 let (mode, mask) = if is_kernel {
                     (Mode::Kernel, kernel)
@@ -679,7 +515,7 @@ fn soa_engine_matches_reference_under_partitioning() {
                 };
                 let got = soa.access(line, write, mode, i as u64, mask);
                 let want = reference.access(line, write, mode, i as u64, mask);
-                require_eq!(got, want, "access #{i} diverged ({policy:?})");
+                require_eq!(got, want, "access #{i} diverged");
             }
             require_eq!(*soa.stats(), reference.stats);
             // Partitioned segments never cross-evict.

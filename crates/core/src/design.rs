@@ -4,7 +4,6 @@
 //! of them (plus sweep points and two alternatives) as data, and
 //! [`L2Engine::new`](crate::engine::L2Engine::new) builds each one's engine.
 
-use moca_cache::replacement::ReplacementPolicy;
 use moca_cache::GeometryError;
 use moca_energy::{RetentionClass, TechNode, Temperature};
 
@@ -39,8 +38,6 @@ pub struct L2BaseParams {
     pub sets: u64,
     /// Line size in bytes.
     pub line_bytes: u64,
-    /// Replacement policy of every segment.
-    pub policy: ReplacementPolicy,
     /// Process node of the banks.
     pub tech: TechNode,
     /// Core clock in GHz (converts cycles to wall-clock for leakage and
@@ -69,7 +66,6 @@ impl Default for L2BaseParams {
         Self {
             sets: 2048,
             line_bytes: 64,
-            policy: ReplacementPolicy::Lru,
             tech: TechNode::Nm45,
             clock_ghz: 1.0,
             write_buffer: false,

@@ -121,7 +121,7 @@ impl HybridL2 {
         let sram = SramBank::new(bytes(sram_ways), sram_ways, params.tech);
         let stt = SttRamBank::new(bytes(stt_ways), stt_ways, retention, params.tech);
         Ok(Self {
-            cache: SetAssocCache::new(geom, params.policy),
+            cache: SetAssocCache::new(geom),
             parts: [
                 part(WayMask::first(sram_ways), Technology::Sram(sram)),
                 part(WayMask::range(sram_ways, total), Technology::SttRam(stt)),
@@ -375,7 +375,7 @@ mod tests {
             for k in 1..=2 {
                 send(&mut l2, line + k * sets, true);
             }
-            assert!(l2.cache.probe(line, full).is_none(), "line {line} evicted");
+            assert!(l2.cache.lookup(line, full).is_none(), "line {line} evicted");
         }
         // Read refills: the trained line is predicted write-hot and lands
         // in SRAM; the untrained control lands in STT-RAM.
@@ -383,10 +383,10 @@ mod tests {
         send(&mut l2, hot, false);
         let after = l2.hybrid_stats();
         assert_eq!(after.sram_fills, before.sram_fills + 1);
-        assert!(l2.cache.probe(hot, l2.parts[SRAM].mask).is_some());
+        assert!(l2.cache.lookup(hot, l2.parts[SRAM].mask).is_some());
         send(&mut l2, cold, false);
         assert_eq!(l2.hybrid_stats().stt_fills, after.stt_fills + 1);
-        assert!(l2.cache.probe(cold, l2.parts[STT].mask).is_some());
+        assert!(l2.cache.lookup(cold, l2.parts[STT].mask).is_some());
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Full-system configuration (T1 of the reproduced evaluation).
 
-use moca_cache::{CacheGeometry, GeometryError, ReplacementPolicy};
+use moca_cache::{CacheGeometry, GeometryError};
 use moca_energy::Energy;
 
 /// Parameters of everything around the L2: core clock, L1 pair, DRAM.
+///
+/// Every cache in the system, the L1 pair and each L2 segment, is LRU,
+/// as on the paper's platform, so no field picks a replacement policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// Core clock in GHz.
@@ -29,10 +32,6 @@ pub struct SystemConfig {
     /// Enable the L2 next-line prefetcher
     /// (see [`moca_core::L2BaseParams::next_line_prefetch`]).
     pub l2_next_line_prefetch: bool,
-    /// Replacement policy of every L2 segment
-    /// (see [`moca_core::L2BaseParams::policy`]). The L1 pair always uses
-    /// LRU, matching the paper's platform.
-    pub l2_policy: ReplacementPolicy,
 }
 
 impl Default for SystemConfig {
@@ -50,7 +49,6 @@ impl Default for SystemConfig {
             dram_read_energy: Energy::from_nj(20.0),
             dram_write_energy: Energy::from_nj(22.0),
             l2_next_line_prefetch: false,
-            l2_policy: ReplacementPolicy::Lru,
         }
     }
 }

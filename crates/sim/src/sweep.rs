@@ -19,16 +19,16 @@
 //! simulation would integrate. [`sweep_pruned`] uses that to score the
 //! whole LRU grid analytically, keep only the Pareto frontier of
 //! (projected energy, projected cycles), and run full lock-step
-//! simulation for the survivors only — non-LRU designs (partitioned,
-//! STT-RAM, dynamic, non-LRU policies, prefetch-enabled configs) bypass
-//! the profiler and always simulate. Every simulated report is byte-identical to the
+//! simulation for the survivors only — every other design (partitioned,
+//! STT-RAM, dynamic, hybrid, prefetch-enabled configs) bypasses the
+//! profiler and always simulates. Every simulated report is byte-identical to the
 //! same point of an unpruned sweep (`crates/sim/tests/mrc_prune.rs`).
 
 use std::io::{self, Write};
 use std::time::Instant;
 
 use moca_cache::mrc::MAX_DEPTH;
-use moca_cache::{MissRateCurve, MrcProfiler, ReplacementPolicy};
+use moca_cache::{MissRateCurve, MrcProfiler};
 use moca_core::{L2BaseParams, L2Design};
 use moca_energy::{project_energy, AccessCounts, MemoryTechnology, SramBank, Technology, Time};
 use moca_trace::AppProfile;
@@ -275,12 +275,12 @@ pub fn score_lru_grid(curve: &MissRateCurve, refs: usize) -> Vec<MrcScore> {
 }
 
 /// The way count of `design` if the MRC engine can score it exactly: a
-/// [`L2Design::SharedSram`] point with `1..=MAX_DEPTH` ways under an
-/// LRU, prefetch-free configuration. Everything else — partitioned,
-/// STT-RAM, dynamic, hybrid, a non-LRU policy, prefetch enabled — must
+/// [`L2Design::SharedSram`] point with `1..=MAX_DEPTH` ways under a
+/// prefetch-free configuration (the L2 is always LRU). Everything else —
+/// partitioned, STT-RAM, dynamic, hybrid, prefetch enabled — must
 /// simulate.
 fn scorable_ways(design: &L2Design, cfg: &SystemConfig) -> Option<u32> {
-    if cfg.l2_policy != ReplacementPolicy::Lru || cfg.l2_next_line_prefetch {
+    if cfg.l2_next_line_prefetch {
         return None;
     }
     match design {
@@ -579,14 +579,6 @@ mod tests {
         prefetch.l2_next_line_prefetch = true;
         assert_eq!(
             scorable_ways(&L2Design::SharedSram { ways: 8 }, &prefetch),
-            None
-        );
-        let fifo = SystemConfig {
-            l2_policy: ReplacementPolicy::Fifo,
-            ..SystemConfig::default()
-        };
-        assert_eq!(
-            scorable_ways(&L2Design::SharedSram { ways: 8 }, &fifo),
             None
         );
     }

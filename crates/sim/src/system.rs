@@ -95,7 +95,6 @@ impl System {
             line_bytes: cfg.line_bytes,
             clock_ghz: cfg.clock_ghz,
             next_line_prefetch: cfg.l2_next_line_prefetch,
-            policy: cfg.l2_policy,
             ..L2BaseParams::default()
         };
         let l2 = L2Engine::new(design, params)?;

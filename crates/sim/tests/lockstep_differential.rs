@@ -3,7 +3,7 @@
 //! The lock-step engine rewrote the hottest loop in the codebase (one
 //! shared L1 front end per stream, O(1) retires over hit gaps), so its
 //! correctness contract is pinned exhaustively here: for every
-//! replacement policy × associativity × pool size cell of a small grid,
+//! associativity × pool size cell of a small grid,
 //! and for a ragged mixed-family pool split unevenly over workers, the
 //! [`SimReport`] of every design must match the scalar `run_app`-style
 //! oracle **field by field** — the oracle owns a private generator and
@@ -19,7 +19,6 @@
 //! fault-isolation cases) live in `lockstep_props.rs`; byte-identity of
 //! rendered experiment output stays in `determinism.rs`.
 
-use moca_cache::ReplacementPolicy;
 use moca_core::{L2Design, RefreshPolicy};
 use moca_energy::RetentionClass;
 use moca_sim::lockstep::{execute, Plan};
@@ -40,16 +39,6 @@ fn run_with(plan: Plan<'_>, jobs: Jobs) -> Vec<SimReport> {
         .map(|p| p.expect("valid design").report)
         .collect()
 }
-
-/// All six replacement policies, labelled for failure messages.
-const POLICIES: [(&str, ReplacementPolicy); 6] = [
-    ("lru", ReplacementPolicy::Lru),
-    ("fifo", ReplacementPolicy::Fifo),
-    ("random", ReplacementPolicy::Random { seed: 0xD1FF_2015 }),
-    ("nru", ReplacementPolicy::Nru),
-    ("plru", ReplacementPolicy::TreePlru),
-    ("srrip", ReplacementPolicy::Srrip),
-];
 
 /// The scalar oracle: a private [`TraceGenerator`], a per-design L1,
 /// the plain [`System::step`] loop — no memo, no front end, no replay.
@@ -112,8 +101,7 @@ fn assert_reports_match_fieldwise(want: &SimReport, got: &SimReport, ctx: &str) 
 }
 
 /// A K-lane pool of shared-SRAM designs: the grid's associativity first,
-/// then heterogeneous power-of-two lane mates (TreePlru requires
-/// power-of-two associativity).
+/// then heterogeneous power-of-two lane mates.
 fn grid_pool(ways: u32, k: usize) -> Vec<L2Design> {
     const LANE_MATES: [u32; 7] = [16, 2, 8, 4, 1, 16, 2];
     std::iter::once(ways)
@@ -123,30 +111,24 @@ fn grid_pool(ways: u32, k: usize) -> Vec<L2Design> {
         .collect()
 }
 
-/// The exhaustive small grid: 6 policies × 4 associativities × 4 pool
-/// sizes, every lane checked field-by-field against the scalar oracle.
+/// The exhaustive small grid: 4 associativities × 4 pool sizes under
+/// the default configuration, every lane checked field-by-field against
+/// the scalar oracle.
 #[test]
-fn policy_ways_pool_grid_matches_scalar_oracle_fieldwise() {
+fn ways_pool_grid_matches_scalar_oracle_fieldwise() {
     let app = AppProfile::browser();
     let refs = 3_003; // off chunk alignment
     let seed = 0x010C_57E9;
-    for (policy_name, policy) in POLICIES {
-        let cfg = SystemConfig {
-            l2_policy: policy,
-            ..SystemConfig::default()
-        };
-        for ways in [1u32, 2, 4, 8] {
-            for k in [1usize, 2, 3, 8] {
-                let pool = grid_pool(ways, k);
-                let reports = run(Plan::new(&app, seed, refs, &pool).with_config(cfg));
-                assert_eq!(reports.len(), k);
-                for (lane, (design, got)) in pool.iter().zip(&reports).enumerate() {
-                    let want = scalar_oracle(&app, *design, cfg, refs, seed);
-                    let ctx = format!(
-                        "policy={policy_name} ways={ways} k={k} lane={lane} design={design:?}"
-                    );
-                    assert_reports_match_fieldwise(&want, got, &ctx);
-                }
+    let cfg = SystemConfig::default();
+    for ways in [1u32, 2, 4, 8] {
+        for k in [1usize, 2, 3, 8] {
+            let pool = grid_pool(ways, k);
+            let reports = run(Plan::new(&app, seed, refs, &pool).with_config(cfg));
+            assert_eq!(reports.len(), k);
+            for (lane, (design, got)) in pool.iter().zip(&reports).enumerate() {
+                let want = scalar_oracle(&app, *design, cfg, refs, seed);
+                let ctx = format!("ways={ways} k={k} lane={lane} design={design:?}");
+                assert_reports_match_fieldwise(&want, got, &ctx);
             }
         }
     }

@@ -17,6 +17,12 @@ echo "== build (release, offline) =="
 # exercise stale or missing.
 cargo build --release --offline --workspace
 
+echo "== benchmark probe builds against the workspace API =="
+# reprobench/probe is a package of its own that links the workspace
+# crates; --locked and the workspace target dir keep this step from
+# writing anything under reprobench/.
+cargo build --release --offline --locked --manifest-path reprobench/probe/Cargo.toml --target-dir target
+
 echo "== format (rustfmt, no diff) =="
 cargo fmt --all --check
 
