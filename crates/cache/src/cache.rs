@@ -58,12 +58,21 @@ use moca_trace::Mode;
 use crate::config::{CacheGeometry, WayMask};
 use crate::stats::CacheStats;
 
-/// Read-only view of a resident block.
+/// A copy of one block's state: a resident block ([`block_at`],
+/// [`iter_valid`]) or one just removed by eviction, drain or
+/// invalidation ([`AccessResult::victim`], [`invalidate_at`],
+/// [`drain_way`]).
+///
+/// [`block_at`]: SetAssocCache::block_at
+/// [`iter_valid`]: SetAssocCache::iter_valid
+/// [`invalidate_at`]: SetAssocCache::invalidate_at
+/// [`drain_way`]: SetAssocCache::drain_way
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockView {
     /// Line address of the block.
     pub line: u64,
-    /// Whether the block is dirty.
+    /// Whether the block is dirty (a removed dirty block needs a
+    /// writeback).
     pub dirty: bool,
     /// Mode that owns (last filled) the block.
     pub owner: Mode,
@@ -75,25 +84,6 @@ pub struct BlockView {
     /// refresh) — the event that resets an STT-RAM retention clock.
     pub last_write: u64,
     /// Number of touches since fill (including the fill).
-    pub access_count: u64,
-}
-
-/// A block removed from the cache (by eviction, drain, or invalidation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EvictedBlock {
-    /// Line address of the removed block.
-    pub line: u64,
-    /// Whether it was dirty (requires writeback).
-    pub dirty: bool,
-    /// Mode that owned it.
-    pub owner: Mode,
-    /// Timestamp at fill.
-    pub inserted_at: u64,
-    /// Timestamp of its last touch.
-    pub last_touch: u64,
-    /// Timestamp of its last cell write.
-    pub last_write: u64,
-    /// Touches it received while resident.
     pub access_count: u64,
 }
 
@@ -152,7 +142,7 @@ pub struct AccessResult {
     /// The way that now holds the line.
     pub way: u32,
     /// A valid block displaced by the fill, if any.
-    pub victim: Option<EvictedBlock>,
+    pub victim: Option<BlockView>,
     /// On a hit, the line's `last_touch` before this access; 0 on a miss.
     pub prev_touch: u64,
     /// On a hit, the line's `last_write` before this access; 0 on a miss.
@@ -457,17 +447,7 @@ impl SetAssocCache {
             (invalid.trailing_zeros(), None)
         } else {
             let w = self.lru_way(base, bits);
-            let i = base + w as usize;
-            let m = self.meta[i];
-            let ev = EvictedBlock {
-                line: self.line_from(self.tags[i], set),
-                dirty: self.flags[si * 2 + 1] & (1u64 << w) != 0,
-                owner: m.owner(),
-                inserted_at: m.inserted_at,
-                last_touch: m.last_touch,
-                last_write: m.last_write,
-                access_count: m.access_count(),
-            };
+            let ev = self.view(set, w);
             if ev.owner == mode {
                 self.stats.same_evictions[ev.owner.index()] += 1;
             } else {
@@ -552,6 +532,7 @@ impl SetAssocCache {
         self.meta[self.idx(set, way)].last_write
     }
 
+    #[inline]
     fn view(&self, set: u64, way: u32) -> BlockView {
         let i = self.idx(set, way);
         let m = self.meta[i];
@@ -600,22 +581,12 @@ impl SetAssocCache {
     /// # Panics
     ///
     /// Panics if `set` or `way` is out of range.
-    pub fn invalidate_at(&mut self, set: u64, way: u32) -> Option<EvictedBlock> {
+    pub fn invalidate_at(&mut self, set: u64, way: u32) -> Option<BlockView> {
         assert!(set < self.geom.sets() && way < self.ways);
         if self.valid_bits(set) & (1u64 << way) == 0 {
             return None;
         }
-        let i = self.idx(set, way);
-        let m = self.meta[i];
-        let ev = EvictedBlock {
-            line: self.line_from(self.tags[i], set),
-            dirty: self.dirty_bits(set) & (1u64 << way) != 0,
-            owner: m.owner(),
-            inserted_at: m.inserted_at,
-            last_touch: m.last_touch,
-            last_write: m.last_write,
-            access_count: m.access_count(),
-        };
+        let ev = self.view(set, way);
         self.flags[set as usize * 2] &= !(1u64 << way);
         self.stats.invalidations += 1;
         Some(ev)
@@ -665,7 +636,7 @@ impl SetAssocCache {
     /// # Panics
     ///
     /// Panics if `way` is out of range.
-    pub fn drain_way(&mut self, way: u32) -> Vec<EvictedBlock> {
+    pub fn drain_way(&mut self, way: u32) -> Vec<BlockView> {
         assert!(way < self.ways, "way {way} out of range");
         let mut out = Vec::new();
         let bit = 1u64 << way;
@@ -931,19 +902,14 @@ mod tests {
 
     #[test]
     fn evicted_block_carries_lifetime() {
+        // Line 0 (last touched at 20) is the LRU block when the fourth
+        // new line fills its set.
+        let mut evicted_line0 = None;
         let mut c = small();
         c.access(set0_line(0), false, Mode::User, 10, full());
         c.access(set0_line(0), false, Mode::User, 20, full());
         for i in 1..=4 {
-            c.access(set0_line(i), false, Mode::User, 100 + i, full());
-        }
-        // line 0 was LRU after the loop ran (it was touched last at 20).
-        let mut evicted_line0 = None;
-        let mut c2 = small();
-        c2.access(set0_line(0), false, Mode::User, 10, full());
-        c2.access(set0_line(0), false, Mode::User, 20, full());
-        for i in 1..=4 {
-            let r = c2.access(set0_line(i), false, Mode::User, 100 + i, full());
+            let r = c.access(set0_line(i), false, Mode::User, 100 + i, full());
             if let Some(v) = r.victim {
                 if v.line == set0_line(0) {
                     evicted_line0 = Some(v);
@@ -954,8 +920,6 @@ mod tests {
         assert_eq!(v.inserted_at, 10);
         assert_eq!(v.last_touch, 20);
         assert_eq!(v.access_count, 2);
-        // Silence unused warning on first cache.
-        let _ = c.stats();
     }
 
     #[test]

@@ -157,17 +157,6 @@ impl CacheGeometry {
         })
     }
 
-    /// Explicitly-named alias of [`CacheGeometry::new`], for call sites
-    /// that want the fallibility visible in the name (workspace
-    /// convention: every layer exposes a `try_*` constructor path).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CacheGeometry::new`].
-    pub fn try_new(capacity_bytes: u64, ways: u32, line_bytes: u64) -> Result<Self, GeometryError> {
-        Self::new(capacity_bytes, ways, line_bytes)
-    }
-
     /// Builds a geometry directly from a set count.
     ///
     /// # Errors
@@ -178,15 +167,6 @@ impl CacheGeometry {
             return Err(GeometryError::Zero("sets"));
         }
         Self::new(sets * u64::from(ways) * line_bytes, ways, line_bytes)
-    }
-
-    /// Explicitly-named alias of [`CacheGeometry::from_sets`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CacheGeometry::new`].
-    pub fn try_from_sets(sets: u64, ways: u32, line_bytes: u64) -> Result<Self, GeometryError> {
-        Self::from_sets(sets, ways, line_bytes)
     }
 
     /// Number of sets.
@@ -209,24 +189,9 @@ impl CacheGeometry {
         self.sets * u64::from(self.ways) * self.line_bytes
     }
 
-    /// Maps a byte address to its line address (address / line size).
-    pub fn line_of(&self, addr: u64) -> u64 {
-        addr >> self.line_bytes.trailing_zeros()
-    }
-
     /// Maps a line address to its set index.
     pub fn set_of_line(&self, line: u64) -> u64 {
         line & (self.sets - 1)
-    }
-
-    /// Maps a line address to its tag.
-    pub fn tag_of_line(&self, line: u64) -> u64 {
-        line >> self.sets.trailing_zeros()
-    }
-
-    /// Reconstructs a line address from a tag and set index.
-    pub fn line_from_parts(&self, tag: u64, set: u64) -> u64 {
-        (tag << self.sets.trailing_zeros()) | set
     }
 }
 
@@ -569,18 +534,6 @@ mod tests {
     }
 
     #[test]
-    fn geometry_address_mapping_roundtrip() {
-        let g = CacheGeometry::new(1 << 20, 8, 64).expect("valid");
-        for addr in [0u64, 64, 0xDEAD_BE40, !63] {
-            let line = g.line_of(addr);
-            let set = g.set_of_line(line);
-            let tag = g.tag_of_line(line);
-            assert_eq!(g.line_from_parts(tag, set), line);
-            assert!(set < g.sets());
-        }
-    }
-
-    #[test]
     fn geometry_rejects_bad_params() {
         assert!(matches!(
             CacheGeometry::new(0, 8, 64),
@@ -671,26 +624,6 @@ mod tests {
     fn waymask_display() {
         let m = WayMask::EMPTY.with(0).with(2);
         assert_eq!(m.to_string(), "ways{0,2}");
-    }
-
-    #[test]
-    fn try_new_aliases_match_fallible_constructors() {
-        assert_eq!(
-            CacheGeometry::try_new(2 << 20, 16, 64),
-            CacheGeometry::new(2 << 20, 16, 64)
-        );
-        assert_eq!(
-            CacheGeometry::try_new(0, 16, 64),
-            Err(GeometryError::Zero("capacity"))
-        );
-        assert_eq!(
-            CacheGeometry::try_from_sets(512, 4, 64),
-            CacheGeometry::from_sets(512, 4, 64)
-        );
-        assert_eq!(
-            CacheGeometry::try_from_sets(0, 4, 64),
-            Err(GeometryError::Zero("sets"))
-        );
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod mrc;
 pub mod shadow;
 pub mod stats;
 
-pub use cache::{AccessResult, BlockView, EvictedBlock, SetAssocCache};
+pub use cache::{AccessResult, BlockView, SetAssocCache};
 pub use config::{CacheGeometry, GeometryError, PartitionSpec, WayMask};
 pub use hierarchy::{L1Outcome, L1Pair, L2Cause, L2Request, ReplacementPolicy};
 pub use mrc::{LruStackCore, MissRateCurve, MrcProfiler};

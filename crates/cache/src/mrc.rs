@@ -50,7 +50,6 @@ pub const MAX_DEPTH: u32 = 64;
 /// the stack distance — of a hit.
 #[derive(Debug, Clone)]
 pub struct LruStackCore {
-    stacks: usize,
     depth: usize,
     /// `stacks * depth` tags, stack-major; only the first `lens[s]`
     /// entries of stack `s` are valid.
@@ -68,21 +67,10 @@ impl LruStackCore {
         assert!(stacks > 0, "need at least one stack");
         assert!(depth > 0, "need at least one way of depth");
         LruStackCore {
-            stacks,
             depth,
             tags: vec![0; stacks * depth],
             lens: vec![0; stacks],
         }
-    }
-
-    /// Number of stacks.
-    pub fn stacks(&self) -> usize {
-        self.stacks
-    }
-
-    /// Capacity (in tags) of each stack.
-    pub fn depth(&self) -> usize {
-        self.depth
     }
 
     /// Current number of resident tags in stack `stack`.

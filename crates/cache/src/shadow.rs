@@ -68,11 +68,6 @@ impl UtilityMonitor {
         })
     }
 
-    /// Number of monitored (sampled) sets.
-    pub fn sampled_sets(&self) -> usize {
-        self.core.stacks()
-    }
-
     /// Total observations that fell on sampled sets.
     pub fn accesses(&self) -> u64 {
         self.accesses
@@ -109,12 +104,6 @@ impl UtilityMonitor {
         self.position_hits[..ways as usize].iter().sum()
     }
 
-    /// Marginal utility of each way: `marginal()[w]` is the extra hits the
-    /// `(w+1)`-th way provides.
-    pub fn marginal(&self) -> &[u64] {
-        &self.position_hits
-    }
-
     /// Clears all counters and stacks (start of a new epoch).
     pub fn reset(&mut self) {
         self.core.clear();
@@ -140,12 +129,16 @@ mod tests {
 
     #[test]
     fn sampling_counts_only_sampled_sets() {
-        let mut m = UtilityMonitor::new(geom(), 5); // every 32nd set
-        assert_eq!(m.sampled_sets(), 4);
-        // Set 0 is sampled, set 1 is not.
+        // Every 32nd set is sampled: set 0 is, set 1 is not.
+        let mut m = UtilityMonitor::new(geom(), 5);
         m.observe(0); // set 0
         m.observe(1); // set 1 — ignored
         assert_eq!(m.accesses(), 1);
+        // Four of the 128 sets are sampled: 0, 32, 64 and 96.
+        for set in 2..128 {
+            m.observe(set);
+        }
+        assert_eq!(m.accesses(), 4);
     }
 
     #[test]
@@ -157,8 +150,6 @@ mod tests {
         m.observe(line(2)); // hit at MRU (pos 0)
         m.observe(line(1)); // hit at pos 1
         assert_eq!(m.misses(), 2);
-        assert_eq!(m.marginal()[0], 1);
-        assert_eq!(m.marginal()[1], 1);
         assert_eq!(m.hits_with_ways(1), 1);
         assert_eq!(m.hits_with_ways(2), 2);
         assert_eq!(m.hits_with_ways(8), 2);

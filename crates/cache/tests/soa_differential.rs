@@ -7,16 +7,14 @@
 //! deliberately naive one-struct-per-block model with straightforward
 //! per-way loops and checks — over randomized geometries, way masks, and
 //! operation sequences — that the two produce the identical
-//! [`AccessResult`] / [`EvictedBlock`] stream, the identical lookup
+//! [`AccessResult`] / [`BlockView`] stream, the identical lookup
 //! answers and resident-block views, and the identical final
 //! [`CacheStats`] and occupancy.
 //! Accesses are driven both whole (`access`) and split into the lookup,
 //! hit and fill primitives the L2 engines call, including fills steered
 //! into a narrower mask than the lookup's.
 
-use moca_cache::{
-    AccessResult, BlockView, CacheGeometry, CacheStats, EvictedBlock, SetAssocCache, WayMask,
-};
+use moca_cache::{AccessResult, BlockView, CacheGeometry, CacheStats, SetAssocCache, WayMask};
 use moca_testkit::{check, require, require_eq, Config, TestRng};
 use moca_trace::Mode;
 
@@ -108,9 +106,9 @@ impl RefCache {
         }
     }
 
-    fn evicted(&self, set: u64, way: u32) -> EvictedBlock {
+    fn view(&self, set: u64, way: u32) -> BlockView {
         let b = &self.blocks[self.idx(set, way)];
-        EvictedBlock {
+        BlockView {
             line: (b.tag << self.tag_shift) | set,
             dirty: b.dirty,
             owner: Self::owner(b),
@@ -174,7 +172,7 @@ impl RefCache {
             Some(w) => (w, None),
             None => {
                 let w = self.policy.victim(set, self.ways, mask);
-                let ev = self.evicted(set, w);
+                let ev = self.view(set, w);
                 if ev.owner == mode {
                     self.stats.same_evictions[ev.owner.index()] += 1;
                 } else {
@@ -219,32 +217,17 @@ impl RefCache {
     }
 
     fn probe(&self, line: u64, mask: WayMask) -> Option<BlockView> {
-        let set = line & self.set_mask;
-        let tag = line >> self.tag_shift;
-        for way in mask.iter() {
-            let b = &self.blocks[self.idx(set, way)];
-            if b.valid && b.tag == tag {
-                return Some(BlockView {
-                    line: (b.tag << self.tag_shift) | set,
-                    dirty: b.dirty,
-                    owner: Self::owner(b),
-                    inserted_at: b.inserted_at,
-                    last_touch: b.last_touch,
-                    last_write: b.last_write,
-                    access_count: b.access_count,
-                });
-            }
-        }
-        None
+        self.lookup(line, mask)
+            .map(|way| self.view(line & self.set_mask, way))
     }
 
-    fn invalidate_line(&mut self, line: u64, mask: WayMask) -> Option<EvictedBlock> {
+    fn invalidate_line(&mut self, line: u64, mask: WayMask) -> Option<BlockView> {
         let set = line & self.set_mask;
         let tag = line >> self.tag_shift;
         for way in mask.iter() {
             let i = self.idx(set, way);
             if self.blocks[i].valid && self.blocks[i].tag == tag {
-                let ev = self.evicted(set, way);
+                let ev = self.view(set, way);
                 self.blocks[i].valid = false;
                 self.stats.invalidations += 1;
                 return Some(ev);
@@ -466,19 +449,15 @@ fn soa_engine_matches_reference_model() {
         let mut soa_valid = 0u64;
         for (set, way, view) in soa.iter_valid() {
             soa_valid += 1;
-            let i = reference.idx(set, way);
-            let b = &reference.blocks[i];
-            require!(b.valid, "slot ({set},{way}) valid only in the SoA engine");
-            let want = BlockView {
-                line: (b.tag << reference.tag_shift) | set,
-                dirty: b.dirty,
-                owner: RefCache::owner(b),
-                inserted_at: b.inserted_at,
-                last_touch: b.last_touch,
-                last_write: b.last_write,
-                access_count: b.access_count,
-            };
-            require_eq!(view, want, "slot ({set},{way}) metadata diverged");
+            require!(
+                reference.blocks[reference.idx(set, way)].valid,
+                "slot ({set},{way}) valid only in the SoA engine"
+            );
+            require_eq!(
+                view,
+                reference.view(set, way),
+                "slot ({set},{way}) metadata diverged"
+            );
         }
         require_eq!(soa_valid, reference.occupancy(WayMask::first(case.ways)));
         Ok(())

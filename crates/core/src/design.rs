@@ -5,7 +5,7 @@
 //! [`L2Engine::new`](crate::engine::L2Engine::new) builds each one's engine.
 
 use moca_cache::GeometryError;
-use moca_energy::{RetentionClass, TechNode, Temperature};
+use moca_energy::{RetentionClass, Temperature};
 
 use std::fmt;
 
@@ -38,17 +38,9 @@ pub struct L2BaseParams {
     pub sets: u64,
     /// Line size in bytes.
     pub line_bytes: u64,
-    /// Process node of the banks.
-    pub tech: TechNode,
     /// Core clock in GHz (converts cycles to wall-clock for leakage and
     /// retention).
     pub clock_ghz: f64,
-    /// Model an L2 write buffer: store hits retire at read latency (the
-    /// buffer absorbs the slow MTJ write off the critical path). The
-    /// energy cost of the write is unchanged. The standard mitigation for
-    /// STT-RAM write latency in this paper family; disabled by default so
-    /// the headline numbers show the raw technology trade-off.
-    pub write_buffer: bool,
     /// Enable a next-line prefetcher: every demand miss also fills
     /// `line + 1` into the same segment (if absent). Helps the streaming
     /// tails mobile workloads are rich in; costs fill energy and DRAM
@@ -66,9 +58,7 @@ impl Default for L2BaseParams {
         Self {
             sets: 2048,
             line_bytes: 64,
-            tech: TechNode::Nm45,
             clock_ghz: 1.0,
-            write_buffer: false,
             next_line_prefetch: false,
             temperature: Temperature::REFERENCE,
         }

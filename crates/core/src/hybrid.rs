@@ -118,8 +118,8 @@ impl HybridL2 {
             write_latency: tech.write_latency().cycles(params.clock_ghz).max(1),
             acct: EnergyAccountant::new(tech),
         };
-        let sram = SramBank::new(bytes(sram_ways), sram_ways, params.tech);
-        let stt = SttRamBank::new(bytes(stt_ways), stt_ways, retention, params.tech);
+        let sram = SramBank::new(bytes(sram_ways), sram_ways);
+        let stt = SttRamBank::new(bytes(stt_ways), stt_ways, retention);
         Ok(Self {
             cache: SetAssocCache::new(geom),
             parts: [

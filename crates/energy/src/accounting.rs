@@ -9,7 +9,7 @@
 use crate::retention::RetentionClass;
 use crate::sram::SramBank;
 use crate::sttram::SttRamBank;
-use crate::tech::{MemoryTechnology, TechNode};
+use crate::tech::MemoryTechnology;
 use crate::units::{Energy, Power, Time};
 
 /// A concrete memory technology for a cache segment.
@@ -25,19 +25,14 @@ pub enum Technology {
 }
 
 impl Technology {
-    /// Convenience: an SRAM bank at the default node.
+    /// Convenience: an SRAM bank.
     pub fn sram(capacity_bytes: u64, ways: u32) -> Self {
-        Technology::Sram(SramBank::new(capacity_bytes, ways, TechNode::Nm45))
+        Technology::Sram(SramBank::new(capacity_bytes, ways))
     }
 
-    /// Convenience: an STT-RAM bank at the default node.
+    /// Convenience: an STT-RAM bank.
     pub fn sttram(capacity_bytes: u64, ways: u32, retention: RetentionClass) -> Self {
-        Technology::SttRam(SttRamBank::new(
-            capacity_bytes,
-            ways,
-            retention,
-            TechNode::Nm45,
-        ))
+        Technology::SttRam(SttRamBank::new(capacity_bytes, ways, retention))
     }
 
     /// The retention class, if this is an STT-RAM bank.

@@ -15,10 +15,10 @@
 //! * lowering retention makes STT-RAM writes dramatically cheaper/faster.
 //!
 //! ```
-//! use moca_energy::{MemoryTechnology, RetentionClass, SttRamBank, SramBank, TechNode};
+//! use moca_energy::{MemoryTechnology, RetentionClass, SttRamBank, SramBank};
 //!
-//! let sram = SramBank::new(2 << 20, 16, TechNode::Nm45);
-//! let stt = SttRamBank::new(2 << 20, 16, RetentionClass::TenMillis, TechNode::Nm45);
+//! let sram = SramBank::new(2 << 20, 16);
+//! let stt = SttRamBank::new(2 << 20, 16, RetentionClass::TenMillis);
 //! assert!(stt.leakage_power().mw() < 0.1 * sram.leakage_power().mw());
 //! ```
 
@@ -40,5 +40,5 @@ pub use projection::{project_energy, AccessCounts, ArithmeticOverflow};
 pub use retention::RetentionClass;
 pub use sram::SramBank;
 pub use sttram::SttRamBank;
-pub use tech::{MemoryTechnology, TechNode, Temperature};
+pub use tech::{MemoryTechnology, Temperature};
 pub use units::{Energy, Power, Time};

@@ -15,7 +15,7 @@
 //! which is exactly why shrinking and power-gating a mobile L2 saves so
 //! much (claims C3/C7).
 
-use crate::tech::{MemoryTechnology, TechNode};
+use crate::tech::MemoryTechnology;
 use crate::units::{Energy, Power, Time};
 
 /// Calibration anchor capacity (1 MiB).
@@ -36,7 +36,6 @@ const ANCHOR_LATENCY_NS: f64 = 10.0;
 pub struct SramBank {
     capacity: u64,
     ways: u32,
-    tech: TechNode,
     read_energy: Energy,
     write_energy: Energy,
     leakage: Power,
@@ -53,27 +52,26 @@ impl SramBank {
     /// # Examples
     ///
     /// ```
-    /// use moca_energy::{SramBank, TechNode, MemoryTechnology};
+    /// use moca_energy::{SramBank, MemoryTechnology};
     ///
-    /// let l2 = SramBank::new(2 << 20, 16, TechNode::Nm45);
-    /// let half = SramBank::new(1 << 20, 16, TechNode::Nm45);
+    /// let l2 = SramBank::new(2 << 20, 16);
+    /// let half = SramBank::new(1 << 20, 16);
     /// // Leakage scales linearly with capacity.
     /// assert!((l2.leakage_power().mw() / half.leakage_power().mw() - 2.0).abs() < 1e-9);
     /// ```
-    pub fn new(capacity_bytes: u64, ways: u32, tech: TechNode) -> Self {
+    pub fn new(capacity_bytes: u64, ways: u32) -> Self {
         assert!(capacity_bytes > 0, "capacity must be non-zero");
         assert!(ways > 0, "ways must be non-zero");
         let c = capacity_bytes as f64 / ANCHOR_CAPACITY as f64;
         let a = f64::from(ways) / f64::from(ANCHOR_WAYS);
-        let dyn_scale = c.powf(0.5) * a.powf(0.15) * tech.dynamic_scale();
+        let dyn_scale = c.powf(0.5) * a.powf(0.15);
         Self {
             capacity: capacity_bytes,
             ways,
-            tech,
             read_energy: Energy::from_nj(ANCHOR_READ_NJ * dyn_scale),
             write_energy: Energy::from_nj(ANCHOR_WRITE_NJ * dyn_scale),
-            leakage: Power::from_mw(ANCHOR_LEAK_MW * c * tech.leakage_scale()),
-            latency: Time::from_ns(ANCHOR_LATENCY_NS * c.powf(0.3) * tech.latency_scale()),
+            leakage: Power::from_mw(ANCHOR_LEAK_MW * c),
+            latency: Time::from_ns(ANCHOR_LATENCY_NS * c.powf(0.3)),
         }
     }
 
@@ -84,11 +82,6 @@ impl SramBank {
     pub fn at_temperature(mut self, t: crate::tech::Temperature) -> Self {
         self.leakage = self.leakage.scaled(t.leakage_scale());
         self
-    }
-
-    /// The process node.
-    pub fn tech(&self) -> TechNode {
-        self.tech
     }
 
     /// Associativity the bank was modelled with.
@@ -139,7 +132,7 @@ mod tests {
 
     #[test]
     fn anchor_values() {
-        let b = SramBank::new(ANCHOR_CAPACITY, ANCHOR_WAYS, TechNode::Nm45);
+        let b = SramBank::new(ANCHOR_CAPACITY, ANCHOR_WAYS);
         assert!((b.read_energy().nj() - ANCHOR_READ_NJ).abs() < 1e-9);
         assert!((b.write_energy().nj() - ANCHOR_WRITE_NJ).abs() < 1e-9);
         assert!((b.leakage_power().mw() - ANCHOR_LEAK_MW).abs() < 1e-9);
@@ -149,47 +142,37 @@ mod tests {
 
     #[test]
     fn leakage_linear_in_capacity() {
-        let one = SramBank::new(1 << 20, 16, TechNode::Nm45);
-        let four = SramBank::new(4 << 20, 16, TechNode::Nm45);
+        let one = SramBank::new(1 << 20, 16);
+        let four = SramBank::new(4 << 20, 16);
         let ratio = four.leakage_power().mw() / one.leakage_power().mw();
         assert!((ratio - 4.0).abs() < 1e-9);
     }
 
     #[test]
     fn dynamic_energy_sublinear_in_capacity() {
-        let one = SramBank::new(1 << 20, 16, TechNode::Nm45);
-        let four = SramBank::new(4 << 20, 16, TechNode::Nm45);
+        let one = SramBank::new(1 << 20, 16);
+        let four = SramBank::new(4 << 20, 16);
         let ratio = four.read_energy().nj() / one.read_energy().nj();
         assert!(ratio > 1.5 && ratio < 2.5, "sqrt-ish scaling, got {ratio}");
     }
 
     #[test]
     fn associativity_increases_access_energy() {
-        let a8 = SramBank::new(1 << 20, 8, TechNode::Nm45);
-        let a16 = SramBank::new(1 << 20, 16, TechNode::Nm45);
+        let a8 = SramBank::new(1 << 20, 8);
+        let a16 = SramBank::new(1 << 20, 16);
         assert!(a16.read_energy().nj() > a8.read_energy().nj());
     }
 
     #[test]
     fn way_leakage_partitions_total() {
-        let b = SramBank::new(2 << 20, 16, TechNode::Nm45);
+        let b = SramBank::new(2 << 20, 16);
         let total = b.way_leakage().mw() * 16.0;
         assert!((total - b.leakage_power().mw()).abs() < 1e-9);
     }
 
     #[test]
-    fn tech_node_scaling_applies() {
-        let n45 = SramBank::new(1 << 20, 16, TechNode::Nm45);
-        let n32 = SramBank::new(1 << 20, 16, TechNode::Nm32);
-        assert!(n32.read_energy().nj() < n45.read_energy().nj());
-        assert!(n32.leakage_power().mw() > n45.leakage_power().mw());
-        assert!(n32.read_latency().ns() < n45.read_latency().ns());
-        assert_eq!(n32.tech(), TechNode::Nm32);
-    }
-
-    #[test]
     #[should_panic(expected = "non-zero")]
     fn zero_capacity_rejected() {
-        SramBank::new(0, 16, TechNode::Nm45);
+        SramBank::new(0, 16);
     }
 }

@@ -21,7 +21,7 @@
 
 use crate::retention::RetentionClass;
 use crate::sram::{SramBank, ANCHOR_CAPACITY, ANCHOR_WAYS};
-use crate::tech::{MemoryTechnology, TechNode};
+use crate::tech::MemoryTechnology;
 use crate::units::{Energy, Power, Time};
 
 /// Read energy at the anchor geometry.
@@ -48,7 +48,6 @@ pub const CELL_AREA_RATIO: f64 = 1.0 / 3.0;
 pub struct SttRamBank {
     capacity: u64,
     ways: u32,
-    tech: TechNode,
     retention: RetentionClass,
     read_energy: Energy,
     write_energy: Energy,
@@ -68,26 +67,26 @@ impl SttRamBank {
     /// # Examples
     ///
     /// ```
-    /// use moca_energy::{MemoryTechnology, RetentionClass, SttRamBank, TechNode};
+    /// use moca_energy::{MemoryTechnology, RetentionClass, SttRamBank};
     ///
-    /// let hi = SttRamBank::new(1 << 20, 16, RetentionClass::TenYears, TechNode::Nm45);
-    /// let lo = SttRamBank::new(1 << 20, 16, RetentionClass::TenMillis, TechNode::Nm45);
+    /// let hi = SttRamBank::new(1 << 20, 16, RetentionClass::TenYears);
+    /// let lo = SttRamBank::new(1 << 20, 16, RetentionClass::TenMillis);
     /// // Shorter retention makes writes much cheaper and faster.
     /// assert!(lo.write_energy().nj() < 0.4 * hi.write_energy().nj());
     /// assert!(lo.write_latency().ns() < hi.write_latency().ns());
     /// ```
-    pub fn new(capacity_bytes: u64, ways: u32, retention: RetentionClass, tech: TechNode) -> Self {
+    pub fn new(capacity_bytes: u64, ways: u32, retention: RetentionClass) -> Self {
         assert!(capacity_bytes > 0, "capacity must be non-zero");
         assert!(ways > 0, "ways must be non-zero");
         let delta = retention.delta();
         let c = capacity_bytes as f64 / ANCHOR_CAPACITY as f64;
         let a = f64::from(ways) / f64::from(ANCHOR_WAYS);
-        let periph_scale = c.powf(0.5) * a.powf(0.15) * tech.dynamic_scale();
+        let periph_scale = c.powf(0.5) * a.powf(0.15);
 
         // Read path: sensing only, Δ-independent; scales like SRAM
         // periphery.
         let read_energy = Energy::from_nj(ANCHOR_READ_NJ * periph_scale);
-        let read_latency = Time::from_ns(ANCHOR_READ_LAT_NS * c.powf(0.3) * tech.latency_scale());
+        let read_latency = Time::from_ns(ANCHOR_READ_LAT_NS * c.powf(0.3));
 
         // Write path: MTJ switching dominates. E ∝ (Δ/Δref)² with a small
         // periphery component that scales like reads.
@@ -99,18 +98,15 @@ impl SttRamBank {
         // before the MTJ switching pulse, so total write latency is the
         // periphery share of the read path plus the Δ-dependent pulse.
         let pulse_ns = WRITE_LAT_BASE_NS + WRITE_LAT_DELTA_NS * (delta / DELTA_REF).powf(1.5);
-        let write_latency = Time::from_ns(
-            read_latency.ns() * WRITE_PERIPHERY_SHARE + pulse_ns * tech.latency_scale(),
-        );
+        let write_latency = Time::from_ns(read_latency.ns() * WRITE_PERIPHERY_SHARE + pulse_ns);
 
         // Leakage: periphery only, a fixed fraction of equal SRAM.
-        let sram_equiv = SramBank::new(capacity_bytes, ways, tech);
+        let sram_equiv = SramBank::new(capacity_bytes, ways);
         let leakage = sram_equiv.leakage_power().scaled(LEAKAGE_FRACTION);
 
         Self {
             capacity: capacity_bytes,
             ways,
-            tech,
             retention,
             read_energy,
             write_energy,
@@ -134,11 +130,6 @@ impl SttRamBank {
         self.retention
     }
 
-    /// The process node.
-    pub fn tech(&self) -> TechNode {
-        self.tech
-    }
-
     /// Associativity the bank was modelled with.
     pub fn ways(&self) -> u32 {
         self.ways
@@ -147,17 +138,6 @@ impl SttRamBank {
     /// Leakage power of a single way.
     pub fn way_leakage(&self) -> Power {
         self.leakage.scaled(1.0 / f64::from(self.ways))
-    }
-
-    /// Energy to refresh (rewrite) one block — equal to a write.
-    pub fn refresh_energy(&self) -> Energy {
-        self.write_energy
-    }
-
-    /// Estimated silicon area relative to an equal-capacity SRAM bank
-    /// (cells only; periphery ignored).
-    pub fn relative_area(&self) -> f64 {
-        CELL_AREA_RATIO
     }
 }
 
@@ -196,7 +176,7 @@ mod tests {
     use super::*;
 
     fn bank(rc: RetentionClass) -> SttRamBank {
-        SttRamBank::new(1 << 20, 16, rc, TechNode::Nm45)
+        SttRamBank::new(1 << 20, 16, rc)
     }
 
     #[test]
@@ -220,7 +200,7 @@ mod tests {
     #[test]
     fn leakage_is_small_fraction_of_sram() {
         let stt = bank(RetentionClass::TenYears);
-        let sram = SramBank::new(1 << 20, 16, TechNode::Nm45);
+        let sram = SramBank::new(1 << 20, 16);
         let frac = stt.leakage_power().mw() / sram.leakage_power().mw();
         assert!((frac - 0.08).abs() < 1e-9);
     }
@@ -257,15 +237,9 @@ mod tests {
     }
 
     #[test]
-    fn refresh_equals_write() {
-        let b = bank(RetentionClass::TenMillis);
-        assert_eq!(b.refresh_energy(), b.write_energy());
-    }
-
-    #[test]
     fn reads_cheaper_than_sram_writes_slower() {
         let stt = bank(RetentionClass::TenYears);
-        let sram = SramBank::new(1 << 20, 16, TechNode::Nm45);
+        let sram = SramBank::new(1 << 20, 16);
         assert!(stt.read_energy().nj() < sram.read_energy().nj());
         assert!(stt.write_latency().ns() > sram.write_latency().ns() * 0.9);
         assert!(stt.read_latency().ns() >= sram.read_latency().ns());
@@ -276,13 +250,12 @@ mod tests {
         let b = bank(RetentionClass::OneSecond);
         assert!((b.way_leakage().mw() * 16.0 - b.leakage_power().mw()).abs() < 1e-9);
         assert_eq!(b.ways(), 16);
-        assert!((b.relative_area() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn capacity_scaling_applies_to_periphery() {
-        let small = SttRamBank::new(256 << 10, 16, RetentionClass::TenYears, TechNode::Nm45);
-        let big = SttRamBank::new(4 << 20, 16, RetentionClass::TenYears, TechNode::Nm45);
+        let small = SttRamBank::new(256 << 10, 16, RetentionClass::TenYears);
+        let big = SttRamBank::new(4 << 20, 16, RetentionClass::TenYears);
         assert!(small.read_energy().nj() < big.read_energy().nj());
         assert!(small.leakage_power().mw() < big.leakage_power().mw());
         // MTJ component dominates writes, so write energy grows slowly.

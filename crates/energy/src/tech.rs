@@ -1,63 +1,6 @@
-//! Technology nodes and the common memory-bank interface.
+//! Die temperature and the common memory-bank interface.
 
 use crate::units::{Energy, Power, Time};
-
-/// CMOS process node of the memory periphery.
-///
-/// Scale factors are normalized to the 45 nm anchor used by the paper's
-/// era of mobile SoCs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum TechNode {
-    /// 65 nm.
-    Nm65,
-    /// 45 nm (the calibration anchor).
-    #[default]
-    Nm45,
-    /// 32 nm.
-    Nm32,
-}
-
-impl TechNode {
-    /// Dynamic-energy multiplier relative to 45 nm
-    /// (capacitance shrinks with feature size).
-    pub fn dynamic_scale(self) -> f64 {
-        match self {
-            TechNode::Nm65 => 1.6,
-            TechNode::Nm45 => 1.0,
-            TechNode::Nm32 => 0.65,
-        }
-    }
-
-    /// Leakage-power multiplier relative to 45 nm (leakage worsens per
-    /// transistor at smaller nodes but fewer/smaller transistors; net
-    /// factors follow ITRS-era reporting).
-    pub fn leakage_scale(self) -> f64 {
-        match self {
-            TechNode::Nm65 => 0.8,
-            TechNode::Nm45 => 1.0,
-            TechNode::Nm32 => 1.3,
-        }
-    }
-
-    /// Latency multiplier relative to 45 nm.
-    pub fn latency_scale(self) -> f64 {
-        match self {
-            TechNode::Nm65 => 1.25,
-            TechNode::Nm45 => 1.0,
-            TechNode::Nm32 => 0.85,
-        }
-    }
-}
-
-impl std::fmt::Display for TechNode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TechNode::Nm65 => f.write_str("65nm"),
-            TechNode::Nm45 => f.write_str("45nm"),
-            TechNode::Nm32 => f.write_str("32nm"),
-        }
-    }
-}
 
 /// Die temperature in degrees Celsius.
 ///
@@ -87,11 +30,6 @@ impl Temperature {
             "temperature {c} C outside the supported range"
         );
         Temperature(c)
-    }
-
-    /// In degrees Celsius.
-    pub fn celsius(&self) -> f64 {
-        self.0
     }
 
     /// Leakage multiplier relative to the reference temperature.
@@ -140,20 +78,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scales_are_anchored_at_45nm() {
-        assert_eq!(TechNode::Nm45.dynamic_scale(), 1.0);
-        assert_eq!(TechNode::Nm45.leakage_scale(), 1.0);
-        assert_eq!(TechNode::Nm45.latency_scale(), 1.0);
-        assert_eq!(TechNode::default(), TechNode::Nm45);
-    }
-
-    #[test]
-    fn smaller_nodes_cost_less_dynamic_energy() {
-        assert!(TechNode::Nm32.dynamic_scale() < TechNode::Nm45.dynamic_scale());
-        assert!(TechNode::Nm45.dynamic_scale() < TechNode::Nm65.dynamic_scale());
-    }
-
-    #[test]
     fn temperature_scaling() {
         assert_eq!(Temperature::default(), Temperature::REFERENCE);
         assert!((Temperature::REFERENCE.leakage_scale() - 1.0).abs() < 1e-12);
@@ -172,12 +96,5 @@ mod tests {
     #[should_panic(expected = "outside the supported range")]
     fn absurd_temperature_panics() {
         Temperature::from_celsius(300.0);
-    }
-
-    #[test]
-    fn display_names() {
-        assert_eq!(TechNode::Nm32.to_string(), "32nm");
-        assert_eq!(TechNode::Nm45.to_string(), "45nm");
-        assert_eq!(TechNode::Nm65.to_string(), "65nm");
     }
 }

@@ -19,29 +19,9 @@ impl Energy {
     /// Zero energy.
     pub const ZERO: Energy = Energy(0.0);
 
-    /// From picojoules.
-    pub fn from_pj(pj: f64) -> Self {
-        Energy(pj)
-    }
-
     /// From nanojoules.
     pub fn from_nj(nj: f64) -> Self {
         Energy(nj * 1e3)
-    }
-
-    /// From microjoules.
-    pub fn from_uj(uj: f64) -> Self {
-        Energy(uj * 1e6)
-    }
-
-    /// From millijoules.
-    pub fn from_mj(mj: f64) -> Self {
-        Energy(mj * 1e9)
-    }
-
-    /// From joules.
-    pub fn from_joules(j: f64) -> Self {
-        Energy(j * 1e12)
     }
 
     /// In picojoules.
@@ -90,24 +70,9 @@ impl Power {
         Power(mw)
     }
 
-    /// From microwatts.
-    pub fn from_uw(uw: f64) -> Self {
-        Power(uw * 1e-3)
-    }
-
-    /// From watts.
-    pub fn from_watts(w: f64) -> Self {
-        Power(w * 1e3)
-    }
-
     /// In milliwatts.
     pub fn mw(&self) -> f64 {
         self.0
-    }
-
-    /// In watts.
-    pub fn watts(&self) -> f64 {
-        self.0 * 1e-3
     }
 
     /// Scales by a dimensionless factor.
@@ -292,10 +257,6 @@ mod tests {
     #[test]
     fn energy_conversions() {
         assert_eq!(Energy::from_nj(1.0).pj(), 1000.0);
-        assert_eq!(Energy::from_joules(1.0).pj(), 1e12);
-        assert!((Energy::from_pj(2500.0).nj() - 2.5).abs() < 1e-12);
-        assert!((Energy::from_mj(1.0).joules() - 1e-3).abs() < 1e-15);
-        assert_eq!(Energy::from_uj(1.0).pj(), 1e6);
     }
 
     #[test]
@@ -324,21 +285,21 @@ mod tests {
 
     #[test]
     fn arithmetic_ops() {
-        let a = Energy::from_pj(3.0) + Energy::from_pj(4.0);
-        assert_eq!(a.pj(), 7.0);
-        assert_eq!((a - Energy::from_pj(2.0)).pj(), 5.0);
-        assert_eq!((a * 2.0).pj(), 14.0);
-        assert_eq!((a / 7.0).pj(), 1.0);
-        assert_eq!((a * 3u64).pj(), 21.0);
+        let a = Energy::from_nj(3.0) + Energy::from_nj(4.0);
+        assert_eq!(a.pj(), 7000.0);
+        assert_eq!((a - Energy::from_nj(2.0)).pj(), 5000.0);
+        assert_eq!((a * 2.0).pj(), 14000.0);
+        assert_eq!((a / 7.0).pj(), 1000.0);
+        assert_eq!((a * 3u64).pj(), 21000.0);
         let mut b = Energy::ZERO;
         b += a;
-        assert_eq!(b.pj(), 7.0);
+        assert_eq!(b.pj(), 7000.0);
     }
 
     #[test]
     fn sum_iterates() {
-        let total: Energy = (1..=4).map(|i| Energy::from_pj(i as f64)).sum();
-        assert_eq!(total.pj(), 10.0);
+        let total: Energy = (1..=4).map(|i| Energy::from_nj(i as f64)).sum();
+        assert_eq!(total.pj(), 10000.0);
         let t: Time = vec![Time::from_ns(1.0), Time::from_ns(2.0)]
             .into_iter()
             .sum();
@@ -357,10 +318,10 @@ mod tests {
 
     #[test]
     fn display_scales_units() {
-        assert_eq!(Energy::from_pj(1.0).to_string(), "1.000 pJ");
+        assert_eq!(Energy::from_nj(0.5).to_string(), "500.000 pJ");
         assert_eq!(Energy::from_nj(2.5).to_string(), "2.500 nJ");
-        assert_eq!(Energy::from_joules(1.5).to_string(), "1.500 J");
-        assert_eq!(Power::from_watts(2.0).to_string(), "2.000 W");
+        assert_eq!(Energy::from_nj(1.5e9).to_string(), "1.500 J");
+        assert_eq!(Power::from_mw(2000.0).to_string(), "2.000 W");
         assert_eq!(Power::from_mw(3.0).to_string(), "3.000 mW");
         assert_eq!(Time::from_ms(12.0).to_string(), "12.000 ms");
         assert_eq!(Time::from_secs(2.0).to_string(), "2.000 s");

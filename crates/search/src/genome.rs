@@ -13,7 +13,7 @@
 //! Validity is enforced by *repair*, never rejection: [`Genome::repair`]
 //! clamps every field into range and then proves the result through the
 //! same fallible constructors the simulator builds from —
-//! [`CacheGeometry::try_new`] for the geometry and
+//! [`CacheGeometry::new`] for the geometry and
 //! [`PartitionSpec::split`] for the way split — falling back to the
 //! baseline genome if those constructors still refuse (which no clamped
 //! genome reaches, but the fallback keeps the contract panic-free by
@@ -244,7 +244,7 @@ impl Genome {
     }
 
     /// The authoritative validity check: the design validates, its
-    /// geometry builds through [`CacheGeometry::try_new`], and (for the
+    /// geometry builds through [`CacheGeometry::new`], and (for the
     /// static families) its split builds through
     /// [`PartitionSpec::split`].
     fn is_constructible(&self) -> bool {
@@ -258,7 +258,7 @@ impl Genome {
             Some(c) => c,
             None => return false,
         };
-        if CacheGeometry::try_new(capacity, ways, params.line_bytes).is_err() {
+        if CacheGeometry::new(capacity, ways, params.line_bytes).is_err() {
             return false;
         }
         if self.family.is_static_partitioned()

@@ -9,7 +9,7 @@
 //!
 //! * **Genome** ([`genome::Genome`]) — a fixed-width encoding whose
 //!   `repair` step funnels every variation product through the real
-//!   constructors (`L2Design::validate`, `CacheGeometry::try_new`,
+//!   constructors (`L2Design::validate`, `CacheGeometry::new`,
 //!   `PartitionSpec::split`), so invalid genomes are repaired, never
 //!   panic.
 //! * **Evaluation** — each generation fans into

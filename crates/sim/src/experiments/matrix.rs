@@ -123,11 +123,6 @@ impl DesignMatrix {
         &self.rows[i][self.expect_column(L2Design::baseline())]
     }
 
-    /// Iterator of app names (row order).
-    pub fn app_names(&self) -> impl Iterator<Item = &str> {
-        self.rows.iter().map(|r| r[0].app.as_str())
-    }
-
     /// Mean over apps of `f(report, baseline)` for design column `d`.
     ///
     /// # Panics
@@ -220,7 +215,6 @@ mod tests {
         assert_eq!(m.baseline(0).design, L2Design::baseline().label());
         let mean = m.mean_over_apps(1, |r, b| r.slowdown_vs(b));
         assert!(mean > 0.5 && mean < 2.0);
-        assert_eq!(m.app_names().count(), 2);
     }
 
     #[test]

@@ -59,8 +59,7 @@ pub use parallel::{catch_panic, parallel_map, Jobs};
 pub use replay::{FileTraceSource, TraceIoStats, TraceRegistry};
 pub use stream::{Mix, MixError, Source, TraceStream};
 pub use sweep::{
-    comparison_table, csv_row, profile_lru_grid, score_lru_grid, sweep_pruned, write_csv, MrcScore,
-    PrunedSweep,
+    csv_row, profile_lru_grid, score_lru_grid, sweep_pruned, write_csv, MrcScore, PrunedSweep,
 };
 pub use system::{BuildSystemError, System};
 pub use telemetry::{Event, JsonlRecorder};

@@ -111,11 +111,6 @@ impl SimReport {
         self.l2_energy.normalized_to(&baseline.l2_energy)
     }
 
-    /// Energy-delay product of the L2 (energy × run duration).
-    pub fn l2_edp(&self) -> f64 {
-        self.l2_energy_total().joules() * self.duration().secs()
-    }
-
     /// Behaviour record for one mode.
     pub fn behavior(&self, mode: Mode) -> &SegmentBehavior {
         &self.behavior[mode.index()]
@@ -199,12 +194,6 @@ mod tests {
         let slow = dummy(3000, 1000, 25.0);
         assert!((slow.slowdown_vs(&base) - 1.5).abs() < 1e-12);
         assert!((slow.energy_ratio_vs(&base) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn edp_positive() {
-        let r = dummy(1000, 100, 100.0);
-        assert!(r.l2_edp() > 0.0);
     }
 
     #[test]

@@ -40,7 +40,6 @@ use crate::memo::RunMemo;
 use crate::metrics::SimReport;
 use crate::parallel::Jobs;
 use crate::stream::TraceStream;
-use crate::table::Table;
 use crate::telemetry::{self, Event, Kind};
 
 /// The CSV header matching [`csv_row`].
@@ -119,34 +118,6 @@ where
         writeln!(writer, "{}", csv_row(r, wall_ns))?;
     }
     Ok(())
-}
-
-/// Builds a side-by-side comparison table of reports, normalized to the
-/// first one.
-///
-/// # Panics
-///
-/// Panics if `reports` is empty.
-pub fn comparison_table(reports: &[SimReport]) -> Table {
-    assert!(!reports.is_empty(), "nothing to compare");
-    let base = &reports[0];
-    let mut t = Table::new(vec![
-        "design",
-        "miss rate",
-        "norm energy",
-        "slowdown",
-        "mean ways",
-    ]);
-    for r in reports {
-        t.row(vec![
-            r.design.clone(),
-            format!("{:.3}", r.l2_miss_rate()),
-            format!("{:.3}", r.energy_ratio_vs(base)),
-            format!("{:.3}", r.slowdown_vs(base)),
-            format!("{:.1}", r.mean_active_ways),
-        ]);
-    }
-    t
 }
 
 /// Analytic score of one LRU grid point, produced by the single
@@ -242,7 +213,7 @@ pub fn score_lru_grid(curve: &MissRateCurve, refs: usize) -> Vec<MrcScore> {
             let write_hits = curve.total_write_hits(w);
             let misses = curve.total_misses(w);
             let bank = Technology::Sram(
-                SramBank::new(params.way_bytes() * u64::from(w), w, params.tech)
+                SramBank::new(params.way_bytes() * u64::from(w), w)
                     .at_temperature(params.temperature),
             );
             let lat = bank.read_latency().cycles(params.clock_ghz).max(1);
@@ -537,22 +508,6 @@ mod tests {
             !plain.contains('"'),
             "plain labels must stay unquoted: {plain}"
         );
-    }
-
-    #[test]
-    fn comparison_table_normalizes_to_first() {
-        let rs = reports();
-        let t = comparison_table(&rs);
-        let rendered = t.render();
-        // First data row is the baseline: norm energy 1.000, slowdown 1.000.
-        let first = rendered.lines().nth(2).expect("row");
-        assert!(first.contains("1.000"));
-    }
-
-    #[test]
-    #[should_panic(expected = "nothing to compare")]
-    fn empty_comparison_panics() {
-        comparison_table(&[]);
     }
 
     #[test]

@@ -27,11 +27,9 @@
 //! * [`access`] — the [`MemoryAccess`] record, [`Mode`], [`AccessKind`].
 //! * [`rng`] — in-tree deterministic PRNG (xoshiro256\*\*) + samplers.
 //! * [`locality`] — region streams with Zipf reuse and sequential bursts.
-//! * [`chase`] — dependent pointer-chasing walks ([`chase::ChaseStream`]).
 //! * [`kernel`] — OS service model (syscalls, interrupts, scheduler).
 //! * [`apps`] — the ten-app interactive smartphone suite.
 //! * [`generator`] — [`TraceGenerator`], the top-level stream.
-//! * [`phases`] — app-switching sessions ([`phases::PhasedWorkload`]).
 //! * [`multiprog`] — time-sliced co-scheduling ([`multiprog::MultiProgrammed`]).
 //! * [`io`] — trace decoding errors ([`io::ReadTraceError`]).
 //! * [`binfmt`] — chunked, checksummed trace container (compile/replay).
@@ -44,24 +42,19 @@
 pub mod access;
 pub mod apps;
 pub mod binfmt;
-pub mod builder;
-pub mod chase;
 pub mod fxhash;
 pub mod generator;
 pub mod io;
 pub mod kernel;
 pub mod locality;
 pub mod multiprog;
-pub mod phases;
 pub mod rng;
 pub mod stats;
 
 pub use access::{AccessKind, MemoryAccess, Mode};
 pub use apps::AppProfile;
-pub use builder::AppProfileBuilder;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use generator::TraceGenerator;
 pub use kernel::Service;
 pub use multiprog::MultiProgrammed;
-pub use phases::PhasedWorkload;
 pub use stats::TraceStats;

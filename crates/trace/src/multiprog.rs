@@ -1,9 +1,9 @@
 //! Multi-programmed workloads: several apps time-sliced on one core.
 //!
-//! Unlike [`PhasedWorkload`](crate::phases::PhasedWorkload) (one app at a
-//! time, caches observe one footprint), a [`MultiProgrammed`] stream
-//! interleaves apps at scheduler-quantum granularity, the way Android
-//! really runs a foreground app plus background services:
+//! Unlike one app's [`TraceGenerator`] (caches observe one footprint), a
+//! [`MultiProgrammed`] stream interleaves apps at scheduler-quantum
+//! granularity, the way Android really runs a foreground app plus
+//! background services:
 //!
 //! * each app's **user** addresses are relocated into a private window
 //!   (distinct physical frames per process), so apps contend for cache

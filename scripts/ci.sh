@@ -35,6 +35,12 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== rustdoc (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
+echo "== examples (each runs once and must exit 0) =="
+for example in quickstart app_study dynamic_partition retention_sweep; do
+  cargo run -q --release --offline --example "$example" > /dev/null \
+    || { echo "example $example failed"; exit 1; }
+done
+
 echo "== fault-tolerance suite (panic isolation, deterministic failed sets) =="
 cargo test -q --offline -p moca-sim --test fault_tolerance
 

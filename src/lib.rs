@@ -48,11 +48,11 @@ use std::fmt;
 /// use moca::cache::CacheGeometry;
 ///
 /// fn build() -> Result<CacheGeometry, MocaError> {
-///     Ok(CacheGeometry::try_new(2 << 20, 16, 64)?)
+///     Ok(CacheGeometry::new(2 << 20, 16, 64)?)
 /// }
 /// assert!(build().is_ok());
 ///
-/// let err: MocaError = CacheGeometry::try_new(0, 16, 64).unwrap_err().into();
+/// let err: MocaError = CacheGeometry::new(0, 16, 64).unwrap_err().into();
 /// assert!(err.to_string().contains("geometry"));
 /// ```
 #[derive(Debug)]

@@ -1,9 +1,9 @@
-//! Integration tests for the workload-composition APIs (builder, phased
-//! sessions, co-scheduling) driven through the full system.
+//! Integration tests for composed workloads (custom profiles, app
+//! switches, co-scheduling) driven through the full system.
 
 use moca::core::L2Design;
 use moca::sim::{System, SystemConfig};
-use moca::trace::{AppProfile, AppProfileBuilder, Mode, MultiProgrammed, PhasedWorkload, Service};
+use moca::trace::{AppProfile, Mode, MultiProgrammed, Service, TraceGenerator};
 
 fn system(design: L2Design) -> System {
     System::new("composed", design, SystemConfig::default()).expect("valid design")
@@ -11,14 +11,20 @@ fn system(design: L2Design) -> System {
 
 #[test]
 fn custom_profile_runs_through_the_system() {
-    let profile = AppProfileBuilder::new("io-stress")
-        .heap(131_072, 2_048, 0.95)
-        .streaming(0.5, 32.0)
-        .syscalls(vec![(Service::FileRead, 3.0), (Service::FileWrite, 1.0)])
-        .kernel_entry_every(400.0)
-        .build();
+    let profile = AppProfile {
+        name: "io-stress",
+        heap_lines: 131_072,
+        heap_hot_lines: 2_048,
+        heap_theta: 0.95,
+        heap_p_seq: 0.5,
+        heap_seq_len: 32.0,
+        syscall_mix: vec![(Service::FileRead, 3.0), (Service::FileWrite, 1.0)],
+        mean_user_run: 400.0,
+        ..AppProfile::music()
+    };
+    profile.validate();
     let mut sys = system(L2Design::baseline());
-    sys.run(moca::trace::TraceGenerator::new(&profile, 7).take(200_000));
+    sys.run(TraceGenerator::new(&profile, 7).take(200_000));
     let r = sys.finish();
     assert_eq!(r.refs, 200_000);
     // An IO-stress profile with frequent kernel entries is kernel-heavy.
@@ -32,13 +38,9 @@ fn custom_profile_runs_through_the_system() {
 #[test]
 fn phased_session_changes_dynamic_allocation() {
     // music (small) then maps (large): the dynamic controller must move.
-    let session = PhasedWorkload::new(
-        vec![
-            (AppProfile::music(), 600_000),
-            (AppProfile::maps(), 600_000),
-        ],
-        21,
-    );
+    let session = TraceGenerator::new(&AppProfile::music(), 3)
+        .take(600_000)
+        .chain(TraceGenerator::new(&AppProfile::maps(), 4).take(600_000));
     let mut sys = system(L2Design::dynamic_default());
     sys.run(session);
     let r = sys.finish();
@@ -54,6 +56,11 @@ fn phased_session_changes_dynamic_allocation() {
     let min = *totals.iter().min().expect("non-empty");
     let max = *totals.iter().max().expect("non-empty");
     assert!(max > min, "allocation must vary across phases ({totals:?})");
+    // music shrinks the allocation; maps' larger footprint grows it back.
+    assert!(
+        totals.windows(2).any(|w| w[1] > w[0]),
+        "allocation must grow again after the switch ({totals:?})"
+    );
 }
 
 #[test]
@@ -73,7 +80,7 @@ fn coscheduling_is_harder_on_the_cache_than_solo() {
     let refs = 300_000;
     let solo = {
         let mut sys = system(L2Design::baseline());
-        sys.run(moca::trace::TraceGenerator::new(&AppProfile::music(), 5).take(refs));
+        sys.run(TraceGenerator::new(&AppProfile::music(), 5).take(refs));
         sys.finish()
     };
     let multi = {
@@ -99,11 +106,13 @@ fn mixed_session_runs_on_every_headline_design() {
     ] {
         let mut sys = system(design);
         // A "mixed usage" session: the whole ten-app suite in turn.
-        let suite = AppProfile::suite()
-            .into_iter()
-            .map(|p| (p, 20_000))
-            .collect();
-        sys.run(PhasedWorkload::new(suite, 9));
+        let suite = AppProfile::suite();
+        sys.run(
+            suite
+                .iter()
+                .zip(9..)
+                .flat_map(|(p, seed)| TraceGenerator::new(p, seed).take(20_000)),
+        );
         let r = sys.finish();
         assert_eq!(r.refs, 200_000);
         assert!(r.l2_energy.total().nj() > 0.0);
