@@ -12,7 +12,7 @@ use moca_sim::memo::{RunMemo, MEMO_CAP_BYTES};
 use moca_sim::parallel::Jobs;
 use moca_sim::stream::TraceStream;
 use moca_sim::sweep::sweep_pruned;
-use moca_sim::{profile_lru_grid, FileTraceSource, SweepPointError, SystemConfig};
+use moca_sim::{profile_lru_grid, FileTraceSource, SweepPointError};
 use moca_trace::binfmt::{self, TraceReader, CHUNK_REFS};
 use moca_trace::{AppProfile, MemoryAccess, Mode, TraceGenerator};
 use std::hint::black_box;
@@ -266,11 +266,10 @@ fn trace_replay(r: &mut Runner) {
 fn filtered_run(r: &mut Runner) {
     let app = AppProfile::browser();
     let memo = RunMemo::with_capacity(MEMO_CAP_BYTES);
-    let cfg = SystemConfig::default();
     const REFS: usize = 100_000;
     let replay = || {
         let mut lines = 0u64;
-        memo.replay(TraceStream::new(&app, 1), &cfg, REFS, |chunk| {
+        memo.replay(TraceStream::new(&app, 1), REFS, |chunk| {
             lines += chunk.events().map(|e| e.demand.line).sum::<u64>();
         });
         lines

@@ -122,7 +122,11 @@ impl CacheGeometry {
     /// assert_eq!(l2.capacity_bytes(), 2 << 20);
     /// # Ok::<(), moca_cache::GeometryError>(())
     /// ```
-    pub fn new(capacity_bytes: u64, ways: u32, line_bytes: u64) -> Result<Self, GeometryError> {
+    pub const fn new(
+        capacity_bytes: u64,
+        ways: u32,
+        line_bytes: u64,
+    ) -> Result<Self, GeometryError> {
         if capacity_bytes == 0 {
             return Err(GeometryError::Zero("capacity"));
         }
@@ -138,7 +142,7 @@ impl CacheGeometry {
         if !line_bytes.is_power_of_two() {
             return Err(GeometryError::NotPowerOfTwo("line size", line_bytes));
         }
-        let row = u64::from(ways) * line_bytes;
+        let row = ways as u64 * line_bytes;
         if !capacity_bytes.is_multiple_of(row) {
             return Err(GeometryError::Indivisible {
                 capacity: capacity_bytes,

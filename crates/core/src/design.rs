@@ -31,16 +31,18 @@ impl fmt::Display for RefreshPolicy {
     }
 }
 
+/// Line size in bytes, across the whole hierarchy (T1).
+pub const LINE_BYTES: u64 = 64;
+
+/// Core clock in GHz (T1): converts cycles to wall-clock time for
+/// leakage and retention.
+pub const CLOCK_GHZ: f64 = 1.0;
+
 /// Parameters shared by every design point.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct L2BaseParams {
     /// Number of sets (fixed across designs; capacity varies by ways).
     pub sets: u64,
-    /// Line size in bytes.
-    pub line_bytes: u64,
-    /// Core clock in GHz (converts cycles to wall-clock for leakage and
-    /// retention).
-    pub clock_ghz: f64,
     /// Enable a next-line prefetcher: every demand miss also fills
     /// `line + 1` into the same segment (if absent). Helps the streaming
     /// tails mobile workloads are rich in; costs fill energy and DRAM
@@ -52,13 +54,11 @@ pub struct L2BaseParams {
 }
 
 impl Default for L2BaseParams {
-    /// The paper-era mobile L2 substrate: 2048 sets × 64 B lines
-    /// (128 KiB per way), LRU, 45 nm, 1 GHz.
+    /// The paper-era mobile L2 substrate: 2048 sets × [`LINE_BYTES`]
+    /// lines (128 KiB per way), LRU, 45 nm.
     fn default() -> Self {
         Self {
             sets: 2048,
-            line_bytes: 64,
-            clock_ghz: 1.0,
             next_line_prefetch: false,
             temperature: Temperature::REFERENCE,
         }
@@ -66,9 +66,9 @@ impl Default for L2BaseParams {
 }
 
 impl L2BaseParams {
-    /// Bytes of one way (sets × line size).
+    /// Bytes of one way (sets × [`LINE_BYTES`]).
     pub fn way_bytes(&self) -> u64 {
-        self.sets * self.line_bytes
+        self.sets * LINE_BYTES
     }
 }
 

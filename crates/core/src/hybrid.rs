@@ -19,7 +19,7 @@ use moca_energy::{
     EnergyAccountant, EnergyBreakdown, MemoryTechnology, SramBank, SttRamBank, Technology, Time,
 };
 
-use crate::design::{DesignError, L2BaseParams, L2Design};
+use crate::design::{DesignError, L2BaseParams, L2Design, CLOCK_GHZ, LINE_BYTES};
 use crate::mobile_l2::{L2Response, TrafficCounters};
 
 /// Number of entries in the write-history table (direct-mapped).
@@ -85,7 +85,6 @@ pub struct HybridL2 {
     stt_write_streak: Vec<u8>,
     stats: HybridStats,
     traffic: TrafficCounters,
-    clock_ghz: f64,
     last_accrual: u64,
 }
 
@@ -109,13 +108,13 @@ impl HybridL2 {
             return Err(DesignError::OtherEngine);
         };
         let total = design.physical_ways();
-        let geom = moca_cache::CacheGeometry::from_sets(params.sets, total, params.line_bytes)
+        let geom = moca_cache::CacheGeometry::from_sets(params.sets, total, LINE_BYTES)
             .map_err(DesignError::Geometry)?;
         let bytes = |ways: u32| params.way_bytes() * u64::from(ways);
         let part = |mask, tech: Technology| Partition {
             mask,
-            read_latency: tech.read_latency().cycles(params.clock_ghz).max(1),
-            write_latency: tech.write_latency().cycles(params.clock_ghz).max(1),
+            read_latency: tech.read_latency().cycles(CLOCK_GHZ).max(1),
+            write_latency: tech.write_latency().cycles(CLOCK_GHZ).max(1),
             acct: EnergyAccountant::new(tech),
         };
         let sram = SramBank::new(bytes(sram_ways), sram_ways);
@@ -130,7 +129,6 @@ impl HybridL2 {
             stt_write_streak: vec![0; (params.sets as usize) * total as usize],
             stats: HybridStats::default(),
             traffic: TrafficCounters::default(),
-            clock_ghz: params.clock_ghz,
             last_accrual: 0,
         })
     }
@@ -145,7 +143,7 @@ impl HybridL2 {
         if elapsed == 0 {
             return;
         }
-        let dt = Time::from_cycles(elapsed, self.clock_ghz);
+        let dt = Time::from_cycles(elapsed, CLOCK_GHZ);
         for part in &mut self.parts {
             part.acct.accrue_leakage(dt, 1.0);
         }

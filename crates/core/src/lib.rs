@@ -46,7 +46,7 @@ pub mod set_partition;
 pub mod static_design;
 
 pub use behavior::{recommend_retention, IntervalHistogram, SegmentBehavior};
-pub use design::{DesignError, L2BaseParams, L2Design, RefreshPolicy};
+pub use design::{DesignError, L2BaseParams, L2Design, RefreshPolicy, CLOCK_GHZ, LINE_BYTES};
 pub use dynamic::{AllocationSample, ControllerConfig, DynamicController};
 pub use engine::L2Engine;
 pub use hybrid::{HybridL2, HybridStats};

@@ -171,14 +171,6 @@ mod tests {
             SetPartitionedL2::new(design(3), L2BaseParams::default()).unwrap_err(),
             DesignError::BadSetCount("user array", 3)
         );
-        let bad_line = L2BaseParams {
-            line_bytes: 48,
-            ..L2BaseParams::default()
-        };
-        assert!(matches!(
-            SetPartitionedL2::new(design(1024), bad_line),
-            Err(DesignError::Geometry(_))
-        ));
     }
 
     #[test]

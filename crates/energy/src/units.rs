@@ -20,7 +20,7 @@ impl Energy {
     pub const ZERO: Energy = Energy(0.0);
 
     /// From nanojoules.
-    pub fn from_nj(nj: f64) -> Self {
+    pub const fn from_nj(nj: f64) -> Self {
         Energy(nj * 1e3)
     }
 
@@ -32,11 +32,6 @@ impl Energy {
     /// In nanojoules.
     pub fn nj(&self) -> f64 {
         self.0 * 1e-3
-    }
-
-    /// In millijoules.
-    pub fn mj(&self) -> f64 {
-        self.0 * 1e-9
     }
 
     /// In joules.

@@ -20,7 +20,7 @@
 //! construction).
 
 use moca_cache::{CacheGeometry, PartitionSpec};
-use moca_core::{L2BaseParams, L2Design, RefreshPolicy};
+use moca_core::{L2BaseParams, L2Design, RefreshPolicy, LINE_BYTES};
 use moca_energy::RetentionClass;
 use moca_trace::rng::Xoshiro256;
 
@@ -258,7 +258,7 @@ impl Genome {
             Some(c) => c,
             None => return false,
         };
-        if CacheGeometry::new(capacity, ways, params.line_bytes).is_err() {
+        if CacheGeometry::new(capacity, ways, LINE_BYTES).is_err() {
             return false;
         }
         if self.family.is_static_partitioned()

@@ -36,7 +36,7 @@ use std::process::ExitCode;
 use moca_cache::mrc::MrcProfiler;
 use moca_cache::L1Pair;
 use moca_core::L2BaseParams;
-use moca_sim::SystemConfig;
+use moca_sim::config::{L1D_GEOMETRY, L1I_GEOMETRY};
 use moca_trace::binfmt::{self, TraceReader};
 use moca_trace::{AccessKind, AppProfile, Mode, TraceStats};
 
@@ -344,12 +344,7 @@ const MRC_STAT_WAYS: [u32; 5] = [1, 2, 4, 8, 16];
 /// default L1 pair and prints the exact L2 miss-rate curve of the
 /// default 2048-set geometry at [`MRC_STAT_WAYS`] way counts.
 fn stat_mrc(file: &str) -> ExitCode {
-    let cfg = SystemConfig::default();
-    let (igeom, dgeom) = match (cfg.l1i_geometry(), cfg.l1d_geometry()) {
-        (Ok(i), Ok(d)) => (i, d),
-        _ => unreachable!("default L1 geometries are valid"),
-    };
-    let mut l1 = L1Pair::from_geometries(igeom, dgeom);
+    let mut l1 = L1Pair::from_geometries(L1I_GEOMETRY, L1D_GEOMETRY);
     let sets = u32::try_from(L2BaseParams::default().sets).expect("default set count fits u32");
     let max_ways = *MRC_STAT_WAYS.iter().max().expect("non-empty");
     let mut prof = MrcProfiler::new(&[sets], max_ways).expect("default L2 geometry is valid");

@@ -5,8 +5,8 @@
 //! whole sweep because one design point is bad: each point's failure
 //! is captured as a [`SweepPointError`] carrying the point's position
 //! in the sweep, its design label, and a structured [`PointCause`]. The
-//! cause is either a build-time rejection (the design or geometry
-//! failed validation) or a caught panic from inside the simulation.
+//! cause is either a build-time rejection (the design failed
+//! validation) or a caught panic from inside the simulation.
 //!
 //! Failure values are **deterministic**: a given bad design point
 //! produces the same `SweepPointError` — byte-identical `Display`
@@ -16,16 +16,15 @@
 
 use std::fmt;
 
-use crate::system::BuildSystemError;
+use moca_core::DesignError;
 
 /// Why one sweep point failed.
 #[derive(Debug, Clone)]
 pub enum PointCause {
-    /// The design point was rejected while assembling its [`System`]
-    /// (invalid design or cache geometry).
+    /// The design point was rejected while assembling its [`System`].
     ///
     /// [`System`]: crate::system::System
-    Build(BuildSystemError),
+    Build(DesignError),
     /// The simulation panicked; the payload message is preserved.
     Panic(String),
 }
@@ -33,7 +32,7 @@ pub enum PointCause {
 impl fmt::Display for PointCause {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PointCause::Build(e) => write!(f, "build failed: {e}"),
+            PointCause::Build(e) => write!(f, "build failed: invalid L2 design: {e}"),
             PointCause::Panic(msg) => write!(f, "panicked: {msg}"),
         }
     }
@@ -98,15 +97,12 @@ impl SweepPointError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use moca_core::DesignError;
 
     fn sample() -> SweepPointError {
         SweepPointError {
             index: 3,
             label: "SRAM-shared-0w".into(),
-            cause: PointCause::Build(BuildSystemError::Design(DesignError::ZeroWays(
-                "shared cache",
-            ))),
+            cause: PointCause::Build(DesignError::ZeroWays("shared cache")),
         }
     }
 

@@ -83,15 +83,14 @@ impl Bursts {
 /// spent active).
 fn run_at_duty(design: L2Design, refs: usize, duty: f64) -> crate::metrics::SimReport {
     let app = AppProfile::by_name(APP).expect("known app");
-    let cfg = SystemConfig::default();
-    let mut sys = System::new(app.name, design, cfg).expect("valid design");
+    let mut sys = System::new(app.name, design, SystemConfig::default()).expect("valid design");
     // All twelve (duty, design) cells replay the same memoized filtered
     // run. Idle periods fall between the same two references as in a
     // per-reference run: a hit gap that spans a burst boundary is split
     // there, and the L1 decisions do not depend on time.
     let mut bursts = Bursts::new(refs, duty);
     let stream = TraceStream::new(&app, EXPERIMENT_SEED);
-    let l1 = RunMemo::global().replay(stream, &cfg, refs, |chunk| {
+    let l1 = RunMemo::global().replay(stream, refs, |chunk| {
         for ev in chunk.events() {
             bursts.retire_hits(&mut sys, u64::from(ev.gap));
             sys.step_filtered(Some(&ev.demand), ev.writeback.as_ref());

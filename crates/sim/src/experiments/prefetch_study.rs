@@ -43,7 +43,6 @@ pub fn run_experiment(scale: Scale, jobs: Jobs) -> ExperimentResult {
         let app = AppProfile::by_name(name).expect("known app");
         let cfg = SystemConfig {
             l2_next_line_prefetch: prefetch,
-            ..SystemConfig::default()
         };
         let plan = Plan::new(&app, EXPERIMENT_SEED, refs, &designs).with_config(cfg);
         execute(&plan, Jobs::SERIAL)

@@ -10,7 +10,7 @@ use moca_core::{L2BaseParams, L2Design, MobileL2};
 use moca_energy::Temperature;
 use moca_trace::AppProfile;
 
-use crate::config::SystemConfig;
+use crate::config::DRAM_LATENCY_CYCLES;
 use crate::experiments::{ClaimCheck, ExperimentResult};
 use crate::memo::RunMemo;
 use crate::parallel::{parallel_map, Jobs};
@@ -37,23 +37,18 @@ fn run_at(design: L2Design, temp_c: f64, refs: usize) -> (f64, f64) {
     // Every (temperature, design) cell replays the same memoized
     // filtered run; each reference advances time by 2 cycles, so a hit
     // gap of `g` references advances it by `2 * g`.
-    RunMemo::global().replay(
-        TraceStream::new(&app, EXPERIMENT_SEED),
-        &SystemConfig::default(),
-        refs,
-        |chunk| {
-            for ev in chunk.events() {
-                now += 2 * u64::from(ev.gap) + 2;
-                for req in std::iter::once(&ev.demand).chain(&ev.writeback) {
-                    let resp = l2.request(req, now);
-                    if resp.dram_read {
-                        now += 120;
-                    }
+    RunMemo::global().replay(TraceStream::new(&app, EXPERIMENT_SEED), refs, |chunk| {
+        for ev in chunk.events() {
+            now += 2 * u64::from(ev.gap) + 2;
+            for req in std::iter::once(&ev.demand).chain(&ev.writeback) {
+                let resp = l2.request(req, now);
+                if resp.dram_read {
+                    now += DRAM_LATENCY_CYCLES;
                 }
             }
-            now += 2 * chunk.tail_gap() as u64;
-        },
-    );
+        }
+        now += 2 * chunk.tail_gap() as u64;
+    });
     l2.finalize(now);
     let e = l2.energy();
     (e.total().joules(), e.leakage_fraction())

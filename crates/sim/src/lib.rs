@@ -24,7 +24,7 @@
 //! sys.run(TraceGenerator::new(&AppProfile::game(), 7).take(10_000));
 //! let report = sys.finish();
 //! assert!(report.l2_miss_rate() <= 1.0);
-//! # Ok::<(), moca_sim::BuildSystemError>(())
+//! # Ok::<(), moca_core::DesignError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -61,6 +61,6 @@ pub use stream::{Mix, MixError, Source, TraceStream};
 pub use sweep::{
     csv_row, profile_lru_grid, score_lru_grid, sweep_pruned, write_csv, MrcScore, PrunedSweep,
 };
-pub use system::{BuildSystemError, System};
+pub use system::System;
 pub use telemetry::{Event, JsonlRecorder};
 pub use workloads::{run_app, Scale, EXPERIMENT_SEED};

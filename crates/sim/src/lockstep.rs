@@ -5,7 +5,7 @@
 //! of the stream, each at its own clock.
 //!
 //! A [`Plan`] names the stream's source and seed, the reference count,
-//! the designs and the system configuration. [`execute`] obtains the
+//! the designs and the lanes' [`SystemConfig`]. [`execute`] obtains the
 //! plan's filtered run once, then hands the designs to workers one lane
 //! at a time: each lane builds its own L2, replays the whole run,
 //! adopts the L1 statistics after it and finishes, so at most one L2 per
@@ -19,7 +19,9 @@
 //!   *time-independent* — the LRU [`moca_cache::L1Pair`] takes no
 //!   timestamp, so hit/miss, victim choice, and the demand/writeback
 //!   requests produced for a reference are a pure function of the
-//!   access sequence, not of any design's clock. One
+//!   access sequence, not of any design's clock. Every plan has the same
+//!   L1 pair (T1's, a constant of [`crate::config`]), and the
+//!   configuration a plan sets reaches only its L2 lanes. One
 //!   front end therefore filters each chunk once and every design lane
 //!   replays the same [`FilteredChunk`]. The filtered run itself comes
 //!   from the process-wide [`RunMemo`], so every lane (and every other
@@ -63,13 +65,13 @@ use moca_cache::{L1Pair, L2Cause, L2Request};
 use moca_core::L2Design;
 use moca_trace::{AccessKind, AppProfile, Mode};
 
-use crate::config::SystemConfig;
+use crate::config::{SystemConfig, L1D_GEOMETRY, L1I_GEOMETRY};
 use crate::error::{PointCause, SweepPointError};
 use crate::memo::{FilteredRun, RunMemo};
 use crate::metrics::SimReport;
 use crate::parallel::{catch_panic, parallel_map, Jobs};
 use crate::stream::{Mix, Source, TraceStream, STREAM_CHUNK};
-use crate::system::{BuildSystemError, System};
+use crate::system::System;
 use crate::telemetry::{self, Event, Kind};
 
 /// One L2-visible event of a filtered chunk: the demand miss (and the
@@ -233,15 +235,12 @@ pub struct FrontEnd<'a> {
 }
 
 impl<'a> FrontEnd<'a> {
-    /// A front end filtering `stream` with `cfg`'s L1 pair.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildSystemError`] if an L1 geometry is inconsistent
-    /// (the same validation [`System::new`] applies).
-    pub fn over(stream: TraceStream<'a>, cfg: &SystemConfig) -> Result<Self, BuildSystemError> {
-        let l1 = L1Pair::from_geometries(cfg.l1i_geometry()?, cfg.l1d_geometry()?);
-        Ok(FrontEnd { stream, l1 })
+    /// A front end filtering `stream` with a cold T1 L1 pair.
+    pub fn over(stream: TraceStream<'a>) -> Self {
+        FrontEnd {
+            stream,
+            l1: L1Pair::from_geometries(L1I_GEOMETRY, L1D_GEOMETRY),
+        }
     }
 
     /// Pulls the next chunk of the stream, filters at most `limit` of
@@ -438,12 +437,10 @@ impl<'a> Plan<'a> {
         self
     }
 
-    /// `true` when the lane of plan index `index` passes the checks
-    /// [`System::new`] makes: its design and the L1 geometries.
+    /// `true` when the lane of plan index `index` passes the check
+    /// [`System::new`] makes: its design validates.
     fn can_build(&self, index: usize) -> bool {
         self.designs[index].validate().is_ok()
-            && self.cfg.l1i_geometry().is_ok()
-            && self.cfg.l1d_geometry().is_ok()
     }
 
     /// A fresh cursor over the plan's stream.
@@ -456,9 +453,9 @@ impl<'a> Plan<'a> {
     /// for an unmemoized one-design plan, whose lane filters live.
     fn run(&self) -> Option<Arc<FilteredRun>> {
         match self.memo {
-            Some(memo) => Some(memo.obtain(self.stream(), &self.cfg, self.refs)),
+            Some(memo) => Some(memo.obtain(self.stream(), self.refs)),
             None if self.designs.len() > 1 => {
-                let run = FilteredRun::filter(self.stream(), &self.cfg, self.refs, |_| {});
+                let run = FilteredRun::filter(self.stream(), self.refs, |_| {});
                 Some(Arc::new(run))
             }
             None => None,
@@ -488,20 +485,18 @@ impl<'a> Plan<'a> {
                 panic!("injected fault at index {index}");
             }
             let Some(run) = run else {
-                let (l1, front_ns) = FrontEnd::over(self.stream(), &self.cfg)?
-                    .filter(self.refs, |c| replay(&mut sys, c));
+                let (l1, front_ns) =
+                    FrontEnd::over(self.stream()).filter(self.refs, |c| replay(&mut sys, c));
                 sys.adopt_l1(l1);
-                return Ok(front_ns);
+                return front_ns;
             };
             for chunk in &run.chunks {
                 replay(&mut sys, chunk);
             }
             sys.adopt_l1(run.l1);
-            Ok(0)
+            0
         });
-        let front_ns = replayed
-            .map_err(panicked)?
-            .map_err(|e| failed(PointCause::Build(e)))?;
+        let front_ns = replayed.map_err(panicked)?;
         let sim_ns = (began.elapsed().as_nanos() as u64).saturating_sub(front_ns);
         let began = Instant::now();
         let report = catch_panic(move || sys.finish()).map_err(panicked)?;
@@ -637,8 +632,7 @@ mod tests {
     #[test]
     fn filtered_chunk_accounts_every_reference() {
         let app = AppProfile::music();
-        let cfg = SystemConfig::default();
-        let mut front = FrontEnd::over(TraceStream::new(&app, 1), &cfg).expect("valid");
+        let mut front = FrontEnd::over(TraceStream::new(&app, 1));
         let mut chunk = FilteredChunk::default();
         let n = front.fill_next(5_000, &mut chunk);
         assert_eq!(n, 5_000);

@@ -1,7 +1,8 @@
 //! Process-wide memo of L1-filtered runs.
 //!
 //! Every L2 design the evaluation compares sits behind the same L1 pair
-//! (T1), and the L1 filter decision is time-independent (see
+//! (T1, constants of [`crate::config`]), and the L1 filter decision is
+//! time-independent (see
 //! [`crate::lockstep`]). So for one stream, every design sees the same
 //! L2-visible request sequence, and the L1 pair ends in the same state.
 //! A sweep that replays that sequence into many design lanes, custom
@@ -18,9 +19,10 @@
 //! * the seed;
 //! * `refs`, the exact run length — runs of different lengths are
 //!   separate entries (sharing a prefix would need an L1 snapshot per
-//!   chunk);
-//! * the L1 geometry (`l1i_bytes`, `l1d_bytes`, `l1_ways`,
-//!   `line_bytes`; the L1 replacement policy is always LRU).
+//!   chunk).
+//!
+//! No system setting enters the key: the one a plan may set (A5's L2
+//! prefetcher) acts behind the L1 pair, so it never changes a run.
 //!
 //! # Bound
 //!
@@ -52,7 +54,6 @@ use moca_cache::stats::CacheStats;
 use moca_trace::fxhash::FxHashMap;
 use moca_trace::MemoryAccess;
 
-use crate::config::SystemConfig;
 use crate::lockstep::{FilteredChunk, FrontEnd};
 use crate::parallel::catch_panic;
 use crate::stream::{TraceStream, STREAM_CHUNK};
@@ -72,22 +73,14 @@ struct RunKey {
     source: u64,
     seed: u64,
     refs: u64,
-    l1i_bytes: u64,
-    l1d_bytes: u64,
-    l1_ways: u32,
-    line_bytes: u64,
 }
 
 impl RunKey {
-    fn new(stream: &TraceStream<'_>, refs: usize, cfg: &SystemConfig) -> Self {
+    fn new(stream: &TraceStream<'_>, refs: usize) -> Self {
         RunKey {
             source: stream.source_fingerprint(),
             seed: stream.seed(),
             refs: refs as u64,
-            l1i_bytes: cfg.l1i_bytes,
-            l1d_bytes: cfg.l1d_bytes,
-            l1_ways: cfg.l1_ways,
-            line_bytes: cfg.line_bytes,
         }
     }
 }
@@ -104,18 +97,13 @@ pub(crate) struct FilteredRun {
 impl FilteredRun {
     /// Filters the first `refs` references of `stream` into a run,
     /// handing the heap bytes of each piece it keeps to `charge`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg`'s L1 geometry is invalid (see [`RunMemo::replay`]).
     pub(crate) fn filter(
         stream: TraceStream<'_>,
-        cfg: &SystemConfig,
         refs: usize,
         mut charge: impl FnMut(usize),
     ) -> Self {
         let mut chunks = Vec::new();
-        let (l1, _) = front_end(stream, cfg).filter(refs, |chunk| {
+        let (l1, _) = FrontEnd::over(stream).filter(refs, |chunk| {
             let chunk = chunk.to_owned_exact();
             charge(chunk.heap_bytes());
             chunks.push(chunk);
@@ -291,26 +279,19 @@ impl RunMemo {
     }
 
     /// Replays the filtered run of the first `refs` references of
-    /// `stream` under `cfg`'s L1 pair: `visit` sees every chunk in
+    /// `stream` under the T1 L1 pair: `visit` sees every chunk in
     /// stream order, and the pair's statistics after the run come back.
     ///
     /// The run comes from the memo when cached; otherwise it is built
     /// here (concurrent callers of the same key wait for this build)
     /// and offered to the memo.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg`'s L1 geometry is invalid; callers build a
-    /// [`System`](crate::System) from the same config first, which
-    /// validates it.
     pub fn replay(
         &self,
         stream: TraceStream<'_>,
-        cfg: &SystemConfig,
         refs: usize,
         visit: impl FnMut(&FilteredChunk),
     ) -> CacheStats {
-        let run = self.obtain(stream, cfg, refs);
+        let run = self.obtain(stream, refs);
         run.chunks.iter().for_each(visit);
         run.l1
     }
@@ -319,13 +300,8 @@ impl RunMemo {
     /// replaying it: a hit, or a build (concurrent callers of the same
     /// key wait for it). The run of a rejected key is built here too,
     /// and handed back uncached.
-    pub(crate) fn obtain(
-        &self,
-        stream: TraceStream<'_>,
-        cfg: &SystemConfig,
-        refs: usize,
-    ) -> Arc<FilteredRun> {
-        let key = RunKey::new(&stream, refs, cfg);
+    pub(crate) fn obtain(&self, stream: TraceStream<'_>, refs: usize) -> Arc<FilteredRun> {
+        let key = RunKey::new(&stream, refs);
         let slot = Arc::clone(
             self.lock()
                 .slots
@@ -343,11 +319,11 @@ impl RunMemo {
             Slot::Rejected => {
                 drop(state);
                 self.lock().misses += 1;
-                Arc::new(FilteredRun::filter(stream, cfg, refs, |_| {}))
+                Arc::new(FilteredRun::filter(stream, refs, |_| {}))
             }
             Slot::Empty => {
                 self.lock().misses += 1;
-                self.build(state, stream, cfg, refs)
+                self.build(state, stream, refs)
             }
         }
     }
@@ -359,7 +335,6 @@ impl RunMemo {
         &self,
         mut state: MutexGuard<'_, Slot>,
         stream: TraceStream<'_>,
-        cfg: &SystemConfig,
         refs: usize,
     ) -> Arc<FilteredRun> {
         let mut held = Reservation {
@@ -367,7 +342,7 @@ impl RunMemo {
             bytes: 0,
         };
         let mut fits = true;
-        let run = Arc::new(FilteredRun::filter(stream, cfg, refs, |bytes| {
+        let run = Arc::new(FilteredRun::filter(stream, refs, |bytes| {
             fits = fits && held.grow(bytes);
         }));
         if fits {
@@ -381,14 +356,10 @@ impl RunMemo {
     }
 }
 
-/// The front end filtering `stream` with `cfg`'s L1 pair.
-fn front_end<'a>(stream: TraceStream<'a>, cfg: &SystemConfig) -> FrontEnd<'a> {
-    FrontEnd::over(stream, cfg).expect("callers validate the L1 geometry")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SystemConfig;
     use crate::lockstep::{execute, Plan};
     use crate::parallel::Jobs;
     use crate::system::System;
@@ -431,21 +402,16 @@ mod tests {
     }
 
     #[test]
-    fn l1_geometry_change_misses_and_l2_config_change_hits() {
+    fn l2_config_change_hits() {
         let app = AppProfile::music();
         let refs = 30_000;
         let memo = RunMemo::with_capacity(MEMO_CAP_BYTES);
         let default = SystemConfig::default();
-        let small_l1 = SystemConfig {
-            l1d_bytes: 16 << 10,
-            ..default
-        };
         let other_l2 = SystemConfig {
-            dram_latency_cycles: 200,
-            ..default
+            l2_next_line_prefetch: true,
         };
         let pool = designs();
-        for cfg in [default, small_l1, other_l2] {
+        for cfg in [default, other_l2] {
             let got = reports(
                 Plan::new(&app, 4, refs, &pool)
                     .with_config(cfg)
@@ -462,7 +428,7 @@ mod tests {
             assert_eq!(rendered(&got), rendered(&want), "cfg = {cfg:?}");
         }
         let stats = memo.stats();
-        assert_eq!((stats.runs, stats.misses, stats.hits), (2, 2, 1));
+        assert_eq!((stats.runs, stats.misses, stats.hits), (1, 1, 1));
     }
 
     #[test]
@@ -496,9 +462,8 @@ mod tests {
     #[test]
     fn rejected_runs_warn_and_a_fitting_memo_does_not() {
         let app = AppProfile::email();
-        let cfg = SystemConfig::default();
         let full = RunMemo::with_capacity(0);
-        full.replay(TraceStream::new(&app, 9), &cfg, 10_000, |_| {});
+        full.replay(TraceStream::new(&app, 9), 10_000, |_| {});
         let warning = full
             .stats()
             .rejection_warning()
@@ -506,7 +471,7 @@ mod tests {
         assert!(warning.contains("1 run(s) rejected"), "{warning}");
 
         let roomy = RunMemo::with_capacity(MEMO_CAP_BYTES);
-        roomy.replay(TraceStream::new(&app, 9), &cfg, 10_000, |_| {});
+        roomy.replay(TraceStream::new(&app, 9), 10_000, |_| {});
         assert!(roomy.stats().rejection_warning().is_none());
         assert!(roomy.stats().used_bytes > 0);
     }
@@ -517,7 +482,6 @@ mod tests {
         let mix = crate::stream::Mix::new(vec![browser.clone(), music.clone()], 2_000)
             .expect("valid mix");
         let memo = RunMemo::with_capacity(MEMO_CAP_BYTES);
-        let cfg = SystemConfig::default();
         let refs = STREAM_CHUNK + 3;
         let mixed = TraceStream::of(crate::stream::Source::Mix(&mix), 1);
         for stream in [
@@ -525,7 +489,7 @@ mod tests {
             TraceStream::new(&music, 1),
             mixed,
         ] {
-            memo.replay(stream, &cfg, refs, |_| {});
+            memo.replay(stream, refs, |_| {});
         }
         let stats = memo.stats();
         assert_eq!((stats.runs, stats.misses, stats.hits), (3, 3, 0));

@@ -43,7 +43,7 @@ impl Jobs {
 
     /// `n` worker threads (clamped up to at least 1).
     pub fn new(n: usize) -> Self {
-        Jobs(NonZeroUsize::new(n.max(1)).expect("max(1) is non-zero"))
+        Jobs(NonZeroUsize::new(n).unwrap_or(NonZeroUsize::MIN))
     }
 
     /// One job per available hardware thread (falls back to 1 when the

@@ -29,11 +29,11 @@ use std::time::Instant;
 
 use moca_cache::mrc::MAX_DEPTH;
 use moca_cache::{MissRateCurve, MrcProfiler};
-use moca_core::{L2BaseParams, L2Design};
+use moca_core::{L2BaseParams, L2Design, CLOCK_GHZ};
 use moca_energy::{project_energy, AccessCounts, MemoryTechnology, SramBank, Technology, Time};
 use moca_trace::AppProfile;
 
-use crate::config::SystemConfig;
+use crate::config::{SystemConfig, BASE_CYCLES_PER_REF, DRAM_LATENCY_CYCLES, DRAM_READ_ENERGY};
 use crate::error::SweepPointError;
 use crate::lockstep::{execute, Plan, Point};
 use crate::memo::RunMemo;
@@ -166,10 +166,9 @@ impl MrcScore {
 ///
 /// Panics if `max_ways` is zero or exceeds [`MAX_DEPTH`].
 pub fn profile_lru_grid(app: &AppProfile, refs: usize, seed: u64, max_ways: u32) -> MissRateCurve {
-    let cfg = SystemConfig::default();
     let sets = u32::try_from(L2BaseParams::default().sets).expect("default set count fits u32");
     let mut prof = MrcProfiler::new(&[sets], max_ways).expect("default L2 geometry is valid");
-    RunMemo::global().replay(TraceStream::new(app, seed), &cfg, refs, |chunk| {
+    RunMemo::global().replay(TraceStream::new(app, seed), refs, |chunk| {
         for ev in chunk.events() {
             prof.observe(&ev.demand);
             if let Some(wb) = &ev.writeback {
@@ -204,9 +203,8 @@ fn dominates(a: &MrcScore, b: &MrcScore) -> bool {
 /// frontier prunes — never the byte-identity of the simulated
 /// survivors, which always run the full engine.
 pub fn score_lru_grid(curve: &MissRateCurve, refs: usize) -> Vec<MrcScore> {
-    let cfg = SystemConfig::default();
     let params = L2BaseParams::default();
-    let base_cycles = (refs as f64 * cfg.base_cycles_per_ref) as u64;
+    let base_cycles = (refs as f64 * BASE_CYCLES_PER_REF) as u64;
     let mut scores: Vec<MrcScore> = (1..=curve.max_ways())
         .map(|w| {
             let hits = curve.total_hits(w);
@@ -216,20 +214,15 @@ pub fn score_lru_grid(curve: &MissRateCurve, refs: usize) -> Vec<MrcScore> {
                 SramBank::new(params.way_bytes() * u64::from(w), w)
                     .at_temperature(params.temperature),
             );
-            let lat = bank.read_latency().cycles(params.clock_ghz).max(1);
-            let est_cycles = base_cycles + hits * lat + misses * (lat + cfg.dram_latency_cycles);
+            let lat = bank.read_latency().cycles(CLOCK_GHZ).max(1);
+            let est_cycles = base_cycles + hits * lat + misses * (lat + DRAM_LATENCY_CYCLES);
             let counts = AccessCounts::write_allocate(hits - write_hits, write_hits, misses);
-            let l2 = project_energy(
-                bank,
-                &counts,
-                Time::from_cycles(est_cycles, params.clock_ghz),
-                1.0,
-            );
+            let l2 = project_energy(bank, &counts, Time::from_cycles(est_cycles, CLOCK_GHZ), 1.0);
             MrcScore {
                 ways: w,
                 hits,
                 misses,
-                energy_nj: l2.total().nj() + (cfg.dram_read_energy * misses).nj(),
+                energy_nj: l2.total().nj() + (DRAM_READ_ENERGY * misses).nj(),
                 est_cycles,
                 survives: false,
             }

@@ -1,52 +1,16 @@
 //! The full system: core + L1 pair + L2 design + DRAM.
 
 use moca_cache::stats::CacheStats;
-use moca_cache::{GeometryError, L1Pair, L2Request};
-use moca_core::{DesignError, HybridStats, L2BaseParams, L2Design, L2Engine, MobileL2};
+use moca_cache::{L1Pair, L2Request};
+use moca_core::{DesignError, HybridStats, L2BaseParams, L2Design, L2Engine, MobileL2, CLOCK_GHZ};
 use moca_trace::{MemoryAccess, Mode, TraceGenerator};
 
-use crate::config::SystemConfig;
+use crate::config::{
+    SystemConfig, BASE_CYCLES_PER_REF, DRAM_LATENCY_CYCLES, DRAM_READ_ENERGY, DRAM_WRITE_ENERGY,
+    L1D_GEOMETRY, L1I_GEOMETRY,
+};
 use crate::cpu::InOrderCore;
 use crate::metrics::SimReport;
-
-/// Errors from assembling a [`System`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BuildSystemError {
-    /// The L2 design failed validation.
-    Design(DesignError),
-    /// An L1 geometry was inconsistent.
-    Geometry(GeometryError),
-}
-
-impl std::fmt::Display for BuildSystemError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BuildSystemError::Design(e) => write!(f, "invalid L2 design: {e}"),
-            BuildSystemError::Geometry(e) => write!(f, "invalid L1 geometry: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for BuildSystemError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            BuildSystemError::Design(e) => Some(e),
-            BuildSystemError::Geometry(e) => Some(e),
-        }
-    }
-}
-
-impl From<DesignError> for BuildSystemError {
-    fn from(e: DesignError) -> Self {
-        BuildSystemError::Design(e)
-    }
-}
-
-impl From<GeometryError> for BuildSystemError {
-    fn from(e: GeometryError) -> Self {
-        BuildSystemError::Geometry(e)
-    }
-}
 
 /// A trace-driven mobile system simulation.
 ///
@@ -63,11 +27,10 @@ impl From<GeometryError> for BuildSystemError {
 /// let report = sys.finish();
 /// assert_eq!(report.refs, 50_000);
 /// assert!(report.cycles > 0);
-/// # Ok::<(), moca_sim::BuildSystemError>(())
+/// # Ok::<(), moca_core::DesignError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct System {
-    cfg: SystemConfig,
     core: InOrderCore,
     l1: L1Pair,
     design: L2Design,
@@ -83,25 +46,20 @@ impl System {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildSystemError`] if the design or L1 geometries are
-    /// invalid.
+    /// Returns [`DesignError`] if the design is invalid.
     pub fn new(
         app: impl Into<String>,
         design: L2Design,
         cfg: SystemConfig,
-    ) -> Result<Self, BuildSystemError> {
-        let l1 = L1Pair::from_geometries(cfg.l1i_geometry()?, cfg.l1d_geometry()?);
+    ) -> Result<Self, DesignError> {
         let params = L2BaseParams {
-            line_bytes: cfg.line_bytes,
-            clock_ghz: cfg.clock_ghz,
             next_line_prefetch: cfg.l2_next_line_prefetch,
             ..L2BaseParams::default()
         };
         let l2 = L2Engine::new(design, params)?;
         Ok(Self {
-            cfg,
-            core: InOrderCore::new(cfg.base_cycles_per_ref),
-            l1,
+            core: InOrderCore::new(BASE_CYCLES_PER_REF),
+            l1: L1Pair::from_geometries(L1I_GEOMETRY, L1D_GEOMETRY),
             design,
             l2,
             adopted_l1: None,
@@ -163,7 +121,7 @@ impl System {
         if let Some(demand) = demand {
             let resp = self.l2.request(demand, now);
             let dram_cycles = if resp.dram_read {
-                self.cfg.dram_latency_cycles
+                DRAM_LATENCY_CYCLES
             } else {
                 0
             };
@@ -248,8 +206,8 @@ impl System {
 
         let l1_stats = self.adopted_l1.unwrap_or_else(|| self.l1.stats());
         let traffic = self.l2.traffic();
-        let dram_energy = self.cfg.dram_read_energy * traffic.dram_reads
-            + self.cfg.dram_write_energy * traffic.dram_writes;
+        let dram_energy =
+            DRAM_READ_ENERGY * traffic.dram_reads + DRAM_WRITE_ENERGY * traffic.dram_writes;
 
         // Expiry, prefetches, allocation and segment behaviour are
         // recorded by the way-partitioned engine only.
@@ -277,7 +235,7 @@ impl System {
             app: self.app.clone(),
             refs: self.core.refs(),
             cycles: end,
-            clock_ghz: self.cfg.clock_ghz,
+            clock_ghz: CLOCK_GHZ,
             l1_stats,
             l2_stats: self.l2.stats(),
             l2_energy: self.l2.energy(),
@@ -411,6 +369,6 @@ mod tests {
             SystemConfig::default(),
         )
         .unwrap_err();
-        assert!(err.to_string().contains("invalid L2 design"));
+        assert!(matches!(err, DesignError::ZeroWays(_)), "{err}");
     }
 }

@@ -16,7 +16,7 @@ use moca_sim::lockstep::{execute, Plan, Point};
 use moca_sim::memo::{RunMemo, MEMO_CAP_BYTES};
 use moca_sim::parallel::{catch_panic, parallel_map, Jobs};
 use moca_sim::telemetry::{self, JsonValue};
-use moca_sim::{BuildSystemError, PointCause, SimReport, SweepPointError};
+use moca_sim::{PointCause, SimReport, SweepPointError};
 use moca_testkit::{check, Config, FaultPlan, TestRng};
 use moca_trace::AppProfile;
 
@@ -130,7 +130,7 @@ fn invalid_set_partitioned_and_hybrid_lanes_fail_only_their_slots() {
                 let e = outcome.as_ref().expect_err("invalid design must fail");
                 assert_eq!(e.index, i);
                 assert!(
-                    matches!(&e.cause, PointCause::Build(BuildSystemError::Design(got)) if *got == want),
+                    matches!(&e.cause, PointCause::Build(got) if *got == want),
                     "{e}"
                 );
                 assert!(matches!(

@@ -218,7 +218,6 @@ fn prefetch_config_matches_scalar_oracle() {
     let seed = 77;
     let cfg = SystemConfig {
         l2_next_line_prefetch: true,
-        ..SystemConfig::default()
     };
     let pool = [
         L2Design::baseline(),

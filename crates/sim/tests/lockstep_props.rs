@@ -19,11 +19,12 @@
 use moca_cache::L1Pair;
 use moca_core::{L2Design, RefreshPolicy};
 use moca_energy::RetentionClass;
+use moca_sim::config::{L1D_GEOMETRY, L1I_GEOMETRY};
 use moca_sim::lockstep::{execute, FilteredChunk, FrontEnd, LaneEvent, Plan, Point};
 use moca_sim::parallel::Jobs;
 use moca_sim::stream::{TraceStream, STREAM_CHUNK};
 use moca_sim::workloads::run_app;
-use moca_sim::{SimReport, SweepPointError, SystemConfig};
+use moca_sim::{SimReport, SweepPointError};
 use moca_testkit::differential::{engines_agree, EngineRun};
 use moca_testkit::{check, require, require_eq, Config, FaultPlan, TestRng};
 use moca_trace::{AppProfile, TraceGenerator};
@@ -220,7 +221,6 @@ type ChunkEvents = (Vec<LaneEvent>, usize);
 #[test]
 fn decoded_events_equal_l1_filter_outcomes() {
     let apps = AppProfile::suite();
-    let cfg = SystemConfig::default();
     check(
         Config::cases(8),
         |rng: &mut TestRng| {
@@ -232,11 +232,7 @@ fn decoded_events_equal_l1_filter_outcomes() {
         |(app, refs, seed)| {
             // The oracle: every reference through a fresh L1 pair, with
             // gaps cut at the stream's chunk boundaries.
-            let geometry = |g: Result<_, _>| g.map_err(|e| format!("{e}"));
-            let mut l1 = L1Pair::from_geometries(
-                geometry(cfg.l1i_geometry())?,
-                geometry(cfg.l1d_geometry())?,
-            );
+            let mut l1 = L1Pair::from_geometries(L1I_GEOMETRY, L1D_GEOMETRY);
             let mut want: Vec<ChunkEvents> = Vec::new();
             let accesses: Vec<_> = TraceGenerator::new(app, *seed).take(*refs).collect();
             for chunk in accesses.chunks(STREAM_CHUNK) {
@@ -259,8 +255,7 @@ fn decoded_events_equal_l1_filter_outcomes() {
                 want.push((events, gap as usize));
             }
 
-            let mut front =
-                FrontEnd::over(TraceStream::new(app, *seed), &cfg).map_err(|e| format!("{e}"))?;
+            let mut front = FrontEnd::over(TraceStream::new(app, *seed));
             let mut chunk = FilteredChunk::default();
             let mut got: Vec<ChunkEvents> = Vec::new();
             let mut left = *refs;

@@ -17,6 +17,9 @@ echo "== build (release, offline) =="
 # exercise stale or missing.
 cargo build --release --offline --workspace
 
+echo "== size counts (informational, no gate) =="
+scripts/counts.sh
+
 echo "== benchmark probe builds against the workspace API =="
 # reprobench/probe is a package of its own that links the workspace
 # crates; --locked and the workspace target dir keep this step from

@@ -57,14 +57,13 @@ use std::fmt;
 /// ```
 #[derive(Debug)]
 pub enum MocaError {
-    /// An [`L2Design`](moca_core::L2Design) failed validation.
+    /// An [`L2Design`](moca_core::L2Design) failed validation (also
+    /// when a [`System`](moca_sim::System) is assembled around it).
     Design(moca_core::DesignError),
     /// A cache geometry, way mask, or partition spec was inconsistent.
     Geometry(moca_cache::GeometryError),
     /// A trace file could not be read (I/O, bad magic, corrupt record).
     Trace(moca_trace::io::ReadTraceError),
-    /// A full [`System`](moca_sim::System) could not be assembled.
-    Build(moca_sim::BuildSystemError),
     /// One point of a sweep failed (build rejection or caught panic).
     SweepPoint(moca_sim::SweepPointError),
     /// A co-scheduled mix was rejected (no apps, or a zero quantum).
@@ -83,7 +82,6 @@ impl fmt::Display for MocaError {
             MocaError::Design(e) => write!(f, "invalid design: {e}"),
             MocaError::Geometry(e) => write!(f, "invalid geometry: {e}"),
             MocaError::Trace(e) => write!(f, "trace error: {e}"),
-            MocaError::Build(e) => write!(f, "system build error: {e}"),
             MocaError::SweepPoint(e) => write!(f, "sweep point failure: {e}"),
             MocaError::Mix(e) => write!(f, "invalid mix: {e}"),
             MocaError::EnergyOverflow(e) => write!(f, "energy projection overflow: {e}"),
@@ -98,7 +96,6 @@ impl std::error::Error for MocaError {
             MocaError::Design(e) => Some(e),
             MocaError::Geometry(e) => Some(e),
             MocaError::Trace(e) => Some(e),
-            MocaError::Build(e) => Some(e),
             MocaError::SweepPoint(e) => Some(e),
             MocaError::Mix(e) => Some(e),
             MocaError::EnergyOverflow(e) => Some(e),
@@ -122,12 +119,6 @@ impl From<moca_cache::GeometryError> for MocaError {
 impl From<moca_trace::io::ReadTraceError> for MocaError {
     fn from(e: moca_trace::io::ReadTraceError) -> Self {
         MocaError::Trace(e)
-    }
-}
-
-impl From<moca_sim::BuildSystemError> for MocaError {
-    fn from(e: moca_sim::BuildSystemError) -> Self {
-        MocaError::Build(e)
     }
 }
 
