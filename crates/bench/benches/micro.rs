@@ -7,6 +7,7 @@ use moca_cache::{CacheGeometry, L1Pair, SetAssocCache, UtilityMonitor, WayMask};
 use moca_core::{L2Design, RefreshPolicy};
 use moca_energy::RetentionClass;
 use moca_search::{run_search, SearchConfig};
+use moca_sim::config::{L1D_GEOMETRY, L1I_GEOMETRY};
 use moca_sim::lockstep::{execute, Plan, Point};
 use moca_sim::memo::{RunMemo, MEMO_CAP_BYTES};
 use moca_sim::parallel::Jobs;
@@ -65,7 +66,7 @@ fn l1_filter(r: &mut Runner) {
         .collect();
     r.throughput_elems(trace.len() as u64);
     r.bench("l1-filter/filter-100k", || {
-        let mut l1 = L1Pair::mobile_default();
+        let mut l1 = L1Pair::from_geometries(L1I_GEOMETRY, L1D_GEOMETRY);
         let mut reqs = 0u64;
         for a in &trace {
             let o = l1.access(a);

@@ -205,12 +205,6 @@ impl L1Pair {
         Self::from_geometries(igeom, dgeom)
     }
 
-    /// Typical mobile L1s: 32 KiB, 2-way, 64 B lines, LRU.
-    pub fn mobile_default() -> Self {
-        let geom = CacheGeometry::new(32 << 10, 2, 64).expect("static geometry is valid");
-        Self::from_geometries(geom, geom)
-    }
-
     /// Line size shared by both caches.
     pub fn line_bytes(&self) -> u64 {
         1 << self.line_shift
@@ -263,9 +257,18 @@ mod tests {
         MemoryAccess::new(addr, 0x400, kind, mode)
     }
 
+    /// 32 KiB, 2-way, 64 B lines: a typical mobile L1.
+    fn geom() -> CacheGeometry {
+        CacheGeometry::new(32 << 10, 2, 64).expect("valid")
+    }
+
+    fn pair() -> L1Pair {
+        L1Pair::from_geometries(geom(), geom())
+    }
+
     #[test]
     fn first_access_misses_second_hits() {
-        let mut l1 = L1Pair::mobile_default();
+        let mut l1 = pair();
         let a = acc(0x1000, AccessKind::Load, Mode::User);
         let o1 = l1.access(&a);
         assert!(!o1.hit);
@@ -280,7 +283,7 @@ mod tests {
 
     #[test]
     fn ifetch_and_data_use_separate_caches() {
-        let mut l1 = L1Pair::mobile_default();
+        let mut l1 = pair();
         let load = acc(0x2000, AccessKind::Load, Mode::User);
         let fetch = acc(0x2000, AccessKind::InstrFetch, Mode::User);
         assert!(!l1.access(&load).hit);
@@ -293,7 +296,7 @@ mod tests {
     #[test]
     fn dirty_victim_produces_writeback() {
         // 32 KiB 2-way 64 B: 256 sets. Lines that conflict: step by 256.
-        let mut l1 = L1Pair::mobile_default();
+        let mut l1 = pair();
         let store = acc(0, AccessKind::Store, Mode::User);
         l1.access(&store);
         // Two more loads to the same set evict the dirty line.
@@ -314,7 +317,7 @@ mod tests {
 
     #[test]
     fn writeback_carries_owner_mode() {
-        let mut l1 = L1Pair::mobile_default();
+        let mut l1 = pair();
         // Kernel dirties a line; user traffic evicts it.
         let kstore = acc(0, AccessKind::Store, Mode::Kernel);
         l1.access(&kstore);
@@ -333,7 +336,7 @@ mod tests {
     fn l1_filters_user_traffic_harder_than_kernel() {
         // The kernel-share amplification effect (claim C1): the post-L1
         // kernel share must exceed the raw-trace kernel share.
-        let mut l1 = L1Pair::mobile_default();
+        let mut l1 = pair();
         let trace: Vec<_> = TraceGenerator::new(&AppProfile::browser(), 5)
             .take(400_000)
             .collect();
@@ -359,9 +362,8 @@ mod tests {
 
     #[test]
     fn policy_and_timestamp_signatures_are_the_lru_pair() {
-        let geom = CacheGeometry::new(32 << 10, 2, 64).expect("valid");
-        let mut old = L1Pair::new(geom, geom, ReplacementPolicy::Lru);
-        let mut l1 = L1Pair::mobile_default();
+        let mut old = L1Pair::new(geom(), geom(), ReplacementPolicy::Lru);
+        let mut l1 = pair();
         let trace = TraceGenerator::new(&AppProfile::game(), 3).take(20_000);
         for (i, a) in trace.enumerate() {
             assert_eq!(old.filter(&a, i as u64), l1.access(&a));

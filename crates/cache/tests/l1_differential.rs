@@ -176,7 +176,7 @@ fn lru_stack_pair_matches_the_general_engine_access_by_access() {
 fn default_pair_matches_the_general_engine_on_every_suite_app() {
     let geom = CacheGeometry::new(32 << 10, 2, 64).expect("default L1 geometry");
     for profile in AppProfile::suite() {
-        let mut l1 = L1Pair::mobile_default();
+        let mut l1 = L1Pair::from_geometries(geom, geom);
         let mut oracle = Oracle::new(geom, geom);
         for (i, access) in TraceGenerator::new(&profile, 0x5eed_2015)
             .take(200_000)

@@ -5,7 +5,7 @@
 //! [`L2Engine::new`](crate::engine::L2Engine::new) builds each one's engine.
 
 use moca_cache::GeometryError;
-use moca_energy::{RetentionClass, Temperature};
+use moca_energy::RetentionClass;
 
 use std::fmt;
 
@@ -48,9 +48,6 @@ pub struct L2BaseParams {
     /// tails mobile workloads are rich in; costs fill energy and DRAM
     /// traffic. Disabled by default (the paper's designs have none).
     pub next_line_prefetch: bool,
-    /// Die temperature; leakage doubles every ~25 C above the 60 C
-    /// reference. The headline experiments run at the reference.
-    pub temperature: Temperature,
 }
 
 impl Default for L2BaseParams {
@@ -60,7 +57,6 @@ impl Default for L2BaseParams {
         Self {
             sets: 2048,
             next_line_prefetch: false,
-            temperature: Temperature::REFERENCE,
         }
     }
 }

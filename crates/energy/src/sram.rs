@@ -75,15 +75,6 @@ impl SramBank {
         }
     }
 
-    /// Re-scales the bank's leakage to a die temperature (anchors are
-    /// quoted at [`Temperature::REFERENCE`]).
-    ///
-    /// [`Temperature::REFERENCE`]: crate::tech::Temperature::REFERENCE
-    pub fn at_temperature(mut self, t: crate::tech::Temperature) -> Self {
-        self.leakage = self.leakage.scaled(t.leakage_scale());
-        self
-    }
-
     /// Associativity the bank was modelled with.
     pub fn ways(&self) -> u32 {
         self.ways

@@ -116,15 +116,6 @@ impl SttRamBank {
         }
     }
 
-    /// Re-scales the periphery leakage to a die temperature. The MTJ
-    /// cells themselves do not leak; note that retention time also drops
-    /// at high temperature in reality — that second-order effect is not
-    /// modelled.
-    pub fn at_temperature(mut self, t: crate::tech::Temperature) -> Self {
-        self.leakage = self.leakage.scaled(t.leakage_scale());
-        self
-    }
-
     /// The retention class of this bank's cells.
     pub fn retention(&self) -> RetentionClass {
         self.retention

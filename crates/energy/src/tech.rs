@@ -80,7 +80,7 @@ mod tests {
     #[test]
     fn temperature_scaling() {
         assert_eq!(Temperature::default(), Temperature::REFERENCE);
-        assert!((Temperature::REFERENCE.leakage_scale() - 1.0).abs() < 1e-12);
+        assert_eq!(Temperature::REFERENCE.leakage_scale(), 1.0);
         let hot = Temperature::from_celsius(85.0);
         assert!(
             (hot.leakage_scale() - 2.0).abs() < 1e-9,

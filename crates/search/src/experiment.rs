@@ -30,7 +30,7 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
 }
 
 /// Runs the `pareto` experiment, checkpointing each generation through
-/// `journal` when one is supplied (the `repro --search` path).
+/// `journal` when one is supplied (the `repro` path).
 pub fn run_with(scale: Scale, jobs: Jobs, journal: Option<&mut Journal>) -> ExperimentResult {
     let cfg = SearchConfig::for_scale(scale);
     let outcome = run_search(&cfg, jobs, journal).expect("search journal I/O");

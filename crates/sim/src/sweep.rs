@@ -20,9 +20,9 @@
 //! whole LRU grid analytically, keep only the Pareto frontier of
 //! (projected energy, projected cycles), and run full lock-step
 //! simulation for the survivors only — every other design (partitioned,
-//! STT-RAM, dynamic, hybrid, prefetch-enabled configs) bypasses the
-//! profiler and always simulates. Every simulated report is byte-identical to the
-//! same point of an unpruned sweep (`crates/sim/tests/mrc_prune.rs`).
+//! STT-RAM, dynamic, hybrid) bypasses the profiler and always simulates.
+//! Every simulated report is byte-identical to the same point of an
+//! unpruned sweep (`crates/sim/tests/mrc_prune.rs`).
 
 use std::io::{self, Write};
 use std::time::Instant;
@@ -33,7 +33,7 @@ use moca_core::{L2BaseParams, L2Design, CLOCK_GHZ};
 use moca_energy::{project_energy, AccessCounts, MemoryTechnology, SramBank, Technology, Time};
 use moca_trace::AppProfile;
 
-use crate::config::{SystemConfig, BASE_CYCLES_PER_REF, DRAM_LATENCY_CYCLES, DRAM_READ_ENERGY};
+use crate::config::{BASE_CYCLES_PER_REF, DRAM_LATENCY_CYCLES, DRAM_READ_ENERGY};
 use crate::error::SweepPointError;
 use crate::lockstep::{execute, Plan, Point};
 use crate::memo::RunMemo;
@@ -158,8 +158,9 @@ impl MrcScore {
 /// dirty-victim writeback it may carry, per L1 miss — so the returned
 /// curve's counts at `w` ways exactly equal the `l2_stats` of a
 /// simulated [`L2Design::SharedSram`]` { ways: w }` run under the
-/// default [`SystemConfig`] (LRU, no prefetch). The differential proof
-/// lives in `crates/sim/tests/mrc_prune.rs` (sweep level) and
+/// default [`SystemConfig`](crate::config::SystemConfig) (LRU, no
+/// prefetch). The differential proof lives in
+/// `crates/sim/tests/mrc_prune.rs` (sweep level) and
 /// `crates/cache/tests/mrc_differential.rs` (cache level).
 ///
 /// # Panics
@@ -210,10 +211,7 @@ pub fn score_lru_grid(curve: &MissRateCurve, refs: usize) -> Vec<MrcScore> {
             let hits = curve.total_hits(w);
             let write_hits = curve.total_write_hits(w);
             let misses = curve.total_misses(w);
-            let bank = Technology::Sram(
-                SramBank::new(params.way_bytes() * u64::from(w), w)
-                    .at_temperature(params.temperature),
-            );
+            let bank = Technology::Sram(SramBank::new(params.way_bytes() * u64::from(w), w));
             let lat = bank.read_latency().cycles(CLOCK_GHZ).max(1);
             let est_cycles = base_cycles + hits * lat + misses * (lat + DRAM_LATENCY_CYCLES);
             let counts = AccessCounts::write_allocate(hits - write_hits, write_hits, misses);
@@ -239,14 +237,11 @@ pub fn score_lru_grid(curve: &MissRateCurve, refs: usize) -> Vec<MrcScore> {
 }
 
 /// The way count of `design` if the MRC engine can score it exactly: a
-/// [`L2Design::SharedSram`] point with `1..=MAX_DEPTH` ways under a
-/// prefetch-free configuration (the L2 is always LRU). Everything else —
-/// partitioned, STT-RAM, dynamic, hybrid, prefetch enabled — must
-/// simulate.
-fn scorable_ways(design: &L2Design, cfg: &SystemConfig) -> Option<u32> {
-    if cfg.l2_next_line_prefetch {
-        return None;
-    }
+/// [`L2Design::SharedSram`] point with `1..=MAX_DEPTH` ways (the L2 is
+/// always LRU, and a pruned sweep runs the prefetch-free default
+/// configuration). Everything else — partitioned, STT-RAM, dynamic,
+/// hybrid — must simulate.
+fn scorable_ways(design: &L2Design) -> Option<u32> {
     match design {
         L2Design::SharedSram { ways } if (1..=MAX_DEPTH).contains(ways) => Some(*ways),
         _ => None,
@@ -322,8 +317,7 @@ pub fn sweep_pruned(
     seed: u64,
     jobs: Jobs,
 ) -> PrunedSweep {
-    let cfg = SystemConfig::default();
-    let scorable: Vec<Option<u32>> = designs.iter().map(|d| scorable_ways(d, &cfg)).collect();
+    let scorable: Vec<Option<u32>> = designs.iter().map(scorable_ways).collect();
     let grid_points = scorable.iter().filter(|w| w.is_some()).count();
 
     let scores = if grid_points >= 2 {
@@ -505,30 +499,16 @@ mod tests {
 
     #[test]
     fn scorable_designs_are_lru_shared_sram_only() {
-        let cfg = SystemConfig::default();
+        assert_eq!(scorable_ways(&L2Design::SharedSram { ways: 8 }), Some(8));
+        assert_eq!(scorable_ways(&L2Design::SharedSram { ways: 0 }), None);
         assert_eq!(
-            scorable_ways(&L2Design::SharedSram { ways: 8 }, &cfg),
-            Some(8)
-        );
-        assert_eq!(scorable_ways(&L2Design::SharedSram { ways: 0 }, &cfg), None);
-        assert_eq!(
-            scorable_ways(
-                &L2Design::SharedSram {
-                    ways: MAX_DEPTH + 1
-                },
-                &cfg
-            ),
+            scorable_ways(&L2Design::SharedSram {
+                ways: MAX_DEPTH + 1
+            }),
             None
         );
-        assert_eq!(scorable_ways(&L2Design::static_default(), &cfg), None);
-        assert_eq!(scorable_ways(&L2Design::dynamic_default(), &cfg), None);
-
-        let mut prefetch = cfg;
-        prefetch.l2_next_line_prefetch = true;
-        assert_eq!(
-            scorable_ways(&L2Design::SharedSram { ways: 8 }, &prefetch),
-            None
-        );
+        assert_eq!(scorable_ways(&L2Design::static_default()), None);
+        assert_eq!(scorable_ways(&L2Design::dynamic_default()), None);
     }
 
     #[test]

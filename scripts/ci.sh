@@ -206,33 +206,33 @@ while IFS= read -r row; do
 done < "$SMOKE_DIR/m1_pruned_trace_rows.txt"
 echo "composed mrc+trace smoke passed"
 
-echo "== search smoke (repro --search: --jobs determinism, kill/resume) =="
-# --search with no ids runs exactly S1. The evolved front (and the whole
+echo "== search smoke (repro S1: --jobs determinism, kill/resume) =="
+# The id S1 alone runs exactly the search. The evolved front (and the whole
 # rendered block) must be byte-identical across worker counts. The run
 # header names the job count by design, so trim at the --- footer and
 # drop the header's ", jobs N" suffix before diffing.
 trim_search_run() { # FILE — report block with the jobs suffix masked
   sed -n '/^---$/q;p' "$1" | sed 's/^\(scale: .*\), jobs [0-9][0-9]*$/\1/'
 }
-"$REPRO" --quick --search --jobs 1 > "$SMOKE_DIR/s1_j1_full.txt"
+"$REPRO" --quick --jobs 1 S1 > "$SMOKE_DIR/s1_j1_full.txt"
 trim_search_run "$SMOKE_DIR/s1_j1_full.txt" > "$SMOKE_DIR/s1_j1.txt"
 grep -q '^## S1' "$SMOKE_DIR/s1_j1.txt" \
-  || { echo "repro --search rendered no S1 block"; exit 1; }
-"$REPRO" --quick --search --jobs 2 > "$SMOKE_DIR/s1_j2_full.txt"
+  || { echo "repro S1 rendered no S1 block"; exit 1; }
+"$REPRO" --quick --jobs 2 S1 > "$SMOKE_DIR/s1_j2_full.txt"
 trim_search_run "$SMOKE_DIR/s1_j2_full.txt" > "$SMOKE_DIR/s1_j2.txt"
 diff -u "$SMOKE_DIR/s1_j1.txt" "$SMOKE_DIR/s1_j2.txt" \
   || { echo "search output varies with --jobs"; exit 1; }
 # Kill the checkpointed search mid-flight; the resume must replay the
 # finished generations and land on the identical block. (If the quick
 # run beats the signal, the resume replays everything — same contract.)
-"$REPRO" --quick --search --checkpoint "$SMOKE_DIR/s1_ckpt" > /dev/null 2>&1 &
+"$REPRO" --quick --checkpoint "$SMOKE_DIR/s1_ckpt" S1 > /dev/null 2>&1 &
 S1_PID=$!
 sleep 1
 kill -9 "$S1_PID" 2>/dev/null || true
 wait "$S1_PID" 2>/dev/null || true
 test -f "$SMOKE_DIR/s1_ckpt/journal.csv" \
   || { echo "checkpointed search left no journal"; exit 1; }
-"$REPRO" --quick --search --resume "$SMOKE_DIR/s1_ckpt" > "$SMOKE_DIR/s1_resumed_full.txt"
+"$REPRO" --quick --resume "$SMOKE_DIR/s1_ckpt" S1 > "$SMOKE_DIR/s1_resumed_full.txt"
 trim_search_run "$SMOKE_DIR/s1_resumed_full.txt" > "$SMOKE_DIR/s1_resumed.txt"
 diff -u "$SMOKE_DIR/s1_j1.txt" "$SMOKE_DIR/s1_resumed.txt" \
   || { echo "search kill/resume diverged from the uninterrupted run"; exit 1; }

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! repro [--quick] [--jobs N] [--checkpoint DIR | --resume DIR]
-//!       [--trace PATH] [--telemetry PATH] [--progress] [--mrc] [--search]
+//!       [--trace PATH] [--telemetry PATH] [--progress] [--mrc]
 //!       [F1|F2|F3|F4|F5|T2|F6|F7|F8|A1..A7|M1|S1 ...]
 //! ```
 //!
@@ -51,9 +51,9 @@
 //!
 //! # Design-space search
 //!
-//! * `--search` appends the S1 `pareto` experiment — the seeded NSGA-II
-//!   loop over the full design space — to the requested ids (with no
-//!   ids, it runs S1 alone). S1 is also part of the default suite.
+//! * The S1 `pareto` experiment — the seeded NSGA-II loop over the full
+//!   design space — is part of the default suite, and the id `S1` runs
+//!   it alone or after other ids.
 //!   Under `--checkpoint`/`--resume` the search journals every finished
 //!   *generation* (key `search:<fingerprint>:gen:<g>`) in addition to
 //!   its rendered block, so a killed search resumes mid-run and still
@@ -86,6 +86,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use moca_core::{L2BaseParams, L2Design, LINE_BYTES};
 use moca_sim::checkpoint::{experiment_key, Journal};
 use moca_sim::experiments::{self, ExperimentResult, Runner};
 use moca_sim::memo::mib;
@@ -101,7 +102,7 @@ const SUITE_IDS: [&str; 18] = [
 ];
 
 const USAGE: &str = "usage: repro [--quick] [--jobs N] [--checkpoint DIR | --resume DIR]
-             [--trace PATH] [--telemetry PATH] [--progress] [--mrc] [--search] [IDS...]
+             [--trace PATH] [--telemetry PATH] [--progress] [--mrc] [IDS...]
   --quick           CI scale (short traces) instead of full scale
   --jobs N          worker threads per experiment (default: all cores)
   --checkpoint DIR  journal finished experiments to DIR (created if needed)
@@ -110,7 +111,6 @@ const USAGE: &str = "usage: repro [--quick] [--jobs N] [--checkpoint DIR | --res
   --telemetry PATH  write the JSONL telemetry event stream to PATH
   --progress        print per-experiment heartbeat lines to stderr
   --mrc             prune the M1 grid: simulate only Pareto survivors
-  --search          append the S1 design-space search to the requested ids
   IDS               experiment ids (F1..F8, T2, A1..A7, M1, S1); default: all";
 
 /// Parsed command line.
@@ -144,7 +144,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         mrc: false,
         ids: Vec::new(),
     };
-    let mut search = false;
     let mut i = 0;
     while i < args.len() {
         let arg = &args[i];
@@ -186,7 +185,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--progress" => opts.progress = true,
             "--mrc" => opts.mrc = true,
-            "--search" => search = true,
             other if other.starts_with("--") => {
                 return Err(format!("unknown flag: {other}\n{USAGE}"));
             }
@@ -198,16 +196,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 opts.ids.push(id);
             }
         }
-        if matches!(flag, "--quick" | "--progress" | "--mrc" | "--search") && inline_value.is_some()
-        {
+        if matches!(flag, "--quick" | "--progress" | "--mrc") && inline_value.is_some() {
             return Err(format!("{flag} takes no value\n{USAGE}"));
         }
         i += 1;
-    }
-    // `--search` is shorthand for appending S1: alone it runs just the
-    // search, after explicit ids it rides along with them.
-    if search && !opts.ids.iter().any(|id| id == "S1") {
-        opts.ids.push("S1".to_string());
     }
     Ok(opts)
 }
@@ -228,11 +220,13 @@ fn print_header<W: Write>(out: &mut W, scale: Scale, jobs: Jobs) -> io::Result<(
     writeln!(out, "## T1 — system configuration")?;
     writeln!(out)?;
     writeln!(out, "{}", SystemConfig::default().describe())?;
+    let ways = L2Design::baseline().physical_ways();
     writeln!(
         out,
-        "L2 baseline: 2 MiB, 16-way, 64 B lines, SRAM, LRU, write-back\n\
+        "L2 baseline: {} MiB, {ways}-way, {LINE_BYTES} B lines, SRAM, LRU, write-back\n\
          static design: 6 user + 4 kernel ways, STT-RAM 1s (user) / 10ms (kernel)\n\
-         dynamic design: 16 ways max, STT-RAM 100ms/10ms, 500k-cycle epochs"
+         dynamic design: 16 ways max, STT-RAM 100ms/10ms, 500k-cycle epochs",
+        (L2BaseParams::default().way_bytes() * u64::from(ways)) >> 20
     )?;
     writeln!(out)
 }

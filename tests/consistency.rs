@@ -3,6 +3,7 @@
 
 use moca::cache::{L1Pair, L2Request};
 use moca::core::{L2BaseParams, L2Design, MobileL2};
+use moca::sim::config::{L1D_GEOMETRY, L1I_GEOMETRY};
 use moca::sim::{System, SystemConfig};
 use moca::trace::{AppProfile, Mode, TraceGenerator};
 
@@ -52,7 +53,7 @@ fn segment_energies_sum_to_total() {
     let params = L2BaseParams::default();
     let mut l2 = MobileL2::new(L2Design::static_default(), params).expect("valid");
     let app = AppProfile::video();
-    let mut l1 = L1Pair::mobile_default();
+    let mut l1 = L1Pair::from_geometries(L1I_GEOMETRY, L1D_GEOMETRY);
     let mut now = 0u64;
     for a in TraceGenerator::new(&app, 3).take(150_000) {
         now += 2;
