@@ -176,23 +176,22 @@ fn scan_tags_direct(set_tags: &[u64], tag: u64, mut live: u64) -> Option<u32> {
 
 /// Finds the lowest way in `live` whose signature and full tag match.
 ///
-/// Signatures are scanned eight ways at a time with SWAR zero-byte
-/// detection; only matching bytes (hits and ~1/256 false positives) are
-/// verified against the full tag array. Candidates are visited in
-/// increasing way order. `set_sigs` shorter than a multiple of eight is
-/// zero-padded: a padding byte can only match when `sig == 0`, and such
-/// phantom ways are rejected by `live`, which never has bits at or above
-/// the way count.
+/// `set_sigs` is the set's signature row, way `w` in byte `w % 8` of word
+/// `w / 8`. Each word is scanned with SWAR zero-byte detection; only
+/// matching bytes (hits and ~1/256 false positives) are verified against
+/// the full tag array. Candidates are visited in increasing way order. A
+/// row of a way count that is not a multiple of eight ends in zero
+/// padding bytes: one can only match when `sig == 0`, and such phantom
+/// ways are rejected by `live`, which never has bits at or above the way
+/// count.
 #[inline]
-fn scan_for_tag(set_sigs: &[u8], set_tags: &[u64], sig: u8, tag: u64, live: u64) -> Option<u32> {
+fn scan_for_tag(set_sigs: &[u64], set_tags: &[u64], sig: u8, tag: u64, live: u64) -> Option<u32> {
     const LOW: u64 = 0x0101_0101_0101_0101;
     const HIGH: u64 = 0x8080_8080_8080_8080;
     let broadcast = LOW.wrapping_mul(u64::from(sig));
     let mut chunk_base = 0u32;
-    for chunk in set_sigs.chunks(8) {
-        let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        let x = u64::from_le_bytes(word) ^ broadcast;
+    for &word in set_sigs {
+        let x = word ^ broadcast;
         // Bit 7 of each byte of `m` is set iff that byte of `x` is zero.
         let mut m = x.wrapping_sub(LOW) & !x & HIGH;
         while m != 0 {
@@ -238,9 +237,12 @@ pub struct SetAssocCache {
     legal_bits: u64,
     /// Hot: per-block tags, set-major (`set * ways + way`).
     tags: Vec<u64>,
-    /// Hot: per-block 8-bit tag signatures (same layout as `tags`), the
-    /// first-level filter of the lookup scan.
-    sigs: Vec<u8>,
+    /// Hot: per-block 8-bit tag signatures, the first-level filter of
+    /// the lookup scan: one row of `sig_words` words per set, way `w` in
+    /// byte `w % 8` of the row's word `w / 8`, the last word zero-padded.
+    sigs: Vec<u64>,
+    /// `ways.div_ceil(8)`: words per signature row.
+    sig_words: usize,
     /// Hot: two bitmask words per set — valid at `2 * set`, dirty at
     /// `2 * set + 1` (bit `w` = way `w`). Interleaving keeps both words
     /// of a set on the same cache line.
@@ -259,6 +261,7 @@ impl SetAssocCache {
     pub fn new(geom: CacheGeometry) -> Self {
         let n = (geom.sets() as usize) * (geom.ways() as usize);
         let sets = geom.sets() as usize;
+        let sig_words = geom.ways().div_ceil(8) as usize;
         Self {
             geom,
             ways: geom.ways(),
@@ -266,7 +269,8 @@ impl SetAssocCache {
             tag_shift: geom.sets().trailing_zeros(),
             legal_bits: WayMask::first(geom.ways()).bits(),
             tags: vec![0; n],
-            sigs: vec![0; n],
+            sigs: vec![0; sets * sig_words],
+            sig_words,
             flags: vec![0; sets * 2],
             meta: vec![ColdMeta::EMPTY; n],
             stamps: vec![0; n],
@@ -361,8 +365,9 @@ impl SetAssocCache {
         if self.ways <= DIRECT_SCAN_WAYS {
             scan_tags_direct(&self.tags[base..base + ways], tag, live)
         } else {
+            let row = set as usize * self.sig_words;
             scan_for_tag(
-                &self.sigs[base..base + ways],
+                &self.sigs[row..row + self.sig_words],
                 &self.tags[base..base + ways],
                 tag_signature(tag),
                 tag,
@@ -460,7 +465,9 @@ impl SetAssocCache {
         self.clock += 1;
         self.stamps[i] = self.clock;
         self.tags[i] = tag;
-        self.sigs[i] = tag_signature(tag);
+        let (word, shift) = (si * self.sig_words + way as usize / 8, (way % 8) * 8);
+        self.sigs[word] =
+            (self.sigs[word] & !(0xff << shift)) | (u64::from(tag_signature(tag)) << shift);
         self.flags[si * 2] |= 1u64 << way;
         if write {
             self.flags[si * 2 + 1] |= 1u64 << way;

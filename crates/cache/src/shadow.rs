@@ -20,7 +20,8 @@ use crate::mrc::LruStackCore;
 pub struct UtilityMonitor {
     sets: u64,
     ways: u32,
-    sample_period: u64,
+    /// One in `2^sample_shift` sets is sampled.
+    sample_shift: u32,
     /// One LRU stack per sampled set, of depth `ways`.
     core: LruStackCore,
     /// `position_hits[p]`: hits found at LRU stack depth `p`.
@@ -60,7 +61,7 @@ impl UtilityMonitor {
         Ok(Self {
             sets: geom.sets(),
             ways: geom.ways(),
-            sample_period: period,
+            sample_shift,
             core: LruStackCore::new(sampled, geom.ways() as usize),
             position_hits: vec![0; geom.ways() as usize],
             misses: 0,
@@ -81,10 +82,10 @@ impl UtilityMonitor {
     /// Feeds one line address through the monitor.
     pub fn observe(&mut self, line: u64) {
         let set = line & (self.sets - 1);
-        if !set.is_multiple_of(self.sample_period) {
+        if set & ((1 << self.sample_shift) - 1) != 0 {
             return;
         }
-        let s = (set / self.sample_period) as usize;
+        let s = (set >> self.sample_shift) as usize;
         let tag = line >> self.sets.trailing_zeros();
         self.accesses += 1;
         match self.core.touch(s, tag) {

@@ -13,6 +13,12 @@
 //! Accesses are driven both whole (`access`) and split into the lookup,
 //! hit and fill primitives the L2 engines call, including fills steered
 //! into a narrower mask than the lookup's.
+//!
+//! Way counts span 1..=64, so both lookup scans are covered: the direct
+//! tag compare (at most 8 ways) and the signature scan of wider sets,
+//! whose rows end in padding when the count is not a multiple of eight.
+//! Part of each line universe is built from distinct tags that share a
+//! signature, so the scan's false positives reach the full-tag check.
 
 use moca_cache::{AccessResult, BlockView, CacheGeometry, CacheStats, SetAssocCache, WayMask};
 use moca_testkit::{check, require, require_eq, Config, TestRng};
@@ -295,8 +301,7 @@ fn arb_mask(rng: &mut TestRng, ways: u32) -> WayMask {
         return full;
     }
     // A random non-empty subset of the legal ways.
-    let bits = rng.range_u64(1, 1 << ways);
-    let m = WayMask::from_bits(bits).intersection(full);
+    let m = WayMask::from_bits(rng.next_u64()).intersection(full);
     if m.is_empty() {
         full
     } else {
@@ -304,19 +309,55 @@ fn arb_mask(rng: &mut TestRng, ways: u32) -> WayMask {
     }
 }
 
+/// Way counts either side of the scans' 8-way boundary and of whole
+/// signature words; half of the cases draw from these, half uniformly
+/// from 1..=64.
+const EDGE_WAYS: [u32; 11] = [1, 2, 4, 8, 9, 10, 12, 16, 17, 30, 64];
+
+/// The signature `SetAssocCache` files a tag under (`tag ^ tag >> 8`,
+/// low byte).
+fn signature(tag: u64) -> u8 {
+    (tag ^ (tag >> 8)) as u8
+}
+
+/// A line of the case's universe: a plain line of a universe a few times
+/// the capacity (conflicts and evictions without every access a cold
+/// miss), or one whose tag differs from such a line's but shares its
+/// signature.
+fn arb_line(r: &mut TestRng, sets: u64, ways: u32) -> u64 {
+    let universe = sets * u64::from(ways) * 3;
+    let line = r.range_u64(0, universe);
+    if r.bool() {
+        return line;
+    }
+    let (set, tag) = (line % sets, line / sets);
+    // XOR-ing one byte value into both low bytes, or flipping a bit above
+    // them, keeps the signature.
+    let alias = match r.range_u32(0, 3) {
+        0 => tag ^ 0x0101,
+        1 => tag ^ (0x0101 * r.range_u64(2, 256)),
+        _ => tag ^ (1 << r.range_u32(16, 40)),
+    };
+    assert!(alias != tag && signature(alias) == signature(tag));
+    alias * sets + set
+}
+
 fn arb_case(rng: &mut TestRng) -> Case {
     let sets = 1u64 << rng.range_u32(1, 5); // 2..16 sets
-    let ways = 1u32 << rng.range_u32(0, 4); // 1..8 ways
+    let ways = if rng.bool() {
+        *rng.pick(&EDGE_WAYS)
+    } else {
+        rng.range_u32(1, 65)
+    };
     let masks = [
         arb_mask(rng, ways),
         arb_mask(rng, ways),
         arb_mask(rng, ways),
     ];
-    // A small line universe (a few times the capacity) forces conflicts
-    // and evictions without making every access a cold miss.
-    let universe = sets * u64::from(ways) * 3;
-    let ops = rng.vec(50, 400, |r| {
-        let line = r.range_u64(0, universe);
+    // Enough operations per set to fill the widest sets and evict.
+    let max_ops = 400.max(sets as usize * ways as usize * 6);
+    let ops = rng.vec(50, max_ops, |r| {
+        let line = arb_line(r, sets, ways);
         let mask_pick = r.range_u64(0, 3) as u8;
         let (write, kernel) = (r.bool(), r.bool());
         match r.range_usize(0, 10) {
@@ -473,10 +514,9 @@ fn soa_engine_matches_reference_under_partitioning() {
         Config::cases(48),
         |rng| {
             let sets = 1u64 << rng.range_u32(1, 4);
-            let ways = 4u32 * (1 << rng.range_u32(0, 2)); // 4 or 8
+            let ways = *rng.pick(&[4, 8, 12, 16, 30]);
             let split = rng.range_u32(1, ways);
-            let universe = sets * u64::from(ways) * 3;
-            let accesses = rng.vec(100, 400, |r| (r.range_u64(0, universe), r.bool(), r.bool()));
+            let accesses = rng.vec(100, 400, |r| (arb_line(r, sets, ways), r.bool(), r.bool()));
             (sets, ways, split, accesses)
         },
         |&(sets, ways, split, ref accesses)| {

@@ -21,7 +21,7 @@ use crate::access::{AccessKind, MemoryAccess, Mode};
 use crate::apps::{layout, AppProfile};
 use crate::kernel::{KernelModel, Service};
 use crate::locality::{Region, RegionSpec, RegionStream};
-use crate::rng::{Weights, Xoshiro256};
+use crate::rng::{Bernoulli, Weights, Xoshiro256};
 
 /// Deterministic per-app seed mixing: the same `seed` drives different
 /// streams for different app names.
@@ -46,6 +46,14 @@ pub struct TraceGenerator {
     stack: RegionStream,
     kernel: KernelModel,
     rng: Xoshiro256,
+    /// The profile's `ifetch_frac`, `stack_frac`, `store_frac` and
+    /// `irq_frac` as trials.
+    ifetch: Bernoulli,
+    stack_ref: Bernoulli,
+    store: Bernoulli,
+    irq: Bernoulli,
+    /// μ of the log-normal user-run length (mean `mean_user_run`).
+    user_run_mu: f64,
     /// Generated-ahead accesses; `buf[pos..]` is the unconsumed tail.
     /// A plain `Vec` plus cursor (rather than a `VecDeque`) keeps the
     /// storage contiguous so [`TraceGenerator::fill`] can memcpy it out.
@@ -110,6 +118,12 @@ impl TraceGenerator {
             stack,
             kernel,
             rng,
+            ifetch: Bernoulli::new(profile.ifetch_frac),
+            stack_ref: Bernoulli::new(profile.stack_frac),
+            store: Bernoulli::new(profile.store_frac),
+            irq: Bernoulli::new(profile.irq_frac),
+            user_run_mu: profile.mean_user_run.ln()
+                - Self::USER_RUN_SIGMA * Self::USER_RUN_SIGMA / 2.0,
             buf: Vec::with_capacity(Self::DEFAULT_CHUNK),
             pos: 0,
             refs_until_tick: tick,
@@ -126,28 +140,28 @@ impl TraceGenerator {
         &self.profile
     }
 
+    /// σ of the log-normal user-run length.
+    const USER_RUN_SIGMA: f64 = 0.6;
+
     fn emit_user_run(&mut self) -> usize {
         // Log-normal run length: bursty inter-syscall behaviour.
-        let mean = self.profile.mean_user_run;
-        let sigma = 0.6f64;
-        let mu = mean.ln() - sigma * sigma / 2.0;
         let len = self
             .rng
-            .log_normal(mu, sigma)
+            .log_normal(self.user_run_mu, Self::USER_RUN_SIGMA)
             .round()
-            .clamp(16.0, mean * 10.0) as usize;
+            .clamp(16.0, self.profile.mean_user_run * 10.0) as usize;
         for _ in 0..len {
-            let access = if self.rng.chance(self.profile.ifetch_frac) {
+            let access = if self.ifetch.sample(&mut self.rng) {
                 let addr = self.code.next_addr(&mut self.rng);
                 self.last_pc = addr;
                 MemoryAccess::new(addr, addr, AccessKind::InstrFetch, Mode::User)
             } else {
-                let addr = if self.rng.chance(self.profile.stack_frac) {
+                let addr = if self.stack_ref.sample(&mut self.rng) {
                     self.stack.next_addr(&mut self.rng)
                 } else {
                     self.heap.next_addr(&mut self.rng)
                 };
-                let kind = if self.rng.chance(self.profile.store_frac) {
+                let kind = if self.store.sample(&mut self.rng) {
                     AccessKind::Store
                 } else {
                     AccessKind::Load
@@ -164,7 +178,7 @@ impl TraceGenerator {
             self.refs_until_tick += self.profile.tick_period_refs as i64;
             return Service::SchedTick;
         }
-        if !self.irq_services.is_empty() && self.rng.chance(self.profile.irq_frac) {
+        if !self.irq_services.is_empty() && self.irq.sample(&mut self.rng) {
             let i = self.rng.weighted_index(&self.irq_weights);
             return self.irq_services[i];
         }

@@ -19,7 +19,7 @@
 
 use crate::access::{AccessKind, MemoryAccess, Mode};
 use crate::locality::{Region, RegionSpec, RegionStream};
-use crate::rng::{Weights, Xoshiro256};
+use crate::rng::{Bernoulli, Weights, Xoshiro256};
 
 /// Physical address-space layout of the modelled kernel.
 ///
@@ -344,6 +344,33 @@ const HANDLER_TEXT_LINES: u64 = 128;
 const CORE_TEXT_LINES: u64 = 256;
 /// Fraction of ifetches that hit core text rather than the handler.
 const CORE_TEXT_FRAC: f64 = 0.25;
+/// σ of the log-normal burst length.
+const BURST_SIGMA: f64 = 0.45;
+
+/// One service's per-burst and per-reference draws, computed from its
+/// [`ServiceSpec`] once.
+#[derive(Debug, Clone)]
+struct BurstDraws {
+    /// μ of the log-normal burst length (mean `mean_refs`).
+    mu: f64,
+    /// The burst-length clamp's upper end, `8 · mean_refs`.
+    max_len: f64,
+    ifetch: Bernoulli,
+    store: Bernoulli,
+    data_weights: Weights,
+}
+
+impl BurstDraws {
+    fn new(spec: ServiceSpec) -> Self {
+        BurstDraws {
+            mu: spec.mean_refs.ln() - BURST_SIGMA * BURST_SIGMA / 2.0,
+            max_len: spec.mean_refs * 8.0,
+            ifetch: Bernoulli::new(spec.ifetch_frac),
+            store: Bernoulli::new(spec.store_frac),
+            data_weights: Weights::new(spec.data_weights.to_vec()),
+        }
+    }
+}
 
 /// The stateful kernel model: one per generated trace.
 ///
@@ -355,8 +382,8 @@ pub struct KernelModel {
     handler_text: Vec<RegionStream>,
     core_text: RegionStream,
     data: Vec<RegionStream>,
-    /// Each service's [`ServiceSpec::data_weights`], by service index.
-    data_weights: Vec<Weights>,
+    /// Each service's draws, by service index.
+    draws: Vec<BurstDraws>,
     last_pc: u64,
 }
 
@@ -400,9 +427,9 @@ impl KernelModel {
             handler_text,
             core_text,
             data,
-            data_weights: Service::ALL
+            draws: Service::ALL
                 .iter()
-                .map(|s| Weights::new(s.spec().data_weights.to_vec()))
+                .map(|s| BurstDraws::new(s.spec()))
                 .collect(),
             last_pc: core_region.base(),
         }
@@ -417,18 +444,17 @@ impl KernelModel {
         rng: &mut Xoshiro256,
         out: &mut Vec<MemoryAccess>,
     ) -> usize {
-        let spec = service.spec();
+        const CORE_TEXT: Bernoulli = Bernoulli::new(CORE_TEXT_FRAC);
+        let draws = &self.draws[service.index()];
         // Log-normal burst length around the mean, clamped to a sane band.
-        let sigma = 0.45f64;
-        let mu = spec.mean_refs.ln() - sigma * sigma / 2.0;
         let len = rng
-            .log_normal(mu, sigma)
+            .log_normal(draws.mu, BURST_SIGMA)
             .round()
-            .clamp(8.0, spec.mean_refs * 8.0) as usize;
+            .clamp(8.0, draws.max_len) as usize;
         let before = out.len();
         for _ in 0..len {
-            let access = if rng.chance(spec.ifetch_frac) {
-                let addr = if rng.chance(CORE_TEXT_FRAC) {
+            let access = if draws.ifetch.sample(rng) {
+                let addr = if CORE_TEXT.sample(rng) {
                     self.core_text.next_addr(rng)
                 } else {
                     self.handler_text[service.index()].next_addr(rng)
@@ -436,10 +462,9 @@ impl KernelModel {
                 self.last_pc = addr;
                 MemoryAccess::new(addr, addr, AccessKind::InstrFetch, Mode::Kernel)
             } else {
-                let weights = &self.data_weights[service.index()];
-                let region = DataRegion::ALL[rng.weighted_index(weights)];
+                let region = DataRegion::ALL[rng.weighted_index(&draws.data_weights)];
                 let addr = self.data[region.index()].next_addr(rng);
-                let kind = if rng.chance(spec.store_frac) {
+                let kind = if draws.store.sample(rng) {
                     AccessKind::Store
                 } else {
                     AccessKind::Load

@@ -12,7 +12,7 @@
 //!
 //! A [`RegionStream`] blends the two according to its [`RegionSpec`].
 
-use crate::rng::{Xoshiro256, Zipf};
+use crate::rng::{Bernoulli, Geometric, Xoshiro256, Zipf};
 
 /// A contiguous range of physical memory measured in cache lines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -273,7 +273,13 @@ pub struct RegionStream {
     zipf: Zipf,
     ranks: RankMap,
     /// `1 / seq_dwell`: the chance a burst's next touch leaves its line.
-    seq_leave_p: f64,
+    seq_leave: Bernoulli,
+    /// `p_recent`, `p_seq` and `hot_frac` as trials.
+    retouch: Bernoulli,
+    seq_start: Bernoulli,
+    hot: Bernoulli,
+    /// Sequential burst length, mean `seq_len_mean` lines.
+    seq_len: Geometric,
     /// Current line of an in-progress sequential burst.
     seq_line: u64,
     /// Remaining lines in the in-progress burst.
@@ -311,7 +317,11 @@ impl RegionStream {
             spec,
             zipf: Zipf::new(support, spec.theta),
             ranks: RankMap::build(region.lines(), &mut perm_rng),
-            seq_leave_p: 1.0 / spec.seq_dwell,
+            seq_leave: Bernoulli::new(1.0 / spec.seq_dwell),
+            retouch: Bernoulli::new(spec.p_recent),
+            seq_start: Bernoulli::new(spec.p_seq),
+            hot: Bernoulli::new(spec.hot_frac),
+            seq_len: Geometric::new(1.0 / spec.seq_len_mean),
             seq_line: 0,
             seq_remaining: 0,
             cold_cursor: 0,
@@ -339,8 +349,9 @@ impl RegionStream {
     pub fn next_line(&mut self, rng: &mut Xoshiro256) -> u64 {
         if self.seq_remaining > 0 {
             // Intra-line dwell: linger on the current line so streaming
-            // code enjoys L1 hits on the words of a fetched line.
-            if self.spec.seq_dwell > 1.0 && !rng.chance(self.seq_leave_p) {
+            // code enjoys L1 hits on the words of a fetched line. A dwell
+            // of 1 leaves with certainty, without a draw.
+            if !self.seq_leave.sample(rng) {
                 return self.seq_line;
             }
             self.seq_remaining -= 1;
@@ -348,16 +359,16 @@ impl RegionStream {
             return self.seq_line;
         }
         // Short-term temporal locality: re-touch a recent line.
-        if rng.chance(self.spec.p_recent) {
+        if self.retouch.sample(rng) {
             let i = rng.below(self.recent.len() as u64) as usize;
             return self.recent[i];
         }
-        let line = if rng.chance(self.spec.p_seq) && self.region.lines() > 1 {
+        let line = if self.seq_start.sample(rng) && self.region.lines() > 1 {
             // Sequential bursts continue the cold stream (file reads,
             // frame buffers): they touch fresh lines and do not revisit
             // hot data, so they are insensitive to cache capacity.
             let start = self.next_cold_line(rng);
-            let len = rng.geometric(1.0 / self.spec.seq_len_mean, self.region.lines());
+            let len = self.seq_len.sample(rng, self.region.lines());
             self.seq_line = start;
             self.seq_remaining = len.saturating_sub(1);
             start
@@ -369,8 +380,8 @@ impl RegionStream {
         line
     }
 
-    /// Probability of the cold-tail cursor re-seeking to a random spot.
-    const COLD_JUMP_P: f64 = 1.0 / 16.0;
+    /// The cold-tail cursor re-seeking to a random spot.
+    const COLD_JUMP: Bernoulli = Bernoulli::new(1.0 / 16.0);
 
     /// Advances the cold streaming cursor and returns its line.
     ///
@@ -380,7 +391,7 @@ impl RegionStream {
     /// to any realistic cache capacity — the property that lets a shrunk
     /// partition match the big shared cache (claim C3).
     fn next_cold_line(&mut self, rng: &mut Xoshiro256) -> u64 {
-        if rng.chance(Self::COLD_JUMP_P) {
+        if Self::COLD_JUMP.sample(rng) {
             self.cold_cursor = rng.below(self.region.lines());
         } else {
             self.cold_cursor = self.wrap_next(self.cold_cursor);
@@ -400,7 +411,7 @@ impl RegionStream {
     }
 
     fn popular_line(&mut self, rng: &mut Xoshiro256) -> u64 {
-        if !rng.chance(self.spec.hot_frac) {
+        if !self.hot.sample(rng) {
             let line = self.next_cold_line(rng);
             return self.ranks.map(line);
         }

@@ -95,6 +95,12 @@ impl Xoshiro256 {
     #[inline]
     pub fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "below(0) is meaningless");
+        if n & (n - 1) == 0 {
+            // n = 2^k: Lemire's product x·2^k has low word x << k, never
+            // below the rejection threshold 2^64 mod n = 0, so it returns
+            // the top k bits of x after one draw (0 for k = 0).
+            return (self.next_u64() >> 1) >> (63 - n.trailing_zeros());
+        }
         // Lemire's nearly-divisionless bounded generation.
         let mut x = self.next_u64();
         let mut m = (x as u128) * (n as u128);
@@ -121,16 +127,11 @@ impl Xoshiro256 {
         lo + self.below(hi - lo)
     }
 
-    /// Bernoulli trial: `true` with probability `p` (clamped to `[0, 1]`).
+    /// Bernoulli trial: `true` with probability `p` (clamped to `[0, 1]`);
+    /// [`Bernoulli::sample`] of [`Bernoulli::new`]`(p)`.
     #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
-        if p <= 0.0 {
-            false
-        } else if p >= 1.0 {
-            true
-        } else {
-            self.next_f64() < p
-        }
+        Bernoulli::new(p).sample(self)
     }
 
     /// Exponentially distributed sample with the given mean.
@@ -144,19 +145,6 @@ impl Xoshiro256 {
         // Inversion; guard the log argument away from zero.
         let u = 1.0 - self.next_f64();
         -mean * u.ln()
-    }
-
-    /// Geometrically distributed trial count with success probability `p`
-    /// (support `1, 2, 3, ...`), capped at `cap`.
-    pub fn geometric(&mut self, p: f64, cap: u64) -> u64 {
-        if p >= 1.0 {
-            return 1;
-        }
-        if p <= 0.0 {
-            return cap.max(1);
-        }
-        let sample = (self.exponential(1.0) / -(1.0 - p).ln()).floor() as u64 + 1;
-        sample.min(cap.max(1))
     }
 
     /// Standard normal sample via the Box–Muller transform.
@@ -200,6 +188,101 @@ impl Xoshiro256 {
             target -= w;
         }
         weights.weights.len() - 1
+    }
+}
+
+/// A Bernoulli trial with its probability `p` turned into an integer
+/// threshold once, so a draw is one shift and one compare.
+///
+/// The rule is the float draw `next_f64() < p`, draw for draw: a 53-bit
+/// draw `u` gives `next_f64() = u·2⁻⁵³` exactly, and for `0 < p < 1`
+/// `p·2⁵³` is exact too (a power-of-two scale), so `u·2⁻⁵³ < p` holds iff
+/// `u < p·2⁵³`, which for an integer `u` is `u < ⌈p·2⁵³⌉`. A `p` at or
+/// below 0 is `false` and at or above 1 is `true`, without a draw; a NaN
+/// `p` draws and is `false` (its threshold is 0).
+///
+/// # Examples
+///
+/// ```
+/// use moca_trace::rng::{Bernoulli, Xoshiro256};
+///
+/// let coin = Bernoulli::new(0.5);
+/// let mut a = Xoshiro256::seed_from_u64(3);
+/// let mut b = a.clone();
+/// assert_eq!(coin.sample(&mut a), b.next_f64() < 0.5);
+/// assert_eq!(a, b);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Bernoulli {
+    /// `⌈p·2⁵³⌉` (at most 2⁵³), or one of the two no-draw sentinels.
+    threshold: u64,
+}
+
+impl Bernoulli {
+    /// `p <= 0`: `false` without a draw.
+    const NEVER: u64 = u64::MAX;
+    /// `p >= 1`: `true` without a draw.
+    const ALWAYS: u64 = u64::MAX - 1;
+
+    /// The trial that is `true` with probability `p`.
+    pub const fn new(p: f64) -> Self {
+        let threshold = if p <= 0.0 {
+            Self::NEVER
+        } else if p >= 1.0 {
+            Self::ALWAYS
+        } else {
+            // `⌈scaled⌉` without a libm call: `scaled < 2⁵³`, so its
+            // integer part and that part as an `f64` are exact. NaN
+            // casts to 0.
+            let scaled = p * (1u64 << 53) as f64;
+            let whole = scaled as u64;
+            whole + ((whole as f64) < scaled) as u64
+        };
+        Bernoulli { threshold }
+    }
+
+    /// Runs the trial on `rng`.
+    #[inline]
+    pub fn sample(self, rng: &mut Xoshiro256) -> bool {
+        match self.threshold {
+            Self::NEVER => false,
+            Self::ALWAYS => true,
+            t => (rng.next_u64() >> 11) < t,
+        }
+    }
+}
+
+/// The geometric distribution of trial counts (support `1, 2, 3, ...`)
+/// with success probability `p`, its rate `−ln(1−p)` computed once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Geometric {
+    p: f64,
+    rate: f64,
+}
+
+impl Geometric {
+    /// The distribution with success probability `p`.
+    pub fn new(p: f64) -> Self {
+        Geometric {
+            p,
+            rate: -(1.0 - p).ln(),
+        }
+    }
+
+    /// A trial count capped at `cap`: 1 without a draw if `p >= 1`, the
+    /// cap without a draw if `p <= 0`, otherwise one exponential draw
+    /// scaled by the rate.
+    pub fn sample(self, rng: &mut Xoshiro256, cap: u64) -> u64 {
+        if self.p >= 1.0 {
+            return 1;
+        }
+        if self.p <= 0.0 {
+            return cap.max(1);
+        }
+        // A float-to-integer cast saturates negatives (and NaN) to 0, so
+        // it equals `floor()` then the cast on every input.
+        let sample = (rng.exponential(1.0) / self.rate) as u64 + 1;
+        sample.min(cap.max(1))
     }
 }
 
@@ -407,6 +490,92 @@ mod tests {
         assert!(rng.chance(1.5));
     }
 
+    /// The float rule `Bernoulli` replaced, as it stood.
+    fn float_chance(rng: &mut Xoshiro256, p: f64) -> bool {
+        if p <= 0.0 {
+            false
+        } else if p >= 1.0 {
+            true
+        } else {
+            rng.next_f64() < p
+        }
+    }
+
+    #[test]
+    fn threshold_draw_matches_the_float_draw() {
+        let ulp = 1.0 / (1u64 << 53) as f64;
+        let mut ps = vec![
+            f64::NAN,
+            -0.5,
+            0.0,
+            -0.0,
+            ulp,
+            1.0 / 16.0,
+            0.3,
+            0.5,
+            1.0 - ulp,
+            1.0,
+            1.5,
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        // p·2⁵³ an integer: the threshold sits exactly on a draw value.
+        ps.extend([3.0 * ulp, 0.75, 12_345.0 * ulp, 1.0 - 2.0 * ulp]);
+        let mut pick = Xoshiro256::seed_from_u64(79);
+        ps.extend((0..200).map(|_| pick.next_f64()));
+        for p in ps {
+            let trial = Bernoulli::new(p);
+            let mut a = Xoshiro256::seed_from_u64(83);
+            let mut b = a.clone();
+            for i in 0..2_000 {
+                assert_eq!(
+                    trial.sample(&mut a),
+                    float_chance(&mut b, p),
+                    "p {p:e}, draw {i}"
+                );
+                assert_eq!(a, b, "p {p:e}, draw {i}: generator state");
+            }
+            // The boundary draws, which a random stream never reaches.
+            let t = trial.threshold;
+            if t <= 1 << 53 {
+                for u in [0, t.saturating_sub(1), t, t + 1, (1 << 53) - 1] {
+                    let u = u.min((1 << 53) - 1);
+                    assert_eq!(u < t, (u as f64) * ulp < p, "p {p:e}, u {u}");
+                }
+            }
+        }
+    }
+
+    /// `below` before its power-of-two shortcut: Lemire's method alone.
+    fn lemire_below(rng: &mut Xoshiro256, n: u64) -> u64 {
+        let mut x = rng.next_u64();
+        let mut m = (x as u128) * (n as u128);
+        let mut l = m as u64;
+        if l < n {
+            let t = n.wrapping_neg() % n;
+            while l < t {
+                x = rng.next_u64();
+                m = (x as u128) * (n as u128);
+                l = m as u64;
+            }
+        }
+        (m >> 64) as u64
+    }
+
+    #[test]
+    fn below_a_power_of_two_matches_lemire() {
+        for k in 0..=63 {
+            let n = 1u64 << k;
+            let mut a = Xoshiro256::seed_from_u64(89 + k);
+            let mut b = a.clone();
+            for i in 0..1_000 {
+                assert_eq!(a.below(n), lemire_below(&mut b, n), "k {k}, draw {i}");
+                assert_eq!(a, b, "k {k}, draw {i}: generator state");
+            }
+        }
+    }
+
     #[test]
     fn chance_mean_close_to_p() {
         let mut rng = Xoshiro256::seed_from_u64(17);
@@ -435,18 +604,20 @@ mod tests {
     fn geometric_bounds() {
         let mut rng = Xoshiro256::seed_from_u64(31);
         for _ in 0..5000 {
-            let v = rng.geometric(0.25, 100);
+            let v = Geometric::new(0.25).sample(&mut rng, 100);
             assert!((1..=100).contains(&v));
         }
-        assert_eq!(rng.geometric(1.0, 100), 1);
-        assert_eq!(rng.geometric(0.0, 100), 100);
+        assert_eq!(Geometric::new(1.0).sample(&mut rng, 100), 1);
+        assert_eq!(Geometric::new(0.0).sample(&mut rng, 100), 100);
     }
 
     #[test]
     fn geometric_mean_close() {
         let mut rng = Xoshiro256::seed_from_u64(37);
         let n = 50_000u64;
-        let sum: u64 = (0..n).map(|_| rng.geometric(0.2, 10_000)).sum();
+        let sum: u64 = (0..n)
+            .map(|_| Geometric::new(0.2).sample(&mut rng, 10_000))
+            .sum();
         let mean = sum as f64 / n as f64;
         // E[X] = 1/p = 5.
         assert!((mean - 5.0).abs() < 0.2, "mean was {mean}");

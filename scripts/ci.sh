@@ -32,6 +32,13 @@ cargo fmt --all --check
 echo "== tests (workspace, offline) =="
 cargo test -q --offline --workspace
 
+echo "== trace hashes and cache differential under the release profile =="
+# The profile repro ships with (one codegen unit, fat LTO) must
+# generate the same streams and the same cache answers as the test
+# profile does.
+cargo test -q --release --offline -p moca-trace --test golden
+cargo test -q --release --offline -p moca-cache --test soa_differential
+
 echo "== lint (clippy, warnings are errors) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
