@@ -56,7 +56,8 @@ impl L2Engine {
         each!(self, l2 => l2.request(req, now))
     }
 
-    /// Accrues trailing leakage; call once after the last request.
+    /// Charges the counts and leakage up to `now`; call once after the
+    /// last request.
     pub fn finalize(&mut self, now: u64) {
         each!(self, l2 => l2.finalize(now))
     }

@@ -85,7 +85,8 @@ pub struct HybridL2 {
     stt_write_streak: Vec<u8>,
     stats: HybridStats,
     traffic: TrafficCounters,
-    last_accrual: u64,
+    /// Cycle at which the partitions' banks were last charged leakage.
+    live_since: u64,
 }
 
 impl HybridL2 {
@@ -129,7 +130,7 @@ impl HybridL2 {
             stt_write_streak: vec![0; (params.sets as usize) * total as usize],
             stats: HybridStats::default(),
             traffic: TrafficCounters::default(),
-            last_accrual: 0,
+            live_since: 0,
         })
     }
 
@@ -138,25 +139,12 @@ impl HybridL2 {
         (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 52) as usize % WHT_ENTRIES
     }
 
-    fn accrue(&mut self, now: u64) {
-        let elapsed = now.saturating_sub(self.last_accrual);
-        if elapsed == 0 {
-            return;
-        }
-        let dt = Time::from_cycles(elapsed, CLOCK_GHZ);
-        for part in &mut self.parts {
-            part.acct.accrue_leakage(dt, 1.0);
-        }
-        self.last_accrual = now;
-    }
-
     fn streak_idx(&self, set: u64, way: u32) -> usize {
         set as usize * self.cache.geometry().ways() as usize + way as usize
     }
 
     /// Processes one request at cycle `now`.
     pub fn request(&mut self, req: &L2Request, now: u64) -> L2Response {
-        self.accrue(now);
         let set = self.cache.geometry().set_of_line(req.line);
         let wht = Self::wht_index(req.line);
         let full = self.parts[SRAM].mask.union(self.parts[STT].mask);
@@ -252,9 +240,14 @@ impl HybridL2 {
         self.stats.migrations += 1;
     }
 
-    /// Accrues trailing leakage; call once after the last request.
+    /// Charges each partition's counts and its bank's leakage up to
+    /// `now`; call once after the last request.
     pub fn finalize(&mut self, now: u64) {
-        self.accrue(now);
+        let live = Time::from_cycles(now.saturating_sub(self.live_since), CLOCK_GHZ);
+        for part in &mut self.parts {
+            part.acct.settle(live);
+        }
+        self.live_since = now;
     }
 
     /// Cache statistics. Note: migrations perform internal accesses, so
@@ -272,7 +265,7 @@ impl HybridL2 {
     pub fn energy(&self) -> EnergyBreakdown {
         let mut e = EnergyBreakdown::new();
         for part in &self.parts {
-            e.merge(part.acct.breakdown());
+            e.merge(&part.acct.breakdown());
         }
         e
     }

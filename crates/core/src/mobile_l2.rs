@@ -129,12 +129,12 @@ impl Segment {
         }
     }
 
-    /// Re-models the bank after a resize, preserving accrued energy.
-    fn resize(&mut self, params: &L2BaseParams) {
+    /// Re-models the bank after a resize; the old bank pays its `live` time.
+    fn resize(&mut self, params: &L2BaseParams, live: Time) {
         let tech = Self::technology(self.mask.count(), self.retention, params);
         self.read_latency_cycles = tech.read_latency().cycles(CLOCK_GHZ).max(1);
         self.write_latency_cycles = tech.write_latency().cycles(CLOCK_GHZ).max(1);
-        self.acct.set_bank(tech);
+        self.acct.set_bank(tech, live);
     }
 
     fn record_removal(&mut self, ev: &BlockView) {
@@ -180,7 +180,8 @@ pub struct MobileL2 {
     controller: Option<DynamicController>,
     traffic: TrafficCounters,
     timeline: Vec<AllocationSample>,
-    last_accrual: u64,
+    /// Cycle at which the segments' current banks became live.
+    live_since: u64,
     prefetches: u64,
 }
 
@@ -285,7 +286,7 @@ impl MobileL2 {
             controller,
             traffic: TrafficCounters::default(),
             timeline,
-            last_accrual: 0,
+            live_since: 0,
             prefetches: 0,
         })
     }
@@ -355,11 +356,6 @@ impl MobileL2 {
         }
     }
 
-    /// Total powered-on capacity in bytes.
-    pub fn active_capacity_bytes(&self) -> u64 {
-        u64::from(self.active_ways()) * self.params.way_bytes()
-    }
-
     /// Aggregated cache statistics (hits/misses/interference per mode).
     pub fn stats(&self) -> &CacheStats {
         self.cache.stats()
@@ -380,7 +376,8 @@ impl MobileL2 {
     }
 
     /// Energy breakdown of one mode's segment.
-    pub fn segment_energy(&self, mode: Mode) -> &EnergyBreakdown {
+    #[cfg(test)]
+    fn segment_energy(&self, mode: Mode) -> EnergyBreakdown {
         self.segments[self.segment_index(mode)].acct.breakdown()
     }
 
@@ -388,7 +385,7 @@ impl MobileL2 {
     pub fn energy(&self) -> EnergyBreakdown {
         let mut total = EnergyBreakdown::new();
         for s in &self.segments {
-            total.merge(s.acct.breakdown());
+            total.merge(&s.acct.breakdown());
         }
         total
     }
@@ -408,7 +405,6 @@ impl MobileL2 {
     ///
     /// `now` must be monotonically non-decreasing across calls.
     pub fn request(&mut self, req: &L2Request, now: u64) -> L2Response {
-        self.accrue_leakage(now);
         self.maintain(now);
 
         let si = self.segment_index(req.mode);
@@ -537,25 +533,24 @@ impl MobileL2 {
         self.prefetches
     }
 
-    /// Accrues leakage and runs expiry sweeps / epoch decisions up to
-    /// `now`, then accrues trailing leakage. Call once after the last
-    /// request to close the books.
+    /// Charges each segment's counts and its bank's leakage up to `now`.
+    /// Call once after the last request to close the books.
     pub fn finalize(&mut self, now: u64) {
-        self.accrue_leakage(now);
+        let live = self.close_interval(now);
+        for seg in &mut self.segments {
+            seg.acct.settle(live);
+        }
     }
 
-    fn accrue_leakage(&mut self, now: u64) {
-        let elapsed = now.saturating_sub(self.last_accrual);
-        if elapsed == 0 {
-            return;
-        }
-        let dt = Time::from_cycles(elapsed, CLOCK_GHZ);
-        for seg in &mut self.segments {
-            // Each segment's bank is already sized to its active ways;
-            // gated ways simply have no accountant.
-            seg.acct.accrue_leakage(dt, 1.0);
-        }
-        self.last_accrual = now;
+    /// The time the current banks have been live at `now`, which starts
+    /// the next interval. A segment's energy is its event counts × the
+    /// per-event energies plus leakage power × live time, charged per
+    /// bank: each bank is sized to its segment's active ways, so gated
+    /// ways leak nothing.
+    fn close_interval(&mut self, now: u64) -> Time {
+        let live = Time::from_cycles(now.saturating_sub(self.live_since), CLOCK_GHZ);
+        self.live_since = now;
+        live
     }
 
     fn maintain(&mut self, now: u64) {
@@ -664,8 +659,9 @@ impl MobileL2 {
                 }
             }
         }
+        let live = self.close_interval(now);
         for si in 0..2 {
-            self.segments[si].resize(&self.params);
+            self.segments[si].resize(&self.params, live);
         }
         self.timeline.push(AllocationSample {
             cycle: now,
@@ -712,6 +708,7 @@ impl MobileL2 {
 mod tests {
     use super::*;
     use moca_cache::L2Cause;
+    use moca_energy::{project_energy, AccessCounts, Energy};
     use moca_trace::AccessKind;
 
     fn req(line: u64, write: bool, mode: Mode) -> L2Request {
@@ -763,7 +760,6 @@ mod tests {
         assert_eq!(l2.segment_ways(Mode::User), 6);
         assert_eq!(l2.segment_ways(Mode::Kernel), 2);
         assert_eq!(l2.active_ways(), 8);
-        assert_eq!(l2.active_capacity_bytes(), 8 * 128 * 1024);
     }
 
     #[test]
@@ -774,18 +770,6 @@ mod tests {
         let hit = l2.request(&req(1, false, Mode::User), 5);
         assert!(hit.hit && !hit.dram_read);
         assert_eq!(l2.traffic().dram_reads, 1);
-    }
-
-    #[test]
-    fn energy_accumulates_leakage_over_time() {
-        let mut l2 = shared();
-        l2.request(&req(1, false, Mode::User), 0);
-        l2.finalize(1_000_000); // 1 ms at 1 GHz
-        let e = l2.energy();
-        assert!(e.leakage.nj() > 0.0);
-        assert!(e.read.nj() > 0.0);
-        // 2 MiB SRAM leaks ~500 mW → ~500 uJ over 1 ms; sanity band.
-        assert!(e.leakage.joules() > 1e-7 && e.leakage.joules() < 1e-2);
     }
 
     #[test]
@@ -893,13 +877,18 @@ mod tests {
         assert!(l2.energy().refresh.nj() > 0.0);
     }
 
+    /// The controller resizes the segments, and each segment is charged
+    /// leakage for the bank that was live: the sum, over the allocation
+    /// timeline's intervals, of that interval's bank leakage power × its
+    /// length.
     #[test]
     fn dynamic_design_adapts_allocation() {
+        let retentions = [RetentionClass::OneSecond, RetentionClass::TenMillis];
         let design = L2Design::DynamicStt {
             max_ways: 16,
             min_ways: 1,
-            user_retention: RetentionClass::OneSecond,
-            kernel_retention: RetentionClass::TenMillis,
+            user_retention: retentions[0],
+            kernel_retention: retentions[1],
             refresh: RefreshPolicy::InvalidateOnExpiry,
             epoch_cycles: 100_000,
         };
@@ -926,6 +915,21 @@ mod tests {
             l2.active_ways(),
             "timeline must match allocation"
         );
+        let end = now + 12_345;
+        l2.finalize(end);
+        let timeline = l2.timeline();
+        assert!(timeline.len() >= 3, "want two resizes: {timeline:?}");
+        for (si, mode) in Mode::ALL.into_iter().enumerate() {
+            let mut want = Energy::ZERO;
+            for (i, at) in timeline.iter().enumerate() {
+                let until = timeline.get(i + 1).map_or(end, |next| next.cycle);
+                let ways = [at.user_ways, at.kernel_ways][si];
+                let bytes = u64::from(ways) * l2.params().way_bytes();
+                let bank = Technology::sttram(bytes, ways, retentions[si]);
+                want += bank.leakage_power() * Time::from_cycles(until - at.cycle, CLOCK_GHZ);
+            }
+            assert_eq!(l2.segment_energy(mode).leakage, want, "{mode:?}");
+        }
     }
 
     /// The hit-path histograms against a brute-force oracle: a map per
@@ -985,6 +989,68 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A shared and a static SRAM engine, driven by random streams, each
+    /// charge every segment exactly the projection of its own counts,
+    /// tallied here from the responses and the DRAM traffic: an SRAM
+    /// segment reads on a read hit, a miss's probe and a dirty victim's
+    /// writeback, and writes on a write hit and a fill.
+    #[test]
+    fn sram_segment_energy_is_the_projection_of_its_counts() {
+        for seed in 0..4u64 {
+            for (mut l2, ways) in [(shared(), vec![16]), (static_sram(), vec![6, 2])] {
+                let mut rng = moca_testkit::TestRng::new(seed);
+                let sets = l2.params().sets;
+                let mut counts = vec![AccessCounts::default(); ways.len()];
+                let mut now = 0u64;
+                for _ in 0..4000 {
+                    now += 1 + rng.below(200);
+                    let mode = if rng.bool() { Mode::Kernel } else { Mode::User };
+                    let (line, write) = (rng.below(48) * sets + rng.below(3), rng.below(4) == 0);
+                    let before = l2.traffic().dram_writes;
+                    let hit = l2.request(&req(line, write, mode), now).hit;
+                    let c = &mut counts[mode.index() % ways.len()];
+                    c.reads += u64::from(!hit || !write) + l2.traffic().dram_writes - before;
+                    c.writes += u64::from(!hit || write);
+                }
+                l2.finalize(now);
+                let elapsed = Time::from_cycles(now, CLOCK_GHZ);
+                for (si, &w) in ways.iter().enumerate() {
+                    let bank = Technology::sram(u64::from(w) * l2.params().way_bytes(), w);
+                    let want = project_energy(bank, &counts[si], elapsed, 1.0);
+                    assert_eq!(
+                        l2.segment_energy(Mode::ALL[si]),
+                        want,
+                        "seed {seed}, {w} ways"
+                    );
+                }
+                if ways.len() == 1 {
+                    assert_eq!(l2.energy(), l2.segment_energy(Mode::User), "seed {seed}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn segment_energies_sum_to_total() {
+        let mut l2 =
+            MobileL2::new(L2Design::static_default(), L2BaseParams::default()).expect("valid");
+        let mut rng = moca_testkit::TestRng::new(3);
+        let mut now = 0u64;
+        for _ in 0..20_000 {
+            // Gaps long enough for sweeps to write back and expire blocks.
+            now += rng.below(4_000);
+            let mode = if rng.bool() { Mode::Kernel } else { Mode::User };
+            l2.request(&req(rng.below(1 << 16), rng.below(3) == 0, mode), now);
+        }
+        l2.finalize(now);
+        let [u, k] = Mode::ALL.map(|m| l2.segment_energy(m));
+        let total = l2.energy();
+        assert!(total.read.pj() > 0.0 && total.leakage.pj() > 0.0);
+        let sums = (u.read + k.read, u.write + k.write, u.leakage + k.leakage);
+        assert_eq!((total.read, total.write, total.leakage), sums);
+        assert_eq!(total.refresh, u.refresh + k.refresh);
     }
 
     #[test]

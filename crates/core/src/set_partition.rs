@@ -67,7 +67,7 @@ impl SetPartitionedL2 {
         self.arrays[req.mode.index()].request(req, now)
     }
 
-    /// Accrues trailing leakage; call once after the last request.
+    /// Charges both arrays up to `now`; call once after the last request.
     pub fn finalize(&mut self, now: u64) {
         self.arrays.iter_mut().for_each(|a| a.finalize(now));
     }
@@ -131,7 +131,10 @@ mod tests {
     #[test]
     fn arrays_have_their_own_geometry() {
         let l2 = mk();
-        let bytes = l2.arrays.each_ref().map(MobileL2::active_capacity_bytes);
+        let bytes = l2
+            .arrays
+            .each_ref()
+            .map(|a| u64::from(a.active_ways()) * a.params().way_bytes());
         assert_eq!(bytes, [1 << 20, 512 << 10]);
     }
 

@@ -1,11 +1,15 @@
 //! Energy accounting over a simulation run.
 //!
-//! [`EnergyAccountant`] integrates the four components of cache energy —
-//! read dynamic, write dynamic, leakage over time (scaled by the active
-//! way fraction, modelling power gating), and refresh — against a
-//! concrete [`Technology`]. The resulting [`EnergyBreakdown`] is what the
+//! Cache energy has four components — read dynamic, write dynamic,
+//! leakage and refresh — and one rule turns event counts into them:
+//! each count × its per-event energy on a concrete [`Technology`], plus
+//! the bank's leakage power × the time it was live. [`EnergyAccountant`]
+//! keeps integer counts for its current bank and applies the rule once
+//! per bank interval; [`crate::project_energy`] applies the same rule to
+//! projected counts. The resulting [`EnergyBreakdown`] is what the
 //! paper's energy tables (T2) are built from.
 
+use crate::projection::AccessCounts;
 use crate::retention::RetentionClass;
 use crate::sram::SramBank;
 use crate::sttram::SttRamBank;
@@ -102,7 +106,7 @@ pub struct EnergyBreakdown {
     pub read: Energy,
     /// Dynamic energy of write accesses.
     pub write: Energy,
-    /// Static leakage integrated over time.
+    /// Static leakage: leakage power × live time.
     pub leakage: Energy,
     /// Refresh / expiry-handling writes (STT-RAM only).
     pub refresh: Energy,
@@ -164,11 +168,28 @@ impl std::fmt::Display for EnergyBreakdown {
     }
 }
 
-/// Integrates energy for one bank over a run.
+/// The count rule: `counts` events on `bank`, each at its per-event
+/// energy (a refresh is a block write), plus `bank`'s leakage power over
+/// `live` time.
+pub(crate) fn energy_of(bank: &Technology, counts: &AccessCounts, live: Time) -> EnergyBreakdown {
+    EnergyBreakdown {
+        read: bank.read_energy() * counts.reads,
+        write: bank.write_energy() * counts.writes,
+        leakage: bank.leakage_power() * live,
+        refresh: bank.write_energy() * counts.refreshes,
+    }
+}
+
+/// Counts the events of one bank over a run and turns them into energy
+/// once per bank interval: when the bank is replaced and when the run
+/// ends.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyAccountant {
     bank: Technology,
-    breakdown: EnergyBreakdown,
+    /// Events on the current bank since it became live.
+    counts: AccessCounts,
+    /// Energy of the intervals already charged.
+    charged: EnergyBreakdown,
 }
 
 impl EnergyAccountant {
@@ -181,64 +202,53 @@ impl EnergyAccountant {
     ///
     /// let mut acct = EnergyAccountant::new(Technology::sram(1 << 20, 16));
     /// acct.record_reads(1000);
-    /// acct.accrue_leakage(Time::from_ms(1.0), 1.0);
+    /// acct.settle(Time::from_ms(1.0));
     /// assert!(acct.breakdown().leakage.nj() > 0.0);
     /// ```
     pub fn new(bank: Technology) -> Self {
         Self {
             bank,
-            breakdown: EnergyBreakdown::new(),
+            counts: AccessCounts::default(),
+            charged: EnergyBreakdown::new(),
         }
     }
 
-    /// The bank being accounted.
-    pub fn bank(&self) -> &Technology {
-        &self.bank
+    /// Charges the current bank's counts and its `live` time, then
+    /// replaces it with `bank` (a segment re-sized).
+    pub fn set_bank(&mut self, bank: Technology, live: Time) {
+        self.settle(live);
+        self.bank = bank;
     }
 
-    /// Replaces the bank model (used when a segment is re-sized); energy
-    /// already accrued is kept.
-    pub fn set_bank(&mut self, bank: Technology) {
-        self.bank = bank;
+    /// Charges the current bank's counts and its `live` time (the run
+    /// ended); the bank stays current.
+    pub fn settle(&mut self, live: Time) {
+        self.charged
+            .merge(&energy_of(&self.bank, &self.counts, live));
+        self.counts = AccessCounts::default();
     }
 
     /// Records `n` read accesses.
     pub fn record_reads(&mut self, n: u64) {
-        self.breakdown.read += self.bank.read_energy() * n;
+        self.counts.reads += n;
     }
 
     /// Records `n` write accesses.
     pub fn record_writes(&mut self, n: u64) {
-        self.breakdown.write += self.bank.write_energy() * n;
+        self.counts.writes += n;
     }
 
     /// Records `n` refresh block-writes.
     pub fn record_refreshes(&mut self, n: u64) {
-        self.breakdown.refresh += self.bank.write_energy() * n;
+        self.counts.refreshes += n;
     }
 
-    /// Accrues leakage for `elapsed` wall-clock time with the given
-    /// fraction of the bank powered on (way power-gating).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `active_fraction` is outside `[0, 1]`.
-    pub fn accrue_leakage(&mut self, elapsed: Time, active_fraction: f64) {
-        assert!(
-            (0.0..=1.0).contains(&active_fraction),
-            "active fraction must be in [0,1], got {active_fraction}"
-        );
-        self.breakdown.leakage += self.bank.leakage_power().scaled(active_fraction) * elapsed;
-    }
-
-    /// The accumulated breakdown.
-    pub fn breakdown(&self) -> &EnergyBreakdown {
-        &self.breakdown
-    }
-
-    /// Resets accumulated energy to zero.
-    pub fn reset(&mut self) {
-        self.breakdown = EnergyBreakdown::new();
+    /// The energy charged so far plus the dynamic energy of the counts
+    /// not yet charged; leakage shows once the interval is settled.
+    pub fn breakdown(&self) -> EnergyBreakdown {
+        let mut b = self.charged;
+        b.merge(&energy_of(&self.bank, &self.counts, Time::ZERO));
+        b
     }
 }
 
@@ -259,39 +269,11 @@ mod tests {
     }
 
     #[test]
-    fn accountant_sums_components() {
-        let mut a = EnergyAccountant::new(Technology::sram(1 << 20, 16));
-        a.record_reads(10);
-        a.record_writes(5);
-        a.accrue_leakage(Time::from_us(1.0), 1.0);
-        let b = a.breakdown();
-        let read = a.bank().read_energy() * 10;
-        let write = a.bank().write_energy() * 5;
-        assert!((b.read.pj() - read.pj()).abs() < 1e-9);
-        assert!((b.write.pj() - write.pj()).abs() < 1e-9);
-        assert!(b.leakage.pj() > 0.0);
-        assert_eq!(b.refresh, Energy::ZERO);
-        assert!((b.total().pj() - (b.read + b.write + b.leakage).pj()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn power_gating_halves_leakage() {
-        let mk = || EnergyAccountant::new(Technology::sram(1 << 20, 16));
-        let mut full = mk();
-        full.accrue_leakage(Time::from_ms(1.0), 1.0);
-        let mut half = mk();
-        half.accrue_leakage(Time::from_ms(1.0), 0.5);
-        let ratio = half.breakdown().leakage.pj() / full.breakdown().leakage.pj();
-        assert!((ratio - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn refresh_uses_write_energy() {
-        let mut a =
-            EnergyAccountant::new(Technology::sttram(1 << 20, 16, RetentionClass::TenMillis));
+        let bank = Technology::sttram(1 << 20, 16, RetentionClass::TenMillis);
+        let mut a = EnergyAccountant::new(bank);
         a.record_refreshes(3);
-        let expected = a.bank().write_energy() * 3;
-        assert!((a.breakdown().refresh.pj() - expected.pj()).abs() < 1e-9);
+        assert_eq!(a.breakdown().refresh, bank.write_energy() * 3);
     }
 
     #[test]
@@ -312,28 +294,22 @@ mod tests {
     }
 
     #[test]
-    fn set_bank_keeps_accrued_energy() {
-        let mut a = EnergyAccountant::new(Technology::sram(1 << 20, 16));
+    fn set_bank_charges_the_old_bank_and_keeps_its_energy() {
+        let big = Technology::sram(1 << 20, 16);
+        let small = Technology::sram(512 << 10, 8);
+        let mut a = EnergyAccountant::new(big);
         a.record_reads(100);
-        let before = a.breakdown().read;
-        a.set_bank(Technology::sram(512 << 10, 8));
-        assert_eq!(a.breakdown().read, before);
-        assert_eq!(a.bank().capacity_bytes(), 512 << 10);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let mut a = EnergyAccountant::new(Technology::sram(1 << 20, 16));
-        a.record_reads(1);
-        a.reset();
-        assert_eq!(a.breakdown().total(), Energy::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "active fraction")]
-    fn bad_active_fraction_panics() {
-        let mut a = EnergyAccountant::new(Technology::sram(1 << 20, 16));
-        a.accrue_leakage(Time::from_ns(1.0), 1.5);
+        // Uncharged counts already show, without leakage.
+        assert_eq!(a.breakdown().read, big.read_energy() * 100);
+        assert_eq!(a.breakdown().leakage, Energy::ZERO);
+        a.set_bank(small, Time::from_us(2.0));
+        a.record_reads(10);
+        a.settle(Time::from_us(3.0));
+        let b = a.breakdown();
+        assert_eq!(b.read, big.read_energy() * 100 + small.read_energy() * 10);
+        let leak =
+            big.leakage_power() * Time::from_us(2.0) + small.leakage_power() * Time::from_us(3.0);
+        assert_eq!(b.leakage, leak);
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! Analytic energy/latency models for the cache banks evaluated by the
 //! paper: a CACTI-style [`SramBank`] and an MTJ-physics [`SttRamBank`]
 //! whose write cost depends on the [`RetentionClass`] (the
-//! multi-retention knob). [`EnergyAccountant`] integrates read/write/
-//! leakage/refresh energy over a simulated run.
+//! multi-retention knob). [`EnergyAccountant`] counts a bank's reads,
+//! writes and refreshes over a simulated run and charges them by one
+//! rule, which [`project_energy`] shares: each count × its per-event
+//! energy, plus leakage power × the bank's live time.
 //!
 //! Absolute numbers are literature-anchored approximations; the *relative*
 //! properties the paper's conclusions rest on are enforced by tests:

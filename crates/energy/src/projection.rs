@@ -1,19 +1,17 @@
 //! Analytical energy projection from access counts.
 //!
-//! A timing simulation integrates energy as events happen; a miss-rate
-//! curve produces the event *counts* of a whole design grid without
-//! running any of the simulations. [`project_energy`] bridges the two:
-//! given a bank [`Technology`], the projected array access counts, and
-//! the elapsed time, it produces an [`EnergyBreakdown`] through the
-//! same [`EnergyAccountant`] arithmetic the simulator uses — so a
-//! projection and a simulation that agree on the counts agree on the
-//! energy to the last floating-point operation.
+//! A miss-rate curve produces the event *counts* of a whole design grid
+//! without running any of the simulations. [`project_energy`] turns
+//! counts into energy with the simulator's own count rule — each count ×
+//! its per-event energy on the bank [`Technology`], plus leakage power ×
+//! elapsed time — so a projection and a simulation that agree on the
+//! counts and the cycles agree on the energy bit for bit.
 //!
 //! The projection is the cheap evaluator behind MRC-based sweep
 //! pruning (`moca_sim::sweep`): it ranks LRU grid points analytically
 //! so only the Pareto-surviving candidates pay for a full timing run.
 
-use crate::accounting::{EnergyAccountant, EnergyBreakdown, Technology};
+use crate::accounting::{energy_of, EnergyBreakdown, Technology};
 use crate::units::Time;
 
 /// Integer overflow while combining event counts or capacities for an
@@ -95,13 +93,13 @@ impl AccessCounts {
 }
 
 /// Projects the energy of `counts` accesses against `bank`, with
-/// leakage accrued over `elapsed` at `active_fraction` of the bank
-/// powered on.
+/// leakage over `elapsed` scaled by `active_fraction`, the powered-on
+/// share of the bank.
 ///
-/// # Panics
-///
-/// Panics if `active_fraction` is outside `[0, 1]` (the same contract
-/// as [`EnergyAccountant::accrue_leakage`]).
+/// Every workspace caller passes `1.0`, which makes the result the
+/// simulator's energy for the same counts and cycles, bit for bit. The
+/// fraction stays in the signature for `reprobench/probe`, which calls
+/// the function with four arguments.
 ///
 /// # Examples
 ///
@@ -120,18 +118,13 @@ pub fn project_energy(
     elapsed: Time,
     active_fraction: f64,
 ) -> EnergyBreakdown {
-    let mut acct = EnergyAccountant::new(bank);
-    acct.record_reads(counts.reads);
-    acct.record_writes(counts.writes);
-    acct.record_refreshes(counts.refreshes);
-    acct.accrue_leakage(elapsed, active_fraction);
-    *acct.breakdown()
+    energy_of(&bank, counts, elapsed.scaled(active_fraction))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tech::MemoryTechnology;
+    use crate::accounting::EnergyAccountant;
 
     #[test]
     fn projection_matches_accountant_event_stream() {
@@ -139,20 +132,23 @@ mod tests {
         let counts = AccessCounts {
             reads: 1234,
             writes: 567,
-            refreshes: 0,
+            refreshes: 89,
         };
-        let projected = project_energy(bank, &counts, Time::from_us(3.0), 0.75);
-        // The "simulation": the same events recorded one batch at a time.
+        let elapsed = Time::from_cycles(3_000, 1.0);
+        let projected = project_energy(bank, &counts, elapsed, 1.0);
+        // The "simulation": the same events recorded in several batches.
         let mut acct = EnergyAccountant::new(bank);
         acct.record_reads(1000);
+        acct.record_writes(500);
         acct.record_reads(234);
-        acct.record_writes(567);
-        acct.accrue_leakage(Time::from_us(1.0), 0.75);
-        acct.accrue_leakage(Time::from_us(2.0), 0.75);
+        acct.record_refreshes(89);
+        acct.record_writes(67);
+        acct.settle(elapsed);
         let simulated = acct.breakdown();
-        assert!((projected.read.pj() - simulated.read.pj()).abs() < 1e-9);
-        assert!((projected.write.pj() - simulated.write.pj()).abs() < 1e-9);
-        assert!((projected.leakage.pj() - simulated.leakage.pj()).abs() < 1e-6);
+        assert_eq!(projected.read, simulated.read);
+        assert_eq!(projected.write, simulated.write);
+        assert_eq!(projected.leakage, simulated.leakage);
+        assert_eq!(projected.refresh, simulated.refresh);
     }
 
     #[test]
@@ -189,22 +185,5 @@ mod tests {
         let few = project_energy(bank, &AccessCounts::write_allocate(900, 0, 100), t, 1.0);
         let many = project_energy(bank, &AccessCounts::write_allocate(500, 0, 500), t, 1.0);
         assert!(many.total().pj() > few.total().pj());
-    }
-
-    #[test]
-    fn refreshes_use_write_energy() {
-        let bank = Technology::sttram(1 << 20, 8, crate::retention::RetentionClass::TenMillis);
-        let b = project_energy(
-            bank,
-            &AccessCounts {
-                reads: 0,
-                writes: 0,
-                refreshes: 5,
-            },
-            Time::from_ns(0.0),
-            0.0,
-        );
-        let expected = bank.write_energy() * 5;
-        assert!((b.refresh.pj() - expected.pj()).abs() < 1e-9);
     }
 }

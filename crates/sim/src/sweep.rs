@@ -15,8 +15,8 @@
 //! is more than necessary: a single pass of the L2-visible stream
 //! through the exact Mattson profiler ([`moca_cache::MrcProfiler`])
 //! yields the hit/miss counts of **every** way count at once, and
-//! [`moca_energy::project_energy`] turns those counts into the energy a
-//! simulation would integrate. [`sweep_pruned`] uses that to score the
+//! [`moca_energy::project_energy`] turns those counts into energy by the
+//! simulator's own count rule. [`sweep_pruned`] uses that to score the
 //! whole LRU grid analytically, keep only the Pareto frontier of
 //! (projected energy, projected cycles), and run full lock-step
 //! simulation for the survivors only — every other design (partitioned,
@@ -194,8 +194,8 @@ fn dominates(a: &MrcScore, b: &MrcScore) -> bool {
 ///
 /// The cycle projection mirrors the simulator's timing model — base
 /// pipeline cost per reference, L2 read latency per L2 access, DRAM
-/// latency per miss — and the energy runs through the very
-/// [`project_energy`] arithmetic the simulator integrates with. Two
+/// latency per miss — and the energy runs through [`project_energy`],
+/// the count rule the simulator charges its segments with. Two
 /// deliberate approximations keep it closed-form: every L2 access is
 /// charged the bank's read latency (the simulator stalls only on
 /// demands, and charges write hits the write latency), and dirty-victim

@@ -1,9 +1,8 @@
 //! Cross-crate accounting consistency: the same events must add up the
 //! same way wherever they are counted.
 
-use moca::cache::{L1Pair, L2Request};
+use moca::cache::L2Request;
 use moca::core::{L2BaseParams, L2Design, MobileL2};
-use moca::sim::config::{L1D_GEOMETRY, L1I_GEOMETRY};
 use moca::sim::{System, SystemConfig};
 use moca::trace::{AppProfile, Mode, TraceGenerator};
 
@@ -46,30 +45,6 @@ fn l1_misses_bound_l2_accesses() {
     // per L1 miss (a fill can evict at most one dirty block).
     assert!(r.l2_stats.accesses() >= l1_misses);
     assert!(r.l2_stats.accesses() <= 2 * l1_misses);
-}
-
-#[test]
-fn segment_energies_sum_to_total() {
-    let params = L2BaseParams::default();
-    let mut l2 = MobileL2::new(L2Design::static_default(), params).expect("valid");
-    let app = AppProfile::video();
-    let mut l1 = L1Pair::from_geometries(L1I_GEOMETRY, L1D_GEOMETRY);
-    let mut now = 0u64;
-    for a in TraceGenerator::new(&app, 3).take(150_000) {
-        now += 2;
-        let o = l1.access(&a);
-        for req in [o.demand, o.writeback].into_iter().flatten() {
-            l2.request(&req, now);
-        }
-    }
-    l2.finalize(now);
-    let total = l2.energy().total().pj();
-    let parts =
-        l2.segment_energy(Mode::User).total().pj() + l2.segment_energy(Mode::Kernel).total().pj();
-    assert!(
-        (total - parts).abs() < 1e-6,
-        "total {total} != parts {parts}"
-    );
 }
 
 #[test]
